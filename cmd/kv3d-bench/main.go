@@ -1,5 +1,5 @@
-// Command kv3d-bench regenerates the paper's tables and figures, and
-// measures the live server's performance trajectory.
+// Command kv3d-bench regenerates the paper's tables and figures. (The
+// live server is measured by `go run ./benchmark`; see BENCHMARK.json.)
 //
 // Usage:
 //
@@ -7,13 +7,6 @@
 //	kv3d-bench -run table3       # one experiment
 //	kv3d-bench -run fig5 -quick  # trimmed sweep for smoke tests
 //	kv3d-bench -list             # list experiment ids
-//
-// Live benchmark snapshots (the BENCH_*.json trajectory):
-//
-//	kv3d-bench -snapshot BENCH_baseline.json             # measure + record
-//	kv3d-bench -snapshot BENCH_now.json \
-//	    -compare BENCH_baseline.json -tolerance 0.5      # exit 1 on regression
-//	kv3d-bench -snapshot BENCH_now.json -flight-trace trace.json
 package main
 
 import (
@@ -23,9 +16,7 @@ import (
 	"strings"
 	"time"
 
-	"kv3d/internal/bench"
 	"kv3d/internal/experiments"
-	"kv3d/internal/obs"
 )
 
 func main() {
@@ -34,35 +25,12 @@ func main() {
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	jsonOut := flag.Bool("json", false, "render tables as JSON instead of ASCII")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON recording of the event-level run (loadlatency) to this file")
-
-	snapshot := flag.String("snapshot", "", "run the live loopback benchmark and write its BENCH_*.json snapshot here (skips experiments)")
-	compare := flag.String("compare", "", "baseline BENCH_*.json to compare the live run against; exits nonzero on regression")
-	tolerance := flag.Float64("tolerance", 0.5, "relative tolerance band for -compare (0.5 = 50% worse still passes)")
-	benchName := flag.String("bench-name", "live", "snapshot name")
-	benchOps := flag.Int("bench-ops", 20000, "live bench: total operations")
-	benchWorkers := flag.Int("bench-workers", 4, "live bench: concurrent connections")
-	benchValue := flag.Int("bench-value", 100, "live bench: value size in bytes")
-	benchBinary := flag.Bool("bench-binary", false, "live bench: use the binary protocol")
-	benchBatched := flag.Bool("bench-batched", false, "live bench: run the server's event-driven batched datapath")
-	benchPipeline := flag.Int("bench-pipeline", 1, "live bench: pipelined multiget depth for gets (1 = one round trip per get)")
-	benchGetRatio := flag.Float64("bench-get-ratio", 0.9, "live bench: fraction of gets (rest are sets)")
-	flightTrace := flag.String("flight-trace", "", "live bench: record the server's flight trace and write Perfetto JSON here")
 	flag.Parse()
 
 	if *list {
 		for _, id := range experiments.IDs() {
 			fmt.Println(id)
 		}
-		return
-	}
-
-	if *snapshot != "" || *compare != "" {
-		runLiveBench(liveBenchArgs{
-			snapshot: *snapshot, compare: *compare, tolerance: *tolerance,
-			name: *benchName, ops: *benchOps, workers: *benchWorkers,
-			valueSize: *benchValue, binary: *benchBinary, batched: *benchBatched,
-			pipeline: *benchPipeline, getRatio: *benchGetRatio, flightTrace: *flightTrace,
-		})
 		return
 	}
 
@@ -89,93 +57,5 @@ func main() {
 			}
 		}
 		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", res.ID, time.Since(start).Round(time.Millisecond))
-	}
-}
-
-// liveBenchArgs carries the -snapshot/-compare flag set.
-type liveBenchArgs struct {
-	snapshot    string
-	compare     string
-	tolerance   float64
-	name        string
-	ops         int
-	workers     int
-	valueSize   int
-	binary      bool
-	batched     bool
-	pipeline    int
-	getRatio    float64
-	flightTrace string
-}
-
-// runLiveBench measures the live server over loopback, optionally
-// records the snapshot and a flight trace, and — with -compare —
-// verdicts the run against a committed baseline.
-func runLiveBench(a liveBenchArgs) {
-	var rec *obs.FlightRecorder
-	if a.flightTrace != "" {
-		rec = obs.NewFlightRecorder("bench-server", 8192)
-	}
-	snap, err := bench.RunLive(bench.LiveConfig{
-		Name:        a.name,
-		Ops:         a.ops,
-		Workers:     a.workers,
-		ValueSize:   a.valueSize,
-		GetRatio:    a.getRatio,
-		Binary:      a.binary,
-		Batched:     a.batched,
-		Pipeline:    a.pipeline,
-		Flight:      rec,
-		FlightEvery: 1,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "kv3d-bench: live bench: %v\n", err)
-		os.Exit(1)
-	}
-	r := snap.Result
-	fmt.Fprintf(os.Stderr, "kv3d-bench: %s: %d ops in %v: %.0f ops/s, p50=%dns p99=%dns p999=%dns, %.1f allocs/op, %.2f syscalls/op (%.2f rd + %.2f wr)\n",
-		snap.Name, r.Ops, time.Duration(r.DurationNs).Round(time.Millisecond),
-		r.OpsPerSec, r.LatencyNs.P50, r.LatencyNs.P99, r.LatencyNs.P999, r.AllocsPerOp,
-		r.SyscallsPerOp, r.ServerReadsPerOp, r.ServerWritesPerOp)
-	if r.Errors > 0 {
-		fmt.Fprintf(os.Stderr, "kv3d-bench: %d operations failed\n", r.Errors)
-		os.Exit(1)
-	}
-	if a.snapshot != "" {
-		if err := snap.Write(a.snapshot); err != nil {
-			fmt.Fprintf(os.Stderr, "kv3d-bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "kv3d-bench: snapshot written to %s\n", a.snapshot)
-	}
-	if a.flightTrace != "" {
-		f, err := os.Create(a.flightTrace)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "kv3d-bench: %v\n", err)
-			os.Exit(1)
-		}
-		werr := rec.WriteTraceJSON(f)
-		cerr := f.Close()
-		if werr != nil || cerr != nil {
-			fmt.Fprintf(os.Stderr, "kv3d-bench: writing trace: %v %v\n", werr, cerr)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "kv3d-bench: flight trace (%d events, %d dropped) written to %s\n",
-			rec.Len(), rec.Dropped(), a.flightTrace)
-	}
-	if a.compare != "" {
-		base, err := bench.Load(a.compare)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "kv3d-bench: %v\n", err)
-			os.Exit(1)
-		}
-		regs := bench.Compare(base, snap, a.tolerance)
-		if len(regs) > 0 {
-			for _, reg := range regs {
-				fmt.Fprintf(os.Stderr, "kv3d-bench: REGRESSION: %s\n", reg)
-			}
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "kv3d-bench: within %.0f%% tolerance of %s\n", a.tolerance*100, a.compare)
 	}
 }

@@ -79,7 +79,6 @@ func main() {
 	shards := flag.Int("shards", 8, "shard count for striped mode")
 	noEvict := flag.Bool("no-evict", false, "error instead of evicting (memcached -M)")
 	maxConns := flag.Int("max-conns", 0, "max simultaneous connections (0 = unlimited)")
-	batched := flag.Bool("batched", false, "event-driven batched datapath: coalesced store rounds + flush-on-drain writes")
 	idleTimeout := flag.Duration("idle-timeout", 0, "close idle connections after this long (0 = never)")
 	crawlEvery := flag.Duration("crawl-interval", 0, "background expiry sweep interval (0 = disabled)")
 	udpAddr := flag.String("udp", "", "also serve the UDP protocol on this address (e.g. :11211)")
@@ -129,7 +128,6 @@ func main() {
 	}
 	srv := kvserver.NewWithOptions(store, log.New(os.Stderr, "", log.LstdFlags), kvserver.Options{
 		MaxConns:    *maxConns,
-		Batched:     *batched,
 		IdleTimeout: *idleTimeout,
 		Flight:      rec,
 		FlightEvery: *flightEvery,

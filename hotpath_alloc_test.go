@@ -8,13 +8,14 @@ package kv3d
 //
 //   - A disabled (nil) obs.Tracer costs zero allocations per event, so
 //     model code can instrument unconditionally.
-//   - The ASCII GET path — readLine, dispatch, doGet, store lookup,
-//     response write — allocates nothing per operation in steady state.
-//     Per-session setup (bufio buffers, scratch growth on first use) is
-//     allowed; per-op cost must be flat.
+//   - The ASCII and binary GET paths — read, dispatch, doGet, store
+//     lookup, response write — allocate nothing per operation in steady
+//     state. Per-session setup (bufio buffers, scratch growth on first
+//     use) is allowed; per-op cost must be flat.
 
 import (
 	"bufio"
+	"bytes"
 	"io"
 	"strings"
 	"testing"
@@ -250,45 +251,11 @@ func TestKVStoreGetBatchIntoZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestKVStoreSetBatchZeroAlloc measures the store-side set batch: with
-// reused ops/errs/scratch, a 64-op batch over existing keys is
-// alloc-free (slab chunks recycle through the free lists).
-func TestKVStoreSetBatchZeroAlloc(t *testing.T) {
-	st, err := kvstore.New(kvstore.DefaultConfig(32 << 20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	value := []byte("bench-value-0123456789")
-	ops := make([]kvstore.SetOp, 64)
-	for i := range ops {
-		key := "sb-key-" + string(rune('a'+i%26)) + string(rune('a'+i/26))
-		ops[i] = kvstore.SetOp{Key: key, Value: value}
-	}
-	var scr kvstore.BatchScratch
-	errs := make([]error, 0, len(ops))
-	// Warm the scratch and slab classes to their high-water mark.
-	errs = st.SetBatch(ops, errs[:0], &scr)
-	allocs := testing.AllocsPerRun(100, func() {
-		errs = st.SetBatch(ops, errs[:0], &scr)
-		for _, e := range errs {
-			if e != nil {
-				t.Fatal(e)
-			}
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("SetBatch allocates %v per batch, want 0", allocs)
-	}
-}
-
-// TestASCIIGetBatchedZeroAllocPerOp re-runs the ASCII GET gate through
-// the event-loop batched path (session wired to a Coalescer): per-op
-// allocations must stay exactly zero — the batching refactor is not
-// allowed to spend the syscall win on heap churn.
-func TestASCIIGetBatchedZeroAllocPerOp(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race-instrumented sync.Pool drops Puts by design, so round recycling cannot be alloc-free")
-	}
+// TestBinaryGetZeroAllocPerOp is the binary twin of the ASCII GET gate:
+// a get frame keeps its key as bytes of the frame body and copies the
+// value into session scratch, so the per-op cost is zero allocations
+// (it was 5: key string, heap-copied value, response key/status slices).
+func TestBinaryGetZeroAllocPerOp(t *testing.T) {
 	st, err := kvstore.New(kvstore.DefaultConfig(32 << 20))
 	if err != nil {
 		t.Fatal(err)
@@ -296,21 +263,19 @@ func TestASCIIGetBatchedZeroAllocPerOp(t *testing.T) {
 	if err := st.Set("k", []byte("0123456789abcdef"), 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	coal := kvstore.NewCoalescer(st, kvstore.CoalescerOptions{})
-	session := func(n int) string {
-		var b strings.Builder
+	// One frame per opcode of the get family: key "k", nothing else.
+	session := func(n int) []byte {
+		var b []byte
 		for i := 0; i < n; i++ {
-			b.WriteString("get k\r\n")
+			op := [...]byte{protocol.OpGet, protocol.OpGetQ, protocol.OpGetK, protocol.OpGetKQ}[i%4]
+			b = append(b, protocol.MagicRequest, op, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 'k')
 		}
-		b.WriteString("quit\r\n")
-		return b.String()
+		return b
 	}
-	serve := func(req string) {
-		r := bufio.NewReaderSize(strings.NewReader(req), 4096)
+	serve := func(req []byte) {
+		r := bufio.NewReaderSize(bytes.NewReader(req), 4096)
 		w := bufio.NewWriterSize(io.Discard, 4096)
-		sess := protocol.NewSessionBuffered(st, r, w)
-		sess.SetCoalescer(coal)
-		if err := sess.Serve(); err != nil {
+		if err := protocol.NewBinarySessionBuffered(st, r, w).Serve(); err != nil {
 			t.Fatalf("serve: %v", err)
 		}
 	}
@@ -319,7 +284,7 @@ func TestASCIIGetBatchedZeroAllocPerOp(t *testing.T) {
 	allocsSmall := testing.AllocsPerRun(10, func() { serve(reqSmall) })
 	allocsLarge := testing.AllocsPerRun(10, func() { serve(reqLarge) })
 	if perOp := (allocsLarge - allocsSmall) / float64(large-small); perOp != 0 {
-		t.Fatalf("batched ASCII GET allocates %v per op (session totals: %v @ %d ops, %v @ %d ops), want 0",
+		t.Fatalf("binary GET allocates %v per op (session totals: %v @ %d ops, %v @ %d ops), want 0",
 			perOp, allocsSmall, small, allocsLarge, large)
 	}
 }

@@ -10,7 +10,6 @@ package kvserver
 // request in one Perfetto view.
 
 import (
-	"kv3d/internal/kvstore"
 	"kv3d/internal/obs"
 	"kv3d/internal/protocol"
 	"kv3d/internal/sim"
@@ -49,7 +48,6 @@ type serverFlight struct {
 	rec        *obs.FlightRecorder
 	every      int
 	life       obs.TrackID
-	batch      obs.TrackID
 	asciiSink  flightSink
 	binarySink flightSink
 	udpSink    flightSink
@@ -64,7 +62,6 @@ func newServerFlight(rec *obs.FlightRecorder, every int) *serverFlight {
 		rec:        rec,
 		every:      every,
 		life:       rec.RegisterTrack("srv.lifecycle"),
-		batch:      rec.RegisterTrack("srv.batch"),
 		asciiSink:  flightSink{rec: rec, track: rec.RegisterTrack("srv.ascii")},
 		binarySink: flightSink{rec: rec, track: rec.RegisterTrack("srv.binary")},
 		udpSink:    flightSink{rec: rec, track: rec.RegisterTrack("srv.udp")},
@@ -99,19 +96,4 @@ func (sf *serverFlight) serverClose(ts sim.Ns) { sf.rec.Instant(sf.life, "server
 
 func (sf *serverFlight) activeConns(ts sim.Ns, n int64) {
 	sf.rec.Counter(sf.life, "conns.active", ts, n)
-}
-
-// batchRound is the coalescer's OnRound hook: each store round shows as
-// a batch.flush span on the srv.batch track (arg = "get"/"set"), with a
-// batch.size counter tracking ops per round. Rounds are observed from
-// whichever connection goroutine happened to be leading; the recorder
-// ring is the synchronization.
-//
-//kv3d:hotpath
-func (sf *serverFlight) batchRound(kind kvstore.RoundKind, _, ops int, startNs, endNs int64) {
-	if !sf.rec.Enabled() {
-		return
-	}
-	sf.rec.Complete(sf.batch, "batch.flush", kind.String(), sim.Ns(startNs), sim.Ns(endNs))
-	sf.rec.Counter(sf.batch, "batch.size", sim.Ns(endNs), int64(ops))
 }

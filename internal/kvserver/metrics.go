@@ -208,13 +208,6 @@ func (s *Server) Probes() []obs.Probe {
 	}
 	probes = append(probes, s.ops.Probes()...)
 	probes = append(probes, s.Telemetry().Probes()...)
-	if s.coal != nil {
-		probes = append(probes,
-			obs.Probe{Name: "live.batch.rounds", Value: float64(s.coal.Rounds())},
-			obs.Probe{Name: "live.batch.ops", Value: float64(s.coal.Ops())},
-			obs.Probe{Name: "live.batch.coalesced", Value: float64(s.coal.Coalesced())},
-		)
-	}
 	if rp, ok := s.opts.Repl.(*Replicator); ok && rp != nil {
 		probes = append(probes, rp.Probes()...)
 	}

@@ -1,12 +1,14 @@
 package kvserver_test
 
-// Live end-to-end coverage for the PR-10 batched datapath and the
-// touch/flush replication fix: real servers (batched event-loop core
-// enabled), real Replicators dialing each other over loopback, and a
-// real binary client driving the cluster through one node.
+// Live end-to-end coverage for the touch/flush replication fix and the
+// flush-before-read datapath: real servers with default options, real
+// Replicators dialing each other over loopback, and a real binary
+// client driving them.
 
 import (
 	"fmt"
+	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,8 +20,8 @@ import (
 	"kv3d/internal/testutil"
 )
 
-// batchedNode is one live batched server plus its replication wiring.
-type batchedNode struct {
+// liveNode is one live server plus its replication wiring.
+type liveNode struct {
 	addr string
 	srv  *kvserver.Server
 	st   *kvstore.Store
@@ -27,21 +29,21 @@ type batchedNode struct {
 	repl *kvserver.Replicator
 }
 
-// startBatchedCluster boots n live servers with Options.Batched set and
-// a fully-joined shared membership, default-quorum replication.
-func startBatchedCluster(t *testing.T, n int) []*batchedNode {
+// startLiveCluster boots n live servers with a fully-joined shared
+// membership and default-quorum replication.
+func startLiveCluster(t *testing.T, n int) []*liveNode {
 	t.Helper()
-	nodes := make([]*batchedNode, 0, n)
+	nodes := make([]*liveNode, 0, n)
 	for i := 0; i < n; i++ {
 		st, err := kvstore.New(kvstore.DefaultConfig(32 << 20))
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := kvserver.NewWithOptions(st, nil, kvserver.Options{Batched: true})
+		srv := kvserver.New(st, nil)
 		if err := srv.Listen("127.0.0.1:0"); err != nil {
 			t.Fatal(err)
 		}
-		nodes = append(nodes, &batchedNode{
+		nodes = append(nodes, &liveNode{
 			addr: srv.Addr().String(),
 			srv:  srv,
 			st:   st,
@@ -78,7 +80,7 @@ func startBatchedCluster(t *testing.T, n int) []*batchedNode {
 }
 
 // holders counts how many nodes' local stores currently return the key.
-func holders(nodes []*batchedNode, key string) int {
+func holders(nodes []*liveNode, key string) int {
 	n := 0
 	for _, node := range nodes {
 		if _, ok := node.st.Get(key); ok {
@@ -96,7 +98,7 @@ func holders(nodes []*batchedNode, key string) int {
 // already invalidated.
 func TestLiveTouchFlushDivergence(t *testing.T) {
 	defer testutil.CheckGoroutines(t)
-	nodes := startBatchedCluster(t, 3)
+	nodes := startLiveCluster(t, 3)
 
 	cli, err := kvclient.DialBinary(nodes[0].addr)
 	if err != nil {
@@ -154,23 +156,52 @@ func TestLiveTouchFlushDivergence(t *testing.T) {
 	}
 }
 
-// TestLiveBatchedPipeline: a batched server serves a pipelined client
-// correctly, and the pipelined gets demonstrably flow through the
-// coalescer (the counters would stay zero if handle() never wired it).
+// writeCountingListener counts the transport writes of every connection
+// it accepts — on a TCP socket, the server's write syscalls.
+type writeCountingListener struct {
+	net.Listener
+	writes atomic.Int64
+}
+
+func (l *writeCountingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &writeCountingConn{Conn: c, writes: &l.writes}, nil
+}
+
+type writeCountingConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (c *writeCountingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// TestLiveBatchedPipeline: a server with zero Options serves a
+// pipelined client correctly, and answers a 16-deep pipeline in far
+// fewer writes than ops — the replies are staged and leave together
+// when the session goes back to read (1 write per op before; 1/16 is
+// the floor, 0.2 leaves room for a burst the kernel delivers in pieces).
 func TestLiveBatchedPipeline(t *testing.T) {
 	defer testutil.CheckGoroutines(t)
 	st, err := kvstore.New(kvstore.DefaultConfig(32 << 20))
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := kvserver.NewWithOptions(st, nil, kvserver.Options{Batched: true})
-	if err := srv.Listen("127.0.0.1:0"); err != nil {
+	raw, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
 		t.Fatal(err)
 	}
-	go srv.Serve()
+	ln := &writeCountingListener{Listener: raw}
+	srv := kvserver.NewWithOptions(st, nil, kvserver.Options{})
+	go srv.ServeOn(ln)
 	defer srv.Close()
 
-	cli, err := kvclient.DialBinary(srv.Addr().String())
+	cli, err := kvclient.DialBinary(raw.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,11 +233,16 @@ func TestLiveBatchedPipeline(t *testing.T) {
 			t.Fatalf("key %s = %+v, want val-%d/flags %d", k, it, i, i)
 		}
 	}
-	coal := srv.Coalescer()
-	if coal == nil {
-		t.Fatal("batched server has no coalescer")
+
+	const depth, rounds = 16, 50
+	before := ln.writes.Load()
+	for r := 0; r < rounds; r++ {
+		if _, err := cli.GetMulti(keys[r%4*depth : r%4*depth+depth]); err != nil {
+			t.Fatalf("16-deep multiget: %v", err)
+		}
 	}
-	if coal.Rounds() == 0 || coal.Ops() == 0 {
-		t.Fatalf("pipelined gets bypassed the coalescer: rounds=%d ops=%d", coal.Rounds(), coal.Ops())
+	perOp := float64(ln.writes.Load()-before) / (depth * rounds)
+	if perOp >= 0.2 {
+		t.Fatalf("a %d-deep pipeline cost %.2f server writes per op, want < 0.2", depth, perOp)
 	}
 }

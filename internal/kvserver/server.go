@@ -4,7 +4,6 @@
 package kvserver
 
 import (
-	"bufio"
 	"errors"
 	"io"
 	"log"
@@ -32,12 +31,6 @@ type Options struct {
 	MaxInflight int
 	// IdleTimeout closes connections with no traffic for this long.
 	IdleTimeout time.Duration
-	// Batched enables the event-driven batched datapath: sessions hand
-	// parsed ops to a store-level coalescer that merges concurrently
-	// submitted requests into shard-ordered GetBatch/SetBatch rounds,
-	// and defer their Flush until the connection's input drains — one
-	// write syscall per pipelined burst instead of one per op.
-	Batched bool
 	// NowNanos is the clock used to time per-op latency, as a typed
 	// nanosecond count. Nil selects the wall clock; tests inject a
 	// fake to get deterministic histograms.
@@ -87,10 +80,6 @@ type Server struct {
 	ops      *OpMetrics
 	gate     *inflightGate
 	nowNanos func() sim.Ns
-	// coal is the shared request coalescer, nil unless Options.Batched;
-	// all sessions submit through it so concurrent ops merge into
-	// multi-key store rounds.
-	coal *kvstore.Coalescer
 	// flight is nil unless Options.Flight was set; its own fields are
 	// immutable after construction and every recorder call is
 	// internally synchronized.
@@ -149,20 +138,8 @@ func NewWithOptions(store *kvstore.Store, logger *log.Logger, opts Options) *Ser
 	if opts.Flight != nil {
 		s.flight = newServerFlight(opts.Flight, opts.FlightEvery)
 	}
-	if opts.Batched {
-		copts := kvstore.CoalescerOptions{}
-		if s.flight != nil {
-			copts.NowNanos = func() int64 { return int64(s.nowNanos()) }
-			copts.OnRound = s.flight.batchRound
-		}
-		s.coal = kvstore.NewCoalescer(store, copts)
-	}
 	return s
 }
-
-// Coalescer exposes the shared batching core (nil unless
-// Options.Batched), for tests and tools that read its round counters.
-func (s *Server) Coalescer() *kvstore.Coalescer { return s.coal }
 
 // Flight exposes the server's recorder (nil when recording is off) so
 // tools can dump or merge its trace.
@@ -300,8 +277,7 @@ func (s *Server) handle(conn net.Conn) {
 	// Sniff the first byte: 0x80 selects the binary protocol, anything
 	// else the ASCII protocol — the same dual-listener behaviour as
 	// memcached's auto-negotiation.
-	br := bufio.NewReaderSize(rw, 64<<10)
-	bw := bufio.NewWriterSize(rw, 64<<10)
+	br, bw := protocol.NewBufferedPair(rw)
 	first, err := br.Peek(1)
 	if err != nil {
 		return // connection closed before any request
@@ -318,9 +294,6 @@ func (s *Server) handle(conn net.Conn) {
 		if s.opts.Repl != nil {
 			sess.SetReplicator(s.opts.Repl)
 		}
-		if s.coal != nil {
-			sess.SetCoalescer(s.coal)
-		}
 		err = sess.Serve()
 	} else {
 		sess := protocol.NewSessionBuffered(s.store, br, bw)
@@ -333,9 +306,6 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		if s.opts.Repl != nil {
 			sess.SetReplicator(s.opts.Repl)
-		}
-		if s.coal != nil {
-			sess.SetCoalescer(s.coal)
 		}
 		err = sess.Serve()
 	}

@@ -360,8 +360,12 @@ func TestUDPGetRoundTrip(t *testing.T) {
 	if _, err := c.Get("absent"); !errors.Is(err, kvclient.ErrNotFound) {
 		t.Fatalf("miss err = %v", err)
 	}
-	if udp.Handled() < 2 {
-		t.Fatalf("handled = %d", udp.Handled())
+	// A handler counts its datagram after sending the reply, so the
+	// client can be here before the second one has: wait for the count.
+	for deadline := time.Now().Add(2 * time.Second); udp.Handled() < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("handled = %d, want 2", udp.Handled())
+		}
 	}
 }
 

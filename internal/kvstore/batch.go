@@ -166,77 +166,3 @@ func (st *Store) GetBatchInto(dst []byte, keys [][]byte, out []BatchResult, scr 
 	}
 	return dst, out
 }
-
-// SetOp is one mutation of a SetBatch: an unconditional store with
-// Store.Set semantics. Value is borrowed for the duration of the call —
-// the shard copies it into slab memory under its lock, so the caller
-// may reuse the backing buffer as soon as SetBatch returns.
-type SetOp struct {
-	Key     string
-	Value   []byte //kv3d:borrowed
-	Flags   uint32
-	Exptime int64
-}
-
-// SetBatch applies every op (grouped by shard, each involved shard's
-// lock acquired exactly once) and returns one error slot per op in
-// request order — nil on success, else the same error Store.Set would
-// have returned. Duplicate keys apply in request order, so the last
-// write wins, matching a sequential replay. errs is reused when its
-// capacity suffices; scr carries the grouping scratch exactly as on
-// GetBatchInto, so a steady-state batch allocates nothing.
-//
-// Expiry conversion reads the clock once for the whole batch: every op
-// of one batch converts relative exptimes against the same "now", the
-// moment the batch was admitted.
-func (st *Store) SetBatch(ops []SetOp, errs []error, scr *BatchScratch) []error {
-	n := len(ops)
-	if cap(errs) < n {
-		errs = make([]error, n)
-	}
-	errs = errs[:n]
-	if n == 0 {
-		return errs
-	}
-	scr.grow(n, len(st.shards))
-	shardOf := scr.shardOf[:n]
-	counts := scr.counts[:len(st.shards)]
-	cursor := scr.cursor[:len(st.shards)]
-	order := scr.order[:n]
-	for i := range counts {
-		counts[i] = 0
-	}
-	for i := range ops {
-		s := uint32((fnv1a64(ops[i].Key) >> 48) & st.mask)
-		shardOf[i] = s
-		counts[s]++
-	}
-	sum := int32(0)
-	for s, c := range counts {
-		cursor[s] = sum
-		sum += c
-	}
-	for i := 0; i < n; i++ {
-		s := shardOf[i]
-		order[cursor[s]] = int32(i)
-		cursor[s]++
-	}
-	now := st.clock()
-	clockAt := func() int64 { return now }
-	pos := 0
-	for s, c := range counts {
-		if c == 0 {
-			continue
-		}
-		sh := st.shards[s]
-		sh.mu.Lock()
-		for _, ki := range order[pos : pos+int(c)] {
-			op := &ops[ki]
-			abs := expiryToAbsAt(op.Exptime, clockAt)
-			errs[ki] = sh.s.set(op.Key, op.Value, op.Flags, abs, now)
-		}
-		sh.mu.Unlock()
-		pos += int(c)
-	}
-	return errs
-}

@@ -257,18 +257,20 @@ func validKey(key string) bool {
 	return true
 }
 
-// set unconditionally stores key=value.
-func (s *shard) set(key string, value []byte, flags uint32, expireAt, now int64) error {
+// set unconditionally stores key=value and returns the CAS id it
+// assigned — read under the shard lock, so it is this write's id and
+// not a later writer's.
+func (s *shard) set(key string, value []byte, flags uint32, expireAt, now int64) (uint64, error) {
 	if !validKey(key) {
-		return ErrBadKey
+		return 0, ErrBadKey
 	}
 	need := itemFootprint(len(key), len(value))
 	if need > s.maxItem {
-		return ErrTooLarge
+		return 0, ErrTooLarge
 	}
 	classIdx, ok := s.alloc.classFor(need)
 	if !ok {
-		return ErrTooLarge
+		return 0, ErrTooLarge
 	}
 	s.setsSinceSteal++
 
@@ -287,7 +289,7 @@ func (s *shard) set(key string, value []byte, flags uint32, expireAt, now int64)
 		s.pol.onAccess(old, now)
 		s.stats.Sets++
 		s.stats.TotalItems++
-		return nil
+		return old.casID, nil
 	}
 
 	// Remove the old entry before allocating: the allocator may evict,
@@ -297,7 +299,7 @@ func (s *shard) set(key string, value []byte, flags uint32, expireAt, now int64)
 	}
 	ref := s.allocChunk(classIdx, now)
 	if ref.data == nil {
-		return ErrOutOfMemory
+		return 0, ErrOutOfMemory
 	}
 	it := &item{
 		key:      key,
@@ -316,35 +318,35 @@ func (s *shard) set(key string, value []byte, flags uint32, expireAt, now int64)
 	s.stats.BytesUsed += int64(itemFootprint(len(key), len(value)))
 	s.stats.Sets++
 	s.stats.TotalItems++
-	return nil
+	return it.casID, nil
 }
 
 // add stores only if the key is absent.
-func (s *shard) add(key string, value []byte, flags uint32, expireAt, now int64) error {
+func (s *shard) add(key string, value []byte, flags uint32, expireAt, now int64) (uint64, error) {
 	if s.live(key, now) != nil {
-		return ErrNotStored
+		return 0, ErrNotStored
 	}
 	return s.set(key, value, flags, expireAt, now)
 }
 
 // replace stores only if the key is present.
-func (s *shard) replace(key string, value []byte, flags uint32, expireAt, now int64) error {
+func (s *shard) replace(key string, value []byte, flags uint32, expireAt, now int64) (uint64, error) {
 	if s.live(key, now) == nil {
-		return ErrNotStored
+		return 0, ErrNotStored
 	}
 	return s.set(key, value, flags, expireAt, now)
 }
 
 // cas stores only if the entry's CAS id still matches.
-func (s *shard) cas(key string, value []byte, flags uint32, expireAt int64, casID uint64, now int64) error {
+func (s *shard) cas(key string, value []byte, flags uint32, expireAt int64, casID uint64, now int64) (uint64, error) {
 	it := s.live(key, now)
 	if it == nil {
 		s.stats.CasMisses++
-		return ErrNotFound
+		return 0, ErrNotFound
 	}
 	if it.casID != casID {
 		s.stats.CasBadval++
-		return ErrExists
+		return 0, ErrExists
 	}
 	s.stats.CasHits++
 	return s.set(key, value, flags, expireAt, now)
@@ -365,12 +367,14 @@ func (s *shard) appendValue(key string, extra []byte, now int64, front bool) err
 		buf = append(buf, it.value()...)
 		buf = append(buf, extra...)
 	}
-	return s.set(key, buf, it.flags, it.expireAt, now)
+	_, err := s.set(key, buf, it.flags, it.expireAt, now)
+	return err
 }
 
-// incrDecr adjusts a decimal-uint64 value. Decrement floors at zero
-// (memcached semantics); increment wraps.
-func (s *shard) incrDecr(key string, delta uint64, incr bool, now int64) (uint64, error) {
+// incrDecr adjusts a decimal-uint64 value and returns it with the CAS
+// id of the rewritten item. Decrement floors at zero (memcached
+// semantics); increment wraps.
+func (s *shard) incrDecr(key string, delta uint64, incr bool, now int64) (next, casID uint64, err error) {
 	it := s.live(key, now)
 	if it == nil {
 		if incr {
@@ -378,13 +382,12 @@ func (s *shard) incrDecr(key string, delta uint64, incr bool, now int64) (uint64
 		} else {
 			s.stats.DecrMisses++
 		}
-		return 0, ErrNotFound
+		return 0, 0, ErrNotFound
 	}
 	cur, err := strconv.ParseUint(string(it.value()), 10, 64)
 	if err != nil {
-		return 0, ErrNotNumeric
+		return 0, 0, ErrNotNumeric
 	}
-	var next uint64
 	if incr {
 		next = cur + delta
 		s.stats.IncrHits++
@@ -396,11 +399,11 @@ func (s *shard) incrDecr(key string, delta uint64, incr bool, now int64) (uint64
 		}
 		s.stats.DecrHits++
 	}
-	text := strconv.AppendUint(nil, next, 10)
-	if err := s.set(key, text, it.flags, it.expireAt, now); err != nil {
-		return 0, err
+	casID, err = s.set(key, strconv.AppendUint(nil, next, 10), it.flags, it.expireAt, now)
+	if err != nil {
+		return 0, 0, err
 	}
-	return next, nil
+	return next, casID, nil
 }
 
 // delete removes a key.

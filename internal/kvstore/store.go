@@ -185,12 +185,6 @@ const expiredNow int64 = -1
 // 0 = never, negative = already expired, <= 30 days = relative seconds,
 // otherwise already absolute.
 func (st *Store) expiryToAbs(exptime int64) int64 {
-	return expiryToAbsAt(exptime, st.clock)
-}
-
-// expiryToAbsAt is expiryToAbs against an explicit clock, so batched
-// mutations can convert every op against one clock read.
-func expiryToAbsAt(exptime int64, clock func() int64) int64 {
 	const thirtyDays = 60 * 60 * 24 * 30
 	if exptime == 0 {
 		return 0
@@ -199,7 +193,7 @@ func expiryToAbsAt(exptime int64, clock func() int64) int64 {
 		return expiredNow // memcached treats negatives as "immediately"
 	}
 	if exptime <= thirtyDays {
-		return clock() + exptime
+		return st.clock() + exptime
 	}
 	return exptime
 }
@@ -255,49 +249,65 @@ func (st *Store) GetIntoBytes(dst, key []byte) ([]byte, Entry, bool) {
 	return out, Entry{Flags: flags, CAS: cas}, ok
 }
 
-// Set unconditionally stores the value.
+// Verb selects the guard Put runs under the shard lock.
+type Verb uint8
+
+const (
+	VerbSet     Verb = iota // store unconditionally
+	VerbAdd                 // store only if absent
+	VerbReplace             // store only if present
+	VerbCAS                 // store only if the entry's CAS id equals casID
+)
+
+// Put stores key=value under verb's guard and returns the CAS id the
+// shard assigned to the stored item under its lock. It is the one store
+// entry point behind Set, Add, Replace and CAS; callers that must
+// report the new CAS id (the binary protocol) use it directly instead
+// of reading the key back. casID is consulted by VerbCAS only.
 //
 //kv3d:hotpath
-func (st *Store) Set(key string, value []byte, flags uint32, exptime int64) error {
+func (st *Store) Put(verb Verb, key string, value []byte, flags uint32, exptime int64, casID uint64) (newCAS uint64, err error) {
 	sh := st.shardFor(key)
 	now := st.clock()
 	abs := st.expiryToAbs(exptime)
 	sh.mu.Lock()
-	err := sh.s.set(key, value, flags, abs, now)
+	switch verb {
+	case VerbAdd:
+		newCAS, err = sh.s.add(key, value, flags, abs, now)
+	case VerbReplace:
+		newCAS, err = sh.s.replace(key, value, flags, abs, now)
+	case VerbCAS:
+		newCAS, err = sh.s.cas(key, value, flags, abs, casID, now)
+	default:
+		newCAS, err = sh.s.set(key, value, flags, abs, now)
+	}
 	sh.mu.Unlock()
+	return newCAS, err
+}
+
+// Set unconditionally stores the value.
+//
+//kv3d:hotpath
+func (st *Store) Set(key string, value []byte, flags uint32, exptime int64) error {
+	_, err := st.Put(VerbSet, key, value, flags, exptime, 0)
 	return err
 }
 
 // Add stores only if absent.
 func (st *Store) Add(key string, value []byte, flags uint32, exptime int64) error {
-	sh := st.shardFor(key)
-	now := st.clock()
-	abs := st.expiryToAbs(exptime)
-	sh.mu.Lock()
-	err := sh.s.add(key, value, flags, abs, now)
-	sh.mu.Unlock()
+	_, err := st.Put(VerbAdd, key, value, flags, exptime, 0)
 	return err
 }
 
 // Replace stores only if present.
 func (st *Store) Replace(key string, value []byte, flags uint32, exptime int64) error {
-	sh := st.shardFor(key)
-	now := st.clock()
-	abs := st.expiryToAbs(exptime)
-	sh.mu.Lock()
-	err := sh.s.replace(key, value, flags, abs, now)
-	sh.mu.Unlock()
+	_, err := st.Put(VerbReplace, key, value, flags, exptime, 0)
 	return err
 }
 
 // CAS stores only if the caller's CAS id matches the current one.
 func (st *Store) CAS(key string, value []byte, flags uint32, exptime int64, cas uint64) error {
-	sh := st.shardFor(key)
-	now := st.clock()
-	abs := st.expiryToAbs(exptime)
-	sh.mu.Lock()
-	err := sh.s.cas(key, value, flags, abs, cas, now)
-	sh.mu.Unlock()
+	_, err := st.Put(VerbCAS, key, value, flags, exptime, cas)
 	return err
 }
 
@@ -321,23 +331,26 @@ func (st *Store) Prepend(key string, extra []byte) error {
 	return err
 }
 
-// Incr adds delta to a decimal value, returning the new value.
-func (st *Store) Incr(key string, delta uint64) (uint64, error) {
+// IncrDecr adds delta to (incr) or subtracts it from (floored at 0) a
+// decimal value, returning the new value and the CAS id assigned to it.
+func (st *Store) IncrDecr(key string, delta uint64, incr bool) (value, cas uint64, err error) {
 	sh := st.shardFor(key)
 	now := st.clock()
 	sh.mu.Lock()
-	v, err := sh.s.incrDecr(key, delta, true, now)
+	value, cas, err = sh.s.incrDecr(key, delta, incr, now)
 	sh.mu.Unlock()
+	return value, cas, err
+}
+
+// Incr adds delta to a decimal value, returning the new value.
+func (st *Store) Incr(key string, delta uint64) (uint64, error) {
+	v, _, err := st.IncrDecr(key, delta, true)
 	return v, err
 }
 
 // Decr subtracts delta from a decimal value (floored at 0).
 func (st *Store) Decr(key string, delta uint64) (uint64, error) {
-	sh := st.shardFor(key)
-	now := st.clock()
-	sh.mu.Lock()
-	v, err := sh.s.incrDecr(key, delta, false, now)
-	sh.mu.Unlock()
+	v, _, err := st.IncrDecr(key, delta, false)
 	return v, err
 }
 

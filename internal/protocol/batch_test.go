@@ -1,18 +1,21 @@
 package protocol
 
-// Regression and equivalence tests for the PR-10 batched datapath and
-// its satellite bugfixes: negative exptime means "already expired" on
-// both wire protocols, binary flush validates its extras, touch and
-// flush_all replicate, and — the big one — the event-loop batched
-// session emits byte-identical output to the per-op session for any
-// request stream, because only flush segmentation changed.
+// Regression tests for negative exptime ("already expired" on both wire
+// protocols), binary flush extras validation and touch/flush_all
+// replication, and the segmentation-independence corpora: a session
+// stages responses and writes them when it is about to read, so how the
+// transport cuts the request stream may change when bytes leave, never
+// which bytes.
 
 import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
+	"net"
 	"strings"
 	"testing"
+	"time"
 
 	"kv3d/internal/kvstore"
 )
@@ -234,71 +237,151 @@ func TestBinaryTouchFlushQuorumShortfall(t *testing.T) {
 	}
 }
 
-// --- batched-vs-per-op byte identity ---------------------------------
+// --- segmentation independence ----------------------------------------
+
+// segmentedRW delivers the request stream in the given segments, one
+// per Read (a transport that hands over less than was asked for is
+// legal, and is exactly what a slow or pipelining peer looks like).
+type segmentedRW struct {
+	segs [][]byte
+	out  bytes.Buffer
+}
+
+func (s *segmentedRW) Read(p []byte) (int, error) {
+	for len(s.segs) > 0 && len(s.segs[0]) == 0 {
+		s.segs = s.segs[1:]
+	}
+	if len(s.segs) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, s.segs[0])
+	s.segs[0] = s.segs[0][n:]
+	return n, nil
+}
+
+func (s *segmentedRW) Write(p []byte) (int, error) { return s.out.Write(p) }
+
+// deliveries cuts one request stream three ways: a single burst, one
+// segment per request, and one segment per byte.
+func deliveries(requests [][]byte) map[string][][]byte {
+	all := bytes.Join(requests, nil)
+	perByte := make([][]byte, len(all))
+	for i := range all {
+		perByte[i] = all[i : i+1]
+	}
+	return map[string][][]byte{
+		"burst":       {all},
+		"per-request": requests,
+		"per-byte":    perByte,
+	}
+}
+
+// checkSegmentationIndependent serves every delivery of requests on a
+// fresh fixed-clock store and requires identical response bytes.
+func checkSegmentationIndependent(t *testing.T, requests [][]byte, serve func(*kvstore.Store, io.ReadWriter) error) []byte {
+	t.Helper()
+	var want []byte
+	cuts := deliveries(requests)
+	for _, name := range []string{"burst", "per-request", "per-byte"} {
+		// Copy the segment list: Read consumes it.
+		rw := &segmentedRW{segs: append([][]byte(nil), cuts[name]...)}
+		if err := serve(newClockStore(t, 1000), rw); err != nil {
+			t.Fatalf("serve (%s): %v", name, err)
+		}
+		got := rw.out.Bytes()
+		if name == "burst" {
+			want = got
+			continue
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s delivery diverged from burst delivery: %d vs %d bytes", name, len(got), len(want))
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("corpus produced no output")
+	}
+	return want
+}
 
 // asciiCorpus exercises hits, misses, multigets, CAS, quiet (noreply)
 // writes, arithmetic, deletes, touch, flush, and parse errors — every
-// response class the batched path must reproduce byte for byte.
-var asciiCorpus = "set a 7 0 5\r\nhello\r\n" +
-	"set b 0 0 3 noreply\r\nxyz\r\n" +
-	"get a\r\n" +
-	"get a b missing\r\n" +
-	"gets a b\r\n" +
-	"get missing\r\n" +
-	"add a 0 0 1\r\nz\r\n" + // NOT_STORED: a exists
-	"append a 0 0 1\r\n!\r\n" +
-	"get a\r\n" +
-	"incr n 5\r\n" + // NOT_FOUND
-	"set n 0 0 1\r\n1\r\n" +
-	"incr n 41\r\n" +
-	"delete b\r\n" +
-	"delete b\r\n" + // NOT_FOUND
-	"get b\r\n" +
-	"bogus command\r\n" + // ERROR
-	"touch a 300\r\n" +
-	"set neg 0 -1 1\r\nx\r\n" +
-	"get neg\r\n" +
-	"flush_all\r\n" +
-	"get a\r\n" +
-	"verbosity 1\r\n" +
-	"version\r\n"
-
-// serveASCII runs the corpus through a fresh fixed-clock store, with or
-// without the coalescer attached, and returns the raw response bytes.
-func serveASCII(t *testing.T, input string, batched bool) []byte {
-	t.Helper()
-	st := newClockStore(t, 1000)
-	buf := &rwBuffer{in: bytes.NewReader([]byte(input))}
-	sess := NewSession(st, buf)
-	if batched {
-		sess.SetCoalescer(kvstore.NewCoalescer(st, kvstore.CoalescerOptions{}))
-	}
-	if err := sess.Serve(); err != nil {
-		t.Fatalf("serve (batched=%v): %v", batched, err)
-	}
-	return buf.out.Bytes()
+// response class of the ASCII protocol, one request per element.
+var asciiCorpus = []string{
+	"set a 7 0 5\r\nhello\r\n",
+	"set b 0 0 3 noreply\r\nxyz\r\n",
+	"get a\r\n",
+	"get a b missing\r\n",
+	"gets a b\r\n",
+	"get missing\r\n",
+	"add a 0 0 1\r\nz\r\n", // NOT_STORED: a exists
+	"append a 0 0 1\r\n!\r\n",
+	"get a\r\n",
+	"incr n 5\r\n", // NOT_FOUND
+	"set n 0 0 1\r\n1\r\n",
+	"incr n 41\r\n",
+	"delete b\r\n",
+	"delete b\r\n", // NOT_FOUND
+	"get b\r\n",
+	"bogus command\r\n", // ERROR
+	"touch a 300\r\n",
+	"set neg 0 -1 1\r\nx\r\n",
+	"get neg\r\n",
+	"flush_all\r\n",
+	"get a\r\n",
+	"verbosity 1\r\n",
+	"version\r\n",
 }
 
-// TestASCIIBatchedByteIdentity: the batched session must emit exactly
-// the bytes the per-op session emits — batching changes syscall
-// segmentation, never content.
+// asciiCorpusWant is what the corpus answers on a store whose CAS
+// counter starts at zero: the bytes the per-op session of the parent
+// commit produced, pinned so a codec change cannot hide behind the
+// deliveries agreeing with each other.
+const asciiCorpusWant = "STORED\r\n" +
+	"VALUE a 7 5\r\nhello\r\nEND\r\n" +
+	"VALUE a 7 5\r\nhello\r\nVALUE b 0 3\r\nxyz\r\nEND\r\n" +
+	"VALUE a 7 5 1\r\nhello\r\nVALUE b 0 3 2\r\nxyz\r\nEND\r\n" +
+	"END\r\n" +
+	"NOT_STORED\r\n" +
+	"STORED\r\n" +
+	"VALUE a 7 6\r\nhello!\r\nEND\r\n" +
+	"NOT_FOUND\r\n" +
+	"STORED\r\n" +
+	"42\r\n" +
+	"DELETED\r\n" +
+	"NOT_FOUND\r\n" +
+	"END\r\n" +
+	"ERROR\r\n" +
+	"TOUCHED\r\n" +
+	"STORED\r\n" +
+	"END\r\n" +
+	"OK\r\n" + // flush_all: the epoch is the next second, which the frozen clock never reaches
+	"VALUE a 7 6\r\nhello!\r\nEND\r\n" +
+	"OK\r\n" +
+	"VERSION " + Version + "\r\n"
+
+// TestASCIIBatchedByteIdentity: the same request bytes delivered in one
+// burst, request by request, and byte by byte produce identical
+// response bytes — and they are the pinned ones.
 func TestASCIIBatchedByteIdentity(t *testing.T) {
-	perOp := serveASCII(t, asciiCorpus, false)
-	batched := serveASCII(t, asciiCorpus, true)
-	if !bytes.Equal(perOp, batched) {
-		t.Fatalf("batched ASCII output diverged:\nper-op:  %q\nbatched: %q", perOp, batched)
+	requests := make([][]byte, len(asciiCorpus))
+	for i, r := range asciiCorpus {
+		requests[i] = []byte(r)
 	}
-	if len(perOp) == 0 {
-		t.Fatal("corpus produced no output")
+	got := checkSegmentationIndependent(t, requests, func(st *kvstore.Store, rw io.ReadWriter) error {
+		return NewSession(st, rw).Serve()
+	})
+	if string(got) != asciiCorpusWant {
+		t.Fatalf("ASCII corpus output:\n got %q\nwant %q", got, asciiCorpusWant)
 	}
 }
 
 // binaryCorpus builds a frame stream covering quiet gets (hit and
-// miss), getk variants, staged-run interruption by writes, deletes,
-// arithmetic, touch, flush validation errors, and unknown opcodes.
-func binaryCorpus() []byte {
-	var in bytes.Buffer
-	add := func(f []byte) { in.Write(f) }
+// miss), getk variants, writes between gets, deletes, arithmetic,
+// touch, flush validation errors, unknown opcodes, and a pipeline of
+// more than 256 frames.
+func binaryCorpus() [][]byte {
+	var frames [][]byte
+	add := func(f []byte) { frames = append(frames, f) }
 	add(frame(OpSet, "a", setExtras(7, 0), []byte("alpha"), 0, 1))
 	add(frame(OpSetQ, "b", setExtras(0, 0), []byte("beta"), 0, 2))
 	add(frame(OpGet, "a", nil, nil, 0, 3))
@@ -307,12 +390,12 @@ func binaryCorpus() []byte {
 	add(frame(OpGetK, "b", nil, nil, 0, 6))
 	add(frame(OpGetKQ, "missing", nil, nil, 0, 7)) // quiet miss: silent
 	add(frame(OpGetKQ, "a", nil, nil, 0, 8))
-	// A write interrupts a staged get run: ordering must hold.
+	// A write between two gets of the same key: ordering must hold.
 	add(frame(OpGetQ, "a", nil, nil, 0, 9))
 	add(frame(OpSet, "a", setExtras(1, 0), []byte("alpha2"), 0, 10))
 	add(frame(OpGet, "a", nil, nil, 0, 11))
 	add(frame(OpDelete, "b", nil, nil, 0, 12))
-	add(frame(OpDeleteQ, "b", nil, nil, 0, 13)) // quiet miss: must respond NotFound
+	add(frame(OpDeleteQ, "b", nil, nil, 0, 13)) // quiet miss: silent
 	add(frame(OpGet, "b", nil, nil, 0, 14))
 	add(frame(OpIncr, "n", incrExtras(5, 100, 0), nil, 0, 15))
 	add(frame(OpTouch, "a", touchExtras(300), nil, 0, 16))
@@ -322,7 +405,6 @@ func binaryCorpus() []byte {
 	add(frame(OpGet, "a", nil, nil, 0, 20))
 	add(frame(0xEE, "", nil, nil, 0, 21)) // unknown opcode
 	add(frame(OpNoop, "", nil, nil, 0, 22))
-	// A long quiet-get run crosses the maxStagedRun boundary.
 	for i := uint32(0); i < 300; i++ {
 		op := byte(OpGetQ)
 		if i%64 == 0 {
@@ -337,71 +419,142 @@ func binaryCorpus() []byte {
 	add(frame(OpFlush, "", nil, nil, 0, 23))
 	add(frame(OpGet, "a", nil, nil, 0, 24))
 	add(frame(OpVersion, "", nil, nil, 0, 25))
-	return in.Bytes()
+	return frames
 }
 
-func serveBinary(t *testing.T, input []byte, batched bool) []byte {
-	t.Helper()
-	st := newClockStore(t, 1000)
-	buf := &rwBuffer{in: bytes.NewReader(input)}
-	sess := NewBinarySession(st, buf)
-	if batched {
-		sess.SetCoalescer(kvstore.NewCoalescer(st, kvstore.CoalescerOptions{}))
-	}
-	if err := sess.Serve(); err != nil {
-		t.Fatalf("serve (batched=%v): %v", batched, err)
-	}
-	return buf.out.Bytes()
-}
-
-// TestBinaryBatchedByteIdentity: same invariant on the binary protocol,
-// where the batched path additionally stages get-family frames into
-// coalesced runs — responses must still come back in request order with
-// identical bytes, quiet misses staying silent.
+// TestBinaryBatchedByteIdentity: the same invariant on the binary
+// protocol — responses come back in request order with identical bytes
+// however the frames are cut, quiet misses staying silent. The burst
+// output is additionally checked frame by frame against what each
+// request must answer.
 func TestBinaryBatchedByteIdentity(t *testing.T) {
-	corpus := binaryCorpus()
-	perOp := serveBinary(t, corpus, false)
-	batched := serveBinary(t, corpus, true)
-	if !bytes.Equal(perOp, batched) {
-		// Parse both so the failure shows which frame diverged.
-		a := parseResponses(t, perOp)
-		b := parseResponses(t, batched)
-		n := len(a)
-		if len(b) < n {
-			n = len(b)
+	got := checkSegmentationIndependent(t, binaryCorpus(), func(st *kvstore.Store, rw io.ReadWriter) error {
+		return NewBinarySession(st, rw).Serve()
+	})
+	rs := parseResponses(t, got)
+	// Opaques of the frames that must answer, in order: everything but
+	// the quiet set, the quiet delete miss and the quiet get misses.
+	want := []uint32{1, 3, 4, 6, 8, 9, 10, 11, 12, 14, 15, 16, 17, 18, 19, 20, 21, 22}
+	for i := uint32(0); i < 300; i++ {
+		if i%64 == 0 || i%3 != 0 {
+			want = append(want, 1000+i)
 		}
-		for i := 0; i < n; i++ {
-			if a[i].opcode != b[i].opcode || a[i].status != b[i].status ||
-				a[i].opaque != b[i].opaque || a[i].cas != b[i].cas ||
-				!bytes.Equal(a[i].extras, b[i].extras) || a[i].key != b[i].key ||
-				!bytes.Equal(a[i].value, b[i].value) {
-				t.Fatalf("frame %d diverged: per-op %+v, batched %+v", i, a[i], b[i])
-			}
-		}
-		t.Fatalf("batched binary output diverged: per-op %d frames / %d bytes, batched %d frames / %d bytes",
-			len(a), len(perOp), len(b), len(batched))
 	}
-	if len(perOp) == 0 {
-		t.Fatal("corpus produced no output")
+	want = append(want, 23, 24, 25)
+	if len(rs) != len(want) {
+		t.Fatalf("got %d responses, want %d", len(rs), len(want))
+	}
+	for i, r := range rs {
+		if r.opaque != want[i] {
+			t.Fatalf("response %d has opaque %d, want %d", i, r.opaque, want[i])
+		}
+	}
+	byOpaque := map[uint32]binResponse{}
+	for _, r := range rs {
+		byOpaque[r.opaque] = r
+	}
+	for _, c := range []struct {
+		opaque uint32
+		status uint16
+		key    string
+		value  string
+	}{
+		{3, StatusOK, "", "alpha"},
+		{6, StatusOK, "b", "beta"},
+		{8, StatusOK, "a", "alpha"},
+		{9, StatusOK, "", "alpha"},
+		{11, StatusOK, "", "alpha2"},
+		{14, StatusKeyNotFound, "", "Not found"},
+		{18, StatusKeyNotFound, "", "Not found"},
+		{19, StatusInvalidArgs, "", "Invalid arguments"},
+		{21, StatusUnknownCommand, "", "Unknown command"},
+		{1000, StatusKeyNotFound, "", "Not found"},
+		{1001, StatusOK, "", "alpha2"},
+		{24, StatusOK, "", "alpha2"}, // the frozen clock never reaches the flush epoch
+		{25, StatusOK, "", Version},
+	} {
+		r := byOpaque[c.opaque]
+		if r.status != c.status || r.key != c.key || string(r.value) != c.value {
+			t.Errorf("opaque %d answered %+v, want status %#x key %q value %q", c.opaque, r, c.status, c.key, c.value)
+		}
 	}
 }
 
-// TestBinaryBatchedCoalescerCounters sanity-checks that the batched
-// session actually routed gets through the coalescer (the identity test
-// would trivially pass if SetCoalescer were ignored).
-func TestBinaryBatchedCoalescerCounters(t *testing.T) {
-	st := newClockStore(t, 1000)
-	coal := kvstore.NewCoalescer(st, kvstore.CoalescerOptions{})
-	buf := &rwBuffer{in: bytes.NewReader(binaryCorpus())}
-	sess := NewBinarySession(st, buf)
-	sess.SetCoalescer(coal)
-	if err := sess.Serve(); err != nil {
+// --- flush before read -------------------------------------------------
+
+// checkPartialFrame drives the one case a "skip the flush while input is
+// buffered" policy gets wrong: a client pipelines two gets and only the
+// head of a set (the ASCII command line, the binary 24-byte header),
+// then waits for the get replies before sending the body. The session
+// must not block reading the body with replies staged — and since
+// net.Pipe hands a reader one Write at a time, both replies arriving in
+// the client's first Read also proves they left in a single write.
+func checkPartialFrame(t *testing.T, serve func(*kvstore.Store, io.ReadWriter) error, head, body, wantGets, wantSet []byte) {
+	t.Helper()
+	st := newStore(t)
+	if err := st.Set("a", []byte("alpha"), 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	near, far := net.Pipe()
+	served := make(chan error, 1)
+	go func() { served <- serve(st, far) }()
+	// A session that stalls fails the test at this deadline instead of
+	// hanging it.
+	if err := near.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 4096)
+	if _, err := near.Write(head); err != nil {
+		t.Fatalf("writing two gets and a partial set: %v", err)
+	}
+	n, err := near.Read(buf)
+	if err != nil {
+		t.Fatalf("reading the get replies with the set's body outstanding: %v", err)
+	}
+	if !bytes.Equal(buf[:n], wantGets) {
+		t.Fatalf("first read = %q, want both get replies in one write: %q", buf[:n], wantGets)
+	}
+	if _, err := near.Write(body); err != nil {
+		t.Fatalf("writing the set's body: %v", err)
+	}
+	n, err = near.Read(buf)
+	if err != nil || !bytes.Equal(buf[:n], wantSet) {
+		t.Fatalf("set reply = %q, %v; want %q", buf[:n], err, wantSet)
+	}
+	if err := near.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-served; err != nil {
 		t.Fatalf("serve: %v", err)
 	}
-	if coal.Rounds() == 0 || coal.Ops() == 0 {
-		t.Fatalf("coalescer unused: rounds=%d ops=%d", coal.Rounds(), coal.Ops())
+}
+
+func TestASCIIPartialFrameDoesNotStall(t *testing.T) {
+	const get = "VALUE a 0 5\r\nalpha\r\nEND\r\n"
+	checkPartialFrame(t,
+		func(st *kvstore.Store, rw io.ReadWriter) error { return NewSession(st, rw).Serve() },
+		[]byte("get a\r\nget a\r\nset b 0 0 1\r\n"), []byte("x\r\n"),
+		[]byte(get+get), []byte("STORED\r\n"))
+}
+
+func TestBinaryPartialFrameDoesNotStall(t *testing.T) {
+	get1, get2 := frame(OpGet, "a", nil, nil, 0, 1), frame(OpGet, "a", nil, nil, 0, 2)
+	set := frame(OpSet, "b", setExtras(0, 0), []byte("x"), 0, 3)
+	head := append(append(get1, get2...), set[:binHeaderLen]...)
+
+	// The expected bytes come from serving the same frames complete.
+	st := newStore(t)
+	if err := st.Set("a", []byte("alpha"), 0, 0); err != nil {
+		t.Fatal(err)
 	}
-	if coal.Ops() < 300 {
-		t.Fatalf("expected the staged get run to flow through the coalescer, ops=%d", coal.Ops())
+	rw := &rwBuffer{in: bytes.NewReader(append(append([]byte(nil), head...), set[binHeaderLen:]...))}
+	if err := NewBinarySession(st, rw).Serve(); err != nil {
+		t.Fatal(err)
 	}
+	want := rw.out.Bytes()
+	setReply := len(want) - binHeaderLen // a stored set answers with a bare header
+
+	checkPartialFrame(t,
+		func(st *kvstore.Store, rw io.ReadWriter) error { return NewBinarySession(st, rw).Serve() },
+		head, set[binHeaderLen:], want[:setReply], want[setReply:])
 }

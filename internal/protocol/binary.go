@@ -109,6 +109,12 @@ type BinarySession struct {
 	r     *bufio.Reader
 	w     *bufio.Writer
 	body  []byte // reused frame body buffer
+	val   []byte // reused get value buffer
+	// Fixed-size scratch for the request header, the response header and
+	// a get's flags extras: locals would escape to the heap through the
+	// io.Reader/io.Writer interfaces, one allocation each per frame.
+	reqHdr, respHdr [binHeaderLen]byte
+	flags           [4]byte
 
 	// Optional per-op observation, as on Session.
 	obs      Observer
@@ -128,49 +134,10 @@ type BinarySession struct {
 
 	// Optional replica fan-out hook; nil means every write is local.
 	repl Replicator
-
-	// Optional cross-connection coalescer (the event-driven batched
-	// core). When set, get-family frames are staged into a run that
-	// executes as one shard-ordered round — this is what lets a getq
-	// pipeline from one client merge with other connections' lookups —
-	// and response flushes are deferred while more frames are buffered.
-	coal   *kvstore.Coalescer
-	getJob kvstore.GetJob
-	setJob kvstore.SetJob
-	setOps []kvstore.SetOp
-
-	// Staged get run: headers and arena-copied keys of consecutive
-	// get-family frames admitted but not yet executed. Keys are copies
-	// (the frame body buffer is reused per frame), recorded as arena
-	// offsets so arena growth cannot invalidate them. stagedGate counts
-	// gate slots held by staged frames; stagedStart carries each staged
-	// frame's op-clock stamp for deferred observation.
-	staged      []stagedGet
-	stagedKeys  [][]byte
-	keyArena    []byte
-	stagedGate  int
-	stagedStart []sim.Ns
 }
-
-// stagedGet is one queued get-family frame of the current run.
-type stagedGet struct {
-	h              binHeader
-	keyOff, keyLen int
-}
-
-// maxStagedRun bounds one run; a longer pipeline executes as several
-// rounds so a single connection cannot monopolize a round (and the
-// arena stays small enough to pool).
-const maxStagedRun = 256
 
 // SetGate installs an in-flight admission gate; call before Serve.
 func (s *BinarySession) SetGate(g Gate) { s.gate = g }
-
-// SetCoalescer switches the session into batched mode, as on
-// Session.SetCoalescer. Response bytes are identical to per-op mode;
-// only store-call grouping and syscall segmentation change. Call
-// before Serve.
-func (s *BinarySession) SetCoalescer(c *kvstore.Coalescer) { s.coal = c }
 
 // SetReplicator installs the replica fan-out hook; call before Serve.
 // Successful stores and deletes are handed to it with the request's
@@ -245,18 +212,16 @@ func (s *BinarySession) endSpan(class OpClass, out Outcome, opaque uint64, start
 	})
 }
 
-// NewBinarySession wraps a transport. The caller must already have
-// consumed nothing from the stream (the magic byte is read here).
+// NewBinarySession serves the binary protocol on a transport. The caller
+// must have consumed nothing from the stream (the magic byte is read
+// here).
 func NewBinarySession(store *kvstore.Store, rw io.ReadWriter) *BinarySession {
-	return &BinarySession{
-		store: store,
-		r:     bufio.NewReaderSize(rw, 64<<10),
-		w:     bufio.NewWriterSize(rw, 64<<10),
-	}
+	r, w := NewBufferedPair(rw)
+	return NewBinarySessionBuffered(store, r, w)
 }
 
-// NewBinarySessionBuffered wraps pre-existing buffered I/O (used by the
-// server after protocol sniffing).
+// NewBinarySessionBuffered wraps pre-existing buffered I/O, as
+// NewSessionBuffered does.
 func NewBinarySessionBuffered(store *kvstore.Store, r *bufio.Reader, w *bufio.Writer) *BinarySession {
 	return &BinarySession{store: store, r: r, w: w}
 }
@@ -264,10 +229,6 @@ func NewBinarySessionBuffered(store *kvstore.Store, r *bufio.Reader, w *bufio.Wr
 // Serve processes frames until quit, EOF, or a transport error. As on
 // the ASCII session, a failed final flush is reported, not swallowed.
 func (s *BinarySession) Serve() error {
-	// Staged frames hold gate slots across serveOne calls; an abnormal
-	// exit (transport error mid-run) must hand them back or the server's
-	// in-flight budget leaks with the dead connection.
-	defer s.releaseStagedGate()
 	for {
 		err := s.serveOne()
 		switch {
@@ -281,25 +242,17 @@ func (s *BinarySession) Serve() error {
 	}
 }
 
-func (s *BinarySession) releaseStagedGate() {
-	for s.stagedGate > 0 {
-		s.gate.Release()
-		s.stagedGate--
-	}
-}
-
 // serveOne reads and executes one binary frame.
 //
 //kv3d:hotpath
 func (s *BinarySession) serveOne() error {
-	var hdr [binHeaderLen]byte
-	if _, err := io.ReadFull(s.r, hdr[:]); err != nil {
+	if _, err := io.ReadFull(s.r, s.reqHdr[:]); err != nil {
 		if errors.Is(err, io.ErrUnexpectedEOF) {
 			return io.EOF
 		}
 		return err
 	}
-	h := parseBinHeader(hdr[:])
+	h := parseBinHeader(s.reqHdr[:])
 	// The op clock starts after the (possibly idle) blocking header
 	// read, so the parse phase covers body read and field split but not
 	// time spent waiting for a request to arrive.
@@ -325,26 +278,8 @@ func (s *BinarySession) serveOne() error {
 		return err
 	}
 	extras := body[:h.extrasLen]
-	keyB := body[h.extrasLen : int(h.extrasLen)+int(h.keyLen)]
+	key := body[h.extrasLen : int(h.extrasLen)+int(h.keyLen)]
 	value := body[int(h.extrasLen)+int(h.keyLen):]
-
-	// Batched mode: get-family frames are staged into a run that
-	// executes as one coalesced round; anything else flushes the pending
-	// run first so responses keep request order. Staged gets skip the
-	// per-frame key-string allocation entirely — their keys are arena
-	// bytes all the way into the store.
-	if s.coal != nil {
-		if isGetFamily(h.opcode) {
-			return s.stageGet(h, keyB, start, timed)
-		}
-		if len(s.staged) > 0 {
-			if err := s.flushGetRun(); err != nil {
-				return err
-			}
-		}
-	}
-
-	key := string(keyB) //nolint:kv3d -- binary keys cross into the string-keyed store mutation API; one short per-frame allocation is accepted
 	if timed {
 		s.beginSpan()
 		s.markParse()
@@ -359,14 +294,14 @@ func (s *BinarySession) serveOne() error {
 		quitting := false
 		switch {
 		case h.opcode == OpQuit:
-			shedErr = s.respond(h, StatusOK, nil, "", nil, 0)
+			shedErr = s.respond(h, StatusOK, nil, nil, nil, 0)
 			quitting = true
 		case h.opcode == OpQuitQ:
 			quitting = true
 		case quiet(h.opcode):
 			// silent shed
 		default:
-			shedErr = s.respond(h, StatusBusy, nil, "", []byte("busy"), 0)
+			shedErr = s.respond(h, StatusBusy, nil, nil, []byte("busy"), 0)
 		}
 		if timed {
 			end := s.nowNanos()
@@ -401,11 +336,18 @@ func (s *BinarySession) serveOne() error {
 	return err
 }
 
-// dispatch executes one parsed frame.
-func (s *BinarySession) dispatch(h binHeader, extras []byte, key string, value []byte) error {
+// dispatch executes one parsed frame. The get family keeps its key as
+// bytes of the frame body all the way into the store; every other
+// opcode crosses into the string-keyed mutation API.
+//
+//kv3d:hotpath
+func (s *BinarySession) dispatch(h binHeader, extras, keyB, value []byte) error {
 	switch h.opcode {
 	case OpGet, OpGetQ, OpGetK, OpGetKQ:
-		return s.doGet(h, key)
+		return s.doGet(h, keyB)
+	}
+	key := string(keyB) //nolint:kv3d -- mutation and admin opcodes tolerate one short per-frame allocation; the get family returns above and never reaches this line
+	switch h.opcode {
 	case OpSet, OpSetQ, OpAdd, OpAddQ, OpReplace, OpReplaceQ:
 		return s.doStore(h, extras, key, value)
 	case OpAppend, OpAppendQ, OpPrepend, OpPrependQ:
@@ -419,135 +361,19 @@ func (s *BinarySession) dispatch(h binHeader, extras []byte, key string, value [
 	case OpFlush, OpFlushQ:
 		return s.doFlush(h, extras)
 	case OpNoop:
-		return s.respond(h, StatusOK, nil, "", nil, 0)
+		return s.respond(h, StatusOK, nil, nil, nil, 0)
 	case OpVersion:
-		return s.respond(h, StatusOK, nil, "", []byte(Version), 0)
+		return s.respond(h, StatusOK, nil, nil, binVersion, 0)
 	case OpStat:
 		return s.doStat(h)
 	case OpQuit:
-		s.respond(h, StatusOK, nil, "", nil, 0)
+		s.respond(h, StatusOK, nil, nil, nil, 0)
 		return ErrQuit
 	case OpQuitQ:
 		return ErrQuit
 	default:
-		return s.respond(h, StatusUnknownCommand, nil, "", []byte("Unknown command"), 0)
+		return s.respond(h, StatusUnknownCommand, nil, nil, binUnknown, 0)
 	}
-}
-
-// isGetFamily reports whether the opcode is a lookup that can join a
-// staged get run.
-func isGetFamily(op byte) bool {
-	return op == OpGet || op == OpGetQ || op == OpGetK || op == OpGetKQ
-}
-
-var binNotFound = []byte("Not found")
-
-// stageGet queues one admitted get-family frame into the current run.
-// The run executes — one coalesced shard-ordered round — as soon as the
-// input buffer has no complete header left (nothing more to merge
-// without blocking), the run hits its cap, or a non-get frame arrives.
-//
-//kv3d:hotpath
-func (s *BinarySession) stageGet(h binHeader, key []byte, start sim.Ns, timed bool) error {
-	if s.gate != nil && !s.gate.TryAcquire() {
-		// The refusal answers in request order: everything staged before
-		// this frame responds first.
-		if err := s.flushGetRun(); err != nil {
-			return err
-		}
-		var shedErr error
-		if !quiet(h.opcode) {
-			shedErr = s.respond(h, StatusBusy, nil, "", []byte("busy"), 0)
-		}
-		if timed {
-			end := s.nowNanos()
-			class := classifyOpcode(h.opcode)
-			s.obs.ObserveOp(class, OutcomeBusy, end-start)
-		}
-		return shedErr
-	}
-	if s.gate != nil {
-		s.stagedGate++
-	}
-	off := len(s.keyArena)
-	s.keyArena = append(s.keyArena, key...) // key aliases the reused body buffer; the arena copy outlives this frame
-	s.staged = append(s.staged, stagedGet{h: h, keyOff: off, keyLen: len(key)})
-	s.stagedStart = append(s.stagedStart, start)
-	if s.r.Buffered() >= binHeaderLen && len(s.staged) < maxStagedRun {
-		return nil
-	}
-	return s.flushGetRun()
-}
-
-// flushGetRun executes the staged run as one coalescer round and emits
-// every response in request order (quiet misses stay silent), then
-// flushes once. Byte content is identical to the per-op path; only the
-// store-call grouping and syscall segmentation differ.
-//
-//kv3d:hotpath
-func (s *BinarySession) flushGetRun() error {
-	if len(s.staged) == 0 {
-		return nil
-	}
-	keys := s.stagedKeys[:0]
-	for _, g := range s.staged {
-		keys = append(keys, s.keyArena[g.keyOff:g.keyOff+g.keyLen]) //nolint:kv3d -- arena self-alias: both the spans and the arena are this session's scratch, released together below
-	}
-	s.stagedKeys = keys
-	s.coal.Gets(&s.getJob, keys)
-	timed := s.obs != nil && s.nowNanos != nil
-	var firstErr error
-	for i, g := range s.staged {
-		v, r := s.getJob.Result(i)
-		var err error
-		switch {
-		case !r.Found && quiet(g.h.opcode):
-			// getq/getkq: silent miss keeps the pipeline quiet.
-		case !r.Found:
-			err = s.writeResponse(g.h, StatusKeyNotFound, nil, nil, binNotFound, 0)
-		default:
-			var extras [4]byte
-			binary.BigEndian.PutUint32(extras[:], r.Flags)
-			var respKey []byte
-			if g.h.opcode == OpGetK || g.h.opcode == OpGetKQ {
-				respKey = keys[i]
-			}
-			err = s.writeResponse(g.h, StatusOK, extras[:], respKey, v, r.CAS)
-		}
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		if timed && s.stagedStart[i] != 0 {
-			// Deferred observation: latency includes the staging wait,
-			// which is the honest client-visible number. Staged gets are
-			// not flight-sampled per op — the batch round itself is traced
-			// by the server's coalescer hook instead.
-			end := s.nowNanos()
-			s.obs.ObserveOp(classifyOpcode(g.h.opcode), outcomeOf(err), end-s.stagedStart[i])
-		}
-	}
-	s.getJob.Release()
-	s.releaseStagedGate()
-	s.staged = s.staged[:0]
-	s.stagedKeys = s.stagedKeys[:0]
-	s.keyArena = s.keyArena[:0]
-	s.stagedStart = s.stagedStart[:0]
-	if firstErr != nil {
-		return firstErr
-	}
-	return s.maybeFlush()
-}
-
-// maybeFlush defers the response flush while at least one more complete
-// header is already buffered, exactly as Session.maybeFlush does for
-// ASCII lines; per-op mode always flushes.
-//
-//kv3d:hotpath
-func (s *BinarySession) maybeFlush() error {
-	if s.coal != nil && s.r.Buffered() >= binHeaderLen {
-		return nil
-	}
-	return s.w.Flush()
 }
 
 // quiet reports whether the opcode is a quiet variant (success responses
@@ -561,42 +387,15 @@ func quiet(op byte) bool {
 	return false
 }
 
-// respond writes one response frame and flushes (batched mode: defers
-// the flush while more input is buffered). Its entry marks the end of
-// the store-execute phase for sampled spans (first response wins).
-func (s *BinarySession) respond(h binHeader, status uint16, extras []byte, key string, value []byte, cas uint64) error {
-	s.markExec()
-	var hdr [binHeaderLen]byte
-	hdr[0] = MagicResponse
-	hdr[1] = h.opcode
-	binary.BigEndian.PutUint16(hdr[2:], uint16(len(key)))
-	hdr[4] = byte(len(extras))
-	binary.BigEndian.PutUint16(hdr[6:], status)
-	binary.BigEndian.PutUint32(hdr[8:], uint32(len(extras)+len(key)+len(value)))
-	binary.BigEndian.PutUint32(hdr[12:], h.opaque)
-	binary.BigEndian.PutUint64(hdr[16:], cas)
-	if _, err := s.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if len(extras) > 0 {
-		s.w.Write(extras)
-	}
-	if len(key) > 0 {
-		s.w.WriteString(key)
-	}
-	if len(value) > 0 {
-		s.w.Write(value)
-	}
-	return s.maybeFlush()
-}
-
-// writeResponse is respond's staged-run variant: byte-slice key, no
-// flush (the run flushes once at its end). The emitted frame bytes are
-// identical to respond's.
+// respond stages one response frame in the session writer. Its entry
+// marks the end of the store-execute phase for sampled spans (first
+// response wins). bufio's sticky error makes the last write report a
+// failure of any of the four.
 //
 //kv3d:hotpath
-func (s *BinarySession) writeResponse(h binHeader, status uint16, extras, key, value []byte, cas uint64) error {
-	var hdr [binHeaderLen]byte
+func (s *BinarySession) respond(h binHeader, status uint16, extras, key, value []byte, cas uint64) error {
+	s.markExec()
+	hdr := s.respHdr[:]
 	hdr[0] = MagicResponse
 	hdr[1] = h.opcode
 	binary.BigEndian.PutUint16(hdr[2:], uint16(len(key)))
@@ -605,71 +404,61 @@ func (s *BinarySession) writeResponse(h binHeader, status uint16, extras, key, v
 	binary.BigEndian.PutUint32(hdr[8:], uint32(len(extras)+len(key)+len(value)))
 	binary.BigEndian.PutUint32(hdr[12:], h.opaque)
 	binary.BigEndian.PutUint64(hdr[16:], cas)
-	if _, err := s.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if len(extras) > 0 {
-		s.w.Write(extras)
-	}
-	if len(key) > 0 {
-		s.w.Write(key)
-	}
-	if len(value) > 0 {
-		s.w.Write(value)
-	}
-	return nil
+	s.w.Write(hdr)
+	s.w.Write(extras)
+	s.w.Write(key)
+	_, err := s.w.Write(value)
+	return err
 }
 
-func (s *BinarySession) doGet(h binHeader, key string) error {
-	withKey := h.opcode == OpGetK || h.opcode == OpGetKQ
-	e, ok := s.store.Get(key)
+// Static response bodies the hot-path functions send.
+var (
+	binNotFound = []byte("Not found")
+	binUnknown  = []byte("Unknown command")
+	binVersion  = []byte(Version)
+)
+
+// doGet serves the get family, the measured hot path of the binary
+// protocol, without allocating: the key is a slice of the frame body and
+// the value copies into the reused val buffer.
+//
+//kv3d:hotpath
+func (s *BinarySession) doGet(h binHeader, key []byte) error {
+	out, e, ok := s.store.GetIntoBytes(s.val[:0], key)
+	s.val = out[:0]
 	if !ok {
 		if quiet(h.opcode) {
 			return nil // getq: silent miss
 		}
-		return s.respond(h, StatusKeyNotFound, nil, "", []byte("Not found"), 0)
+		return s.respond(h, StatusKeyNotFound, nil, nil, binNotFound, 0)
 	}
-	var extras [4]byte
-	binary.BigEndian.PutUint32(extras[:], e.Flags)
-	respKey := ""
-	if withKey {
-		respKey = key
+	binary.BigEndian.PutUint32(s.flags[:], e.Flags)
+	if h.opcode != OpGetK && h.opcode != OpGetKQ {
+		key = nil
 	}
-	return s.respond(h, StatusOK, extras[:], respKey, e.Value, e.CAS)
+	return s.respond(h, StatusOK, s.flags[:], key, out, e.CAS)
 }
 
 func (s *BinarySession) doStore(h binHeader, extras []byte, key string, value []byte) error {
 	if len(extras) != 8 {
-		return s.respond(h, StatusInvalidArgs, nil, "", []byte("Invalid arguments"), 0)
+		return s.respond(h, StatusInvalidArgs, nil, nil, []byte("Invalid arguments"), 0)
 	}
 	flags := binary.BigEndian.Uint32(extras)
 	exptime := int64(int32(binary.BigEndian.Uint32(extras[4:])))
-	var err error
-	switch {
-	case s.coal != nil && (h.opcode == OpSet || h.opcode == OpSetQ) && h.cas == 0:
-		// Batched mode: unconditional sets (the setq pipeline workload)
-		// join the cross-connection set round. CAS and add/replace run
-		// their guard under the shard lock, which SetBatch does not
-		// model, so they stay on the direct path.
-		s.setOps = append(s.setOps[:0], kvstore.SetOp{Key: key, Value: value, Flags: flags, Exptime: exptime})
-		s.coal.Sets(&s.setJob, s.setOps)
-		err = s.setJob.Err(0)
-	default:
-		switch h.opcode {
-		case OpSet, OpSetQ:
-			if h.cas != 0 {
-				err = s.store.CAS(key, value, flags, exptime, h.cas)
-			} else {
-				err = s.store.Set(key, value, flags, exptime)
-			}
-		case OpAdd, OpAddQ:
-			err = s.store.Add(key, value, flags, exptime)
-		case OpReplace, OpReplaceQ:
-			err = s.store.Replace(key, value, flags, exptime)
+	verb := kvstore.VerbSet
+	switch h.opcode {
+	case OpSet, OpSetQ:
+		if h.cas != 0 {
+			verb = kvstore.VerbCAS
 		}
+	case OpAdd, OpAddQ:
+		verb = kvstore.VerbAdd
+	case OpReplace, OpReplaceQ:
+		verb = kvstore.VerbReplace
 	}
+	cas, err := s.store.Put(verb, key, value, flags, exptime, h.cas)
 	if err != nil {
-		return s.respond(h, storeStatus(err), nil, "", []byte(err.Error()), 0)
+		return s.respond(h, storeStatus(err), nil, nil, []byte(err.Error()), 0)
 	}
 	// Replica fan-out after the local store succeeds. CAS and add/replace
 	// variants all propagate as plain sets: replicas converge on the
@@ -679,15 +468,14 @@ func (s *BinarySession) doStore(h binHeader, extras []byte, key string, value []
 	if s.repl != nil {
 		if mode := ReplModeFromVbucket(h.status); mode != ReplLocal {
 			if rerr := s.repl.ReplicateSet(key, value, flags, exptime, mode); rerr != nil {
-				return s.respond(h, StatusNoQuorum, nil, "", []byte(rerr.Error()), 0)
+				return s.respond(h, StatusNoQuorum, nil, nil, []byte(rerr.Error()), 0)
 			}
 		}
 	}
 	if quiet(h.opcode) {
 		return nil
 	}
-	e, _ := s.store.Get(key)
-	return s.respond(h, StatusOK, nil, "", nil, e.CAS)
+	return s.respond(h, StatusOK, nil, nil, nil, cas)
 }
 
 func (s *BinarySession) doConcat(h binHeader, key string, value []byte) error {
@@ -698,12 +486,12 @@ func (s *BinarySession) doConcat(h binHeader, key string, value []byte) error {
 		err = s.store.Prepend(key, value)
 	}
 	if err != nil {
-		return s.respond(h, storeStatus(err), nil, "", []byte(err.Error()), 0)
+		return s.respond(h, storeStatus(err), nil, nil, []byte(err.Error()), 0)
 	}
 	if quiet(h.opcode) {
 		return nil
 	}
-	return s.respond(h, StatusOK, nil, "", nil, 0)
+	return s.respond(h, StatusOK, nil, nil, nil, 0)
 }
 
 func (s *BinarySession) doDelete(h binHeader, key string) error {
@@ -712,74 +500,66 @@ func (s *BinarySession) doDelete(h binHeader, key string) error {
 		if quiet(h.opcode) {
 			return nil
 		}
-		return s.respond(h, StatusKeyNotFound, nil, "", []byte("Not found"), 0)
+		return s.respond(h, StatusKeyNotFound, nil, nil, binNotFound, 0)
 	}
 	if s.repl != nil {
 		if mode := ReplModeFromVbucket(h.status); mode != ReplLocal {
 			if rerr := s.repl.ReplicateDelete(key, mode); rerr != nil {
-				return s.respond(h, StatusNoQuorum, nil, "", []byte(rerr.Error()), 0)
+				return s.respond(h, StatusNoQuorum, nil, nil, []byte(rerr.Error()), 0)
 			}
 		}
 	}
 	if quiet(h.opcode) {
 		return nil
 	}
-	return s.respond(h, StatusOK, nil, "", nil, 0)
+	return s.respond(h, StatusOK, nil, nil, nil, 0)
 }
 
 func (s *BinarySession) doIncrDecr(h binHeader, extras []byte, key string) error {
 	if len(extras) != 20 {
-		return s.respond(h, StatusInvalidArgs, nil, "", []byte("Invalid arguments"), 0)
+		return s.respond(h, StatusInvalidArgs, nil, nil, []byte("Invalid arguments"), 0)
 	}
 	delta := binary.BigEndian.Uint64(extras)
 	initial := binary.BigEndian.Uint64(extras[8:])
 	exptime := int64(int32(binary.BigEndian.Uint32(extras[16:])))
-	incr := h.opcode == OpIncr || h.opcode == OpIncrQ
 
-	var v uint64
-	var err error
-	if incr {
-		v, err = s.store.Incr(key, delta)
-	} else {
-		v, err = s.store.Decr(key, delta)
-	}
+	v, cas, err := s.store.IncrDecr(key, delta, h.opcode == OpIncr || h.opcode == OpIncrQ)
 	if errors.Is(err, kvstore.ErrNotFound) {
 		// Binary protocol: exptime 0xffffffff means "do not create".
 		if uint32(exptime) == 0xffffffff {
-			return s.respond(h, StatusKeyNotFound, nil, "", []byte("Not found"), 0)
+			return s.respond(h, StatusKeyNotFound, nil, nil, binNotFound, 0)
 		}
 		v = initial
-		err = s.store.Add(key, []byte(strconv.FormatUint(initial, 10)), 0, exptime)
+		cas, err = s.store.Put(kvstore.VerbAdd, key, strconv.AppendUint(nil, initial, 10), 0, exptime, 0)
 	}
 	if err != nil {
-		return s.respond(h, storeStatus(err), nil, "", []byte(err.Error()), 0)
+		return s.respond(h, storeStatus(err), nil, nil, []byte(err.Error()), 0)
 	}
 	if quiet(h.opcode) {
 		return nil
 	}
 	var out [8]byte
 	binary.BigEndian.PutUint64(out[:], v)
-	e, _ := s.store.Get(key)
-	return s.respond(h, StatusOK, nil, "", out[:], e.CAS)
+	return s.respond(h, StatusOK, nil, nil, out[:], cas)
 }
 
 func (s *BinarySession) doTouch(h binHeader, extras []byte, key string) error {
 	if len(extras) != 4 {
-		return s.respond(h, StatusInvalidArgs, nil, "", []byte("Invalid arguments"), 0)
+		return s.respond(h, StatusInvalidArgs, nil, nil, []byte("Invalid arguments"), 0)
 	}
 	exptime := int64(int32(binary.BigEndian.Uint32(extras)))
 	if err := s.store.Touch(key, exptime); err != nil {
-		return s.respond(h, StatusKeyNotFound, nil, "", []byte("Not found"), 0)
+		return s.respond(h, StatusKeyNotFound, nil, nil, binNotFound, 0)
 	}
 	// TTL updates fan out like sets; see Replicator.ReplicateTouch.
 	if s.repl != nil {
 		if mode := ReplModeFromVbucket(h.status); mode != ReplLocal {
 			if rerr := s.repl.ReplicateTouch(key, exptime, mode); rerr != nil {
-				return s.respond(h, StatusNoQuorum, nil, "", []byte(rerr.Error()), 0)
+				return s.respond(h, StatusNoQuorum, nil, nil, []byte(rerr.Error()), 0)
 			}
 		}
 	}
-	return s.respond(h, StatusOK, nil, "", nil, 0)
+	return s.respond(h, StatusOK, nil, nil, nil, 0)
 }
 
 func (s *BinarySession) doFlush(h binHeader, extras []byte) error {
@@ -795,21 +575,21 @@ func (s *BinarySession) doFlush(h binHeader, extras []byte) error {
 	case 4:
 		delay = int64(binary.BigEndian.Uint32(extras))
 	default:
-		return s.respond(h, StatusInvalidArgs, nil, "", []byte("Invalid arguments"), 0)
+		return s.respond(h, StatusInvalidArgs, nil, nil, []byte("Invalid arguments"), 0)
 	}
 	s.store.FlushAll(delay)
 	// flush_all reaches replicas too; see Replicator.ReplicateFlush.
 	if s.repl != nil {
 		if mode := ReplModeFromVbucket(h.status); mode != ReplLocal {
 			if rerr := s.repl.ReplicateFlush(delay, mode); rerr != nil {
-				return s.respond(h, StatusNoQuorum, nil, "", []byte(rerr.Error()), 0)
+				return s.respond(h, StatusNoQuorum, nil, nil, []byte(rerr.Error()), 0)
 			}
 		}
 	}
 	if quiet(h.opcode) {
 		return nil
 	}
-	return s.respond(h, StatusOK, nil, "", nil, 0)
+	return s.respond(h, StatusOK, nil, nil, nil, 0)
 }
 
 func (s *BinarySession) doStat(h binHeader) error {
@@ -825,12 +605,12 @@ func (s *BinarySession) doStat(h binHeader) error {
 		{"bytes", strconv.FormatInt(st.BytesUsed, 10)},
 	}
 	for _, p := range pairs {
-		if err := s.respond(h, StatusOK, nil, p[0], []byte(p[1]), 0); err != nil {
+		if err := s.respond(h, StatusOK, nil, []byte(p[0]), []byte(p[1]), 0); err != nil {
 			return err
 		}
 	}
 	// Terminating empty stat.
-	return s.respond(h, StatusOK, nil, "", nil, 0)
+	return s.respond(h, StatusOK, nil, nil, nil, 0)
 }
 
 func storeStatus(err error) uint16 {

@@ -356,3 +356,37 @@ func TestBinaryInvalidExtras(t *testing.T) {
 		t.Fatalf("short set extras = %#x", rs[0].status)
 	}
 }
+
+// TestBinaryStoreRepliesDoNotReadBack: a non-quiet set, add, replace
+// and incr answer with the CAS id the store assigned under the shard
+// lock. They used to learn it by reading the key back, which counted a
+// get hit, copied the value and could report a later writer's CAS.
+func TestBinaryStoreRepliesDoNotReadBack(t *testing.T) {
+	st := newStore(t)
+	rs := runBinary(t, st,
+		frame(OpSet, "k", setExtras(0, 0), []byte("1"), 0, 1),
+		frame(OpAdd, "fresh", setExtras(0, 0), []byte("v"), 0, 2),
+		frame(OpReplace, "k", setExtras(0, 0), []byte("7"), 0, 3),
+		frame(OpIncr, "k", incrExtras(5, 0, 0), nil, 0, 4),
+		frame(OpIncr, "made", incrExtras(1, 40, 0), nil, 0, 5), // absent: created from initial
+	)
+	if len(rs) != 5 {
+		t.Fatalf("got %d responses, want 5", len(rs))
+	}
+	if stats := st.Stats(); stats.GetHits != 0 || stats.GetMisses != 0 {
+		t.Fatalf("stores and arithmetic counted as gets: get_hits=%d get_misses=%d", stats.GetHits, stats.GetMisses)
+	}
+	// set and replace of "k" were each superseded; the last writer of
+	// every key must have reported the CAS a gets now sees.
+	for key, r := range map[string]binResponse{"fresh": rs[1], "k": rs[3], "made": rs[4]} {
+		if r.status != StatusOK || r.cas == 0 {
+			t.Fatalf("%s: response %+v, want StatusOK with a CAS", key, r)
+		}
+		if e, ok := st.Get(key); !ok || e.CAS != r.cas {
+			t.Errorf("%s: response CAS %d, gets sees %d (found=%v)", key, r.cas, e.CAS, ok)
+		}
+	}
+	if rs[0].cas == 0 || rs[2].cas <= rs[0].cas || rs[3].cas <= rs[2].cas {
+		t.Errorf("CAS ids of successive writes to one key not increasing: %d, %d, %d", rs[0].cas, rs[2].cas, rs[3].cas)
+	}
+}

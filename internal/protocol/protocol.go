@@ -94,27 +94,10 @@ type Session struct {
 	// The ASCII protocol has no spare request field for a per-op mode,
 	// so ASCII writes always replicate with the server default.
 	repl Replicator
-
-	// Optional cross-connection coalescer (the event-driven batched
-	// core). When set, get/gets and plain set execute through shared
-	// shard-ordered rounds, and responses are staged: the writer is
-	// flushed only when the read buffer has drained, so a pipelined
-	// burst costs one write syscall instead of one per op.
-	coal   *kvstore.Coalescer
-	getJob kvstore.GetJob
-	setJob kvstore.SetJob
-	setOps []kvstore.SetOp
 }
 
 // SetGate installs an in-flight admission gate; call before Serve.
 func (s *Session) SetGate(g Gate) { s.gate = g }
-
-// SetCoalescer switches the session into batched mode: lookups and
-// plain sets are merged with other connections' into shard-ordered
-// store rounds, and response flushes are deferred while pipelined
-// input is pending. Response bytes are identical to per-op mode — only
-// the store-call and syscall segmentation changes. Call before Serve.
-func (s *Session) SetCoalescer(c *kvstore.Coalescer) { s.coal = c }
 
 // SetReplicator installs the replica fan-out hook; call before Serve.
 // Successful set/add/replace/cas stores and deletes are handed to it
@@ -204,17 +187,43 @@ func (s *Session) endSpan(class OpClass, out Outcome, start, end sim.Ns) {
 	})
 }
 
-// NewSession wraps a transport with buffered I/O.
-func NewSession(store *kvstore.Store, rw io.ReadWriter) *Session {
-	return &Session{
-		store: store,
-		r:     bufio.NewReaderSize(rw, 64<<10),
-		w:     bufio.NewWriterSize(rw, 64<<10),
-	}
+// NewBufferedPair builds the buffered reader and writer every session
+// runs on, and with them the one flush policy of all three transports:
+// responses are staged in the writer and written out when the session is
+// about to read from the transport — that is, when it has consumed all
+// the input it was given and would otherwise sleep. A pipelined burst
+// therefore costs one write per read instead of one per op, and a
+// client that withholds the rest of a request still gets every earlier
+// reply first, because no session can block in a read with output
+// pending. Sessions never flush at reply sites; Serve flushes on exit.
+func NewBufferedPair(rw io.ReadWriter) (*bufio.Reader, *bufio.Writer) {
+	w := bufio.NewWriterSize(rw, 64<<10)
+	return bufio.NewReaderSize(&flushBeforeRead{r: rw, w: w}, 64<<10), w
 }
 
-// NewSessionBuffered wraps pre-existing buffered I/O (used by the server
-// after protocol sniffing).
+// flushBeforeRead is the transport half of NewBufferedPair's reader.
+type flushBeforeRead struct {
+	r io.Reader
+	w *bufio.Writer
+}
+
+func (f *flushBeforeRead) Read(p []byte) (int, error) {
+	if err := f.w.Flush(); err != nil {
+		return 0, err
+	}
+	return f.r.Read(p)
+}
+
+// NewSession serves the ASCII protocol on a transport.
+func NewSession(store *kvstore.Store, rw io.ReadWriter) *Session {
+	r, w := NewBufferedPair(rw)
+	return NewSessionBuffered(store, r, w)
+}
+
+// NewSessionBuffered wraps pre-existing buffered I/O: a NewBufferedPair
+// (the server, after protocol sniffing), or any other pair whose reader
+// never blocks — output then appears as the writer fills and when Serve
+// returns.
 func NewSessionBuffered(store *kvstore.Store, r *bufio.Reader, w *bufio.Writer) *Session {
 	return &Session{store: store, r: r, w: w}
 }
@@ -417,26 +426,7 @@ func (s *Session) readLine() ([]byte, error) {
 
 func (s *Session) reply(msg string) error {
 	_, err := s.w.WriteString(msg)
-	if err != nil {
-		return err
-	}
-	return s.maybeFlush()
-}
-
-// maybeFlush is the response-staging point of batched mode: while more
-// pipelined input is already buffered, responses stay in the writer and
-// the flush (one write syscall) happens when the input drains — the
-// "flush before sleeping" discipline. Per-op mode flushes every time,
-// preserving the seed behaviour. The skip is safe against deadlock for
-// any client that sends complete requests: serveOne flushes before
-// every potentially-blocking read.
-//
-//kv3d:hotpath
-func (s *Session) maybeFlush() error {
-	if s.coal != nil && s.r.Buffered() > 0 {
-		return nil
-	}
-	return s.w.Flush()
+	return err
 }
 
 func (s *Session) clientError(msg string) error {
@@ -451,7 +441,7 @@ func wantsNoReply(args []string) bool {
 // It must not allocate: keys stay byte slices of the command line,
 // values copy into the reused valBuf, and the response header is
 // assembled with strconv.Append into the reused numBuf (intermediate
-// bufio writes lean on the sticky-error contract; Flush reports).
+// bufio writes lean on the sticky-error contract; the END write reports).
 //
 // A single-key get takes the direct per-key path; a multi-key get is
 // served through kvstore.GetBatchInto, which groups the keys by shard
@@ -465,9 +455,6 @@ func (s *Session) doGet(rest []byte, withCAS bool) error {
 		return s.reply(respError)
 	}
 	second, rest := nextToken(rest)
-	if s.coal != nil {
-		return s.doGetBatched(key, second, rest, withCAS)
-	}
 	if len(second) == 0 {
 		// Single-key fast path, identical to the seed behaviour.
 		s.markParse()
@@ -477,10 +464,7 @@ func (s *Session) doGet(rest []byte, withCAS bool) error {
 		if ok {
 			s.writeValue(key, out, e.Flags, e.CAS, withCAS)
 		}
-		if _, err := s.w.WriteString(respEnd); err != nil {
-			return err
-		}
-		return s.w.Flush()
+		return s.reply(respEnd)
 	}
 	// Multi-key: collect the tokens (they alias lineBuf, which stays
 	// untouched until the next readLine), run one batched lookup, then
@@ -501,50 +485,12 @@ func (s *Session) doGet(rest []byte, withCAS bool) error {
 			s.writeValue(s.keyBuf[i], s.valBuf[r.Start:r.End], r.Flags, r.CAS, withCAS)
 		}
 	}
-	if _, err := s.w.WriteString(respEnd); err != nil {
-		return err
-	}
-	return s.w.Flush()
-}
-
-// doGetBatched serves get/gets through the cross-connection coalescer:
-// the key set (single or multi) becomes one job merged with concurrent
-// connections' lookups into a shard-ordered round, and the response is
-// staged rather than flushed per op. The emitted bytes are identical to
-// the per-op path — VALUE blocks in request order, then END.
-//
-//kv3d:hotpath
-func (s *Session) doGetBatched(key, second, rest []byte, withCAS bool) error {
-	s.keyBuf = append(s.keyBuf[:0], key) //nolint:kv3d -- keyBuf entries alias lineBuf; the coalescer round completes (and s.getJob releases them) before the next readLine overwrites it
-	if len(second) != 0 {
-		s.keyBuf = append(s.keyBuf, second) //nolint:kv3d -- same session-scratch self-alias as above
-		for {
-			key, rest = nextToken(rest)
-			if len(key) == 0 {
-				break
-			}
-			s.keyBuf = append(s.keyBuf, key) //nolint:kv3d -- same session-scratch self-alias as above
-		}
-	}
-	s.markParse()
-	s.coal.Gets(&s.getJob, s.keyBuf)
-	s.markExec()
-	for i := range s.keyBuf {
-		v, r := s.getJob.Result(i)
-		if r.Found {
-			s.writeValue(s.keyBuf[i], v, r.Flags, r.CAS, withCAS)
-		}
-	}
-	s.getJob.Release()
-	if _, err := s.w.WriteString(respEnd); err != nil {
-		return err
-	}
-	return s.maybeFlush()
+	return s.reply(respEnd)
 }
 
 // writeValue emits one "VALUE <key> <flags> <len> [<cas>]\r\n<data>\r\n"
 // block into the session writer (sticky-error contract; the caller's
-// Flush reports failures).
+// END write reports failures).
 //
 //kv3d:hotpath
 func (s *Session) writeValue(key, val []byte, flags uint32, cas uint64, withCAS bool) {
@@ -624,19 +570,7 @@ func (s *Session) doStore(verb string, args []string, _ int) error {
 		return s.clientError("bad data chunk")
 	}
 	s.markParse()
-	var serr error
-	switch {
-	case verb == "set" && s.coal != nil:
-		// Batched mode: a plain set joins the cross-connection set round.
-		// The conditional verbs (add/replace/cas) need their guard run
-		// under the shard lock, which SetBatch does not model, so they
-		// stay on the direct path below.
-		s.setOps = append(s.setOps[:0], kvstore.SetOp{Key: key, Value: data, Flags: flags, Exptime: exptime})
-		s.coal.Sets(&s.setJob, s.setOps)
-		serr = s.setJob.Err(0)
-	default:
-		serr = s.storeVerb(verb, key, data, flags, exptime)
-	}
+	serr := s.storeVerb(verb, key, data, flags, exptime)
 	if serr == nil && s.repl != nil && (verb == "set" || verb == "add" || verb == "replace") {
 		if rerr := s.repl.ReplicateSet(key, data, flags, exptime, ReplDefault); rerr != nil {
 			serr = rerr
@@ -649,7 +583,7 @@ func (s *Session) doStore(verb string, args []string, _ int) error {
 	return s.reply(storeResponse(serr))
 }
 
-// storeVerb executes one direct (non-coalesced) storage mutation.
+// storeVerb executes one storage mutation.
 func (s *Session) storeVerb(verb, key string, data []byte, flags uint32, exptime int64) error {
 	switch verb {
 	case "set":
@@ -854,11 +788,7 @@ func (s *Session) doStats(args []string) error {
 	write("evictions", st.Evictions)
 	write("expired_unfetched", st.Expired)
 	write("threads", st.Shards)
-	_, err := s.w.WriteString(respEnd)
-	if err != nil {
-		return err
-	}
-	return s.w.Flush()
+	return s.reply(respEnd)
 }
 
 // doStatsSlabs renders the per-class slab view like memcached's
@@ -873,10 +803,7 @@ func (s *Session) doStatsSlabs() error {
 	st := s.store.Stats()
 	fmt.Fprintf(s.w, "STAT active_slabs %d\r\n", len(s.store.SlabStats()))
 	fmt.Fprintf(s.w, "STAT slab_reassign_total %d\r\n", st.SlabReassigns)
-	if _, err := s.w.WriteString(respEnd); err != nil {
-		return err
-	}
-	return s.w.Flush()
+	return s.reply(respEnd)
 }
 
 // doStatsSettings reports the store's effective configuration.
@@ -890,10 +817,7 @@ func (s *Session) doStatsSettings() error {
 	fmt.Fprintf(s.w, "STAT num_shards %d\r\n", cfg.Shards)
 	fmt.Fprintf(s.w, "STAT slab_page_size %d\r\n", cfg.SlabPageSize)
 	fmt.Fprintf(s.w, "STAT growth_factor %.2f\r\n", cfg.GrowthFactor)
-	if _, err := s.w.WriteString(respEnd); err != nil {
-		return err
-	}
-	return s.w.Flush()
+	return s.reply(respEnd)
 }
 
 func boolToOnOff(b bool) string {
