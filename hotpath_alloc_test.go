@@ -9,9 +9,10 @@ package kv3d
 //   - A disabled (nil) obs.Tracer costs zero allocations per event, so
 //     model code can instrument unconditionally.
 //   - The ASCII and binary GET paths — read, dispatch, doGet, store
-//     lookup, response write — allocate nothing per operation in steady
-//     state. Per-session setup (bufio buffers, scratch growth on first
-//     use) is allowed; per-op cost must be flat.
+//     lookup, response write — and the SET paths, down to the rewrite
+//     of a resident item's chunk, allocate nothing per operation in
+//     steady state. Per-session setup (bufio buffers, scratch growth on
+//     first use) is allowed; per-op cost must be flat.
 
 import (
 	"bufio"
@@ -316,5 +317,77 @@ func TestASCIIGetZeroAllocPerOp(t *testing.T) {
 	if perOp := (allocsLarge - allocsSmall) / float64(large-small); perOp != 0 {
 		t.Fatalf("ASCII GET allocates %v per op (session totals: %v @ %d ops, %v @ %d ops), want 0",
 			perOp, allocsSmall, small, allocsLarge, large)
+	}
+}
+
+// TestASCIISetZeroAllocPerOp gates the ASCII store path: an overwrite of
+// a resident key parses its arguments as tokens of the command line and
+// hands key and data block to the store as they lie in the session's
+// buffers, and the store rewrites the item's chunk in place. (It was one
+// strings.Fields slice, its strings and the verb string per set, plus a
+// key string per first store of a key.)
+func TestASCIISetZeroAllocPerOp(t *testing.T) {
+	st, err := kvstore.New(kvstore.DefaultConfig(32 << 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	session := func(n int) string {
+		var b strings.Builder
+		for i := 0; i < n; i++ {
+			b.WriteString("set key:00000001 5 0 16\r\n0123456789abcdef\r\n")
+		}
+		b.WriteString("quit\r\n")
+		return b.String()
+	}
+	const small, large = 64, 2048
+	reqSmall, reqLarge := session(small), session(large)
+	allocsSmall := testing.AllocsPerRun(10, func() { serveGets(t, st, reqSmall) })
+	allocsLarge := testing.AllocsPerRun(10, func() { serveGets(t, st, reqLarge) })
+	if perOp := (allocsLarge - allocsSmall) / float64(large-small); perOp != 0 {
+		t.Fatalf("ASCII SET allocates %v per op (session totals: %v @ %d ops, %v @ %d ops), want 0",
+			perOp, allocsSmall, small, allocsLarge, large)
+	}
+	if e, ok := st.Get("key:00000001"); !ok || string(e.Value) != "0123456789abcdef" || e.Flags != 5 {
+		t.Fatalf("after the sets, get = %q flags %d found %v", e.Value, e.Flags, ok)
+	}
+}
+
+// TestBinarySetZeroAllocPerOp is the binary twin: key and value are
+// slices of the frame body all the way into the chunk (the key used to
+// become a string per frame, retained by the item on a first store and
+// garbage on every overwrite).
+func TestBinarySetZeroAllocPerOp(t *testing.T) {
+	st, err := kvstore.New(kvstore.DefaultConfig(32 << 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// set / setq alternate: extras = flags 5, exptime 0; a 12-byte key.
+	session := func(n int) []byte {
+		var b []byte
+		for i := 0; i < n; i++ {
+			op := [...]byte{protocol.OpSet, protocol.OpSetQ}[i%2]
+			b = append(b, protocol.MagicRequest, op, 0, 12, 8, 0, 0, 0, 0, 0, 0, 36, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+			b = append(b, 0, 0, 0, 5, 0, 0, 0, 0)
+			b = append(b, "key:000000010123456789abcdef"...)
+		}
+		return b
+	}
+	serve := func(req []byte) {
+		r := bufio.NewReaderSize(bytes.NewReader(req), 4096)
+		w := bufio.NewWriterSize(io.Discard, 4096)
+		if err := protocol.NewBinarySessionBuffered(st, r, w).Serve(); err != nil {
+			t.Fatalf("serve: %v", err)
+		}
+	}
+	const small, large = 64, 2048
+	reqSmall, reqLarge := session(small), session(large)
+	allocsSmall := testing.AllocsPerRun(10, func() { serve(reqSmall) })
+	allocsLarge := testing.AllocsPerRun(10, func() { serve(reqLarge) })
+	if perOp := (allocsLarge - allocsSmall) / float64(large-small); perOp != 0 {
+		t.Fatalf("binary SET allocates %v per op (session totals: %v @ %d ops, %v @ %d ops), want 0",
+			perOp, allocsSmall, small, allocsLarge, large)
+	}
+	if e, ok := st.Get("key:00000001"); !ok || string(e.Value) != "0123456789abcdef" || e.Flags != 5 {
+		t.Fatalf("after the sets, get = %q flags %d found %v", e.Value, e.Flags, ok)
 	}
 }

@@ -3,10 +3,9 @@ package kvstore
 // Batched GETs. A multiget that executes its keys one at a time through
 // Store.Get re-acquires a shard lock per key — for an N-key request on
 // an S-shard store that is N acquisitions where S would do. GetBatch
-// groups the keys by shard (the same fnv1a64 upper-bit placement
-// shardFor uses), takes each involved shard's lock exactly once, serves
-// all of that shard's keys under it, and returns results in request
-// order. GetBatchInto is the byte-slice variant the protocol layer
+// groups the keys by shard (the placement shardFor uses), takes each
+// involved shard's lock exactly once, serves all of that shard's keys
+// under it, and returns results in request order. GetBatchInto is the byte-slice variant the protocol layer
 // uses: keys stay tokens of the command line, values append into one
 // caller-owned buffer, and all grouping state lives in a caller-owned
 // scratch, so a steady-state multiget allocates nothing.
@@ -34,7 +33,7 @@ func (st *Store) GetBatch(keys []string) []BatchEntry {
 	shardOf := make([]uint32, n)
 	counts := make([]int32, len(st.shards))
 	for i, k := range keys {
-		s := uint32((fnv1a64(k) >> 48) & st.mask)
+		s := st.shardIndex(keyBytes(k))
 		shardOf[i] = s
 		counts[s]++
 	}
@@ -59,9 +58,9 @@ func (st *Store) GetBatch(keys []string) []BatchEntry {
 		}
 		sh := st.shards[s]
 		sh.mu.Lock()
-		st.readLocks.Add(1)
+		sh.s.stats.ReadLocks++
 		for _, ki := range order[pos : pos+int(c)] {
-			v, flags, cas, ok := sh.s.get(keys[ki], now)
+			v, flags, cas, ok := sh.s.get(keyBytes(keys[ki]), now)
 			out[ki] = BatchEntry{Value: v, Flags: flags, CAS: cas, Found: ok}
 		}
 		sh.mu.Unlock()
@@ -132,7 +131,7 @@ func (st *Store) GetBatchInto(dst []byte, keys [][]byte, out []BatchResult, scr 
 		counts[i] = 0
 	}
 	for i, k := range keys {
-		s := uint32((fnv1a64Bytes(k) >> 48) & st.mask)
+		s := st.shardIndex(k)
 		shardOf[i] = s
 		counts[s]++
 	}
@@ -154,10 +153,10 @@ func (st *Store) GetBatchInto(dst []byte, keys [][]byte, out []BatchResult, scr 
 		}
 		sh := st.shards[s]
 		sh.mu.Lock()
-		st.readLocks.Add(1)
+		sh.s.stats.ReadLocks++
 		for _, ki := range order[pos : pos+int(c)] {
 			start := len(dst)
-			v, flags, cas, ok := sh.s.getIntoBytes(dst, keys[ki], now)
+			v, flags, cas, ok := sh.s.getInto(dst, keys[ki], now)
 			dst = v
 			out[ki] = BatchResult{Start: start, End: len(dst), Flags: flags, CAS: cas, Found: ok}
 		}

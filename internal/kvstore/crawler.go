@@ -87,17 +87,16 @@ func (st *Store) SweepExpired() (reaped, visited uint64) {
 
 // sweepExpired is the per-shard sweep, run under the shard lock.
 func (s *shard) sweepExpired(now int64) (reaped, visited uint64) {
-	var dead []*item
-	s.table.forEach(func(it *item) {
+	var dead []handle
+	s.table.forEach(func(h handle, c chunk) {
 		visited++
-		if it.expired(now) || s.flushed(it, now) {
-			dead = append(dead, it)
+		if s.dead(c, now) {
+			dead = append(dead, h)
 		}
 	})
-	for _, it := range dead {
-		s.reap(it)
+	for _, h := range dead {
+		s.reap(h, s.alloc.chunk(h))
 		s.stats.Expired++
-		reaped++
 	}
-	return reaped, visited
+	return uint64(len(dead)), visited
 }

@@ -6,17 +6,18 @@ package kvstore
 // counts a hit/miss nor promotes the item in the eviction policy: a
 // background scan must not skew foreground cache behaviour.
 func (st *Store) GetWithExpiry(key string) (Entry, int64, bool) {
-	sh := st.shardFor(key)
+	k := keyBytes(key)
+	sh := st.shardFor(k)
 	now := st.clock()
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	it := sh.s.live(key, now)
-	if it == nil {
+	h, c := sh.s.live(k, now)
+	if h == 0 {
 		return Entry{}, 0, false
 	}
-	out := make([]byte, it.valueLen)
-	copy(out, it.value())
-	return Entry{Value: out, Flags: it.flags, CAS: it.casID}, it.expireAt, true
+	out := make([]byte, c.valueLen())
+	copy(out, c.value())
+	return Entry{Value: out, Flags: c.flags(), CAS: c.casID()}, c.expireAt(), true
 }
 
 // AppendKeys appends every live (non-expired, non-flushed) key to dst
@@ -24,17 +25,16 @@ func (st *Store) GetWithExpiry(key string) (Entry, int64, bool) {
 // walk is consistent per shard but not across shards — exactly the
 // guarantee key-range migration needs: a snapshot listing to stream
 // from, with per-key re-reads at send time deciding what is still
-// current. Key strings are immutable, so the result aliases nothing
-// mutable.
+// current. Each key is copied out of its chunk, so the result aliases
+// no store memory.
 func (st *Store) AppendKeys(dst []string) []string {
 	now := st.clock()
 	for _, ls := range st.shards {
 		ls.mu.Lock()
-		ls.s.table.forEach(func(it *item) {
-			if it.expired(now) || ls.s.flushed(it, now) {
-				return
+		ls.s.table.forEach(func(_ handle, c chunk) {
+			if !ls.s.dead(c, now) {
+				dst = append(dst, string(c.key()))
 			}
-			dst = append(dst, it.key)
 		})
 		ls.mu.Unlock()
 	}

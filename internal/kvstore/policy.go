@@ -26,75 +26,102 @@ func (p EvictionPolicy) String() string {
 }
 
 // policy is the per-shard eviction strategy. All methods run under the
-// shard lock.
+// shard lock; now is the clock narrowed by sec32. Lists are intrusive:
+// they link items through the prev/next handles in the chunk headers.
 type policy interface {
-	onInsert(it *item, now int64)
-	onAccess(it *item, now int64)
-	onRemove(it *item)
-	// victim returns the next eviction candidate for a class, or nil if
+	onInsert(h handle, now uint32)
+	onAccess(h handle, now uint32)
+	onRemove(h handle)
+	// victim returns the next eviction candidate for a class, or zero if
 	// the class holds no items.
-	victim(classIdx int, now int64) *item
+	victim(classIdx int, now uint32) handle
 }
 
-// --- strict LRU -----------------------------------------------------------
-
-// lruList is an intrusive doubly-linked list, head = MRU, tail = LRU.
-type lruList struct {
-	head, tail *item
+// itemList is a doubly-linked list of items. The LRU policy keeps one
+// per class (head = MRU, tail = LRU); a bag is one too (head = oldest).
+type itemList struct {
+	head, tail handle
 	size       int
 }
 
-func (l *lruList) pushFront(it *item) {
-	it.prev = nil
-	it.next = l.head
-	if l.head != nil {
-		l.head.prev = it
+func (l *itemList) pushFront(mem *arena, h handle) {
+	c := mem.chunk(h)
+	c.setPrev(0)
+	c.setNext(l.head)
+	if l.head != 0 {
+		mem.chunk(l.head).setPrev(h)
 	}
-	l.head = it
-	if l.tail == nil {
-		l.tail = it
+	l.head = h
+	if l.tail == 0 {
+		l.tail = h
 	}
 	l.size++
 }
 
-func (l *lruList) remove(it *item) {
-	if it.prev != nil {
-		it.prev.next = it.next
-	} else {
-		l.head = it.next
+func (l *itemList) pushBack(mem *arena, h handle) {
+	c := mem.chunk(h)
+	c.setPrev(l.tail)
+	c.setNext(0)
+	if l.tail != 0 {
+		mem.chunk(l.tail).setNext(h)
 	}
-	if it.next != nil {
-		it.next.prev = it.prev
-	} else {
-		l.tail = it.prev
+	l.tail = h
+	if l.head == 0 {
+		l.head = h
 	}
-	it.prev, it.next = nil, nil
+	l.size++
+}
+
+func (l *itemList) remove(mem *arena, h handle) {
+	c := mem.chunk(h)
+	prev, next := c.prev(), c.next()
+	if prev != 0 {
+		mem.chunk(prev).setNext(next)
+	} else {
+		l.head = next
+	}
+	if next != 0 {
+		mem.chunk(next).setPrev(prev)
+	} else {
+		l.tail = prev
+	}
+	c.setPrev(0)
+	c.setNext(0)
 	l.size--
 }
 
-func (l *lruList) moveToFront(it *item) {
-	if l.head == it {
+func (l *itemList) moveToFront(mem *arena, h handle) {
+	if l.head == h {
 		return
 	}
-	l.remove(it)
-	l.pushFront(it)
+	l.remove(mem, h)
+	l.pushFront(mem, h)
 }
+
+// --- strict LRU -----------------------------------------------------------
 
 type lruPolicy struct {
-	lists []lruList // one per slab class
+	mem   *arena
+	lists []itemList // one per slab class
 }
 
-func newLRUPolicy(classes int) *lruPolicy {
-	return &lruPolicy{lists: make([]lruList, classes)}
+func newLRUPolicy(mem *arena, classes int) *lruPolicy {
+	return &lruPolicy{mem: mem, lists: make([]itemList, classes)}
 }
 
-func (p *lruPolicy) onInsert(it *item, now int64) { p.lists[it.classIdx].pushFront(it) }
-func (p *lruPolicy) onAccess(it *item, now int64) {
-	it.accessedAt = now
-	p.lists[it.classIdx].moveToFront(it)
+func (p *lruPolicy) onInsert(h handle, now uint32) {
+	p.lists[p.mem.chunk(h).class()].pushFront(p.mem, h)
 }
-func (p *lruPolicy) onRemove(it *item) { p.lists[it.classIdx].remove(it) }
-func (p *lruPolicy) victim(classIdx int, now int64) *item {
+
+func (p *lruPolicy) onAccess(h handle, now uint32) {
+	p.lists[p.mem.chunk(h).class()].moveToFront(p.mem, h)
+}
+
+func (p *lruPolicy) onRemove(h handle) {
+	p.lists[p.mem.chunk(h).class()].remove(p.mem, h)
+}
+
+func (p *lruPolicy) victim(classIdx int, now uint32) handle {
 	return p.lists[classIdx].tail
 }
 
@@ -103,133 +130,134 @@ func (p *lruPolicy) victim(classIdx int, now int64) *item {
 const (
 	bagCapacity      = 1024 // items per bag before a new bag opens
 	maxSecondChances = 8    // bounded scan per victim() call
+	maxBags          = 1<<16 - 1
 )
 
-// bag is a FIFO of items inserted in the same era.
+// bag is a FIFO of items inserted in the same era. Bags live in one
+// per-shard table and are named by index (0 = none), which is what an
+// item's offBag field holds.
 type bag struct {
-	head, tail *item
-	size       int
-	createdAt  int64
-	next       *bag
+	itemList
+	createdAt  uint32
+	prev, next uint16 // neighbours in the class chain, or the next free slot
 }
 
-func (b *bag) pushBack(it *item) {
-	it.prev = b.tail
-	it.next = nil
-	if b.tail != nil {
-		b.tail.next = it
-	}
-	b.tail = it
-	if b.head == nil {
-		b.head = it
-	}
-	it.bag = b
-	b.size++
-}
-
-func (b *bag) remove(it *item) {
-	if it.prev != nil {
-		it.prev.next = it.next
-	} else {
-		b.head = it.next
-	}
-	if it.next != nil {
-		it.next.prev = it.prev
-	} else {
-		b.tail = it.prev
-	}
-	it.prev, it.next, it.bag = nil, nil, nil
-	b.size--
-}
-
-// bagChain is the per-class ordered chain of bags, oldest first.
+// bagChain is the per-class ordered chain of bags, oldest first. Every
+// bag but the newest holds at least one item: a bag that empties is
+// unlinked at once, since it would never be filled again.
 type bagChain struct {
-	oldest, newest *bag
-}
-
-func (c *bagChain) appendItem(it *item, now int64) {
-	if c.newest == nil || c.newest.size >= bagCapacity {
-		nb := &bag{createdAt: now}
-		if c.newest != nil {
-			c.newest.next = nb
-		} else {
-			c.oldest = nb
-		}
-		c.newest = nb
-	}
-	c.newest.pushBack(it)
-}
-
-func (c *bagChain) dropEmptyOldest() {
-	for c.oldest != nil && c.oldest.size == 0 && c.oldest != c.newest {
-		c.oldest = c.oldest.next
-	}
+	oldest, newest uint16
 }
 
 type bagsPolicy struct {
+	mem    *arena
 	chains []bagChain
+	bags   []bag  // bags[0] is unused
+	free   uint16 // recycled slots, linked through next
 }
 
-func newBagsPolicy(classes int) *bagsPolicy {
-	return &bagsPolicy{chains: make([]bagChain, classes)}
+func newBagsPolicy(mem *arena, classes int) *bagsPolicy {
+	return &bagsPolicy{mem: mem, chains: make([]bagChain, classes), bags: make([]bag, 1)}
 }
 
-func (p *bagsPolicy) onInsert(it *item, now int64) {
-	p.chains[it.classIdx].appendItem(it, now)
+// openBag links a fresh bag at the newest end of c. When the table is
+// full it reports false and the caller overfills the newest bag
+// instead: eviction order coarsens, nothing breaks. The last slots are
+// kept for chains that have no bag yet, so every class can open its
+// first.
+func (p *bagsPolicy) openBag(c *bagChain, now uint32) bool {
+	var b uint16
+	switch {
+	case p.free != 0:
+		b = p.free
+		p.free = p.bags[b].next
+	case c.newest == 0 || len(p.bags) <= maxBags-len(p.chains):
+		b = uint16(len(p.bags))
+		p.bags = append(p.bags, bag{})
+	default:
+		return false
+	}
+	p.bags[b] = bag{createdAt: now, prev: c.newest}
+	if c.newest != 0 {
+		p.bags[c.newest].next = b
+	} else {
+		c.oldest = b
+	}
+	c.newest = b
+	return true
+}
+
+func (p *bagsPolicy) appendItem(c *bagChain, h handle, now uint32) {
+	if c.newest == 0 || p.bags[c.newest].size >= bagCapacity {
+		p.openBag(c, now)
+	}
+	p.bags[c.newest].pushBack(p.mem, h)
+	p.mem.chunk(h).setBag(c.newest)
+}
+
+// removeItem takes h out of its bag and drops the bag from c if that
+// emptied it (the newest bag stays: it is where inserts go).
+func (p *bagsPolicy) removeItem(c *bagChain, h handle) {
+	ck := p.mem.chunk(h)
+	b := ck.bag()
+	bg := &p.bags[b]
+	bg.remove(p.mem, h)
+	ck.setBag(0)
+	if bg.size != 0 || b == c.newest {
+		return
+	}
+	if bg.prev != 0 {
+		p.bags[bg.prev].next = bg.next
+	} else {
+		c.oldest = bg.next
+	}
+	p.bags[bg.next].prev = bg.prev
+	bg.next = p.free
+	p.free = b
+}
+
+func (p *bagsPolicy) onInsert(h handle, now uint32) {
+	p.appendItem(&p.chains[p.mem.chunk(h).class()], h, now)
 }
 
 // onAccess only stamps the access time — no list surgery, which is the
 // whole point of the Bags design.
-func (p *bagsPolicy) onAccess(it *item, now int64) { it.accessedAt = now }
+func (p *bagsPolicy) onAccess(h handle, now uint32) { p.mem.chunk(h).setAccessedAt(now) }
 
-func (p *bagsPolicy) onRemove(it *item) {
-	if it.bag != nil {
-		b := it.bag
-		b.remove(it)
-		_ = b
-	}
-	c := &p.chains[it.classIdx]
-	c.dropEmptyOldest()
+func (p *bagsPolicy) onRemove(h handle) {
+	p.removeItem(&p.chains[p.mem.chunk(h).class()], h)
 }
 
-func (p *bagsPolicy) victim(classIdx int, now int64) *item {
+func (p *bagsPolicy) victim(classIdx int, now uint32) handle {
 	c := &p.chains[classIdx]
-	c.dropEmptyOldest()
 	for tries := 0; tries < maxSecondChances; tries++ {
-		b := c.oldest
-		for b != nil && b.size == 0 {
-			b = b.next
+		h := p.oldestItem(c)
+		if h == 0 {
+			return 0
 		}
-		if b == nil {
-			return nil
+		if p.mem.chunk(h).accessedAt() <= p.bags[c.oldest].createdAt {
+			return h
 		}
-		it := b.head
-		if it.accessedAt > b.createdAt {
-			// Second chance: accessed since this bag era began; move to
-			// the newest bag so it survives this eviction pass.
-			b.remove(it)
-			c.appendItem(it, now)
-			c.dropEmptyOldest()
-			continue
-		}
-		return it
+		// Second chance: accessed since this bag era began; move to
+		// the newest bag so it survives this eviction pass.
+		p.removeItem(c, h)
+		p.appendItem(c, h, now)
 	}
 	// Scan budget exhausted: fall back to the literal oldest item.
-	b := c.oldest
-	for b != nil && b.size == 0 {
-		b = b.next
-	}
-	if b == nil {
-		return nil
-	}
-	return b.head
+	return p.oldestItem(c)
 }
 
-func newPolicy(kind EvictionPolicy, classes int) policy {
+// oldestItem returns the head of the oldest bag, or zero for an empty
+// class (whose chain is either absent or one empty newest bag).
+func (p *bagsPolicy) oldestItem(c *bagChain) handle {
+	return p.bags[c.oldest].head
+}
+
+func newPolicy(kind EvictionPolicy, mem *arena, classes int) policy {
 	switch kind {
 	case PolicyBags:
-		return newBagsPolicy(classes)
+		return newBagsPolicy(mem, classes)
 	default:
-		return newLRUPolicy(classes)
+		return newLRUPolicy(mem, classes)
 	}
 }

@@ -5,29 +5,27 @@ import (
 	"testing"
 )
 
-func newTestItem(key string, class int) *item {
-	return &item{key: key, classIdx: class}
-}
-
 func TestLRUVictimIsLeastRecentlyUsed(t *testing.T) {
-	p := newLRUPolicy(4)
-	a, b, c := newTestItem("a", 0), newTestItem("b", 0), newTestItem("c", 0)
+	mem := newTestMem(t)
+	p := newLRUPolicy(&mem.alloc.arena, 4)
+	a, b, c := mem.mk("a", 0), mem.mk("b", 0), mem.mk("c", 0)
 	p.onInsert(a, 1)
 	p.onInsert(b, 2)
 	p.onInsert(c, 3)
 	if v := p.victim(0, 4); v != a {
-		t.Fatalf("victim = %v, want a", v.key)
+		t.Fatalf("victim = %v, want a", mem.key(v))
 	}
 	p.onAccess(a, 5) // a becomes MRU
 	if v := p.victim(0, 6); v != b {
-		t.Fatalf("after access, victim = %v, want b", v.key)
+		t.Fatalf("after access, victim = %v, want b", mem.key(v))
 	}
 }
 
 func TestLRUVictimPerClass(t *testing.T) {
-	p := newLRUPolicy(2)
-	a := newTestItem("a", 0)
-	b := newTestItem("b", 1)
+	mem := newTestMem(t)
+	p := newLRUPolicy(&mem.alloc.arena, 2)
+	a := mem.mk("a", 0)
+	b := mem.mk("b", 1)
 	p.onInsert(a, 1)
 	p.onInsert(b, 1)
 	if v := p.victim(0, 2); v != a {
@@ -39,8 +37,9 @@ func TestLRUVictimPerClass(t *testing.T) {
 }
 
 func TestLRURemove(t *testing.T) {
-	p := newLRUPolicy(1)
-	a, b := newTestItem("a", 0), newTestItem("b", 0)
+	mem := newTestMem(t)
+	p := newLRUPolicy(&mem.alloc.arena, 1)
+	a, b := mem.mk("a", 0), mem.mk("b", 0)
 	p.onInsert(a, 1)
 	p.onInsert(b, 2)
 	p.onRemove(a)
@@ -48,38 +47,40 @@ func TestLRURemove(t *testing.T) {
 		t.Fatal("after removing a, victim should be b")
 	}
 	p.onRemove(b)
-	if v := p.victim(0, 4); v != nil {
+	if v := p.victim(0, 4); v != 0 {
 		t.Fatal("empty class should have no victim")
 	}
 }
 
 func TestLRUListInvariants(t *testing.T) {
-	var l lruList
-	items := make([]*item, 10)
+	mem := newTestMem(t)
+	arena := &mem.alloc.arena
+	var l itemList
+	items := make([]handle, 10)
 	for i := range items {
-		items[i] = newTestItem(fmt.Sprintf("i%d", i), 0)
-		l.pushFront(items[i])
+		items[i] = mem.mk(fmt.Sprintf("i%d", i), 0)
+		l.pushFront(arena, items[i])
 	}
 	if l.size != 10 {
 		t.Fatalf("size = %d", l.size)
 	}
 	// Walk head->tail and tail->head; both must see 10 items.
 	n := 0
-	for it := l.head; it != nil; it = it.next {
+	for h := l.head; h != 0; h = arena.chunk(h).next() {
 		n++
 	}
 	if n != 10 {
 		t.Fatalf("forward walk saw %d", n)
 	}
 	n = 0
-	for it := l.tail; it != nil; it = it.prev {
+	for h := l.tail; h != 0; h = arena.chunk(h).prev() {
 		n++
 	}
 	if n != 10 {
 		t.Fatalf("backward walk saw %d", n)
 	}
 	// moveToFront of the tail.
-	l.moveToFront(items[0])
+	l.moveToFront(arena, items[0])
 	if l.head != items[0] {
 		t.Fatal("moveToFront failed")
 	}
@@ -87,38 +88,40 @@ func TestLRUListInvariants(t *testing.T) {
 		t.Fatalf("size changed to %d", l.size)
 	}
 	// Remove the middle.
-	l.remove(items[5])
+	l.remove(arena, items[5])
 	if l.size != 9 {
 		t.Fatalf("size = %d after remove", l.size)
 	}
-	for it := l.head; it != nil; it = it.next {
-		if it == items[5] {
+	for h := l.head; h != 0; h = arena.chunk(h).next() {
+		if h == items[5] {
 			t.Fatal("removed item still linked")
 		}
 	}
 }
 
 func TestBagsVictimFIFOWhenUntouched(t *testing.T) {
-	p := newBagsPolicy(1)
-	a, b, c := newTestItem("a", 0), newTestItem("b", 0), newTestItem("c", 0)
+	mem := newTestMem(t)
+	p := newBagsPolicy(&mem.alloc.arena, 1)
+	a, b, c := mem.mk("a", 0), mem.mk("b", 0), mem.mk("c", 0)
 	p.onInsert(a, 100)
 	p.onInsert(b, 101)
 	p.onInsert(c, 102)
 	if v := p.victim(0, 200); v != a {
-		t.Fatalf("victim = %q, want a", v.key)
+		t.Fatalf("victim = %q, want a", mem.key(v))
 	}
 }
 
 func TestBagsSecondChance(t *testing.T) {
-	p := newBagsPolicy(1)
-	a, b := newTestItem("a", 0), newTestItem("b", 0)
+	mem := newTestMem(t)
+	p := newBagsPolicy(&mem.alloc.arena, 1)
+	a, b := mem.mk("a", 0), mem.mk("b", 0)
 	p.onInsert(a, 100)
 	p.onInsert(b, 100)
 	// Access a after its bag era began: it deserves a second chance.
 	p.onAccess(a, 150)
 	v := p.victim(0, 200)
 	if v != b {
-		t.Fatalf("victim = %q, want b (a was recently read)", v.key)
+		t.Fatalf("victim = %q, want b (a was recently read)", mem.key(v))
 	}
 }
 
@@ -126,37 +129,66 @@ func TestBagsAccessDoesNotReorder(t *testing.T) {
 	// Unlike LRU, a read of an old item must not move list pointers —
 	// only the timestamp changes. We verify by checking it stays in the
 	// same bag.
-	p := newBagsPolicy(1)
-	a := newTestItem("a", 0)
+	mem := newTestMem(t)
+	p := newBagsPolicy(&mem.alloc.arena, 1)
+	a := mem.mk("a", 0)
 	p.onInsert(a, 100)
-	bagBefore := a.bag
+	bagBefore := mem.alloc.chunk(a).bag()
 	p.onAccess(a, 150)
-	if a.bag != bagBefore {
+	if mem.alloc.chunk(a).bag() != bagBefore {
 		t.Fatal("bags access must not rebag the item")
 	}
 }
 
 func TestBagsNewBagAfterCapacity(t *testing.T) {
-	p := newBagsPolicy(1)
-	items := make([]*item, bagCapacity+1)
+	mem := newTestMem(t)
+	p := newBagsPolicy(&mem.alloc.arena, 1)
+	items := make([]handle, bagCapacity+1)
 	for i := range items {
-		items[i] = newTestItem(fmt.Sprintf("i%d", i), 0)
-		p.onInsert(items[i], int64(100+i))
+		items[i] = mem.mk(fmt.Sprintf("i%d", i), 0)
+		p.onInsert(items[i], uint32(100+i))
 	}
-	if items[0].bag == items[bagCapacity].bag {
+	if mem.alloc.chunk(items[0]).bag() == mem.alloc.chunk(items[bagCapacity]).bag() {
 		t.Fatal("overflow item should land in a fresh bag")
 	}
 }
 
+// TestBagsFullTableOverfillsNewestBag pins what happens when the bag
+// table has no slot left: a class's newest bag takes items past its
+// capacity, and a class that has no bag yet still gets its first one.
+func TestBagsFullTableOverfillsNewestBag(t *testing.T) {
+	mem := newTestMem(t)
+	p := newBagsPolicy(&mem.alloc.arena, 2)
+	p.bags = make([]bag, maxBags+1-len(p.chains)) // as if other chains held every ordinary slot
+	items := make([]handle, bagCapacity+5)
+	for i := range items {
+		items[i] = mem.mk(fmt.Sprintf("i%d", i), 0)
+		p.onInsert(items[i], uint32(100+i))
+	}
+	first, last := mem.alloc.chunk(items[0]).bag(), mem.alloc.chunk(items[len(items)-1]).bag()
+	if first != last || p.bags[first].size != len(items) {
+		t.Fatalf("items landed in bags %d and %d, the first holding %d; want all %d in one", first, last, p.bags[first].size, len(items))
+	}
+	other := mem.mk("other", 1)
+	p.onInsert(other, 200)
+	if b := mem.alloc.chunk(other).bag(); b == 0 || b == first {
+		t.Fatalf("the second class's first item landed in bag %d, want a bag of its own", b)
+	}
+	if v := p.victim(0, 2000); v != items[0] {
+		t.Fatalf("victim = %q, want the oldest item", mem.key(v))
+	}
+}
+
 func TestBagsEmptyClass(t *testing.T) {
-	p := newBagsPolicy(2)
-	if p.victim(0, 100) != nil {
+	mem := newTestMem(t)
+	p := newBagsPolicy(&mem.alloc.arena, 2)
+	if p.victim(0, 100) != 0 {
 		t.Fatal("empty class must yield no victim")
 	}
-	a := newTestItem("a", 0)
+	a := mem.mk("a", 0)
 	p.onInsert(a, 100)
 	p.onRemove(a)
-	if p.victim(0, 200) != nil {
+	if p.victim(0, 200) != 0 {
 		t.Fatal("class must be empty again after removal")
 	}
 }
@@ -164,10 +196,11 @@ func TestBagsEmptyClass(t *testing.T) {
 func TestBagsBoundedSecondChanceScan(t *testing.T) {
 	// If everything was recently accessed the scan budget must still
 	// terminate and return some victim.
-	p := newBagsPolicy(1)
-	var items []*item
+	mem := newTestMem(t)
+	p := newBagsPolicy(&mem.alloc.arena, 1)
+	var items []handle
 	for i := 0; i < 100; i++ {
-		it := newTestItem(fmt.Sprintf("i%d", i), 0)
+		it := mem.mk(fmt.Sprintf("i%d", i), 0)
 		p.onInsert(it, 100)
 		items = append(items, it)
 	}
@@ -175,16 +208,17 @@ func TestBagsBoundedSecondChanceScan(t *testing.T) {
 		p.onAccess(it, 500)
 	}
 	// All items hot: victim must still return non-nil.
-	if v := p.victim(0, 1000); v == nil {
+	if v := p.victim(0, 1000); v == 0 {
 		t.Fatal("victim must not return nil for a populated class")
 	}
 }
 
 func TestPolicyFactory(t *testing.T) {
-	if _, ok := newPolicy(PolicyLRU, 3).(*lruPolicy); !ok {
+	mem := newTestMem(t)
+	if _, ok := newPolicy(PolicyLRU, &mem.alloc.arena, 3).(*lruPolicy); !ok {
 		t.Fatal("PolicyLRU should build lruPolicy")
 	}
-	if _, ok := newPolicy(PolicyBags, 3).(*bagsPolicy); !ok {
+	if _, ok := newPolicy(PolicyBags, &mem.alloc.arena, 3).(*bagsPolicy); !ok {
 		t.Fatal("PolicyBags should build bagsPolicy")
 	}
 }

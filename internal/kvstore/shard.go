@@ -42,10 +42,15 @@ type shardStats struct {
 	SlabReassigns uint64
 	TotalItems    uint64
 	BytesUsed     int64
+	// ReadLocks counts lock acquisitions by the GET paths: one per key
+	// for the single-key calls, one per involved shard for the batch
+	// calls (Store.ReadLockCount).
+	ReadLocks uint64
 }
 
 // shard is the single-threaded store engine. The concurrent Store wraps
-// one or more shards behind locks.
+// one or more shards behind locks. Keys arrive as borrowed byte slices:
+// the only copy a shard retains is the one it writes into the chunk.
 type shard struct {
 	table    *hashTable
 	alloc    *slabAllocator
@@ -62,11 +67,11 @@ type shard struct {
 	setsSinceSteal int
 }
 
-func newShard(alloc *slabAllocator, pol policy, cas *casCounter, maxItem int, evict bool) *shard {
+func newShard(alloc *slabAllocator, kind EvictionPolicy, cas *casCounter, maxItem int, evict bool) *shard {
 	return &shard{
-		table:          newHashTable(),
+		table:          newHashTable(&alloc.arena),
 		alloc:          alloc,
-		pol:            pol,
+		pol:            newPolicy(kind, &alloc.arena, alloc.numClasses()),
 		casSeq:         cas,
 		maxItem:        maxItem,
 		evictOn:        evict,
@@ -77,128 +82,104 @@ func newShard(alloc *slabAllocator, pol policy, cas *casCounter, maxItem int, ev
 
 // live returns the item for key if present and not expired/flushed; lazily
 // reaps dead items it encounters.
-func (s *shard) live(key string, now int64) *item {
-	it := s.table.lookup(key)
-	if it == nil {
-		return nil
+//
+//kv3d:borrowed
+func (s *shard) live(key []byte, now int64) (handle, chunk) {
+	h, c := s.table.lookup(key)
+	if h == 0 {
+		return 0, nil
 	}
-	if it.expired(now) || s.flushed(it, now) {
-		s.reap(it)
+	if s.dead(c, now) {
+		s.reap(h, c)
 		s.stats.Expired++
-		return nil
+		return 0, nil
 	}
-	return it
+	return h, c
 }
 
-// liveBytes is live with a byte-slice key (the lazily-reaped item's
-// own key string drives the removal, so no conversion is needed).
-func (s *shard) liveBytes(key []byte, now int64) *item {
-	it := s.table.lookupBytes(key)
-	if it == nil {
-		return nil
-	}
-	if it.expired(now) || s.flushed(it, now) {
-		s.reap(it)
+// dead reports whether the item is past its TTL, or predates a
+// flush_all epoch that has fired.
+func (s *shard) dead(c chunk, now int64) bool {
+	return c.expired(now) || (s.flushAt != 0 && now >= s.flushAt && c.storedAt() < s.flushAt)
+}
+
+// reap removes an item from the table and the policy and frees its chunk.
+func (s *shard) reap(h handle, c chunk) {
+	s.table.remove(c.key())
+	s.pol.onRemove(h)
+	s.stats.BytesUsed -= int64(itemFootprint(c.keyLen(), c.valueLen()))
+	s.alloc.release(h)
+}
+
+// evict reaps an eviction or page-steal victim, counting it as expired
+// if it was already dead and as an eviction otherwise.
+func (s *shard) evict(h handle, now int64) {
+	c := s.alloc.chunk(h)
+	if s.dead(c, now) {
 		s.stats.Expired++
-		return nil
+	} else {
+		s.stats.Evictions++
 	}
-	return it
-}
-
-// flushed reports whether a pending flush_all epoch has fired and this
-// item predates it.
-func (s *shard) flushed(it *item, now int64) bool {
-	return s.flushAt != 0 && now >= s.flushAt && it.storedAt < s.flushAt
-}
-
-// reap removes an expired/flushed item.
-func (s *shard) reap(it *item) {
-	s.table.remove(it.key)
-	s.pol.onRemove(it)
-	s.freeItem(it)
-}
-
-func (s *shard) freeItem(it *item) {
-	s.stats.BytesUsed -= int64(itemFootprint(len(it.key), it.valueLen))
-	s.alloc.release(it.classIdx, it.ref)
-	it.ref, it.data = chunkRef{}, nil
+	s.reap(h, c)
 }
 
 // get returns a copy of the value plus metadata.
-func (s *shard) get(key string, now int64) (value []byte, flags uint32, casID uint64, ok bool) {
-	it := s.live(key, now)
-	if it == nil {
+//
+//kv3d:borrowed
+func (s *shard) get(key []byte, now int64) (value []byte, flags uint32, casID uint64, ok bool) {
+	h, c := s.live(key, now)
+	if h == 0 {
 		s.stats.GetMisses++
 		return nil, 0, 0, false
 	}
 	s.stats.GetHits++
-	s.pol.onAccess(it, now)
-	out := make([]byte, it.valueLen)
-	copy(out, it.value())
-	return out, it.flags, it.casID, true
+	s.pol.onAccess(h, sec32(now))
+	out := make([]byte, c.valueLen())
+	copy(out, c.value())
+	return out, c.flags(), c.casID(), true
 }
 
-// getInto is a zero-copy-ish variant: appends the value to dst.
+// getInto appends the value to dst, so the copy made under the shard
+// lock lands in memory the caller already owns.
 //
+//kv3d:borrowed key
 //kv3d:aliases dst
-func (s *shard) getInto(dst []byte, key string, now int64) (value []byte, flags uint32, casID uint64, ok bool) {
-	it := s.live(key, now)
-	if it == nil {
+func (s *shard) getInto(dst, key []byte, now int64) (value []byte, flags uint32, casID uint64, ok bool) {
+	h, c := s.live(key, now)
+	if h == 0 {
 		s.stats.GetMisses++
 		return dst, 0, 0, false
 	}
 	s.stats.GetHits++
-	s.pol.onAccess(it, now)
-	return append(dst, it.value()...), it.flags, it.casID, true
-}
-
-// getIntoBytes is getInto with a byte-slice key, for the protocol hot
-// path where the key is a token of the request line.
-//
-//kv3d:aliases dst
-func (s *shard) getIntoBytes(dst, key []byte, now int64) (value []byte, flags uint32, casID uint64, ok bool) {
-	it := s.liveBytes(key, now)
-	if it == nil {
-		s.stats.GetMisses++
-		return dst, 0, 0, false
-	}
-	s.stats.GetHits++
-	s.pol.onAccess(it, now)
-	return append(dst, it.value()...), it.flags, it.casID, true
+	s.pol.onAccess(h, sec32(now))
+	return append(dst, c.value()...), c.flags(), c.casID(), true
 }
 
 // allocChunk obtains a chunk for classIdx, evicting victims from that
 // class if necessary and allowed, and falling back to stealing a slab
 // page from another class when this class has nothing left to evict
 // (memcached's slab reassignment, preventing calcification).
-func (s *shard) allocChunk(classIdx int, now int64) chunkRef {
-	if ref := s.alloc.alloc(classIdx); ref.data != nil {
-		return ref
+func (s *shard) allocChunk(classIdx int, now int64) handle {
+	if h := s.alloc.alloc(classIdx); h != 0 {
+		return h
 	}
 	if !s.evictOn {
-		return chunkRef{}
+		return 0
 	}
 	for probe := 0; probe < s.maxProbe; probe++ {
-		victim := s.pol.victim(classIdx, now)
-		if victim == nil {
+		victim := s.pol.victim(classIdx, sec32(now))
+		if victim == 0 {
 			break
 		}
-		if victim.expired(now) || s.flushed(victim, now) {
-			s.stats.Expired++
-		} else {
-			s.stats.Evictions++
-		}
-		s.reap(victim)
-		if ref := s.alloc.alloc(classIdx); ref.data != nil {
-			return ref
+		s.evict(victim, now)
+		if h := s.alloc.alloc(classIdx); h != 0 {
+			return h
 		}
 	}
 	if s.reassignPageTo(classIdx, now) {
-		if ref := s.alloc.alloc(classIdx); ref.data != nil {
-			return ref
-		}
+		return s.alloc.alloc(classIdx)
 	}
-	return chunkRef{}
+	return 0
 }
 
 // stealCooldownOps rate-limits live-page steals: between two steals the
@@ -213,29 +194,16 @@ const stealCooldownOps = 1000
 // cooldown.
 func (s *shard) reassignPageTo(target int, now int64) bool {
 	page := s.alloc.freeDonor(target)
-	if page == nil {
+	if page == 0 {
 		if s.setsSinceSteal < stealCooldownOps {
 			return false
 		}
 		page = s.alloc.liveDonor(target)
-		if page == nil {
+		if page == 0 {
 			return false
 		}
 		s.setsSinceSteal = 0
-		var victims []*item
-		s.table.forEach(func(it *item) {
-			if it.ref.page == page {
-				victims = append(victims, it)
-			}
-		})
-		for _, it := range victims {
-			if it.expired(now) || s.flushed(it, now) {
-				s.stats.Expired++
-			} else {
-				s.stats.Evictions++
-			}
-			s.reap(it)
-		}
+		s.alloc.forEachInUse(page, func(h handle) { s.evict(h, now) })
 	}
 	if err := s.alloc.completeReassign(page, target); err != nil {
 		return false
@@ -244,12 +212,11 @@ func (s *shard) reassignPageTo(target int, now int64) bool {
 	return true
 }
 
-func validKey(key string) bool {
+func validKey(key []byte) bool {
 	if len(key) == 0 || len(key) > MaxKeyLen {
 		return false
 	}
-	for i := 0; i < len(key); i++ {
-		c := key[i]
+	for _, c := range key {
 		if c <= ' ' || c == 0x7f {
 			return false
 		}
@@ -260,7 +227,9 @@ func validKey(key string) bool {
 // set unconditionally stores key=value and returns the CAS id it
 // assigned — read under the shard lock, so it is this write's id and
 // not a later writer's.
-func (s *shard) set(key string, value []byte, flags uint32, expireAt, now int64) (uint64, error) {
+//
+//kv3d:borrowed
+func (s *shard) set(key, value []byte, flags uint32, expireAt, now int64) (uint64, error) {
 	if !validKey(key) {
 		return 0, ErrBadKey
 	}
@@ -274,77 +243,68 @@ func (s *shard) set(key string, value []byte, flags uint32, expireAt, now int64)
 	}
 	s.setsSinceSteal++
 
-	old := s.table.lookup(key)
-
-	// Fast path: overwrite in place when the existing chunk class fits.
-	if old != nil && old.classIdx == classIdx {
-		copy(old.ref.data, value)
-		s.stats.BytesUsed += int64(len(value) - old.valueLen)
-		old.valueLen = len(value)
-		old.data = old.ref.data
-		old.flags = flags
-		old.expireAt = expireAt
-		old.storedAt = now
-		old.casID = s.casSeq.next()
-		s.pol.onAccess(old, now)
-		s.stats.Sets++
-		s.stats.TotalItems++
-		return old.casID, nil
+	h, c := s.table.lookup(key)
+	if h != 0 && c.class() == classIdx {
+		// Overwrite in place: the existing chunk's class fits.
+		s.stats.BytesUsed += int64(len(value) - c.valueLen())
+		c.setValue(value, s.alloc.chunkSize(classIdx))
+		s.pol.onAccess(h, sec32(now))
+	} else {
+		// Remove the old entry before allocating: the allocator may
+		// evict, and the old item must not be reaped twice if it is
+		// chosen.
+		if h != 0 {
+			s.reap(h, c)
+		}
+		if h = s.allocChunk(classIdx, now); h == 0 {
+			return 0, ErrOutOfMemory
+		}
+		c = s.alloc.chunk(h)
+		c.init(classIdx, s.alloc.chunkSize(classIdx), key, value)
+		s.table.insert(h)
+		s.pol.onInsert(h, sec32(now))
+		s.stats.BytesUsed += int64(need)
 	}
-
-	// Remove the old entry before allocating: the allocator may evict,
-	// and the old item must not be reaped twice if it is chosen.
-	if old != nil {
-		s.reap(old)
-	}
-	ref := s.allocChunk(classIdx, now)
-	if ref.data == nil {
-		return 0, ErrOutOfMemory
-	}
-	it := &item{
-		key:      key,
-		ref:      ref,
-		data:     ref.data,
-		valueLen: len(value),
-		flags:    flags,
-		casID:    s.casSeq.next(),
-		expireAt: expireAt,
-		storedAt: now,
-		classIdx: classIdx,
-	}
-	copy(ref.data, value)
-	s.table.insert(it)
-	s.pol.onInsert(it, now)
-	s.stats.BytesUsed += int64(itemFootprint(len(key), len(value)))
+	casID := s.casSeq.next()
+	c.setCAS(casID)
+	c.setFlags(flags)
+	c.setExpireAt(expireAt)
+	c.setStoredAt(now)
 	s.stats.Sets++
 	s.stats.TotalItems++
-	return it.casID, nil
+	return casID, nil
 }
 
 // add stores only if the key is absent.
-func (s *shard) add(key string, value []byte, flags uint32, expireAt, now int64) (uint64, error) {
-	if s.live(key, now) != nil {
+//
+//kv3d:borrowed
+func (s *shard) add(key, value []byte, flags uint32, expireAt, now int64) (uint64, error) {
+	if h, _ := s.live(key, now); h != 0 {
 		return 0, ErrNotStored
 	}
 	return s.set(key, value, flags, expireAt, now)
 }
 
 // replace stores only if the key is present.
-func (s *shard) replace(key string, value []byte, flags uint32, expireAt, now int64) (uint64, error) {
-	if s.live(key, now) == nil {
+//
+//kv3d:borrowed
+func (s *shard) replace(key, value []byte, flags uint32, expireAt, now int64) (uint64, error) {
+	if h, _ := s.live(key, now); h == 0 {
 		return 0, ErrNotStored
 	}
 	return s.set(key, value, flags, expireAt, now)
 }
 
 // cas stores only if the entry's CAS id still matches.
-func (s *shard) cas(key string, value []byte, flags uint32, expireAt int64, casID uint64, now int64) (uint64, error) {
-	it := s.live(key, now)
-	if it == nil {
+//
+//kv3d:borrowed
+func (s *shard) cas(key, value []byte, flags uint32, expireAt int64, casID uint64, now int64) (uint64, error) {
+	h, c := s.live(key, now)
+	if h == 0 {
 		s.stats.CasMisses++
 		return 0, ErrNotFound
 	}
-	if it.casID != casID {
+	if c.casID() != casID {
 		s.stats.CasBadval++
 		return 0, ErrExists
 	}
@@ -353,30 +313,33 @@ func (s *shard) cas(key string, value []byte, flags uint32, expireAt int64, casI
 }
 
 // appendValue / prependValue concatenate onto an existing value.
-func (s *shard) appendValue(key string, extra []byte, now int64, front bool) error {
-	it := s.live(key, now)
-	if it == nil {
+//
+//kv3d:borrowed
+func (s *shard) appendValue(key, extra []byte, now int64, front bool) error {
+	h, c := s.live(key, now)
+	if h == 0 {
 		return ErrNotStored
 	}
-	newLen := it.valueLen + len(extra)
-	buf := make([]byte, 0, newLen)
+	buf := make([]byte, 0, c.valueLen()+len(extra))
 	if front {
 		buf = append(buf, extra...)
-		buf = append(buf, it.value()...)
+		buf = append(buf, c.value()...)
 	} else {
-		buf = append(buf, it.value()...)
+		buf = append(buf, c.value()...)
 		buf = append(buf, extra...)
 	}
-	_, err := s.set(key, buf, it.flags, it.expireAt, now)
+	_, err := s.set(key, buf, c.flags(), c.expireAt(), now)
 	return err
 }
 
 // incrDecr adjusts a decimal-uint64 value and returns it with the CAS
 // id of the rewritten item. Decrement floors at zero (memcached
 // semantics); increment wraps.
-func (s *shard) incrDecr(key string, delta uint64, incr bool, now int64) (next, casID uint64, err error) {
-	it := s.live(key, now)
-	if it == nil {
+//
+//kv3d:borrowed
+func (s *shard) incrDecr(key []byte, delta uint64, incr bool, now int64) (next, casID uint64, err error) {
+	h, c := s.live(key, now)
+	if h == 0 {
 		if incr {
 			s.stats.IncrMisses++
 		} else {
@@ -384,7 +347,7 @@ func (s *shard) incrDecr(key string, delta uint64, incr bool, now int64) (next, 
 		}
 		return 0, 0, ErrNotFound
 	}
-	cur, err := strconv.ParseUint(string(it.value()), 10, 64)
+	cur, err := strconv.ParseUint(string(c.value()), 10, 64)
 	if err != nil {
 		return 0, 0, ErrNotNumeric
 	}
@@ -399,7 +362,7 @@ func (s *shard) incrDecr(key string, delta uint64, incr bool, now int64) (next, 
 		}
 		s.stats.DecrHits++
 	}
-	casID, err = s.set(key, strconv.AppendUint(nil, next, 10), it.flags, it.expireAt, now)
+	casID, err = s.set(key, strconv.AppendUint(nil, next, 10), c.flags(), c.expireAt(), now)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -407,25 +370,29 @@ func (s *shard) incrDecr(key string, delta uint64, incr bool, now int64) (next, 
 }
 
 // delete removes a key.
-func (s *shard) delete(key string, now int64) error {
-	it := s.live(key, now)
-	if it == nil {
+//
+//kv3d:borrowed
+func (s *shard) delete(key []byte, now int64) error {
+	h, c := s.live(key, now)
+	if h == 0 {
 		s.stats.DeleteMiss++
 		return ErrNotFound
 	}
-	s.reap(it)
+	s.reap(h, c)
 	s.stats.DeleteHits++
 	return nil
 }
 
 // touch updates the expiry of an existing item.
-func (s *shard) touch(key string, expireAt, now int64) error {
-	it := s.live(key, now)
-	if it == nil {
+//
+//kv3d:borrowed
+func (s *shard) touch(key []byte, expireAt, now int64) error {
+	h, c := s.live(key, now)
+	if h == 0 {
 		s.stats.TouchMisses++
 		return ErrNotFound
 	}
-	it.expireAt = expireAt
+	c.setExpireAt(expireAt)
 	s.stats.TouchHits++
 	return nil
 }

@@ -51,46 +51,43 @@ func TestSlabClassFor(t *testing.T) {
 func TestSlabAllocFreeCycle(t *testing.T) {
 	a, _ := newSlabAllocator(96, 1.25, 4096, 8192)
 	ci, _ := a.classFor(96)
-	var chunks []chunkRef
+	var chunks []handle
 	for {
-		c := a.alloc(ci)
-		if c.data == nil {
+		h := a.alloc(ci)
+		if h == 0 {
 			break
 		}
-		if len(c.data) != a.chunkSize(ci) {
-			t.Fatalf("chunk len %d, want %d", len(c.data), a.chunkSize(ci))
+		if a.pageClass[a.pageOf(h)] != int32(ci) {
+			t.Fatalf("chunk %#x lies in a page of class %d, want %d", h, a.pageClass[a.pageOf(h)], ci)
 		}
-		if c.page == nil {
-			t.Fatal("chunk must carry its page")
-		}
-		chunks = append(chunks, c)
+		chunks = append(chunks, h)
 	}
 	wantChunks := (8192 / 4096) * (4096 / a.chunkSize(ci))
 	if len(chunks) != wantChunks {
 		t.Fatalf("allocated %d chunks, want %d", len(chunks), wantChunks)
 	}
 	// Free everything and re-allocate: must succeed without new pages.
-	pages := a.PageBytes()
-	for _, c := range chunks {
-		a.release(ci, c)
+	pages := a.pageBytes()
+	for _, h := range chunks {
+		a.release(h)
 	}
 	for range chunks {
-		if a.alloc(ci).data == nil {
+		if a.alloc(ci) == 0 {
 			t.Fatal("re-alloc after free failed")
 		}
 	}
-	if a.PageBytes() != pages {
-		t.Fatalf("page bytes grew across free/realloc: %d -> %d", pages, a.PageBytes())
+	if a.pageBytes() != pages {
+		t.Fatalf("page bytes grew across free/realloc: %d -> %d", pages, a.pageBytes())
 	}
 }
 
 func TestSlabMemoryLimitRespected(t *testing.T) {
 	a, _ := newSlabAllocator(96, 1.25, 4096, 10000)
 	ci, _ := a.classFor(500)
-	for a.alloc(ci).data != nil {
+	for a.alloc(ci) != 0 {
 	}
-	if a.PageBytes() > 10000 {
-		t.Fatalf("page bytes %d exceed limit 10000", a.PageBytes())
+	if a.pageBytes() > 10000 {
+		t.Fatalf("page bytes %d exceed limit 10000", a.pageBytes())
 	}
 	if a.canGrow() {
 		t.Fatal("canGrow should be false at the limit")
@@ -102,15 +99,16 @@ func TestSlabPageLiveTracking(t *testing.T) {
 	ci, _ := a.classFor(96)
 	c1 := a.alloc(ci)
 	c2 := a.alloc(ci)
-	if c1.page != c2.page {
+	page := a.pageOf(c1)
+	if a.pageOf(c2) != page {
 		t.Fatal("first two chunks should share one page")
 	}
-	if c1.page.live != 2 {
-		t.Fatalf("live = %d, want 2", c1.page.live)
+	if a.pageLive[page] != 2 {
+		t.Fatalf("live = %d, want 2", a.pageLive[page])
 	}
-	a.release(ci, c1)
-	if c2.page.live != 1 {
-		t.Fatalf("live after release = %d, want 1", c2.page.live)
+	a.release(c1)
+	if a.pageLive[page] != 1 {
+		t.Fatalf("live after release = %d, want 1", a.pageLive[page])
 	}
 }
 
@@ -119,52 +117,118 @@ func TestSlabReassignMovesPage(t *testing.T) {
 	small, _ := a.classFor(96)
 	big, _ := a.classFor(3000)
 	// Fill both pages with small chunks, then free them all.
-	var refs []chunkRef
+	var refs []handle
 	for {
-		c := a.alloc(small)
-		if c.data == nil {
+		h := a.alloc(small)
+		if h == 0 {
 			break
 		}
-		refs = append(refs, c)
+		refs = append(refs, h)
 	}
-	for _, c := range refs {
-		a.release(small, c)
+	for _, h := range refs {
+		a.release(h)
 	}
 	// big class cannot grow (limit reached) until a page is reassigned.
-	if a.alloc(big).data != nil {
+	if a.alloc(big) != 0 {
 		t.Fatal("big class should be out of memory before reassignment")
 	}
 	page := a.freeDonor(big)
-	if page == nil {
+	if page == 0 {
 		t.Fatal("expected a free donor page")
 	}
-	if page.live != 0 {
-		t.Fatalf("donor should be the empty page, live = %d", page.live)
+	if a.pageLive[page] != 0 {
+		t.Fatalf("donor should be the empty page, live = %d", a.pageLive[page])
 	}
-	if a.liveDonor(big) == nil {
+	if a.liveDonor(big) == 0 {
 		t.Fatal("liveDonor should also find a candidate")
+	}
+	smallFree := a.classes[small].freeCount
+	if err := a.completeReassign(page, big); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := a.classes[small].freeCount, smallFree-4096/a.chunkSize(small); got != want {
+		t.Fatalf("small class free list has %d chunks after losing a page, want %d", got, want)
+	}
+	if a.alloc(big) == 0 {
+		t.Fatal("big class still starved after reassignment")
+	}
+	if a.reassigns != 1 {
+		t.Fatalf("reassigns = %d", a.reassigns)
+	}
+	// Small class must still work with its remaining page, and hand out
+	// only chunks that lie on it.
+	for i := 0; i < a.classes[small].freeCount; i++ {
+		h := a.alloc(small)
+		if h == 0 {
+			t.Fatal("small class lost its remaining page")
+		}
+		if a.pageOf(h) == page {
+			t.Fatalf("small class handed out chunk %#x of the page it gave away", h)
+		}
+	}
+}
+
+// TestSlabReassignTakesFreshChunks gives away a page most of whose
+// chunks were never handed out: they must leave the class with it.
+func TestSlabReassignTakesFreshChunks(t *testing.T) {
+	a, _ := newSlabAllocator(96, 2.0, 4096, 4096) // one page
+	small, _ := a.classFor(96)
+	big, _ := a.classFor(3000)
+	h := a.alloc(small)
+	if got, want := a.classes[small].fresh, 4096/a.chunkSize(small)-1; got != want {
+		t.Fatalf("after one alloc the new page has %d fresh chunks, want %d", got, want)
+	}
+	a.release(h)
+	page := a.freeDonor(big)
+	if page != a.pageOf(h) {
+		t.Fatalf("free donor = page %d, want the small class's page %d", page, a.pageOf(h))
 	}
 	if err := a.completeReassign(page, big); err != nil {
 		t.Fatal(err)
 	}
-	if a.alloc(big).data == nil {
-		t.Fatal("big class still starved after reassignment")
+	if c := a.classes[small]; c.fresh != 0 || c.freeCount != 0 || c.free != 0 {
+		t.Fatalf("small class still counts %d fresh, %d free chunks (list head %#x) on a page it gave away", c.fresh, c.freeCount, c.free)
 	}
-	if a.Reassigns() != 1 {
-		t.Fatalf("reassigns = %d", a.Reassigns())
+	if a.alloc(small) != 0 {
+		t.Fatal("small class handed out a chunk with no page left")
 	}
-	// Small class must still work with its remaining page.
-	if a.alloc(small).data == nil {
-		t.Fatal("small class lost its remaining page")
+	if a.alloc(big) == 0 {
+		t.Fatal("big class cannot use the page it was given")
 	}
 }
 
 func TestSlabReassignRejectsLivePage(t *testing.T) {
 	a, _ := newSlabAllocator(96, 1.25, 4096, 8192)
 	ci, _ := a.classFor(96)
-	c := a.alloc(ci)
-	if err := a.completeReassign(c.page, ci+1); err == nil {
+	h := a.alloc(ci)
+	if err := a.completeReassign(a.pageOf(h), ci+1); err == nil {
 		t.Fatal("reassigning a live page must fail")
+	}
+}
+
+// TestSlabHandleAddressing pins the handle encoding: zero is never a
+// chunk, handles of one class are a chunk size apart, and a limit with
+// more pages than the page-number bits can name is refused.
+func TestSlabHandleAddressing(t *testing.T) {
+	a, _ := newSlabAllocator(96, 1.25, 4096, 8192)
+	ci, _ := a.classFor(96)
+	first, second := a.alloc(ci), a.alloc(ci)
+	if first == 0 || second == 0 {
+		t.Fatal("alloc returned the nil handle")
+	}
+	if got, want := int(first-second)*8, a.chunkSize(ci); got != want {
+		t.Fatalf("consecutive handles are %d bytes apart, want the chunk size %d", got, want)
+	}
+	// 4 KiB pages leave 23 page-number bits: 2^23 pages do not fit.
+	if _, err := newSlabAllocator(96, 1.25, 4096, 4096<<23); err == nil {
+		t.Fatal("a limit of 2^23 4-KiB pages must be rejected")
+	}
+	if _, err := newSlabAllocator(96, 1.25, 4096, 4096<<23-4096); err != nil {
+		t.Fatalf("2^23-1 pages are addressable: %v", err)
+	}
+	// A ladder finer than the header's class field is refused too.
+	if _, err := newSlabAllocator(96, 1.001, 1<<20, 16<<20); err == nil {
+		t.Fatalf("a ladder of more than %d classes must be rejected", maxClasses)
 	}
 }
 
@@ -205,15 +269,16 @@ func TestSlabChunksDoNotOverlapProperty(t *testing.T) {
 			if !ok {
 				continue
 			}
-			c := a.alloc(ci)
-			if c.data == nil {
+			h := a.alloc(ci)
+			if h == 0 {
 				continue
 			}
+			data := a.chunk(h)[:a.chunkSize(ci)]
 			fill := byte(len(allocs)%251 + 1)
-			for i := range c.data {
-				c.data[i] = fill
+			for i := range data {
+				data[i] = fill
 			}
-			allocs = append(allocs, alloc{ci, c.data, fill})
+			allocs = append(allocs, alloc{ci, data, fill})
 		}
 		for _, al := range allocs {
 			for _, b := range al.chunk {

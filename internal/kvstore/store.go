@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // ConcurrencyMode selects the locking design of a Store.
@@ -87,17 +88,21 @@ type Store struct {
 	clock     Clock
 	cas       casCounter
 	startUnix int64
-	// readLocks counts shard-lock acquisitions on the GET paths (Get,
-	// GetInto, GetIntoBytes, and one per shard for the batch variants).
-	// It is the lock-count hook the multiget tests use to prove an
-	// N-key batch costs at most Shards acquisitions instead of N.
-	readLocks atomic.Uint64
 }
 
 // ReadLockCount reports the cumulative shard-lock acquisitions of the
 // GET paths (per key for the single-key calls, per involved shard for
-// the batch calls).
-func (st *Store) ReadLockCount() uint64 { return st.readLocks.Load() }
+// the batch calls). It is the hook the multiget tests use to prove an
+// N-key batch costs at most Shards acquisitions instead of N.
+func (st *Store) ReadLockCount() uint64 {
+	var n uint64
+	for _, sh := range st.shards {
+		sh.mu.Lock()
+		n += sh.s.stats.ReadLocks
+		sh.mu.Unlock()
+	}
+	return n
+}
 
 type lockedShard struct {
 	mu sync.Mutex
@@ -153,9 +158,8 @@ func New(cfg Config) (*Store, error) {
 		if err != nil {
 			return nil, err
 		}
-		pol := newPolicy(cfg.Policy, alloc.numClasses())
 		st.shards = append(st.shards, &lockedShard{
-			s: newShard(alloc, pol, &st.cas, cfg.MaxItemSize, cfg.EvictionsEnabled),
+			s: newShard(alloc, cfg.Policy, &st.cas, cfg.MaxItemSize, cfg.EvictionsEnabled),
 		})
 	}
 	return st, nil
@@ -164,14 +168,21 @@ func New(cfg Config) (*Store, error) {
 // Config returns the effective configuration (after defaulting).
 func (st *Store) Config() Config { return st.cfg }
 
-func (st *Store) shardFor(key string) *lockedShard {
-	// Use the upper hash bits for shard selection so shard choice stays
-	// independent of the table's bucket choice (which uses low bits).
-	return st.shards[(fnv1a64(key)>>48)&st.mask]
+// shardIndex uses the upper hash bits for shard selection so shard
+// choice stays independent of the table's bucket choice (which uses low
+// bits).
+func (st *Store) shardIndex(key []byte) uint32 {
+	return uint32((fnv1a64(key) >> 48) & st.mask)
 }
 
-func (st *Store) shardForBytes(key []byte) *lockedShard {
-	return st.shards[(fnv1a64Bytes(key)>>48)&st.mask]
+func (st *Store) shardFor(key []byte) *lockedShard { return st.shards[st.shardIndex(key)] }
+
+// keyBytes views a string key as the byte slice the shards are keyed
+// by, without copying. The store only reads a key and keeps no
+// reference past the call (the chunk holds its own copy), so the view
+// never outlives or mutates the string.
+func keyBytes(key string) []byte {
+	return unsafe.Slice(unsafe.StringData(key), len(key))
 }
 
 // expiredNow is the absolute-expiry sentinel for "already expired":
@@ -209,11 +220,12 @@ type Entry struct {
 //
 //kv3d:hotpath
 func (st *Store) Get(key string) (Entry, bool) {
-	sh := st.shardFor(key)
+	k := keyBytes(key)
+	sh := st.shardFor(k)
 	now := st.clock()
 	sh.mu.Lock()
-	st.readLocks.Add(1)
-	v, flags, cas, ok := sh.s.get(key, now)
+	sh.s.stats.ReadLocks++
+	v, flags, cas, ok := sh.s.get(k, now)
 	sh.mu.Unlock()
 	return Entry{Value: v, Flags: flags, CAS: cas}, ok
 }
@@ -224,27 +236,20 @@ func (st *Store) Get(key string) (Entry, bool) {
 //kv3d:hotpath
 //kv3d:aliases dst
 func (st *Store) GetInto(dst []byte, key string) ([]byte, Entry, bool) {
-	sh := st.shardFor(key)
-	now := st.clock()
-	sh.mu.Lock()
-	st.readLocks.Add(1)
-	out, flags, cas, ok := sh.s.getInto(dst, key, now)
-	sh.mu.Unlock()
-	return out, Entry{Flags: flags, CAS: cas}, ok
+	return st.GetIntoBytes(dst, keyBytes(key))
 }
 
 // GetIntoBytes is GetInto keyed by a byte slice, so the protocol layer
-// can serve a GET without converting the parsed key token to a string
-// (hashing and hash-chain comparison never allocate).
+// can serve a GET straight from the parsed key token.
 //
 //kv3d:hotpath
 //kv3d:aliases dst
 func (st *Store) GetIntoBytes(dst, key []byte) ([]byte, Entry, bool) {
-	sh := st.shardForBytes(key)
+	sh := st.shardFor(key)
 	now := st.clock()
 	sh.mu.Lock()
-	st.readLocks.Add(1)
-	out, flags, cas, ok := sh.s.getIntoBytes(dst, key, now)
+	sh.s.stats.ReadLocks++
+	out, flags, cas, ok := sh.s.getInto(dst, key, now)
 	sh.mu.Unlock()
 	return out, Entry{Flags: flags, CAS: cas}, ok
 }
@@ -267,6 +272,15 @@ const (
 //
 //kv3d:hotpath
 func (st *Store) Put(verb Verb, key string, value []byte, flags uint32, exptime int64, casID uint64) (newCAS uint64, err error) {
+	return st.PutBytes(verb, keyBytes(key), value, flags, exptime, casID)
+}
+
+// PutBytes is Put keyed by a byte slice, so a protocol session can
+// store straight from the request's key token or frame bytes. Both key
+// and value are copied into the item's chunk; neither is retained.
+//
+//kv3d:hotpath
+func (st *Store) PutBytes(verb Verb, key, value []byte, flags uint32, exptime int64, casID uint64) (newCAS uint64, err error) {
 	sh := st.shardFor(key)
 	now := st.clock()
 	abs := st.expiryToAbs(exptime)
@@ -313,20 +327,22 @@ func (st *Store) CAS(key string, value []byte, flags uint32, exptime int64, cas 
 
 // Append concatenates extra after the existing value.
 func (st *Store) Append(key string, extra []byte) error {
-	sh := st.shardFor(key)
+	k := keyBytes(key)
+	sh := st.shardFor(k)
 	now := st.clock()
 	sh.mu.Lock()
-	err := sh.s.appendValue(key, extra, now, false)
+	err := sh.s.appendValue(k, extra, now, false)
 	sh.mu.Unlock()
 	return err
 }
 
 // Prepend concatenates extra before the existing value.
 func (st *Store) Prepend(key string, extra []byte) error {
-	sh := st.shardFor(key)
+	k := keyBytes(key)
+	sh := st.shardFor(k)
 	now := st.clock()
 	sh.mu.Lock()
-	err := sh.s.appendValue(key, extra, now, true)
+	err := sh.s.appendValue(k, extra, now, true)
 	sh.mu.Unlock()
 	return err
 }
@@ -334,10 +350,11 @@ func (st *Store) Prepend(key string, extra []byte) error {
 // IncrDecr adds delta to (incr) or subtracts it from (floored at 0) a
 // decimal value, returning the new value and the CAS id assigned to it.
 func (st *Store) IncrDecr(key string, delta uint64, incr bool) (value, cas uint64, err error) {
-	sh := st.shardFor(key)
+	k := keyBytes(key)
+	sh := st.shardFor(k)
 	now := st.clock()
 	sh.mu.Lock()
-	value, cas, err = sh.s.incrDecr(key, delta, incr, now)
+	value, cas, err = sh.s.incrDecr(k, delta, incr, now)
 	sh.mu.Unlock()
 	return value, cas, err
 }
@@ -356,21 +373,23 @@ func (st *Store) Decr(key string, delta uint64) (uint64, error) {
 
 // Delete removes a key.
 func (st *Store) Delete(key string) error {
-	sh := st.shardFor(key)
+	k := keyBytes(key)
+	sh := st.shardFor(k)
 	now := st.clock()
 	sh.mu.Lock()
-	err := sh.s.delete(key, now)
+	err := sh.s.delete(k, now)
 	sh.mu.Unlock()
 	return err
 }
 
 // Touch updates a key's expiry.
 func (st *Store) Touch(key string, exptime int64) error {
-	sh := st.shardFor(key)
+	k := keyBytes(key)
+	sh := st.shardFor(k)
 	now := st.clock()
 	abs := st.expiryToAbs(exptime)
 	sh.mu.Lock()
-	err := sh.s.touch(key, abs, now)
+	err := sh.s.touch(k, abs, now)
 	sh.mu.Unlock()
 	return err
 }
@@ -426,7 +445,7 @@ func (st *Store) Stats() Stats {
 		out.TotalItems += s.TotalItems
 		out.BytesUsed += s.BytesUsed
 		out.CurrItems += uint64(sh.s.itemCount())
-		out.SlabBytes += sh.s.alloc.PageBytes()
+		out.SlabBytes += sh.s.alloc.pageBytes()
 		sh.mu.Unlock()
 	}
 	out.Shards = len(st.shards)
@@ -478,7 +497,7 @@ func (st *Store) SlabStats() []SlabClassStats {
 		for i := range a.classes {
 			out[i].Pages += len(a.classes[i].pages)
 			out[i].UsedChunks += a.classes[i].allocated
-			out[i].FreeChunks += len(a.classes[i].free)
+			out[i].FreeChunks += a.classes[i].freeCount
 		}
 		sh.mu.Unlock()
 	}

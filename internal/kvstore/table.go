@@ -3,29 +3,31 @@ package kvstore
 // hashTable is a chained hash table with memcached-style incremental
 // rehashing: when the load factor crosses the threshold the table
 // doubles, and buckets migrate a few at a time on subsequent operations
-// instead of in one stop-the-world pass.
+// instead of in one stop-the-world pass. Buckets are flat arrays of
+// handles and chains run through the items' own headers, so the table
+// is the only memory an item costs outside its chunk: four bytes per
+// bucket.
 type hashTable struct {
-	buckets []*item
-	old     []*item // non-nil while a rehash is in progress
-	migrate int     // next old bucket index to migrate
+	mem     *arena
+	buckets []handle
+	old     []handle // non-nil while a rehash is in progress
+	migrate int      // next old bucket index to migrate
 	count   int
 }
 
 const (
-	initialBuckets    = 16
-	loadFactorNum     = 3 // grow when count > buckets * 3/2
-	loadFactorDen     = 2
-	migrationPerOp    = 2 // old buckets moved per mutating operation
-	minShrinkBuckets  = initialBuckets
-	shrinkFactorWhenQ = 8 // shrink when count < buckets/8 (not while rehashing)
+	initialBuckets = 16
+	loadFactorNum  = 3 // grow when count > buckets * 3/2
+	loadFactorDen  = 2
+	migrationPerOp = 2 // old buckets moved per mutating operation
 )
 
-func newHashTable() *hashTable {
-	return &hashTable{buckets: make([]*item, initialBuckets)}
+func newHashTable(mem *arena) *hashTable {
+	return &hashTable{mem: mem, buckets: make([]handle, initialBuckets)}
 }
 
 // fnv1a64 is the FNV-1a hash used to place keys.
-func fnv1a64(key string) uint64 {
+func fnv1a64(key []byte) uint64 {
 	const (
 		offset = 14695981039346656037
 		prime  = 1099511628211
@@ -38,136 +40,81 @@ func fnv1a64(key string) uint64 {
 	return h
 }
 
-// fnv1a64Bytes is fnv1a64 over a raw key, for lookups that must not
-// materialize a string.
-func fnv1a64Bytes(key []byte) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime
-	}
-	return h
-}
-
-func (t *hashTable) bucketFor(tbl []*item, key string) int {
+func bucketFor(tbl []handle, key []byte) int {
 	return int(fnv1a64(key) & uint64(len(tbl)-1))
 }
 
-func (t *hashTable) bucketForBytes(tbl []*item, key []byte) int {
-	return int(fnv1a64Bytes(key) & uint64(len(tbl)-1))
+// chainFor returns the bucket array and index whose chain holds key,
+// following an in-progress rehash: an old bucket not yet migrated still
+// owns its keys.
+func (t *hashTable) chainFor(key []byte) ([]handle, int) {
+	if t.old != nil {
+		if i := bucketFor(t.old, key); i >= t.migrate {
+			return t.old, i
+		}
+	}
+	return t.buckets, bucketFor(t.buckets, key)
 }
 
-// lookupBytes is lookup with a byte-slice key: the string conversions
-// appear only in == comparisons, which do not allocate.
-func (t *hashTable) lookupBytes(key []byte) *item {
-	if t.old != nil {
-		i := t.bucketForBytes(t.old, key)
-		if i >= t.migrate { // bucket not yet migrated
-			for it := t.old[i]; it != nil; it = it.hnext {
-				if it.key == string(key) {
-					return it
-				}
-			}
-			return nil
+// lookup finds the item for key, or the zero handle.
+//
+//kv3d:borrowed
+func (t *hashTable) lookup(key []byte) (handle, chunk) {
+	tbl, i := t.chainFor(key)
+	for h := tbl[i]; h != 0; {
+		c := t.mem.chunk(h)
+		if c.hasKey(key) {
+			return h, c
 		}
+		h = c.hnext()
 	}
-	i := t.bucketForBytes(t.buckets, key)
-	for it := t.buckets[i]; it != nil; it = it.hnext {
-		if it.key == string(key) {
-			return it
-		}
-	}
-	return nil
-}
-
-// lookup finds the item for key, following an in-progress rehash.
-func (t *hashTable) lookup(key string) *item {
-	if t.old != nil {
-		i := t.bucketFor(t.old, key)
-		if i >= t.migrate { // bucket not yet migrated
-			for it := t.old[i]; it != nil; it = it.hnext {
-				if it.key == key {
-					return it
-				}
-			}
-			return nil
-		}
-	}
-	i := t.bucketFor(t.buckets, key)
-	for it := t.buckets[i]; it != nil; it = it.hnext {
-		if it.key == key {
-			return it
-		}
-	}
-	return nil
+	return 0, nil
 }
 
 // insert adds an item that is known not to be present.
-func (t *hashTable) insert(it *item) {
+func (t *hashTable) insert(h handle) {
 	t.stepMigration()
-	tbl := t.buckets
-	if t.old != nil {
-		if i := t.bucketFor(t.old, it.key); i >= t.migrate {
-			tbl = t.old
-			it.hnext = tbl[i]
-			tbl[i] = it
-			t.count++
-			return
-		}
-	}
-	i := t.bucketFor(tbl, it.key)
-	it.hnext = tbl[i]
-	tbl[i] = it
+	c := t.mem.chunk(h)
+	tbl, i := t.chainFor(c.key())
+	c.setHNext(tbl[i])
+	tbl[i] = h
 	t.count++
-	t.maybeGrow()
+	if t.old == nil {
+		t.maybeGrow()
+	}
 }
 
-// remove unlinks the item for key and returns it, or nil.
-func (t *hashTable) remove(key string) *item {
+// remove unlinks the item for key and returns its handle, or zero.
+//
+//kv3d:borrowed
+func (t *hashTable) remove(key []byte) handle {
 	t.stepMigration()
-	if t.old != nil {
-		if i := t.bucketFor(t.old, key); i >= t.migrate {
-			if it := removeFromChain(&t.old[i], key); it != nil {
-				t.count--
-				return it
+	tbl, i := t.chainFor(key)
+	var prev chunk
+	for h := tbl[i]; h != 0; {
+		c := t.mem.chunk(h)
+		if c.hasKey(key) {
+			if prev == nil {
+				tbl[i] = c.hnext()
+			} else {
+				prev.setHNext(c.hnext())
 			}
-			return nil
+			c.setHNext(0)
+			t.count--
+			return h
 		}
+		prev, h = c, c.hnext()
 	}
-	i := t.bucketFor(t.buckets, key)
-	if it := removeFromChain(&t.buckets[i], key); it != nil {
-		t.count--
-		return it
-	}
-	return nil
-}
-
-func removeFromChain(head **item, key string) *item {
-	for p := head; *p != nil; p = &(*p).hnext {
-		if (*p).key == key {
-			it := *p
-			*p = it.hnext
-			it.hnext = nil
-			return it
-		}
-	}
-	return nil
+	return 0
 }
 
 // maybeGrow starts an incremental rehash when the load factor is high.
 func (t *hashTable) maybeGrow() {
-	if t.old != nil {
-		return // one rehash at a time
-	}
 	if t.count*loadFactorDen <= len(t.buckets)*loadFactorNum {
 		return
 	}
 	t.old = t.buckets
-	t.buckets = make([]*item, len(t.old)*2)
+	t.buckets = make([]handle, len(t.old)*2)
 	t.migrate = 0
 }
 
@@ -177,14 +124,15 @@ func (t *hashTable) stepMigration() {
 		return
 	}
 	for n := 0; n < migrationPerOp && t.migrate < len(t.old); n++ {
-		for it := t.old[t.migrate]; it != nil; {
-			next := it.hnext
-			i := t.bucketFor(t.buckets, it.key)
-			it.hnext = t.buckets[i]
-			t.buckets[i] = it
-			it = next
+		for h := t.old[t.migrate]; h != 0; {
+			c := t.mem.chunk(h)
+			next := c.hnext()
+			i := bucketFor(t.buckets, c.key())
+			c.setHNext(t.buckets[i])
+			t.buckets[i] = h
+			h = next
 		}
-		t.old[t.migrate] = nil
+		t.old[t.migrate] = 0
 		t.migrate++
 	}
 	if t.migrate >= len(t.old) {
@@ -201,11 +149,13 @@ func (t *hashTable) finishMigration() {
 }
 
 // forEach visits every item. Mutation during iteration is not allowed.
-func (t *hashTable) forEach(fn func(*item)) {
+func (t *hashTable) forEach(fn func(handle, chunk)) {
 	t.finishMigration()
 	for _, head := range t.buckets {
-		for it := head; it != nil; it = it.hnext {
-			fn(it)
+		for h := head; h != 0; {
+			c := t.mem.chunk(h)
+			fn(h, c)
+			h = c.hnext()
 		}
 	}
 }

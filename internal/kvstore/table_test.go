@@ -6,16 +6,52 @@ import (
 	"testing/quick"
 )
 
-func mkItem(key string) *item { return &item{key: key} }
+// testMem is slab memory for tests that drive a table or a policy
+// directly: mk carves an item for key out of it, as shard.set would.
+type testMem struct {
+	t     *testing.T
+	alloc *slabAllocator
+}
+
+func newTestMem(t *testing.T) *testMem {
+	t.Helper()
+	a, err := newSlabAllocator(DefaultBaseChunkSize, DefaultGrowthFactor, 1<<16, 4<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &testMem{t: t, alloc: a}
+}
+
+func (m *testMem) table() *hashTable { return newHashTable(&m.alloc.arena) }
+
+// mk allocates a chunk of the given class and writes key into it.
+func (m *testMem) mk(key string, class int) handle {
+	m.t.Helper()
+	h := m.alloc.alloc(class)
+	if h == 0 {
+		m.t.Fatalf("test slab exhausted at key %q", key)
+	}
+	m.alloc.chunk(h).init(class, m.alloc.chunkSize(class), []byte(key), nil)
+	return h
+}
+
+// key reads the key back out of an item's chunk.
+func (m *testMem) key(h handle) string { return string(m.alloc.chunk(h).key()) }
+
+func lookup(tbl *hashTable, key string) handle {
+	h, _ := tbl.lookup([]byte(key))
+	return h
+}
 
 func TestTableInsertLookup(t *testing.T) {
-	tbl := newHashTable()
-	tbl.insert(mkItem("a"))
-	tbl.insert(mkItem("b"))
-	if tbl.lookup("a") == nil || tbl.lookup("b") == nil {
+	mem := newTestMem(t)
+	tbl := mem.table()
+	tbl.insert(mem.mk("a", 0))
+	tbl.insert(mem.mk("b", 0))
+	if lookup(tbl, "a") == 0 || lookup(tbl, "b") == 0 {
 		t.Fatal("inserted keys must be found")
 	}
-	if tbl.lookup("c") != nil {
+	if lookup(tbl, "c") != 0 {
 		t.Fatal("absent key found")
 	}
 	if tbl.len() != 2 {
@@ -24,15 +60,16 @@ func TestTableInsertLookup(t *testing.T) {
 }
 
 func TestTableRemove(t *testing.T) {
-	tbl := newHashTable()
-	tbl.insert(mkItem("x"))
-	if tbl.remove("x") == nil {
+	mem := newTestMem(t)
+	tbl := mem.table()
+	tbl.insert(mem.mk("x", 0))
+	if tbl.remove([]byte("x")) == 0 {
 		t.Fatal("remove of present key failed")
 	}
-	if tbl.remove("x") != nil {
+	if tbl.remove([]byte("x")) != 0 {
 		t.Fatal("second remove should return nil")
 	}
-	if tbl.lookup("x") != nil {
+	if lookup(tbl, "x") != 0 {
 		t.Fatal("removed key still visible")
 	}
 	if tbl.len() != 0 {
@@ -41,16 +78,17 @@ func TestTableRemove(t *testing.T) {
 }
 
 func TestTableGrowsAndStaysConsistent(t *testing.T) {
-	tbl := newHashTable()
+	mem := newTestMem(t)
+	tbl := mem.table()
 	const n = 10_000
 	for i := 0; i < n; i++ {
-		tbl.insert(mkItem(fmt.Sprintf("key-%d", i)))
+		tbl.insert(mem.mk(fmt.Sprintf("key-%d", i), 0))
 	}
 	if len(tbl.buckets) <= initialBuckets {
 		t.Fatalf("table never grew: %d buckets", len(tbl.buckets))
 	}
 	for i := 0; i < n; i++ {
-		if tbl.lookup(fmt.Sprintf("key-%d", i)) == nil {
+		if lookup(tbl, fmt.Sprintf("key-%d", i)) == 0 {
 			t.Fatalf("key-%d lost after growth", i)
 		}
 	}
@@ -60,13 +98,14 @@ func TestTableGrowsAndStaysConsistent(t *testing.T) {
 }
 
 func TestTableLookupDuringMigration(t *testing.T) {
-	tbl := newHashTable()
+	mem := newTestMem(t)
+	tbl := mem.table()
 	// Insert enough to trigger at least one rehash, then probe while the
 	// migration is mid-flight.
 	for i := 0; i < 100; i++ {
-		tbl.insert(mkItem(fmt.Sprintf("k%d", i)))
+		tbl.insert(mem.mk(fmt.Sprintf("k%d", i), 0))
 		for j := 0; j <= i; j++ {
-			if tbl.lookup(fmt.Sprintf("k%d", j)) == nil {
+			if lookup(tbl, fmt.Sprintf("k%d", j)) == 0 {
 				t.Fatalf("k%d invisible at step %d (old=%v migrate=%d)", j, i, tbl.old != nil, tbl.migrate)
 			}
 		}
@@ -74,18 +113,19 @@ func TestTableLookupDuringMigration(t *testing.T) {
 }
 
 func TestTableRemoveDuringMigration(t *testing.T) {
-	tbl := newHashTable()
+	mem := newTestMem(t)
+	tbl := mem.table()
 	const n = 200
 	for i := 0; i < n; i++ {
-		tbl.insert(mkItem(fmt.Sprintf("k%d", i)))
+		tbl.insert(mem.mk(fmt.Sprintf("k%d", i), 0))
 	}
 	// Remove them all, interleaving lookups.
 	for i := 0; i < n; i++ {
 		key := fmt.Sprintf("k%d", i)
-		if tbl.remove(key) == nil {
+		if tbl.remove([]byte(key)) == 0 {
 			t.Fatalf("remove(%s) failed", key)
 		}
-		if tbl.lookup(key) != nil {
+		if lookup(tbl, key) != 0 {
 			t.Fatalf("%s visible after removal", key)
 		}
 	}
@@ -95,13 +135,14 @@ func TestTableRemoveDuringMigration(t *testing.T) {
 }
 
 func TestTableForEachVisitsAll(t *testing.T) {
-	tbl := newHashTable()
+	mem := newTestMem(t)
+	tbl := mem.table()
 	const n = 500
 	for i := 0; i < n; i++ {
-		tbl.insert(mkItem(fmt.Sprintf("k%d", i)))
+		tbl.insert(mem.mk(fmt.Sprintf("k%d", i), 0))
 	}
 	seen := make(map[string]bool)
-	tbl.forEach(func(it *item) { seen[it.key] = true })
+	tbl.forEach(func(_ handle, c chunk) { seen[string(c.key())] = true })
 	if len(seen) != n {
 		t.Fatalf("forEach visited %d items, want %d", len(seen), n)
 	}
@@ -115,7 +156,7 @@ func TestFNVKnownVectors(t *testing.T) {
 		"foo": 0xdcb27518fed9d577,
 	}
 	for in, want := range cases {
-		if got := fnv1a64(in); got != want {
+		if got := fnv1a64([]byte(in)); got != want {
 			t.Errorf("fnv1a64(%q) = %#x, want %#x", in, got, want)
 		}
 	}
@@ -129,17 +170,18 @@ func TestTableModelEquivalenceProperty(t *testing.T) {
 		Key    uint8
 	}
 	f := func(ops []op) bool {
-		tbl := newHashTable()
+		mem := newTestMem(t)
+		tbl := mem.table()
 		model := make(map[string]bool)
 		for _, o := range ops {
 			key := fmt.Sprintf("key-%d", o.Key)
 			if o.Insert {
 				if !model[key] {
-					tbl.insert(mkItem(key))
+					tbl.insert(mem.mk(key, 0))
 					model[key] = true
 				}
 			} else {
-				got := tbl.remove(key) != nil
+				got := tbl.remove([]byte(key)) != 0
 				want := model[key]
 				if got != want {
 					return false
@@ -151,7 +193,7 @@ func TestTableModelEquivalenceProperty(t *testing.T) {
 			}
 		}
 		for key := range model {
-			if tbl.lookup(key) == nil {
+			if lookup(tbl, key) == 0 {
 				return false
 			}
 		}

@@ -336,20 +336,20 @@ func (s *BinarySession) serveOne() error {
 	return err
 }
 
-// dispatch executes one parsed frame. The get family keeps its key as
-// bytes of the frame body all the way into the store; every other
-// opcode crosses into the string-keyed mutation API.
+// dispatch executes one parsed frame. The get and store families keep
+// their key as bytes of the frame body all the way into the store; every
+// other opcode crosses into the string-keyed API.
 //
 //kv3d:hotpath
 func (s *BinarySession) dispatch(h binHeader, extras, keyB, value []byte) error {
 	switch h.opcode {
 	case OpGet, OpGetQ, OpGetK, OpGetKQ:
 		return s.doGet(h, keyB)
-	}
-	key := string(keyB) //nolint:kv3d -- mutation and admin opcodes tolerate one short per-frame allocation; the get family returns above and never reaches this line
-	switch h.opcode {
 	case OpSet, OpSetQ, OpAdd, OpAddQ, OpReplace, OpReplaceQ:
-		return s.doStore(h, extras, key, value)
+		return s.doStore(h, extras, keyB, value)
+	}
+	key := string(keyB) //nolint:kv3d -- concat, delete, arithmetic and admin opcodes tolerate one short per-frame allocation; the get and store families return above and never reach this line
+	switch h.opcode {
 	case OpAppend, OpAppendQ, OpPrepend, OpPrependQ:
 		return s.doConcat(h, key, value)
 	case OpDelete, OpDeleteQ:
@@ -439,7 +439,10 @@ func (s *BinarySession) doGet(h binHeader, key []byte) error {
 	return s.respond(h, StatusOK, s.flags[:], key, out, e.CAS)
 }
 
-func (s *BinarySession) doStore(h binHeader, extras []byte, key string, value []byte) error {
+// doStore serves the set family without allocating on success: key and
+// value are slices of the frame body, copied by the store into the
+// item's chunk.
+func (s *BinarySession) doStore(h binHeader, extras, key, value []byte) error {
 	if len(extras) != 8 {
 		return s.respond(h, StatusInvalidArgs, nil, nil, []byte("Invalid arguments"), 0)
 	}
@@ -456,7 +459,7 @@ func (s *BinarySession) doStore(h binHeader, extras []byte, key string, value []
 	case OpReplace, OpReplaceQ:
 		verb = kvstore.VerbReplace
 	}
-	cas, err := s.store.Put(verb, key, value, flags, exptime, h.cas)
+	cas, err := s.store.PutBytes(verb, key, value, flags, exptime, h.cas)
 	if err != nil {
 		return s.respond(h, storeStatus(err), nil, nil, []byte(err.Error()), 0)
 	}
@@ -467,7 +470,7 @@ func (s *BinarySession) doStore(h binHeader, extras []byte, key string, value []
 	// asked for an acknowledgement guarantee, so silence would lie.
 	if s.repl != nil {
 		if mode := ReplModeFromVbucket(h.status); mode != ReplLocal {
-			if rerr := s.repl.ReplicateSet(key, value, flags, exptime, mode); rerr != nil {
+			if rerr := s.repl.ReplicateSet(string(key), value, flags, exptime, mode); rerr != nil {
 				return s.respond(h, StatusNoQuorum, nil, nil, []byte(rerr.Error()), 0)
 			}
 		}

@@ -306,22 +306,11 @@ func (s *Session) shedBusy(verb, rest []byte) error {
 	case "quit":
 		return ErrQuit
 	case "set", "add", "replace", "append", "prepend", "cas":
-		extra := 0
-		if string(verb) == "cas" {
-			extra = 1
+		c, ok, err := s.readStorage(rest, string(verb) == "cas")
+		if !ok {
+			return err
 		}
-		args := strings.Fields(string(rest))
-		_, _, _, nbytes, _, noreply, perr := parseStorageArgs(args, extra)
-		if perr != nil {
-			return s.clientError(perr.Error())
-		}
-		if _, err := s.readData(nbytes); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return io.EOF
-			}
-			return s.clientError("bad data chunk")
-		}
-		if noreply {
+		if c.noreply {
 			return nil
 		}
 		return s.reply(respBusy)
@@ -334,7 +323,8 @@ func (s *Session) shedBusy(verb, rest []byte) error {
 
 // dispatch executes one command. The verb comparison converts through
 // string only inside the switch, which the compiler performs without
-// allocating; cold verbs materialize their argument strings.
+// allocating; the get and store verbs keep their arguments as tokens of
+// the command line, cold verbs materialize argument strings.
 //
 //kv3d:hotpath
 func (s *Session) dispatch(verb, rest []byte) error {
@@ -343,15 +333,23 @@ func (s *Session) dispatch(verb, rest []byte) error {
 		return s.doGet(rest, false)
 	case "gets":
 		return s.doGet(rest, true)
+	case "set":
+		return s.doStore(kvstore.VerbSet, rest)
+	case "add":
+		return s.doStore(kvstore.VerbAdd, rest)
+	case "replace":
+		return s.doStore(kvstore.VerbReplace, rest)
+	case "cas":
+		return s.doStore(kvstore.VerbCAS, rest)
+	case "append":
+		return s.doConcat(rest, false)
+	case "prepend":
+		return s.doConcat(rest, true)
 	case "quit":
 		return ErrQuit
 	}
-	args := strings.Fields(string(rest)) //nolint:kv3d -- store/admin verbs tolerate one parse allocation; get/gets/quit return above and never reach this line
+	args := strings.Fields(string(rest)) //nolint:kv3d -- admin verbs tolerate one parse allocation; the get and store verbs return above and never reach this line
 	switch string(verb) {
-	case "set", "add", "replace", "append", "prepend":
-		return s.doStore(string(verb), args, 0) //nolint:kv3d -- the store mutation API is string-keyed; store-class verbs are off the measured hot path
-	case "cas":
-		return s.doCas(args)
 	case "delete":
 		return s.doDelete(args)
 	case "incr":
@@ -510,36 +508,66 @@ func (s *Session) writeValue(key, val []byte, flags uint32, cas uint64, withCAS 
 	s.w.WriteString("\r\n")
 }
 
-// parseStorageArgs parses "<key> <flags> <exptime> <bytes> [noreply]".
-func parseStorageArgs(args []string, extra int) (key string, flags uint32, exptime int64, nbytes int, cas uint64, noreply bool, err error) {
-	want := 4 + extra
-	if len(args) == want+1 && args[want] == "noreply" {
-		noreply = true
-		args = args[:want]
+// storageCmd is a parsed storage command: the arguments of the command
+// line plus, once readStorage has run, its data block.
+type storageCmd struct {
+	key, data []byte
+	flags     uint32
+	exptime   int64
+	nbytes    int
+	cas       uint64
+	noreply   bool
+}
+
+var (
+	errBadFormat    = errors.New("bad command line format")
+	errBadChunkSize = errors.New("bad data chunk size")
+)
+
+// parseStorageArgs parses "<key> <flags> <exptime> <bytes> [<cas>]
+// [noreply]" from the rest of a storage command line. The key aliases
+// the line; the numeric tokens convert through strings that do not
+// escape, so a well-formed line parses without allocating.
+//
+//kv3d:aliases rest
+func parseStorageArgs(rest []byte, withCAS bool) (c storageCmd, err error) {
+	c.key, rest = nextToken(rest)
+	flags, rest := nextToken(rest)
+	exptime, rest := nextToken(rest)
+	nbytes, rest := nextToken(rest)
+	var cas []byte
+	if withCAS {
+		cas, rest = nextToken(rest)
 	}
-	if len(args) != want {
-		return "", 0, 0, 0, 0, false, errors.New("bad command line format")
+	last, rest := nextToken(rest)
+	if string(last) == "noreply" {
+		c.noreply = true
+		last, _ = nextToken(rest)
 	}
-	key = args[0]
-	f64, err := strconv.ParseUint(args[1], 10, 32)
+	// Too few tokens leave the last expected one empty; too many leave
+	// one after the optional noreply.
+	if len(nbytes) == 0 || (withCAS && len(cas) == 0) || len(last) != 0 {
+		return c, errBadFormat
+	}
+	f64, err := strconv.ParseUint(string(flags), 10, 32)
 	if err != nil {
-		return "", 0, 0, 0, 0, false, errors.New("bad command line format")
+		return c, errBadFormat
 	}
-	exptime, err = strconv.ParseInt(args[2], 10, 64)
+	c.flags = uint32(f64)
+	if c.exptime, err = strconv.ParseInt(string(exptime), 10, 64); err != nil {
+		return c, errBadFormat
+	}
+	n64, err := strconv.ParseUint(string(nbytes), 10, 31)
 	if err != nil {
-		return "", 0, 0, 0, 0, false, errors.New("bad command line format")
+		return c, errBadChunkSize
 	}
-	n64, err := strconv.ParseUint(args[3], 10, 31)
-	if err != nil {
-		return "", 0, 0, 0, 0, false, errors.New("bad data chunk size")
-	}
-	if extra == 1 {
-		cas, err = strconv.ParseUint(args[4], 10, 64)
-		if err != nil {
-			return "", 0, 0, 0, 0, false, errors.New("bad command line format")
+	c.nbytes = int(n64)
+	if withCAS {
+		if c.cas, err = strconv.ParseUint(string(cas), 10, 64); err != nil {
+			return c, errBadFormat
 		}
 	}
-	return key, uint32(f64), exptime, int(n64), cas, noreply, nil
+	return c, nil
 }
 
 // readData reads the nbytes data block plus trailing \r\n.
@@ -557,82 +585,65 @@ func (s *Session) readData(nbytes int) ([]byte, error) {
 	return buf[:nbytes], nil
 }
 
-func (s *Session) doStore(verb string, args []string, _ int) error {
-	key, flags, exptime, nbytes, _, noreply, perr := parseStorageArgs(args, 0)
+// readStorage parses a storage command's arguments and reads its data
+// block. The key aliases the line buffer and the data the value buffer;
+// both stay valid until the next command is read. When ok is false the
+// command has been answered (or the stream has ended) and err is what
+// serving it returns.
+func (s *Session) readStorage(rest []byte, withCAS bool) (c storageCmd, ok bool, err error) {
+	c, perr := parseStorageArgs(rest, withCAS)
 	if perr != nil {
-		return s.clientError(perr.Error())
+		return c, false, s.clientError(perr.Error())
 	}
-	data, err := s.readData(nbytes)
-	if err != nil {
+	if c.data, err = s.readData(c.nbytes); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return io.EOF
+			return c, false, io.EOF
 		}
-		return s.clientError("bad data chunk")
+		return c, false, s.clientError("bad data chunk")
+	}
+	return c, true, nil
+}
+
+// doStore serves set, add, replace and cas: the key token and the data
+// block go to the store as they lie in the session's buffers, so a
+// store allocates nothing per command.
+func (s *Session) doStore(verb kvstore.Verb, rest []byte) error {
+	c, ok, err := s.readStorage(rest, verb == kvstore.VerbCAS)
+	if !ok {
+		return err
 	}
 	s.markParse()
-	serr := s.storeVerb(verb, key, data, flags, exptime)
-	if serr == nil && s.repl != nil && (verb == "set" || verb == "add" || verb == "replace") {
-		if rerr := s.repl.ReplicateSet(key, data, flags, exptime, ReplDefault); rerr != nil {
+	_, serr := s.store.PutBytes(verb, c.key, c.data, c.flags, c.exptime, c.cas)
+	if serr == nil && s.repl != nil {
+		if rerr := s.repl.ReplicateSet(string(c.key), c.data, c.flags, c.exptime, ReplDefault); rerr != nil {
 			serr = rerr
 		}
 	}
 	s.markExec()
-	if noreply {
+	if c.noreply {
 		return nil
 	}
 	return s.reply(storeResponse(serr))
 }
 
-// storeVerb executes one storage mutation.
-func (s *Session) storeVerb(verb, key string, data []byte, flags uint32, exptime int64) error {
-	switch verb {
-	case "set":
-		return s.store.Set(key, data, flags, exptime)
-	case "add":
-		return s.store.Add(key, data, flags, exptime)
-	case "replace":
-		return s.store.Replace(key, data, flags, exptime)
-	case "append":
-		return s.store.Append(key, data)
-	case "prepend":
-		return s.store.Prepend(key, data)
-	}
-	return nil
-}
-
-func (s *Session) doCas(args []string) error {
-	key, flags, exptime, nbytes, cas, noreply, perr := parseStorageArgs(args, 1)
-	if perr != nil {
-		return s.clientError(perr.Error())
-	}
-	data, err := s.readData(nbytes)
-	if err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return io.EOF
-		}
-		return s.clientError("bad data chunk")
+// doConcat serves append and prepend.
+func (s *Session) doConcat(rest []byte, front bool) error {
+	c, ok, err := s.readStorage(rest, false)
+	if !ok {
+		return err
 	}
 	s.markParse()
-	serr := s.store.CAS(key, data, flags, exptime, cas)
-	if serr == nil && s.repl != nil {
-		if rerr := s.repl.ReplicateSet(key, data, flags, exptime, ReplDefault); rerr != nil {
-			serr = rerr
-		}
+	var serr error
+	if front {
+		serr = s.store.Prepend(string(c.key), c.data)
+	} else {
+		serr = s.store.Append(string(c.key), c.data)
 	}
 	s.markExec()
-	if noreply {
+	if c.noreply {
 		return nil
 	}
-	switch {
-	case serr == nil:
-		return s.reply(respStored)
-	case errors.Is(serr, kvstore.ErrExists):
-		return s.reply(respExists)
-	case errors.Is(serr, kvstore.ErrNotFound):
-		return s.reply(respNotFound)
-	default:
-		return s.reply(storeResponse(serr))
-	}
+	return s.reply(storeResponse(serr))
 }
 
 func storeResponse(err error) string {
@@ -641,6 +652,10 @@ func storeResponse(err error) string {
 		return respStored
 	case errors.Is(err, kvstore.ErrNotStored):
 		return respNotStored
+	case errors.Is(err, kvstore.ErrExists):
+		return respExists
+	case errors.Is(err, kvstore.ErrNotFound):
+		return respNotFound
 	case errors.Is(err, kvstore.ErrTooLarge):
 		return "SERVER_ERROR object too large for cache\r\n"
 	case errors.Is(err, kvstore.ErrOutOfMemory):
