@@ -53,8 +53,6 @@ import (
 // cannot know); synchronous-callback literals are not scanned with the
 // caller's taint. The check is a ratchet over the annotated surface,
 // not an escape-analysis prover.
-//
-// Typed mode only.
 
 // boSource records why a local may alias borrowed memory: the borrowed
 // parameter it derives from.
@@ -76,9 +74,6 @@ type boCtx struct {
 }
 
 func checkBufOwn(a *analysis) []finding {
-	if !a.typed {
-		return nil
-	}
 	var out []finding
 	for _, pkg := range a.sortedPkgs() {
 		for _, pf := range pkg.files {

@@ -14,10 +14,9 @@ import (
 // which is exactly the failure mode the paper's calibration cannot
 // tolerate.
 //
-// In typed mode every call expression resolves to the *types.Func it
-// invokes, so aliased imports (`chrono "time"`), dot imports, and
-// same-named methods on local types are all classified correctly. The
-// AST fallback keeps the v1 spelling heuristics.
+// Every call expression resolves to the *types.Func it invokes, so
+// aliased imports (`chrono "time"`), dot imports, and same-named methods
+// on local types are all classified correctly.
 
 // bannedTimeFuncs are the time-package functions that read or depend on
 // the host wall clock. Types (time.Duration) and constants (time.Second)
@@ -48,18 +47,11 @@ var bannedRandFuncs = map[string]bool{
 	"Int64N": true, "UintN": true, "Uint32N": true, "Uint64N": true,
 }
 
-func checkDeterminism(a *analysis) []finding {
-	if a.typed {
-		return checkDeterminismTyped(a)
-	}
-	return checkDeterminismAST(a)
-}
-
-// checkDeterminismTyped classifies each call by its resolved callee:
+// checkDeterminism classifies each call by its resolved callee:
 // only package-level functions of "time" and "math/rand"(/v2) can
 // trigger, never methods, locals or identically-named functions from
 // other packages.
-func checkDeterminismTyped(a *analysis) []finding {
+func checkDeterminism(a *analysis) []finding {
 	var out []finding
 	closure := a.simClosure()
 	for path, via := range closure {
@@ -104,71 +96,6 @@ func checkDeterminismTyped(a *analysis) []finding {
 							check: "determinism",
 							msg: fmt.Sprintf("rand.%s uses the global math/rand source; package %s is in the sim-determinism set (%s) — use a seeded sim.Rand or an injected *rand.Rand",
 								fn.Name(), path, reach),
-						})
-					}
-				}
-				return true
-			})
-		}
-	}
-	return out
-}
-
-// checkDeterminismAST is the v1 spelling-based pass, kept for
-// -mode=ast. Because it cannot see through a dot import, it reports
-// those as un-analyzable rather than silently missing calls.
-func checkDeterminismAST(a *analysis) []finding {
-	var out []finding
-	closure := a.simClosure()
-	for path, via := range closure {
-		pkg := a.pkgs[path]
-		if pkg.depOnly {
-			continue
-		}
-		reach := "a sim root"
-		if via != "" {
-			reach = fmt.Sprintf("imported via %s", via)
-		}
-		for _, pf := range pkg.files {
-			timeAliases, timeDot := importAliases(pf.ast, "time")
-			randAliases, randDot := importAliases(pf.ast, "math/rand", "math/rand/v2")
-			if timeDot || randDot {
-				out = append(out, finding{
-					pos:   a.fset.Position(pf.ast.Name.Pos()),
-					check: "determinism",
-					msg: fmt.Sprintf("package %s (%s) dot-imports a clock/rand package, hiding banned calls from analysis; use a named import",
-						path, reach),
-				})
-			}
-			if len(timeAliases) == 0 && len(randAliases) == 0 {
-				continue
-			}
-			ast.Inspect(pf.ast, func(n ast.Node) bool {
-				sel, ok := n.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				id, ok := sel.X.(*ast.Ident)
-				if !ok || id.Obj != nil { // id.Obj != nil means a local, not the import
-					return true
-				}
-				if _, isTime := timeAliases[id.Name]; isTime {
-					if why, banned := bannedTimeFuncs[sel.Sel.Name]; banned {
-						out = append(out, finding{
-							pos:   a.fset.Position(sel.Pos()),
-							check: "determinism",
-							msg: fmt.Sprintf("%s.%s %s; package %s is in the sim-determinism set (%s) — use sim virtual time or an injected Clock",
-								id.Name, sel.Sel.Name, why, path, reach),
-						})
-					}
-				}
-				if _, isRand := randAliases[id.Name]; isRand {
-					if bannedRandFuncs[sel.Sel.Name] {
-						out = append(out, finding{
-							pos:   a.fset.Position(sel.Pos()),
-							check: "determinism",
-							msg: fmt.Sprintf("%s.%s uses the global math/rand source; package %s is in the sim-determinism set (%s) — use a seeded sim.Rand or an injected *rand.Rand",
-								id.Name, sel.Sel.Name, path, reach),
 						})
 					}
 				}

@@ -20,13 +20,8 @@ import (
 // A drop is a sink call used as a bare statement, deferred, or with
 // every result assigned to blank. Deliberate drops need
 // `//nolint:kv3d -- <why>`.
-//
-// Typed mode only.
 
 func checkErrDrop(a *analysis) []finding {
-	if !a.typed {
-		return nil
-	}
 	var out []finding
 	for _, pkg := range a.sortedPkgs() {
 		for _, pf := range pkg.files {

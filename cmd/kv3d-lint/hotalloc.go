@@ -34,8 +34,6 @@ import (
 // by the testing.AllocsPerRun gates in hotpath_alloc_test.go, which
 // measure the real paths. Deliberate exceptions carry
 // `//nolint:kv3d -- <why>`.
-//
-// Typed mode only.
 
 // isHotPath reports whether a function declaration carries the
 // kv3d:hotpath annotation in its doc comment.
@@ -52,9 +50,6 @@ func isHotPath(fd *ast.FuncDecl) bool {
 }
 
 func checkHotAlloc(a *analysis) []finding {
-	if !a.typed {
-		return nil
-	}
 	var out []finding
 	for _, pkg := range a.sortedPkgs() {
 		for _, pf := range pkg.files {

@@ -33,8 +33,6 @@ import (
 // are given the benefit of the doubt only when the call site itself
 // carries a lifecycle handle: a context.Context or net-package-typed
 // argument, or a receiver whose type exposes Close/Stop/Shutdown.
-//
-// Typed mode only.
 
 const lcMaxDepth = 2 // spawned body + one level of module callees
 
@@ -44,9 +42,6 @@ type lcCtx struct {
 }
 
 func checkLifecycle(a *analysis) []finding {
-	if !a.typed {
-		return nil
-	}
 	c := &lcCtx{a: a, decls: a.funcDecls()}
 	var out []finding
 	for _, pkg := range a.sortedPkgs() {

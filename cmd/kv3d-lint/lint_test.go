@@ -27,17 +27,12 @@ func writeModuleFiles(t *testing.T, files map[string]string) string {
 	return root
 }
 
-// writeModule loads a throwaway module through the same typed path the
-// CLI uses by default.
+// writeModule loads a throwaway module through the same path the CLI
+// uses.
 func writeModule(t *testing.T, files map[string]string) *analysis {
 	t.Helper()
-	return writeModuleMode(t, files, modeTyped)
-}
-
-func writeModuleMode(t *testing.T, files map[string]string, mode loadMode) *analysis {
-	t.Helper()
 	root := writeModuleFiles(t, files)
-	a, err := load(root, []string{"./..."}, mode)
+	a, err := load(root, []string{"./..."})
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
@@ -117,7 +112,7 @@ func New(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }`,
 	assertFindings(t, checkDeterminism(a), 0)
 }
 
-// TestDeterminismMethodsNotConfusedWithClockReads pins a typed-mode
+// TestDeterminismMethodsNotConfusedWithClockReads pins a type-resolution
 // hardening: a method that happens to be called Now on a module type
 // must not trigger, and calls on an owned *rand.Rand must stay legal.
 func TestDeterminismMethodsNotConfusedWithClockReads(t *testing.T) {
@@ -132,22 +127,16 @@ func Use(c *Clock, r *rand.Rand) int64 { return c.Now() + int64(r.Intn(4)) }`,
 }
 
 // TestTypedCatchesDotImportedClock is the aliased-import fixture for
-// the determinism check: v1's spelling pass can only warn that a dot
-// import exists, while the typed pass resolves the bare Now() call to
+// the determinism check: a spelling pass could only warn that a dot
+// import exists, while type resolution ties the bare Now() call to
 // time.Now and reports the actual violation at the call site.
 func TestTypedCatchesDotImportedClock(t *testing.T) {
-	files := map[string]string{
+	a := writeModule(t, map[string]string{
 		"internal/sim/s.go": `package sim
 import . "time"
 func Bad() int64 { return Now().Unix() }`,
-	}
-	astA := writeModuleMode(t, files, modeAST)
-	fs := checkDeterminism(astA)
-	assertFindings(t, fs, 1, "dot-imports a clock/rand package")
-
-	typedA := writeModuleMode(t, files, modeTyped)
-	fs = checkDeterminism(typedA)
-	assertFindings(t, fs, 1, "time.Now reads the wall clock")
+	})
+	assertFindings(t, checkDeterminism(a), 1, "time.Now reads the wall clock")
 }
 
 func TestNolintSuppressionRequiresReason(t *testing.T) {
@@ -244,11 +233,11 @@ func (r *Ring) Len() int {
 
 // TestTypedCatchesAliasedMutexType is the aliased-import fixture for
 // lockcheck: the mutex hides behind a renamed sync import and a type
-// alias in another file. The v1 AST pass sees a field of unknown type
-// `hotMu` and establishes no guard; the typed pass resolves hotMu to
+// alias in another file. A spelling pass would see a field of unknown
+// type `hotMu` and establish no guard; type resolution takes hotMu to
 // sync.Mutex and reports the unguarded access.
 func TestTypedCatchesAliasedMutexType(t *testing.T) {
-	files := map[string]string{
+	a := writeModule(t, map[string]string{
 		"pkg/alias.go": `package pkg
 import s "sync"
 type hotMu = s.Mutex`,
@@ -260,12 +249,8 @@ type C struct {
 }
 
 func (c *C) Bad() int { return c.n }`,
-	}
-	astA := writeModuleMode(t, files, modeAST)
-	assertFindings(t, checkLocks(astA), 0) // v1-style resolution misses it
-
-	typedA := writeModuleMode(t, files, modeTyped)
-	assertFindings(t, checkLocks(typedA), 1, "C.Bad accesses c.n (guarded by mu)")
+	})
+	assertFindings(t, checkLocks(a), 1, "C.Bad accesses c.n (guarded by mu)")
 }
 
 func TestUnitsMixedSuffixes(t *testing.T) {
@@ -377,7 +362,7 @@ func Run(q *Q) {
 	assertFindings(t, checkPurity(a), 0)
 }
 
-// TestPurityTypedRequiresModuleSink pins a typed-mode hardening: a
+// TestPurityTypedRequiresModuleSink pins a type-resolution hardening: a
 // same-named method on a stdlib type must not register as a scheduling
 // sink.
 func TestPurityTypedRequiresModuleSink(t *testing.T) {
@@ -712,7 +697,7 @@ func New() *D { return &D{} }
 // Unguarded access: would be a lockcheck finding if dep were a target.
 func (d *D) Bad() int { return d.n }`,
 	})
-	a, err := load(root, []string{"./pkg"}, modeTyped)
+	a, err := load(root, []string{"./pkg"})
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
@@ -727,11 +712,11 @@ func (d *D) Bad() int { return d.n }`,
 }
 
 func TestModulePatternExpansion(t *testing.T) {
-	a := writeModuleMode(t, map[string]string{
+	a := writeModule(t, map[string]string{
 		"pkg/a.go":         `package pkg`,
 		"pkg/sub/b.go":     `package sub`,
 		"testdata/skip.go": `package skip`,
-	}, modeAST)
+	})
 	if len(a.pkgs) != 2 {
 		t.Fatalf("got %d packages, want 2 (testdata skipped): %v", len(a.pkgs), a.pkgs)
 	}

@@ -16,23 +16,6 @@ import (
 	"strings"
 )
 
-// loadMode selects how much resolution the loader performs.
-type loadMode int
-
-const (
-	// modeTyped parses and fully type-checks the module: stdlib and other
-	// external dependencies are resolved from compiler export data
-	// harvested via `go list -deps -export`, and the module's own
-	// packages are type-checked from source in import order. All checks
-	// then work on types.Object facts instead of identifier spellings.
-	modeTyped loadMode = iota
-	// modeAST parses only (the v1 behaviour). Checks fall back to
-	// identifier heuristics and the typed-only checks are skipped. It
-	// exists for environments without a working `go` toolchain and for
-	// tests that demonstrate what spelling-based resolution misses.
-	modeAST
-)
-
 // finding is one diagnostic produced by a check.
 type finding struct {
 	pos   token.Position
@@ -56,7 +39,7 @@ type pkgInfo struct {
 	// depOnly marks packages parsed and type-checked only because a
 	// target package imports them; checks never report findings in them.
 	depOnly bool
-	// types is the checked package object (typed mode only).
+	// types is the checked package object.
 	types *types.Package
 }
 
@@ -67,10 +50,9 @@ type analysis struct {
 	module string
 	pkgs   map[string]*pkgInfo
 
-	// typed reports whether go/types resolution succeeded; info then
-	// holds resolved facts for every file of every package in pkgs.
-	typed bool
-	info  *types.Info
+	// info holds the resolved go/types facts for every file of every
+	// package in pkgs.
+	info *types.Info
 
 	// declOf lazily indexes every loaded function declaration by its
 	// resolved object (see funcDecls).
@@ -103,9 +85,13 @@ var defaultAllow = []string{
 }
 
 // load parses every package matched by the patterns under root, builds
-// the module-internal import graph and, in typed mode, type-checks the
-// whole module (targets plus their internal dependencies).
-func load(root string, patterns []string, mode loadMode) (*analysis, error) {
+// the module-internal import graph and type-checks the whole module
+// (targets plus their internal dependencies): stdlib and other external
+// dependencies are resolved from compiler export data harvested via
+// `go list -deps -export`, and the module's own packages are
+// type-checked from source in import order. All checks then work on
+// types.Object facts instead of identifier spellings.
+func load(root string, patterns []string) (*analysis, error) {
 	absRoot, err := filepath.Abs(root)
 	if err != nil {
 		return nil, err
@@ -140,9 +126,6 @@ func load(root string, patterns []string, mode loadMode) (*analysis, error) {
 		if pkg != nil {
 			a.pkgs[pkg.path] = pkg
 		}
-	}
-	if mode == modeAST {
-		return a, nil
 	}
 	if err := a.loadModuleDeps(absRoot); err != nil {
 		return nil, err
@@ -240,7 +223,6 @@ func (a *analysis) typeCheck(root string) error {
 		pkg.types = tpkg
 		checked[path] = tpkg
 	}
-	a.typed = true
 	return nil
 }
 
@@ -277,7 +259,7 @@ func harvestExportData(root string) (map[string]string, error) {
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr
 	if err := cmd.Run(); err != nil {
-		return nil, fmt.Errorf("go list -deps -export failed (use -mode=ast if no toolchain is available): %v\n%s",
+		return nil, fmt.Errorf("go list -deps -export failed: %v\n%s",
 			err, stderr.String())
 	}
 	out := map[string]string{}
@@ -485,11 +467,8 @@ func (a *analysis) simClosure() map[string]string {
 
 // calleeFunc resolves the function or method a call invokes, or nil
 // when the callee is not a resolved *types.Func (conversions, func
-// values, builtins). Typed mode only.
+// values, builtins).
 func (a *analysis) calleeFunc(call *ast.CallExpr) *types.Func {
-	if !a.typed {
-		return nil
-	}
 	fun := ast.Unparen(call.Fun)
 	var id *ast.Ident
 	switch v := fun.(type) {
@@ -553,9 +532,6 @@ func (a *analysis) funcDecls() map[*types.Func]*ast.FuncDecl {
 		return a.declOf
 	}
 	a.declOf = map[*types.Func]*ast.FuncDecl{}
-	if !a.typed {
-		return a.declOf
-	}
 	for _, pkg := range a.pkgs {
 		for _, pf := range pkg.files {
 			for _, decl := range pf.ast.Decls {

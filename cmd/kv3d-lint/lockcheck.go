@@ -65,26 +65,11 @@ func checkLocks(a *analysis) []finding {
 }
 
 // collectStructGuards scans a file's struct declarations and fills the
-// guard relation for each. In typed mode a field is a mutex if its type
-// resolves to sync.Mutex/RWMutex — including through type aliases and
-// import renames that the AST spelling test cannot see.
+// guard relation for each. A field is a mutex if its type resolves to
+// sync.Mutex/RWMutex — including through type aliases and import
+// renames that a spelling test cannot see.
 func collectStructGuards(a *analysis, pf *parsedFile, byStruct map[string]*structGuards) {
-	syncAliases, _ := importAliases(pf.ast, "sync")
-	isMutexType := func(t ast.Expr) bool {
-		if a.typed {
-			return isSyncMutex(a.info.Types[t].Type)
-		}
-		sel, ok := t.(*ast.SelectorExpr)
-		if !ok {
-			return false
-		}
-		id, ok := sel.X.(*ast.Ident)
-		if !ok {
-			return false
-		}
-		_, isSync := syncAliases[id.Name]
-		return isSync && (sel.Sel.Name == "Mutex" || sel.Sel.Name == "RWMutex")
-	}
+	isMutexType := func(t ast.Expr) bool { return isSyncMutex(a.info.Types[t].Type) }
 
 	ast.Inspect(pf.ast, func(n ast.Node) bool {
 		ts, ok := n.(*ast.TypeSpec)

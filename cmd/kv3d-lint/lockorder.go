@@ -33,8 +33,7 @@ import (
 // held sets slightly; suppress deliberate exceptions with
 // `//nolint:kv3d -- <why>`.
 //
-// Typed mode only: lock classes and call targets come from resolved
-// types.Objects.
+// Lock classes and call targets come from resolved types.Objects.
 
 // lockFuncFacts accumulates per-function lock behaviour.
 type lockFuncFacts struct {
@@ -62,9 +61,6 @@ type lockEdge struct {
 }
 
 func checkLockOrder(a *analysis) []finding {
-	if !a.typed {
-		return nil
-	}
 	var out []finding
 	for _, pkg := range a.sortedPkgs() {
 		out = append(out, lintPackageLockOrder(a, pkg)...)

@@ -7,13 +7,12 @@
 //
 // It is stdlib-only (go/ast, go/parser, go/token, go/types, go/importer)
 // so it runs with `go run ./cmd/kv3d-lint ./...` in any environment that
-// can build the repo, with no module downloads. Resolution is type-aware
-// by default: stdlib imports are resolved from compiler export data
+// can build the repo, with no module downloads. Resolution is
+// type-aware: stdlib imports are resolved from compiler export data
 // (`go list -deps -export`) and the module's own packages are
 // type-checked from source, so aliased imports, type aliases, embedding
-// and shadowing cannot hide a banned call the way they could from the
-// v1 identifier-matching pass. `-mode=ast` restores the v1 behaviour for
-// toolchain-less environments.
+// and shadowing cannot hide a banned call the way they could from an
+// identifier-matching pass.
 //
 // Checks (see LINTING.md for the full contract):
 //
@@ -23,25 +22,23 @@
 //	              and Ns/Ps/Cycles identifier suffixes) unconverted
 //	purity        sim event callbacks capturing loop vars or mutating globals
 //	lockorder     lock-acquisition-order cycles and lock-held calls into
-//	              methods that re-acquire (typed mode only)
+//	              methods that re-acquire
 //	hotalloc      allocation idioms inside //kv3d:hotpath functions
-//	              (typed mode only)
 //	errdrop       dropped errors at flush/conn-write/renderer sinks
-//	              (typed mode only)
-//	syncguard     CFG-based lockset analysis (typed mode only): inferred
+//	syncguard     CFG-based lockset analysis: inferred
 //	              and annotated guarded-by relations (syncguard/guardedby),
 //	              mixed atomic/plain field access (syncguard/atomic), and
 //	              mutation after publication to another goroutine
 //	              (syncguard/publish)
-//	bufown        alias/escape analysis for borrowed buffers (typed mode
-//	              only): //kv3d:borrowed params and inferred hot-path
-//	              slice params must not be retained past the call
+//	bufown        alias/escape analysis for borrowed buffers:
+//	              //kv3d:borrowed params and inferred hot-path slice
+//	              params must not be retained past the call
 //	              (bufown/retain, bufown/return, bufown/annotation)
-//	poolsafe      sync.Pool discipline (typed mode only): use-after-Put,
-//	              double-Put, Put of an escaped value
+//	poolsafe      sync.Pool discipline: use-after-Put, double-Put, Put
+//	              of an escaped value
 //	lifecycle     every go statement tied to a stop signal
 //	              (lifecycle/untied) and no unbounded spawn loops
-//	              (lifecycle/spawnloop) (typed mode only)
+//	              (lifecycle/spawnloop)
 //
 // Findings print as "file:line:col: [check] message"; `-json` switches
 // to one JSON object per finding (file, line, col, check, message) for
@@ -56,7 +53,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
 	"go/token"
 	"io"
 	"os"
@@ -64,18 +60,6 @@ import (
 	"sort"
 	"strings"
 )
-
-// typedOnlyChecks require go/types resolution and are skipped (with a
-// stderr note) under -mode=ast.
-var typedOnlyChecks = map[string]bool{
-	"lockorder": true,
-	"hotalloc":  true,
-	"errdrop":   true,
-	"syncguard": true,
-	"bufown":    true,
-	"poolsafe":  true,
-	"lifecycle": true,
-}
 
 func main() {
 	os.Exit(run(".", os.Args[1:], os.Stdout, os.Stderr))
@@ -91,12 +75,10 @@ func run(root string, argv []string, stdout, stderr io.Writer) int {
 	checksFlag := fs.String("checks",
 		"determinism,lockcheck,units,purity,lockorder,hotalloc,errdrop,syncguard,bufown,poolsafe,lifecycle",
 		"comma-separated subset of checks to run")
-	modeFlag := fs.String("mode", "typed",
-		"resolution mode: typed (go/types, default) or ast (v1 parse-only fallback)")
 	jsonFlag := fs.Bool("json", false,
 		"emit findings as JSON, one object per line: {file, line, col, check, message}")
 	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: kv3d-lint [-checks list] [-mode typed|ast] [-json] [packages]\n")
+		fmt.Fprintf(fs.Output(), "usage: kv3d-lint [-checks list] [-json] [packages]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(argv); err != nil {
@@ -106,35 +88,15 @@ func run(root string, argv []string, stdout, stderr io.Writer) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	mode := modeTyped
-	switch *modeFlag {
-	case "typed":
-	case "ast":
-		mode = modeAST
-	default:
-		fs.Usage()
-		return 2
-	}
-
-	a, err := load(root, patterns, mode)
+	a, err := load(root, patterns)
 	if err != nil {
 		fmt.Fprintf(stderr, "kv3d-lint: %v\n", err)
 		return 2
 	}
 
 	enabled := map[string]bool{}
-	var skipped []string
 	for _, c := range strings.Split(*checksFlag, ",") {
-		c = strings.TrimSpace(c)
-		if typedOnlyChecks[c] && !a.typed {
-			skipped = append(skipped, c)
-			continue
-		}
-		enabled[c] = true
-	}
-	if len(skipped) > 0 {
-		fmt.Fprintf(stderr, "kv3d-lint: skipping typed-only checks in -mode=ast: %s\n",
-			strings.Join(skipped, ", "))
+		enabled[strings.TrimSpace(c)] = true
 	}
 
 	var findings []finding
@@ -237,37 +199,6 @@ func relPos2(p token.Position) token.Position {
 // directory when possible, matching compiler diagnostics.
 func relPos(p token.Position) string {
 	return relPos2(p).String()
-}
-
-// importAliases returns the local names under which file imports any of
-// the given package paths (an empty map when none are imported). The
-// boolean reports whether one of them was dot-imported. This is the v1
-// (AST-mode) resolution primitive; typed checks use a.info instead.
-func importAliases(f *ast.File, paths ...string) (map[string]string, bool) {
-	want := map[string]bool{}
-	for _, p := range paths {
-		want[p] = true
-	}
-	out := map[string]string{}
-	dot := false
-	for _, imp := range f.Imports {
-		p := strings.Trim(imp.Path.Value, `"`)
-		if !want[p] {
-			continue
-		}
-		name := p[strings.LastIndex(p, "/")+1:]
-		if imp.Name != nil {
-			name = imp.Name.Name
-		}
-		switch name {
-		case ".":
-			dot = true
-		case "_":
-		default:
-			out[name] = p
-		}
-	}
-	return out, dot
 }
 
 // applyNolint drops findings on lines carrying a well-formed

@@ -44,9 +44,9 @@ func TestRunExitCodeInternalErrorIsTwo(t *testing.T) {
 	if code := run(t.TempDir(), []string{"-definitely-not-a-flag"}, &out, &errb); code != 2 {
 		t.Fatalf("bad flag: run = %d, want 2", code)
 	}
-	// Bad -mode value.
-	if code := run(t.TempDir(), []string{"-mode=bogus"}, &out, &errb); code != 2 {
-		t.Fatalf("bad mode: run = %d, want 2", code)
+	// The retired v1 engine's flag is an unknown flag like any other.
+	if code := run(t.TempDir(), []string{"-mode=ast"}, &out, &errb); code != 2 {
+		t.Fatalf("-mode=ast: run = %d, want 2", code)
 	}
 	// Loader failure: a module whose source does not parse.
 	root := writeModuleFiles(t, map[string]string{

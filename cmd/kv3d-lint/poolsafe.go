@@ -36,8 +36,6 @@ import (
 // refactor introduces lands with its discipline already machine-
 // checked. Per-variable tracking only (an alias under another name is
 // the documented limitation, as in syncguard/publish).
-//
-// Typed mode only.
 
 // psState is the per-variable fact lattice of the poolsafe dataflow.
 type psState struct {
@@ -58,9 +56,6 @@ type psCtx struct {
 }
 
 func checkPoolSafe(a *analysis) []finding {
-	if !a.typed {
-		return nil
-	}
 	var out []finding
 	for _, pkg := range a.sortedPkgs() {
 		for _, pf := range pkg.files {

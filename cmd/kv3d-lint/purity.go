@@ -22,7 +22,7 @@ import (
 //     result depend on event interleaving and breaks the "every
 //     experiment owns its state" replayability rule.
 //
-// In typed mode a sink only counts when the named method is defined on
+// A sink only counts when the named method is defined on
 // a type of this module (so `foo.After` on some stdlib type never
 // triggers), and package-level writes are recognized by scope — the
 // assigned object's parent is the package scope — instead of by name,
@@ -47,20 +47,13 @@ func checkPurity(a *analysis) []finding {
 		if pkg.depOnly {
 			continue
 		}
-		pkgVarPos, pkgVarNames := packageLevelVars(pkg)
 		for _, pf := range pkg.files {
 			for _, decl := range pf.ast.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
 				if !ok || fd.Body == nil {
 					continue
 				}
-				w := &purityWalker{
-					a:           a,
-					pkg:         pkg,
-					loopVars:    map[any]token.Pos{},
-					pkgVarPos:   pkgVarPos,
-					pkgVarNames: pkgVarNames,
-				}
+				w := &purityWalker{a: a, pkg: pkg, loopVars: map[any]token.Pos{}}
 				w.walk(fd.Body)
 				out = append(out, w.findings...)
 			}
@@ -69,62 +62,23 @@ func checkPurity(a *analysis) []finding {
 	return out
 }
 
-// packageLevelVars returns the declaration positions of package-level
-// vars (keyed by ident object position) and the set of their names, so
-// the AST fallback can recognize both same-file (resolved) and
-// cross-file (unresolved) references.
-func packageLevelVars(pkg *pkgInfo) (map[token.Pos]string, map[string]bool) {
-	pos := map[token.Pos]string{}
-	names := map[string]bool{}
-	for _, pf := range pkg.files {
-		for _, decl := range pf.ast.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.VAR {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok {
-					continue
-				}
-				for _, id := range vs.Names {
-					if id.Name == "_" {
-						continue
-					}
-					pos[id.Pos()] = id.Name
-					names[id.Name] = true
-				}
-			}
-		}
-	}
-	return pos, names
-}
-
 // purityWalker tracks which loop variables are in scope while walking a
 // function body, and lints callback literals it encounters.
 type purityWalker struct {
-	a           *analysis
-	pkg         *pkgInfo
-	loopVars    map[any]token.Pos
-	pkgVarPos   map[token.Pos]string
-	pkgVarNames map[string]bool
-	findings    []finding
+	a        *analysis
+	pkg      *pkgInfo
+	loopVars map[any]token.Pos
+	findings []finding
 }
 
-// objOf resolves an identifier to a stable object key: the types.Object
-// in typed mode, the parser's ast.Object otherwise.
+// objOf resolves an identifier to a stable object key: its
+// types.Object.
 func (w *purityWalker) objOf(id *ast.Ident) any {
-	if w.a.typed {
-		if o := w.a.info.Defs[id]; o != nil {
-			return o
-		}
-		if o := w.a.info.Uses[id]; o != nil {
-			return o
-		}
-		return nil
+	if o := w.a.info.Defs[id]; o != nil {
+		return o
 	}
-	if id.Obj != nil {
-		return id.Obj
+	if o := w.a.info.Uses[id]; o != nil {
+		return o
 	}
 	return nil
 }
@@ -206,16 +160,12 @@ func (w *purityWalker) removeLoopVars(objs []any) {
 }
 
 // isSink reports whether a call schedules its func-literal argument on
-// the event queue. The AST fallback matches by method name alone; typed
-// mode additionally requires the method to be defined on a type of this
-// module, so same-named stdlib methods never register.
+// the event queue: a method with a sink's name, defined on a type of
+// this module, so same-named stdlib methods never register.
 func (w *purityWalker) isSink(call *ast.CallExpr) string {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || !callbackSinks[sel.Sel.Name] {
 		return ""
-	}
-	if !w.a.typed {
-		return sel.Sel.Name
 	}
 	fn, ok := w.a.info.Uses[sel.Sel].(*types.Func)
 	if !ok {
@@ -247,18 +197,11 @@ func (w *purityWalker) checkCall(call *ast.CallExpr) {
 // isPackageVar reports whether an identifier resolves to a package-level
 // variable of the linted package.
 func (w *purityWalker) isPackageVar(id *ast.Ident) bool {
-	if w.a.typed {
-		v, ok := w.a.info.Uses[id].(*types.Var)
-		if !ok || w.pkg.types == nil {
-			return false
-		}
-		return v.Parent() == w.pkg.types.Scope()
+	v, ok := w.a.info.Uses[id].(*types.Var)
+	if !ok || w.pkg.types == nil {
+		return false
 	}
-	if id.Obj != nil {
-		_, ok := w.pkgVarPos[id.Obj.Pos()]
-		return ok
-	}
-	return w.pkgVarNames[id.Name]
+	return v.Parent() == w.pkg.types.Scope()
 }
 
 func (w *purityWalker) lintCallback(sink string, fl *ast.FuncLit) {

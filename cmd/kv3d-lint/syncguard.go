@@ -46,8 +46,6 @@ import (
 // a value under construction is not yet shared. Escape hatches:
 // `//kv3d:guardedby` / `//kv3d:atomic` field contracts to pin intent,
 // `//nolint:kv3d -- <why>` to suppress a finding.
-//
-// Typed mode only.
 
 const minGuardedSites = 2 // inference threshold K: guarded sites needed before unguarded ones are flagged
 
@@ -98,9 +96,6 @@ type sgCtx struct {
 }
 
 func checkSyncGuard(a *analysis) []finding {
-	if !a.typed {
-		return nil
-	}
 	var out []finding
 	for _, pkg := range a.sortedPkgs() {
 		out = append(out, syncguardPackage(a, pkg)...)

@@ -463,7 +463,7 @@ func TestSyncGuardRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the whole module; skipped in -short")
 	}
-	a, err := load("../..", []string{"./..."}, modeTyped)
+	a, err := load("../..", []string{"./..."})
 	if err != nil {
 		t.Fatalf("load repo: %v", err)
 	}

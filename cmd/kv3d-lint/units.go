@@ -12,7 +12,7 @@ import (
 // checkUnits flags arithmetic and comparisons that mix conflicting time
 // units. Two sources establish an operand's unit:
 //
-//  1. (typed mode) Its resolved type: the defined types sim.Ps and
+//  1. Its resolved type: the defined types sim.Ps and
 //     sim.Ns carry their unit in the type system, and sim.Duration /
 //     sim.Time are picosecond-valued by the kernel's contract, so they
 //     count as Ps.
@@ -29,7 +29,7 @@ import (
 // `float64(x)`) are transparent: they strip the type but not the unit,
 // so the check looks through them.
 //
-// Two additional typed-only rules target absolute timestamps: adding or
+// Two additional rules target absolute timestamps: adding or
 // multiplying two sim.Time values is dimensionally meaningless (a
 // timestamp is a point, not a span), so `t1 + t2` and `t1 * t2` are
 // flagged whenever both operands are typed sim.Time — for ADD unless one
@@ -95,7 +95,7 @@ func (a *analysis) operandUnit(e ast.Expr) (string, string) {
 	case *ast.UnaryExpr:
 		return a.operandUnit(v.X)
 	case *ast.CallExpr:
-		if a.typed && len(v.Args) == 1 {
+		if len(v.Args) == 1 {
 			if tv, ok := a.info.Types[v.Fun]; ok && tv.IsType() {
 				if b, ok := tv.Type.Underlying().(*types.Basic); ok && b.Info()&types.IsNumeric != 0 {
 					return a.operandUnit(v.Args[0])
@@ -114,19 +114,14 @@ func (a *analysis) operandUnit(e ast.Expr) (string, string) {
 // identUnit derives a unit for a named operand: resolved type first,
 // identifier-suffix convention second.
 func (a *analysis) identUnit(e ast.Expr, name string) (string, string) {
-	if a.typed {
-		if u := unitOfType(a.info.Types[e].Type); u != "" {
-			return u, name
-		}
+	if u := unitOfType(a.info.Types[e].Type); u != "" {
+		return u, name
 	}
 	return unitOf(name), name
 }
 
 // isSimTime reports whether an expression's resolved type is sim.Time.
 func (a *analysis) isSimTime(e ast.Expr) bool {
-	if !a.typed {
-		return false
-	}
 	n := namedType(a.info.Types[e].Type)
 	if n == nil {
 		return false
@@ -139,7 +134,7 @@ func (a *analysis) isSimTime(e ast.Expr) bool {
 // conversion call like Time(d).
 func (a *analysis) isConversion(e ast.Expr) bool {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok || !a.typed {
+	if !ok {
 		return false
 	}
 	tv, ok := a.info.Types[call.Fun]

@@ -126,10 +126,8 @@ func TestASCIIGetWithFlightZeroAllocPerOp(t *testing.T) {
 	serve := func(req string) {
 		r := bufio.NewReaderSize(strings.NewReader(req), 4096)
 		w := bufio.NewWriterSize(io.Discard, 4096)
-		sess := protocol.NewSessionBuffered(st, r, w)
-		sess.SetObserver(nullObs, nowNanos)
-		sess.SetFlight(sink, 1)
-		if err := sess.Serve(); err != nil {
+		env := protocol.Env{Observer: nullObs, NowNanos: nowNanos, Flight: sink, FlightEvery: 1}
+		if err := protocol.NewSessionBuffered(st, r, w, env).Serve(); err != nil {
 			t.Fatalf("serve: %v", err)
 		}
 	}
@@ -177,7 +175,7 @@ func serveGets(t *testing.T, st *kvstore.Store, req string) {
 	t.Helper()
 	r := bufio.NewReaderSize(strings.NewReader(req), 4096)
 	w := bufio.NewWriterSize(io.Discard, 4096)
-	sess := protocol.NewSessionBuffered(st, r, w)
+	sess := protocol.NewSessionBuffered(st, r, w, protocol.Env{})
 	if err := sess.Serve(); err != nil {
 		t.Fatalf("serve: %v", err)
 	}
@@ -276,7 +274,7 @@ func TestBinaryGetZeroAllocPerOp(t *testing.T) {
 	serve := func(req []byte) {
 		r := bufio.NewReaderSize(bytes.NewReader(req), 4096)
 		w := bufio.NewWriterSize(io.Discard, 4096)
-		if err := protocol.NewBinarySessionBuffered(st, r, w).Serve(); err != nil {
+		if err := protocol.NewBinarySessionBuffered(st, r, w, protocol.Env{}).Serve(); err != nil {
 			t.Fatalf("serve: %v", err)
 		}
 	}
@@ -375,7 +373,7 @@ func TestBinarySetZeroAllocPerOp(t *testing.T) {
 	serve := func(req []byte) {
 		r := bufio.NewReaderSize(bytes.NewReader(req), 4096)
 		w := bufio.NewWriterSize(io.Discard, 4096)
-		if err := protocol.NewBinarySessionBuffered(st, r, w).Serve(); err != nil {
+		if err := protocol.NewBinarySessionBuffered(st, r, w, protocol.Env{}).Serve(); err != nil {
 			t.Fatalf("serve: %v", err)
 		}
 	}

@@ -137,7 +137,7 @@ func measureLiveMultiget(k, small, large int) (locksPerOp, allocsPerOp float64, 
 	serve := func(req string) error {
 		r := bufio.NewReaderSize(strings.NewReader(req), 4096)
 		w := bufio.NewWriterSize(io.Discard, 4096)
-		return protocol.NewSessionBuffered(st, r, w).Serve()
+		return protocol.NewSessionBuffered(st, r, w, protocol.Env{}).Serve()
 	}
 	measure := func(n int) (locks uint64, mallocs uint64, err error) {
 		req := session(n)

@@ -4,10 +4,10 @@ package kvserver
 // timelines and its own lifecycle events (connection open/close,
 // refusals, drain) into an obs.FlightRecorder ring. Each transport gets
 // its own track so a merged trace shows ASCII, binary, and UDP lanes
-// side by side; binary spans additionally emit async begin/end events
-// keyed by the request's opaque field, which is what lets a client's
-// attempt span line up with this server's handling of that exact
-// request in one Perfetto view.
+// side by side; spans that carry an opaque additionally emit async
+// begin/end events keyed by it, which is what lets a client's attempt
+// span line up with this server's handling of that exact request in one
+// Perfetto view.
 
 import (
 	"kv3d/internal/obs"
@@ -15,12 +15,13 @@ import (
 	"kv3d/internal/sim"
 )
 
-// flightSink adapts one transport's sampled spans onto recorder events.
-// It implements protocol.SpanObserver; sessions call ObserveSpan from
-// their connection goroutines (the recorder ring is the synchronization).
+// flightSink adapts sampled spans onto recorder events, on the track of
+// the codec that served them. It implements protocol.SpanObserver;
+// sessions call ObserveSpan from their connection goroutines (the
+// recorder ring is the synchronization).
 type flightSink struct {
-	rec   *obs.FlightRecorder
-	track obs.TrackID
+	rec           *obs.FlightRecorder
+	ascii, binary obs.TrackID
 }
 
 // ObserveSpan renders one op as an enclosing span (named by class,
@@ -30,27 +31,31 @@ type flightSink struct {
 //
 //kv3d:hotpath
 func (f *flightSink) ObserveSpan(sp protocol.OpSpan) {
+	track := f.ascii
+	if sp.Binary {
+		track = f.binary
+	}
 	name := sp.Class.String()
-	f.rec.Complete(f.track, name, sp.Outcome.String(), sp.Start, sp.End)
-	f.rec.Complete(f.track, "parse", "", sp.Start, sp.ParseDone)
-	f.rec.Complete(f.track, "execute", "", sp.ParseDone, sp.ExecDone)
-	f.rec.Complete(f.track, "write", "", sp.ExecDone, sp.End)
+	f.rec.Complete(track, name, sp.Outcome.String(), sp.Start, sp.End)
+	f.rec.Complete(track, "parse", "", sp.Start, sp.ParseDone)
+	f.rec.Complete(track, "execute", "", sp.ParseDone, sp.ExecDone)
+	f.rec.Complete(track, "write", "", sp.ExecDone, sp.End)
 	if sp.Opaque != 0 {
 		f.rec.AsyncBegin("op", name, sp.Opaque, sp.Start)
 		f.rec.AsyncEnd("op", name, sp.Opaque, sp.End)
 	}
 }
 
-// serverFlight holds the server's recorder wiring: one lifecycle track
-// plus one sink per transport. All fields are set at construction and
-// immutable afterwards.
+// serverFlight holds the server's recorder wiring: one lifecycle track,
+// the sink of stream sessions, and the sink of datagram sessions, whose
+// spans land on the UDP track whichever codec served them. All fields
+// are set at construction and immutable afterwards.
 type serverFlight struct {
-	rec        *obs.FlightRecorder
-	every      int
-	life       obs.TrackID
-	asciiSink  flightSink
-	binarySink flightSink
-	udpSink    flightSink
+	rec       *obs.FlightRecorder
+	every     int
+	life      obs.TrackID
+	streams   flightSink
+	datagrams flightSink
 }
 
 // newServerFlight registers the server's tracks on the recorder.
@@ -58,14 +63,11 @@ func newServerFlight(rec *obs.FlightRecorder, every int) *serverFlight {
 	if every < 1 {
 		every = DefaultFlightEvery
 	}
-	return &serverFlight{
-		rec:        rec,
-		every:      every,
-		life:       rec.RegisterTrack("srv.lifecycle"),
-		asciiSink:  flightSink{rec: rec, track: rec.RegisterTrack("srv.ascii")},
-		binarySink: flightSink{rec: rec, track: rec.RegisterTrack("srv.binary")},
-		udpSink:    flightSink{rec: rec, track: rec.RegisterTrack("srv.udp")},
-	}
+	sf := &serverFlight{rec: rec, every: every, life: rec.RegisterTrack("srv.lifecycle")}
+	sf.streams = flightSink{rec: rec, ascii: rec.RegisterTrack("srv.ascii"), binary: rec.RegisterTrack("srv.binary")}
+	udp := rec.RegisterTrack("srv.udp")
+	sf.datagrams = flightSink{rec: rec, ascii: udp, binary: udp}
+	return sf
 }
 
 // DefaultFlightEvery is the sampling interval used when Options.Flight

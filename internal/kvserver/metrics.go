@@ -208,7 +208,7 @@ func (s *Server) Probes() []obs.Probe {
 	}
 	probes = append(probes, s.ops.Probes()...)
 	probes = append(probes, s.Telemetry().Probes()...)
-	if rp, ok := s.opts.Repl.(*Replicator); ok && rp != nil {
+	if rp, ok := s.sessionEnv().Repl.(*Replicator); ok && rp != nil {
 		probes = append(probes, rp.Probes()...)
 	}
 	if s.opts.Migrator != nil {

@@ -36,8 +36,7 @@ func TestUDPWriteFailureCountsDropped(t *testing.T) {
 	peer := conn.LocalAddr().(*net.UDPAddr)
 	conn.Close() // every WriteToUDP from here on fails
 
-	u := &UDPServer{store: st, conn: conn, ops: srv.ops, nowNanos: srv.nowNanos,
-		sem: make(chan struct{}, 1)}
+	u := &UDPServer{srv: srv, conn: conn, sem: make(chan struct{}, 1)}
 	// handle expects serve's preamble: a semaphore slot held and the
 	// handler registered with the WaitGroup (release undoes both).
 	u.sem <- struct{}{}

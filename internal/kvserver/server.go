@@ -78,8 +78,11 @@ type Server struct {
 	metricsWriteErrors atomic.Uint64
 
 	ops      *OpMetrics
-	gate     *inflightGate
 	nowNanos func() sim.Ns
+	// env is what every session of this server runs with, whichever
+	// transport carries it: built once at construction, Repl replaced
+	// by SetReplicator, read when a connection or datagram arrives.
+	env protocol.Env //kv3d:guardedby mu
 	// flight is nil unless Options.Flight was set; its own fields are
 	// immutable after construction and every recorder call is
 	// internally synchronized.
@@ -132,11 +135,13 @@ func NewWithOptions(store *kvstore.Store, logger *log.Logger, opts Options) *Ser
 		ops:      NewOpMetrics(),
 		nowNanos: now,
 	}
+	s.env = protocol.Env{Observer: s.ops, NowNanos: now, Repl: opts.Repl}
 	if opts.MaxInflight > 0 {
-		s.gate = newInflightGate(opts.MaxInflight, s.ops)
+		s.env.Gate = newInflightGate(opts.MaxInflight, s.ops)
 	}
 	if opts.Flight != nil {
 		s.flight = newServerFlight(opts.Flight, opts.FlightEvery)
+		s.env.Flight, s.env.FlightEvery = &s.flight.streams, s.flight.every
 	}
 	return s
 }
@@ -165,9 +170,21 @@ func (s *Server) Listen(addr string) error {
 // It exists for a wiring-order reason: a Replicator's Self is the
 // node's serving address, which an ephemeral-port server only knows
 // after Listen — so the caller listens, builds the Replicator from
-// Addr, then installs it. Call before Serve; sessions read the hook
-// when their connection arrives.
-func (s *Server) SetReplicator(r protocol.Replicator) { s.opts.Repl = r }
+// Addr, then installs it. Sessions read the hook when their connection
+// or datagram arrives, so call it before Serve and before the first UDP
+// request, in either order with Listen and ListenUDP.
+func (s *Server) SetReplicator(r protocol.Replicator) {
+	s.mu.Lock()
+	s.env.Repl = r
+	s.mu.Unlock()
+}
+
+// sessionEnv is the env a session starting now runs with.
+func (s *Server) sessionEnv() protocol.Env {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.env
+}
 
 // SetMigrator attaches a caller-owned Migrator so its live.migrate.*
 // counters surface through Probes, under the same call-before-Serve
@@ -274,41 +291,7 @@ func (s *Server) handle(conn net.Conn) {
 	if s.opts.IdleTimeout > 0 {
 		rw = &deadlineRW{conn: conn, timeout: s.opts.IdleTimeout}
 	}
-	// Sniff the first byte: 0x80 selects the binary protocol, anything
-	// else the ASCII protocol — the same dual-listener behaviour as
-	// memcached's auto-negotiation.
-	br, bw := protocol.NewBufferedPair(rw)
-	first, err := br.Peek(1)
-	if err != nil {
-		return // connection closed before any request
-	}
-	if first[0] == protocol.MagicRequest {
-		sess := protocol.NewBinarySessionBuffered(s.store, br, bw)
-		sess.SetObserver(s.ops, s.nowNanos)
-		if s.gate != nil {
-			sess.SetGate(s.gate)
-		}
-		if s.flight != nil {
-			sess.SetFlight(&s.flight.binarySink, s.flight.every)
-		}
-		if s.opts.Repl != nil {
-			sess.SetReplicator(s.opts.Repl)
-		}
-		err = sess.Serve()
-	} else {
-		sess := protocol.NewSessionBuffered(s.store, br, bw)
-		sess.SetObserver(s.ops, s.nowNanos)
-		if s.gate != nil {
-			sess.SetGate(s.gate)
-		}
-		if s.flight != nil {
-			sess.SetFlight(&s.flight.asciiSink, s.flight.every)
-		}
-		if s.opts.Repl != nil {
-			sess.SetReplicator(s.opts.Repl)
-		}
-		err = sess.Serve()
-	}
+	err := protocol.ServeConn(s.store, rw, s.sessionEnv())
 	if err != nil && s.log != nil {
 		s.log.Printf("kvserver: connection %s: %v", conn.RemoteAddr(), err)
 	}

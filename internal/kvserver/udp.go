@@ -1,14 +1,13 @@
 package kvserver
 
 import (
+	"bufio"
 	"bytes"
 	"net"
 	"sync"
 	"sync/atomic"
 
-	"kv3d/internal/kvstore"
 	"kv3d/internal/protocol"
-	"kv3d/internal/sim"
 )
 
 // UDP support. The frame format and parser live in internal/protocol
@@ -28,17 +27,16 @@ const (
 	udpMaxInflight = 128
 )
 
-// UDPServer answers memcached ASCII commands over UDP.
+// UDPServer answers memcached ASCII commands over UDP: datagram framing
+// around the same sessions, with the same dependencies, as the server's
+// TCP connections.
 type UDPServer struct {
-	store    *kvstore.Store
-	conn     *net.UDPConn
-	ops      *OpMetrics
-	nowNanos func() sim.Ns
+	srv  *Server
+	conn *net.UDPConn
 
 	// flight sampling happens per datagram (sessions are one-shot, so a
 	// per-session counter would trace every first op): one datagram in
-	// every flight.every gets its ops traced on the srv.udp track.
-	flight    *serverFlight
+	// every FlightEvery gets its ops traced on the srv.udp track.
 	flightSeq atomic.Uint64
 
 	mu     sync.Mutex
@@ -64,10 +62,7 @@ func (s *Server) ListenUDP(addr string) (*UDPServer, error) {
 	if err != nil {
 		return nil, err
 	}
-	u := &UDPServer{
-		store: s.store, conn: conn, ops: s.ops, nowNanos: s.nowNanos, flight: s.flight,
-		sem: make(chan struct{}, udpMaxInflight),
-	}
+	u := &UDPServer{srv: s, conn: conn, sem: make(chan struct{}, udpMaxInflight)}
 	go u.serve()
 	return u, nil
 }
@@ -140,54 +135,52 @@ func (u *UDPServer) drop() {
 	u.statsMu.Unlock()
 }
 
-// udpExchange adapts a request datagram and a response buffer to the
-// io.ReadWriter the protocol session expects.
-type udpExchange struct {
-	in  *bytes.Reader
-	out bytes.Buffer
-}
-
-func (e *udpExchange) Read(p []byte) (int, error)  { return e.in.Read(p) }
-func (e *udpExchange) Write(p []byte) (int, error) { return e.out.Write(p) }
-
 // handle runs the ASCII command(s) in one datagram and sends the
-// (possibly fragmented) response. The caller (serve) has already
-// acquired a semaphore slot and registered the handler with the
-// WaitGroup; the deferred release undoes both.
+// (possibly fragmented) response. The session's buffers are sized to
+// the datagram: a reader over the payload (which never blocks, so
+// replies appear as the writer fills and when Serve returns) and a
+// writer of one fragment. The caller (serve) has already acquired a
+// semaphore slot and registered the handler with the WaitGroup; the
+// deferred release undoes both.
 //
 //kv3d:hotpath
 func (u *UDPServer) handle(reqID uint16, payload []byte, peer *net.UDPAddr) {
 	defer u.release()
-	rw := &udpExchange{in: bytes.NewReader(payload)}
-	sess := protocol.NewSession(u.store, rw)
-	sess.SetObserver(u.ops, u.nowNanos)
-	if u.flight != nil && (u.flightSeq.Add(1)-1)%uint64(u.flight.every) == 0 {
-		sess.SetFlight(&u.flight.udpSink, 1)
+	env := u.srv.sessionEnv()
+	if env.Flight != nil {
+		if (u.flightSeq.Add(1)-1)%uint64(env.FlightEvery) == 0 {
+			env.Flight, env.FlightEvery = &u.srv.flight.datagrams, 1
+		} else {
+			env.Flight = nil
+		}
 	}
-	_ = sess.Serve() //nolint:kv3d -- errors end the session; whatever response was produced still goes back to the peer
+	// The reply is staged behind room for one frame header, so every
+	// fragment goes out from where it lies.
+	var resp bytes.Buffer
+	var room [udpHeaderLen]byte
+	resp.Write(room[:])
+	r := bufio.NewReaderSize(bytes.NewReader(payload), len(payload))
+	w := bufio.NewWriterSize(&resp, udpMaxPayload)
+	_ = protocol.NewSessionBuffered(u.srv.store, r, w, env).Serve() //nolint:kv3d -- errors end the session; whatever response was produced still goes back to the peer
 
-	resp := rw.out.Bytes()
-	total := (len(resp) + udpMaxPayload - 1) / udpMaxPayload
-	if total == 0 {
-		total = 1
-	}
+	out := resp.Bytes()
+	total := max(1, (len(out)-udpHeaderLen+udpMaxPayload-1)/udpMaxPayload)
 	if total > 0xffff {
 		u.drop()
 		return
 	}
-	frame := make([]byte, udpHeaderLen+udpMaxPayload)
 	for seq := 0; seq < total; seq++ {
-		protocol.PutUDPHeader(frame, reqID, uint16(seq), uint16(total))
-		chunk := resp[seq*udpMaxPayload:]
-		if len(chunk) > udpMaxPayload {
-			chunk = chunk[:udpMaxPayload]
+		// Fragment seq's header overwrites the last bytes of fragment
+		// seq-1's payload, which has been sent.
+		frame := out[seq*udpMaxPayload:]
+		if len(frame) > udpHeaderLen+udpMaxPayload {
+			frame = frame[:udpHeaderLen+udpMaxPayload]
 		}
-		n := copy(frame[udpHeaderLen:], chunk)
-		if _, err := u.conn.WriteToUDP(frame[:udpHeaderLen+n], peer); err != nil {
+		protocol.PutUDPHeader(frame, reqID, uint16(seq), uint16(total))
+		if _, err := u.conn.WriteToUDP(frame, peer); err != nil {
 			// A datagram that never reached the peer is neither handled
 			// nor silently gone: count it so Dropped() reflects response
-			// losses, not just malformed requests (previously this path
-			// returned without touching either counter).
+			// losses, not just malformed requests.
 			u.drop()
 			return
 		}

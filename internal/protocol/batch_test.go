@@ -152,9 +152,7 @@ func TestASCIITouchFlushReplicate(t *testing.T) {
 			"touch missing 5\r\n" + // local NOT_FOUND: nothing to replicate
 			"flush_all 60\r\n" +
 			"flush_all\r\n"))}
-	sess := NewSession(st, buf)
-	sess.SetReplicator(rec)
-	if err := sess.Serve(); err != nil {
+	if err := ServeConn(st, buf, Env{Repl: rec}); err != nil {
 		t.Fatalf("serve: %v", err)
 	}
 	if len(rec.touches) != 1 || rec.touches[0] != (replTouchRec{"k", 300, ReplDefault}) {
@@ -176,9 +174,7 @@ func TestASCIITouchFlushReplicationFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := &rwBuffer{in: bytes.NewReader([]byte("touch k 300\r\nflush_all\r\n"))}
-	sess := NewSession(st, buf)
-	sess.SetReplicator(rec)
-	if err := sess.Serve(); err != nil {
+	if err := ServeConn(st, buf, Env{Repl: rec}); err != nil {
 		t.Fatalf("serve: %v", err)
 	}
 	lines := strings.Split(strings.TrimRight(buf.out.String(), "\r\n"), "\r\n")
@@ -226,9 +222,7 @@ func TestBinaryTouchFlushQuorumShortfall(t *testing.T) {
 	in.Write(frameVb(OpTouch, "k", touchExtras(120), nil, uint16(ReplQuorum), 1))
 	in.Write(frameVb(OpFlush, "", nil, nil, uint16(ReplQuorum), 2))
 	buf := &rwBuffer{in: bytes.NewReader(in.Bytes())}
-	sess := NewBinarySession(st, buf)
-	sess.SetReplicator(rec)
-	if err := sess.Serve(); err != nil {
+	if err := ServeConn(st, buf, Env{Repl: rec}); err != nil {
 		t.Fatalf("serve: %v", err)
 	}
 	rs := parseResponses(t, buf.out.Bytes())

@@ -1,7 +1,7 @@
 package protocol
 
 // The memcached binary protocol: 24-byte framed requests/responses with
-// quiet (pipelined) variants. kvserver sniffs the first byte of a
+// quiet (pipelined) variants. ServeConn sniffs the first byte of a
 // connection (0x80) and routes it here; everything else speaks the ASCII
 // protocol. Opcode coverage matches memcached 1.4: get/getq/getk/getkq,
 // set/add/replace (+quiet), delete(+q), incr/decr(+q), append/prepend
@@ -16,7 +16,6 @@ import (
 	"strconv"
 
 	"kv3d/internal/kvstore"
-	"kv3d/internal/sim"
 )
 
 // Binary protocol magic bytes.
@@ -103,164 +102,52 @@ func parseBinHeader(buf []byte) binHeader {
 	}
 }
 
-// BinarySession serves the binary protocol on one connection.
+// BinarySession serves the binary protocol on one connection: the
+// binary codec around the session core.
 type BinarySession struct {
-	store *kvstore.Store
-	r     *bufio.Reader
-	w     *bufio.Writer
-	body  []byte // reused frame body buffer
-	val   []byte // reused get value buffer
+	core
+	body []byte // reused frame body buffer
+	val  []byte // reused get value buffer
 	// Fixed-size scratch for the request header, the response header and
 	// a get's flags extras: locals would escape to the heap through the
 	// io.Reader/io.Writer interfaces, one allocation each per frame.
 	reqHdr, respHdr [binHeaderLen]byte
 	flags           [4]byte
-
-	// Optional per-op observation, as on Session.
-	obs      Observer
-	nowNanos func() sim.Ns
-
-	// Optional sampled flight tracing, as on Session. Binary spans
-	// carry the request's opaque field as the correlation key.
-	flight      SpanObserver
-	flightEvery uint64
-	flightSeq   uint64
-	spanActive  bool
-	tParse      sim.Ns
-	tExec       sim.Ns
-
-	// Optional admission gate, as on Session.
-	gate Gate
-
-	// Optional replica fan-out hook; nil means every write is local.
-	repl Replicator
+	// h is the header of the frame being served.
+	h binHeader
 }
 
-// SetGate installs an in-flight admission gate; call before Serve.
-func (s *BinarySession) SetGate(g Gate) { s.gate = g }
-
-// SetReplicator installs the replica fan-out hook; call before Serve.
-// Successful stores and deletes are handed to it with the request's
-// vbucket-carried ReplMode (ReplLocal frames are never re-replicated).
-func (s *BinarySession) SetReplicator(r Replicator) { s.repl = r }
-
-// SetObserver installs a per-op observer and the nanosecond clock used
-// to time commands; call before Serve.
-func (s *BinarySession) SetObserver(o Observer, nowNanos func() sim.Ns) {
-	s.obs = o
-	s.nowNanos = nowNanos
-}
-
-// SetFlight installs a sampled per-op span observer, as on
-// Session.SetFlight. Spans use the observer clock from SetObserver.
-func (s *BinarySession) SetFlight(f SpanObserver, every int) {
-	s.flight = f
-	if every < 1 {
-		every = 1
-	}
-	s.flightEvery = uint64(every)
-}
-
-//kv3d:hotpath
-func (s *BinarySession) beginSpan() {
-	if s.flight == nil {
-		return
-	}
-	n := s.flightSeq
-	s.flightSeq++
-	if n%s.flightEvery != 0 {
-		return
-	}
-	s.spanActive = true
-	s.tParse = 0
-	s.tExec = 0
-}
-
-//kv3d:hotpath
-func (s *BinarySession) markParse() {
-	if s.spanActive && s.tParse == 0 {
-		s.tParse = s.nowNanos()
-	}
-}
-
-// markExec stamps the end of the store-execute phase; first call wins,
-// so multi-frame responders (doStat) measure up to their first write.
-//
-//kv3d:hotpath
-func (s *BinarySession) markExec() {
-	if s.spanActive && s.tExec == 0 {
-		s.tExec = s.nowNanos()
-	}
-}
-
-//kv3d:hotpath
-func (s *BinarySession) endSpan(class OpClass, out Outcome, opaque uint64, start, end sim.Ns) {
-	if !s.spanActive {
-		return
-	}
-	s.spanActive = false
-	p, e := s.tParse, s.tExec
-	if p == 0 {
-		p = start
-	}
-	if e == 0 {
-		e = p
-	}
-	s.flight.ObserveSpan(OpSpan{
-		Start: start, ParseDone: p, ExecDone: e, End: end,
-		Opaque: opaque, Class: class, Outcome: out,
-	})
-}
-
-// NewBinarySession serves the binary protocol on a transport. The caller
-// must have consumed nothing from the stream (the magic byte is read
-// here).
+// NewBinarySession serves the binary protocol on a transport, with no
+// dependencies (the zero Env). The caller must have consumed nothing
+// from the stream (the magic byte is read here).
 func NewBinarySession(store *kvstore.Store, rw io.ReadWriter) *BinarySession {
 	r, w := NewBufferedPair(rw)
-	return NewBinarySessionBuffered(store, r, w)
+	return NewBinarySessionBuffered(store, r, w, Env{})
 }
 
 // NewBinarySessionBuffered wraps pre-existing buffered I/O, as
 // NewSessionBuffered does.
-func NewBinarySessionBuffered(store *kvstore.Store, r *bufio.Reader, w *bufio.Writer) *BinarySession {
-	return &BinarySession{store: store, r: r, w: w}
+func NewBinarySessionBuffered(store *kvstore.Store, r *bufio.Reader, w *bufio.Writer, env Env) *BinarySession {
+	s := &BinarySession{core: newCore(store, r, w, env)}
+	s.binary = true
+	return s
 }
 
-// Serve processes frames until quit, EOF, or a transport error. As on
-// the ASCII session, a failed final flush is reported, not swallowed.
-func (s *BinarySession) Serve() error {
-	for {
-		err := s.serveOne()
-		switch {
-		case err == nil:
-			continue
-		case errors.Is(err, ErrQuit), errors.Is(err, io.EOF):
-			return s.w.Flush()
-		default:
-			return errors.Join(err, s.w.Flush())
-		}
-	}
-}
+// Serve processes frames until quit, the peer leaving, or a transport
+// error; see core.serve.
+func (s *BinarySession) Serve() error { return s.serve(s) }
 
-// serveOne reads and executes one binary frame.
+// next reads and validates one frame header. The op clock starts after
+// this (possibly idle) blocking read, so the parse phase covers body
+// read and field split but not time spent waiting for a request to
+// arrive. A malformed header ends the session.
 //
 //kv3d:hotpath
-func (s *BinarySession) serveOne() error {
+func (s *BinarySession) next() error {
 	if _, err := io.ReadFull(s.r, s.reqHdr[:]); err != nil {
-		if errors.Is(err, io.ErrUnexpectedEOF) {
-			return io.EOF
-		}
 		return err
 	}
 	h := parseBinHeader(s.reqHdr[:])
-	// The op clock starts after the (possibly idle) blocking header
-	// read, so the parse phase covers body read and field split but not
-	// time spent waiting for a request to arrive.
-	timed := s.obs != nil && s.nowNanos != nil
-	var start sim.Ns
-	if timed {
-		start = s.nowNanos()
-	}
 	if h.magic != MagicRequest {
 		return fmt.Errorf("protocol: bad binary magic %#02x", h.magic)
 	}
@@ -270,78 +157,67 @@ func (s *BinarySession) serveOne() error {
 	if int(h.extrasLen)+int(h.keyLen) > int(h.bodyLen) {
 		return fmt.Errorf("protocol: binary frame lengths inconsistent")
 	}
+	s.h = h
+	return nil
+}
+
+// tag classifies the opcode; binary spans carry the request's opaque
+// field as the correlation key.
+func (s *BinarySession) tag() (OpClass, uint64) {
+	return classifyOpcode(s.h.opcode), uint64(s.h.opaque)
+}
+
+// readBody reads the frame's body into the reused buffer and splits it;
+// the three slices are valid until the next frame is read.
+//
+//kv3d:hotpath
+func (s *BinarySession) readBody() (extras, key, value []byte, err error) {
+	h := s.h
 	if cap(s.body) < int(h.bodyLen) {
 		s.body = make([]byte, h.bodyLen)
 	}
 	body := s.body[:h.bodyLen]
 	if _, err := io.ReadFull(s.r, body); err != nil {
-		return err
+		return nil, nil, nil, err
 	}
-	extras := body[:h.extrasLen]
-	key := body[h.extrasLen : int(h.extrasLen)+int(h.keyLen)]
-	value := body[int(h.extrasLen)+int(h.keyLen):]
-	if timed {
-		s.beginSpan()
-		s.markParse()
-	}
-
-	// The frame (header and body) has been fully consumed, so a busy
-	// refusal here cannot desynchronize the stream. Quiet variants are
-	// shed silently; quit still quits. Shed frames are observed with
-	// OutcomeBusy so refusals stay visible in latency accounting.
-	if s.gate != nil && !s.gate.TryAcquire() {
-		var shedErr error
-		quitting := false
-		switch {
-		case h.opcode == OpQuit:
-			shedErr = s.respond(h, StatusOK, nil, nil, nil, 0)
-			quitting = true
-		case h.opcode == OpQuitQ:
-			quitting = true
-		case quiet(h.opcode):
-			// silent shed
-		default:
-			shedErr = s.respond(h, StatusBusy, nil, nil, []byte("busy"), 0)
-		}
-		if timed {
-			end := s.nowNanos()
-			class := classifyOpcode(h.opcode)
-			s.obs.ObserveOp(class, OutcomeBusy, end-start)
-			s.endSpan(class, OutcomeBusy, uint64(h.opaque), start, end)
-		}
-		if quitting {
-			// The session ends either way; ErrQuit carries the outcome
-			// even if the farewell respond failed.
-			return ErrQuit
-		}
-		return shedErr
-	}
-
-	if timed {
-		err := s.dispatch(h, extras, key, value)
-		end := s.nowNanos()
-		class := classifyOpcode(h.opcode)
-		out := outcomeOf(err)
-		s.obs.ObserveOp(class, out, end-start)
-		s.endSpan(class, out, uint64(h.opaque), start, end)
-		if s.gate != nil {
-			s.gate.Release()
-		}
-		return err
-	}
-	err := s.dispatch(h, extras, key, value)
-	if s.gate != nil {
-		s.gate.Release()
-	}
-	return err
+	s.markParse()
+	nk := int(h.extrasLen) + int(h.keyLen)
+	return body[:h.extrasLen], body[h.extrasLen:nk], body[nk:], nil
 }
 
-// dispatch executes one parsed frame. The get and store families keep
-// their key as bytes of the frame body all the way into the store; every
-// other opcode crosses into the string-keyed API.
+// shed refuses one frame while the server is over its in-flight cap.
+// The body is consumed first, so the refusal cannot desynchronize the
+// stream. Quiet variants are shed silently; quit still quits.
+func (s *BinarySession) shed() error {
+	if _, _, _, err := s.readBody(); err != nil {
+		return err
+	}
+	h := s.h
+	switch {
+	case h.opcode == OpQuit:
+		// The session ends either way; ErrQuit carries the outcome even
+		// if the farewell respond failed.
+		s.respond(h, StatusOK, nil, nil, nil, 0)
+		return ErrQuit
+	case h.opcode == OpQuitQ:
+		return ErrQuit
+	case quiet(h.opcode):
+		return nil
+	}
+	return s.respond(h, StatusBusy, nil, nil, []byte("busy"), 0)
+}
+
+// exec reads the frame's body and executes it. The get and store
+// families keep their key as bytes of the frame body all the way into
+// the store; every other opcode crosses into the string-keyed API.
 //
 //kv3d:hotpath
-func (s *BinarySession) dispatch(h binHeader, extras, keyB, value []byte) error {
+func (s *BinarySession) exec() error {
+	h := s.h
+	extras, keyB, value, err := s.readBody()
+	if err != nil {
+		return err
+	}
 	switch h.opcode {
 	case OpGet, OpGetQ, OpGetK, OpGetKQ:
 		return s.doGet(h, keyB)
@@ -468,12 +344,8 @@ func (s *BinarySession) doStore(h binHeader, extras, key, value []byte) error {
 	// winning value (last-writer-wins), they do not re-run the guard. A
 	// quorum shortfall is reported even on quiet opcodes — the client
 	// asked for an acknowledgement guarantee, so silence would lie.
-	if s.repl != nil {
-		if mode := ReplModeFromVbucket(h.status); mode != ReplLocal {
-			if rerr := s.repl.ReplicateSet(string(key), value, flags, exptime, mode); rerr != nil {
-				return s.respond(h, StatusNoQuorum, nil, nil, []byte(rerr.Error()), 0)
-			}
-		}
+	if rerr := s.replicateSet(key, value, flags, exptime, ReplModeFromVbucket(h.status)); rerr != nil {
+		return s.respond(h, StatusNoQuorum, nil, nil, []byte(rerr.Error()), 0)
 	}
 	if quiet(h.opcode) {
 		return nil
@@ -505,12 +377,8 @@ func (s *BinarySession) doDelete(h binHeader, key string) error {
 		}
 		return s.respond(h, StatusKeyNotFound, nil, nil, binNotFound, 0)
 	}
-	if s.repl != nil {
-		if mode := ReplModeFromVbucket(h.status); mode != ReplLocal {
-			if rerr := s.repl.ReplicateDelete(key, mode); rerr != nil {
-				return s.respond(h, StatusNoQuorum, nil, nil, []byte(rerr.Error()), 0)
-			}
-		}
+	if rerr := s.replicateDelete(key, ReplModeFromVbucket(h.status)); rerr != nil {
+		return s.respond(h, StatusNoQuorum, nil, nil, []byte(rerr.Error()), 0)
 	}
 	if quiet(h.opcode) {
 		return nil
@@ -554,13 +422,8 @@ func (s *BinarySession) doTouch(h binHeader, extras []byte, key string) error {
 	if err := s.store.Touch(key, exptime); err != nil {
 		return s.respond(h, StatusKeyNotFound, nil, nil, binNotFound, 0)
 	}
-	// TTL updates fan out like sets; see Replicator.ReplicateTouch.
-	if s.repl != nil {
-		if mode := ReplModeFromVbucket(h.status); mode != ReplLocal {
-			if rerr := s.repl.ReplicateTouch(key, exptime, mode); rerr != nil {
-				return s.respond(h, StatusNoQuorum, nil, nil, []byte(rerr.Error()), 0)
-			}
-		}
+	if rerr := s.replicateTouch(key, exptime, ReplModeFromVbucket(h.status)); rerr != nil {
+		return s.respond(h, StatusNoQuorum, nil, nil, []byte(rerr.Error()), 0)
 	}
 	return s.respond(h, StatusOK, nil, nil, nil, 0)
 }
@@ -581,13 +444,8 @@ func (s *BinarySession) doFlush(h binHeader, extras []byte) error {
 		return s.respond(h, StatusInvalidArgs, nil, nil, []byte("Invalid arguments"), 0)
 	}
 	s.store.FlushAll(delay)
-	// flush_all reaches replicas too; see Replicator.ReplicateFlush.
-	if s.repl != nil {
-		if mode := ReplModeFromVbucket(h.status); mode != ReplLocal {
-			if rerr := s.repl.ReplicateFlush(delay, mode); rerr != nil {
-				return s.respond(h, StatusNoQuorum, nil, nil, []byte(rerr.Error()), 0)
-			}
-		}
+	if rerr := s.replicateFlush(delay, ReplModeFromVbucket(h.status)); rerr != nil {
+		return s.respond(h, StatusNoQuorum, nil, nil, []byte(rerr.Error()), 0)
 	}
 	if quiet(h.opcode) {
 		return nil
@@ -595,20 +453,10 @@ func (s *BinarySession) doFlush(h binHeader, extras []byte) error {
 	return s.respond(h, StatusOK, nil, nil, nil, 0)
 }
 
+// doStat sends the rows of the ASCII stats command, one frame each.
 func (s *BinarySession) doStat(h binHeader) error {
-	st := s.store.Stats()
-	pairs := [][2]string{
-		{"version", Version},
-		{"curr_items", strconv.FormatUint(st.CurrItems, 10)},
-		{"total_items", strconv.FormatUint(st.TotalItems, 10)},
-		{"get_hits", strconv.FormatUint(st.GetHits, 10)},
-		{"get_misses", strconv.FormatUint(st.GetMisses, 10)},
-		{"cmd_set", strconv.FormatUint(st.Sets, 10)},
-		{"evictions", strconv.FormatUint(st.Evictions, 10)},
-		{"bytes", strconv.FormatInt(st.BytesUsed, 10)},
-	}
-	for _, p := range pairs {
-		if err := s.respond(h, StatusOK, nil, []byte(p[0]), []byte(p[1]), 0); err != nil {
+	for _, row := range statRows(s.store.Stats()) {
+		if err := s.respond(h, StatusOK, nil, []byte(row[0]), []byte(row[1]), 0); err != nil {
 			return err
 		}
 	}

@@ -3,6 +3,7 @@ package protocol
 import (
 	"bytes"
 	"encoding/binary"
+	"strings"
 	"testing"
 
 	"kv3d/internal/kvstore"
@@ -287,7 +288,7 @@ func TestBinaryQuietSetPipelined(t *testing.T) {
 }
 
 func TestBinaryStat(t *testing.T) {
-	st := newStore(t)
+	st := newClockStore(t, 1000)
 	h := st
 	rs := runBinary(t, h,
 		frame(OpSet, "k", setExtras(0, 0), []byte("v"), 0, 0),
@@ -306,6 +307,14 @@ func TestBinaryStat(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("stat must include cmd_set")
+	}
+	// The rows are the ASCII stats rows: same names, order and values.
+	var rows strings.Builder
+	for _, r := range rs[1 : len(rs)-1] {
+		rows.WriteString("STAT " + r.key + " " + string(r.value) + "\r\n")
+	}
+	if got, want := rows.String()+"END\r\n", run(t, st, "stats\r\n"); got != want {
+		t.Fatalf("binary stat rows %q differ from ASCII stats %q", got, want)
 	}
 }
 

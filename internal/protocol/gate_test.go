@@ -39,9 +39,7 @@ func admitAll(n int) *stepGate {
 func runGated(t *testing.T, gate Gate, input string) string {
 	t.Helper()
 	buf := &rwBuffer{in: bytes.NewReader([]byte(input))}
-	sess := NewSession(newStore(t), buf)
-	sess.SetGate(gate)
-	if err := sess.Serve(); err != nil {
+	if err := ServeConn(newStore(t), buf, Env{Gate: gate}); err != nil {
 		t.Fatalf("serve: %v", err)
 	}
 	return buf.out.String()
@@ -110,9 +108,7 @@ func TestBinaryGateShedsWithStatusBusy(t *testing.T) {
 	input.Write(frame(OpQuit, ""))
 
 	buf := &rwBuffer{in: bytes.NewReader(input.Bytes())}
-	sess := NewBinarySession(newStore(t), buf)
-	sess.SetGate(&stepGate{})
-	if err := sess.Serve(); err != nil && !errors.Is(err, io.EOF) {
+	if err := ServeConn(newStore(t), buf, Env{Gate: &stepGate{}}); err != nil && !errors.Is(err, io.EOF) {
 		t.Fatalf("serve: %v", err)
 	}
 	out := buf.out.Bytes()

@@ -67,8 +67,11 @@ func (o Outcome) String() string {
 	}
 }
 
-// outcomeOf maps a dispatch result onto an outcome. A clean quit and a
-// client EOF end the session without being command failures.
+// outcomeOf maps what executing a request returned onto an outcome. A
+// quit is a command that succeeded. Everything else that ends the
+// session is OutcomeError — including a peer that left inside the
+// request (its data block or frame body never arrived in full): the
+// session then ends cleanly, but that command did not run.
 func outcomeOf(err error) Outcome {
 	if err == nil || errors.Is(err, ErrQuit) {
 		return OutcomeOK
@@ -95,6 +98,7 @@ type Observer interface {
 // protocol's opaque field (0 on ASCII/UDP, where no request id crosses
 // the wire) — the correlation key that lets a merged trace line a
 // client attempt up with the server's handling of that exact request.
+// Binary names the codec that served it.
 type OpSpan struct {
 	Start     sim.Ns
 	ParseDone sim.Ns
@@ -103,6 +107,7 @@ type OpSpan struct {
 	Opaque    uint64
 	Class     OpClass
 	Outcome   Outcome
+	Binary    bool
 }
 
 // SpanObserver receives sampled per-op phase spans. Implementations
@@ -113,30 +118,11 @@ type SpanObserver interface {
 	ObserveSpan(sp OpSpan)
 }
 
-// classifyVerbBytes maps a raw ASCII verb token onto its class. The
-// string conversion happens only inside the switch comparison, which
-// does not allocate (unlike passing string(verb) to classifyVerb,
-// which would depend on mid-stack inlining to stay alloc-free).
-func classifyVerbBytes(verb []byte) OpClass {
+// classifyVerb maps a raw ASCII verb token onto its class. The string
+// conversion happens only inside the switch comparison, which does not
+// allocate.
+func classifyVerb(verb []byte) OpClass {
 	switch string(verb) {
-	case "get", "gets":
-		return ClassGet
-	case "set", "add", "replace", "append", "prepend", "cas":
-		return ClassStore
-	case "delete":
-		return ClassDelete
-	case "incr", "decr":
-		return ClassArith
-	case "touch":
-		return ClassTouch
-	default:
-		return ClassOther
-	}
-}
-
-// classifyVerb maps an ASCII verb onto its class.
-func classifyVerb(verb string) OpClass {
-	switch verb {
 	case "get", "gets":
 		return ClassGet
 	case "set", "add", "replace", "append", "prepend", "cas":

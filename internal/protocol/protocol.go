@@ -15,7 +15,6 @@ import (
 	"strings"
 
 	"kv3d/internal/kvstore"
-	"kv3d/internal/sim"
 )
 
 // Version is reported by the "version" command.
@@ -41,26 +40,14 @@ const (
 // maxLineLen bounds a command line, mirroring memcached's 2048 limit.
 const maxLineLen = 2048
 
-// ErrQuit is returned by Session.Serve when the client sent quit.
+// ErrQuit is what executing quit returns: it ends the session cleanly
+// (Serve returns nil) and is observed as a command that succeeded.
 var ErrQuit = errors.New("protocol: client quit")
 
-// Gate admits requests under a server-wide in-flight cap. TryAcquire
-// is called before dispatching each command; if it refuses, the session
-// answers busy instead of executing, and Release is not called. The
-// implementation must be safe for concurrent use from all connection
-// goroutines (kvserver's is a buffered-channel semaphore).
-type Gate interface {
-	// TryAcquire claims an execution slot without blocking.
-	TryAcquire() bool
-	// Release returns a slot claimed by TryAcquire.
-	Release()
-}
-
-// Session serves the memcached protocol on one connection.
+// Session serves the memcached ASCII protocol on one connection: the
+// ASCII codec around the session core.
 type Session struct {
-	store *kvstore.Store
-	r     *bufio.Reader
-	w     *bufio.Writer
+	core
 	// scratch buffers reused across requests to keep the hot path
 	// allocation-free.
 	valBuf  []byte
@@ -71,237 +58,60 @@ type Session struct {
 	keyBuf   [][]byte
 	batchBuf []kvstore.BatchResult
 	batchScr kvstore.BatchScratch
-
-	// Optional per-op observation; the clock is injected by the server
-	// layer so this package never reads wall time itself.
-	obs      Observer
-	nowNanos func() sim.Ns
-
-	// Optional sampled flight tracing (requires an observer clock):
-	// every flightEvery-th op gets a phase-split OpSpan. spanActive and
-	// the t* stamps are per-command scratch, valid only inside serveOne.
-	flight      SpanObserver
-	flightEvery uint64
-	flightSeq   uint64
-	spanActive  bool
-	tParse      sim.Ns
-	tExec       sim.Ns
-
-	// Optional admission gate; nil means unlimited.
-	gate Gate
-
-	// Optional replica fan-out hook; nil means every write is local.
-	// The ASCII protocol has no spare request field for a per-op mode,
-	// so ASCII writes always replicate with the server default.
-	repl Replicator
+	// verb and rest split the command line being served; both alias
+	// lineBuf and are valid until next reads the following line.
+	verb, rest []byte
 }
 
-// SetGate installs an in-flight admission gate; call before Serve.
-func (s *Session) SetGate(g Gate) { s.gate = g }
-
-// SetReplicator installs the replica fan-out hook; call before Serve.
-// Successful set/add/replace/cas stores and deletes are handed to it
-// with ReplDefault (the ASCII protocol carries no per-op mode).
-// Append/prepend and incr/decr stay local-only: their deltas are not
-// idempotent, so propagating them as sets would race concurrent
-// mutations — the ROBUSTNESS.md replication chapter records the gap.
-func (s *Session) SetReplicator(r Replicator) { s.repl = r }
-
-// SetObserver installs a per-op observer and the nanosecond clock used
-// to time commands. Both must be non-nil to enable observation; call
-// before Serve.
-func (s *Session) SetObserver(o Observer, nowNanos func() sim.Ns) {
-	s.obs = o
-	s.nowNanos = nowNanos
-}
-
-// SetFlight installs a sampled per-op span observer: one op in every
-// `every` (minimum 1) is timed through its parse / store-execute /
-// write phases and reported as an OpSpan. Spans use the observer clock
-// from SetObserver, so flight tracing is active only when an observer
-// is installed too; call both before Serve.
-func (s *Session) SetFlight(f SpanObserver, every int) {
-	s.flight = f
-	if every < 1 {
-		every = 1
-	}
-	s.flightEvery = uint64(every)
-}
-
-// beginSpan decides whether this command is sampled and resets the
-// phase stamps. Caller guarantees the observer clock is installed.
-//
-//kv3d:hotpath
-func (s *Session) beginSpan() {
-	if s.flight == nil {
-		return
-	}
-	n := s.flightSeq
-	s.flightSeq++
-	if n%s.flightEvery != 0 {
-		return
-	}
-	s.spanActive = true
-	s.tParse = 0
-	s.tExec = 0
-}
-
-// markParse stamps the end of the parse phase (first call wins).
-//
-//kv3d:hotpath
-func (s *Session) markParse() {
-	if s.spanActive && s.tParse == 0 {
-		s.tParse = s.nowNanos()
-	}
-}
-
-// markExec stamps the end of the store-execute phase (first call wins).
-//
-//kv3d:hotpath
-func (s *Session) markExec() {
-	if s.spanActive && s.tExec == 0 {
-		s.tExec = s.nowNanos()
-	}
-}
-
-// endSpan emits the sampled span. Unstamped phases collapse to
-// zero-length: parse defaults to the op start, execute to parse-done
-// (cold verbs mark nothing and report all time as write).
-//
-//kv3d:hotpath
-func (s *Session) endSpan(class OpClass, out Outcome, start, end sim.Ns) {
-	if !s.spanActive {
-		return
-	}
-	s.spanActive = false
-	p, e := s.tParse, s.tExec
-	if p == 0 {
-		p = start
-	}
-	if e == 0 {
-		e = p
-	}
-	s.flight.ObserveSpan(OpSpan{
-		Start: start, ParseDone: p, ExecDone: e, End: end,
-		Class: class, Outcome: out,
-	})
-}
-
-// NewBufferedPair builds the buffered reader and writer every session
-// runs on, and with them the one flush policy of all three transports:
-// responses are staged in the writer and written out when the session is
-// about to read from the transport — that is, when it has consumed all
-// the input it was given and would otherwise sleep. A pipelined burst
-// therefore costs one write per read instead of one per op, and a
-// client that withholds the rest of a request still gets every earlier
-// reply first, because no session can block in a read with output
-// pending. Sessions never flush at reply sites; Serve flushes on exit.
-func NewBufferedPair(rw io.ReadWriter) (*bufio.Reader, *bufio.Writer) {
-	w := bufio.NewWriterSize(rw, 64<<10)
-	return bufio.NewReaderSize(&flushBeforeRead{r: rw, w: w}, 64<<10), w
-}
-
-// flushBeforeRead is the transport half of NewBufferedPair's reader.
-type flushBeforeRead struct {
-	r io.Reader
-	w *bufio.Writer
-}
-
-func (f *flushBeforeRead) Read(p []byte) (int, error) {
-	if err := f.w.Flush(); err != nil {
-		return 0, err
-	}
-	return f.r.Read(p)
-}
-
-// NewSession serves the ASCII protocol on a transport.
+// NewSession serves the ASCII protocol on a transport, with no
+// dependencies (the zero Env).
 func NewSession(store *kvstore.Store, rw io.ReadWriter) *Session {
 	r, w := NewBufferedPair(rw)
-	return NewSessionBuffered(store, r, w)
+	return NewSessionBuffered(store, r, w, Env{})
 }
 
-// NewSessionBuffered wraps pre-existing buffered I/O: a NewBufferedPair
-// (the server, after protocol sniffing), or any other pair whose reader
-// never blocks — output then appears as the writer fills and when Serve
-// returns.
-func NewSessionBuffered(store *kvstore.Store, r *bufio.Reader, w *bufio.Writer) *Session {
-	return &Session{store: store, r: r, w: w}
+// NewSessionBuffered wraps pre-existing buffered I/O: a NewBufferedPair,
+// or any other pair whose reader never blocks — output then appears as
+// the writer fills and when Serve returns.
+func NewSessionBuffered(store *kvstore.Store, r *bufio.Reader, w *bufio.Writer, env Env) *Session {
+	return &Session{core: newCore(store, r, w, env)}
 }
 
-// Serve processes commands until EOF, quit, or a transport error.
-// A clean client disconnect returns nil — unless the final flush fails,
-// which would silently truncate the last response.
-func (s *Session) Serve() error {
-	for {
-		err := s.serveOne()
-		switch {
-		case err == nil:
-			continue
-		case errors.Is(err, ErrQuit), errors.Is(err, io.EOF):
-			return s.w.Flush()
-		default:
-			// Surface both: the command error ended the session, and a
-			// failed flush means the error response never reached the
-			// client. errors.Is still matches either one.
-			return errors.Join(err, s.w.Flush())
-		}
-	}
-}
+// Serve processes commands until quit, the peer leaving, or a transport
+// error; see core.serve.
+func (s *Session) Serve() error { return s.serve(s) }
 
-// serveOne reads and executes a single command. The command line is
-// tokenized as byte slices into the session's reused line buffer; only
-// the cold (non-GET) verbs fall back to string fields.
+// next reads command lines until one names a verb; a blank line is
+// answered ERROR and is not a command. The line is tokenized as byte
+// slices into the session's reused line buffer.
 //
 //kv3d:hotpath
-func (s *Session) serveOne() error {
-	line, err := s.readLine()
-	if err != nil {
-		return err
-	}
-	verb, rest := nextToken(line)
-	if len(verb) == 0 {
-		return s.reply(respError)
-	}
-	if s.obs != nil && s.nowNanos != nil {
-		class := classifyVerbBytes(verb)
-		start := s.nowNanos()
-		if s.gate != nil && !s.gate.TryAcquire() {
-			// Shed ops are observed too — a busy refusal is part of the
-			// latency story, not a gap in it.
-			s.beginSpan()
-			err := s.shedBusy(verb, rest)
-			end := s.nowNanos()
-			s.obs.ObserveOp(class, OutcomeBusy, end-start)
-			s.endSpan(class, OutcomeBusy, start, end)
+func (s *Session) next() error {
+	for {
+		line, err := s.readLine()
+		if err != nil {
 			return err
 		}
-		s.beginSpan()
-		err := s.dispatch(verb, rest)
-		end := s.nowNanos()
-		out := outcomeOf(err)
-		s.obs.ObserveOp(class, out, end-start)
-		s.endSpan(class, out, start, end)
-		if s.gate != nil {
-			s.gate.Release()
+		s.verb, s.rest = nextToken(line)
+		if len(s.verb) != 0 {
+			return nil
 		}
-		return err
+		if err := s.reply(respError); err != nil {
+			return err
+		}
 	}
-	if s.gate != nil && !s.gate.TryAcquire() {
-		return s.shedBusy(verb, rest)
-	}
-	err = s.dispatch(verb, rest)
-	if s.gate != nil {
-		s.gate.Release()
-	}
-	return err
 }
 
-// shedBusy refuses one command while the server is over its in-flight
+// tag classifies the verb; no request id crosses the ASCII wire.
+func (s *Session) tag() (OpClass, uint64) { return classifyVerb(s.verb), 0 }
+
+// shed refuses one command while the server is over its in-flight
 // cap. Store-class commands carry a data block that must be consumed
 // before replying, or the refusal would desynchronize the stream (the
 // block's bytes would be parsed as commands). noreply commands are shed
 // silently, matching their fire-and-forget contract; quit still quits.
-func (s *Session) shedBusy(verb, rest []byte) error {
+func (s *Session) shed() error {
+	verb, rest := s.verb, s.rest
 	switch string(verb) {
 	case "quit":
 		return ErrQuit
@@ -321,13 +131,14 @@ func (s *Session) shedBusy(verb, rest []byte) error {
 	return s.reply(respBusy)
 }
 
-// dispatch executes one command. The verb comparison converts through
+// exec executes one command. The verb comparison converts through
 // string only inside the switch, which the compiler performs without
 // allocating; the get and store verbs keep their arguments as tokens of
 // the command line, cold verbs materialize argument strings.
 //
 //kv3d:hotpath
-func (s *Session) dispatch(verb, rest []byte) error {
+func (s *Session) exec() error {
+	verb, rest := s.verb, s.rest
 	switch string(verb) {
 	case "get":
 		return s.doGet(rest, false)
@@ -596,8 +407,8 @@ func (s *Session) readStorage(rest []byte, withCAS bool) (c storageCmd, ok bool,
 		return c, false, s.clientError(perr.Error())
 	}
 	if c.data, err = s.readData(c.nbytes); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return c, false, io.EOF
+		if peerLeft(err) {
+			return c, false, err
 		}
 		return c, false, s.clientError("bad data chunk")
 	}
@@ -614,10 +425,8 @@ func (s *Session) doStore(verb kvstore.Verb, rest []byte) error {
 	}
 	s.markParse()
 	_, serr := s.store.PutBytes(verb, c.key, c.data, c.flags, c.exptime, c.cas)
-	if serr == nil && s.repl != nil {
-		if rerr := s.repl.ReplicateSet(string(c.key), c.data, c.flags, c.exptime, ReplDefault); rerr != nil {
-			serr = rerr
-		}
+	if serr == nil {
+		serr = s.replicateSet(c.key, c.data, c.flags, c.exptime, ReplDefault)
 	}
 	s.markExec()
 	if c.noreply {
@@ -677,10 +486,8 @@ func (s *Session) doDelete(args []string) error {
 	}
 	s.markParse()
 	err := s.store.Delete(args[0])
-	if err == nil && s.repl != nil {
-		if rerr := s.repl.ReplicateDelete(args[0], ReplDefault); rerr != nil {
-			err = rerr
-		}
+	if err == nil {
+		err = s.replicateDelete(args[0], ReplDefault)
 	}
 	s.markExec()
 	if noreply {
@@ -741,14 +548,8 @@ func (s *Session) doTouch(args []string) error {
 		return s.clientError("invalid exptime argument")
 	}
 	terr := s.store.Touch(args[0], exptime)
-	// A successful touch must fan out like a set: replicas that keep the
-	// old TTL diverge from the primary (the item outlives or predeceases
-	// its failover copy). Misses are not replicated — the replica's TTL
-	// for a key the primary doesn't have is moot.
-	if terr == nil && s.repl != nil {
-		if rerr := s.repl.ReplicateTouch(args[0], exptime, ReplDefault); rerr != nil {
-			terr = rerr
-		}
+	if terr == nil {
+		terr = s.replicateTouch(args[0], exptime, ReplDefault)
 	}
 	if noreply {
 		return nil
@@ -776,48 +577,57 @@ func (s *Session) doStats(args []string) error {
 			return s.clientError("unknown stats sub-command")
 		}
 	}
-	st := s.store.Stats()
-	write := func(name string, value any) {
-		fmt.Fprintf(s.w, "STAT %s %v\r\n", name, value)
+	for _, row := range statRows(s.store.Stats()) {
+		s.w.WriteString("STAT " + row[0] + " " + row[1] + "\r\n")
 	}
-	write("version", Version)
-	write("uptime", st.UptimeSeconds)
-	write("curr_items", st.CurrItems)
-	write("total_items", st.TotalItems)
-	write("bytes", st.BytesUsed)
-	write("limit_maxbytes", st.SlabBytes)
-	write("get_hits", st.GetHits)
-	write("get_misses", st.GetMisses)
-	write("cmd_set", st.Sets)
-	write("delete_hits", st.DeleteHits)
-	write("delete_misses", st.DeleteMisses)
-	write("cas_hits", st.CasHits)
-	write("cas_misses", st.CasMisses)
-	write("cas_badval", st.CasBadval)
-	write("incr_hits", st.IncrHits)
-	write("incr_misses", st.IncrMisses)
-	write("decr_hits", st.DecrHits)
-	write("decr_misses", st.DecrMisses)
-	write("touch_hits", st.TouchHits)
-	write("touch_misses", st.TouchMisses)
-	write("evictions", st.Evictions)
-	write("expired_unfetched", st.Expired)
-	write("threads", st.Shards)
 	return s.reply(respEnd)
+}
+
+// statRows renders the general statistics as (name, value) rows, in
+// the order the ASCII stats command has always sent them; the binary
+// stat opcode sends the same rows.
+func statRows(st kvstore.Stats) [][2]string {
+	u := func(v uint64) string { return strconv.FormatUint(v, 10) }
+	i := func(v int64) string { return strconv.FormatInt(v, 10) }
+	return [][2]string{
+		{"version", Version},
+		{"uptime", i(st.UptimeSeconds)},
+		{"curr_items", u(st.CurrItems)},
+		{"total_items", u(st.TotalItems)},
+		{"bytes", i(st.BytesUsed)},
+		{"limit_maxbytes", i(st.SlabBytes)},
+		{"get_hits", u(st.GetHits)},
+		{"get_misses", u(st.GetMisses)},
+		{"cmd_set", u(st.Sets)},
+		{"delete_hits", u(st.DeleteHits)},
+		{"delete_misses", u(st.DeleteMisses)},
+		{"cas_hits", u(st.CasHits)},
+		{"cas_misses", u(st.CasMisses)},
+		{"cas_badval", u(st.CasBadval)},
+		{"incr_hits", u(st.IncrHits)},
+		{"incr_misses", u(st.IncrMisses)},
+		{"decr_hits", u(st.DecrHits)},
+		{"decr_misses", u(st.DecrMisses)},
+		{"touch_hits", u(st.TouchHits)},
+		{"touch_misses", u(st.TouchMisses)},
+		{"evictions", u(st.Evictions)},
+		{"expired_unfetched", u(st.Expired)},
+		{"threads", i(int64(st.Shards))},
+	}
 }
 
 // doStatsSlabs renders the per-class slab view like memcached's
 // "stats slabs".
 func (s *Session) doStatsSlabs() error {
-	for _, c := range s.store.SlabStats() {
+	classes := s.store.SlabStats()
+	for _, c := range classes {
 		fmt.Fprintf(s.w, "STAT %d:chunk_size %d\r\n", c.ClassID, c.ChunkSize)
 		fmt.Fprintf(s.w, "STAT %d:total_pages %d\r\n", c.ClassID, c.Pages)
 		fmt.Fprintf(s.w, "STAT %d:used_chunks %d\r\n", c.ClassID, c.UsedChunks)
 		fmt.Fprintf(s.w, "STAT %d:free_chunks %d\r\n", c.ClassID, c.FreeChunks)
 	}
-	st := s.store.Stats()
-	fmt.Fprintf(s.w, "STAT active_slabs %d\r\n", len(s.store.SlabStats()))
-	fmt.Fprintf(s.w, "STAT slab_reassign_total %d\r\n", st.SlabReassigns)
+	fmt.Fprintf(s.w, "STAT active_slabs %d\r\n", len(classes))
+	fmt.Fprintf(s.w, "STAT slab_reassign_total %d\r\n", s.store.Stats().SlabReassigns)
 	return s.reply(respEnd)
 }
 
@@ -858,12 +668,7 @@ func (s *Session) doFlushAll(args []string) error {
 		return s.clientError("bad command line format")
 	}
 	s.store.FlushAll(delay)
-	// flush_all must reach replicas too, or a failover resurrects the
-	// entire flushed dataset from a replica that never heard about it.
-	var rerr error
-	if s.repl != nil {
-		rerr = s.repl.ReplicateFlush(delay, ReplDefault)
-	}
+	rerr := s.replicateFlush(delay, ReplDefault)
 	if noreply {
 		return nil
 	}

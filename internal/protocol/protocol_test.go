@@ -169,6 +169,19 @@ func TestStats(t *testing.T) {
 	if !strings.HasSuffix(out, "END\r\n") {
 		t.Fatalf("stats must end with END: %q", out)
 	}
+	// Names and order are wire contract (tools and the benchmark read them).
+	var names []string
+	for _, line := range strings.Split(strings.TrimSuffix(out, "END\r\n"), "\r\n") {
+		if f := strings.Fields(line); len(f) == 3 && f[0] == "STAT" {
+			names = append(names, f[1])
+		}
+	}
+	want := "version uptime curr_items total_items bytes limit_maxbytes get_hits get_misses cmd_set " +
+		"delete_hits delete_misses cas_hits cas_misses cas_badval incr_hits incr_misses decr_hits decr_misses " +
+		"touch_hits touch_misses evictions expired_unfetched threads"
+	if got := strings.Join(names, " "); got != want {
+		t.Fatalf("stats names %q, want %q", got, want)
+	}
 }
 
 func TestFlushAll(t *testing.T) {

@@ -88,9 +88,7 @@ func runBinaryRepl(t *testing.T, repl Replicator, frames ...[]byte) []binRespons
 		in.Write(f)
 	}
 	buf := &rwBuffer{in: bytes.NewReader(in.Bytes())}
-	sess := NewBinarySession(newStore(t), buf)
-	sess.SetReplicator(repl)
-	if err := sess.Serve(); err != nil {
+	if err := ServeConn(newStore(t), buf, Env{Repl: repl}); err != nil {
 		t.Fatalf("serve: %v", err)
 	}
 	return parseResponses(t, buf.out.Bytes())
@@ -166,9 +164,7 @@ func TestASCIIReplicatorHooks(t *testing.T) {
 			"delete foo\r\n" +
 			"set n 0 0 1\r\n1\r\n" +
 			"incr n 1\r\n"))}
-	sess := NewSession(store, buf)
-	sess.SetReplicator(rec)
-	if err := sess.Serve(); err != nil {
+	if err := ServeConn(store, buf, Env{Repl: rec}); err != nil {
 		t.Fatalf("serve: %v", err)
 	}
 	if len(rec.sets) != 2 || rec.sets[0].key != "foo" || rec.sets[0].mode != ReplDefault ||
@@ -191,9 +187,7 @@ func TestASCIIReplicationFailureIsServerError(t *testing.T) {
 	}
 	buf := &rwBuffer{in: bytes.NewReader([]byte(
 		"set foo 0 0 1\r\nx\r\ndelete gone\r\n"))}
-	sess := NewSession(store, buf)
-	sess.SetReplicator(rec)
-	if err := sess.Serve(); err != nil {
+	if err := ServeConn(store, buf, Env{Repl: rec}); err != nil {
 		t.Fatalf("serve: %v", err)
 	}
 	out := buf.out.String()
