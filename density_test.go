@@ -45,6 +45,17 @@ func TestStoreHeapIsSlabPlusTable(t *testing.T) {
 	if stats.CurrItems != items {
 		t.Fatalf("resident items = %d, want %d", stats.CurrItems, items)
 	}
+	// 36 B of header + a 12 B key + 100 B of value is 148 B, which the
+	// 152 B class holds; the 48-byte header's 160 B needed the 192 B one.
+	// (SlabBytes also counts each shard's partly used last page, so the
+	// gate is on the chunks the items occupy.)
+	var chunkBytes int64
+	for _, c := range st.SlabStats() {
+		chunkBytes += int64(c.UsedChunks) * int64(c.ChunkSize)
+	}
+	if perItem := float64(chunkBytes) / items; perItem > 156 {
+		t.Errorf("items occupy %.0f B of chunk each, want at most 156", perItem)
+	}
 	pages := stats.SlabBytes / int64(st.Config().SlabPageSize)
 	heap := int64(after.HeapAlloc) - int64(before.HeapAlloc)
 	if limit := stats.SlabBytes + 8*items; heap > limit {

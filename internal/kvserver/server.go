@@ -125,7 +125,11 @@ func New(store *kvstore.Store, logger *log.Logger) *Server {
 func NewWithOptions(store *kvstore.Store, logger *log.Logger, opts Options) *Server {
 	now := opts.NowNanos
 	if now == nil {
-		now = func() sim.Ns { return sim.Ns(time.Now().UnixNano()) }
+		// Wall time at construction plus the monotonic time since: one
+		// clock read per call where time.Now takes two.
+		base := time.Now()
+		baseNanos := base.UnixNano()
+		now = func() sim.Ns { return sim.Ns(baseNanos + int64(time.Since(base))) }
 	}
 	s := &Server{
 		store:    store,

@@ -3,7 +3,7 @@ package kvstore
 // Batched GETs. A multiget that executes its keys one at a time through
 // Store.Get re-acquires a shard lock per key — for an N-key request on
 // an S-shard store that is N acquisitions where S would do. GetBatch
-// groups the keys by shard (the placement shardFor uses), takes each
+// groups the keys by shard (the placement locate uses), takes each
 // involved shard's lock exactly once, serves all of that shard's keys
 // under it, and returns results in request order. GetBatchInto is the byte-slice variant the protocol layer
 // uses: keys stay tokens of the command line, values append into one
@@ -30,12 +30,11 @@ func (st *Store) GetBatch(keys []string) []BatchEntry {
 		return out
 	}
 	n := len(keys)
-	shardOf := make([]uint32, n)
+	hashes := make([]uint64, n)
 	counts := make([]int32, len(st.shards))
 	for i, k := range keys {
-		s := st.shardIndex(keyBytes(k))
-		shardOf[i] = s
-		counts[s]++
+		hashes[i] = fnv1a64(keyBytes(k))
+		counts[st.shardIndex(hashes[i])]++
 	}
 	// Counting sort: order holds key indices grouped by shard.
 	cursor := make([]int32, len(st.shards))
@@ -46,7 +45,7 @@ func (st *Store) GetBatch(keys []string) []BatchEntry {
 	}
 	order := make([]int32, n)
 	for i := 0; i < n; i++ {
-		s := shardOf[i]
+		s := st.shardIndex(hashes[i])
 		order[cursor[s]] = int32(i)
 		cursor[s]++
 	}
@@ -60,7 +59,7 @@ func (st *Store) GetBatch(keys []string) []BatchEntry {
 		sh.mu.Lock()
 		sh.s.stats.ReadLocks++
 		for _, ki := range order[pos : pos+int(c)] {
-			v, flags, cas, ok := sh.s.get(keyBytes(keys[ki]), now)
+			v, flags, cas, ok := sh.s.get(keyBytes(keys[ki]), hashes[ki], now)
 			out[ki] = BatchEntry{Value: v, Flags: flags, CAS: cas, Found: ok}
 		}
 		sh.mu.Unlock()
@@ -83,17 +82,17 @@ type BatchResult struct {
 // steady-state batch path allocation-free. A BatchScratch must not be
 // shared between concurrent callers.
 type BatchScratch struct {
-	shardOf []uint32
-	counts  []int32
-	cursor  []int32
-	order   []int32
+	hashes []uint64
+	counts []int32
+	cursor []int32
+	order  []int32
 }
 
 // grow sizes the scratch for n keys over nShards shards without
 // allocating once the high-water mark is reached.
 func (scr *BatchScratch) grow(n, nShards int) {
-	if cap(scr.shardOf) < n {
-		scr.shardOf = make([]uint32, n)
+	if cap(scr.hashes) < n {
+		scr.hashes = make([]uint64, n)
 		scr.order = make([]int32, n)
 	}
 	if cap(scr.counts) < nShards {
@@ -123,7 +122,7 @@ func (st *Store) GetBatchInto(dst []byte, keys [][]byte, out []BatchResult, scr 
 		return dst, out
 	}
 	scr.grow(n, len(st.shards))
-	shardOf := scr.shardOf[:n]
+	hashes := scr.hashes[:n]
 	counts := scr.counts[:len(st.shards)]
 	cursor := scr.cursor[:len(st.shards)]
 	order := scr.order[:n]
@@ -131,9 +130,8 @@ func (st *Store) GetBatchInto(dst []byte, keys [][]byte, out []BatchResult, scr 
 		counts[i] = 0
 	}
 	for i, k := range keys {
-		s := st.shardIndex(k)
-		shardOf[i] = s
-		counts[s]++
+		hashes[i] = fnv1a64(k)
+		counts[st.shardIndex(hashes[i])]++
 	}
 	sum := int32(0)
 	for s, c := range counts {
@@ -141,7 +139,7 @@ func (st *Store) GetBatchInto(dst []byte, keys [][]byte, out []BatchResult, scr 
 		sum += c
 	}
 	for i := 0; i < n; i++ {
-		s := shardOf[i]
+		s := st.shardIndex(hashes[i])
 		order[cursor[s]] = int32(i)
 		cursor[s]++
 	}
@@ -156,7 +154,7 @@ func (st *Store) GetBatchInto(dst []byte, keys [][]byte, out []BatchResult, scr 
 		sh.s.stats.ReadLocks++
 		for _, ki := range order[pos : pos+int(c)] {
 			start := len(dst)
-			v, flags, cas, ok := sh.s.getInto(dst, keys[ki], now)
+			v, flags, cas, ok := sh.s.getInto(dst, keys[ki], hashes[ki], now)
 			dst = v
 			out[ki] = BatchResult{Start: start, End: len(dst), Flags: flags, CAS: cas, Found: ok}
 		}

@@ -8,7 +8,7 @@ import (
 // Crawler is the background expiry reaper (memcached's lru_crawler):
 // expired items normally die lazily on access, so a cache with cold
 // expired keys holds memory hostage. The crawler sweeps shards on an
-// interval and reaps anything past its TTL or flush epoch.
+// interval and reaps anything past its TTL or below the flush watermark.
 type Crawler struct {
 	store    *Store
 	interval time.Duration
@@ -87,6 +87,7 @@ func (st *Store) SweepExpired() (reaped, visited uint64) {
 
 // sweepExpired is the per-shard sweep, run under the shard lock.
 func (s *shard) sweepExpired(now int64) (reaped, visited uint64) {
+	s.fireFlush(now)
 	var dead []handle
 	s.table.forEach(func(h handle, c chunk) {
 		visited++
@@ -95,7 +96,8 @@ func (s *shard) sweepExpired(now int64) (reaped, visited uint64) {
 		}
 	})
 	for _, h := range dead {
-		s.reap(h, s.alloc.chunk(h))
+		c := s.alloc.chunk(h)
+		s.reap(h, c, fnv1a64(c.key()))
 		s.stats.Expired++
 	}
 	return uint64(len(dead)), visited

@@ -24,14 +24,26 @@ const (
 	offBag      = 6  // u16 bag index (Bags policy; 0 under LRU)
 	offPrev     = 8  // u32 LRU-list / bag-list previous
 	offNext     = 12 // u32 LRU-list / bag-list next
-	offCAS      = 16 // u64 CAS id
-	offExpire   = 24 // i64 absolute expiry, unix seconds; 0 never, negative already expired
-	offStored   = 32 // u32 unix second of the last (re)store, for flush_all epochs
-	offAccessed = 36 // u32 unix second of the last read, for the Bags second chance
-	offFlags    = 40 // u32 client flags
-	offValueLen = 44 // u32 value length
+	offCAS      = 16 // u64 CAS id; ids below the shard's flush watermark are dead
+	offExpire   = 24 // u32 absolute expiry, unix seconds; 0 never, MaxUint32 already expired
+	offFlags    = 28 // u32 client flags
+	offValueLen = 32 // u24 value length
+	offRef      = 35 // u8  1 = read since the Bags policy last passed over the item
 
-	itemHeaderSize = 48
+	itemHeaderSize = 36
+)
+
+// maxItemBytes is the largest SlabPageSize, and so the largest item,
+// New accepts: a value must be shorter than this for offValueLen's
+// three bytes to hold its length.
+const maxItemBytes = 1 << 24
+
+// The offExpire word stores 0 for "never" and expireDead for the
+// already-expired sentinel (expiredNow on the int64 surface); real
+// dates past expireLast saturate there — February 2106.
+const (
+	expireDead = math.MaxUint32
+	expireLast = math.MaxUint32 - 1
 )
 
 // valueAligned is the bit of the offClass byte that says the value
@@ -46,29 +58,59 @@ const (
 // byte on. It is only ever held under the shard lock.
 type chunk []byte
 
-func (c chunk) hnext() handle          { return handle(binary.LittleEndian.Uint32(c[offHNext:])) }
-func (c chunk) setHNext(h handle)      { binary.LittleEndian.PutUint32(c[offHNext:], uint32(h)) }
-func (c chunk) keyLen() int            { return int(c[offKeyLen]) }
-func (c chunk) inUse() bool            { return c[offKeyLen] != 0 }
-func (c chunk) markFree()              { c[offKeyLen] = 0 }
-func (c chunk) class() int             { return int(c[offClass] &^ valueAligned) }
-func (c chunk) bag() uint16            { return binary.LittleEndian.Uint16(c[offBag:]) }
-func (c chunk) setBag(b uint16)        { binary.LittleEndian.PutUint16(c[offBag:], b) }
-func (c chunk) prev() handle           { return handle(binary.LittleEndian.Uint32(c[offPrev:])) }
-func (c chunk) setPrev(h handle)       { binary.LittleEndian.PutUint32(c[offPrev:], uint32(h)) }
-func (c chunk) next() handle           { return handle(binary.LittleEndian.Uint32(c[offNext:])) }
-func (c chunk) setNext(h handle)       { binary.LittleEndian.PutUint32(c[offNext:], uint32(h)) }
-func (c chunk) casID() uint64          { return binary.LittleEndian.Uint64(c[offCAS:]) }
-func (c chunk) setCAS(id uint64)       { binary.LittleEndian.PutUint64(c[offCAS:], id) }
-func (c chunk) expireAt() int64        { return int64(binary.LittleEndian.Uint64(c[offExpire:])) }
-func (c chunk) setExpireAt(t int64)    { binary.LittleEndian.PutUint64(c[offExpire:], uint64(t)) }
-func (c chunk) storedAt() int64        { return int64(binary.LittleEndian.Uint32(c[offStored:])) }
-func (c chunk) setStoredAt(t int64)    { binary.LittleEndian.PutUint32(c[offStored:], sec32(t)) }
-func (c chunk) accessedAt() uint32     { return binary.LittleEndian.Uint32(c[offAccessed:]) }
-func (c chunk) setAccessedAt(t uint32) { binary.LittleEndian.PutUint32(c[offAccessed:], t) }
-func (c chunk) flags() uint32          { return binary.LittleEndian.Uint32(c[offFlags:]) }
-func (c chunk) setFlags(f uint32)      { binary.LittleEndian.PutUint32(c[offFlags:], f) }
-func (c chunk) valueLen() int          { return int(binary.LittleEndian.Uint32(c[offValueLen:])) }
+func (c chunk) hnext() handle     { return handle(binary.LittleEndian.Uint32(c[offHNext:])) }
+func (c chunk) setHNext(h handle) { binary.LittleEndian.PutUint32(c[offHNext:], uint32(h)) }
+func (c chunk) keyLen() int       { return int(c[offKeyLen]) }
+func (c chunk) inUse() bool       { return c[offKeyLen] != 0 }
+func (c chunk) markFree()         { c[offKeyLen] = 0 }
+func (c chunk) class() int        { return int(c[offClass] &^ valueAligned) }
+func (c chunk) bag() uint16       { return binary.LittleEndian.Uint16(c[offBag:]) }
+func (c chunk) setBag(b uint16)   { binary.LittleEndian.PutUint16(c[offBag:], b) }
+func (c chunk) prev() handle      { return handle(binary.LittleEndian.Uint32(c[offPrev:])) }
+func (c chunk) setPrev(h handle)  { binary.LittleEndian.PutUint32(c[offPrev:], uint32(h)) }
+func (c chunk) next() handle      { return handle(binary.LittleEndian.Uint32(c[offNext:])) }
+func (c chunk) setNext(h handle)  { binary.LittleEndian.PutUint32(c[offNext:], uint32(h)) }
+func (c chunk) casID() uint64     { return binary.LittleEndian.Uint64(c[offCAS:]) }
+func (c chunk) setCAS(id uint64)  { binary.LittleEndian.PutUint64(c[offCAS:], id) }
+func (c chunk) flags() uint32     { return binary.LittleEndian.Uint32(c[offFlags:]) }
+func (c chunk) setFlags(f uint32) { binary.LittleEndian.PutUint32(c[offFlags:], f) }
+func (c chunk) referenced() bool  { return c[offRef] != 0 }
+func (c chunk) setReferenced()    { c[offRef] = 1 }
+func (c chunk) clearReferenced()  { c[offRef] = 0 }
+
+// valueLen loads the length with its neighbour offRef and masks that
+// byte off: one load instead of three.
+func (c chunk) valueLen() int {
+	return int(binary.LittleEndian.Uint32(c[offValueLen:]) & (maxItemBytes - 1))
+}
+
+func (c chunk) setValueLen(n int) {
+	c[offValueLen], c[offValueLen+1], c[offValueLen+2] = byte(n), byte(n>>8), byte(n>>16)
+}
+
+// expireAt returns the absolute expiry as the store's callers see it:
+// unix seconds, 0 for never, expiredNow for the already-expired
+// sentinel.
+func (c chunk) expireAt() int64 {
+	at := binary.LittleEndian.Uint32(c[offExpire:])
+	if at == expireDead {
+		return expiredNow
+	}
+	return int64(at)
+}
+
+// setExpireAt narrows an absolute expiry to the header's 32 bits:
+// negative is the sentinel, dates the field cannot hold saturate.
+func (c chunk) setExpireAt(t int64) {
+	at := uint32(t)
+	switch {
+	case t < 0:
+		at = expireDead
+	case t > expireLast:
+		at = expireLast
+	}
+	binary.LittleEndian.PutUint32(c[offExpire:], at)
+}
 
 // key returns the key bytes inside the chunk.
 func (c chunk) key() []byte { return c[itemHeaderSize : itemHeaderSize+c.keyLen()] }
@@ -108,7 +150,7 @@ func (c chunk) setValue(value []byte, size int) {
 	} else {
 		c[offClass] &^= valueAligned
 	}
-	binary.LittleEndian.PutUint32(c[offValueLen:], uint32(len(value)))
+	c.setValueLen(len(value))
 	copy(c[off:], value)
 }
 
@@ -121,34 +163,17 @@ func (c chunk) init(classIdx, size int, key, value []byte) {
 	c.setBag(0)
 	c.setPrev(0)
 	c.setNext(0)
-	c.setAccessedAt(0)
+	c.clearReferenced()
 	copy(c[itemHeaderSize:], key)
 	c.setValue(value, size)
 }
 
-// expired reports whether the item is past its TTL at time now. A
-// negative expireAt (the expiredNow sentinel from a negative client
-// exptime) is expired at every clock value — the explicit branch keeps
-// that true even for a hypothetical negative logical clock.
+// expired reports whether the item is past its TTL at time now. The
+// sentinel a negative client exptime leaves is expired at every clock
+// value, including the t=0 a fresh sim clock starts at.
 func (c chunk) expired(now int64) bool {
 	at := c.expireAt()
-	if at < 0 {
-		return true
-	}
-	return at != 0 && now >= at
-}
-
-// sec32 narrows a clock reading to the header's 32-bit second fields.
-// Unix seconds fit until 2106 and logical clocks start near zero;
-// readings outside the range saturate.
-func sec32(t int64) uint32 {
-	if t < 0 {
-		return 0
-	}
-	if t > math.MaxUint32 {
-		return math.MaxUint32
-	}
-	return uint32(t)
+	return at < 0 || (at != 0 && now >= at)
 }
 
 // itemFootprint is the number of chunk bytes an item occupies: header,

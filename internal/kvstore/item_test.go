@@ -15,15 +15,20 @@ func TestValueAlignedWhenTheChunkHasRoom(t *testing.T) {
 	mem := newTestMem(t)
 	const class = 0
 	size := mem.alloc.chunkSize(class)
-	key := []byte("k23") // 3 bytes: 5 of padding reach the boundary
+	key := []byte("k2345")
+	room := size - itemHeaderSize - len(key)
+	pad := align8(itemHeaderSize+len(key)) - (itemHeaderSize + len(key))
+	if pad < 2 {
+		t.Fatalf("a %d-byte key needs %d bytes of padding; pick one that needs more", len(key), pad)
+	}
 	for _, tc := range []struct {
 		valueLen int
 		aligned  bool
 	}{
 		{0, true},
-		{size - itemHeaderSize - len(key) - 5, true},  // padding just fits
-		{size - itemHeaderSize - len(key) - 4, false}, // one byte short of it
-		{size - itemHeaderSize - len(key), false},     // fills the chunk
+		{room - pad, true},      // padding just fits
+		{room - pad + 1, false}, // one byte short of it
+		{room, false},           // fills the chunk
 	} {
 		value := bytes.Repeat([]byte{0xab}, tc.valueLen)
 		c := mem.alloc.chunk(mem.alloc.alloc(class))

@@ -7,11 +7,11 @@ package kvstore
 // background scan must not skew foreground cache behaviour.
 func (st *Store) GetWithExpiry(key string) (Entry, int64, bool) {
 	k := keyBytes(key)
-	sh := st.shardFor(k)
+	sh, hash := st.locate(k)
 	now := st.clock()
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	h, c := sh.s.live(k, now)
+	h, c := sh.s.live(k, hash, now)
 	if h == 0 {
 		return Entry{}, 0, false
 	}
@@ -31,6 +31,7 @@ func (st *Store) AppendKeys(dst []string) []string {
 	now := st.clock()
 	for _, ls := range st.shards {
 		ls.mu.Lock()
+		ls.s.fireFlush(now)
 		ls.s.table.forEach(func(_ handle, c chunk) {
 			if !ls.s.dead(c, now) {
 				dst = append(dst, string(c.key()))

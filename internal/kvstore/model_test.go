@@ -21,24 +21,33 @@ type refItem struct {
 	value    []byte
 	flags    uint32
 	cas      uint64
-	expireAt int64 // absolute unix seconds; 0 never, negative already expired
-	storedAt int64
+	expireAt int64  // absolute unix seconds; 0 never, negative already expired
+	order    uint64 // when it was stored, on the model's event counter
 }
 
+// flush_all in the model is an event in the order of events: every
+// store and every flush that takes effect draws the next number from
+// one counter, and an item is flushed when a flush drew a later number
+// than the item's last store. An immediate flush takes effect when it
+// is called. A delayed one waits in flushDue and takes effect at the
+// first operation at or after its time, before that operation does
+// anything else; a newer delayed flush replaces a waiting one.
 type refStore struct {
-	now     int64
-	items   map[string]*refItem
-	flushAt int64
-	casSeq  uint64
-	maxItem int
-	stats   Stats // the event counters; gauges are derived in snapshot
+	now       int64
+	items     map[string]*refItem
+	events    uint64
+	lastFlush uint64 // the number the latest effective flush drew
+	flushDue  int64  // when the waiting delayed flush is due; 0 none
+	casSeq    uint64
+	maxItem   int
+	stats     Stats // the event counters; gauges are derived in snapshot
 }
 
 // refHeader is the per-item overhead the model charges. It is written
 // out rather than taken from the store so that the store's claim — a
-// header of at most 48 bytes, all of it in the chunk — is checked, not
+// header of at most 36 bytes, all of it in the chunk — is checked, not
 // assumed.
-const refHeader = 48
+const refHeader = 36
 
 func refFootprint(key string, value []byte) int { return refHeader + len(key) + len(value) }
 
@@ -61,16 +70,29 @@ func (m *refStore) abs(exptime int64) int64 {
 	case exptime < 0:
 		return -1
 	case exptime <= 60*60*24*30:
-		return m.now + exptime
+		exptime += m.now
 	}
-	return exptime
+	// Dates are kept to the last second 32 bits can tell from the
+	// already-expired mark: 2106-02-07 06:28:14 UTC.
+	return min(exptime, 1<<32-2)
+}
+
+// applyDueFlush lets a waiting delayed flush take effect once its time
+// has come.
+func (m *refStore) applyDueFlush() {
+	if m.flushDue != 0 && m.now >= m.flushDue {
+		m.flushDue = 0
+		m.events++
+		m.lastFlush = m.events
+	}
 }
 
 func (m *refStore) dead(it *refItem) bool {
+	m.applyDueFlush()
 	if it.expireAt < 0 || (it.expireAt != 0 && m.now >= it.expireAt) {
 		return true
 	}
-	return m.flushAt != 0 && m.now >= m.flushAt && it.storedAt < m.flushAt
+	return it.order < m.lastFlush
 }
 
 // present reports whether key would be found, without reaping.
@@ -141,10 +163,12 @@ func (m *refStore) store(key string, value []byte, flags uint32, expireAt int64)
 	if refFootprint(key, value) > m.maxItem {
 		return opResult{err: ErrTooLarge}
 	}
+	m.applyDueFlush()
 	m.casSeq++
+	m.events++
 	m.items[key] = &refItem{
 		value: append([]byte(nil), value...), flags: flags, cas: m.casSeq,
-		expireAt: expireAt, storedAt: m.now,
+		expireAt: expireAt, order: m.events,
 	}
 	m.stats.Sets++
 	m.stats.TotalItems++
@@ -242,13 +266,13 @@ func (m *refStore) touch(key string, exptime int64) opResult {
 }
 
 func (m *refStore) flushAll(delay int64) {
-	epoch := m.now + delay
-	if delay == 0 {
-		epoch = m.now + 1
+	m.applyDueFlush()
+	if delay > 0 {
+		m.flushDue = m.now + delay
+		return
 	}
-	if epoch > m.flushAt {
-		m.flushAt = epoch
-	}
+	m.events++
+	m.lastFlush = m.events
 }
 
 func (m *refStore) sweep() opResult {

@@ -9,8 +9,9 @@ const (
 	// on the read path (the memcached 1.4 bottleneck).
 	PolicyLRU EvictionPolicy = iota
 	// PolicyBags is the Wiggins & Langston pseudo-LRU: items sit in
-	// insertion-ordered bags, reads only stamp a timestamp, and eviction
-	// gives recently-read items a second chance. Reads never reorder.
+	// insertion-ordered bags, reads only set the item's referenced mark,
+	// and eviction gives marked items a second chance. Reads never
+	// reorder.
 	PolicyBags
 )
 
@@ -26,15 +27,15 @@ func (p EvictionPolicy) String() string {
 }
 
 // policy is the per-shard eviction strategy. All methods run under the
-// shard lock; now is the clock narrowed by sec32. Lists are intrusive:
-// they link items through the prev/next handles in the chunk headers.
+// shard lock. Lists are intrusive: they link items through the
+// prev/next handles in the chunk headers.
 type policy interface {
-	onInsert(h handle, now uint32)
-	onAccess(h handle, now uint32)
+	onInsert(h handle)
+	onAccess(h handle)
 	onRemove(h handle)
 	// victim returns the next eviction candidate for a class, or zero if
 	// the class holds no items.
-	victim(classIdx int, now uint32) handle
+	victim(classIdx int) handle
 }
 
 // itemList is a doubly-linked list of items. The LRU policy keeps one
@@ -109,11 +110,11 @@ func newLRUPolicy(mem *arena, classes int) *lruPolicy {
 	return &lruPolicy{mem: mem, lists: make([]itemList, classes)}
 }
 
-func (p *lruPolicy) onInsert(h handle, now uint32) {
+func (p *lruPolicy) onInsert(h handle) {
 	p.lists[p.mem.chunk(h).class()].pushFront(p.mem, h)
 }
 
-func (p *lruPolicy) onAccess(h handle, now uint32) {
+func (p *lruPolicy) onAccess(h handle) {
 	p.lists[p.mem.chunk(h).class()].moveToFront(p.mem, h)
 }
 
@@ -121,7 +122,7 @@ func (p *lruPolicy) onRemove(h handle) {
 	p.lists[p.mem.chunk(h).class()].remove(p.mem, h)
 }
 
-func (p *lruPolicy) victim(classIdx int, now uint32) handle {
+func (p *lruPolicy) victim(classIdx int) handle {
 	return p.lists[classIdx].tail
 }
 
@@ -138,7 +139,6 @@ const (
 // item's offBag field holds.
 type bag struct {
 	itemList
-	createdAt  uint32
 	prev, next uint16 // neighbours in the class chain, or the next free slot
 }
 
@@ -165,7 +165,7 @@ func newBagsPolicy(mem *arena, classes int) *bagsPolicy {
 // instead: eviction order coarsens, nothing breaks. The last slots are
 // kept for chains that have no bag yet, so every class can open its
 // first.
-func (p *bagsPolicy) openBag(c *bagChain, now uint32) bool {
+func (p *bagsPolicy) openBag(c *bagChain) bool {
 	var b uint16
 	switch {
 	case p.free != 0:
@@ -177,7 +177,7 @@ func (p *bagsPolicy) openBag(c *bagChain, now uint32) bool {
 	default:
 		return false
 	}
-	p.bags[b] = bag{createdAt: now, prev: c.newest}
+	p.bags[b] = bag{prev: c.newest}
 	if c.newest != 0 {
 		p.bags[c.newest].next = b
 	} else {
@@ -187,9 +187,9 @@ func (p *bagsPolicy) openBag(c *bagChain, now uint32) bool {
 	return true
 }
 
-func (p *bagsPolicy) appendItem(c *bagChain, h handle, now uint32) {
+func (p *bagsPolicy) appendItem(c *bagChain, h handle) {
 	if c.newest == 0 || p.bags[c.newest].size >= bagCapacity {
-		p.openBag(c, now)
+		p.openBag(c)
 	}
 	p.bags[c.newest].pushBack(p.mem, h)
 	p.mem.chunk(h).setBag(c.newest)
@@ -216,32 +216,35 @@ func (p *bagsPolicy) removeItem(c *bagChain, h handle) {
 	p.free = b
 }
 
-func (p *bagsPolicy) onInsert(h handle, now uint32) {
-	p.appendItem(&p.chains[p.mem.chunk(h).class()], h, now)
+func (p *bagsPolicy) onInsert(h handle) {
+	p.appendItem(&p.chains[p.mem.chunk(h).class()], h)
 }
 
-// onAccess only stamps the access time — no list surgery, which is the
-// whole point of the Bags design.
-func (p *bagsPolicy) onAccess(h handle, now uint32) { p.mem.chunk(h).setAccessedAt(now) }
+// onAccess only marks the item referenced — no list surgery, which is
+// the whole point of the Bags design.
+func (p *bagsPolicy) onAccess(h handle) { p.mem.chunk(h).setReferenced() }
 
 func (p *bagsPolicy) onRemove(h handle) {
 	p.removeItem(&p.chains[p.mem.chunk(h).class()], h)
 }
 
-func (p *bagsPolicy) victim(classIdx int, now uint32) handle {
+func (p *bagsPolicy) victim(classIdx int) handle {
 	c := &p.chains[classIdx]
 	for tries := 0; tries < maxSecondChances; tries++ {
 		h := p.oldestItem(c)
 		if h == 0 {
 			return 0
 		}
-		if p.mem.chunk(h).accessedAt() <= p.bags[c.oldest].createdAt {
+		ck := p.mem.chunk(h)
+		if !ck.referenced() {
 			return h
 		}
-		// Second chance: accessed since this bag era began; move to
-		// the newest bag so it survives this eviction pass.
+		// Second chance: read since it was inserted or last passed
+		// over. The mark is spent and the item moves to the newest
+		// bag, so it survives this pass and, unread, not the next.
+		ck.clearReferenced()
 		p.removeItem(c, h)
-		p.appendItem(c, h, now)
+		p.appendItem(c, h)
 	}
 	// Scan budget exhausted: fall back to the literal oldest item.
 	return p.oldestItem(c)

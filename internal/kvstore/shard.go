@@ -57,7 +57,8 @@ type shard struct {
 	pol      policy
 	stats    shardStats //kv3d:guardedby lockedShard.mu
 	casSeq   *casCounter
-	flushAt  int64 // items stored strictly before this unix time are dead
+	flushCAS uint64 // flush_all's watermark: items with a CAS id below it are dead
+	flushAt  int64  // unix time a delayed flush_all is due; 0 none pending
 	maxItem  int
 	evictOn  bool
 	maxProbe int // eviction attempts before giving up
@@ -84,28 +85,48 @@ func newShard(alloc *slabAllocator, kind EvictionPolicy, cas *casCounter, maxIte
 // reaps dead items it encounters.
 //
 //kv3d:borrowed
-func (s *shard) live(key []byte, now int64) (handle, chunk) {
-	h, c := s.table.lookup(key)
+func (s *shard) live(key []byte, hash uint64, now int64) (handle, chunk) {
+	s.fireFlush(now)
+	h, c := s.table.lookup(key, hash)
 	if h == 0 {
 		return 0, nil
 	}
 	if s.dead(c, now) {
-		s.reap(h, c)
+		s.reap(h, c, hash)
 		s.stats.Expired++
 		return 0, nil
 	}
 	return h, c
 }
 
-// dead reports whether the item is past its TTL, or predates a
-// flush_all epoch that has fired.
-func (s *shard) dead(c chunk, now int64) bool {
-	return c.expired(now) || (s.flushAt != 0 && now >= s.flushAt && c.storedAt() < s.flushAt)
+// flushNow is flush_all: every item the shard holds dies. The CAS
+// counter is store-wide and only grows, and the shard lock is held, so
+// the items of this shard are exactly those with an id up to its
+// current value (memcached's oldest_cas).
+func (s *shard) flushNow() { s.flushCAS = s.casSeq.last() + 1 }
+
+// fireFlush applies a delayed flush_all that has come due. Every entry
+// point that judges or stores items (live, set, the sweep, the key
+// listing) calls it before anything else, so what was stored before the
+// due time dies and the store that found it due gets its CAS id after
+// the watermark.
+func (s *shard) fireFlush(now int64) {
+	if s.flushAt != 0 && now >= s.flushAt {
+		s.flushAt = 0
+		s.flushNow()
+	}
 }
 
-// reap removes an item from the table and the policy and frees its chunk.
-func (s *shard) reap(h handle, c chunk) {
-	s.table.remove(c.key())
+// dead reports whether the item is past its TTL or below the flush
+// watermark.
+func (s *shard) dead(c chunk, now int64) bool {
+	return c.casID() < s.flushCAS || c.expired(now)
+}
+
+// reap removes item h, whose key hashes to hash, from the table and the
+// policy and frees its chunk.
+func (s *shard) reap(h handle, c chunk, hash uint64) {
+	s.table.remove(h, hash)
 	s.pol.onRemove(h)
 	s.stats.BytesUsed -= int64(itemFootprint(c.keyLen(), c.valueLen()))
 	s.alloc.release(h)
@@ -120,20 +141,20 @@ func (s *shard) evict(h handle, now int64) {
 	} else {
 		s.stats.Evictions++
 	}
-	s.reap(h, c)
+	s.reap(h, c, fnv1a64(c.key()))
 }
 
 // get returns a copy of the value plus metadata.
 //
 //kv3d:borrowed
-func (s *shard) get(key []byte, now int64) (value []byte, flags uint32, casID uint64, ok bool) {
-	h, c := s.live(key, now)
+func (s *shard) get(key []byte, hash uint64, now int64) (value []byte, flags uint32, casID uint64, ok bool) {
+	h, c := s.live(key, hash, now)
 	if h == 0 {
 		s.stats.GetMisses++
 		return nil, 0, 0, false
 	}
 	s.stats.GetHits++
-	s.pol.onAccess(h, sec32(now))
+	s.pol.onAccess(h)
 	out := make([]byte, c.valueLen())
 	copy(out, c.value())
 	return out, c.flags(), c.casID(), true
@@ -144,14 +165,14 @@ func (s *shard) get(key []byte, now int64) (value []byte, flags uint32, casID ui
 //
 //kv3d:borrowed key
 //kv3d:aliases dst
-func (s *shard) getInto(dst, key []byte, now int64) (value []byte, flags uint32, casID uint64, ok bool) {
-	h, c := s.live(key, now)
+func (s *shard) getInto(dst, key []byte, hash uint64, now int64) (value []byte, flags uint32, casID uint64, ok bool) {
+	h, c := s.live(key, hash, now)
 	if h == 0 {
 		s.stats.GetMisses++
 		return dst, 0, 0, false
 	}
 	s.stats.GetHits++
-	s.pol.onAccess(h, sec32(now))
+	s.pol.onAccess(h)
 	return append(dst, c.value()...), c.flags(), c.casID(), true
 }
 
@@ -167,7 +188,7 @@ func (s *shard) allocChunk(classIdx int, now int64) handle {
 		return 0
 	}
 	for probe := 0; probe < s.maxProbe; probe++ {
-		victim := s.pol.victim(classIdx, sec32(now))
+		victim := s.pol.victim(classIdx)
 		if victim == 0 {
 			break
 		}
@@ -229,7 +250,8 @@ func validKey(key []byte) bool {
 // not a later writer's.
 //
 //kv3d:borrowed
-func (s *shard) set(key, value []byte, flags uint32, expireAt, now int64) (uint64, error) {
+func (s *shard) set(key []byte, hash uint64, value []byte, flags uint32, expireAt, now int64) (uint64, error) {
+	s.fireFlush(now)
 	if !validKey(key) {
 		return 0, ErrBadKey
 	}
@@ -243,33 +265,32 @@ func (s *shard) set(key, value []byte, flags uint32, expireAt, now int64) (uint6
 	}
 	s.setsSinceSteal++
 
-	h, c := s.table.lookup(key)
+	h, c := s.table.lookup(key, hash)
 	if h != 0 && c.class() == classIdx {
 		// Overwrite in place: the existing chunk's class fits.
 		s.stats.BytesUsed += int64(len(value) - c.valueLen())
 		c.setValue(value, s.alloc.chunkSize(classIdx))
-		s.pol.onAccess(h, sec32(now))
+		s.pol.onAccess(h)
 	} else {
 		// Remove the old entry before allocating: the allocator may
 		// evict, and the old item must not be reaped twice if it is
 		// chosen.
 		if h != 0 {
-			s.reap(h, c)
+			s.reap(h, c, hash)
 		}
 		if h = s.allocChunk(classIdx, now); h == 0 {
 			return 0, ErrOutOfMemory
 		}
 		c = s.alloc.chunk(h)
 		c.init(classIdx, s.alloc.chunkSize(classIdx), key, value)
-		s.table.insert(h)
-		s.pol.onInsert(h, sec32(now))
+		s.table.insert(h, hash)
+		s.pol.onInsert(h)
 		s.stats.BytesUsed += int64(need)
 	}
 	casID := s.casSeq.next()
 	c.setCAS(casID)
 	c.setFlags(flags)
 	c.setExpireAt(expireAt)
-	c.setStoredAt(now)
 	s.stats.Sets++
 	s.stats.TotalItems++
 	return casID, nil
@@ -278,28 +299,28 @@ func (s *shard) set(key, value []byte, flags uint32, expireAt, now int64) (uint6
 // add stores only if the key is absent.
 //
 //kv3d:borrowed
-func (s *shard) add(key, value []byte, flags uint32, expireAt, now int64) (uint64, error) {
-	if h, _ := s.live(key, now); h != 0 {
+func (s *shard) add(key []byte, hash uint64, value []byte, flags uint32, expireAt, now int64) (uint64, error) {
+	if h, _ := s.live(key, hash, now); h != 0 {
 		return 0, ErrNotStored
 	}
-	return s.set(key, value, flags, expireAt, now)
+	return s.set(key, hash, value, flags, expireAt, now)
 }
 
 // replace stores only if the key is present.
 //
 //kv3d:borrowed
-func (s *shard) replace(key, value []byte, flags uint32, expireAt, now int64) (uint64, error) {
-	if h, _ := s.live(key, now); h == 0 {
+func (s *shard) replace(key []byte, hash uint64, value []byte, flags uint32, expireAt, now int64) (uint64, error) {
+	if h, _ := s.live(key, hash, now); h == 0 {
 		return 0, ErrNotStored
 	}
-	return s.set(key, value, flags, expireAt, now)
+	return s.set(key, hash, value, flags, expireAt, now)
 }
 
 // cas stores only if the entry's CAS id still matches.
 //
 //kv3d:borrowed
-func (s *shard) cas(key, value []byte, flags uint32, expireAt int64, casID uint64, now int64) (uint64, error) {
-	h, c := s.live(key, now)
+func (s *shard) cas(key []byte, hash uint64, value []byte, flags uint32, expireAt int64, casID uint64, now int64) (uint64, error) {
+	h, c := s.live(key, hash, now)
 	if h == 0 {
 		s.stats.CasMisses++
 		return 0, ErrNotFound
@@ -309,14 +330,14 @@ func (s *shard) cas(key, value []byte, flags uint32, expireAt int64, casID uint6
 		return 0, ErrExists
 	}
 	s.stats.CasHits++
-	return s.set(key, value, flags, expireAt, now)
+	return s.set(key, hash, value, flags, expireAt, now)
 }
 
 // appendValue / prependValue concatenate onto an existing value.
 //
 //kv3d:borrowed
-func (s *shard) appendValue(key, extra []byte, now int64, front bool) error {
-	h, c := s.live(key, now)
+func (s *shard) appendValue(key []byte, hash uint64, extra []byte, now int64, front bool) error {
+	h, c := s.live(key, hash, now)
 	if h == 0 {
 		return ErrNotStored
 	}
@@ -328,7 +349,7 @@ func (s *shard) appendValue(key, extra []byte, now int64, front bool) error {
 		buf = append(buf, c.value()...)
 		buf = append(buf, extra...)
 	}
-	_, err := s.set(key, buf, c.flags(), c.expireAt(), now)
+	_, err := s.set(key, hash, buf, c.flags(), c.expireAt(), now)
 	return err
 }
 
@@ -337,8 +358,8 @@ func (s *shard) appendValue(key, extra []byte, now int64, front bool) error {
 // semantics); increment wraps.
 //
 //kv3d:borrowed
-func (s *shard) incrDecr(key []byte, delta uint64, incr bool, now int64) (next, casID uint64, err error) {
-	h, c := s.live(key, now)
+func (s *shard) incrDecr(key []byte, hash uint64, delta uint64, incr bool, now int64) (next, casID uint64, err error) {
+	h, c := s.live(key, hash, now)
 	if h == 0 {
 		if incr {
 			s.stats.IncrMisses++
@@ -362,7 +383,7 @@ func (s *shard) incrDecr(key []byte, delta uint64, incr bool, now int64) (next, 
 		}
 		s.stats.DecrHits++
 	}
-	casID, err = s.set(key, strconv.AppendUint(nil, next, 10), c.flags(), c.expireAt(), now)
+	casID, err = s.set(key, hash, strconv.AppendUint(nil, next, 10), c.flags(), c.expireAt(), now)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -372,13 +393,13 @@ func (s *shard) incrDecr(key []byte, delta uint64, incr bool, now int64) (next, 
 // delete removes a key.
 //
 //kv3d:borrowed
-func (s *shard) delete(key []byte, now int64) error {
-	h, c := s.live(key, now)
+func (s *shard) delete(key []byte, hash uint64, now int64) error {
+	h, c := s.live(key, hash, now)
 	if h == 0 {
 		s.stats.DeleteMiss++
 		return ErrNotFound
 	}
-	s.reap(h, c)
+	s.reap(h, c, hash)
 	s.stats.DeleteHits++
 	return nil
 }
@@ -386,8 +407,8 @@ func (s *shard) delete(key []byte, now int64) error {
 // touch updates the expiry of an existing item.
 //
 //kv3d:borrowed
-func (s *shard) touch(key []byte, expireAt, now int64) error {
-	h, c := s.live(key, now)
+func (s *shard) touch(key []byte, hash uint64, expireAt, now int64) error {
+	h, c := s.live(key, hash, now)
 	if h == 0 {
 		s.stats.TouchMisses++
 		return ErrNotFound
@@ -395,13 +416,6 @@ func (s *shard) touch(key []byte, expireAt, now int64) error {
 	c.setExpireAt(expireAt)
 	s.stats.TouchHits++
 	return nil
-}
-
-// flushAll invalidates everything stored before the given epoch.
-func (s *shard) flushAll(epoch int64) {
-	if epoch > s.flushAt {
-		s.flushAt = epoch
-	}
 }
 
 // itemCount reports live items (including not-yet-reaped dead ones).

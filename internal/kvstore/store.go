@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -80,6 +81,9 @@ type casCounter struct{ n atomic.Uint64 }
 
 func (c *casCounter) next() uint64 { return c.n.Add(1) }
 
+// last is the newest id issued so far.
+func (c *casCounter) last() uint64 { return c.n.Load() }
+
 // Store is the concurrent, memcached-compatible key-value store.
 type Store struct {
 	cfg       Config
@@ -151,6 +155,10 @@ func New(cfg Config) (*Store, error) {
 	if cfg.MaxItemSize > cfg.SlabPageSize {
 		return nil, fmt.Errorf("kvstore: max item size %d exceeds slab page size %d", cfg.MaxItemSize, cfg.SlabPageSize)
 	}
+	if cfg.SlabPageSize > maxItemBytes {
+		return nil, fmt.Errorf("kvstore: slab page size %d exceeds %d, the largest item whose value length the header can hold",
+			cfg.SlabPageSize, maxItemBytes)
+	}
 
 	st := &Store{cfg: cfg, mask: uint64(nShards - 1), clock: cfg.Clock, startUnix: cfg.Clock()}
 	for i := 0; i < nShards; i++ {
@@ -171,11 +179,16 @@ func (st *Store) Config() Config { return st.cfg }
 // shardIndex uses the upper hash bits for shard selection so shard
 // choice stays independent of the table's bucket choice (which uses low
 // bits).
-func (st *Store) shardIndex(key []byte) uint32 {
-	return uint32((fnv1a64(key) >> 48) & st.mask)
+func (st *Store) shardIndex(hash uint64) uint32 {
+	return uint32((hash >> 48) & st.mask)
 }
 
-func (st *Store) shardFor(key []byte) *lockedShard { return st.shards[st.shardIndex(key)] }
+// locate hashes key — the one hash of a store call — and returns its
+// shard with the hash for the shard's table.
+func (st *Store) locate(key []byte) (*lockedShard, uint64) {
+	hash := fnv1a64(key)
+	return st.shards[st.shardIndex(hash)], hash
+}
 
 // keyBytes views a string key as the byte slice the shards are keyed
 // by, without copying. The store only reads a key and keeps no
@@ -221,11 +234,11 @@ type Entry struct {
 //kv3d:hotpath
 func (st *Store) Get(key string) (Entry, bool) {
 	k := keyBytes(key)
-	sh := st.shardFor(k)
+	sh, hash := st.locate(k)
 	now := st.clock()
 	sh.mu.Lock()
 	sh.s.stats.ReadLocks++
-	v, flags, cas, ok := sh.s.get(k, now)
+	v, flags, cas, ok := sh.s.get(k, hash, now)
 	sh.mu.Unlock()
 	return Entry{Value: v, Flags: flags, CAS: cas}, ok
 }
@@ -245,11 +258,11 @@ func (st *Store) GetInto(dst []byte, key string) ([]byte, Entry, bool) {
 //kv3d:hotpath
 //kv3d:aliases dst
 func (st *Store) GetIntoBytes(dst, key []byte) ([]byte, Entry, bool) {
-	sh := st.shardFor(key)
+	sh, hash := st.locate(key)
 	now := st.clock()
 	sh.mu.Lock()
 	sh.s.stats.ReadLocks++
-	out, flags, cas, ok := sh.s.getInto(dst, key, now)
+	out, flags, cas, ok := sh.s.getInto(dst, key, hash, now)
 	sh.mu.Unlock()
 	return out, Entry{Flags: flags, CAS: cas}, ok
 }
@@ -281,19 +294,19 @@ func (st *Store) Put(verb Verb, key string, value []byte, flags uint32, exptime 
 //
 //kv3d:hotpath
 func (st *Store) PutBytes(verb Verb, key, value []byte, flags uint32, exptime int64, casID uint64) (newCAS uint64, err error) {
-	sh := st.shardFor(key)
+	sh, hash := st.locate(key)
 	now := st.clock()
 	abs := st.expiryToAbs(exptime)
 	sh.mu.Lock()
 	switch verb {
 	case VerbAdd:
-		newCAS, err = sh.s.add(key, value, flags, abs, now)
+		newCAS, err = sh.s.add(key, hash, value, flags, abs, now)
 	case VerbReplace:
-		newCAS, err = sh.s.replace(key, value, flags, abs, now)
+		newCAS, err = sh.s.replace(key, hash, value, flags, abs, now)
 	case VerbCAS:
-		newCAS, err = sh.s.cas(key, value, flags, abs, casID, now)
+		newCAS, err = sh.s.cas(key, hash, value, flags, abs, casID, now)
 	default:
-		newCAS, err = sh.s.set(key, value, flags, abs, now)
+		newCAS, err = sh.s.set(key, hash, value, flags, abs, now)
 	}
 	sh.mu.Unlock()
 	return newCAS, err
@@ -328,10 +341,10 @@ func (st *Store) CAS(key string, value []byte, flags uint32, exptime int64, cas 
 // Append concatenates extra after the existing value.
 func (st *Store) Append(key string, extra []byte) error {
 	k := keyBytes(key)
-	sh := st.shardFor(k)
+	sh, hash := st.locate(k)
 	now := st.clock()
 	sh.mu.Lock()
-	err := sh.s.appendValue(k, extra, now, false)
+	err := sh.s.appendValue(k, hash, extra, now, false)
 	sh.mu.Unlock()
 	return err
 }
@@ -339,10 +352,10 @@ func (st *Store) Append(key string, extra []byte) error {
 // Prepend concatenates extra before the existing value.
 func (st *Store) Prepend(key string, extra []byte) error {
 	k := keyBytes(key)
-	sh := st.shardFor(k)
+	sh, hash := st.locate(k)
 	now := st.clock()
 	sh.mu.Lock()
-	err := sh.s.appendValue(k, extra, now, true)
+	err := sh.s.appendValue(k, hash, extra, now, true)
 	sh.mu.Unlock()
 	return err
 }
@@ -351,10 +364,10 @@ func (st *Store) Prepend(key string, extra []byte) error {
 // decimal value, returning the new value and the CAS id assigned to it.
 func (st *Store) IncrDecr(key string, delta uint64, incr bool) (value, cas uint64, err error) {
 	k := keyBytes(key)
-	sh := st.shardFor(k)
+	sh, hash := st.locate(k)
 	now := st.clock()
 	sh.mu.Lock()
-	value, cas, err = sh.s.incrDecr(k, delta, incr, now)
+	value, cas, err = sh.s.incrDecr(k, hash, delta, incr, now)
 	sh.mu.Unlock()
 	return value, cas, err
 }
@@ -374,10 +387,10 @@ func (st *Store) Decr(key string, delta uint64) (uint64, error) {
 // Delete removes a key.
 func (st *Store) Delete(key string) error {
 	k := keyBytes(key)
-	sh := st.shardFor(k)
+	sh, hash := st.locate(k)
 	now := st.clock()
 	sh.mu.Lock()
-	err := sh.s.delete(k, now)
+	err := sh.s.delete(k, hash, now)
 	sh.mu.Unlock()
 	return err
 }
@@ -385,26 +398,41 @@ func (st *Store) Delete(key string) error {
 // Touch updates a key's expiry.
 func (st *Store) Touch(key string, exptime int64) error {
 	k := keyBytes(key)
-	sh := st.shardFor(k)
+	sh, hash := st.locate(k)
 	now := st.clock()
 	abs := st.expiryToAbs(exptime)
 	sh.mu.Lock()
-	err := sh.s.touch(k, abs, now)
+	err := sh.s.touch(k, hash, abs, now)
 	sh.mu.Unlock()
 	return err
 }
 
-// FlushAll invalidates all items stored before now+delay seconds.
+// FlushAll is flush_all. With no delay every item stored so far is
+// dead when it returns, and nothing stored afterwards is touched. With
+// a delay the flush is due at now+delay seconds and each shard applies
+// it at its first call at or after that time, to everything stored
+// before that call. One delayed flush can be pending; a new one
+// replaces it, an immediate one leaves it in place (ROBUSTNESS.md).
 func (st *Store) FlushAll(delay int64) {
-	epoch := st.clock() + delay
-	if delay == 0 {
-		epoch = st.clock() + 1 // everything stored strictly before the next second
-	}
+	now := st.clock()
 	for _, sh := range st.shards {
 		sh.mu.Lock()
-		sh.s.flushAll(epoch)
+		sh.s.fireFlush(now)
+		if delay > 0 {
+			sh.s.flushAt = dueAt(now, delay)
+		} else {
+			sh.s.flushNow()
+		}
 		sh.mu.Unlock()
 	}
+}
+
+// dueAt is now+delay, saturating: a client may send any delay.
+func dueAt(now, delay int64) int64 {
+	if at := now + delay; at >= now {
+		return at
+	}
+	return math.MaxInt64
 }
 
 // ItemCount reports the number of resident items (some may be expired

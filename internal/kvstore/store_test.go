@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -269,6 +270,9 @@ func TestTouch(t *testing.T) {
 	}
 }
 
+// The flush_all tests hold the clock still unless they say otherwise:
+// the contract is about the order of calls, not about seconds.
+
 func TestFlushAll(t *testing.T) {
 	clk := &fakeClock{now: 1000}
 	st := newTestStore(t, func(c *Config) { c.Clock = clk.fn })
@@ -289,17 +293,150 @@ func TestFlushAll(t *testing.T) {
 	}
 }
 
+// TestFlushAllIsImmediate: what was stored before flush_all is gone
+// when it returns, in the same second. (The epoch used to be now+1 and
+// waited for the clock to reach it.)
+func TestFlushAllIsImmediate(t *testing.T) {
+	clk := &fakeClock{now: 1000}
+	st := newTestStore(t, func(c *Config) { c.Clock = clk.fn })
+	st.Set("a", []byte("1"), 0, 0)
+	st.FlushAll(0)
+	if _, ok := st.Get("a"); ok {
+		t.Fatal("set a; flush_all; get a: hit in the same second")
+	}
+	if err := st.Touch("a", 0); err != ErrNotFound {
+		t.Fatalf("touch of a flushed key = %v, want ErrNotFound", err)
+	}
+	if err := st.Add("a", []byte("2"), 0, 0); err != nil {
+		t.Fatalf("add over a flushed key = %v, want stored", err)
+	}
+}
+
+// TestFlushAllIsExact: what is stored after flush_all survives it, in
+// the same second and once the second ticks. (It used to die at the
+// tick: stored at second 1000 is "before" the epoch 1001.)
+func TestFlushAllIsExact(t *testing.T) {
+	clk := &fakeClock{now: 1000}
+	st := newTestStore(t, func(c *Config) { c.Clock = clk.fn })
+	st.Set("b", []byte("old"), 0, 0)
+	st.FlushAll(0)
+	st.Set("b", []byte("new"), 0, 0) // over the dead item, in place
+	st.Set("c", []byte("new"), 0, 0)
+	for _, now := range []int64{1000, 1001, 5000} {
+		clk.now = now
+		for _, key := range []string{"b", "c"} {
+			if e, ok := st.Get(key); !ok || string(e.Value) != "new" {
+				t.Fatalf("flush_all; set %s; get %s at clock %d: %q, %v", key, key, now, e.Value, ok)
+			}
+		}
+	}
+	if reaped, _ := st.SweepExpired(); reaped != 0 {
+		t.Fatalf("sweep reaped %d items stored after the flush", reaped)
+	}
+}
+
 func TestFlushAllDelayed(t *testing.T) {
 	clk := &fakeClock{now: 1000}
 	st := newTestStore(t, func(c *Config) { c.Clock = clk.fn })
 	st.Set("a", []byte("1"), 0, 0)
-	st.FlushAll(50) // epoch at 1050
+	st.FlushAll(50) // due at 1050
+	clk.now = 1049
+	st.Set("b", []byte("1"), 0, 0)
 	if _, ok := st.Get("a"); !ok {
 		t.Fatal("delayed flush should not fire yet")
 	}
+	clk.now = 1050
+	// A store that finds the flush due is stored after it.
+	st.Set("c", []byte("1"), 0, 0)
+	for key, want := range map[string]bool{"a": false, "b": false, "c": true} {
+		if _, ok := st.Get(key); ok != want {
+			t.Fatalf("at the due time get %s = %v, want %v", key, ok, want)
+		}
+	}
+	// It fires once: later stores are not under it.
 	clk.now = 1051
+	st.Set("d", []byte("1"), 0, 0)
+	clk.now = 2000
+	if _, ok := st.Get("d"); !ok {
+		t.Fatal("a fired delayed flush killed a later store")
+	}
+}
+
+// TestFlushAllImmediateWhileDelayedPending: an immediate flush_all is
+// not absorbed by a pending delayed one (it used to be dropped: its
+// epoch was not above the pending one), and the pending one still fires
+// at its time.
+func TestFlushAllImmediateWhileDelayedPending(t *testing.T) {
+	clk := &fakeClock{now: 1000}
+	st := newTestStore(t, func(c *Config) { c.Clock = clk.fn })
+	st.Set("a", []byte("1"), 0, 0)
+	st.FlushAll(50)
+	st.FlushAll(0)
 	if _, ok := st.Get("a"); ok {
-		t.Fatal("delayed flush should have fired")
+		t.Fatal("flush_all 50; flush_all; get a: hit")
+	}
+	st.Set("b", []byte("1"), 0, 0)
+	clk.now = 1049
+	if _, ok := st.Get("b"); !ok {
+		t.Fatal("b, stored after the immediate flush, gone before the delayed one is due")
+	}
+	clk.now = 1050
+	if _, ok := st.Get("b"); ok {
+		t.Fatal("the pending delayed flush did not fire at its time")
+	}
+	// A newer delayed flush replaces the pending one (memcached keeps
+	// one oldest_live); a delay no clock can reach never fires.
+	st.Set("c", []byte("1"), 0, 0)
+	st.FlushAll(10)
+	st.FlushAll(math.MaxInt64)
+	clk.now = 1 << 40
+	if _, ok := st.Get("c"); !ok {
+		t.Fatal("a replaced delayed flush fired, or an unreachable delay wrapped around")
+	}
+}
+
+// TestFlushAllConcurrentWithStores runs flushes against writers on every
+// shard (for the race detector: the watermark is read from the
+// store-wide CAS counter under each shard's lock) and then checks the
+// contract once the writers have stopped: a flush leaves nothing, and
+// the next store survives it.
+func TestFlushAllConcurrentWithStores(t *testing.T) {
+	// The clock stands still, so the delayed flushes stay pending and
+	// the last two checks do not race a second boundary.
+	st := newTestStore(t, func(c *Config) { c.Clock = func() int64 { return 1000 } })
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				key := fmt.Sprintf("w%d-%d", w, i%64)
+				if err := st.Set(key, []byte("v"), 0, 0); err != nil {
+					t.Error(err)
+					return
+				}
+				st.Get(key)
+			}
+		}(w)
+	}
+	for i := 0; i < 200; i++ {
+		st.FlushAll(int64(i % 2)) // immediate, and delayed by a second
+	}
+	close(stop)
+	wg.Wait()
+	st.FlushAll(0)
+	if reaped, visited := st.SweepExpired(); reaped != visited || st.ItemCount() != 0 {
+		t.Fatalf("after flush_all the sweep reaped %d of %d items and %d are left", reaped, visited, st.ItemCount())
+	}
+	st.Set("after", []byte("v"), 0, 0)
+	if _, ok := st.Get("after"); !ok {
+		t.Fatal("a store after the last flush is gone")
 	}
 }
 
@@ -495,6 +632,18 @@ func TestNewValidation(t *testing.T) {
 	cfg.SlabPageSize = 1 << 20
 	if _, err := New(cfg); err == nil {
 		t.Fatal("item size above page size must be rejected")
+	}
+	// The header's value length is 24 bits: an item limit it cannot hold
+	// is refused, not truncated. 16 MiB itself is fine.
+	cfg = DefaultConfig(256 << 20)
+	cfg.Shards = 1
+	cfg.MaxItemSize, cfg.SlabPageSize = 16<<20, 16<<20
+	if _, err := New(cfg); err != nil {
+		t.Fatalf("16 MiB items rejected: %v", err)
+	}
+	cfg.MaxItemSize, cfg.SlabPageSize = 16<<20+8, 16<<20+8
+	if _, err := New(cfg); err == nil {
+		t.Fatal("an item limit above 16 MiB must be rejected")
 	}
 }
 

@@ -26,7 +26,9 @@ func newHashTable(mem *arena) *hashTable {
 	return &hashTable{mem: mem, buckets: make([]handle, initialBuckets)}
 }
 
-// fnv1a64 is the FNV-1a hash used to place keys.
+// fnv1a64 is the FNV-1a hash used to place keys. The Store hashes a
+// key once per call and hands the hash down: the high bits pick the
+// shard, the low bits the bucket.
 func fnv1a64(key []byte) uint64 {
 	const (
 		offset = 14695981039346656037
@@ -40,27 +42,28 @@ func fnv1a64(key []byte) uint64 {
 	return h
 }
 
-func bucketFor(tbl []handle, key []byte) int {
-	return int(fnv1a64(key) & uint64(len(tbl)-1))
+func bucketFor(tbl []handle, hash uint64) int {
+	return int(hash & uint64(len(tbl)-1))
 }
 
-// chainFor returns the bucket array and index whose chain holds key,
-// following an in-progress rehash: an old bucket not yet migrated still
-// owns its keys.
-func (t *hashTable) chainFor(key []byte) ([]handle, int) {
+// chainFor returns the bucket array and index whose chain holds the
+// keys that hash to hash, following an in-progress rehash: an old
+// bucket not yet migrated still owns its keys.
+func (t *hashTable) chainFor(hash uint64) ([]handle, int) {
 	if t.old != nil {
-		if i := bucketFor(t.old, key); i >= t.migrate {
+		if i := bucketFor(t.old, hash); i >= t.migrate {
 			return t.old, i
 		}
 	}
-	return t.buckets, bucketFor(t.buckets, key)
+	return t.buckets, bucketFor(t.buckets, hash)
 }
 
-// lookup finds the item for key, or the zero handle.
+// lookup finds the item for key, whose hash is hash, or the zero
+// handle.
 //
 //kv3d:borrowed
-func (t *hashTable) lookup(key []byte) (handle, chunk) {
-	tbl, i := t.chainFor(key)
+func (t *hashTable) lookup(key []byte, hash uint64) (handle, chunk) {
+	tbl, i := t.chainFor(hash)
 	for h := tbl[i]; h != 0; {
 		c := t.mem.chunk(h)
 		if c.hasKey(key) {
@@ -72,10 +75,10 @@ func (t *hashTable) lookup(key []byte) (handle, chunk) {
 }
 
 // insert adds an item that is known not to be present.
-func (t *hashTable) insert(h handle) {
+func (t *hashTable) insert(h handle, hash uint64) {
 	t.stepMigration()
 	c := t.mem.chunk(h)
-	tbl, i := t.chainFor(c.key())
+	tbl, i := t.chainFor(hash)
 	c.setHNext(tbl[i])
 	tbl[i] = h
 	t.count++
@@ -84,28 +87,23 @@ func (t *hashTable) insert(h handle) {
 	}
 }
 
-// remove unlinks the item for key and returns its handle, or zero.
-//
-//kv3d:borrowed
-func (t *hashTable) remove(key []byte) handle {
+// remove unlinks item h, which is present and whose key hashes to hash:
+// the chain is walked comparing handles, not keys.
+func (t *hashTable) remove(h handle, hash uint64) {
 	t.stepMigration()
-	tbl, i := t.chainFor(key)
-	var prev chunk
-	for h := tbl[i]; h != 0; {
-		c := t.mem.chunk(h)
-		if c.hasKey(key) {
-			if prev == nil {
-				tbl[i] = c.hnext()
-			} else {
-				prev.setHNext(c.hnext())
-			}
-			c.setHNext(0)
-			t.count--
-			return h
+	tbl, i := t.chainFor(hash)
+	c := t.mem.chunk(h)
+	if tbl[i] == h {
+		tbl[i] = c.hnext()
+	} else {
+		prev := t.mem.chunk(tbl[i])
+		for prev.hnext() != h {
+			prev = t.mem.chunk(prev.hnext())
 		}
-		prev, h = c, c.hnext()
+		prev.setHNext(c.hnext())
 	}
-	return 0
+	c.setHNext(0)
+	t.count--
 }
 
 // maybeGrow starts an incremental rehash when the load factor is high.
@@ -127,7 +125,7 @@ func (t *hashTable) stepMigration() {
 		for h := t.old[t.migrate]; h != 0; {
 			c := t.mem.chunk(h)
 			next := c.hnext()
-			i := bucketFor(t.buckets, c.key())
+			i := bucketFor(t.buckets, fnv1a64(c.key()))
 			c.setHNext(t.buckets[i])
 			t.buckets[i] = h
 			h = next

@@ -38,16 +38,32 @@ func (m *testMem) mk(key string, class int) handle {
 // key reads the key back out of an item's chunk.
 func (m *testMem) key(h handle) string { return string(m.alloc.chunk(h).key()) }
 
+// The table is handed each key's hash by its caller; these helpers are
+// that caller.
 func lookup(tbl *hashTable, key string) handle {
-	h, _ := tbl.lookup([]byte(key))
+	h, _ := tbl.lookup([]byte(key), fnv1a64([]byte(key)))
 	return h
+}
+
+func insert(tbl *hashTable, mem *testMem, key string) {
+	tbl.insert(mem.mk(key, 0), fnv1a64([]byte(key)))
+}
+
+// remove unlinks key as shard.reap does — by the handle a lookup found —
+// and reports whether it was there.
+func remove(tbl *hashTable, key string) bool {
+	h := lookup(tbl, key)
+	if h != 0 {
+		tbl.remove(h, fnv1a64([]byte(key)))
+	}
+	return h != 0
 }
 
 func TestTableInsertLookup(t *testing.T) {
 	mem := newTestMem(t)
 	tbl := mem.table()
-	tbl.insert(mem.mk("a", 0))
-	tbl.insert(mem.mk("b", 0))
+	insert(tbl, mem, "a")
+	insert(tbl, mem, "b")
 	if lookup(tbl, "a") == 0 || lookup(tbl, "b") == 0 {
 		t.Fatal("inserted keys must be found")
 	}
@@ -62,12 +78,12 @@ func TestTableInsertLookup(t *testing.T) {
 func TestTableRemove(t *testing.T) {
 	mem := newTestMem(t)
 	tbl := mem.table()
-	tbl.insert(mem.mk("x", 0))
-	if tbl.remove([]byte("x")) == 0 {
+	insert(tbl, mem, "x")
+	if !remove(tbl, "x") {
 		t.Fatal("remove of present key failed")
 	}
-	if tbl.remove([]byte("x")) != 0 {
-		t.Fatal("second remove should return nil")
+	if remove(tbl, "x") {
+		t.Fatal("second remove should find nothing")
 	}
 	if lookup(tbl, "x") != 0 {
 		t.Fatal("removed key still visible")
@@ -82,7 +98,7 @@ func TestTableGrowsAndStaysConsistent(t *testing.T) {
 	tbl := mem.table()
 	const n = 10_000
 	for i := 0; i < n; i++ {
-		tbl.insert(mem.mk(fmt.Sprintf("key-%d", i), 0))
+		insert(tbl, mem, fmt.Sprintf("key-%d", i))
 	}
 	if len(tbl.buckets) <= initialBuckets {
 		t.Fatalf("table never grew: %d buckets", len(tbl.buckets))
@@ -103,7 +119,7 @@ func TestTableLookupDuringMigration(t *testing.T) {
 	// Insert enough to trigger at least one rehash, then probe while the
 	// migration is mid-flight.
 	for i := 0; i < 100; i++ {
-		tbl.insert(mem.mk(fmt.Sprintf("k%d", i), 0))
+		insert(tbl, mem, fmt.Sprintf("k%d", i))
 		for j := 0; j <= i; j++ {
 			if lookup(tbl, fmt.Sprintf("k%d", j)) == 0 {
 				t.Fatalf("k%d invisible at step %d (old=%v migrate=%d)", j, i, tbl.old != nil, tbl.migrate)
@@ -117,12 +133,12 @@ func TestTableRemoveDuringMigration(t *testing.T) {
 	tbl := mem.table()
 	const n = 200
 	for i := 0; i < n; i++ {
-		tbl.insert(mem.mk(fmt.Sprintf("k%d", i), 0))
+		insert(tbl, mem, fmt.Sprintf("k%d", i))
 	}
 	// Remove them all, interleaving lookups.
 	for i := 0; i < n; i++ {
 		key := fmt.Sprintf("k%d", i)
-		if tbl.remove([]byte(key)) == 0 {
+		if !remove(tbl, key) {
 			t.Fatalf("remove(%s) failed", key)
 		}
 		if lookup(tbl, key) != 0 {
@@ -139,7 +155,7 @@ func TestTableForEachVisitsAll(t *testing.T) {
 	tbl := mem.table()
 	const n = 500
 	for i := 0; i < n; i++ {
-		tbl.insert(mem.mk(fmt.Sprintf("k%d", i), 0))
+		insert(tbl, mem, fmt.Sprintf("k%d", i))
 	}
 	seen := make(map[string]bool)
 	tbl.forEach(func(_ handle, c chunk) { seen[string(c.key())] = true })
@@ -177,11 +193,11 @@ func TestTableModelEquivalenceProperty(t *testing.T) {
 			key := fmt.Sprintf("key-%d", o.Key)
 			if o.Insert {
 				if !model[key] {
-					tbl.insert(mem.mk(key, 0))
+					insert(tbl, mem, key)
 					model[key] = true
 				}
 			} else {
-				got := tbl.remove([]byte(key)) != 0
+				got := remove(tbl, key)
 				want := model[key]
 				if got != want {
 					return false

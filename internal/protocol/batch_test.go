@@ -25,13 +25,7 @@ import (
 // "expired = absolute 1" encoding still compared as live.
 func newClockStore(t *testing.T, now int64) *kvstore.Store {
 	t.Helper()
-	cfg := kvstore.DefaultConfig(16 << 20)
-	cfg.Clock = func() int64 { return now }
-	st, err := kvstore.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return st
+	return frozenStore(t, &now)
 }
 
 // touchExtras is the 4-byte big-endian exptime extras of OpTouch/OpFlush.
@@ -348,8 +342,8 @@ const asciiCorpusWant = "STORED\r\n" +
 	"TOUCHED\r\n" +
 	"STORED\r\n" +
 	"END\r\n" +
-	"OK\r\n" + // flush_all: the epoch is the next second, which the frozen clock never reaches
-	"VALUE a 7 6\r\nhello!\r\nEND\r\n" +
+	"OK\r\n" + // flush_all is immediate: a is gone on a clock that never moves
+	"END\r\n" +
 	"OK\r\n" +
 	"VERSION " + Version + "\r\n"
 
@@ -464,7 +458,7 @@ func TestBinaryBatchedByteIdentity(t *testing.T) {
 		{21, StatusUnknownCommand, "", "Unknown command"},
 		{1000, StatusKeyNotFound, "", "Not found"},
 		{1001, StatusOK, "", "alpha2"},
-		{24, StatusOK, "", "alpha2"}, // the frozen clock never reaches the flush epoch
+		{24, StatusKeyNotFound, "", "Not found"}, // after the flush, on a clock that never moves
 		{25, StatusOK, "", Version},
 	} {
 		r := byOpaque[c.opaque]

@@ -273,6 +273,35 @@ func TestBinaryTouchFlushNoopVersion(t *testing.T) {
 	}
 }
 
+// TestBinaryFlushIsImmediateAndExact is TestFlushAllIsImmediateAndExact
+// over a binary session.
+func TestBinaryFlushIsImmediateAndExact(t *testing.T) {
+	now := int64(1000)
+	st := frozenStore(t, &now)
+	rs := runBinary(t, st,
+		frame(OpSet, "a", setExtras(0, 0), []byte("1"), 0, 0),
+		frame(OpFlush, "", touchExtras(50), nil, 0, 0),
+		frame(OpFlush, "", nil, nil, 0, 0),
+		frame(OpGet, "a", nil, nil, 0, 0),
+		frame(OpSet, "b", setExtras(0, 0), []byte("2"), 0, 0),
+		frame(OpGet, "b", nil, nil, 0, 0),
+	)
+	want := []uint16{StatusOK, StatusOK, StatusOK, StatusKeyNotFound, StatusOK, StatusOK}
+	for i, r := range rs {
+		if r.status != want[i] {
+			t.Fatalf("in the second of the flush, response %d has status %#x, want %#x", i, r.status, want[i])
+		}
+	}
+	now = 1001
+	if rs := runBinary(t, st, frame(OpGet, "b", nil, nil, 0, 0)); rs[0].status != StatusOK || string(rs[0].value) != "2" {
+		t.Fatalf("a second after the flush, get b: status %#x value %q", rs[0].status, rs[0].value)
+	}
+	now = 1050
+	if rs := runBinary(t, st, frame(OpGet, "b", nil, nil, 0, 0)); rs[0].status != StatusKeyNotFound {
+		t.Fatalf("at the delayed flush's time, get b: status %#x", rs[0].status)
+	}
+}
+
 func TestBinaryQuietSetPipelined(t *testing.T) {
 	st := newStore(t)
 	h := st

@@ -77,6 +77,14 @@ type core struct {
 	env   Env
 	// timed is env.Observer and env.NowNanos both set, decided once.
 	timed bool
+	// transport and lastEnd let a pipelined request skip its start
+	// stamp: when the transport was not read since the previous request
+	// ended, nothing was waited for and that request's end is this
+	// one's start. Set by ServeConn only, which builds the pair itself;
+	// a session on a caller's pair cannot see the caller's reads and
+	// stamps every start.
+	transport *flushBeforeRead
+	lastEnd   sim.Ns
 	// binary names the codec on sampled spans.
 	binary bool
 
@@ -110,17 +118,27 @@ func newCore(store *kvstore.Store, r *bufio.Reader, w *bufio.Writer, env Env) co
 // reply first, because no session can block in a read with output
 // pending. Sessions never flush at reply sites; Serve flushes on exit.
 func NewBufferedPair(rw io.ReadWriter) (*bufio.Reader, *bufio.Writer) {
+	r, w, _ := newBufferedPair(rw)
+	return r, w
+}
+
+func newBufferedPair(rw io.ReadWriter) (*bufio.Reader, *bufio.Writer, *flushBeforeRead) {
 	w := bufio.NewWriterSize(rw, 64<<10)
-	return bufio.NewReaderSize(&flushBeforeRead{r: rw, w: w}, 64<<10), w
+	f := &flushBeforeRead{r: rw, w: w}
+	return bufio.NewReaderSize(f, 64<<10), w, f
 }
 
 // flushBeforeRead is the transport half of NewBufferedPair's reader.
 type flushBeforeRead struct {
 	r io.Reader
 	w *bufio.Writer
+	// read is set by every transport read and cleared by the core when
+	// a request ends.
+	read bool
 }
 
 func (f *flushBeforeRead) Read(p []byte) (int, error) {
+	f.read = true
 	if err := f.w.Flush(); err != nil {
 		return 0, err
 	}
@@ -133,15 +151,19 @@ func (f *flushBeforeRead) Read(p []byte) (int, error) {
 // connection that ends before its first byte was never a session and
 // returns nil.
 func ServeConn(store *kvstore.Store, rw io.ReadWriter, env Env) error {
-	r, w := NewBufferedPair(rw)
+	r, w, transport := newBufferedPair(rw)
 	first, err := r.Peek(1)
 	if err != nil {
 		return nil
 	}
 	if first[0] == MagicRequest {
-		return NewBinarySessionBuffered(store, r, w, env).Serve()
+		s := NewBinarySessionBuffered(store, r, w, env)
+		s.transport = transport
+		return s.Serve()
 	}
-	return NewSessionBuffered(store, r, w, env).Serve()
+	s := NewSessionBuffered(store, r, w, env)
+	s.transport = transport
+	return s.Serve()
 }
 
 // peerLeft reports whether err is the stream ending, at a request
@@ -184,7 +206,11 @@ func (c *core) serveOne(cd codec) error {
 	}
 	var start sim.Ns
 	if c.timed {
-		start = c.env.NowNanos()
+		if c.transport != nil && !c.transport.read {
+			start = c.lastEnd
+		} else {
+			start = c.env.NowNanos()
+		}
 	}
 	admitted := c.env.Gate == nil || c.env.Gate.TryAcquire()
 	c.beginSpan()
@@ -201,6 +227,9 @@ func (c *core) serveOne(cd codec) error {
 		class, opaque := cd.tag()
 		c.env.Observer.ObserveOp(class, out, end-start)
 		c.endSpan(class, out, opaque, start, end)
+		if c.transport != nil {
+			c.lastEnd, c.transport.read = end, false
+		}
 	}
 	if admitted && c.env.Gate != nil {
 		c.env.Gate.Release()

@@ -197,6 +197,40 @@ func TestFlushAll(t *testing.T) {
 	}
 }
 
+// frozenStore is a store whose clock moves only when the test moves it.
+func frozenStore(t *testing.T, now *int64) *kvstore.Store {
+	t.Helper()
+	cfg := kvstore.DefaultConfig(16 << 20)
+	cfg.Clock = func() int64 { return *now }
+	st, err := kvstore.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// TestFlushAllIsImmediateAndExact is the flush_all contract
+// (ROBUSTNESS.md) over an ASCII session, with the clock held still: what
+// was stored before the command is gone in the same second, what is
+// stored after it survives the next tick, and a pending delayed flush
+// neither absorbs an immediate one nor is cancelled by it.
+func TestFlushAllIsImmediateAndExact(t *testing.T) {
+	now := int64(1000)
+	st := frozenStore(t, &now)
+	out := run(t, st, "set a 0 0 1\r\n1\r\nflush_all 50\r\nflush_all\r\nget a\r\nset b 0 0 1\r\n2\r\nget b\r\n")
+	if want := "STORED\r\nOK\r\nOK\r\nEND\r\nSTORED\r\nVALUE b 0 1\r\n2\r\nEND\r\n"; out != want {
+		t.Fatalf("in the second of the flush:\n got %q\nwant %q", out, want)
+	}
+	now = 1001
+	if out := run(t, st, "get b\r\n"); out != "VALUE b 0 1\r\n2\r\nEND\r\n" {
+		t.Fatalf("a second after the flush, get b: %q", out)
+	}
+	now = 1050
+	if out := run(t, st, "get b\r\n"); out != "END\r\n" {
+		t.Fatalf("at the delayed flush's time, get b: %q", out)
+	}
+}
+
 func TestVersionVerbosityQuit(t *testing.T) {
 	if out := run(t, nil, "version\r\n"); !strings.HasPrefix(out, "VERSION ") {
 		t.Fatalf("version: %q", out)

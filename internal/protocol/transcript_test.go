@@ -401,24 +401,28 @@ func transcriptOf(t *testing.T, bin bool, seed uint64, kinds map[string]int) (tr
 // Binary seeds 23, 27 and 31 were re-recorded with the core: each is cut
 // inside a frame body, which used to end Serve with "unexpected EOF" and
 // observe nothing, and now ends it cleanly with that frame observed as
-// an error (TestTruncationEndsSessionCleanly has the rule).
+// an error (TestTruncationEndsSessionCleanly has the rule). ASCII seeds
+// 4, 8, 10, 15, 22, 27, 29, 30 and 32 and binary seed 17 were re-recorded
+// with the 36-byte item header: each contains a `stats` whose `bytes`
+// row is 12 B per resident item smaller, or a get that follows a
+// flush_all in the same (frozen) second and now misses.
 var transcriptDigests = map[string][]string{
 	"ascii": {
-		"f609c096113a780f", "bb67196f271ca018", "9ff1e913880f75b3", "40aa0f45a83c3af1",
-		"d1b1438f7d6dd740", "9457f950c5c826b9", "6b0c5c73e4e6f2c7", "2d49bfc2524d8e8b",
-		"f4b113c6dbbe33bd", "3e6a9f1ee9af7b33", "b9a5ad3f0badf573", "015caf26371de237",
-		"23392602fd66530d", "b09cf0cffe8501c1", "b8d86a6329165ed7", "ca2485d8e5c758a3",
+		"f609c096113a780f", "bb67196f271ca018", "9ff1e913880f75b3", "4f5b9643c769cabb",
+		"d1b1438f7d6dd740", "9457f950c5c826b9", "6b0c5c73e4e6f2c7", "3f87373220a7321c",
+		"f4b113c6dbbe33bd", "90ed6411caf0789b", "b9a5ad3f0badf573", "015caf26371de237",
+		"23392602fd66530d", "b09cf0cffe8501c1", "fcf38e8d86c7af69", "ca2485d8e5c758a3",
 		"36c7cec2294a2871", "3fa38905f9dc544d", "b6e5417a440ccff7", "67cf9275adf85d0f",
-		"894245825b23f14c", "680e02e19ede5ca8", "670c53b0faab2708", "11ca66a1707b6901",
-		"4ba8358599e2aba3", "59eabcf72a74ca79", "2f8eb9e058d0c426", "27a48dd3e5c39af3",
-		"ff4d355e31b1e997", "06a1b29a52af5a53", "09bf074e83a793d8", "b6ea3b65332b5c94",
+		"894245825b23f14c", "1a4d0b372c84f56c", "670c53b0faab2708", "11ca66a1707b6901",
+		"4ba8358599e2aba3", "59eabcf72a74ca79", "f6dfc9b9c8a8849e", "27a48dd3e5c39af3",
+		"aca2f1152ed6e529", "14444e3c8029e73b", "09bf074e83a793d8", "2c0deab2d98895d4",
 	},
 	"binary": {
 		"4aa8f074fcef9dc7", "fccbdc83de0ff344", "84199271cea5a878", "e3ae9afbdbe341e1",
 		"b7a2194aae82c76b", "2e1b91fe9fcf898b", "f4d30115c3615406", "fbbd4112360e8f57",
 		"8bb087db564bf35b", "04c57b6b96695a07", "6823a0e4ed6ef906", "7dac92c79a3a7f12",
 		"7389d18a0a7b58eb", "6656c09c73119179", "1057c1924cac0023", "3a0d03028413323f",
-		"75e5b0fd214395e0", "c5ed22ad26ea5f64", "af4a6d0e6731a297", "1212436642f32af7",
+		"e940b4c110b03760", "c5ed22ad26ea5f64", "af4a6d0e6731a297", "1212436642f32af7",
 		"cd3048163c73019d", "a7dc3bc67ac513cc", "441a27561b016891", "772fc5b6f6554984",
 		"42739dfc2ce832d6", "648821c25eb4554a", "95d3a71bb7d7182c", "3624a198b3563ce2",
 		"58fb1c50b057093f", "c825e36722795e22", "53ec586e1587d561", "c38d7c11c5869954",
@@ -509,6 +513,65 @@ func TestTruncationEndsSessionCleanly(t *testing.T) {
 			}
 			if d.admitted != d.released || d.admitted != len(want) {
 				t.Errorf("%s cut at %d: %d admitted, %d released, %d observed", codec, cut, d.admitted, d.released, len(want))
+			}
+		}
+	}
+}
+
+// TestClockReadsPerPipelinedOp pins what timing a request costs. The op
+// clock is read when a request ends and, if the transport was read
+// since the previous request ended, when it starts; a request served
+// from bytes already buffered starts where its predecessor ended. So a
+// lone request reads the clock twice, a 16-deep burst 17 times rather
+// than 32, and the burst's spans tile it without gaps. A session built
+// on its caller's pair cannot see the transport and stamps every start,
+// as before.
+func TestClockReadsPerPipelinedOp(t *testing.T) {
+	requests := map[string][]byte{
+		"ascii":  []byte("get k\r\n"),
+		"binary": frame(OpGet, "k", nil, nil, 0, 1),
+	}
+	for codec, req := range requests {
+		burst := [][]byte{bytes.Repeat(req, 16)}
+		roundTrips := make([][]byte, 16)
+		for i := range roundTrips {
+			roundTrips[i] = req
+		}
+		for _, tc := range []struct {
+			name       string
+			segs       [][]byte
+			callerPair bool
+			ops        int
+			reads      sim.Ns
+		}{
+			{"lone request", [][]byte{req}, false, 1, 2},
+			{"16-deep burst", burst, false, 16, 17},
+			{"16 round trips", roundTrips, false, 16, 32},
+			{"16-deep burst on a caller's pair", burst, true, 16, 32},
+		} {
+			d := &transcriptDeps{}
+			env := Env{Observer: d, NowNanos: d.now}
+			rw := &segmentedRW{segs: append([][]byte(nil), tc.segs...)}
+			var err error
+			if !tc.callerPair {
+				err = ServeConn(newStore(t), rw, env)
+			} else if r, w := NewBufferedPair(rw); codec == "binary" {
+				err = NewBinarySessionBuffered(newStore(t), r, w, env).Serve()
+			} else {
+				err = NewSessionBuffered(newStore(t), r, w, env).Serve()
+			}
+			if err != nil {
+				t.Fatalf("%s, %s: Serve = %v", codec, tc.name, err)
+			}
+			if len(d.log) != tc.ops || d.clock != tc.reads {
+				t.Errorf("%s, %s: %d ops observed with %d clock reads, want %d with %d", codec, tc.name, len(d.log), d.clock, tc.ops, tc.reads)
+			}
+			// On the counting clock an op that reused its predecessor's
+			// end lasts exactly one tick.
+			for i, entry := range d.log {
+				if !strings.HasSuffix(entry, " 1") {
+					t.Errorf("%s, %s: op %d observed as %q, want a duration of 1", codec, tc.name, i, entry)
+				}
 			}
 		}
 	}
