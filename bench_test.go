@@ -87,11 +87,10 @@ func BenchmarkLoadLatency(b *testing.B) { benchExperiment(b, "loadlatency") }
 
 // --- functional kvstore microbenchmarks --------------------------------
 
-func newBenchStore(b *testing.B, mode kvstore.ConcurrencyMode, policy kvstore.EvictionPolicy) *kvstore.Store {
+func newBenchStore(b *testing.B, shards int, policy kvstore.EvictionPolicy) *kvstore.Store {
 	b.Helper()
 	cfg := kvstore.DefaultConfig(256 << 20)
-	cfg.Mode = mode
-	cfg.Shards = 16
+	cfg.Shards = shards
 	cfg.Policy = policy
 	st, err := kvstore.New(cfg)
 	if err != nil {
@@ -115,7 +114,7 @@ func preload(b *testing.B, st *kvstore.Store, n int, valueBytes int) []string {
 
 // BenchmarkStoreGet measures single-threaded GET latency.
 func BenchmarkStoreGet(b *testing.B) {
-	st := newBenchStore(b, kvstore.ModeStriped, kvstore.PolicyLRU)
+	st := newBenchStore(b, 16, kvstore.PolicyLRU)
 	keys := preload(b, st, 65536, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -127,7 +126,7 @@ func BenchmarkStoreGet(b *testing.B) {
 
 // BenchmarkStoreGetInto measures the allocation-free read path.
 func BenchmarkStoreGetInto(b *testing.B) {
-	st := newBenchStore(b, kvstore.ModeStriped, kvstore.PolicyLRU)
+	st := newBenchStore(b, 16, kvstore.PolicyLRU)
 	keys := preload(b, st, 65536, 64)
 	buf := make([]byte, 0, 128)
 	b.ResetTimer()
@@ -142,7 +141,7 @@ func BenchmarkStoreGetInto(b *testing.B) {
 
 // BenchmarkStoreSet measures single-threaded overwrite throughput.
 func BenchmarkStoreSet(b *testing.B) {
-	st := newBenchStore(b, kvstore.ModeStriped, kvstore.PolicyLRU)
+	st := newBenchStore(b, 16, kvstore.PolicyLRU)
 	keys := preload(b, st, 65536, 64)
 	val := make([]byte, 64)
 	b.ResetTimer()
@@ -163,7 +162,7 @@ func BenchmarkMultiget(b *testing.B) { benchExperiment(b, "multiget") }
 // read (GetBatchInto) against the striped store, rotating through the
 // key space so every shard stays warm.
 func BenchmarkMultigetStoreBatch64(b *testing.B) {
-	st := newBenchStore(b, kvstore.ModeStriped, kvstore.PolicyLRU)
+	st := newBenchStore(b, 16, kvstore.PolicyLRU)
 	keys := preload(b, st, 65536, 64)
 	bkeys := make([][]byte, 64)
 	for i := range bkeys {
@@ -212,9 +211,10 @@ func BenchmarkMultigetSimBatch16(b *testing.B) {
 // benchContention drives parallel GET-heavy traffic at a store built
 // like each Table 4 baseline: global lock + LRU (memcached 1.4),
 // striped + LRU (1.6), striped + bags (Bags). The relative scaling is
-// the ground truth behind the baseline contention model.
-func benchContention(b *testing.B, mode kvstore.ConcurrencyMode, policy kvstore.EvictionPolicy) {
-	st := newBenchStore(b, mode, policy)
+// the ground truth behind the baseline contention model. One shard is
+// the global lock; the striped baselines use 16.
+func benchContention(b *testing.B, shards int, policy kvstore.EvictionPolicy) {
+	st := newBenchStore(b, shards, policy)
 	keys := preload(b, st, 65536, 64)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -232,17 +232,17 @@ func benchContention(b *testing.B, mode kvstore.ConcurrencyMode, policy kvstore.
 
 // BenchmarkContentionGlobalLRU is the memcached 1.4 analogue.
 func BenchmarkContentionGlobalLRU(b *testing.B) {
-	benchContention(b, kvstore.ModeGlobal, kvstore.PolicyLRU)
+	benchContention(b, 1, kvstore.PolicyLRU)
 }
 
 // BenchmarkContentionStripedLRU is the memcached 1.6 analogue.
 func BenchmarkContentionStripedLRU(b *testing.B) {
-	benchContention(b, kvstore.ModeStriped, kvstore.PolicyLRU)
+	benchContention(b, 16, kvstore.PolicyLRU)
 }
 
 // BenchmarkContentionStripedBags is the Bags analogue.
 func BenchmarkContentionStripedBags(b *testing.B) {
-	benchContention(b, kvstore.ModeStriped, kvstore.PolicyBags)
+	benchContention(b, 16, kvstore.PolicyBags)
 }
 
 // --- ablation: stack design choices -------------------------------------

@@ -3,14 +3,13 @@ package main
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
 	"sort"
 )
 
 // Control-flow graph construction for the syncguard analyses. The v2
-// checks (lockorder, lockcheck) walk bodies in source order with
-// branches merged, which overapproximates held-lock sets: a Lock inside
-// one arm of an if leaks into the other arm. syncguard needs the real
+// check lockorder walks bodies in source order with branches merged,
+// which overapproximates held-lock sets: a Lock inside one arm of an if
+// leaks into the other arm. syncguard needs the real
 // thing — "is the guard held on *every* path reaching this access" — so
 // this file builds a statement-level CFG per function body and runs a
 // must-hold dataflow over it (meet = intersection over predecessors).
@@ -57,8 +56,8 @@ type cfgBuilder struct {
 	g   *funcCFG
 	cur *cfgBlock // nil while flow is unreachable (after return/break/...)
 
-	loops        []loopTargets         // innermost-last break/continue targets
-	breakTargets []*cfgBlock           // switch/select break targets share the loop stack rules
+	loops        []loopTargets // innermost-last break/continue targets
+	breakTargets []*cfgBlock   // switch/select break targets share the loop stack rules
 	labels       map[string]loopTargets
 	pendingLabel string
 }
@@ -533,73 +532,6 @@ func lockflow(a *analysis, pkg *pkgInfo, g *funcCFG, entry heldSet,
 			lockTransfer(a, pkg, n, h)
 		}
 	}
-}
-
-// predIndexes computes, for every block, the indexes of its
-// predecessors — the shape every forward dataflow over a funcCFG needs.
-func (g *funcCFG) predIndexes() [][]int {
-	preds := make([][]int, len(g.blocks))
-	for _, blk := range g.blocks {
-		for _, s := range blk.succs {
-			preds[s.index] = append(preds[s.index], blk.index)
-		}
-	}
-	return preds
-}
-
-// mayFlow runs a forward may-analysis (union meet, first fact wins) over
-// the CFG for per-variable facts of type V, iterating the transfer
-// function to a fixpoint and returning the stable entry state of every
-// block. It is the union-meet dual of lockflow's intersection dataflow:
-// syncguard/publish, bufown and poolsafe all share this shape — a fact
-// established on *some* path to a block holds there (a buffer may be
-// retained, a value may already be Put back).
-//
-// transfer must not mutate its input; it returns the block's exit
-// state (which may be the input map itself when nothing changed).
-// Termination relies on transfer being monotone in the key set: facts
-// are only added or deleted deterministically per block, and the meet
-// only grows key sets, so the usual finite-lattice argument applies.
-func mayFlow[V any](g *funcCFG, entry map[*types.Var]V,
-	transfer func(block int, in map[*types.Var]V) map[*types.Var]V) []map[*types.Var]V {
-	in := make([]map[*types.Var]V, len(g.blocks))
-	out := make([]map[*types.Var]V, len(g.blocks))
-	preds := g.predIndexes()
-	sameKeys := func(a, b map[*types.Var]V) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for k := range a {
-			if _, ok := b[k]; !ok {
-				return false
-			}
-		}
-		return true
-	}
-	in[g.entry.index] = entry
-	for changed := true; changed; {
-		changed = false
-		for _, blk := range g.blocks {
-			b := blk.index
-			if blk != g.entry {
-				merged := map[*types.Var]V{}
-				for _, p := range preds[b] {
-					for k, v := range out[p] {
-						if _, ok := merged[k]; !ok {
-							merged[k] = v
-						}
-					}
-				}
-				in[b] = merged
-			}
-			o := transfer(b, in[b])
-			if !sameKeys(o, out[b]) {
-				out[b] = o
-				changed = true
-			}
-		}
-	}
-	return in
 }
 
 // reachableFrom computes the blocks reachable from start (inclusive).

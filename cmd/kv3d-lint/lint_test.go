@@ -159,83 +159,12 @@ func D() int64 { return time.Now().Unix() }`,
 	}
 }
 
-func TestLockCheckPositionConvention(t *testing.T) {
-	a := writeModule(t, map[string]string{
-		"pkg/s.go": `package pkg
-import "sync"
-
-type Counter struct {
-	name string
-
-	mu sync.Mutex
-	n  int
-}
-
-// Bad reads n without the lock.
-func (c *Counter) Bad() int { return c.n }
-
-// Good locks first.
-func (c *Counter) Good() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
-}
-
-// Name is unguarded (different paragraph).
-func (c *Counter) Name() string { return c.name }
-
-// internal helpers may rely on callers holding the lock.
-func (c *Counter) peek() int { return c.n }`,
-	})
-	assertFindings(t, checkLocks(a), 1, "Counter.Bad accesses c.n (guarded by mu)")
-}
-
-func TestLockCheckCommentConvention(t *testing.T) {
-	a := writeModule(t, map[string]string{
-		"pkg/s.go": `package pkg
-import "sync"
-
-type Gauge struct {
-	statsMu sync.Mutex
-
-	level int // guarded by statsMu
-}
-
-func (g *Gauge) Level() int { return g.level }
-
-func (g *Gauge) SafeLevel() int {
-	g.statsMu.Lock()
-	defer g.statsMu.Unlock()
-	return g.level
-}`,
-	})
-	assertFindings(t, checkLocks(a), 1, "Gauge.Level accesses g.level (guarded by statsMu)")
-}
-
-func TestLockCheckRWMutexRLockCounts(t *testing.T) {
-	a := writeModule(t, map[string]string{
-		"pkg/s.go": `package pkg
-import "sync"
-
-type Ring struct {
-	mu     sync.RWMutex
-	points []int
-}
-
-func (r *Ring) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.points)
-}`,
-	})
-	assertFindings(t, checkLocks(a), 0)
-}
-
 // TestTypedCatchesAliasedMutexType is the aliased-import fixture for
-// lockcheck: the mutex hides behind a renamed sync import and a type
+// syncguard: the mutex hides behind a renamed sync import and a type
 // alias in another file. A spelling pass would see a field of unknown
-// type `hotMu` and establish no guard; type resolution takes hotMu to
-// sync.Mutex and reports the unguarded access.
+// type `hotMu` and know of no lock; type resolution takes hotMu to
+// sync.Mutex, so the lock held in Inc counts and the unguarded read in
+// Bad is reported.
 func TestTypedCatchesAliasedMutexType(t *testing.T) {
 	a := writeModule(t, map[string]string{
 		"pkg/alias.go": `package pkg
@@ -245,142 +174,18 @@ type hotMu = s.Mutex`,
 
 type C struct {
 	mu hotMu
-	n  int
+	n  int //kv3d:guardedby mu
+}
+
+func (c *C) Inc() {
+	c.mu.Lock()
+	c.n++
+	c.mu.Unlock()
 }
 
 func (c *C) Bad() int { return c.n }`,
 	})
-	assertFindings(t, checkLocks(a), 1, "C.Bad accesses c.n (guarded by mu)")
-}
-
-func TestUnitsMixedSuffixes(t *testing.T) {
-	a := writeModule(t, map[string]string{
-		"pkg/s.go": `package pkg
-
-func f(latencyNs, wirePs, coreCycles int64) int64 {
-	bad := latencyNs + wirePs
-	if coreCycles > latencyNs {
-		bad++
-	}
-	bad -= 0
-	good := latencyNs + psToNs(wirePs) // conversion call silences
-	scale := coreCycles * wirePs       // multiplication is the conversion idiom
-	ops := latencyNs + latencyNs       // same unit
-	tps := ops + 1                     // lowercase plural is not a unit
-	return bad + good + scale + tps
-}
-
-func psToNs(ps int64) int64 { return ps / 1000 }`,
-	})
-	assertFindings(t, checkUnits(a), 2,
-		"mixes Ns and Ps identifiers", "mixes Cycles and Ns identifiers")
-}
-
-func TestUnitsAssignOps(t *testing.T) {
-	a := writeModule(t, map[string]string{
-		"pkg/s.go": `package pkg
-
-func f(totalPs, stepNs int64) int64 {
-	totalPs += stepNs
-	return totalPs
-}`,
-	})
-	assertFindings(t, checkUnits(a), 1, "mixes Ps and Ns identifiers")
-}
-
-// TestUnitsTypedSimTimeRules pins the typed-only rules: adding or
-// multiplying two absolute sim.Time stamps is flagged, the kernel's own
-// `t + Time(d)` saturating-add idiom stays legal, and a typed sim.Ps
-// value keeps its unit through a transparent int64() conversion.
-func TestUnitsTypedSimTimeRules(t *testing.T) {
-	a := writeModule(t, map[string]string{
-		"internal/sim/sim.go": `package sim
-
-type Time int64
-type Duration int64
-type Ps int64
-
-func bad1(t1, t2 Time) Time { return t1 + t2 }
-func bad2(t1, t2 Time) Time { return t1 * t2 }
-func ok1(t Time, d Duration) Time { return t + Time(d) }
-func mix(aNs int64, p Ps) int64 { return aNs + int64(p) }`,
-	})
-	assertFindings(t, checkUnits(a), 3,
-		"adds two sim.Time values",
-		"multiplies two sim.Time values",
-		"mixes Ns and Ps identifiers")
-}
-
-func TestPurityLoopCaptureAndGlobalWrite(t *testing.T) {
-	a := writeModule(t, map[string]string{
-		"internal/sim/sim.go": `package sim
-
-type Sim struct{}
-func (s *Sim) After(d int64, fn func()) {}
-
-var totalDrops int
-
-func Run(s *Sim, names []string) {
-	for i, name := range names {
-		s.After(1, func() {
-			_ = i        // loop-var capture
-			_ = name     // loop-var capture
-			totalDrops++ // package-level mutation
-		})
-	}
-	count := 0
-	for j := 0; j < 3; j++ {
-		jj := j
-		s.After(1, func() {
-			_ = jj  // explicit copy: fine
-			count++ // local capture: fine
-		})
-	}
-	_ = count
-}`,
-	})
-	assertFindings(t, checkPurity(a), 3,
-		`captures loop variable "i"`, `captures loop variable "name"`,
-		`mutates package-level state "totalDrops"`)
-}
-
-func TestPurityOutsideSimSetIgnored(t *testing.T) {
-	a := writeModule(t, map[string]string{
-		"internal/tool/t.go": `package tool
-
-type Q struct{}
-func (q *Q) After(d int64, fn func()) {}
-
-var n int
-
-func Run(q *Q) {
-	for i := 0; i < 3; i++ {
-		q.After(1, func() { n += i })
-	}
-}`,
-	})
-	assertFindings(t, checkPurity(a), 0)
-}
-
-// TestPurityTypedRequiresModuleSink pins a type-resolution hardening: a
-// same-named method on a stdlib type must not register as a scheduling
-// sink.
-func TestPurityTypedRequiresModuleSink(t *testing.T) {
-	a := writeModule(t, map[string]string{
-		"internal/sim/sim.go": `package sim
-import "container/list"
-
-var total int
-
-func Run(l *list.List) {
-	// list.List has no After(func()) shape; use a local type that is
-	// not from this module via an interface value.
-	for i := 0; i < 3; i++ {
-		l.PushBack(func() { total += i })
-	}
-}`,
-	})
-	assertFindings(t, checkPurity(a), 0)
+	assertFindings(t, checkSyncGuard(a), 1, "C.n")
 }
 
 func TestLockOrderCycle(t *testing.T) {
@@ -513,131 +318,6 @@ func (s *S) Bad() {
 	assertFindings(t, checkLockOrder(a), 1, "acquires S.mu while already holding it")
 }
 
-func TestHotAllocFlagsIdiomsAndAllowsNonAllocating(t *testing.T) {
-	a := writeModule(t, map[string]string{
-		"pkg/s.go": `package pkg
-
-import "fmt"
-
-type store struct{ m map[string]int }
-
-//kv3d:hotpath
-func (s *store) Hot(b []byte, name string) string {
-	msg := fmt.Sprintf("k=%d", len(b)) // flagged: fmt on hot path
-	key := string(b)                   // flagged: allocating conversion
-	_ = key
-	var acc []int
-	acc = append(acc, len(b)) // flagged: growth from zero capacity
-	fn := func() int { return len(acc) } // flagged: capturing closure
-	_ = fn
-	sink(len(b)) // flagged: boxes int into any
-	if s.m[string(b)] > 0 { // allowed: map-index conversion
-		return msg
-	}
-	if name == string(b) { // allowed: comparison conversion
-		return msg
-	}
-	switch string(b) { // allowed: switch-tag conversion
-	case "get":
-		return msg
-	}
-	return msg
-}
-
-//kv3d:hotpath
-func HotErr(b []byte) error {
-	if err := validate(b); err != nil {
-		return fmt.Errorf("bad frame: %w", err) // allowed: error path is cold
-	}
-	return nil
-}
-
-func validate(b []byte) error { return nil }
-
-func sink(v any) {}
-
-// Unannotated functions may allocate freely.
-func Cold(b []byte) string { return fmt.Sprintf("%d", len(b)) }`,
-	})
-	assertFindings(t, checkHotAlloc(a), 5,
-		"fmt.Sprintf allocates",
-		"[]byte -> string conversion copies",
-		`append grows "acc" from zero capacity`,
-		`closure captures "acc"`,
-		"boxing int into interface parameter")
-}
-
-func TestHotAllocScratchBufferReuseAllowed(t *testing.T) {
-	a := writeModule(t, map[string]string{
-		"pkg/s.go": `package pkg
-
-type w struct{ scratch []byte }
-
-//kv3d:hotpath
-func (x *w) Render(n byte) []byte {
-	x.scratch = append(x.scratch[:0], 'v', n) // allowed: receiver-owned scratch
-	sized := make([]byte, 0, 8)
-	sized = append(sized, n) // allowed: capacity chosen explicitly
-	return sized
-}`,
-	})
-	assertFindings(t, checkHotAlloc(a), 0)
-}
-
-func TestHotAllocBatchedLookupShapeAllowed(t *testing.T) {
-	// The GetBatchInto idiom: grouping state lives in a caller-owned
-	// scratch struct that a cold, unannotated grow() sizes; the hot
-	// function only reslices scratch fields and appends into the
-	// caller-owned destination. None of that may be flagged — but a
-	// careless variant that groups into a bare local slice must be.
-	a := writeModule(t, map[string]string{
-		"pkg/s.go": `package pkg
-
-type scratch struct {
-	order  []int32
-	counts []int32
-}
-
-// grow is cold setup: allocating here is fine.
-func (s *scratch) grow(n, shards int) {
-	if cap(s.order) < n {
-		s.order = make([]int32, n)
-	}
-	if cap(s.counts) < shards {
-		s.counts = make([]int32, shards)
-	}
-}
-
-//kv3d:hotpath
-func BatchLookup(dst []byte, keys [][]byte, scr *scratch) []byte {
-	scr.grow(len(keys), 8)
-	order := scr.order[:len(keys)]  // allowed: reslicing scratch
-	counts := scr.counts[:8]        // allowed: reslicing scratch
-	for i := range counts {
-		counts[i] = 0
-	}
-	for i, k := range keys {
-		order[i] = int32(len(k) % len(counts))
-	}
-	for _, ki := range order {
-		dst = append(dst, byte(ki)) // allowed: caller-owned destination
-	}
-	return dst
-}
-
-//kv3d:hotpath
-func BatchLookupSloppy(keys [][]byte) []int32 {
-	var order []int32
-	for i := range keys {
-		order = append(order, int32(i)) // flagged: regrows per call
-	}
-	return order
-}`,
-	})
-	assertFindings(t, checkHotAlloc(a), 1,
-		`append grows "order" from zero capacity`)
-}
-
 func TestErrDropIgnoredVsHandled(t *testing.T) {
 	a := writeModule(t, map[string]string{
 		"internal/obs/obs.go": `package obs
@@ -689,12 +369,18 @@ import "sync"
 
 type D struct {
 	mu sync.Mutex
-	n  int
+	n  int //kv3d:guardedby mu
 }
 
 func New() *D { return &D{} }
 
-// Unguarded access: would be a lockcheck finding if dep were a target.
+func (d *D) Inc() {
+	d.mu.Lock()
+	d.n++
+	d.mu.Unlock()
+}
+
+// Unguarded access: would be a syncguard finding if dep were a target.
 func (d *D) Bad() int { return d.n }`,
 	})
 	a, err := load(root, []string{"./pkg"})
@@ -708,7 +394,7 @@ func (d *D) Bad() int { return d.n }`,
 	if dep.types == nil {
 		t.Fatal("dependency package was not type-checked")
 	}
-	assertFindings(t, checkLocks(a), 0)
+	assertFindings(t, checkSyncGuard(a), 0)
 }
 
 func TestModulePatternExpansion(t *testing.T) {

@@ -511,22 +511,10 @@ func isSyncMutex(t types.Type) bool {
 		(obj.Name() == "Mutex" || obj.Name() == "RWMutex")
 }
 
-// isSyncPool reports whether a type is sync.Pool (directly, behind a
-// pointer, or behind an alias).
-func isSyncPool(t types.Type) bool {
-	n := namedType(t)
-	if n == nil {
-		return false
-	}
-	obj := n.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" && obj.Name() == "Pool"
-}
-
 // funcDecls builds (once, lazily) the module-wide index from resolved
 // *types.Func objects to their declarations, covering dependency-only
-// packages too: the bufown check resolves //kv3d:aliases contracts on
-// callees in other packages, and lifecycle resolves the body a
-// `go pkgFn()` statement actually spawns.
+// packages too: lifecycle resolves the body a `go pkgFn()` statement
+// actually spawns, wherever pkgFn is declared.
 func (a *analysis) funcDecls() map[*types.Func]*ast.FuncDecl {
 	if a.declOf != nil {
 		return a.declOf
@@ -546,10 +534,4 @@ func (a *analysis) funcDecls() map[*types.Func]*ast.FuncDecl {
 		}
 	}
 	return a.declOf
-}
-
-// isModulePkg reports whether an import path belongs to the module
-// under analysis.
-func (a *analysis) isModulePkg(path string) bool {
-	return path == a.module || strings.HasPrefix(path, a.module+"/")
 }

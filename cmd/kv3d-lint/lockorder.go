@@ -53,13 +53,6 @@ type lockCallSite struct {
 	pos    token.Pos
 }
 
-// lockEdge is one observed acquisition order: to was locked while from
-// was held.
-type lockEdge struct {
-	to  string
-	pos token.Pos
-}
-
 func checkLockOrder(a *analysis) []finding {
 	var out []finding
 	for _, pkg := range a.sortedPkgs() {

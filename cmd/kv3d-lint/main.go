@@ -3,7 +3,7 @@
 // cannot check: determinism of the simulation layer (the paper's RTT/TPS
 // tables are only trustworthy if model code never reads wall clocks or
 // global randomness), concurrency hygiene of the live server path, and
-// allocation discipline on the request hot paths.
+// error and goroutine discipline at the socket edge.
 //
 // It is stdlib-only (go/ast, go/parser, go/token, go/types, go/importer)
 // so it runs with `go run ./cmd/kv3d-lint ./...` in any environment that
@@ -14,28 +14,18 @@
 // and shadowing cannot hide a banned call the way they could from an
 // identifier-matching pass.
 //
-// Checks (see LINTING.md for the full contract):
+// Checks (see LINTING.md for the full contract, and for the audit that
+// deleted the six others this tool once had):
 //
 //	determinism   wall-clock and global-rand calls in sim-imported packages
-//	lockcheck     mutex-guarded struct fields read without the lock held
-//	units         arithmetic mixing time units (typed sim.Ps/sim.Ns/sim.Time
-//	              and Ns/Ps/Cycles identifier suffixes) unconverted
-//	purity        sim event callbacks capturing loop vars or mutating globals
 //	lockorder     lock-acquisition-order cycles and lock-held calls into
 //	              methods that re-acquire
-//	hotalloc      allocation idioms inside //kv3d:hotpath functions
 //	errdrop       dropped errors at flush/conn-write/renderer sinks
 //	syncguard     CFG-based lockset analysis: inferred
 //	              and annotated guarded-by relations (syncguard/guardedby),
 //	              mixed atomic/plain field access (syncguard/atomic), and
 //	              mutation after publication to another goroutine
 //	              (syncguard/publish)
-//	bufown        alias/escape analysis for borrowed buffers:
-//	              //kv3d:borrowed params and inferred hot-path slice
-//	              params must not be retained past the call
-//	              (bufown/retain, bufown/return, bufown/annotation)
-//	poolsafe      sync.Pool discipline: use-after-Put, double-Put, Put
-//	              of an escaped value
 //	lifecycle     every go statement tied to a stop signal
 //	              (lifecycle/untied) and no unbounded spawn loops
 //	              (lifecycle/spawnloop)
@@ -65,6 +55,19 @@ func main() {
 	os.Exit(run(".", os.Args[1:], os.Stdout, os.Stderr))
 }
 
+// checks are the analyses in the order they run; -checks selects among
+// them by name.
+var checks = []struct {
+	name string
+	run  func(*analysis) []finding
+}{
+	{"determinism", checkDeterminism},
+	{"lockorder", checkLockOrder},
+	{"errdrop", checkErrDrop},
+	{"syncguard", checkSyncGuard},
+	{"lifecycle", checkLifecycle},
+}
+
 // run is the whole linter behind a testable seam: root is the
 // directory patterns resolve against, argv the command line without
 // the program name. Returns the process exit code: 0 clean, 1
@@ -72,8 +75,11 @@ func main() {
 func run(root string, argv []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("kv3d-lint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	checksFlag := fs.String("checks",
-		"determinism,lockcheck,units,purity,lockorder,hotalloc,errdrop,syncguard,bufown,poolsafe,lifecycle",
+	var all []string
+	for _, c := range checks {
+		all = append(all, c.name)
+	}
+	checksFlag := fs.String("checks", strings.Join(all, ","),
 		"comma-separated subset of checks to run")
 	jsonFlag := fs.Bool("json", false,
 		"emit findings as JSON, one object per line: {file, line, col, check, message}")
@@ -100,38 +106,10 @@ func run(root string, argv []string, stdout, stderr io.Writer) int {
 	}
 
 	var findings []finding
-	if enabled["determinism"] {
-		findings = append(findings, checkDeterminism(a)...)
-	}
-	if enabled["lockcheck"] {
-		findings = append(findings, checkLocks(a)...)
-	}
-	if enabled["units"] {
-		findings = append(findings, checkUnits(a)...)
-	}
-	if enabled["purity"] {
-		findings = append(findings, checkPurity(a)...)
-	}
-	if enabled["lockorder"] {
-		findings = append(findings, checkLockOrder(a)...)
-	}
-	if enabled["hotalloc"] {
-		findings = append(findings, checkHotAlloc(a)...)
-	}
-	if enabled["errdrop"] {
-		findings = append(findings, checkErrDrop(a)...)
-	}
-	if enabled["syncguard"] {
-		findings = append(findings, checkSyncGuard(a)...)
-	}
-	if enabled["bufown"] {
-		findings = append(findings, checkBufOwn(a)...)
-	}
-	if enabled["poolsafe"] {
-		findings = append(findings, checkPoolSafe(a)...)
-	}
-	if enabled["lifecycle"] {
-		findings = append(findings, checkLifecycle(a)...)
+	for _, c := range checks {
+		if enabled[c.name] {
+			findings = append(findings, c.run(a)...)
+		}
 	}
 	findings = applyNolint(a, findings)
 

@@ -1,7 +1,7 @@
 // Command kv3d-server runs a memcached-compatible TCP server backed by
 // the kvstore engine.
 //
-//	kv3d-server -addr :11211 -memory 64m -policy lru -mode striped
+//	kv3d-server -addr :11211 -memory 64m -policy lru -shards 8
 //
 // Any memcached ASCII client can talk to it:
 //
@@ -75,8 +75,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:11211", "listen address")
 	memory := flag.String("memory", "64m", "memory limit (supports k/m/g suffixes)")
 	policy := flag.String("policy", "lru", "eviction policy: lru or bags")
-	mode := flag.String("mode", "striped", "locking: global (memcached 1.4) or striped (1.6)")
-	shards := flag.Int("shards", 8, "shard count for striped mode")
+	shards := flag.Int("shards", 8, "independently locked shards, rounded up to a power of two (1 = memcached 1.4's global lock)")
 	noEvict := flag.Bool("no-evict", false, "error instead of evicting (memcached -M)")
 	maxConns := flag.Int("max-conns", 0, "max simultaneous connections (0 = unlimited)")
 	idleTimeout := flag.Duration("idle-timeout", 0, "close idle connections after this long (0 = never)")
@@ -108,14 +107,6 @@ func main() {
 		cfg.Policy = kvstore.PolicyBags
 	default:
 		log.Fatalf("kv3d-server: unknown policy %q", *policy)
-	}
-	switch *mode {
-	case "global":
-		cfg.Mode = kvstore.ModeGlobal
-	case "striped":
-		cfg.Mode = kvstore.ModeStriped
-	default:
-		log.Fatalf("kv3d-server: unknown mode %q", *mode)
 	}
 
 	store, err := kvstore.New(cfg)
@@ -231,8 +222,8 @@ func main() {
 	} else if *pprofOn {
 		log.Fatalf("kv3d-server: -pprof requires -metrics (the debug mux mounts on the metrics listener)")
 	}
-	log.Printf("kv3d-server: listening on %s (%s, %s, %s, %d shards)",
-		srv.Addr(), *memory, *policy, *mode, store.Config().Shards)
+	log.Printf("kv3d-server: listening on %s (%s, %s, %d shards)",
+		srv.Addr(), *memory, *policy, store.Config().Shards)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

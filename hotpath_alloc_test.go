@@ -1,13 +1,14 @@
 package kv3d
 
-// Allocation gates for the //kv3d:hotpath functions (see LINTING.md).
-// The hotalloc static check flags allocating idioms by shape; these
-// tests measure the real paths with testing.AllocsPerRun so a
-// regression that slips past the static pass (or hides behind a
-// nolint) still fails CI. The two contracts pinned here:
+// Allocation gates for the //kv3d:hotpath functions (see LINTING.md):
+// every annotated function runs under at least one of these
+// testing.AllocsPerRun gates (internal/kvserver/alloc_test.go has the
+// two whose functions are unexported there), so an allocation seeded
+// into a hot path fails a test, whatever its shape. The contracts:
 //
 //   - A disabled (nil) obs.Tracer costs zero allocations per event, so
-//     model code can instrument unconditionally.
+//     model code can instrument unconditionally; so does the
+//     simulator's event dispatch.
 //   - The ASCII and binary GET paths — read, dispatch, doGet, store
 //     lookup, response write — and the SET paths, down to the rewrite
 //     of a resident item's chunk, allocate nothing per operation in
@@ -165,6 +166,57 @@ func TestKVStoreGetIntoBytesZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("GetIntoBytes allocates %v per op, want 0", allocs)
+	}
+}
+
+// TestKVStoreStringKeysZeroAlloc gates the string-keyed wrappers: Set
+// (through Put to PutBytes) overwriting a resident item, and GetInto
+// (to GetIntoBytes) reading it back, view the key's bytes and copy only
+// into the chunk and the caller's dst.
+func TestKVStoreStringKeysZeroAlloc(t *testing.T) {
+	st, err := kvstore.New(kvstore.DefaultConfig(32 << 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	val := []byte("bench-value-0123456789")
+	if err := st.Set("bench-key", val, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]byte, 0, 64)
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := st.Set("bench-key", val, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		if out, _, ok := st.GetInto(dst, "bench-key"); !ok || len(out) != len(val) {
+			t.Fatal("lookup failed")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Set + GetInto allocate %v per op, want 0", allocs)
+	}
+}
+
+// TestSimStepZeroAlloc gates the kernel's event dispatch: popping an
+// event, running it and calling the dispatch hook allocate nothing.
+// Scheduling allocates the event, so the queue is filled beforehand.
+func TestSimStepZeroAlloc(t *testing.T) {
+	s := sim.New()
+	var ran, dispatched int
+	fn := func() { ran++ }
+	s.SetDispatchHook(func(sim.Time) { dispatched++ })
+	for i := 0; i <= 100; i++ { // AllocsPerRun makes one warm-up call
+		s.After(sim.Duration(i), fn)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if !s.Step() {
+			t.Fatal("queue ran dry")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Simulator.Step allocates %v per event, want 0", allocs)
+	}
+	if ran != 101 || dispatched != 101 {
+		t.Fatalf("ran %d events, dispatched %d, want 101 each", ran, dispatched)
 	}
 }
 

@@ -89,7 +89,7 @@ func NewMembership(virtualNodes int) *Membership {
 
 // Ring exposes the underlying ring for read-side placement (Locate,
 // LocateN). Mutations must go through Join/Leave so versioning holds.
-func (m *Membership) Ring() *Ring { return m.ring } //nolint:kv3d -- ring is set once in NewMembership and never reassigned; the Ring locks itself
+func (m *Membership) Ring() *Ring { return m.ring } // ring is set once in NewMembership and never reassigned; the Ring locks itself
 
 // Join adds a node with the given capacity weight (<= 0 means 1) and
 // returns the resulting delta. Joining an existing member is a no-op
@@ -191,7 +191,7 @@ func (m *Membership) Len() int {
 // LocateN returns up to n distinct owners for key in preference order,
 // delegating to the ring.
 func (m *Membership) LocateN(key string, n int) ([]string, error) {
-	return m.ring.LocateN(key, n) //nolint:kv3d -- ring is set once in NewMembership and never reassigned; the Ring locks itself
+	return m.ring.LocateN(key, n) // ring is set once in NewMembership and never reassigned; the Ring locks itself
 }
 
 // KeyEpoch reports the ownership epoch of key's primary owner: the

@@ -29,9 +29,10 @@ type point struct {
 
 // Ring is a consistent-hash ring. It is safe for concurrent use.
 type Ring struct {
-	mu       sync.RWMutex
-	points   []point
-	nodes    map[string]int // node -> virtual point count
+	mu     sync.RWMutex
+	points []point //kv3d:guardedby mu
+	// nodes maps a node to its virtual point count.
+	nodes    map[string]int //kv3d:guardedby mu
 	replicas int
 }
 

@@ -62,7 +62,7 @@ func EvictionQuality(o Options) (Result, error) {
 // steady-state hit rate (misses during the warm half are discarded).
 func runFillOnMiss(pol kvstore.EvictionPolicy, memBytes, valueSize int64, keys int, skew float64, requests int) (float64, error) {
 	cfg := kvstore.DefaultConfig(memBytes)
-	cfg.Mode = kvstore.ModeGlobal
+	cfg.Shards = 1
 	cfg.Policy = pol
 	// A logical clock (one tick per store call) replaces the wall-clock
 	// default: Bags second-chance decisions compare item access stamps

@@ -55,8 +55,8 @@ type state struct {
 // comparisons per I/O call, no allocation.
 type Injector struct {
 	mu      sync.Mutex
-	targets map[string]*state
-	probes  *obs.Registry
+	targets map[string]*state //kv3d:guardedby mu
+	probes  *obs.Registry     //kv3d:guardedby mu
 }
 
 // New returns an empty injector: all targets healthy.
@@ -142,7 +142,7 @@ func (in *Injector) Apply(ev faults.Event) {
 	in.mu.Unlock()
 	in.count("faultnet.injected." + ev.Kind.String())
 	for _, c := range toClose {
-		c.Close() //nolint:kv3d -- injected kill: the close error of a connection being torn down on purpose carries no signal
+		c.Close() // injected kill: the close error of a connection being torn down on purpose carries no signal
 	}
 }
 
@@ -233,7 +233,7 @@ type faultConn struct {
 func (c *faultConn) apply(read bool) error {
 	delay, reset := c.inj.decide(c.target, read)
 	if reset {
-		c.Close() //nolint:kv3d -- the reset is the point; the peer observes the close, not its error
+		c.Close() // the reset is the point; the peer observes the close, not its error
 		c.inj.count("faultnet.reset_conns")
 		return ErrReset
 	}
@@ -293,7 +293,7 @@ func (l *faultListener) Accept() (net.Conn, error) {
 			return nil, err
 		}
 		if l.inj.unreachable(l.target) {
-			c.Close() //nolint:kv3d -- refusing a connection to a down or partitioned node; its close error is noise
+			c.Close() // refusing a connection to a down or partitioned node; its close error is noise
 			l.inj.count("faultnet.refused_conns")
 			continue
 		}

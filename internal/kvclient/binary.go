@@ -99,13 +99,13 @@ func (b *BinaryClient) takeOpaque() uint32 {
 
 func (b *BinaryClient) armRead() {
 	if b.opTimeout > 0 {
-		b.conn.SetReadDeadline(time.Now().Add(b.opTimeout)) //nolint:kv3d -- deadline arming cannot usefully fail mid-op; the read reports any connection error
+		b.conn.SetReadDeadline(time.Now().Add(b.opTimeout)) // deadline arming cannot usefully fail mid-op; the read reports any connection error
 	}
 }
 
 func (b *BinaryClient) flush() error {
 	if b.opTimeout > 0 {
-		b.conn.SetWriteDeadline(time.Now().Add(b.opTimeout)) //nolint:kv3d -- deadline arming cannot usefully fail mid-op; the flush reports any connection error
+		b.conn.SetWriteDeadline(time.Now().Add(b.opTimeout)) // deadline arming cannot usefully fail mid-op; the flush reports any connection error
 	}
 	return b.w.Flush()
 }

@@ -72,7 +72,7 @@ type nodeState struct {
 	// mu serializes protocol operations on the node's single connection
 	// (neither client type is safe for concurrent use).
 	mu   sync.Mutex
-	conn NodeConn
+	conn NodeConn //kv3d:guardedby mu
 
 	// Health fields below are guarded by ClusterClient.mu, not mu.
 	fails   int       //kv3d:guardedby ClusterClient.mu
@@ -282,7 +282,7 @@ func (c *ClusterClient) RemoveNode(addr string) {
 	if ns != nil {
 		ns.mu.Lock()
 		if ns.conn != nil {
-			ns.conn.Close() //nolint:kv3d -- teardown of a node being removed; the op path reports live errors
+			ns.conn.Close() // teardown of a node being removed; the op path reports live errors
 			ns.conn = nil
 		}
 		ns.mu.Unlock()
@@ -327,7 +327,7 @@ func (c *ClusterClient) opOnNode(addr string, fn func(NodeConn) error) error {
 	}
 	err := fn(ns.conn)
 	if err != nil && isTransport(err) {
-		ns.conn.Close() //nolint:kv3d -- the transport error is the signal; the close of a broken conn is cleanup
+		ns.conn.Close() // the transport error is the signal; the close of a broken conn is cleanup
 		ns.conn = nil
 	}
 	return err
@@ -793,7 +793,7 @@ func (c *ClusterClient) Close() error {
 	for _, ns := range states {
 		ns.mu.Lock()
 		if ns.conn != nil {
-			ns.conn.Close() //nolint:kv3d -- shutdown: per-conn close errors on teardown carry no signal
+			ns.conn.Close() // shutdown: per-conn close errors on teardown carry no signal
 			ns.conn = nil
 		}
 		ns.mu.Unlock()

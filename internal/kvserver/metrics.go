@@ -58,7 +58,7 @@ func (m *OpMetrics) Reject(r RejectReason) {
 	if r < 0 || r >= numRejectReasons {
 		return
 	}
-	m.rejects[r].Add(1) //nolint:kv3d -- rejects is an atomic counter array, deliberately lock-free (hot shed path)
+	m.rejects[r].Add(1) // rejects is an atomic counter array, deliberately lock-free (hot shed path)
 }
 
 // Rejects reports the refusal count for one reason.
@@ -66,7 +66,7 @@ func (m *OpMetrics) Rejects(r RejectReason) uint64 {
 	if r < 0 || r >= numRejectReasons {
 		return 0
 	}
-	return m.rejects[r].Load() //nolint:kv3d -- rejects is an atomic counter array, deliberately lock-free (hot shed path)
+	return m.rejects[r].Load() // rejects is an atomic counter array, deliberately lock-free (hot shed path)
 }
 
 // NewOpMetrics allocates histograms for every operation class and

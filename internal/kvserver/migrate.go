@@ -223,7 +223,7 @@ func (st *MigrationStream) run(keys []string) {
 	var conn net.Conn
 	defer func() {
 		if conn != nil {
-			conn.Close() //nolint:kv3d -- stream teardown; the handoff link's close error carries no signal
+			conn.Close() // stream teardown; the handoff link's close error carries no signal
 		}
 		close(st.finished)
 	}()

@@ -378,7 +378,7 @@ func (r *Replicator) worker(p *peer) {
 	var conn ReplConn
 	defer func() {
 		if conn != nil {
-			conn.Close() //nolint:kv3d -- worker teardown; the peer link's close error carries no signal
+			conn.Close() // worker teardown; the peer link's close error carries no signal
 		}
 	}()
 	for {
@@ -428,7 +428,7 @@ func (r *Replicator) send(conn *ReplConn, addr string, job replJob) error {
 		// into a possibly-dead socket. For the rare protocol-level answer
 		// this costs one spurious redial; distinguishing it would need
 		// the kvclient error taxonomy, which kvserver cannot import.
-		(*conn).Close() //nolint:kv3d -- already failing; the close error of a broken peer link carries no signal
+		(*conn).Close() // already failing; the close error of a broken peer link carries no signal
 		*conn = nil
 	}
 	return err

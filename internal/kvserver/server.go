@@ -266,9 +266,9 @@ func (s *Server) rejectConn(conn net.Conn, reason RejectReason) {
 	s.rejectWg.Add(1)
 	go func() {
 		defer s.rejectWg.Done()
-		conn.SetWriteDeadline(time.Now().Add(time.Second)) //nolint:kv3d -- best-effort farewell: a failed deadline arm just makes the write fail instead
-		io.WriteString(conn, "SERVER_ERROR busy\r\n")      //nolint:kv3d -- best-effort farewell to a refused client; nothing to do if it fails
-		conn.Close()                                       //nolint:kv3d -- the refusal is complete; the close error of a turned-away conn carries no signal
+		conn.SetWriteDeadline(time.Now().Add(time.Second)) // best-effort farewell: a failed deadline arm just makes the write fail instead
+		io.WriteString(conn, "SERVER_ERROR busy\r\n")      // best-effort farewell to a refused client; nothing to do if it fails
+		conn.Close()                                       // the refusal is complete; the close error of a turned-away conn carries no signal
 	}()
 }
 

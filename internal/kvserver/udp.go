@@ -161,7 +161,7 @@ func (u *UDPServer) handle(reqID uint16, payload []byte, peer *net.UDPAddr) {
 	resp.Write(room[:])
 	r := bufio.NewReaderSize(bytes.NewReader(payload), len(payload))
 	w := bufio.NewWriterSize(&resp, udpMaxPayload)
-	_ = protocol.NewSessionBuffered(u.srv.store, r, w, env).Serve() //nolint:kv3d -- errors end the session; whatever response was produced still goes back to the peer
+	_ = protocol.NewSessionBuffered(u.srv.store, r, w, env).Serve() // errors end the session; whatever response was produced still goes back to the peer
 
 	out := resp.Bytes()
 	total := max(1, (len(out)-udpHeaderLen+udpMaxPayload-1)/udpMaxPayload)

@@ -111,7 +111,6 @@ func (scr *BatchScratch) grow(n, nShards int) {
 // reuses dst, out or scr.
 //
 //kv3d:hotpath
-//kv3d:aliases dst out
 func (st *Store) GetBatchInto(dst []byte, keys [][]byte, out []BatchResult, scr *BatchScratch) ([]byte, []BatchResult) {
 	n := len(keys)
 	if cap(out) < n {

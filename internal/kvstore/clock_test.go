@@ -54,7 +54,7 @@ func TestWallClockDefault(t *testing.T) {
 func TestBagsSecondChanceDeterministicUnderLogicalClock(t *testing.T) {
 	run := func() Stats {
 		cfg := DefaultConfig(1 << 20)
-		cfg.Mode = ModeGlobal
+		cfg.Shards = 1
 		cfg.Policy = PolicyBags
 		var tick int64
 		cfg.Clock = func() int64 { tick++; return tick }

@@ -17,9 +17,9 @@ type Crawler struct {
 	once     sync.Once
 
 	mu      sync.Mutex
-	sweeps  uint64
-	reaped  uint64
-	visited uint64
+	sweeps  uint64 //kv3d:guardedby mu
+	reaped  uint64 //kv3d:guardedby mu
+	visited uint64 //kv3d:guardedby mu
 }
 
 // StartCrawler begins background sweeps at the given interval; it

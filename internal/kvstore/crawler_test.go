@@ -53,7 +53,7 @@ func TestSweepFreesMemoryForReuse(t *testing.T) {
 	st := newTestStore(t, func(c *Config) {
 		c.Clock = clk.fn
 		c.MemoryLimit = 4 << 20
-		c.Mode = ModeGlobal
+		c.Shards = 1
 		c.EvictionsEnabled = false
 	})
 	val := make([]byte, 100_000)

@@ -449,7 +449,7 @@ func absent(op modelOp, res opResult) bool {
 
 type modelCase struct {
 	policy EvictionPolicy
-	mode   ConcurrencyMode
+	shards int // 1 is the global lock
 	tight  bool
 }
 
@@ -458,17 +458,21 @@ func (c modelCase) String() string {
 	if c.tight {
 		mem = "tight"
 	}
-	return fmt.Sprintf("%v/%v/%s", c.policy, c.mode, mem)
+	locking := "striped"
+	if c.shards == 1 {
+		locking = "global"
+	}
+	return fmt.Sprintf("%v/%s/%s", c.policy, locking, mem)
 }
 
 func (c modelCase) config(clock Clock) Config {
 	cfg := DefaultConfig(64 << 20)
-	cfg.Policy, cfg.Mode, cfg.Shards, cfg.Clock = c.policy, c.mode, 4, clock
+	cfg.Policy, cfg.Shards, cfg.Clock = c.policy, c.shards, clock
 	cfg.MaxItemSize = 8 << 10
 	if c.tight {
 		cfg.SlabPageSize = 16 << 10
 		cfg.MemoryLimit = 16 * int64(cfg.SlabPageSize)
-		if c.mode == ModeStriped {
+		if c.shards > 1 {
 			cfg.MemoryLimit *= 2 // 8 pages for each of the 4 shards
 		}
 	}
@@ -583,9 +587,9 @@ func modelView(s Stats) Stats {
 
 func TestModelAgreesWithStore(t *testing.T) {
 	for _, policy := range []EvictionPolicy{PolicyLRU, PolicyBags} {
-		for _, mode := range []ConcurrencyMode{ModeGlobal, ModeStriped} {
+		for _, shards := range []int{1, 4} {
 			for _, tight := range []bool{false, true} {
-				c := modelCase{policy: policy, mode: mode, tight: tight}
+				c := modelCase{policy: policy, shards: shards, tight: tight}
 				t.Run(c.String(), func(t *testing.T) {
 					steps := 4000
 					if tight {

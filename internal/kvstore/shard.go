@@ -83,8 +83,6 @@ func newShard(alloc *slabAllocator, kind EvictionPolicy, cas *casCounter, maxIte
 
 // live returns the item for key if present and not expired/flushed; lazily
 // reaps dead items it encounters.
-//
-//kv3d:borrowed
 func (s *shard) live(key []byte, hash uint64, now int64) (handle, chunk) {
 	s.fireFlush(now)
 	h, c := s.table.lookup(key, hash)
@@ -145,8 +143,6 @@ func (s *shard) evict(h handle, now int64) {
 }
 
 // get returns a copy of the value plus metadata.
-//
-//kv3d:borrowed
 func (s *shard) get(key []byte, hash uint64, now int64) (value []byte, flags uint32, casID uint64, ok bool) {
 	h, c := s.live(key, hash, now)
 	if h == 0 {
@@ -162,9 +158,6 @@ func (s *shard) get(key []byte, hash uint64, now int64) (value []byte, flags uin
 
 // getInto appends the value to dst, so the copy made under the shard
 // lock lands in memory the caller already owns.
-//
-//kv3d:borrowed key
-//kv3d:aliases dst
 func (s *shard) getInto(dst, key []byte, hash uint64, now int64) (value []byte, flags uint32, casID uint64, ok bool) {
 	h, c := s.live(key, hash, now)
 	if h == 0 {
@@ -248,8 +241,6 @@ func validKey(key []byte) bool {
 // set unconditionally stores key=value and returns the CAS id it
 // assigned — read under the shard lock, so it is this write's id and
 // not a later writer's.
-//
-//kv3d:borrowed
 func (s *shard) set(key []byte, hash uint64, value []byte, flags uint32, expireAt, now int64) (uint64, error) {
 	s.fireFlush(now)
 	if !validKey(key) {
@@ -297,8 +288,6 @@ func (s *shard) set(key []byte, hash uint64, value []byte, flags uint32, expireA
 }
 
 // add stores only if the key is absent.
-//
-//kv3d:borrowed
 func (s *shard) add(key []byte, hash uint64, value []byte, flags uint32, expireAt, now int64) (uint64, error) {
 	if h, _ := s.live(key, hash, now); h != 0 {
 		return 0, ErrNotStored
@@ -307,8 +296,6 @@ func (s *shard) add(key []byte, hash uint64, value []byte, flags uint32, expireA
 }
 
 // replace stores only if the key is present.
-//
-//kv3d:borrowed
 func (s *shard) replace(key []byte, hash uint64, value []byte, flags uint32, expireAt, now int64) (uint64, error) {
 	if h, _ := s.live(key, hash, now); h == 0 {
 		return 0, ErrNotStored
@@ -317,8 +304,6 @@ func (s *shard) replace(key []byte, hash uint64, value []byte, flags uint32, exp
 }
 
 // cas stores only if the entry's CAS id still matches.
-//
-//kv3d:borrowed
 func (s *shard) cas(key []byte, hash uint64, value []byte, flags uint32, expireAt int64, casID uint64, now int64) (uint64, error) {
 	h, c := s.live(key, hash, now)
 	if h == 0 {
@@ -334,8 +319,6 @@ func (s *shard) cas(key []byte, hash uint64, value []byte, flags uint32, expireA
 }
 
 // appendValue / prependValue concatenate onto an existing value.
-//
-//kv3d:borrowed
 func (s *shard) appendValue(key []byte, hash uint64, extra []byte, now int64, front bool) error {
 	h, c := s.live(key, hash, now)
 	if h == 0 {
@@ -356,8 +339,6 @@ func (s *shard) appendValue(key []byte, hash uint64, extra []byte, now int64, fr
 // incrDecr adjusts a decimal-uint64 value and returns it with the CAS
 // id of the rewritten item. Decrement floors at zero (memcached
 // semantics); increment wraps.
-//
-//kv3d:borrowed
 func (s *shard) incrDecr(key []byte, hash uint64, delta uint64, incr bool, now int64) (next, casID uint64, err error) {
 	h, c := s.live(key, hash, now)
 	if h == 0 {
@@ -391,8 +372,6 @@ func (s *shard) incrDecr(key []byte, hash uint64, delta uint64, incr bool, now i
 }
 
 // delete removes a key.
-//
-//kv3d:borrowed
 func (s *shard) delete(key []byte, hash uint64, now int64) error {
 	h, c := s.live(key, hash, now)
 	if h == 0 {
@@ -405,8 +384,6 @@ func (s *shard) delete(key []byte, hash uint64, now int64) error {
 }
 
 // touch updates the expiry of an existing item.
-//
-//kv3d:borrowed
 func (s *shard) touch(key []byte, hash uint64, expireAt, now int64) error {
 	h, c := s.live(key, hash, now)
 	if h == 0 {

@@ -6,8 +6,8 @@
 // cost parameters were derived from.
 //
 // Concurrency follows the designs the paper benchmarks against
-// (Wiggins & Langston): ModeGlobal serializes everything behind one lock
-// (memcached 1.4), ModeStriped shards the keyspace (memcached 1.6
+// (Wiggins & Langston): one shard serializes everything behind one lock
+// (memcached 1.4), more shards stripe the keyspace (memcached 1.6
 // fine-grained locking), and the Bags eviction policy removes LRU
 // reordering from the read path.
 package kvstore

@@ -8,29 +8,6 @@ import (
 	"unsafe"
 )
 
-// ConcurrencyMode selects the locking design of a Store.
-type ConcurrencyMode int
-
-const (
-	// ModeGlobal serializes every operation behind one mutex, matching
-	// memcached 1.4's global cache lock.
-	ModeGlobal ConcurrencyMode = iota
-	// ModeStriped partitions the keyspace into independently locked
-	// shards, matching memcached 1.6's fine-grained locking.
-	ModeStriped
-)
-
-func (m ConcurrencyMode) String() string {
-	switch m {
-	case ModeGlobal:
-		return "global"
-	case ModeStriped:
-		return "striped"
-	default:
-		return "unknown"
-	}
-}
-
 // Clock abstracts wall time (unix seconds) so tests and simulations can
 // drive expiry deterministically.
 type Clock func() int64
@@ -40,9 +17,10 @@ type Clock func() int64
 type Config struct {
 	// MemoryLimit is the total slab budget in bytes across all shards.
 	MemoryLimit int64
-	// Mode selects global vs striped locking.
-	Mode ConcurrencyMode
-	// Shards is the stripe count for ModeStriped (power of two enforced).
+	// Shards is the number of independently locked partitions of the
+	// keyspace, rounded up to a power of two (<= 0 selects 8). One shard
+	// is memcached 1.4's global cache lock; more are memcached 1.6's
+	// striped locking.
 	Shards int
 	// Policy selects strict LRU or Bags eviction.
 	Policy EvictionPolicy
@@ -65,7 +43,6 @@ type Config struct {
 func DefaultConfig(memoryLimit int64) Config {
 	return Config{
 		MemoryLimit:      memoryLimit,
-		Mode:             ModeStriped,
 		Shards:           8,
 		Policy:           PolicyLRU,
 		EvictionsEnabled: true,
@@ -133,18 +110,13 @@ func New(cfg Config) (*Store, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = WallClock
 	}
+	if cfg.Shards <= 0 {
+		cfg.Shards = 8
+	}
+	// Round up to a power of two for mask addressing.
 	nShards := 1
-	if cfg.Mode == ModeStriped {
-		nShards = cfg.Shards
-		if nShards <= 0 {
-			nShards = 8
-		}
-		// Round up to a power of two for mask addressing.
-		p := 1
-		for p < nShards {
-			p <<= 1
-		}
-		nShards = p
+	for nShards < cfg.Shards {
+		nShards <<= 1
 	}
 	cfg.Shards = nShards
 	perShard := cfg.MemoryLimit / int64(nShards)
@@ -229,9 +201,8 @@ type Entry struct {
 	CAS   uint64
 }
 
-// Get returns a copy of the stored entry.
-//
-//kv3d:hotpath
+// Get returns a copy of the stored entry: one allocation per hit, the
+// caller's to keep. The zero-allocation read is GetInto.
 func (st *Store) Get(key string) (Entry, bool) {
 	k := keyBytes(key)
 	sh, hash := st.locate(k)
@@ -247,7 +218,6 @@ func (st *Store) Get(key string) (Entry, bool) {
 // avoiding a per-hit allocation on the server hot path.
 //
 //kv3d:hotpath
-//kv3d:aliases dst
 func (st *Store) GetInto(dst []byte, key string) ([]byte, Entry, bool) {
 	return st.GetIntoBytes(dst, keyBytes(key))
 }
@@ -256,7 +226,6 @@ func (st *Store) GetInto(dst []byte, key string) ([]byte, Entry, bool) {
 // can serve a GET straight from the parsed key token.
 //
 //kv3d:hotpath
-//kv3d:aliases dst
 func (st *Store) GetIntoBytes(dst, key []byte) ([]byte, Entry, bool) {
 	sh, hash := st.locate(key)
 	now := st.clock()

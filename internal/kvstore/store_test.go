@@ -463,7 +463,7 @@ func TestTooLargeValue(t *testing.T) {
 func TestEvictionUnderPressure(t *testing.T) {
 	st := newTestStore(t, func(c *Config) {
 		c.MemoryLimit = 4 << 20
-		c.Mode = ModeGlobal
+		c.Shards = 1
 	})
 	val := bytes.Repeat([]byte("v"), 10_000)
 	for i := 0; i < 2000; i++ {
@@ -487,7 +487,7 @@ func TestEvictionUnderPressure(t *testing.T) {
 func TestEvictionDisabledErrors(t *testing.T) {
 	st := newTestStore(t, func(c *Config) {
 		c.MemoryLimit = 2 << 20
-		c.Mode = ModeGlobal
+		c.Shards = 1
 		c.EvictionsEnabled = false
 		c.SlabPageSize = 1 << 20
 	})
@@ -508,7 +508,7 @@ func TestBagsPolicyEndToEnd(t *testing.T) {
 	st := newTestStore(t, func(c *Config) {
 		c.MemoryLimit = 4 << 20
 		c.Policy = PolicyBags
-		c.Mode = ModeGlobal
+		c.Shards = 1
 	})
 	val := bytes.Repeat([]byte("v"), 10_000)
 	for i := 0; i < 1000; i++ {
@@ -544,9 +544,9 @@ func TestGlobalVsStripedEquivalence(t *testing.T) {
 		}
 		return log.String()
 	}
-	g := newTestStore(t, func(c *Config) { c.Mode = ModeGlobal })
+	g := newTestStore(t, func(c *Config) { c.Shards = 1 })
 	g.Set("counter", []byte("0"), 0, 0)
-	s := newTestStore(t, func(c *Config) { c.Mode = ModeStriped; c.Shards = 8 })
+	s := newTestStore(t, func(c *Config) { c.Shards = 8 })
 	s.Set("counter", []byte("0"), 0, 0)
 	if got, want := ops(s), ops(g); got != want {
 		t.Fatalf("striped and global stores diverged:\n%s\nvs\n%s", got, want)
@@ -652,19 +652,6 @@ func TestShardsRoundedToPowerOfTwo(t *testing.T) {
 	if got := st.Config().Shards; got != 8 {
 		t.Fatalf("shards = %d, want 8", got)
 	}
-	g := newTestStore(t, func(c *Config) { c.Mode = ModeGlobal; c.Shards = 7 })
-	if got := g.Config().Shards; got != 1 {
-		t.Fatalf("global mode shards = %d, want 1", got)
-	}
-}
-
-func TestModeStrings(t *testing.T) {
-	if ModeGlobal.String() != "global" || ModeStriped.String() != "striped" {
-		t.Fatal("mode names wrong")
-	}
-	if ConcurrencyMode(9).String() != "unknown" {
-		t.Fatal("unknown mode name wrong")
-	}
 }
 
 // TestStoreModelEquivalenceProperty drives the store and a plain map with
@@ -676,7 +663,7 @@ func TestStoreModelEquivalenceProperty(t *testing.T) {
 		Value uint16
 	}
 	f := func(ops []op) bool {
-		st := newTestStore(t, func(c *Config) { c.Mode = ModeGlobal })
+		st := newTestStore(t, func(c *Config) { c.Shards = 1 })
 		model := make(map[string]string)
 		for _, o := range ops {
 			key := fmt.Sprintf("key-%d", o.Key%32)
@@ -718,7 +705,7 @@ func TestSlabReassignmentCuresCalcification(t *testing.T) {
 	// store adapts.
 	st := newTestStore(t, func(c *Config) {
 		c.MemoryLimit = 8 << 20
-		c.Mode = ModeGlobal
+		c.Shards = 1
 	})
 	small := bytes.Repeat([]byte("s"), 100)
 	for i := 0; i < 50_000; i++ {
@@ -752,7 +739,7 @@ func TestReassignmentPreservesIntegrity(t *testing.T) {
 	// return exactly what was written (no aliased pages).
 	st := newTestStore(t, func(c *Config) {
 		c.MemoryLimit = 8 << 20
-		c.Mode = ModeGlobal
+		c.Shards = 1
 	})
 	for round := 0; round < 4; round++ {
 		size := 100

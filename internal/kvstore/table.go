@@ -60,8 +60,6 @@ func (t *hashTable) chainFor(hash uint64) ([]handle, int) {
 
 // lookup finds the item for key, whose hash is hash, or the zero
 // handle.
-//
-//kv3d:borrowed
 func (t *hashTable) lookup(key []byte, hash uint64) (handle, chunk) {
 	tbl, i := t.chainFor(hash)
 	for h := tbl[i]; h != 0; {

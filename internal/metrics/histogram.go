@@ -7,6 +7,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -37,7 +38,7 @@ func bucketIndex(v int64) int {
 	if v < subBuckets {
 		return int(v) // exact for tiny values
 	}
-	exp := 63 - leadingZeros(uint64(v))
+	exp := 63 - bits.LeadingZeros64(uint64(v))
 	// Position within the power-of-two range, in sub-bucket units.
 	frac := (v - (1 << exp)) >> (exp - 4) // exp >= 4 here
 	return exp*subBuckets + int(frac)
@@ -57,18 +58,6 @@ func bucketLow(i int) int64 {
 	}
 	frac := int64(i % subBuckets)
 	return (int64(1) << exp) + frac<<(exp-4)
-}
-
-func leadingZeros(x uint64) int {
-	n := 0
-	if x == 0 {
-		return 64
-	}
-	for x&(1<<63) == 0 {
-		x <<= 1
-		n++
-	}
-	return n
 }
 
 // Record adds one sample.

@@ -224,7 +224,7 @@ func (s *BinarySession) exec() error {
 	case OpSet, OpSetQ, OpAdd, OpAddQ, OpReplace, OpReplaceQ:
 		return s.doStore(h, extras, keyB, value)
 	}
-	key := string(keyB) //nolint:kv3d -- concat, delete, arithmetic and admin opcodes tolerate one short per-frame allocation; the get and store families return above and never reach this line
+	key := string(keyB) // concat, delete, arithmetic and admin opcodes tolerate one short per-frame allocation; the get and store families return above and never reach this line
 	switch h.opcode {
 	case OpAppend, OpAppendQ, OpPrepend, OpPrependQ:
 		return s.doConcat(h, key, value)

@@ -11,7 +11,7 @@ import (
 // fuzzStore builds a small store for fuzz iterations.
 func fuzzStore(tb testing.TB) *kvstore.Store {
 	cfg := kvstore.DefaultConfig(4 << 20)
-	cfg.Mode = kvstore.ModeGlobal
+	cfg.Shards = 1
 	st, err := kvstore.New(cfg)
 	if err != nil {
 		tb.Fatal(err)
@@ -125,7 +125,7 @@ func FuzzBinaryFramer(f *testing.F) {
 	f.Add(frame(OpFlush, "", []byte{0, 0, 0, 30}, nil, 0, 0))
 	f.Add(frame(OpFlush, "", []byte{0, 30}, nil, 0, 0))
 	f.Add(frame(OpFlushQ, "", []byte{1, 2, 3, 4, 5}, nil, 0, 0))
-	f.Add([]byte{0x81, 0, 0, 0})              // response magic, truncated
+	f.Add([]byte{0x81, 0, 0, 0}) // response magic, truncated
 	bad := frame(OpSet, "k", setExtras(0, 0), []byte("v"), 0, 0)
 	bad[4] = 200 // extras longer than body
 	f.Add(bad)

@@ -159,7 +159,7 @@ func (s *Session) exec() error {
 	case "quit":
 		return ErrQuit
 	}
-	args := strings.Fields(string(rest)) //nolint:kv3d -- admin verbs tolerate one parse allocation; the get and store verbs return above and never reach this line
+	args := strings.Fields(string(rest)) // admin verbs tolerate one parse allocation; the get and store verbs return above and never reach this line
 	switch string(verb) {
 	case "delete":
 		return s.doDelete(args)
@@ -187,8 +187,6 @@ func (s *Session) exec() error {
 
 // nextToken splits off the next space-delimited token (memcached's
 // separator) without allocating; both return values alias the input.
-//
-//kv3d:aliases b
 func nextToken(b []byte) (tok, rest []byte) {
 	i := 0
 	for i < len(b) && b[i] == ' ' {
@@ -278,13 +276,13 @@ func (s *Session) doGet(rest []byte, withCAS bool) error {
 	// Multi-key: collect the tokens (they alias lineBuf, which stays
 	// untouched until the next readLine), run one batched lookup, then
 	// emit VALUE blocks in request order.
-	s.keyBuf = append(s.keyBuf[:0], key, second) //nolint:kv3d -- keyBuf entries alias lineBuf; both are this session's scratch, consumed before the next readLine overwrites them
+	s.keyBuf = append(s.keyBuf[:0], key, second) // keyBuf entries alias lineBuf; both are this session's scratch, consumed before the next readLine overwrites them
 	for {
 		key, rest = nextToken(rest)
 		if len(key) == 0 {
 			break
 		}
-		s.keyBuf = append(s.keyBuf, key) //nolint:kv3d -- same session-scratch self-alias as above; keyBuf is reset at the next multiget
+		s.keyBuf = append(s.keyBuf, key) // same session-scratch self-alias as above; keyBuf is reset at the next multiget
 	}
 	s.markParse()
 	s.valBuf, s.batchBuf = s.store.GetBatchInto(s.valBuf[:0], s.keyBuf, s.batchBuf[:0], &s.batchScr)
@@ -339,8 +337,6 @@ var (
 // [noreply]" from the rest of a storage command line. The key aliases
 // the line; the numeric tokens convert through strings that do not
 // escape, so a well-formed line parses without allocating.
-//
-//kv3d:aliases rest
 func parseStorageArgs(rest []byte, withCAS bool) (c storageCmd, err error) {
 	c.key, rest = nextToken(rest)
 	flags, rest := nextToken(rest)
@@ -638,7 +634,11 @@ func (s *Session) doStatsSettings() error {
 	fmt.Fprintf(s.w, "STAT item_size_max %d\r\n", cfg.MaxItemSize)
 	fmt.Fprintf(s.w, "STAT evictions %v\r\n", boolToOnOff(cfg.EvictionsEnabled))
 	fmt.Fprintf(s.w, "STAT eviction_policy %s\r\n", cfg.Policy)
-	fmt.Fprintf(s.w, "STAT locking %s\r\n", cfg.Mode)
+	locking := "striped"
+	if cfg.Shards == 1 {
+		locking = "global"
+	}
+	fmt.Fprintf(s.w, "STAT locking %s\r\n", locking)
 	fmt.Fprintf(s.w, "STAT num_shards %d\r\n", cfg.Shards)
 	fmt.Fprintf(s.w, "STAT slab_page_size %d\r\n", cfg.SlabPageSize)
 	fmt.Fprintf(s.w, "STAT growth_factor %.2f\r\n", cfg.GrowthFactor)

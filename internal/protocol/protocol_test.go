@@ -340,9 +340,22 @@ func TestStatsSlabs(t *testing.T) {
 
 func TestStatsSettings(t *testing.T) {
 	out := run(t, nil, "stats settings\r\n")
-	for _, want := range []string{"STAT maxbytes", "STAT eviction_policy lru", "STAT locking striped", "STAT num_shards"} {
+	for _, want := range []string{"STAT maxbytes", "STAT eviction_policy lru", "STAT locking striped", "STAT num_shards 8"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("stats settings missing %q: %q", want, out)
+		}
+	}
+	// One shard is memcached 1.4's global lock, and says so.
+	cfg := kvstore.DefaultConfig(16 << 20)
+	cfg.Shards = 1
+	st, err := kvstore.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out = run(t, st, "stats settings\r\n")
+	for _, want := range []string{"STAT locking global", "STAT num_shards 1"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("one-shard stats settings missing %q: %q", want, out)
 		}
 	}
 }

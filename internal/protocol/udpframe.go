@@ -31,9 +31,6 @@ var (
 // id and payload (aliasing buf). Requests must fit one datagram, so a
 // non-zero sequence number or a datagram count above one is rejected,
 // like memcached does.
-//
-//kv3d:borrowed buf
-//kv3d:aliases buf
 func ParseUDPRequest(buf []byte) (reqID uint16, payload []byte, err error) {
 	if len(buf) < UDPHeaderLen {
 		return 0, nil, ErrUDPShortFrame

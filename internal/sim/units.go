@@ -14,9 +14,7 @@ package sim
 // Ps and Ns are defined integer types for exactly those seams. Mixing
 // them — or assigning one where the other is expected — is now a
 // compile error, and the conversions below are the only sanctioned
-// crossings. The kv3d-lint `units` check (type-resolved since v2)
-// guards the residual cases the type system cannot: untyped constants
-// and values laundered through explicit int64/float64 conversions.
+// crossings.
 
 // Ps is a picosecond count: the kernel's base unit as a defined type
 // for raw-integer seams (histogram samples, trace timestamps).
