@@ -3,13 +3,14 @@ package kv3d
 // The benchmark harness: one benchmark per table and figure of the
 // paper (regenerating it end to end), microbenchmarks of the functional
 // kvstore, and the ablation benches DESIGN.md calls out (L2 on/off,
-// locking/eviction design, port sharing). Run:
+// lock striping, port sharing). Run:
 //
 //	go test -bench=. -benchmem
 //	go test -bench=BenchmarkTable4 -v
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"kv3d/internal/cache"
@@ -79,7 +80,8 @@ func BenchmarkEndurance(b *testing.B) { benchExperiment(b, "endurance") }
 // BenchmarkAblationSuite regenerates the design-choice ablations.
 func BenchmarkAblationSuite(b *testing.B) { benchExperiment(b, "ablation") }
 
-// BenchmarkEvictionQuality regenerates the LRU-vs-Bags hit-rate study.
+// BenchmarkEvictionQuality regenerates the Bags-vs-exact-LRU hit-rate
+// study.
 func BenchmarkEvictionQuality(b *testing.B) { benchExperiment(b, "eviction") }
 
 // BenchmarkLoadLatency regenerates the open-loop load/latency study.
@@ -87,11 +89,10 @@ func BenchmarkLoadLatency(b *testing.B) { benchExperiment(b, "loadlatency") }
 
 // --- functional kvstore microbenchmarks --------------------------------
 
-func newBenchStore(b *testing.B, shards int, policy kvstore.EvictionPolicy) *kvstore.Store {
+func newBenchStore(b *testing.B, shards int) *kvstore.Store {
 	b.Helper()
 	cfg := kvstore.DefaultConfig(256 << 20)
 	cfg.Shards = shards
-	cfg.Policy = policy
 	st, err := kvstore.New(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -114,7 +115,7 @@ func preload(b *testing.B, st *kvstore.Store, n int, valueBytes int) []string {
 
 // BenchmarkStoreGet measures single-threaded GET latency.
 func BenchmarkStoreGet(b *testing.B) {
-	st := newBenchStore(b, 16, kvstore.PolicyLRU)
+	st := newBenchStore(b, 16)
 	keys := preload(b, st, 65536, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -126,7 +127,7 @@ func BenchmarkStoreGet(b *testing.B) {
 
 // BenchmarkStoreGetInto measures the allocation-free read path.
 func BenchmarkStoreGetInto(b *testing.B) {
-	st := newBenchStore(b, 16, kvstore.PolicyLRU)
+	st := newBenchStore(b, 16)
 	keys := preload(b, st, 65536, 64)
 	buf := make([]byte, 0, 128)
 	b.ResetTimer()
@@ -141,7 +142,7 @@ func BenchmarkStoreGetInto(b *testing.B) {
 
 // BenchmarkStoreSet measures single-threaded overwrite throughput.
 func BenchmarkStoreSet(b *testing.B) {
-	st := newBenchStore(b, 16, kvstore.PolicyLRU)
+	st := newBenchStore(b, 16)
 	keys := preload(b, st, 65536, 64)
 	val := make([]byte, 64)
 	b.ResetTimer()
@@ -162,7 +163,7 @@ func BenchmarkMultiget(b *testing.B) { benchExperiment(b, "multiget") }
 // read (GetBatchInto) against the striped store, rotating through the
 // key space so every shard stays warm.
 func BenchmarkMultigetStoreBatch64(b *testing.B) {
-	st := newBenchStore(b, 16, kvstore.PolicyLRU)
+	st := newBenchStore(b, 16)
 	keys := preload(b, st, 65536, 64)
 	bkeys := make([][]byte, 64)
 	for i := range bkeys {
@@ -206,44 +207,42 @@ func BenchmarkMultigetSimBatch16(b *testing.B) {
 	b.ReportMetric(keyTPS, "simKeysTPS")
 }
 
-// --- ablation: locking and eviction design (Table 4 baselines) ----------
+// --- ablation: lock striping (Table 4 baselines) -------------------------
 
-// benchContention drives parallel GET-heavy traffic at a store built
-// like each Table 4 baseline: global lock + LRU (memcached 1.4),
-// striped + LRU (1.6), striped + bags (Bags). The relative scaling is
-// the ground truth behind the baseline contention model. One shard is
-// the global lock; the striped baselines use 16.
-func benchContention(b *testing.B, shards int, policy kvstore.EvictionPolicy) {
-	st := newBenchStore(b, shards, policy)
+// benchContention drives parallel traffic — 90 % GetInto, 10 % Set, keys
+// drawn Zipf 0.99, each goroutine on its own seed — at a store of the
+// given shard count. It measures the store alone: lock contention and
+// the store's own work, with no allocation, codec or socket in the
+// loop. Run with -cpu 1,2 to see what a second core buys.
+func benchContention(b *testing.B, shards int) {
+	st := newBenchStore(b, shards)
 	keys := preload(b, st, 65536, 64)
+	zipf, err := workload.NewZipf(0.99, len(keys))
+	if err != nil {
+		b.Fatal(err)
+	}
+	value := make([]byte, 64) // the preloaded size: a set overwrites in place
+	var seed atomic.Uint64
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		rng := sim.NewRand(uint64(b.N))
+		rng := sim.NewRand(seed.Add(1))
+		buf := make([]byte, 0, 64)
 		for pb.Next() {
-			i := rng.Intn(65536)
+			key := keys[zipf.Sample(rng)]
 			if rng.Float64() < 0.9 {
-				st.Get(keys[i])
+				buf, _, _ = st.GetInto(buf[:0], key)
 			} else {
-				st.Set(keys[i], []byte("updated-value"), 0, 0)
+				st.Set(key, value, 0, 0)
 			}
 		}
 	})
 }
 
-// BenchmarkContentionGlobalLRU is the memcached 1.4 analogue.
-func BenchmarkContentionGlobalLRU(b *testing.B) {
-	benchContention(b, 1, kvstore.PolicyLRU)
-}
+// BenchmarkContentionGlobal is one shard: memcached 1.4's global lock.
+func BenchmarkContentionGlobal(b *testing.B) { benchContention(b, 1) }
 
-// BenchmarkContentionStripedLRU is the memcached 1.6 analogue.
-func BenchmarkContentionStripedLRU(b *testing.B) {
-	benchContention(b, 16, kvstore.PolicyLRU)
-}
-
-// BenchmarkContentionStripedBags is the Bags analogue.
-func BenchmarkContentionStripedBags(b *testing.B) {
-	benchContention(b, 16, kvstore.PolicyBags)
-}
+// BenchmarkContentionStriped is 16 shards: memcached 1.6's striping.
+func BenchmarkContentionStriped(b *testing.B) { benchContention(b, 16) }
 
 // --- ablation: stack design choices -------------------------------------
 

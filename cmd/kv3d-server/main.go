@@ -1,7 +1,7 @@
 // Command kv3d-server runs a memcached-compatible TCP server backed by
 // the kvstore engine.
 //
-//	kv3d-server -addr :11211 -memory 64m -policy lru -shards 8
+//	kv3d-server -addr :11211 -memory 64m -shards 8
 //
 // Any memcached ASCII client can talk to it:
 //
@@ -74,7 +74,6 @@ func parseSize(s string) (int64, error) {
 func main() {
 	addr := flag.String("addr", "127.0.0.1:11211", "listen address")
 	memory := flag.String("memory", "64m", "memory limit (supports k/m/g suffixes)")
-	policy := flag.String("policy", "lru", "eviction policy: lru or bags")
 	shards := flag.Int("shards", 8, "independently locked shards, rounded up to a power of two (1 = memcached 1.4's global lock)")
 	noEvict := flag.Bool("no-evict", false, "error instead of evicting (memcached -M)")
 	maxConns := flag.Int("max-conns", 0, "max simultaneous connections (0 = unlimited)")
@@ -100,14 +99,6 @@ func main() {
 	cfg := kvstore.DefaultConfig(limit)
 	cfg.Shards = *shards
 	cfg.EvictionsEnabled = !*noEvict
-	switch *policy {
-	case "lru":
-		cfg.Policy = kvstore.PolicyLRU
-	case "bags":
-		cfg.Policy = kvstore.PolicyBags
-	default:
-		log.Fatalf("kv3d-server: unknown policy %q", *policy)
-	}
 
 	store, err := kvstore.New(cfg)
 	if err != nil {
@@ -222,8 +213,8 @@ func main() {
 	} else if *pprofOn {
 		log.Fatalf("kv3d-server: -pprof requires -metrics (the debug mux mounts on the metrics listener)")
 	}
-	log.Printf("kv3d-server: listening on %s (%s, %s, %d shards)",
-		srv.Addr(), *memory, *policy, store.Config().Shards)
+	log.Printf("kv3d-server: listening on %s (%s, %d shards)",
+		srv.Addr(), *memory, store.Config().Shards)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

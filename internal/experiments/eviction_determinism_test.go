@@ -5,9 +5,7 @@ import "testing"
 // TestEvictionQualityReproducible pins the determinism contract for the
 // one experiment that drives the live kvstore rather than the sim
 // kernel: with the injected logical clock and the seeded workload
-// generator, two runs must render byte-identical tables. Before the
-// clock injection, Bags second-chance behaviour depended on host
-// wall-clock seconds and the hit-rate table drifted between runs.
+// generator, two runs must render byte-identical tables.
 func TestEvictionQualityReproducible(t *testing.T) {
 	render := func() string {
 		r, err := EvictionQuality(Options{Quick: true})

@@ -81,15 +81,15 @@ const DefaultFlightEvery = 64
 func (sf *serverFlight) connOpen(ts sim.Ns)  { sf.rec.Instant(sf.life, "conn.open", ts) }
 func (sf *serverFlight) connClose(ts sim.Ns) { sf.rec.Instant(sf.life, "conn.close", ts) }
 
+// reject records a refused accept: rejectConn, the only caller, passes
+// RejectMaxConns or RejectDraining. Requests the in-flight gate sheds
+// are counted (OpMetrics) and traced as busy-outcome spans, not here.
 func (sf *serverFlight) reject(reason RejectReason, ts sim.Ns) {
-	switch reason {
-	case RejectMaxConns:
-		sf.rec.Instant(sf.life, "reject.max_conns", ts)
-	case RejectDraining:
-		sf.rec.Instant(sf.life, "reject.draining", ts)
-	default:
-		sf.rec.Instant(sf.life, "reject.busy", ts)
+	name := "reject.max_conns"
+	if reason == RejectDraining {
+		name = "reject.draining"
 	}
+	sf.rec.Instant(sf.life, name, ts)
 }
 
 func (sf *serverFlight) drainBegin(ts sim.Ns)  { sf.rec.Instant(sf.life, "server.drain.begin", ts) }

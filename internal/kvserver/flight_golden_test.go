@@ -13,8 +13,10 @@ import (
 	"testing"
 	"time"
 
+	"kv3d/internal/kvclient"
 	"kv3d/internal/kvstore"
 	"kv3d/internal/obs"
+	"kv3d/internal/testutil"
 )
 
 var updateFlightGolden = flag.Bool("update", false, "rewrite golden flight-trace files")
@@ -220,5 +222,85 @@ func TestFlightGoldenContent(t *testing.T) {
 	}
 	if outcomes["ok"] == 0 {
 		t.Errorf("no ok-outcome spans recorded: %v", outcomes)
+	}
+}
+
+// TestFlightRecordsRefusalsAndDrain: an accept refused by MaxConns, an
+// accept refused during Shutdown's drain, and the drain itself each
+// leave their lifecycle instant in the trace.
+func TestFlightRecordsRefusalsAndDrain(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	st, err := kvstore.New(kvstore.DefaultConfig(16 << 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.NewFlightRecorder("server", 256)
+	srv := NewWithOptions(st, nil, Options{NowNanos: fakeNanos(), Flight: rec, MaxConns: 1})
+	if err := srv.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve()
+	addr := srv.Addr().String()
+
+	// The one connection MaxConns allows, open until the drain.
+	c, err := kvclient.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Set("k", []byte("v"), 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	refused := func() {
+		t.Helper()
+		raw, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer raw.Close()
+		raw.SetReadDeadline(time.Now().Add(2 * time.Second))
+		if got, _ := io.ReadAll(raw); string(got) != "SERVER_ERROR busy\r\n" {
+			t.Fatalf("refused connection read %q", got)
+		}
+	}
+	refused()
+
+	shutdownErr := make(chan error, 1)
+	go func() { shutdownErr <- srv.Shutdown(5 * time.Second) }()
+	// Until the drain begins an arrival is refused for MaxConns instead.
+	deadline := time.Now().Add(2 * time.Second)
+	for srv.OpMetrics().Rejects(RejectDraining) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("draining refusal never observed")
+		}
+		refused()
+	}
+	c.Close()
+	if err := <-shutdownErr; err != nil {
+		t.Fatalf("drain should have emptied in time: %v", err)
+	}
+
+	var buf bytes.Buffer
+	if err := rec.WriteTraceJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Ph   string `json:"ph"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	instants := map[string]bool{}
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "i" {
+			instants[ev.Name] = true
+		}
+	}
+	for _, want := range []string{"reject.max_conns", "reject.draining", "server.drain.begin", "server.drain.end"} {
+		if !instants[want] {
+			t.Errorf("trace has no %q instant; instants: %v", want, instants)
+		}
 	}
 }

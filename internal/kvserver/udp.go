@@ -43,13 +43,14 @@ type UDPServer struct {
 	closed bool //kv3d:guardedby mu
 
 	// sem bounds in-flight handlers (udpMaxInflight); handlers counts
-	// them so Close can wait for the last response to be written.
+	// them so Close can wait for the last response to be written. served
+	// closes when the read loop, the one caller of handlers.Add, returns:
+	// Close waits for it first, so no Add races the Wait.
 	sem      chan struct{}
 	handlers sync.WaitGroup
+	served   chan struct{}
 
-	handled uint64 //kv3d:guardedby statsMu
-	dropped uint64 //kv3d:guardedby statsMu
-	statsMu sync.Mutex
+	handled, dropped atomic.Uint64
 }
 
 // ListenUDP binds a UDP memcached endpoint for the server's store.
@@ -62,7 +63,7 @@ func (s *Server) ListenUDP(addr string) (*UDPServer, error) {
 	if err != nil {
 		return nil, err
 	}
-	u := &UDPServer{srv: s, conn: conn, sem: make(chan struct{}, udpMaxInflight)}
+	u := &UDPServer{srv: s, conn: conn, sem: make(chan struct{}, udpMaxInflight), served: make(chan struct{})}
 	go u.serve()
 	return u, nil
 }
@@ -77,25 +78,19 @@ func (u *UDPServer) Close() error {
 	u.closed = true
 	u.mu.Unlock()
 	err := u.conn.Close()
+	<-u.served
 	u.handlers.Wait()
 	return err
 }
 
 // Handled reports successfully answered datagrams.
-func (u *UDPServer) Handled() uint64 {
-	u.statsMu.Lock()
-	defer u.statsMu.Unlock()
-	return u.handled
-}
+func (u *UDPServer) Handled() uint64 { return u.handled.Load() }
 
 // Dropped reports malformed datagrams that were ignored.
-func (u *UDPServer) Dropped() uint64 {
-	u.statsMu.Lock()
-	defer u.statsMu.Unlock()
-	return u.dropped
-}
+func (u *UDPServer) Dropped() uint64 { return u.dropped.Load() }
 
 func (u *UDPServer) serve() {
+	defer close(u.served)
 	buf := make([]byte, udpReadBuffer)
 	for {
 		n, peer, err := u.conn.ReadFromUDP(buf)
@@ -129,11 +124,7 @@ func (u *UDPServer) release() {
 	u.handlers.Done()
 }
 
-func (u *UDPServer) drop() {
-	u.statsMu.Lock()
-	u.dropped++
-	u.statsMu.Unlock()
-}
+func (u *UDPServer) drop() { u.dropped.Add(1) }
 
 // handle runs the ASCII command(s) in one datagram and sends the
 // (possibly fragmented) response. The session's buffers are sized to
@@ -185,7 +176,5 @@ func (u *UDPServer) handle(reqID uint16, payload []byte, peer *net.UDPAddr) {
 			return
 		}
 	}
-	u.statsMu.Lock()
-	u.handled++
-	u.statsMu.Unlock()
+	u.handled.Add(1)
 }

@@ -10,7 +10,7 @@ import (
 	"kv3d/internal/kvclient"
 )
 
-// Race-regression coverage for the statsMu-guarded UDP counters: handle
+// Race-regression coverage for the atomic UDP counters: handle
 // runs in one goroutine per datagram, so handled/dropped are bumped
 // concurrently while the Handled/Dropped getters poll from outside.
 // Under `go test -race` (the CI configuration) any regression to

@@ -49,13 +49,12 @@ func TestWallClockDefault(t *testing.T) {
 
 // TestBagsSecondChanceDeterministicUnderLogicalClock pins the property
 // the eviction experiment depends on: with a logical clock, identical
-// request streams against identical Bags-policy stores evict identically
+// request streams against identical stores evict identically
 // (byte-identical stats), independent of host timing.
 func TestBagsSecondChanceDeterministicUnderLogicalClock(t *testing.T) {
 	run := func() Stats {
 		cfg := DefaultConfig(1 << 20)
 		cfg.Shards = 1
-		cfg.Policy = PolicyBags
 		var tick int64
 		cfg.Clock = func() int64 { tick++; return tick }
 		st, err := New(cfg)

@@ -8,8 +8,8 @@ import (
 
 // handle names one slab chunk of a shard: page number << offBits |
 // byte offset within the page >> 3. Page numbers start at 1, so the
-// zero handle is "no item" — the nil of every hash chain, LRU list and
-// free list. Nothing in the store points at an item; everything holds
+// zero handle is "no item" — the nil of every hash chain, bag and free
+// list. Nothing in the store points at an item; everything holds
 // handles, so the collector has no per-item object to walk.
 type handle uint32
 
@@ -21,14 +21,14 @@ const (
 	offHNext    = 0  // u32 hash-chain next; free-list next while the chunk is free
 	offKeyLen   = 4  // u8  key length; 0 marks a free chunk (valid keys have 1..250 bytes)
 	offClass    = 5  // u8  slab class index; the top bit says the value is 8-byte aligned
-	offBag      = 6  // u16 bag index (Bags policy; 0 under LRU)
-	offPrev     = 8  // u32 LRU-list / bag-list previous
-	offNext     = 12 // u32 LRU-list / bag-list next
+	offBag      = 6  // u16 bag index
+	offPrev     = 8  // u32 bag-list previous
+	offNext     = 12 // u32 bag-list next
 	offCAS      = 16 // u64 CAS id; ids below the shard's flush watermark are dead
 	offExpire   = 24 // u32 absolute expiry, unix seconds; 0 never, MaxUint32 already expired
 	offFlags    = 28 // u32 client flags
 	offValueLen = 32 // u24 value length
-	offRef      = 35 // u8  1 = read since the Bags policy last passed over the item
+	offRef      = 35 // u8  1 = read since eviction last passed over the item
 
 	itemHeaderSize = 36
 )

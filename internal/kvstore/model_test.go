@@ -448,7 +448,6 @@ func absent(op modelOp, res opResult) bool {
 }
 
 type modelCase struct {
-	policy EvictionPolicy
 	shards int // 1 is the global lock
 	tight  bool
 }
@@ -462,12 +461,12 @@ func (c modelCase) String() string {
 	if c.shards == 1 {
 		locking = "global"
 	}
-	return fmt.Sprintf("%v/%s/%s", c.policy, locking, mem)
+	return fmt.Sprintf("bags/%s/%s", locking, mem)
 }
 
 func (c modelCase) config(clock Clock) Config {
 	cfg := DefaultConfig(64 << 20)
-	cfg.Policy, cfg.Shards, cfg.Clock = c.policy, c.shards, clock
+	cfg.Shards, cfg.Clock = c.shards, clock
 	cfg.MaxItemSize = 8 << 10
 	if c.tight {
 		cfg.SlabPageSize = 16 << 10
@@ -586,34 +585,32 @@ func modelView(s Stats) Stats {
 }
 
 func TestModelAgreesWithStore(t *testing.T) {
-	for _, policy := range []EvictionPolicy{PolicyLRU, PolicyBags} {
-		for _, shards := range []int{1, 4} {
-			for _, tight := range []bool{false, true} {
-				c := modelCase{policy: policy, shards: shards, tight: tight}
-				t.Run(c.String(), func(t *testing.T) {
-					steps := 4000
-					if tight {
-						steps = 12000
-					}
-					var evictions, reassigns uint64
-					for seed := int64(1); seed <= 4; seed++ {
-						digest, final := runModel(t, c, seed, steps)
-						evictions += final.Evictions
-						reassigns += final.SlabReassigns
-						if seed == 1 {
-							if again, _ := runModel(t, c, seed, steps); again != digest {
-								t.Fatalf("%v seed %d: two runs gave different results (digests %x, %x)", c, seed, digest, again)
-							}
+	for _, shards := range []int{1, 4} {
+		for _, tight := range []bool{false, true} {
+			c := modelCase{shards: shards, tight: tight}
+			t.Run(c.String(), func(t *testing.T) {
+				steps := 4000
+				if tight {
+					steps = 12000
+				}
+				var evictions, reassigns uint64
+				for seed := int64(1); seed <= 4; seed++ {
+					digest, final := runModel(t, c, seed, steps)
+					evictions += final.Evictions
+					reassigns += final.SlabReassigns
+					if seed == 1 {
+						if again, _ := runModel(t, c, seed, steps); again != digest {
+							t.Fatalf("%v seed %d: two runs gave different results (digests %x, %x)", c, seed, digest, again)
 						}
 					}
-					if tight && (evictions == 0 || reassigns == 0) {
-						t.Fatalf("%v: %d evictions and %d page reassignments over all seeds; the tight limit is meant to force both", c, evictions, reassigns)
-					}
-					if !tight && evictions != 0 {
-						t.Fatalf("%v: %d evictions with ample memory", c, evictions)
-					}
-				})
-			}
+				}
+				if tight && (evictions == 0 || reassigns == 0) {
+					t.Fatalf("%v: %d evictions and %d page reassignments over all seeds; the tight limit is meant to force both", c, evictions, reassigns)
+				}
+				if !tight && evictions != 0 {
+					t.Fatalf("%v: %d evictions with ample memory", c, evictions)
+				}
+			})
 		}
 	}
 }
@@ -621,7 +618,7 @@ func TestModelAgreesWithStore(t *testing.T) {
 // --- structural invariants --------------------------------------------------
 
 // checkShardInvariants verifies, on a quiescent shard, that the table,
-// the policy's lists and the allocator describe the same set of items.
+// the bags and the allocator describe the same set of items.
 func checkShardInvariants(s *shard) error {
 	a := s.alloc
 	// Every item in the table, once; their footprints are BytesUsed.
@@ -654,7 +651,7 @@ func checkShardInvariants(s *shard) error {
 		return fmt.Errorf("BytesUsed = %d, the items' footprints sum to %d", s.stats.BytesUsed, bytesUsed)
 	}
 
-	// Every item on exactly one policy list, and nothing else on any.
+	// Every item in exactly one bag, and nothing else in any.
 	onList := map[handle]bool{}
 	walk := func(l *itemList, what string, check func(chunk) error) error {
 		n := 0
@@ -682,57 +679,43 @@ func checkShardInvariants(s *shard) error {
 		}
 		return nil
 	}
-	switch p := s.pol.(type) {
-	case *lruPolicy:
-		for i := range p.lists {
-			err := walk(&p.lists[i], fmt.Sprintf("LRU list %d", i), func(c chunk) error {
-				if c.class() != i {
-					return fmt.Errorf("class %d", c.class())
+	p := &s.pol
+	linked := 0
+	for i, ch := range p.chains {
+		var prev uint16
+		for b := ch.oldest; b != 0; b = p.bags[b].next {
+			bg := &p.bags[b]
+			if bg.prev != prev {
+				return fmt.Errorf("class %d bag %d has prev %d, want %d", i, b, bg.prev, prev)
+			}
+			if bg.size == 0 && b != ch.newest {
+				return fmt.Errorf("class %d bag %d is empty but still chained", i, b)
+			}
+			err := walk(&bg.itemList, fmt.Sprintf("class %d bag %d", i, b), func(c chunk) error {
+				if c.class() != i || c.bag() != b {
+					return fmt.Errorf("class %d bag %d", c.class(), c.bag())
 				}
 				return nil
 			})
 			if err != nil {
 				return err
 			}
+			prev = b
+			linked++
 		}
-	case *bagsPolicy:
-		linked := 0
-		for i, ch := range p.chains {
-			var prev uint16
-			for b := ch.oldest; b != 0; b = p.bags[b].next {
-				bg := &p.bags[b]
-				if bg.prev != prev {
-					return fmt.Errorf("class %d bag %d has prev %d, want %d", i, b, bg.prev, prev)
-				}
-				if bg.size == 0 && b != ch.newest {
-					return fmt.Errorf("class %d bag %d is empty but still chained", i, b)
-				}
-				err := walk(&bg.itemList, fmt.Sprintf("class %d bag %d", i, b), func(c chunk) error {
-					if c.class() != i || c.bag() != b {
-						return fmt.Errorf("class %d bag %d", c.class(), c.bag())
-					}
-					return nil
-				})
-				if err != nil {
-					return err
-				}
-				prev = b
-				linked++
-			}
-			if ch.newest != prev {
-				return fmt.Errorf("class %d chain ends at bag %d, newest is %d", i, prev, ch.newest)
-			}
-		}
-		free := 0
-		for b := p.free; b != 0; b = p.bags[b].next {
-			free++
-		}
-		if linked+free != len(p.bags)-1 {
-			return fmt.Errorf("%d bags chained + %d free, table has %d slots", linked, free, len(p.bags)-1)
+		if ch.newest != prev {
+			return fmt.Errorf("class %d chain ends at bag %d, newest is %d", i, prev, ch.newest)
 		}
 	}
+	free := 0
+	for b := p.free; b != 0; b = p.bags[b].next {
+		free++
+	}
+	if linked+free != len(p.bags)-1 {
+		return fmt.Errorf("%d bags chained + %d free, table has %d slots", linked, free, len(p.bags)-1)
+	}
 	if len(onList) != len(inTable) {
-		return fmt.Errorf("%d items in the table, %d on the policy's lists", len(inTable), len(onList))
+		return fmt.Errorf("%d items in the table, %d in the bags", len(inTable), len(onList))
 	}
 
 	// Used + free chunks = chunks carved, class by class and page by page.

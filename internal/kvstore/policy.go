@@ -1,62 +1,17 @@
 package kvstore
 
-// EvictionPolicy selects how a shard chooses eviction victims.
-type EvictionPolicy int
+// Eviction is the Wiggins & Langston Bags pseudo-LRU, the store's one
+// policy: items sit in insertion-ordered bags, a read only sets the
+// item's referenced mark, and eviction gives marked items a second
+// chance. Reads never reorder, so a hit writes no other chunk. Every
+// method runs under the shard lock. Lists are intrusive: they link
+// items through the prev/next handles in the chunk headers.
 
-const (
-	// PolicyLRU is memcached's classic strict LRU: every hit moves the
-	// item to the head of its class list, which requires the cache lock
-	// on the read path (the memcached 1.4 bottleneck).
-	PolicyLRU EvictionPolicy = iota
-	// PolicyBags is the Wiggins & Langston pseudo-LRU: items sit in
-	// insertion-ordered bags, reads only set the item's referenced mark,
-	// and eviction gives marked items a second chance. Reads never
-	// reorder.
-	PolicyBags
-)
-
-func (p EvictionPolicy) String() string {
-	switch p {
-	case PolicyLRU:
-		return "lru"
-	case PolicyBags:
-		return "bags"
-	default:
-		return "unknown"
-	}
-}
-
-// policy is the per-shard eviction strategy. All methods run under the
-// shard lock. Lists are intrusive: they link items through the
-// prev/next handles in the chunk headers.
-type policy interface {
-	onInsert(h handle)
-	onAccess(h handle)
-	onRemove(h handle)
-	// victim returns the next eviction candidate for a class, or zero if
-	// the class holds no items.
-	victim(classIdx int) handle
-}
-
-// itemList is a doubly-linked list of items. The LRU policy keeps one
-// per class (head = MRU, tail = LRU); a bag is one too (head = oldest).
+// itemList is a doubly-linked list of items; a bag is one (head =
+// oldest).
 type itemList struct {
 	head, tail handle
 	size       int
-}
-
-func (l *itemList) pushFront(mem *arena, h handle) {
-	c := mem.chunk(h)
-	c.setPrev(0)
-	c.setNext(l.head)
-	if l.head != 0 {
-		mem.chunk(l.head).setPrev(h)
-	}
-	l.head = h
-	if l.tail == 0 {
-		l.tail = h
-	}
-	l.size++
 }
 
 func (l *itemList) pushBack(mem *arena, h handle) {
@@ -91,43 +46,6 @@ func (l *itemList) remove(mem *arena, h handle) {
 	l.size--
 }
 
-func (l *itemList) moveToFront(mem *arena, h handle) {
-	if l.head == h {
-		return
-	}
-	l.remove(mem, h)
-	l.pushFront(mem, h)
-}
-
-// --- strict LRU -----------------------------------------------------------
-
-type lruPolicy struct {
-	mem   *arena
-	lists []itemList // one per slab class
-}
-
-func newLRUPolicy(mem *arena, classes int) *lruPolicy {
-	return &lruPolicy{mem: mem, lists: make([]itemList, classes)}
-}
-
-func (p *lruPolicy) onInsert(h handle) {
-	p.lists[p.mem.chunk(h).class()].pushFront(p.mem, h)
-}
-
-func (p *lruPolicy) onAccess(h handle) {
-	p.lists[p.mem.chunk(h).class()].moveToFront(p.mem, h)
-}
-
-func (p *lruPolicy) onRemove(h handle) {
-	p.lists[p.mem.chunk(h).class()].remove(p.mem, h)
-}
-
-func (p *lruPolicy) victim(classIdx int) handle {
-	return p.lists[classIdx].tail
-}
-
-// --- Bags pseudo-LRU ------------------------------------------------------
-
 const (
 	bagCapacity      = 1024 // items per bag before a new bag opens
 	maxSecondChances = 8    // bounded scan per victim() call
@@ -149,6 +67,7 @@ type bagChain struct {
 	oldest, newest uint16
 }
 
+// bagsPolicy is one shard's eviction state.
 type bagsPolicy struct {
 	mem    *arena
 	chains []bagChain
@@ -156,8 +75,8 @@ type bagsPolicy struct {
 	free   uint16 // recycled slots, linked through next
 }
 
-func newBagsPolicy(mem *arena, classes int) *bagsPolicy {
-	return &bagsPolicy{mem: mem, chains: make([]bagChain, classes), bags: make([]bag, 1)}
+func newBagsPolicy(mem *arena, classes int) bagsPolicy {
+	return bagsPolicy{mem: mem, chains: make([]bagChain, classes), bags: make([]bag, 1)}
 }
 
 // openBag links a fresh bag at the newest end of c. When the table is
@@ -228,6 +147,8 @@ func (p *bagsPolicy) onRemove(h handle) {
 	p.removeItem(&p.chains[p.mem.chunk(h).class()], h)
 }
 
+// victim returns the next eviction candidate for a class, or zero if
+// the class holds no items.
 func (p *bagsPolicy) victim(classIdx int) handle {
 	c := &p.chains[classIdx]
 	for tries := 0; tries < maxSecondChances; tries++ {
@@ -254,13 +175,4 @@ func (p *bagsPolicy) victim(classIdx int) handle {
 // class (whose chain is either absent or one empty newest bag).
 func (p *bagsPolicy) oldestItem(c *bagChain) handle {
 	return p.bags[c.oldest].head
-}
-
-func newPolicy(kind EvictionPolicy, mem *arena, classes int) policy {
-	switch kind {
-	case PolicyBags:
-		return newBagsPolicy(mem, classes)
-	default:
-		return newLRUPolicy(mem, classes)
-	}
 }

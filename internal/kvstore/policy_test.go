@@ -5,97 +5,46 @@ import (
 	"testing"
 )
 
-func TestLRUVictimIsLeastRecentlyUsed(t *testing.T) {
-	mem := newTestMem(t)
-	p := newLRUPolicy(&mem.alloc.arena, 4)
-	a, b, c := mem.mk("a", 0), mem.mk("b", 0), mem.mk("c", 0)
-	p.onInsert(a)
-	p.onInsert(b)
-	p.onInsert(c)
-	if v := p.victim(0); v != a {
-		t.Fatalf("victim = %v, want a", mem.key(v))
-	}
-	p.onAccess(a) // a becomes MRU
-	if v := p.victim(0); v != b {
-		t.Fatalf("after access, victim = %v, want b", mem.key(v))
-	}
-}
-
-func TestLRUVictimPerClass(t *testing.T) {
-	mem := newTestMem(t)
-	p := newLRUPolicy(&mem.alloc.arena, 2)
-	a := mem.mk("a", 0)
-	b := mem.mk("b", 1)
-	p.onInsert(a)
-	p.onInsert(b)
-	if v := p.victim(0); v != a {
-		t.Fatal("class 0 victim should be a")
-	}
-	if v := p.victim(1); v != b {
-		t.Fatal("class 1 victim should be b")
-	}
-}
-
-func TestLRURemove(t *testing.T) {
-	mem := newTestMem(t)
-	p := newLRUPolicy(&mem.alloc.arena, 1)
-	a, b := mem.mk("a", 0), mem.mk("b", 0)
-	p.onInsert(a)
-	p.onInsert(b)
-	p.onRemove(a)
-	if v := p.victim(0); v != b {
-		t.Fatal("after removing a, victim should be b")
-	}
-	p.onRemove(b)
-	if v := p.victim(0); v != 0 {
-		t.Fatal("empty class should have no victim")
-	}
-}
-
-func TestLRUListInvariants(t *testing.T) {
+// TestItemListInvariants: pushBack and remove keep both walk directions,
+// the ends and the size in agreement, wherever the removed item sat.
+func TestItemListInvariants(t *testing.T) {
 	mem := newTestMem(t)
 	arena := &mem.alloc.arena
 	var l itemList
 	items := make([]handle, 10)
 	for i := range items {
 		items[i] = mem.mk(fmt.Sprintf("i%d", i), 0)
-		l.pushFront(arena, items[i])
+		l.pushBack(arena, items[i])
 	}
-	if l.size != 10 {
-		t.Fatalf("size = %d", l.size)
-	}
-	// Walk head->tail and tail->head; both must see 10 items.
-	n := 0
-	for h := l.head; h != 0; h = arena.chunk(h).next() {
-		n++
-	}
-	if n != 10 {
-		t.Fatalf("forward walk saw %d", n)
-	}
-	n = 0
-	for h := l.tail; h != 0; h = arena.chunk(h).prev() {
-		n++
-	}
-	if n != 10 {
-		t.Fatalf("backward walk saw %d", n)
-	}
-	// moveToFront of the tail.
-	l.moveToFront(arena, items[0])
-	if l.head != items[0] {
-		t.Fatal("moveToFront failed")
-	}
-	if l.size != 10 {
-		t.Fatalf("size changed to %d", l.size)
-	}
-	// Remove the middle.
-	l.remove(arena, items[5])
-	if l.size != 9 {
-		t.Fatalf("size = %d after remove", l.size)
-	}
-	for h := l.head; h != 0; h = arena.chunk(h).next() {
-		if h == items[5] {
-			t.Fatal("removed item still linked")
+	check := func(want []handle) {
+		t.Helper()
+		var fwd, back []handle
+		for h := l.head; h != 0; h = arena.chunk(h).next() {
+			fwd = append(fwd, h)
 		}
+		for h := l.tail; h != 0; h = arena.chunk(h).prev() {
+			back = append([]handle{h}, back...)
+		}
+		if l.size != len(want) || fmt.Sprint(fwd) != fmt.Sprint(want) || fmt.Sprint(back) != fmt.Sprint(want) {
+			t.Fatalf("size %d, forward %v, backward %v; want %v", l.size, fwd, back, want)
+		}
+	}
+	check(items)
+	remove := func(idx ...int) {
+		t.Helper()
+		for _, i := range idx {
+			l.remove(arena, items[i])
+			if c := arena.chunk(items[i]); c.prev() != 0 || c.next() != 0 {
+				t.Fatalf("removed item %d keeps links %#x/%#x", i, c.prev(), c.next())
+			}
+		}
+	}
+	remove(5, 0, 9) // the middle, the head, the tail
+	check([]handle{items[1], items[2], items[3], items[4], items[6], items[7], items[8]})
+	remove(1, 2, 3, 4, 6, 7, 8)
+	check(nil)
+	if l.head != 0 || l.tail != 0 {
+		t.Fatalf("emptied list keeps ends %#x/%#x", l.head, l.tail)
 	}
 }
 
@@ -125,9 +74,8 @@ func TestBagsSecondChance(t *testing.T) {
 	}
 }
 
-// TestBagsSecondChanceBit: a hit since the policy last passed over an
-// item buys it one victim scan, not two, and the bit is the policy's —
-// LRU neither sets nor reads it.
+// TestBagsSecondChanceBit: a hit since eviction last passed over an
+// item buys it one victim scan, not two.
 func TestBagsSecondChanceBit(t *testing.T) {
 	mem := newTestMem(t)
 	p := newBagsPolicy(&mem.alloc.arena, 1)
@@ -151,18 +99,10 @@ func TestBagsSecondChanceBit(t *testing.T) {
 	if v := p.victim(0); v != a {
 		t.Fatalf("third scan: victim = %q, want a: one hit bought a second pass", mem.key(v))
 	}
-
-	lru := newLRUPolicy(&mem.alloc.arena, 1)
-	d := mem.mk("d", 0)
-	lru.onInsert(d)
-	lru.onAccess(d)
-	if mem.alloc.chunk(d).referenced() {
-		t.Fatal("LRU set the referenced bit")
-	}
 }
 
 func TestBagsAccessDoesNotReorder(t *testing.T) {
-	// Unlike LRU, a read of an old item must not move list pointers —
+	// Unlike strict LRU, a read of an old item must not move list pointers —
 	// only the referenced mark changes. We verify by checking it stays
 	// in the same bag.
 	mem := newTestMem(t)
@@ -246,24 +186,5 @@ func TestBagsBoundedSecondChanceScan(t *testing.T) {
 	// All items hot: victim must still return non-nil.
 	if v := p.victim(0); v == 0 {
 		t.Fatal("victim must not return nil for a populated class")
-	}
-}
-
-func TestPolicyFactory(t *testing.T) {
-	mem := newTestMem(t)
-	if _, ok := newPolicy(PolicyLRU, &mem.alloc.arena, 3).(*lruPolicy); !ok {
-		t.Fatal("PolicyLRU should build lruPolicy")
-	}
-	if _, ok := newPolicy(PolicyBags, &mem.alloc.arena, 3).(*bagsPolicy); !ok {
-		t.Fatal("PolicyBags should build bagsPolicy")
-	}
-}
-
-func TestPolicyStrings(t *testing.T) {
-	if PolicyLRU.String() != "lru" || PolicyBags.String() != "bags" {
-		t.Fatal("policy names wrong")
-	}
-	if EvictionPolicy(99).String() != "unknown" {
-		t.Fatal("unknown policy name wrong")
 	}
 }

@@ -54,7 +54,7 @@ type shardStats struct {
 type shard struct {
 	table    *hashTable
 	alloc    *slabAllocator
-	pol      policy
+	pol      bagsPolicy
 	stats    shardStats //kv3d:guardedby lockedShard.mu
 	casSeq   *casCounter
 	flushCAS uint64 // flush_all's watermark: items with a CAS id below it are dead
@@ -68,11 +68,11 @@ type shard struct {
 	setsSinceSteal int
 }
 
-func newShard(alloc *slabAllocator, kind EvictionPolicy, cas *casCounter, maxItem int, evict bool) *shard {
+func newShard(alloc *slabAllocator, cas *casCounter, maxItem int, evict bool) *shard {
 	return &shard{
 		table:          newHashTable(&alloc.arena),
 		alloc:          alloc,
-		pol:            newPolicy(kind, &alloc.arena, alloc.numClasses()),
+		pol:            newBagsPolicy(&alloc.arena, alloc.numClasses()),
 		casSeq:         cas,
 		maxItem:        maxItem,
 		evictOn:        evict,
@@ -121,8 +121,8 @@ func (s *shard) dead(c chunk, now int64) bool {
 	return c.casID() < s.flushCAS || c.expired(now)
 }
 
-// reap removes item h, whose key hashes to hash, from the table and the
-// policy and frees its chunk.
+// reap removes item h, whose key hashes to hash, from the table and its
+// bag and frees its chunk.
 func (s *shard) reap(h handle, c chunk, hash uint64) {
 	s.table.remove(h, hash)
 	s.pol.onRemove(h)

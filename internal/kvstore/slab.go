@@ -1,15 +1,15 @@
 // Package kvstore implements a memcached-compatible in-memory key-value
 // store: a slab allocator with page reassignment, a hash table with
-// incremental rehashing, strict-LRU and Bags pseudo-LRU eviction, TTLs,
-// CAS, and the usual verb set. It is both the functional substrate for
-// the kv3d examples and TCP server, and the reference the timing models'
-// cost parameters were derived from.
+// incremental rehashing, Bags pseudo-LRU eviction, TTLs, CAS, and the
+// usual verb set. It is both the functional substrate for the kv3d
+// examples and TCP server, and the reference the timing models' cost
+// parameters were derived from.
 //
 // Concurrency follows the designs the paper benchmarks against
 // (Wiggins & Langston): one shard serializes everything behind one lock
 // (memcached 1.4), more shards stripe the keyspace (memcached 1.6
-// fine-grained locking), and the Bags eviction policy removes LRU
-// reordering from the read path.
+// fine-grained locking), and Bags eviction keeps LRU reordering off the
+// read path: a hit sets a mark instead of relinking a list.
 package kvstore
 
 import (

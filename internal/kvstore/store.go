@@ -22,8 +22,6 @@ type Config struct {
 	// is memcached 1.4's global cache lock; more are memcached 1.6's
 	// striped locking.
 	Shards int
-	// Policy selects strict LRU or Bags eviction.
-	Policy EvictionPolicy
 	// EvictionsEnabled allows evicting live items under memory pressure
 	// (memcached -M disables this and errors instead).
 	EvictionsEnabled bool
@@ -44,7 +42,6 @@ func DefaultConfig(memoryLimit int64) Config {
 	return Config{
 		MemoryLimit:      memoryLimit,
 		Shards:           8,
-		Policy:           PolicyLRU,
 		EvictionsEnabled: true,
 		MaxItemSize:      DefaultMaxItemSize,
 		BaseChunkSize:    DefaultBaseChunkSize,
@@ -139,7 +136,7 @@ func New(cfg Config) (*Store, error) {
 			return nil, err
 		}
 		st.shards = append(st.shards, &lockedShard{
-			s: newShard(alloc, cfg.Policy, &st.cas, cfg.MaxItemSize, cfg.EvictionsEnabled),
+			s: newShard(alloc, &st.cas, cfg.MaxItemSize, cfg.EvictionsEnabled),
 		})
 	}
 	return st, nil

@@ -478,7 +478,7 @@ func TestEvictionUnderPressure(t *testing.T) {
 	if s.SlabBytes > 4<<20 {
 		t.Fatalf("slab bytes %d exceed limit", s.SlabBytes)
 	}
-	// Most recent keys should still be resident (LRU evicts old ones).
+	// Most recent keys should still be resident (eviction takes old ones).
 	if _, ok := st.Get("key-1999"); !ok {
 		t.Fatal("most recent key evicted")
 	}
@@ -507,7 +507,6 @@ func TestEvictionDisabledErrors(t *testing.T) {
 func TestBagsPolicyEndToEnd(t *testing.T) {
 	st := newTestStore(t, func(c *Config) {
 		c.MemoryLimit = 4 << 20
-		c.Policy = PolicyBags
 		c.Shards = 1
 	})
 	val := bytes.Repeat([]byte("v"), 10_000)

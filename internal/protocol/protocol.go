@@ -633,7 +633,6 @@ func (s *Session) doStatsSettings() error {
 	fmt.Fprintf(s.w, "STAT maxbytes %d\r\n", cfg.MemoryLimit)
 	fmt.Fprintf(s.w, "STAT item_size_max %d\r\n", cfg.MaxItemSize)
 	fmt.Fprintf(s.w, "STAT evictions %v\r\n", boolToOnOff(cfg.EvictionsEnabled))
-	fmt.Fprintf(s.w, "STAT eviction_policy %s\r\n", cfg.Policy)
 	locking := "striped"
 	if cfg.Shards == 1 {
 		locking = "global"

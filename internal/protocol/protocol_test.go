@@ -340,7 +340,7 @@ func TestStatsSlabs(t *testing.T) {
 
 func TestStatsSettings(t *testing.T) {
 	out := run(t, nil, "stats settings\r\n")
-	for _, want := range []string{"STAT maxbytes", "STAT eviction_policy lru", "STAT locking striped", "STAT num_shards 8"} {
+	for _, want := range []string{"STAT maxbytes", "STAT locking striped", "STAT num_shards 8"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("stats settings missing %q: %q", want, out)
 		}
