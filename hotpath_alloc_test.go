@@ -19,6 +19,7 @@ import (
 	"bufio"
 	"bytes"
 	"io"
+	"net"
 	"strings"
 	"testing"
 
@@ -439,5 +440,69 @@ func TestBinarySetZeroAllocPerOp(t *testing.T) {
 	}
 	if e, ok := st.Get("key:00000001"); !ok || string(e.Value) != "0123456789abcdef" || e.Flags != 5 {
 		t.Fatalf("after the sets, get = %q flags %d found %v", e.Value, e.Flags, ok)
+	}
+}
+
+// TestPinnedGetZeroAllocPerOp gates the large-value GET as a server
+// connection serves it: over loopback TCP through protocol.ServeConn, a
+// 64 KiB hit is pinned in the store and written from its chunk by one
+// writev, then unpinned — and none of that allocates, on either codec.
+func TestPinnedGetZeroAllocPerOp(t *testing.T) {
+	st, err := kvstore.New(kvstore.DefaultConfig(32 << 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	value := bytes.Repeat([]byte("photo"), 64<<10/5)
+	if err := st.Set("k", value, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	binGet := []byte{protocol.MagicRequest, protocol.OpGet, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 'k'}
+	for _, c := range []struct {
+		name      string
+		req       []byte
+		replySize int
+	}{
+		{"binary", binGet, 24 + 4 + len(value)},
+		{"ascii", []byte("get k\r\n"), len("VALUE k 0 65535\r\n") + len(value) + len("\r\nEND\r\n")},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			served := make(chan error, 1)
+			go func() {
+				conn, err := ln.Accept()
+				if err == nil {
+					err = protocol.ServeConn(st, conn, protocol.Env{})
+					conn.Close()
+				}
+				served <- err
+			}()
+			conn, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			reply := make([]byte, c.replySize)
+			get := func() {
+				if _, err := conn.Write(c.req); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := io.ReadFull(conn, reply); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if allocs := testing.AllocsPerRun(200, get); allocs != 0 {
+				t.Fatalf("a pinned 64 KiB %s GET allocates %v per op, want 0", c.name, allocs)
+			}
+			if !bytes.HasSuffix(bytes.TrimSuffix(reply, []byte("\r\nEND\r\n")), value) {
+				t.Fatalf("the reply does not end in the value")
+			}
+			conn.Close()
+			if err := <-served; err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

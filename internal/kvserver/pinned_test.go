@@ -1,0 +1,385 @@
+package kvserver
+
+// Large single-key GET hits leave a server connection pinned: the value
+// is written from its slab chunk by one vectored write instead of being
+// copied into the session's buffers. These tests hold that path to the
+// copy path byte for byte on every transport a server runs a session
+// over, and check under concurrent writers that a reply only ever
+// carries a value some write stored.
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
+	"math/rand"
+	"net"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"kv3d/internal/kvclient"
+	"kv3d/internal/kvstore"
+	"kv3d/internal/protocol"
+)
+
+// pinScriptSizes straddle the pin threshold on both sides and reach
+// well past what one socket write or one bufio buffer holds.
+var pinScriptSizes = []int{0, 100, 16<<10 - 1, 16 << 10, 64 << 10, 100_003, 500 << 10}
+
+func pinValue(i, n int) []byte {
+	v := make([]byte, n)
+	for j := range v {
+		v[j] = byte('a' + (i*7+j)%26)
+	}
+	return v
+}
+
+// asciiPinScript stores one value per size, then reads each back with
+// get, gets and a multi-get, pipelined behind and ahead of other
+// replies, and quits.
+func asciiPinScript() []byte {
+	var b bytes.Buffer
+	for i, n := range pinScriptSizes {
+		fmt.Fprintf(&b, "set k%d %d 0 %d\r\n%s\r\n", i, i+1, n, pinValue(i, n))
+	}
+	for i := range pinScriptSizes {
+		fmt.Fprintf(&b, "get k%d\r\ngets k%d\r\nversion\r\n", i, i)
+	}
+	b.WriteString("get k3 k4 absent k5\r\nget absent\r\nquit\r\n")
+	return b.Bytes()
+}
+
+// binaryPinScript is the binary twin: every opcode of the get family
+// on every size, a quiet miss and a noop between them.
+func binaryPinScript() []byte {
+	var b []byte
+	for i, n := range pinScriptSizes {
+		extras := []byte{0, 0, 0, byte(i + 1), 0, 0, 0, 0}
+		b = append(b, binFrame(protocol.OpSet, uint32(i), extras, fmt.Appendf(nil, "k%d", i), pinValue(i, n))...)
+	}
+	for i := range pinScriptSizes {
+		key := fmt.Appendf(nil, "k%d", i)
+		for _, op := range []byte{protocol.OpGet, protocol.OpGetK, protocol.OpGetQ, protocol.OpGetKQ} {
+			b = append(b, binFrame(op, uint32(100+i), nil, key, nil)...)
+		}
+		b = append(b, binFrame(protocol.OpGetQ, 7, nil, []byte("absent"), nil)...)
+		b = append(b, binFrame(protocol.OpNoop, 8, nil, nil, nil)...)
+	}
+	return append(b, binFrame(protocol.OpQuit, 9, nil, nil, nil)...)
+}
+
+func newPinStore(t *testing.T) *kvstore.Store {
+	t.Helper()
+	st, err := kvstore.New(kvstore.DefaultConfig(64 << 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// copyPathReplies serves script through a session on a caller's
+// buffered pair, which has no transport to send pinned values to.
+func copyPathReplies(t *testing.T, script []byte) []byte {
+	t.Helper()
+	var out bytes.Buffer
+	rw := struct {
+		io.Reader
+		io.Writer
+	}{bytes.NewReader(script), &out}
+	st := newPinStore(t)
+	var err error
+	if script[0] == protocol.MagicRequest {
+		err = protocol.NewBinarySession(st, rw).Serve()
+	} else {
+		err = protocol.NewSession(st, rw).Serve()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// exchange writes script to conn while reading every reply until the
+// server closes the connection.
+func exchange(t *testing.T, conn net.Conn, script []byte) []byte {
+	t.Helper()
+	defer conn.Close()
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := conn.Write(script)
+		wrote <- err
+	}()
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	got, err := io.ReadAll(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-wrote; err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// TestPinnedRepliesMatchCopyPath serves the same scripts pinned over
+// loopback TCP (writev), over TCP behind the idle-timeout deadline
+// wrapper and over net.Pipe (both of which take net.Buffers' one write
+// per buffer), and requires each reply stream to equal the copy path's.
+func TestPinnedRepliesMatchCopyPath(t *testing.T) {
+	transports := map[string]func(t *testing.T) net.Conn{
+		"tcp": func(t *testing.T) net.Conn {
+			return dialPinServer(t, Options{})
+		},
+		"idle-timeout": func(t *testing.T) net.Conn {
+			return dialPinServer(t, Options{IdleTimeout: time.Minute})
+		},
+		"pipe": func(t *testing.T) net.Conn {
+			client, server := net.Pipe()
+			st := newPinStore(t)
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				defer server.Close()
+				if err := protocol.ServeConn(st, server, protocol.Env{}); err != nil {
+					t.Error(err)
+				}
+			}()
+			t.Cleanup(func() { <-done })
+			return client
+		},
+	}
+	scripts := map[string][]byte{"ascii": asciiPinScript(), "binary": binaryPinScript()}
+	for codec, script := range scripts {
+		want := copyPathReplies(t, script)
+		for name, dial := range transports {
+			t.Run(codec+"/"+name, func(t *testing.T) {
+				got := exchange(t, dial(t), script)
+				if !bytes.Equal(got, want) {
+					i := 0
+					for i < len(got) && i < len(want) && got[i] == want[i] {
+						i++
+					}
+					t.Fatalf("pinned replies differ from the copy path at byte %d of %d (copy path: %d bytes)", i, len(got), len(want))
+				}
+			})
+		}
+	}
+}
+
+func dialPinServer(t *testing.T, opts Options) net.Conn {
+	t.Helper()
+	srv := NewWithOptions(newPinStore(t), nil, opts)
+	if err := srv.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve()
+	t.Cleanup(func() { srv.Close() })
+	conn, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return conn
+}
+
+// Values the concurrent test stores: a 12-byte header — key index,
+// stored length, and the write's identity, one of racyIDs — then a body
+// derived from the identity, then any bytes appends added ('+'). Every
+// length falls in one slab class, so a set of another length rewrites
+// a chunk in place unless a pin stops it.
+const (
+	racyKeys   = 3
+	racyIDs    = 16
+	racyMinLen = 96_000
+	racyMaxLen = 119_000
+	racyHeader = 12
+)
+
+// racyBodies holds each identity's body, built once: the writers copy
+// rather than compute, so that under the race detector they still
+// store fast enough to meet the readers.
+var racyBodies = sync.OnceValue(func() (b [racyIDs][]byte) {
+	for id := range b {
+		b[id] = make([]byte, racyMaxLen)
+		for i := range b[id] {
+			b[id][i] = byte(i*31) ^ byte(id)
+		}
+	}
+	return b
+})
+
+func racyValue(key, n int, id byte) []byte {
+	v := append([]byte(nil), racyBodies()[id%racyIDs][:n]...)
+	binary.BigEndian.PutUint32(v, uint32(key))
+	binary.BigEndian.PutUint32(v[4:], uint32(n))
+	v[8] = id % racyIDs
+	return v
+}
+
+// checkRacy reports why v is not a value some write of key stored, or
+// "" if it is.
+func checkRacy(key int, v []byte) string {
+	if len(v) < racyHeader {
+		return fmt.Sprintf("%d bytes, shorter than the header", len(v))
+	}
+	n := int(binary.BigEndian.Uint32(v[4:]))
+	switch {
+	case int(binary.BigEndian.Uint32(v)) != key:
+		return fmt.Sprintf("header names key %d", binary.BigEndian.Uint32(v))
+	case n < racyMinLen || n > len(v):
+		return fmt.Sprintf("header says %d bytes, the reply carries %d", n, len(v))
+	case strings.Trim(string(v[n:]), "+") != "":
+		return "bytes past the stored length are not appends"
+	}
+	id := int(v[8])
+	if id >= racyIDs {
+		return fmt.Sprintf("header names write %d", id)
+	}
+	if body := racyBodies()[id]; !bytes.Equal(v[racyHeader:n], body[racyHeader:n]) {
+		return fmt.Sprintf("the body of %d bytes is not write %d's", n, id)
+	}
+	return ""
+}
+
+// TestPinnedGetsUnderConcurrentWrites runs large binary and ASCII GETs
+// over loopback TCP against writers doing same-key, same-class sets,
+// deletes, flush_all, appends and (failing, non-numeric) incrs. The
+// server's send buffers are shrunk, so a pinned send can wait part-way
+// while the writers reach for its chunk. Every hit must be a value some
+// write stored.
+func TestPinnedGetsUnderConcurrentWrites(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(newPinStore(t), nil)
+	go srv.ServeOn(smallSendBuffers{ln})
+	t.Cleanup(func() { srv.Close() })
+	dial := func() net.Conn {
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return conn
+	}
+	type getter func(key string) ([]byte, error)
+	var readers []getter
+	for i := 0; i < 2; i++ {
+		b := kvclient.NewBinaryClient(dial())
+		a := kvclient.NewClient(dial())
+		defer b.Close()
+		defer a.Close()
+		readers = append(readers,
+			func(key string) ([]byte, error) { it, err := b.Get(key); return it.Value, err },
+			func(key string) ([]byte, error) { it, err := a.Gets(key); return it.Value, err })
+	}
+
+	seed := kvclient.NewBinaryClient(dial())
+	defer seed.Close()
+	for key := 0; key < racyKeys; key++ {
+		if err := seed.Set(fmt.Sprintf("racy%d", key), racyValue(key, racyMinLen, 0), 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const getsPerReader = 30
+	stop := make(chan struct{})
+	var writers, wg sync.WaitGroup
+	var hits atomic.Int64
+	for w := 0; w < 2; w++ {
+		a := kvclient.NewClient(dial())
+		b := kvclient.NewBinaryClient(dial())
+		defer a.Close()
+		defer b.Close()
+		writers.Add(1)
+		go func(seed int64) {
+			defer writers.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for id := byte(seed); ; id++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				key := rng.Intn(racyKeys)
+				name := fmt.Sprintf("racy%d", key)
+				var err error
+				switch r := rng.Intn(100); {
+				case r < 40:
+					err = a.Set(name, racyValue(key, racyMinLen+rng.Intn(racyMaxLen-racyMinLen), id), 0, 0)
+				case r < 80:
+					err = b.Set(name, racyValue(key, racyMinLen+rng.Intn(racyMaxLen-racyMinLen), id), 0, 0)
+				case r < 90:
+					err = a.Append(name, bytes.Repeat([]byte{'+'}, 1+rng.Intn(64)))
+				case r < 94:
+					err = a.Delete(name)
+				case r < 99:
+					_, err = a.Incr(name, 1)
+				default:
+					err = a.FlushAll(0)
+				}
+				if err != nil && !errors.Is(err, kvclient.ErrNotFound) && !errors.Is(err, kvclient.ErrNotStored) &&
+					!strings.Contains(err.Error(), "non-numeric") {
+					t.Errorf("writer: %v", err)
+					return
+				}
+			}
+		}(int64(w + 1))
+	}
+	for i, get := range readers {
+		wg.Add(1)
+		go func(i int, get getter) {
+			defer wg.Done()
+			for n := 0; n < getsPerReader; n++ {
+				key := (i + n) % racyKeys
+				v, err := get(fmt.Sprintf("racy%d", key))
+				if errors.Is(err, kvclient.ErrNotFound) {
+					continue
+				}
+				if err != nil {
+					t.Errorf("reader %d: %v", i, err)
+					return
+				}
+				hits.Add(1)
+				if why := checkRacy(key, v); why != "" {
+					t.Errorf("reader %d, get %d of racy%d: %s", i, n, key, why)
+					return
+				}
+			}
+		}(i, get)
+	}
+	wg.Wait()
+	close(stop)
+	writers.Wait()
+	if n := hits.Load(); n < int64(len(readers)*getsPerReader/4) {
+		t.Fatalf("only %d of %d gets hit; too few pinned sends to tell", n, len(readers)*getsPerReader)
+	}
+	// Every pin has been released: once the keys are gone, so is every
+	// chunk, unlinked ones included.
+	st := srv.Store()
+	for key := 0; key < racyKeys; key++ {
+		st.Delete(fmt.Sprintf("racy%d", key))
+	}
+	used := 0
+	for _, c := range st.SlabStats() {
+		used += c.UsedChunks
+	}
+	if s := st.Stats(); s.BytesUsed != 0 || s.CurrItems != 0 || used != 0 {
+		t.Fatalf("after deleting every key: %d bytes, %d items, %d chunks in use", s.BytesUsed, s.CurrItems, used)
+	}
+}
+
+// smallSendBuffers shrinks the send buffer of every connection it
+// accepts to less than a value, so a pinned send waits for the reader
+// part-way. The connection is handed on as
+// the *net.TCPConn it is, which keeps the server's writev path.
+type smallSendBuffers struct{ net.Listener }
+
+func (l smallSendBuffers) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err == nil {
+		conn.(*net.TCPConn).SetWriteBuffer(32 << 10)
+	}
+	return conn, err
+}

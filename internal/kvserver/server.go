@@ -77,8 +77,7 @@ type Server struct {
 	// (client gone, connection reset): the scrape was truncated.
 	metricsWriteErrors atomic.Uint64
 
-	ops      *OpMetrics
-	nowNanos func() sim.Ns
+	ops *OpMetrics
 	// env is what every session of this server runs with, whichever
 	// transport carries it: built once at construction, Repl replaced
 	// by SetReplicator, read when a connection or datagram arrives.
@@ -132,12 +131,11 @@ func NewWithOptions(store *kvstore.Store, logger *log.Logger, opts Options) *Ser
 		now = func() sim.Ns { return sim.Ns(baseNanos + int64(time.Since(base))) }
 	}
 	s := &Server{
-		store:    store,
-		log:      logger,
-		opts:     opts,
-		conns:    make(map[net.Conn]struct{}),
-		ops:      NewOpMetrics(),
-		nowNanos: now,
+		store: store,
+		log:   logger,
+		opts:  opts,
+		conns: make(map[net.Conn]struct{}),
+		ops:   NewOpMetrics(),
 	}
 	s.env = protocol.Env{Observer: s.ops, NowNanos: now, Repl: opts.Repl}
 	if opts.MaxInflight > 0 {
@@ -261,7 +259,7 @@ func (s *Server) rejectConn(conn net.Conn, reason RejectReason) {
 	s.rejected.Add(1)
 	s.ops.Reject(reason)
 	if s.flight != nil {
-		s.flight.reject(reason, s.nowNanos())
+		s.flight.reject(reason, s.sessionEnv().NowNanos())
 	}
 	s.rejectWg.Add(1)
 	go func() {
@@ -274,8 +272,9 @@ func (s *Server) rejectConn(conn net.Conn, reason RejectReason) {
 
 func (s *Server) handle(conn net.Conn) {
 	defer s.wg.Done()
+	env := s.sessionEnv()
 	if s.flight != nil {
-		ts := s.nowNanos()
+		ts := env.NowNanos()
 		s.flight.connOpen(ts)
 		s.flight.activeConns(ts, s.active.Load())
 	}
@@ -286,7 +285,7 @@ func (s *Server) handle(conn net.Conn) {
 		s.mu.Unlock()
 		n := s.active.Add(-1)
 		if s.flight != nil {
-			ts := s.nowNanos()
+			ts := env.NowNanos()
 			s.flight.connClose(ts)
 			s.flight.activeConns(ts, n)
 		}
@@ -295,7 +294,7 @@ func (s *Server) handle(conn net.Conn) {
 	if s.opts.IdleTimeout > 0 {
 		rw = &deadlineRW{conn: conn, timeout: s.opts.IdleTimeout}
 	}
-	err := protocol.ServeConn(s.store, rw, s.sessionEnv())
+	err := protocol.ServeConn(s.store, rw, env)
 	if err != nil && s.log != nil {
 		s.log.Printf("kvserver: connection %s: %v", conn.RemoteAddr(), err)
 	}
@@ -316,7 +315,7 @@ func (s *Server) Close() error {
 	s.telemetry = nil
 	s.mu.Unlock()
 	if s.flight != nil {
-		s.flight.serverClose(s.nowNanos())
+		s.flight.serverClose(s.sessionEnv().NowNanos())
 	}
 	var err error
 	if s.ln != nil {
@@ -341,7 +340,7 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 	s.draining = true
 	s.mu.Unlock()
 	if s.flight != nil {
-		s.flight.drainBegin(s.nowNanos())
+		s.flight.drainBegin(s.sessionEnv().NowNanos())
 	}
 	// wg.Add for handlers happens under mu before draining was set, so
 	// this waiter cannot race a late registration.
@@ -357,7 +356,7 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 		err = errors.New("kvserver: drain deadline exceeded")
 	}
 	if s.flight != nil {
-		s.flight.drainEnd(s.nowNanos())
+		s.flight.drainEnd(s.sessionEnv().NowNanos())
 	}
 	if cerr := s.Close(); cerr != nil && err == nil {
 		err = cerr

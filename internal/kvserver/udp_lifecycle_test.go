@@ -1,7 +1,10 @@
 package kvserver
 
 import (
+	"encoding/binary"
+	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -97,5 +100,50 @@ func TestUDPCloseWaitsForHandlers(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("Close did not return after the last handler finished")
+	}
+}
+
+// TestUDPBurstRepliesMatchRequests sends a burst of distinct GETs
+// faster than their handlers finish. The read loop reuses one buffer
+// for every datagram, so each handler must run on its own copy of its
+// request: one that read the shared buffer late would answer the
+// datagram read after it.
+func TestUDPBurstRepliesMatchRequests(t *testing.T) {
+	srv, _ := startServer(t)
+	udp, err := srv.ListenUDP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer udp.Close()
+	const burst = 64
+	for i := 0; i < burst; i++ {
+		if err := srv.Store().Set(fmt.Sprintf("key-%d", i), []byte(strings.Repeat("v", i)), 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	conn, err := net.Dial("udp", udp.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	for i := 0; i < burst; i++ {
+		frame := make([]byte, protocol.UDPHeaderLen)
+		protocol.PutUDPHeader(frame, uint16(i), 0, 1)
+		if _, err := conn.Write(fmt.Appendf(frame, "get key-%d\r\n", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	buf := make([]byte, 2048)
+	for n := 0; n < burst; n++ {
+		m, err := conn.Read(buf)
+		if err != nil {
+			t.Fatalf("%d of %d replies: %v", n, burst, err)
+		}
+		id := int(binary.BigEndian.Uint16(buf))
+		want := fmt.Sprintf("VALUE key-%d 0 %d\r\n%s\r\nEND\r\n", id, id, strings.Repeat("v", id))
+		if got := string(buf[protocol.UDPHeaderLen:m]); got != want {
+			t.Fatalf("reply to request %d = %q, want %q", id, got, want)
+		}
 	}
 }

@@ -28,7 +28,7 @@ const (
 	offExpire   = 24 // u32 absolute expiry, unix seconds; 0 never, MaxUint32 already expired
 	offFlags    = 28 // u32 client flags
 	offValueLen = 32 // u24 value length
-	offRef      = 35 // u8  1 = read since eviction last passed over the item
+	offRef      = 35 // u8  bit 0 referenced, bits 1–6 pin count, bit 7 unlinked while pinned
 
 	itemHeaderSize = 36
 )
@@ -54,6 +54,18 @@ const (
 	maxClasses   = 1 << 7
 )
 
+// The offRef byte has three tenants. The referenced mark is the Bags
+// second chance. The pin count is how many senders are reading the
+// value outside the shard lock (Store.PinBytes); a pinned chunk is never
+// rewritten, freed or re-carved. The unlinked mark says the item left
+// the table and its bag while pinned, so the last Unpin frees the chunk.
+const (
+	refMark      = 1 << 0
+	pinOne       = 1 << 1
+	pinMask      = 0x3f << 1
+	unlinkedMark = 1 << 7
+)
+
 // chunk is a view of one item's bytes: the page from the chunk's first
 // byte on. It is only ever held under the shard lock.
 type chunk []byte
@@ -74,9 +86,16 @@ func (c chunk) casID() uint64     { return binary.LittleEndian.Uint64(c[offCAS:]
 func (c chunk) setCAS(id uint64)  { binary.LittleEndian.PutUint64(c[offCAS:], id) }
 func (c chunk) flags() uint32     { return binary.LittleEndian.Uint32(c[offFlags:]) }
 func (c chunk) setFlags(f uint32) { binary.LittleEndian.PutUint32(c[offFlags:], f) }
-func (c chunk) referenced() bool  { return c[offRef] != 0 }
-func (c chunk) setReferenced()    { c[offRef] = 1 }
-func (c chunk) clearReferenced()  { c[offRef] = 0 }
+func (c chunk) referenced() bool  { return c[offRef]&refMark != 0 }
+func (c chunk) setReferenced()    { c[offRef] |= refMark }
+func (c chunk) clearReferenced()  { c[offRef] &^= refMark }
+func (c chunk) pinned() bool      { return c[offRef]&pinMask != 0 }
+func (c chunk) pinFull() bool     { return c[offRef]&pinMask == pinMask }
+func (c chunk) pin()              { c[offRef] += pinOne }
+func (c chunk) unpin()            { c[offRef] -= pinOne }
+func (c chunk) unlinked() bool    { return c[offRef]&unlinkedMark != 0 }
+func (c chunk) setUnlinked()      { c[offRef] |= unlinkedMark }
+func (c chunk) clearRef()         { c[offRef] = 0 }
 
 // valueLen loads the length with its neighbour offRef and masks that
 // byte off: one load instead of three.
@@ -163,7 +182,7 @@ func (c chunk) init(classIdx, size int, key, value []byte) {
 	c.setBag(0)
 	c.setPrev(0)
 	c.setNext(0)
-	c.clearReferenced()
+	c.clearRef()
 	copy(c[itemHeaderSize:], key)
 	c.setValue(value, size)
 }

@@ -24,7 +24,7 @@ var headerFields = []struct {
 	{"expiry", offExpire, 4},
 	{"flags", offFlags, 4},
 	{"value length", offValueLen, 3},
-	{"referenced", offRef, 1},
+	{"referenced / pins / unlinked", offRef, 1},
 }
 
 // TestHeaderLayout pins the one chunk layout: 36 bytes, tiled by the
@@ -96,6 +96,23 @@ func TestHeaderLayout(t *testing.T) {
 		check("overwrite to the longest value", len(longest), true)
 		c.clearReferenced()
 		check("second chance spent", len(longest), false)
+		for i := 0; i < 63; i++ {
+			c.pin()
+		}
+		c.setReferenced()
+		c.setUnlinked()
+		check("63 pins, unlinked", len(longest), true)
+		if !c.pinFull() || !c.unlinked() {
+			t.Fatalf("63 pins: full %v, unlinked %v", c.pinFull(), c.unlinked())
+		}
+		for i := 0; i < 63; i++ {
+			c.unpin()
+		}
+		c.clearReferenced()
+		if c.pinned() || !c.unlinked() {
+			t.Fatalf("all pins released: pinned %v, unlinked %v", c.pinned(), c.unlinked())
+		}
+		check("pins released", len(longest), false)
 		if maxItemBytes-1 > 1<<24-1 {
 			t.Fatalf("maxItemBytes = %d: a value that long does not fit three bytes", maxItemBytes)
 		}

@@ -450,6 +450,7 @@ func absent(op modelOp, res opResult) bool {
 type modelCase struct {
 	shards int // 1 is the global lock
 	tight  bool
+	pins   bool // interleave PinBytes and Unpin with the generated ops
 }
 
 func (c modelCase) String() string {
@@ -461,7 +462,11 @@ func (c modelCase) String() string {
 	if c.shards == 1 {
 		locking = "global"
 	}
-	return fmt.Sprintf("bags/%s/%s", locking, mem)
+	name := fmt.Sprintf("bags/%s/%s", locking, mem)
+	if c.pins {
+		name += "/pins"
+	}
+	return name
 }
 
 func (c modelCase) config(clock Clock) Config {
@@ -496,7 +501,18 @@ func runModel(t *testing.T, c modelCase, seed int64, steps int) (digest uint64, 
 		gen.keys = 600
 	}
 	sum := fnv.New64a()
+	// Pins draw from their own source, so a case with pins runs the
+	// same generated ops as the case without them.
+	pinRng := rand.New(rand.NewSource(seed + 1_000_003))
+	var held []heldPin
 	for step := 0; step < steps; step++ {
+		if c.pins {
+			held = pinStep(t, c, seed, step, st, model, pinRng, gen.keys, held)
+			fmt.Fprintf(sum, "%d|", len(held))
+			if step%499 == 0 {
+				checkAllShards(t, c, seed, step, st)
+			}
+		}
 		op := gen.next(step)
 		var got, want opResult
 		switch op.kind {
@@ -536,6 +552,13 @@ func runModel(t *testing.T, c modelCase, seed int64, steps int) (digest uint64, 
 		if c.tight && model.present(op.key) && absent(op, got) {
 			delete(model.items, op.key) // evicted
 		}
+		if len(held) > 0 && got.err == ErrOutOfMemory {
+			// Every chunk eviction could free is pinned: the store
+			// refused the write, and had already dropped the old item.
+			delete(model.items, op.key)
+			fmt.Fprintf(sum, "%v|", got)
+			continue
+		}
 		switch op.kind {
 		case "sweep":
 			want = model.sweep()
@@ -568,9 +591,16 @@ func runModel(t *testing.T, c modelCase, seed int64, steps int) (digest uint64, 
 			}
 		}
 	}
-	for i, ls := range st.shards {
-		if err := checkShardInvariants(ls.s); err != nil {
-			t.Fatalf("%v seed %d: shard %d after %d steps: %v", c, seed, i, steps, err)
+	checkAllShards(t, c, seed, steps, st)
+	if len(held) > 0 {
+		for _, p := range held {
+			st.Unpin(p.pin)
+		}
+		checkAllShards(t, c, seed, steps, st)
+		if !c.tight {
+			if have, want := modelView(st.Stats()), model.snapshot(); have != want {
+				t.Fatalf("%v seed %d: counters differ after the last unpin\n store %+v\n model %+v", c, seed, have, want)
+			}
 		}
 	}
 	final = st.Stats()
@@ -615,10 +645,93 @@ func TestModelAgreesWithStore(t *testing.T) {
 	}
 }
 
+// heldPin is a value the model test holds pinned: the view PinBytes
+// returned and a copy of it taken at pin time.
+type heldPin struct {
+	pin            Pin
+	view, snapshot []byte
+}
+
+// pinStep checks that every held value still reads as it did when it
+// was pinned, then pins a key's value (a get, as far as the model is
+// concerned) or lets go of one pin.
+func pinStep(t *testing.T, c modelCase, seed int64, step int, st *Store, model *refStore, rng *rand.Rand, keys int, held []heldPin) []heldPin {
+	t.Helper()
+	for _, p := range held {
+		if !bytes.Equal(p.view, p.snapshot) {
+			t.Fatalf("%v seed %d step %d: a pinned value changed under its pin", c, seed, step)
+		}
+	}
+	switch r := rng.Intn(8); {
+	case r < 2 && len(held) < 4:
+		key := fmt.Sprintf("key-%d", rng.Intn(keys))
+		pinFrom := 0
+		if rng.Intn(4) == 0 {
+			pinFrom = 500 // shorter values take the copy path
+		}
+		v, e, p, ok := st.PinBytes(nil, []byte(key), pinFrom)
+		got := opResult{found: ok, value: v, flags: e.Flags, cas: e.CAS}
+		if c.tight && model.present(key) && !ok {
+			delete(model.items, key) // evicted
+		}
+		if want := model.get(key); !got.equal(want) {
+			t.Fatalf("%v seed %d step %d: pin %q\n store %v\n model %v", c, seed, step, key, got, want)
+		}
+		if pinned := p != (Pin{}); pinned != (ok && len(v) >= pinFrom) {
+			t.Fatalf("%v seed %d step %d: pin %q of %d bytes from %d: pinned %v", c, seed, step, key, len(v), pinFrom, pinned)
+		}
+		if p != (Pin{}) {
+			held = append(held, heldPin{pin: p, view: v, snapshot: append([]byte(nil), v...)})
+		}
+	case r < 4 && len(held) > 0:
+		i := rng.Intn(len(held))
+		st.Unpin(held[i].pin)
+		held = append(held[:i], held[i+1:]...)
+	}
+	return held
+}
+
+func checkAllShards(t *testing.T, c modelCase, seed int64, step int, st *Store) {
+	t.Helper()
+	for i, ls := range st.shards {
+		if err := checkShardInvariants(ls.s); err != nil {
+			t.Fatalf("%v seed %d: shard %d after %d steps: %v", c, seed, i, step, err)
+		}
+	}
+}
+
+func TestModelWithPins(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		for _, tight := range []bool{false, true} {
+			c := modelCase{shards: shards, tight: tight, pins: true}
+			t.Run(c.String(), func(t *testing.T) {
+				steps := 4000
+				if tight {
+					steps = 12000
+				}
+				var reassigns uint64
+				for seed := int64(1); seed <= 4; seed++ {
+					digest, final := runModel(t, c, seed, steps)
+					reassigns += final.SlabReassigns
+					if seed == 1 {
+						if again, _ := runModel(t, c, seed, steps); again != digest {
+							t.Fatalf("%v seed %d: two runs gave different results (digests %x, %x)", c, seed, digest, again)
+						}
+					}
+				}
+				if tight && reassigns == 0 {
+					t.Fatalf("%v: no page reassignments over all seeds; the tight limit is meant to force them", c)
+				}
+			})
+		}
+	}
+}
+
 // --- structural invariants --------------------------------------------------
 
 // checkShardInvariants verifies, on a quiescent shard, that the table,
-// the bags and the allocator describe the same set of items.
+// the bags and the allocator describe the same set of items, and that
+// the only other chunks in use are unlinked ones a pin still holds.
 func checkShardInvariants(s *shard) error {
 	a := s.alloc
 	// Every item in the table, once; their footprints are BytesUsed.
@@ -631,6 +744,9 @@ func checkShardInvariants(s *shard) error {
 		}
 		if !c.inUse() {
 			tableErr = fmt.Errorf("handle %#x is in the table but its chunk is marked free", h)
+		}
+		if c.unlinked() {
+			tableErr = fmt.Errorf("handle %#x is in the table but marked unlinked", h)
 		}
 		inTable[h] = true
 		bytesUsed += int64(itemFootprint(c.keyLen(), c.valueLen()))
@@ -719,7 +835,7 @@ func checkShardInvariants(s *shard) error {
 	}
 
 	// Used + free chunks = chunks carved, class by class and page by page.
-	pages, allocated := 0, 0
+	pages, allocated, unlinked := 0, 0, 0
 	for i := range a.classes {
 		cl := &a.classes[i]
 		carved := len(cl.pages) * (a.pageSize / cl.chunkSize)
@@ -747,18 +863,27 @@ func checkShardInvariants(s *shard) error {
 			}
 		}
 		for _, page := range cl.pages {
-			live, stray := 0, handle(0)
+			live, pins, stray := 0, 0, handle(0)
 			a.forEachInUse(page, func(h handle) {
 				live++
-				if !inTable[h] {
+				c := a.chunk(h)
+				pins += int(c[offRef]&pinMask) / pinOne
+				if inTable[h] {
+					return
+				}
+				if !c.unlinked() || !c.pinned() {
 					stray = h
 				}
+				unlinked++
 			})
 			if stray != 0 {
-				return fmt.Errorf("class %d: chunk %#x is in use but not in the table", i, stray)
+				return fmt.Errorf("class %d: chunk %#x is in use but neither in the table nor unlinked and pinned", i, stray)
 			}
 			if live != int(a.pageLive[page]) {
 				return fmt.Errorf("page %d: %d chunks in use, live count says %d", page, live, a.pageLive[page])
+			}
+			if pins != int(a.pagePins[page]) {
+				return fmt.Errorf("page %d: its chunks hold %d pins, the page count says %d", page, pins, a.pagePins[page])
 			}
 		}
 		pages += len(cl.pages)
@@ -767,8 +892,8 @@ func checkShardInvariants(s *shard) error {
 	if pages != int(a.numPages) {
 		return fmt.Errorf("classes own %d pages, %d were allocated", pages, a.numPages)
 	}
-	if allocated != len(inTable) {
-		return fmt.Errorf("%d chunks handed out, %d items in the table", allocated, len(inTable))
+	if allocated != len(inTable)+unlinked {
+		return fmt.Errorf("%d chunks handed out, %d items in the table and %d unlinked", allocated, len(inTable), unlinked)
 	}
 	return nil
 }

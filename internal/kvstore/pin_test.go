@@ -1,0 +1,139 @@
+package kvstore
+
+import (
+	"bytes"
+	"testing"
+)
+
+// usedChunks sums the chunks the allocator has handed out.
+func usedChunks(st *Store) int {
+	n := 0
+	for _, c := range st.SlabStats() {
+		n += c.UsedChunks
+	}
+	return n
+}
+
+// TestPinOutlivesItsItem walks one pinned chunk through everything that
+// removes or rewrites an item: the pinned bytes never change, the store
+// answers as if the pin were not there, and the chunk is freed by the
+// last Unpin, not before.
+func TestPinOutlivesItsItem(t *testing.T) {
+	st := newTestStore(t, func(c *Config) { c.Shards = 1 })
+	first := bytes.Repeat([]byte("a"), 3000)
+	if err := st.Set("k", first, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	v, _, p, ok := st.PinBytes(nil, []byte("k"), 0)
+	if !ok || p == (Pin{}) || !bytes.Equal(v, first) {
+		t.Fatalf("PinBytes = %d bytes, pin %v, ok %v", len(v), p, ok)
+	}
+	// A same-class overwrite takes a new chunk instead of the pinned one.
+	second := bytes.Repeat([]byte("b"), 3001)
+	if err := st.Set("k", second, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if e, _ := st.Get("k"); !bytes.Equal(e.Value, second) || !bytes.Equal(v, first) {
+		t.Fatalf("after the overwrite: get %q…, pinned %q…", e.Value[:1], v[:1])
+	}
+	if used, s := usedChunks(st), st.Stats(); used != 2 || s.CurrItems != 1 || s.BytesUsed != int64(itemFootprint(1, len(second))) {
+		t.Fatalf("after the overwrite: %d chunks, %d items, %d bytes", used, s.CurrItems, s.BytesUsed)
+	}
+	// Append and incr rewrite through the same path.
+	q, _, p2, _ := st.PinBytes(nil, []byte("k"), 0)
+	if err := st.Append("k", []byte("c")); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(q, second) {
+		t.Fatal("append rewrote a pinned value")
+	}
+	st.Unpin(p2)
+	if err := st.Set("n", []byte("41"), 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	nv, _, pn, _ := st.PinBytes(nil, []byte("n"), 0)
+	if got, err := st.Incr("n", 1); err != nil || got != 42 || string(nv) != "41" {
+		t.Fatalf("incr = %d, %v; pinned %q", got, err, nv)
+	}
+	st.Unpin(pn)
+	st.Delete("n")
+	st.FlushAll(0)
+	if _, ok := st.Get("k"); ok || !bytes.Equal(v, first) {
+		t.Fatal("flush_all left the key, or touched the pinned bytes")
+	}
+	if used := usedChunks(st); used != 1 {
+		t.Fatalf("%d chunks in use with only the pinned one left", used)
+	}
+	st.Unpin(p)
+	if used, s := usedChunks(st), st.Stats(); used != 0 || s.BytesUsed != 0 {
+		t.Fatalf("after the last unpin: %d chunks, %d bytes", used, s.BytesUsed)
+	}
+	for _, ls := range st.shards {
+		if err := checkShardInvariants(ls.s); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestPinCountSaturates: a chunk counts 63 pins; the 64th reader gets a
+// copy and the zero Pin, and the count still drains to a free chunk.
+func TestPinCountSaturates(t *testing.T) {
+	st := newTestStore(t, func(c *Config) { c.Shards = 1 })
+	val := []byte("value")
+	st.Set("k", val, 0, 0)
+	var pins []Pin
+	for i := 0; i < 63; i++ {
+		_, _, p, _ := st.PinBytes(nil, []byte("k"), 0)
+		if p == (Pin{}) {
+			t.Fatalf("pin %d refused", i+1)
+		}
+		pins = append(pins, p)
+	}
+	dst := make([]byte, 0, 16)
+	v, _, p, ok := st.PinBytes(dst, []byte("k"), 0)
+	if !ok || p != (Pin{}) || !bytes.Equal(v, val) || &v[0] != &dst[:1][0] {
+		t.Fatalf("64th pin: ok %v, pin %v, value %q (copied into dst: %v)", ok, p, v, &v[0] == &dst[:1][0])
+	}
+	st.Delete("k")
+	for _, p := range pins {
+		st.Unpin(p)
+	}
+	if used := usedChunks(st); used != 0 {
+		t.Fatalf("%d chunks in use after the last unpin", used)
+	}
+	st.Unpin(Pin{}) // the zero Pin holds nothing
+}
+
+// TestPinnedItemIsNeverAVictim: eviction passes over a pinned item, and
+// a page steal never picks a page that holds one.
+func TestPinnedItemIsNeverAVictim(t *testing.T) {
+	mem := newTestMem(t)
+	p := newBagsPolicy(&mem.alloc.arena, 1)
+	a, b := mem.mk("a", 0), mem.mk("b", 0)
+	p.onInsert(a)
+	p.onInsert(b)
+	mem.alloc.chunk(a).pin()
+	if v := p.victim(0); v != b {
+		t.Fatalf("victim = %q, want b: a is pinned", mem.key(v))
+	}
+	mem.alloc.chunk(b).pin()
+	if v := p.victim(0); v != 0 {
+		t.Fatalf("victim = %q with every item pinned, want none", mem.key(v))
+	}
+
+	// Two pages of class 0; the one with fewer live chunks is the
+	// donor until a pin lands on it.
+	perPage := mem.alloc.pageSize / mem.alloc.chunkSize(0)
+	var chunks []handle
+	for i := 0; i < perPage+1; i++ {
+		chunks = append(chunks, mem.alloc.alloc(0))
+	}
+	light := mem.alloc.pageOf(chunks[perPage])
+	if got := mem.alloc.liveDonor(1); got != light {
+		t.Fatalf("donor = page %d, want the lighter page %d", got, light)
+	}
+	mem.alloc.pagePins[light]++
+	if got := mem.alloc.liveDonor(1); got == light {
+		t.Fatal("a page holding a pinned chunk was picked to be stolen")
+	}
+}

@@ -148,7 +148,8 @@ func (p *bagsPolicy) onRemove(h handle) {
 }
 
 // victim returns the next eviction candidate for a class, or zero if
-// the class holds no items.
+// the class holds no item that can go. A pinned item is never the
+// victim: its chunk could not be reused until the sender lets go.
 func (p *bagsPolicy) victim(classIdx int) handle {
 	c := &p.chains[classIdx]
 	for tries := 0; tries < maxSecondChances; tries++ {
@@ -157,18 +158,22 @@ func (p *bagsPolicy) victim(classIdx int) handle {
 			return 0
 		}
 		ck := p.mem.chunk(h)
-		if !ck.referenced() {
+		if !ck.referenced() && !ck.pinned() {
 			return h
 		}
 		// Second chance: read since it was inserted or last passed
-		// over. The mark is spent and the item moves to the newest
-		// bag, so it survives this pass and, unread, not the next.
+		// over, or being sent right now. The mark is spent and the item
+		// moves to the newest bag, so it survives this pass and, unread
+		// and unpinned, not the next.
 		ck.clearReferenced()
 		p.removeItem(c, h)
 		p.appendItem(c, h)
 	}
 	// Scan budget exhausted: fall back to the literal oldest item.
-	return p.oldestItem(c)
+	if h := p.oldestItem(c); h != 0 && !p.mem.chunk(h).pinned() {
+		return h
+	}
+	return 0
 }
 
 // oldestItem returns the head of the oldest bag, or zero for an empty

@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"errors"
+	"math"
 	"strconv"
 )
 
@@ -122,12 +123,38 @@ func (s *shard) dead(c chunk, now int64) bool {
 }
 
 // reap removes item h, whose key hashes to hash, from the table and its
-// bag and frees its chunk.
+// bag and frees its chunk. It is the one place pinning changes what
+// removal does: a pinned item leaves the table, its bag and BytesUsed
+// all the same, but its chunk stays allocated, marked unlinked, until
+// the last unpin frees it.
 func (s *shard) reap(h handle, c chunk, hash uint64) {
 	s.table.remove(h, hash)
 	s.pol.onRemove(h)
 	s.stats.BytesUsed -= int64(itemFootprint(c.keyLen(), c.valueLen()))
+	if c.pinned() {
+		c.setUnlinked()
+		return
+	}
 	s.alloc.release(h)
+}
+
+// pin holds item h's chunk for a sender reading its value outside the
+// lock.
+func (s *shard) pin(h handle, c chunk) {
+	c.pin()
+	s.alloc.pagePins[s.alloc.pageOf(h)]++
+}
+
+// unpin lets go of one pin on h, freeing the chunk if it was the last
+// pin on an item reaped in the meantime.
+func (s *shard) unpin(h handle) {
+	c := s.alloc.chunk(h)
+	c.unpin()
+	s.alloc.pagePins[s.alloc.pageOf(h)]--
+	if !c.pinned() && c.unlinked() {
+		c.clearRef()
+		s.alloc.release(h)
+	}
 }
 
 // evict reaps an eviction or page-steal victim, counting it as expired
@@ -159,14 +186,29 @@ func (s *shard) get(key []byte, hash uint64, now int64) (value []byte, flags uin
 // getInto appends the value to dst, so the copy made under the shard
 // lock lands in memory the caller already owns.
 func (s *shard) getInto(dst, key []byte, hash uint64, now int64) (value []byte, flags uint32, casID uint64, ok bool) {
+	value, flags, casID, _, ok = s.getOrPin(dst, key, hash, now, math.MaxInt)
+	return value, flags, casID, ok
+}
+
+// getOrPin is getInto for a caller that can send a value from the
+// chunk itself: a value of at least pinFrom bytes is pinned and
+// returned as a view of the chunk, with the handle to unpin; a shorter
+// one, or one whose pin count is full, is appended to dst and returned
+// with the zero handle.
+func (s *shard) getOrPin(dst, key []byte, hash uint64, now int64, pinFrom int) (value []byte, flags uint32, casID uint64, pinned handle, ok bool) {
 	h, c := s.live(key, hash, now)
 	if h == 0 {
 		s.stats.GetMisses++
-		return dst, 0, 0, false
+		return dst, 0, 0, 0, false
 	}
 	s.stats.GetHits++
 	s.pol.onAccess(h)
-	return append(dst, c.value()...), c.flags(), c.casID(), true
+	v := c.value()
+	if len(v) < pinFrom || c.pinFull() {
+		return append(dst, v...), c.flags(), c.casID(), 0, true
+	}
+	s.pin(h, c)
+	return v[:len(v):len(v)], c.flags(), c.casID(), h, true
 }
 
 // allocChunk obtains a chunk for classIdx, evicting victims from that
@@ -257,15 +299,16 @@ func (s *shard) set(key []byte, hash uint64, value []byte, flags uint32, expireA
 	s.setsSinceSteal++
 
 	h, c := s.table.lookup(key, hash)
-	if h != 0 && c.class() == classIdx {
-		// Overwrite in place: the existing chunk's class fits.
+	if h != 0 && c.class() == classIdx && !c.pinned() {
+		// Overwrite in place: the existing chunk's class fits and no
+		// sender is reading it.
 		s.stats.BytesUsed += int64(len(value) - c.valueLen())
 		c.setValue(value, s.alloc.chunkSize(classIdx))
 		s.pol.onAccess(h)
 	} else {
 		// Remove the old entry before allocating: the allocator may
 		// evict, and the old item must not be reaped twice if it is
-		// chosen.
+		// chosen. A pinned old entry keeps its chunk until unpinned.
 		if h != 0 {
 			s.reap(h, c, hash)
 		}

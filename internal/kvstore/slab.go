@@ -77,6 +77,7 @@ type slabAllocator struct {
 	arena
 	pageClass []int32 // owning class index
 	pageLive  []int32 // chunks currently handed out
+	pagePins  []int32 // pins held on the page's chunks; a pinned page is never stolen
 	numPages  uint32  // pages allocated so far; they are numbered 1..numPages
 	classes   []slabClass
 	pageSize  int
@@ -106,6 +107,7 @@ func newSlabAllocator(base int, factor float64, pageSize int, memLimit int64) (*
 		arena:     arena{pages: make([][]byte, maxPages+1), offBits: offBits, offMask: 1<<offBits - 1},
 		pageClass: make([]int32, maxPages+1),
 		pageLive:  make([]int32, maxPages+1),
+		pagePins:  make([]int32, maxPages+1),
 		pageSize:  pageSize,
 		maxPages:  uint32(maxPages),
 	}
@@ -244,8 +246,9 @@ func (a *slabAllocator) freeDonor(target int) uint32 {
 
 // liveDonor picks the page to sacrifice for a starving class: from the
 // class with the most pages (excluding the target), the page with the
-// fewest live chunks. Returns zero when no class can donate. Callers
-// must rate-limit this path — it evicts live items wholesale.
+// fewest live chunks that holds no pinned chunk. Returns zero when no
+// class can donate. Callers must rate-limit this path — it evicts live
+// items wholesale.
 func (a *slabAllocator) liveDonor(target int) uint32 {
 	donorClass := -1
 	for i := range a.classes {
@@ -261,7 +264,7 @@ func (a *slabAllocator) liveDonor(target int) uint32 {
 	}
 	var page uint32
 	for _, p := range a.classes[donorClass].pages {
-		if page == 0 || a.pageLive[p] < a.pageLive[page] {
+		if a.pagePins[p] == 0 && (page == 0 || a.pageLive[p] < a.pageLive[page]) {
 			page = p
 		}
 	}

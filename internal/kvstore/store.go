@@ -224,13 +224,56 @@ func (st *Store) GetInto(dst []byte, key string) ([]byte, Entry, bool) {
 //
 //kv3d:hotpath
 func (st *Store) GetIntoBytes(dst, key []byte) ([]byte, Entry, bool) {
+	out, e, _, ok := st.PinBytes(dst, key, math.MaxInt)
+	return out, e, ok
+}
+
+// Pin holds one item's chunk for a caller that sends the value straight
+// from slab memory: while it is held the value bytes PinBytes returned
+// stay exactly as they were, whatever else happens to the key. It is a
+// value — the shard and the chunk's handle — so pinning allocates
+// nothing. The zero Pin holds nothing.
+type Pin struct {
+	sh *lockedShard
+	h  handle
+}
+
+// PinBytes is GetIntoBytes for a caller that can send a value without
+// copying it. A hit whose value is at least pinFrom bytes long is pinned
+// and returned as a read-only view of the item's chunk, with the Pin
+// the caller must pass to Unpin once it has stopped reading; a shorter
+// value, or one already held by the most pins a chunk can count (63),
+// is appended to dst as GetIntoBytes does, with the zero Pin. A set,
+// delete, flush, expiry or eviction of the key while it is pinned takes
+// effect as usual, except that the chunk is not rewritten or reused
+// until the last Unpin.
+//
+//kv3d:hotpath
+func (st *Store) PinBytes(dst, key []byte, pinFrom int) ([]byte, Entry, Pin, bool) {
 	sh, hash := st.locate(key)
 	now := st.clock()
 	sh.mu.Lock()
 	sh.s.stats.ReadLocks++
-	out, flags, cas, ok := sh.s.getInto(dst, key, hash, now)
+	out, flags, cas, h, ok := sh.s.getOrPin(dst, key, hash, now, pinFrom)
 	sh.mu.Unlock()
-	return out, Entry{Flags: flags, CAS: cas}, ok
+	var p Pin
+	if h != 0 {
+		p = Pin{sh: sh, h: h}
+	}
+	return out, Entry{Flags: flags, CAS: cas}, p, ok
+}
+
+// Unpin releases a Pin from PinBytes; the value it pinned must not be
+// read afterwards. Unpinning the zero Pin does nothing.
+//
+//kv3d:hotpath
+func (st *Store) Unpin(p Pin) {
+	if p.sh == nil {
+		return
+	}
+	p.sh.mu.Lock()
+	p.sh.s.unpin(p.h)
+	p.sh.mu.Unlock()
 }
 
 // Verb selects the guard Put runs under the shard lock.

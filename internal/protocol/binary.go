@@ -108,6 +108,7 @@ type BinarySession struct {
 	core
 	body []byte // reused frame body buffer
 	val  []byte // reused get value buffer
+	head []byte // reused head (header, extras, key) of a pinned get reply
 	// Fixed-size scratch for the request header, the response header and
 	// a get's flags extras: locals would escape to the heap through the
 	// io.Reader/io.Writer interfaces, one allocation each per frame.
@@ -271,20 +272,28 @@ func quiet(op byte) bool {
 //kv3d:hotpath
 func (s *BinarySession) respond(h binHeader, status uint16, extras, key, value []byte, cas uint64) error {
 	s.markExec()
+	s.w.Write(s.respHeader(h, status, extras, key, len(value), cas))
+	s.w.Write(extras)
+	s.w.Write(key)
+	_, err := s.w.Write(value)
+	return err
+}
+
+// respHeader encodes the 24-byte header of a response frame into the
+// session's scratch.
+//
+//kv3d:hotpath
+func (s *BinarySession) respHeader(h binHeader, status uint16, extras, key []byte, valueLen int, cas uint64) []byte {
 	hdr := s.respHdr[:]
 	hdr[0] = MagicResponse
 	hdr[1] = h.opcode
 	binary.BigEndian.PutUint16(hdr[2:], uint16(len(key)))
 	hdr[4] = byte(len(extras))
 	binary.BigEndian.PutUint16(hdr[6:], status)
-	binary.BigEndian.PutUint32(hdr[8:], uint32(len(extras)+len(key)+len(value)))
+	binary.BigEndian.PutUint32(hdr[8:], uint32(len(extras)+len(key)+valueLen))
 	binary.BigEndian.PutUint32(hdr[12:], h.opaque)
 	binary.BigEndian.PutUint64(hdr[16:], cas)
-	s.w.Write(hdr)
-	s.w.Write(extras)
-	s.w.Write(key)
-	_, err := s.w.Write(value)
-	return err
+	return hdr
 }
 
 // Static response bodies the hot-path functions send.
@@ -296,12 +305,12 @@ var (
 
 // doGet serves the get family, the measured hot path of the binary
 // protocol, without allocating: the key is a slice of the frame body and
-// the value copies into the reused val buffer.
+// the value either copies into the reused val buffer or, from pinFrom
+// bytes on, is pinned and sent from its chunk.
 //
 //kv3d:hotpath
 func (s *BinarySession) doGet(h binHeader, key []byte) error {
-	out, e, ok := s.store.GetIntoBytes(s.val[:0], key)
-	s.val = out[:0]
+	out, e, pin, ok := s.store.PinBytes(s.val[:0], key, s.pinFrom)
 	if !ok {
 		if quiet(h.opcode) {
 			return nil // getq: silent miss
@@ -312,6 +321,13 @@ func (s *BinarySession) doGet(h binHeader, key []byte) error {
 	if h.opcode != OpGetK && h.opcode != OpGetKQ {
 		key = nil
 	}
+	if pin != (kvstore.Pin{}) {
+		s.markExec()
+		s.head = append(s.head[:0], s.respHeader(h, StatusOK, s.flags[:], key, len(out), e.CAS)...)
+		s.head = append(append(s.head, s.flags[:]...), key...)
+		return s.sendPinned(s.head, out, nil, pin)
+	}
+	s.val = out[:0]
 	return s.respond(h, StatusOK, s.flags[:], key, out, e.CAS)
 }
 

@@ -11,6 +11,8 @@ import (
 	"bufio"
 	"errors"
 	"io"
+	"math"
+	"net"
 
 	"kv3d/internal/kvstore"
 	"kv3d/internal/sim"
@@ -88,6 +90,17 @@ type core struct {
 	// binary names the codec on sampled spans.
 	binary bool
 
+	// One copy per side: a single-key GET hit whose value is at least
+	// pinFrom bytes is pinned in the store and written from its chunk
+	// straight to conn, the raw transport, by sendPinned. ServeConn sets
+	// both; a session on a caller's pair has no transport to write to,
+	// and its pinFrom of MaxInt keeps every value on the copy path.
+	// iov and iovArr are the vectored write's list and its backing array.
+	conn    io.Writer
+	pinFrom int
+	iov     net.Buffers
+	iovArr  [3][]byte
+
 	// Sampled flight tracing: every flightEvery-th command gets a span.
 	// spanActive and the t* stamps are per-command scratch, valid only
 	// inside serveOne.
@@ -99,7 +112,7 @@ type core struct {
 }
 
 func newCore(store *kvstore.Store, r *bufio.Reader, w *bufio.Writer, env Env) core {
-	c := core{store: store, r: r, w: w, env: env}
+	c := core{store: store, r: r, w: w, env: env, pinFrom: math.MaxInt}
 	c.timed = env.Observer != nil && env.NowNanos != nil
 	if !c.timed {
 		c.env.Flight = nil
@@ -145,12 +158,23 @@ func (f *flushBeforeRead) Read(p []byte) (int, error) {
 	return f.r.Read(p)
 }
 
+// pinThreshold is the shortest value a GET served by ServeConn sends
+// from its chunk instead of copying. Below it pinning saves nothing
+// measurable (BenchmarkLargeGet), while a copied reply still shares one
+// write with the other replies of a pipelined burst.
+const pinThreshold = 16 << 10
+
 // ServeConn serves one connection until its peer leaves, choosing the
 // codec from the first byte: MagicRequest selects the binary protocol,
 // anything else the ASCII protocol — memcached's auto-negotiation. A
 // connection that ends before its first byte was never a session and
 // returns nil.
 func ServeConn(store *kvstore.Store, rw io.ReadWriter, env Env) error {
+	return serveConn(store, rw, env, pinThreshold)
+}
+
+// serveConn is ServeConn with the pin threshold as a parameter.
+func serveConn(store *kvstore.Store, rw io.ReadWriter, env Env, pinFrom int) error {
 	r, w, transport := newBufferedPair(rw)
 	first, err := r.Peek(1)
 	if err != nil {
@@ -158,12 +182,32 @@ func ServeConn(store *kvstore.Store, rw io.ReadWriter, env Env) error {
 	}
 	if first[0] == MagicRequest {
 		s := NewBinarySessionBuffered(store, r, w, env)
-		s.transport = transport
+		s.transport, s.conn, s.pinFrom = transport, rw, pinFrom
 		return s.Serve()
 	}
 	s := NewSessionBuffered(store, r, w, env)
-	s.transport = transport
+	s.transport, s.conn, s.pinFrom = transport, rw, pinFrom
 	return s.Serve()
+}
+
+// sendPinned sends one reply whose value is pinned in the store: the
+// replies staged before it are flushed, then head, value and tail go to
+// the transport as one vectored write — writev on a TCP connection,
+// one write each on any other transport — and the value is unpinned
+// once the write has returned, whatever its outcome.
+//
+//kv3d:hotpath
+func (c *core) sendPinned(head, value, tail []byte, pin kvstore.Pin) error {
+	err := c.w.Flush()
+	if err == nil {
+		c.iov = append(c.iovArr[:0], head, value)
+		if len(tail) != 0 {
+			c.iov = append(c.iov, tail)
+		}
+		_, err = c.iov.WriteTo(c.conn)
+	}
+	c.store.Unpin(pin)
+	return err
 }
 
 // peerLeft reports whether err is the stream ending, at a request

@@ -1,0 +1,89 @@
+package protocol
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"math"
+	"net"
+	"syscall"
+	"testing"
+
+	"kv3d/internal/kvstore"
+)
+
+// BenchmarkLargeGet is the sweep pinThreshold was chosen from: one
+// binary GET per round trip over loopback TCP, at each candidate
+// threshold's value size, served by copying the value (a threshold
+// above it) and by sending it pinned (a threshold at it). Besides the
+// round trip it reports cpu-ns/op, the process's user+system CPU per
+// GET: the client's share is the same on both paths, so the difference
+// is the server's.
+//
+//	go test -run '^$' -bench LargeGet -count 10 ./internal/protocol
+func BenchmarkLargeGet(b *testing.B) {
+	for _, size := range []int{8 << 10, 16 << 10, 32 << 10, 64 << 10} {
+		for _, path := range []struct {
+			name    string
+			pinFrom int
+		}{{"copy", math.MaxInt}, {"pinned", size}} {
+			b.Run(fmt.Sprintf("%s/%dKiB", path.name, size>>10), func(b *testing.B) {
+				benchLargeGet(b, size, path.pinFrom)
+			})
+		}
+	}
+}
+
+func benchLargeGet(b *testing.B, size, pinFrom int) {
+	st, err := kvstore.New(kvstore.DefaultConfig(32 << 20))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := st.Set("k", bytes.Repeat([]byte{'v'}, size), 0, 0); err != nil {
+		b.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ln.Close()
+	served := make(chan error, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err == nil {
+			err = serveConn(st, conn, Env{}, pinFrom)
+			conn.Close()
+		}
+		served <- err
+	}()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	req := []byte{MagicRequest, OpGet, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 'k'}
+	reply := make([]byte, binHeaderLen+4+size)
+	b.SetBytes(int64(size))
+	cpu0 := processCPU()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := conn.Write(req); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := io.ReadFull(conn, reply); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(processCPU()-cpu0)/float64(b.N), "cpu-ns/op")
+	conn.Close()
+	if err := <-served; err != nil {
+		b.Fatal(err)
+	}
+}
+
+// processCPU is the user+system CPU time the process has used, in ns.
+func processCPU() int64 {
+	var ru syscall.Rusage
+	syscall.Getrusage(syscall.RUSAGE_SELF, &ru)
+	return ru.Utime.Nano() + ru.Stime.Nano()
+}

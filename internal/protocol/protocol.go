@@ -246,7 +246,8 @@ func wantsNoReply(args []string) bool {
 
 // doGet serves get/gets, the measured hot path of the ASCII protocol.
 // It must not allocate: keys stay byte slices of the command line,
-// values copy into the reused valBuf, and the response header is
+// values copy into the reused valBuf (a single key's is sent pinned from
+// pinFrom bytes on), and the response header is
 // assembled with strconv.Append into the reused numBuf (intermediate
 // bufio writes lean on the sticky-error contract; the END write reports).
 //
@@ -263,10 +264,14 @@ func (s *Session) doGet(rest []byte, withCAS bool) error {
 	}
 	second, rest := nextToken(rest)
 	if len(second) == 0 {
-		// Single-key fast path, identical to the seed behaviour.
+		// Single-key fast path: a value from pinFrom bytes on is sent
+		// from its chunk, head, value and END in one write.
 		s.markParse()
-		out, e, ok := s.store.GetIntoBytes(s.valBuf[:0], key)
+		out, e, pin, ok := s.store.PinBytes(s.valBuf[:0], key, s.pinFrom)
 		s.markExec()
+		if pin != (kvstore.Pin{}) {
+			return s.sendPinned(s.valueHead(key, len(out), e.Flags, e.CAS, withCAS), out, valueEnd, pin)
+		}
 		s.valBuf = out[:0]
 		if ok {
 			s.writeValue(key, out, e.Flags, e.CAS, withCAS)
@@ -301,21 +306,32 @@ func (s *Session) doGet(rest []byte, withCAS bool) error {
 //
 //kv3d:hotpath
 func (s *Session) writeValue(key, val []byte, flags uint32, cas uint64, withCAS bool) {
-	s.w.WriteString("VALUE ")
-	s.w.Write(key)
-	b := append(s.numBuf[:0], ' ')
+	s.w.Write(s.valueHead(key, len(val), flags, cas, withCAS))
+	s.w.Write(val)
+	s.w.WriteString("\r\n")
+}
+
+// valueHead renders "VALUE <key> <flags> <len> [<cas>]\r\n" into the
+// reused numBuf.
+//
+//kv3d:hotpath
+func (s *Session) valueHead(key []byte, n int, flags uint32, cas uint64, withCAS bool) []byte {
+	b := append(append(s.numBuf[:0], "VALUE "...), key...)
+	b = append(b, ' ')
 	b = strconv.AppendUint(b, uint64(flags), 10)
 	b = append(b, ' ')
-	b = strconv.AppendInt(b, int64(len(val)), 10)
+	b = strconv.AppendInt(b, int64(n), 10)
 	if withCAS {
 		b = append(b, ' ')
 		b = strconv.AppendUint(b, cas, 10)
 	}
 	s.numBuf = append(b, '\r', '\n')
-	s.w.Write(s.numBuf)
-	s.w.Write(val)
-	s.w.WriteString("\r\n")
+	return s.numBuf
 }
+
+// valueEnd closes a single-key reply sent pinned: the value's own line
+// end, then END.
+var valueEnd = []byte("\r\n" + respEnd)
 
 // storageCmd is a parsed storage command: the arguments of the command
 // line plus, once readStorage has run, its data block.
