@@ -84,7 +84,6 @@ func main() {
 	pprofOn := flag.Bool("pprof", false, "mount /debug/pprof/ and /debug/trace on the -metrics listener")
 	flightCap := flag.Int("flight", 0, "flight-recorder ring capacity in events (0 = recording off)")
 	flightEvery := flag.Int("flight-every", 64, "sample one op in every N per session (1 = trace every op)")
-	telemetry := flag.Duration("telemetry", 0, "runtime telemetry sampling period exported via /metrics (0 = off)")
 	peers := flag.String("peers", "", "comma-separated peer addresses; enables replica write fan-out (every node must pass the same list)")
 	self := flag.String("self", "", "this node's address as peers dial it (default: -addr)")
 	replicas := flag.Int("replicas", 2, "replica-set size R when -peers is set")
@@ -114,10 +113,6 @@ func main() {
 		Flight:      rec,
 		FlightEvery: *flightEvery,
 	})
-	if *telemetry > 0 {
-		srv.StartTelemetry(*telemetry)
-		log.Printf("kv3d-server: runtime telemetry every %v", *telemetry)
-	}
 	if err := srv.Listen(*addr); err != nil {
 		log.Fatalf("kv3d-server: %v", err)
 	}

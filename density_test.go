@@ -50,7 +50,7 @@ func TestStoreHeapIsSlabPlusTable(t *testing.T) {
 	// (SlabBytes also counts each shard's partly used last page, so the
 	// gate is on the chunks the items occupy.)
 	var chunkBytes int64
-	for _, c := range st.SlabStats() {
+	for _, c := range stats.Classes {
 		chunkBytes += int64(c.UsedChunks) * int64(c.ChunkSize)
 	}
 	if perItem := float64(chunkBytes) / items; perItem > 156 {

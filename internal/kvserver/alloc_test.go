@@ -77,8 +77,9 @@ func TestUDPHandleZeroAllocPerOp(t *testing.T) {
 		t.Fatalf("UDP set allocates %v per op (datagram totals: %v @ %d ops, %v @ %d ops), want 0",
 			perOp, allocsSmall, small, allocsLarge, large)
 	}
-	if u.Handled() != 22 || u.Dropped() != 0 {
-		t.Fatalf("handled %d, dropped %d datagrams, want 22 and 0", u.Handled(), u.Dropped())
+	probes := srv.Probes()
+	if h, d := probeValue(probes, "live.udp.handled"), probeValue(probes, "live.udp.dropped"); h != 22 || d != 0 {
+		t.Fatalf("handled %v, dropped %v datagrams, want 22 and 0", h, d)
 	}
 }
 

@@ -6,75 +6,11 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"kv3d/internal/kvstore"
 	"kv3d/internal/obs"
 	"kv3d/internal/testutil"
 )
-
-// TestTelemetrySamplerProbesAndNoLeak proves the sampler exports
-// live.runtime.* probes and that Stop (and Server.Close) release its
-// goroutine — the leak check fails the test otherwise.
-func TestTelemetrySamplerProbesAndNoLeak(t *testing.T) {
-	testutil.CheckGoroutines(t)
-	st, err := kvstore.New(kvstore.DefaultConfig(32 << 20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewWithOptions(st, nil, Options{NowNanos: fakeNanos()})
-	tel := srv.StartTelemetry(10 * time.Millisecond)
-	if srv.Telemetry() != tel {
-		t.Fatal("Telemetry() does not return the started sampler")
-	}
-
-	// The immediate first sample means probes are live without waiting a
-	// full period.
-	probes := srv.Probes()
-	found := map[string]bool{}
-	for _, p := range probes {
-		if strings.HasPrefix(p.Name, "live.runtime.") {
-			found[p.Name] = true
-		}
-	}
-	for _, want := range []string{
-		"live.runtime.heap_alloc_bytes",
-		"live.runtime.gc_pause_total_ns",
-		"live.runtime.goroutines",
-		"live.runtime.sched_lag_ns",
-		"live.runtime.samples",
-	} {
-		if !found[want] {
-			t.Errorf("probes missing %s (have %v)", want, found)
-		}
-	}
-
-	// Wait for at least one ticker-driven sample so the lag path runs.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		tel.mu.Lock()
-		n := tel.snap.samples
-		tel.mu.Unlock()
-		if n >= 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("sampler never ticked")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	// Restarting replaces (and stops) the previous sampler; Close stops
-	// the replacement. CheckGoroutines verifies both are gone.
-	srv.StartTelemetry(time.Hour)
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Stop on an already-stopped sampler (and nil) must be safe.
-	tel.Stop()
-	var nilTel *Telemetry
-	nilTel.Stop()
-}
 
 // TestDebugMuxEndpoints covers the opt-in pprof and trace-dump
 // endpoints over httptest.

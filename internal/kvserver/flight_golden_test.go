@@ -19,7 +19,7 @@ import (
 	"kv3d/internal/testutil"
 )
 
-var updateFlightGolden = flag.Bool("update", false, "rewrite golden flight-trace files")
+var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata")
 
 // startFlightServer runs a server with a fake clock and full sampling
 // (FlightEvery=1) so a scripted session records every op.
@@ -153,7 +153,7 @@ func TestFlightGolden(t *testing.T) {
 	}
 
 	path := filepath.Join("testdata", "flight_golden.json")
-	if *updateFlightGolden {
+	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -268,7 +268,7 @@ func TestFlightRecordsRefusalsAndDrain(t *testing.T) {
 	go func() { shutdownErr <- srv.Shutdown(5 * time.Second) }()
 	// Until the drain begins an arrival is refused for MaxConns instead.
 	deadline := time.Now().Add(2 * time.Second)
-	for srv.OpMetrics().Rejects(RejectDraining) == 0 {
+	for probeValue(srv.Probes(), "live.server.rejected.draining") == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("draining refusal never observed")
 		}

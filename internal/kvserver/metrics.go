@@ -1,9 +1,12 @@
 package kvserver
 
 import (
-	"fmt"
+	"math"
 	"net/http"
+	rtmetrics "runtime/metrics"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -61,14 +64,6 @@ func (m *OpMetrics) Reject(r RejectReason) {
 	m.rejects[r].Add(1) // rejects is an atomic counter array, deliberately lock-free (hot shed path)
 }
 
-// Rejects reports the refusal count for one reason.
-func (m *OpMetrics) Rejects(r RejectReason) uint64 {
-	if r < 0 || r >= numRejectReasons {
-		return 0
-	}
-	return m.rejects[r].Load() // rejects is an atomic counter array, deliberately lock-free (hot shed path)
-}
-
 // NewOpMetrics allocates histograms for every operation class and
 // outcome.
 func NewOpMetrics() *OpMetrics {
@@ -95,62 +90,40 @@ func (m *OpMetrics) ObserveOp(c protocol.OpClass, o protocol.Outcome, nanos sim.
 	m.mu.Unlock()
 }
 
-// Summary snapshots one class's histogram aggregated across outcomes
-// (the pre-outcome-split view; existing dashboards keep working).
-func (m *OpMetrics) Summary(c protocol.OpClass) metrics.Summary {
-	if c < 0 || c >= protocol.NumOpClasses {
-		c = protocol.ClassOther
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.aggregateLocked(c).Summarize()
-}
-
-// OutcomeSummary snapshots one (class, outcome) histogram.
-func (m *OpMetrics) OutcomeSummary(c protocol.OpClass, o protocol.Outcome) metrics.Summary {
-	if c < 0 || c >= protocol.NumOpClasses {
-		c = protocol.ClassOther
-	}
-	if o < 0 || o >= protocol.NumOutcomes {
-		o = protocol.OutcomeError
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.hists[c][o].Summarize()
-}
-
-// aggregateLocked merges one class's outcome histograms. Caller holds mu.
-func (m *OpMetrics) aggregateLocked(c protocol.OpClass) *metrics.Histogram {
-	agg := metrics.NewHistogram()
-	for o := range m.hists[c] {
-		agg.Merge(m.hists[c][o])
-	}
-	return agg
-}
-
 // Probes exports per-class latency summaries under the obs naming
-// scheme: live.op.<class>.latency_ns.* aggregates all outcomes
-// (preserving the pre-split names), and live.op.<class>.<outcome>.latency_ns.*
-// breaks them out. Classes and outcomes with no recorded operations
-// are skipped so the endpoint stays compact.
+// scheme: live.op.<class>.latency_ns.* aggregates all outcomes, and
+// live.op.<class>.<outcome>.latency_ns.* breaks them out. Classes and
+// outcomes with no recorded operations are skipped so the endpoint
+// stays compact. The histograms are copied under mu and summarized
+// after it is released: a scrape holds up the sessions' ObserveOp for
+// the copy only, not for the merges and percentile walks.
 func (m *OpMetrics) Probes() []obs.Probe {
+	var snap [protocol.NumOpClasses][protocol.NumOutcomes]metrics.Histogram
 	m.mu.Lock()
-	defer m.mu.Unlock()
+	for c := range m.hists {
+		for o, h := range m.hists[c] {
+			if h.Count() > 0 {
+				snap[c][o] = *h
+			}
+		}
+	}
+	m.mu.Unlock()
 	var probes []obs.Probe
 	for c := protocol.OpClass(0); c < protocol.NumOpClasses; c++ {
-		s := m.aggregateLocked(c).Summarize()
-		if s.Count == 0 {
+		agg := metrics.NewHistogram()
+		for o := range snap[c] {
+			agg.Merge(&snap[c][o])
+		}
+		if agg.Count() == 0 {
 			continue
 		}
 		probes = append(probes,
-			obs.SummaryProbes("live.op."+c.String()+".latency_ns", s)...)
+			obs.SummaryProbes("live.op."+c.String()+".latency_ns", agg.Summarize())...)
 		for o := protocol.Outcome(0); o < protocol.NumOutcomes; o++ {
-			os := m.hists[c][o].Summarize()
-			if os.Count == 0 {
-				continue
+			if h := &snap[c][o]; h.Count() > 0 {
+				probes = append(probes,
+					obs.SummaryProbes("live.op."+c.String()+"."+o.String()+".latency_ns", h.Summarize())...)
 			}
-			probes = append(probes,
-				obs.SummaryProbes("live.op."+c.String()+"."+o.String()+".latency_ns", os)...)
 		}
 	}
 	for r := RejectReason(0); r < numRejectReasons; r++ {
@@ -162,52 +135,30 @@ func (m *OpMetrics) Probes() []obs.Probe {
 	return probes
 }
 
-// Probes snapshots the server's live counters — store statistics, slab
-// class occupancy, connection accounting, and per-op latency summaries
-// — under the same dotted naming scheme the simulator's probe registry
-// uses. The slice is sorted by name so the metrics endpoint renders
-// deterministically for a given state.
+// Probes renders the server's live state as one snapshot, sorted by
+// name so the metrics endpoint is deterministic for a given state:
+// connection and datagram accounting; the store's counters and slab
+// classes from one Stats pass, named by the rows of the stats and stats
+// slabs commands (live.store.<stat>, live.slab.class-NN.<field>,
+// live.slab.<total>); per-op latency summaries; Go runtime gauges read
+// now; and the flight recorder's, replicator's and migrator's counters
+// when the server has them.
 func (s *Server) Probes() []obs.Probe {
-	st := s.store.Stats()
 	probes := []obs.Probe{
 		{Name: "live.server.conns_accepted", Value: float64(s.Accepted())},
-		{Name: "live.server.conns_rejected", Value: float64(s.Rejected())},
 		{Name: "live.server.conns_active", Value: float64(s.Active())},
-		{Name: "live.server.metrics_write_errors", Value: float64(s.MetricsWriteErrors())},
-		{Name: "live.store.get_hits", Value: float64(st.GetHits)},
-		{Name: "live.store.get_misses", Value: float64(st.GetMisses)},
-		{Name: "live.store.sets", Value: float64(st.Sets)},
-		{Name: "live.store.delete_hits", Value: float64(st.DeleteHits)},
-		{Name: "live.store.delete_misses", Value: float64(st.DeleteMisses)},
-		{Name: "live.store.cas_hits", Value: float64(st.CasHits)},
-		{Name: "live.store.cas_misses", Value: float64(st.CasMisses)},
-		{Name: "live.store.cas_badval", Value: float64(st.CasBadval)},
-		{Name: "live.store.incr_hits", Value: float64(st.IncrHits)},
-		{Name: "live.store.incr_misses", Value: float64(st.IncrMisses)},
-		{Name: "live.store.decr_hits", Value: float64(st.DecrHits)},
-		{Name: "live.store.decr_misses", Value: float64(st.DecrMisses)},
-		{Name: "live.store.touch_hits", Value: float64(st.TouchHits)},
-		{Name: "live.store.touch_misses", Value: float64(st.TouchMisses)},
-		{Name: "live.store.evictions", Value: float64(st.Evictions)},
-		{Name: "live.store.expired", Value: float64(st.Expired)},
-		{Name: "live.store.slab_reassigns", Value: float64(st.SlabReassigns)},
-		{Name: "live.store.total_items", Value: float64(st.TotalItems)},
-		{Name: "live.store.curr_items", Value: float64(st.CurrItems)},
-		{Name: "live.store.bytes_used", Value: float64(st.BytesUsed)},
-		{Name: "live.store.slab_bytes", Value: float64(st.SlabBytes)},
-		{Name: "live.store.hit_rate", Value: st.HitRate()},
+		{Name: "live.server.metrics_write_errors", Value: float64(s.metricsWriteErrors.Load())},
+		{Name: "live.udp.handled", Value: float64(s.udpHandled.Load())},
+		{Name: "live.udp.dropped", Value: float64(s.udpDropped.Load())},
 	}
-	for _, c := range s.store.SlabStats() {
-		prefix := fmt.Sprintf("live.slab.class-%02d.", c.ClassID)
-		probes = append(probes,
-			obs.Probe{Name: prefix + "chunk_size", Value: float64(c.ChunkSize)},
-			obs.Probe{Name: prefix + "pages", Value: float64(c.Pages)},
-			obs.Probe{Name: prefix + "used_chunks", Value: float64(c.UsedChunks)},
-			obs.Probe{Name: prefix + "free_chunks", Value: float64(c.FreeChunks)},
-		)
-	}
+	st := s.store.Stats()
+	probes = appendStatRows(probes, "live.store.", protocol.StatRows(st))
+	probes = appendStatRows(probes, "live.slab.", protocol.SlabRows(st))
 	probes = append(probes, s.ops.Probes()...)
-	probes = append(probes, s.Telemetry().Probes()...)
+	probes = append(probes, runtimeProbes()...)
+	if s.flight != nil {
+		probes = append(probes, obs.Probe{Name: "live.flight.dropped", Value: float64(s.flight.rec.Dropped())})
+	}
 	if rp, ok := s.sessionEnv().Repl.(*Replicator); ok && rp != nil {
 		probes = append(probes, rp.Probes()...)
 	}
@@ -218,9 +169,83 @@ func (s *Server) Probes() []obs.Probe {
 	return probes
 }
 
-// OpMetrics exposes the per-op latency aggregator (for tests and
-// tools that want summaries rather than the rendered endpoint).
-func (s *Server) OpMetrics() *OpMetrics { return s.ops }
+// appendStatRows adds each numeric stats row as prefix+name (the
+// version string is not a number and is left out); a per-class
+// "N:field" row becomes class-NN.field.
+func appendStatRows(probes []obs.Probe, prefix string, rows [][2]string) []obs.Probe {
+	for _, row := range rows {
+		v, err := strconv.ParseFloat(row[1], 64)
+		if err != nil {
+			continue
+		}
+		name := row[0]
+		if id, field, ok := strings.Cut(name, ":"); ok {
+			if len(id) == 1 {
+				id = "0" + id
+			}
+			name = "class-" + id + "." + field
+		}
+		probes = append(probes, obs.Probe{Name: prefix + name, Value: v})
+	}
+	return probes
+}
+
+// runtimeMetrics are the Go runtime gauges a scrape reads, by probe
+// name: one runtime/metrics.Read per scrape, no stop-the-world. The two
+// latency distributions are summarized as .p50, .p99 and .max.
+var runtimeMetrics = []struct{ probe, metric string }{
+	{"live.runtime.heap_alloc_bytes", "/memory/classes/heap/objects:bytes"},
+	{"live.runtime.heap_objects", "/gc/heap/objects:objects"},
+	{"live.runtime.stack_inuse_bytes", "/memory/classes/heap/stacks:bytes"},
+	{"live.runtime.next_gc_bytes", "/gc/heap/goal:bytes"},
+	{"live.runtime.gc_cycles", "/gc/cycles/total:gc-cycles"},
+	{"live.runtime.goroutines", "/sched/goroutines:goroutines"},
+	{"live.runtime.gc_pause_ns", "/sched/pauses/total/gc:seconds"},
+	{"live.runtime.sched_latency_ns", "/sched/latencies:seconds"},
+}
+
+func runtimeProbes() []obs.Probe {
+	samples := make([]rtmetrics.Sample, len(runtimeMetrics))
+	for i, m := range runtimeMetrics {
+		samples[i].Name = m.metric
+	}
+	rtmetrics.Read(samples)
+	var probes []obs.Probe
+	for i, sm := range samples {
+		name := runtimeMetrics[i].probe
+		switch sm.Value.Kind() {
+		case rtmetrics.KindUint64:
+			probes = append(probes, obs.Probe{Name: name, Value: float64(sm.Value.Uint64())})
+		case rtmetrics.KindFloat64Histogram:
+			h := sm.Value.Float64Histogram()
+			probes = append(probes,
+				obs.Probe{Name: name + ".p50", Value: quantileNs(h, 0.50)},
+				obs.Probe{Name: name + ".p99", Value: quantileNs(h, 0.99)},
+				obs.Probe{Name: name + ".max", Value: quantileNs(h, 1)})
+		}
+	}
+	return probes
+}
+
+// quantileNs reads quantile q of a runtime histogram in seconds as
+// nanoseconds: the lower bound of the bucket holding it, as
+// metrics.Histogram reports percentiles; q = 1 is the highest non-empty
+// bucket, and an empty histogram reads 0.
+func quantileNs(h *rtmetrics.Float64Histogram, q float64) float64 {
+	var total uint64
+	for _, c := range h.Counts {
+		total += c
+	}
+	rank := uint64(math.Ceil(q * float64(total)))
+	var seen uint64
+	for i, c := range h.Counts {
+		seen += c
+		if c > 0 && seen >= rank {
+			return max(h.Buckets[i], 0) * 1e9
+		}
+	}
+	return 0
+}
 
 // MetricsHandler serves the server's probes in Prometheus text
 // exposition format. Mount it on any mux, e.g.
@@ -236,6 +261,3 @@ func (s *Server) MetricsHandler() http.Handler {
 		}
 	})
 }
-
-// MetricsWriteErrors reports /metrics responses that failed mid-write.
-func (s *Server) MetricsWriteErrors() uint64 { return s.metricsWriteErrors.Load() }

@@ -1,0 +1,140 @@
+package kvserver
+
+import (
+	"bytes"
+	"fmt"
+	"net"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+	"time"
+
+	"kv3d/internal/cluster"
+	"kv3d/internal/kvstore"
+	"kv3d/internal/obs"
+	"kv3d/internal/protocol"
+	"kv3d/internal/sim"
+	"kv3d/internal/testutil"
+)
+
+// runMetricsGolden drives a fixed op script over ASCII, binary and UDP
+// against a server with every probe source attached — a flight
+// recorder small enough to drop, a Replicator whose one peer is a fake
+// that acknowledges every quorum write, and a Migrator — and renders
+// the resulting /metrics snapshot one probe per line. live.runtime.*
+// values depend on the process, so only their names are kept.
+//
+// The clock never advances: with the flight recorder on, a closing
+// connection reads it after its handler has left Active(), so a
+// ticking clock could charge that read to the next script's first op.
+// Latency probes therefore read 0 and their counts carry the script.
+func runMetricsGolden(t *testing.T) []byte {
+	t.Helper()
+	cfg := kvstore.DefaultConfig(32 << 20)
+	cfg.Clock = func() int64 { return 1_000_000 }
+	st, err := kvstore.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := cluster.NewMembership(16)
+	mem.Join("self", 1)
+	mem.Join("peer-a", 1)
+	repl, err := NewReplicator(ReplOptions{
+		Self:          "self",
+		Membership:    mem,
+		Replicas:      2,
+		DefaultMode:   protocol.ReplQuorum,
+		QuorumTimeout: 5 * time.Second,
+		Dial:          newFakeReplStore().dial,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer repl.Close()
+	mig, err := NewMigrator(MigOptions{Store: st, Dial: func(string) (net.Conn, error) {
+		return nil, fmt.Errorf("the golden script starts no migration")
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mig.Close()
+	srv := NewWithOptions(st, nil, Options{
+		NowNanos:    func() sim.Ns { return 0 },
+		Flight:      obs.NewFlightRecorder("server", 32),
+		FlightEvery: 1,
+		Repl:        repl,
+		Migrator:    mig,
+	})
+	if err := srv.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve()
+	defer srv.Close()
+	udp, err := srv.ListenUDP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer udp.Close()
+
+	addr := srv.Addr().String()
+	scriptASCII(t, addr)
+	waitIdle(t, srv)
+	scriptBinary(t, addr)
+	waitIdle(t, srv)
+	if got := udpAsk(t, udp, "set u 0 0 2\r\nuv\r\n"); got != "STORED\r\n" {
+		t.Fatalf("UDP set answered %q", got)
+	}
+	if got := udpAsk(t, udp, "get u nope\r\n"); got != "VALUE u 0 2\r\nuv\r\nEND\r\n" {
+		t.Fatalf("UDP get answered %q", got)
+	}
+	conn, err := net.Dial("udp", udp.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte{1, 2, 3}); err != nil { // shorter than a frame header
+		t.Fatal(err)
+	}
+	// A datagram is counted after its reply is sent.
+	waitCounter(t, srv, "live.udp.handled", 2)
+	waitCounter(t, srv, "live.udp.dropped", 1)
+
+	var buf bytes.Buffer
+	for _, p := range srv.Probes() {
+		if strings.HasPrefix(p.Name, "live.runtime.") {
+			fmt.Fprintf(&buf, "%s *\n", p.Name)
+		} else {
+			fmt.Fprintf(&buf, "%s %s\n", p.Name, strconv.FormatFloat(p.Value, 'f', -1, 64))
+		}
+	}
+	return buf.Bytes()
+}
+
+// TestMetricsGolden pins the live /metrics surface: the sorted probe
+// names, and the value of every probe outside live.runtime.*, after a
+// fixed script. A dropped, renamed or miscounted probe fails here.
+// Regenerate with
+//
+//	go test ./internal/kvserver -run TestMetricsGolden -update
+func TestMetricsGolden(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	got := runMetricsGolden(t)
+	if again := runMetricsGolden(t); !bytes.Equal(got, again) {
+		t.Fatalf("same script produced different probes across runs:\n%s\nvs\n%s", got, again)
+	}
+	path := filepath.Join("testdata", "metrics_golden.txt")
+	if *updateGolden {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update to create): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("probes drifted from %s; run with -update if intended\ngot:\n%s\nwant:\n%s", path, got, want)
+	}
+}

@@ -12,9 +12,10 @@ import (
 // for the OpMetrics contracts syncguard pins: hists sits behind mu
 // (kv3d:guardedby) while the reject counters are a lock-free atomic
 // array that must never be read plainly. Observers, rejecters, and
-// snapshot readers hammer one aggregator from separate goroutines; the
-// race detector proves the split discipline holds, and the final
-// counts prove nothing was lost to it.
+// scrapes hammer one aggregator from separate goroutines; the race
+// detector proves the split discipline holds (including the summaries
+// a scrape computes from its copies outside mu), and the final counts
+// prove nothing was lost to it.
 func TestOpMetricsConcurrentObserveRejectSnapshot(t *testing.T) {
 	m := NewOpMetrics()
 	const (
@@ -32,32 +33,31 @@ func TestOpMetricsConcurrentObserveRejectSnapshot(t *testing.T) {
 			}
 		}(w)
 	}
-	// Snapshot readers overlap the writers: Summary and Probes take mu,
-	// Rejects reads the atomics.
+	// Scrapes overlap the writers: Probes copies the histograms under mu
+	// and summarizes the copies after releasing it, and reads the reject
+	// atomics.
 	readers := make(chan struct{})
 	go func() {
 		defer close(readers)
 		for i := 0; i < 200; i++ {
-			_ = m.Summary(protocol.ClassGet)
 			_ = m.Probes()
-			_ = m.Rejects(RejectBusy)
 		}
 	}()
 	wg.Wait()
 	<-readers
 
-	var observed uint64
+	probes := m.Probes()
+	var observed, rejected float64
 	for c := protocol.OpClass(0); c < protocol.NumOpClasses; c++ {
-		observed += m.Summary(c).Count
+		observed += probeValue(probes, "live.op."+c.String()+".latency_ns.count")
 	}
-	if want := uint64(workers * perW); observed != want {
-		t.Fatalf("observed %d ops across classes, want %d", observed, want)
+	if want := float64(workers * perW); observed != want {
+		t.Fatalf("observed %v ops across classes, want %v", observed, want)
 	}
-	var rejected uint64
 	for r := RejectReason(0); r < numRejectReasons; r++ {
-		rejected += m.Rejects(r)
+		rejected += probeValue(probes, "live.server.rejected."+r.String())
 	}
-	if want := uint64(workers * perW); rejected != want {
-		t.Fatalf("counted %d rejects, want %d", rejected, want)
+	if want := float64(workers * perW); rejected != want {
+		t.Fatalf("counted %v rejects, want %v", rejected, want)
 	}
 }

@@ -2,13 +2,17 @@ package kvserver
 
 import (
 	"io"
+	"math"
 	"net/http/httptest"
+	"reflect"
+	rtmetrics "runtime/metrics"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"kv3d/internal/kvclient"
 	"kv3d/internal/kvstore"
+	"kv3d/internal/obs"
 	"kv3d/internal/protocol"
 	"kv3d/internal/sim"
 	"kv3d/internal/testutil"
@@ -65,7 +69,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	body, _ := io.ReadAll(rr.Body)
 	text := string(body)
 	for _, want := range []string{
-		"kv3d_live_store_sets 1\n",
+		"kv3d_live_store_cmd_set 1\n",
 		"kv3d_live_store_get_hits 1\n",
 		"kv3d_live_store_get_misses 1\n",
 		"kv3d_live_server_conns_accepted 1\n",
@@ -94,6 +98,63 @@ func TestMetricsProbesSorted(t *testing.T) {
 	}
 }
 
+// TestRuntimeProbesReadAtScrape: the live.runtime.* gauges come from
+// one runtime/metrics read per scrape, so they are there on a server
+// that never started anything, and a scrape leaves no goroutine behind.
+func TestRuntimeProbesReadAtScrape(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	st, err := kvstore.New(kvstore.DefaultConfig(32 << 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewWithOptions(st, nil, Options{NowNanos: fakeNanos()})
+	defer srv.Close()
+	var names []string
+	have := map[string]float64{}
+	for _, p := range srv.Probes() {
+		if strings.HasPrefix(p.Name, "live.runtime.") {
+			names = append(names, strings.TrimPrefix(p.Name, "live.runtime."))
+			have[p.Name] = p.Value
+		}
+	}
+	want := []string{
+		"gc_cycles",
+		"gc_pause_ns.max", "gc_pause_ns.p50", "gc_pause_ns.p99",
+		"goroutines", "heap_alloc_bytes", "heap_objects", "next_gc_bytes",
+		"sched_latency_ns.max", "sched_latency_ns.p50", "sched_latency_ns.p99",
+		"stack_inuse_bytes",
+	}
+	if !reflect.DeepEqual(names, want) {
+		t.Errorf("live.runtime probes %v, want %v", names, want)
+	}
+	if have["live.runtime.goroutines"] < 1 || have["live.runtime.heap_alloc_bytes"] <= 0 {
+		t.Errorf("runtime gauges not read: %v", have)
+	}
+}
+
+// TestQuantileNs reads runtime histograms the way metrics.Histogram
+// reports percentiles: the lower bound of the bucket holding the rank,
+// in nanoseconds, with the runtime's -Inf underflow bound read as 0.
+func TestQuantileNs(t *testing.T) {
+	h := &rtmetrics.Float64Histogram{
+		Buckets: []float64{math.Inf(-1), 0, 1e-6, 1e-3, math.Inf(1)},
+		Counts:  []uint64{0, 50, 49, 1},
+	}
+	for _, c := range []struct{ q, want float64 }{{0.50, 0}, {0.99, 1000}, {1, 1e6}} {
+		if got := quantileNs(h, c.q); got != c.want {
+			t.Errorf("quantile %v = %v ns, want %v", c.q, got, c.want)
+		}
+	}
+	h.Counts = []uint64{0, 0, 0, 0}
+	if got := quantileNs(h, 1); got != 0 {
+		t.Errorf("empty histogram max = %v, want 0", got)
+	}
+	h.Counts = []uint64{3, 0, 0, 0}
+	if got := quantileNs(h, 0.5); got != 0 {
+		t.Errorf("underflow bucket p50 = %v, want 0", got)
+	}
+}
+
 func TestOpMetricsDeterministicWithFakeClock(t *testing.T) {
 	m := NewOpMetrics()
 	clock := fakeNanos()
@@ -101,29 +162,31 @@ func TestOpMetricsDeterministicWithFakeClock(t *testing.T) {
 		start := clock()
 		m.ObserveOp(protocol.ClassGet, protocol.OutcomeOK, clock()-start)
 	}
-	s := m.Summary(protocol.ClassGet)
-	if s.Count != 5 {
-		t.Fatalf("count = %d", s.Count)
+	probes := m.Probes()
+	if got := probeValue(probes, "live.op.get.latency_ns.count"); got != 5 {
+		t.Fatalf("count = %v", got)
 	}
-	if s.Mean != 1000 {
-		t.Fatalf("mean = %v, want exactly 1000 from the fake clock", s.Mean)
+	if got := probeValue(probes, "live.op.get.latency_ns.mean"); got != 1000 {
+		t.Fatalf("mean = %v, want exactly 1000 from the fake clock", got)
 	}
 	// Out-of-range classes fold into "other" rather than panicking, and
 	// out-of-range outcomes fold into "error".
 	m.ObserveOp(protocol.OpClass(99), protocol.Outcome(99), 5)
-	if got := m.Summary(protocol.OpClass(-1)).Count; got != 1 {
-		t.Fatalf("other count = %d", got)
+	probes = m.Probes()
+	if got := probeValue(probes, "live.op.other.latency_ns.count"); got != 1 {
+		t.Fatalf("other count = %v", got)
 	}
-	if got := m.OutcomeSummary(protocol.ClassOther, protocol.OutcomeError).Count; got != 1 {
-		t.Fatalf("other/error count = %d", got)
+	if got := probeValue(probes, "live.op.other.error.latency_ns.count"); got != 1 {
+		t.Fatalf("other/error count = %v", got)
 	}
 	// The aggregate keeps counting across outcomes.
 	m.ObserveOp(protocol.ClassGet, protocol.OutcomeBusy, 7)
-	if got := m.Summary(protocol.ClassGet).Count; got != 6 {
-		t.Fatalf("get aggregate count = %d, want 6 (5 ok + 1 busy)", got)
+	probes = m.Probes()
+	if got := probeValue(probes, "live.op.get.latency_ns.count"); got != 6 {
+		t.Fatalf("get aggregate count = %v, want 6 (5 ok + 1 busy)", got)
 	}
-	if got := m.OutcomeSummary(protocol.ClassGet, protocol.OutcomeBusy).Count; got != 1 {
-		t.Fatalf("get busy count = %d", got)
+	if got := probeValue(probes, "live.op.get.busy.latency_ns.count"); got != 1 {
+		t.Fatalf("get busy count = %v", got)
 	}
 }
 
@@ -135,7 +198,18 @@ func TestUDPObserverWired(t *testing.T) {
 	}
 	defer u.Close()
 	udpAsk(t, u, "get k\r\n")
-	if got := srv.ops.Summary(protocol.ClassGet).Count; got != 1 {
-		t.Fatalf("a UDP get left %d gets in the TCP server's op metrics, want 1", got)
+	if got := probeValue(srv.Probes(), "live.op.get.latency_ns.count"); got != 1 {
+		t.Fatalf("a UDP get left %v gets in the TCP server's op metrics, want 1", got)
 	}
+}
+
+// probeValue returns the named probe's value in a snapshot, 0 when the
+// snapshot has no such probe.
+func probeValue(probes []obs.Probe, name string) float64 {
+	for _, p := range probes {
+		if p.Name == name {
+			return p.Value
+		}
+	}
+	return 0
 }

@@ -361,11 +361,12 @@ func TestPinnedGetsUnderConcurrentWrites(t *testing.T) {
 	for key := 0; key < racyKeys; key++ {
 		st.Delete(fmt.Sprintf("racy%d", key))
 	}
+	s := st.Stats()
 	used := 0
-	for _, c := range st.SlabStats() {
+	for _, c := range s.Classes {
 		used += c.UsedChunks
 	}
-	if s := st.Stats(); s.BytesUsed != 0 || s.CurrItems != 0 || used != 0 {
+	if s.BytesUsed != 0 || s.CurrItems != 0 || used != 0 {
 		t.Fatalf("after deleting every key: %d bytes, %d items, %d chunks in use", s.BytesUsed, s.CurrItems, used)
 	}
 }

@@ -43,11 +43,12 @@ func TestUDPWriteFailureCountsDropped(t *testing.T) {
 	u.handlers.Add(1)
 	u.handle(7, []byte("version\r\n"), peer)
 
-	if got := u.Dropped(); got != 1 {
-		t.Fatalf("Dropped() = %d after send failure, want 1", got)
+	probes := srv.Probes()
+	if got := probeValue(probes, "live.udp.dropped"); got != 1 {
+		t.Fatalf("live.udp.dropped = %v after send failure, want 1", got)
 	}
-	if got := u.Handled(); got != 0 {
-		t.Fatalf("Handled() = %d after send failure, want 0", got)
+	if got := probeValue(probes, "live.udp.handled"); got != 0 {
+		t.Fatalf("live.udp.handled = %v after send failure, want 0", got)
 	}
 }
 
@@ -83,15 +84,15 @@ func TestMetricsHandlerCountsWriteErrors(t *testing.T) {
 
 	req := httptest.NewRequest("GET", "/metrics", nil)
 	h.ServeHTTP(&failAfterWriter{hdr: make(http.Header), budget: 16}, req)
-	if got := srv.MetricsWriteErrors(); got != 1 {
-		t.Fatalf("MetricsWriteErrors() = %d after truncated scrape, want 1", got)
+	if got := probeValue(srv.Probes(), "live.server.metrics_write_errors"); got != 1 {
+		t.Fatalf("live.server.metrics_write_errors = %v after truncated scrape, want 1", got)
 	}
 
 	// A healthy scrape must not move the counter, and must report it.
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
-	if got := srv.MetricsWriteErrors(); got != 1 {
-		t.Fatalf("MetricsWriteErrors() = %d after clean scrape, want 1", got)
+	if got := probeValue(srv.Probes(), "live.server.metrics_write_errors"); got != 1 {
+		t.Fatalf("live.server.metrics_write_errors = %v after clean scrape, want 1", got)
 	}
 	if body := rec.Body.String(); !strings.Contains(body, "metrics_write_errors") {
 		t.Fatalf("metrics body does not expose the write-error counter:\n%s", body)

@@ -56,10 +56,7 @@ func TestMaxConnsRejectedPromptly(t *testing.T) {
 	if _, err := raw.Read(make([]byte, 1)); err == nil {
 		t.Fatal("rejected connection stayed open")
 	}
-	if srv.Rejected() == 0 {
-		t.Fatal("rejected counter never bumped")
-	}
-	if srv.OpMetrics().Rejects(RejectMaxConns) == 0 {
+	if probeValue(srv.Probes(), "live.server.rejected.max_conns") == 0 {
 		t.Fatal("reject reason max_conns not counted")
 	}
 	found := false
@@ -159,7 +156,7 @@ func TestInflightCapShedsUnderLoad(t *testing.T) {
 			t.Fatal("in-flight cap never shed a request")
 		}
 	}
-	if srv.OpMetrics().Rejects(RejectBusy) == 0 {
+	if probeValue(srv.Probes(), "live.server.rejected.busy") == 0 {
 		t.Fatal("reject reason busy not counted")
 	}
 }
@@ -195,7 +192,7 @@ func TestShutdownDrains(t *testing.T) {
 
 	// Wait until the drain is refusing new connections.
 	deadline := time.Now().Add(2 * time.Second)
-	for srv.OpMetrics().Rejects(RejectDraining) == 0 {
+	for probeValue(srv.Probes(), "live.server.rejected.draining") == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("draining refusal never observed")
 		}

@@ -71,11 +71,14 @@ type Server struct {
 	// drain in Shutdown waits only on real handlers.
 	rejectWg sync.WaitGroup
 	accepted atomic.Uint64
-	rejected atomic.Uint64
 	active   atomic.Int64
 	// metricsWriteErrors counts /metrics responses that failed mid-write
 	// (client gone, connection reset): the scrape was truncated.
 	metricsWriteErrors atomic.Uint64
+	// udpHandled counts datagrams answered by this server's UDP
+	// listeners; udpDropped those ignored as malformed or whose reply
+	// could not be sent.
+	udpHandled, udpDropped atomic.Uint64
 
 	ops *OpMetrics
 	// env is what every session of this server runs with, whichever
@@ -86,8 +89,6 @@ type Server struct {
 	// immutable after construction and every recorder call is
 	// internally synchronized.
 	flight *serverFlight
-	// telemetry is nil until StartTelemetry; guarded by mu.
-	telemetry *Telemetry //kv3d:guardedby mu
 }
 
 // inflightGate is a non-blocking semaphore capping concurrently
@@ -256,7 +257,6 @@ func (s *Server) ServeOn(ln net.Listener) error {
 // The write runs in its own goroutine under a deadline, so a stalled
 // peer can neither pin the accept loop nor leak the goroutine.
 func (s *Server) rejectConn(conn net.Conn, reason RejectReason) {
-	s.rejected.Add(1)
 	s.ops.Reject(reason)
 	if s.flight != nil {
 		s.flight.reject(reason, s.sessionEnv().NowNanos())
@@ -311,8 +311,6 @@ func (s *Server) Close() error {
 	for c := range s.conns {
 		c.Close()
 	}
-	tel := s.telemetry
-	s.telemetry = nil
 	s.mu.Unlock()
 	if s.flight != nil {
 		s.flight.serverClose(s.sessionEnv().NowNanos())
@@ -323,7 +321,6 @@ func (s *Server) Close() error {
 	}
 	s.wg.Wait()
 	s.rejectWg.Wait()
-	tel.Stop()
 	return err
 }
 
@@ -387,9 +384,6 @@ func (d *deadlineRW) Write(p []byte) (int, error) {
 
 // Accepted reports the total number of accepted connections.
 func (s *Server) Accepted() uint64 { return s.accepted.Load() }
-
-// Rejected reports connections refused by the MaxConns limit.
-func (s *Server) Rejected() uint64 { return s.rejected.Load() }
 
 // Active reports currently open connections.
 func (s *Server) Active() int64 { return s.active.Load() }

@@ -258,7 +258,7 @@ func TestMaxConnsLimit(t *testing.T) {
 		}
 	}
 	deadline := time.Now().Add(2 * time.Second)
-	for srv.Rejected() == 0 {
+	for probeValue(srv.Probes(), "live.server.rejected.max_conns") == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("rejected counter never bumped")
 		}
@@ -362,11 +362,7 @@ func TestUDPGetRoundTrip(t *testing.T) {
 	}
 	// A handler counts its datagram after sending the reply, so the
 	// client can be here before the second one has: wait for the count.
-	for deadline := time.Now().Add(2 * time.Second); udp.Handled() < 2; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("handled = %d, want 2", udp.Handled())
-		}
-	}
+	waitCounter(t, srv, "live.udp.handled", 2)
 }
 
 func TestUDPMultiDatagramResponse(t *testing.T) {
@@ -415,13 +411,7 @@ func TestUDPMalformedDatagramsDropped(t *testing.T) {
 	defer conn.Close()
 	conn.Write([]byte{1, 2, 3})                          // shorter than the header
 	conn.Write([]byte{0, 1, 0, 5, 0, 9, 0, 0, 'g', 'x'}) // fragmented request
-	deadline := time.Now().Add(2 * time.Second)
-	for udp.Dropped() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("dropped = %d, want 2", udp.Dropped())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitCounter(t, srv, "live.udp.dropped", 2)
 }
 
 // TestCloseReleasesAllGoroutines exercises the full TCP+UDP lifecycle

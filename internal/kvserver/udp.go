@@ -49,8 +49,6 @@ type UDPServer struct {
 	sem      chan struct{}
 	handlers sync.WaitGroup
 	served   chan struct{}
-
-	handled, dropped atomic.Uint64
 }
 
 // ListenUDP binds a UDP memcached endpoint for the server's store.
@@ -82,12 +80,6 @@ func (u *UDPServer) Close() error {
 	u.handlers.Wait()
 	return err
 }
-
-// Handled reports successfully answered datagrams.
-func (u *UDPServer) Handled() uint64 { return u.handled.Load() }
-
-// Dropped reports malformed datagrams that were ignored.
-func (u *UDPServer) Dropped() uint64 { return u.dropped.Load() }
 
 func (u *UDPServer) serve() {
 	defer close(u.served)
@@ -124,7 +116,7 @@ func (u *UDPServer) release() {
 	u.handlers.Done()
 }
 
-func (u *UDPServer) drop() { u.dropped.Add(1) }
+func (u *UDPServer) drop() { u.srv.udpDropped.Add(1) }
 
 // handle runs the ASCII command(s) in one datagram and sends the
 // (possibly fragmented) response. The session's buffers are sized to
@@ -170,11 +162,11 @@ func (u *UDPServer) handle(reqID uint16, payload []byte, peer *net.UDPAddr) {
 		protocol.PutUDPHeader(frame, reqID, uint16(seq), uint16(total))
 		if _, err := u.conn.WriteToUDP(frame, peer); err != nil {
 			// A datagram that never reached the peer is neither handled
-			// nor silently gone: count it so Dropped() reflects response
-			// losses, not just malformed requests.
+			// nor silently gone: count it so live.udp.dropped reflects
+			// response losses, not just malformed requests.
 			u.drop()
 			return
 		}
 	}
-	u.handled.Add(1)
+	u.srv.udpHandled.Add(1)
 }

@@ -56,11 +56,15 @@ func TestUDPBurstDrainsWithBoundedInflight(t *testing.T) {
 			}
 			sent++
 		}
+		processed := func() uint64 {
+			probes := srv.Probes()
+			return uint64(probeValue(probes, "live.udp.handled") + probeValue(probes, "live.udp.dropped"))
+		}
 		deadline := time.Now().Add(10 * time.Second)
-		for udp.Handled()+udp.Dropped() < sent {
+		for processed() < sent {
 			if time.Now().After(deadline) {
 				t.Fatalf("wave %d: processed %d of %d datagrams; serve loop appears wedged at the in-flight bound",
-					wave, udp.Handled()+udp.Dropped(), sent)
+					wave, processed(), sent)
 			}
 			time.Sleep(2 * time.Millisecond)
 		}

@@ -1,7 +1,6 @@
 package kvserver
 
 import (
-	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -11,8 +10,9 @@ import (
 )
 
 // Race-regression coverage for the atomic UDP counters: handle
-// runs in one goroutine per datagram, so handled/dropped are bumped
-// concurrently while the Handled/Dropped getters poll from outside.
+// runs in one goroutine per datagram, so live.udp.handled/dropped are
+// bumped concurrently while scrapes of the server's probes poll from
+// outside.
 // Under `go test -race` (the CI configuration) any regression to
 // unsynchronized counters fails here; the exact-count assertions also
 // catch lost updates without the detector.
@@ -38,8 +38,7 @@ func TestUDPStatsConcurrentWithTraffic(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					_ = udp.Handled()
-					_ = udp.Dropped()
+					_ = srv.Probes()
 				}
 			}
 		}()
@@ -93,21 +92,22 @@ func TestUDPStatsConcurrentWithTraffic(t *testing.T) {
 	}
 	// Every answered Get was counted by exactly one handler goroutine;
 	// retried/timed-out requests may add more, never fewer.
-	waitCounter(t, "handled", udp.Handled, uint64(totalGot))
-	waitCounter(t, "dropped", udp.Dropped, malformed)
+	waitCounter(t, srv, "live.udp.handled", float64(totalGot))
+	waitCounter(t, srv, "live.udp.dropped", malformed)
 }
 
-// waitCounter polls a stats getter until it reaches want (the serve loop
-// may still be draining datagrams after the clients return).
-func waitCounter(t *testing.T, name string, get func() uint64, want uint64) {
+// waitCounter polls one of srv's probes until it reaches want (a
+// datagram is counted after its reply is sent, and the serve loop may
+// still be draining datagrams after the clients return).
+func waitCounter(t *testing.T, srv *Server, name string, want float64) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if got := get(); got >= want {
+		if got := probeValue(srv.Probes(), name); got >= want {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%s = %d, want >= %d", name, get(), want)
+			t.Fatalf("%s = %v, want >= %v", name, probeValue(srv.Probes(), name), want)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -147,5 +147,5 @@ func TestUDPCloseDuringTraffic(t *testing.T) {
 	}
 	// Closing twice must stay safe.
 	_ = udp.Close()
-	_ = fmt.Sprintf("%d/%d", udp.Handled(), udp.Dropped())
+	_ = srv.Probes()
 }

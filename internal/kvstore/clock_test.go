@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -81,7 +82,7 @@ func TestBagsSecondChanceDeterministicUnderLogicalClock(t *testing.T) {
 		return st.Stats()
 	}
 	a, b := run(), run()
-	if a != b {
+	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("bags eviction not deterministic:\nrun 1: %+v\nrun 2: %+v", a, b)
 	}
 	if a.Evictions == 0 {

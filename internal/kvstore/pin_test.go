@@ -8,7 +8,7 @@ import (
 // usedChunks sums the chunks the allocator has handed out.
 func usedChunks(st *Store) int {
 	n := 0
-	for _, c := range st.SlabStats() {
+	for _, c := range st.Stats().Classes {
 		n += c.UsedChunks
 	}
 	return n

@@ -82,9 +82,10 @@ func TestConcurrentCASStressExactCounts(t *testing.T) {
 	}
 }
 
-// TestStatsReadersDuringChurn aggregates Stats/SlabStats/ItemCount from
-// reader goroutines while writers churn sets, deletes and incrs — the
-// access pattern a live "stats" verb sees under load.
+// TestStatsReadersDuringChurn aggregates Stats (counters and slab
+// classes in one pass) and ItemCount from reader goroutines while
+// writers churn sets, deletes and incrs — the access pattern a live
+// "stats" verb or /metrics scrape sees under load.
 func TestStatsReadersDuringChurn(t *testing.T) {
 	cfg := DefaultConfig(8 << 20)
 	cfg.Shards = 4
@@ -113,7 +114,10 @@ func TestStatsReadersDuringChurn(t *testing.T) {
 					t.Errorf("hit rate out of range: %v", s.HitRate())
 					return
 				}
-				_ = st.SlabStats()
+				if len(s.Classes) == 0 {
+					t.Error("Stats reports no slab class after the first set")
+					return
+				}
 				_ = st.ItemCount()
 			}
 		}()

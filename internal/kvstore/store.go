@@ -456,11 +456,25 @@ func (st *Store) ItemCount() int {
 	return total
 }
 
-// Stats aggregates counters across shards.
+// Stats aggregates counters and slab-class occupancy across shards, in
+// one lock pass: the counters and the classes describe the same moment
+// of each shard.
 func (st *Store) Stats() Stats {
 	var out Stats
 	for _, sh := range st.shards {
 		sh.mu.Lock()
+		a := sh.s.alloc
+		if out.Classes == nil {
+			out.Classes = make([]SlabClassStats, a.numClasses())
+			for i := range out.Classes {
+				out.Classes[i] = SlabClassStats{ClassID: i + 1, ChunkSize: a.chunkSize(i)}
+			}
+		}
+		for i := range a.classes {
+			out.Classes[i].Pages += len(a.classes[i].pages)
+			out.Classes[i].UsedChunks += a.classes[i].allocated
+			out.Classes[i].FreeChunks += a.classes[i].freeCount
+		}
 		s := sh.s.stats
 		out.GetHits += s.GetHits
 		out.GetMisses += s.GetMisses
@@ -482,9 +496,17 @@ func (st *Store) Stats() Stats {
 		out.TotalItems += s.TotalItems
 		out.BytesUsed += s.BytesUsed
 		out.CurrItems += uint64(sh.s.itemCount())
-		out.SlabBytes += sh.s.alloc.pageBytes()
+		out.SlabBytes += a.pageBytes()
 		sh.mu.Unlock()
 	}
+	// Drop classes with no pages anywhere to keep the report readable.
+	kept := out.Classes[:0]
+	for _, c := range out.Classes {
+		if c.Pages > 0 {
+			kept = append(kept, c)
+		}
+	}
+	out.Classes = kept
 	out.Shards = len(st.shards)
 	out.UptimeSeconds = st.clock() - st.startUnix
 	return out
@@ -507,45 +529,19 @@ type Stats struct {
 	SlabBytes                int64
 	Shards                   int
 	UptimeSeconds            int64
+	// Classes holds the slab classes with at least one page (the
+	// "stats slabs" view).
+	Classes []SlabClassStats
 }
 
 // SlabClassStats describes one slab size class, aggregated across
-// shards (the "stats slabs" view).
+// shards.
 type SlabClassStats struct {
 	ClassID    int
 	ChunkSize  int
 	Pages      int
 	UsedChunks int
 	FreeChunks int
-}
-
-// SlabStats reports per-class slab usage across all shards.
-func (st *Store) SlabStats() []SlabClassStats {
-	var out []SlabClassStats
-	for _, sh := range st.shards {
-		sh.mu.Lock()
-		a := sh.s.alloc
-		if out == nil {
-			out = make([]SlabClassStats, a.numClasses())
-			for i := range out {
-				out[i] = SlabClassStats{ClassID: i + 1, ChunkSize: a.chunkSize(i)}
-			}
-		}
-		for i := range a.classes {
-			out[i].Pages += len(a.classes[i].pages)
-			out[i].UsedChunks += a.classes[i].allocated
-			out[i].FreeChunks += a.classes[i].freeCount
-		}
-		sh.mu.Unlock()
-	}
-	// Drop classes with no pages anywhere to keep the report readable.
-	kept := out[:0]
-	for _, c := range out {
-		if c.Pages > 0 {
-			kept = append(kept, c)
-		}
-	}
-	return kept
 }
 
 // HitRate returns get_hits / (get_hits+get_misses), or 0 when idle.

@@ -766,7 +766,7 @@ func TestSlabStats(t *testing.T) {
 	st := newTestStore(t, nil)
 	st.Set("small", bytes.Repeat([]byte("s"), 10), 0, 0)
 	st.Set("large", bytes.Repeat([]byte("L"), 100_000), 0, 0)
-	classes := st.SlabStats()
+	classes := st.Stats().Classes
 	if len(classes) < 2 {
 		t.Fatalf("expected at least two active classes, got %d", len(classes))
 	}

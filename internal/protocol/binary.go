@@ -471,7 +471,7 @@ func (s *BinarySession) doFlush(h binHeader, extras []byte) error {
 
 // doStat sends the rows of the ASCII stats command, one frame each.
 func (s *BinarySession) doStat(h binHeader) error {
-	for _, row := range statRows(s.store.Stats()) {
+	for _, row := range StatRows(s.store.Stats()) {
 		if err := s.respond(h, StatusOK, nil, []byte(row[0]), []byte(row[1]), 0); err != nil {
 			return err
 		}

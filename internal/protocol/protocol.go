@@ -579,7 +579,7 @@ func (s *Session) doStats(args []string) error {
 	if len(args) == 1 {
 		switch args[0] {
 		case "slabs":
-			return s.doStatsSlabs()
+			return s.writeStats(SlabRows(s.store.Stats()))
 		case "settings":
 			return s.doStatsSettings()
 		case "reset":
@@ -589,16 +589,23 @@ func (s *Session) doStats(args []string) error {
 			return s.clientError("unknown stats sub-command")
 		}
 	}
-	for _, row := range statRows(s.store.Stats()) {
+	return s.writeStats(StatRows(s.store.Stats()))
+}
+
+// writeStats sends rows as STAT lines and the closing END.
+func (s *Session) writeStats(rows [][2]string) error {
+	for _, row := range rows {
 		s.w.WriteString("STAT " + row[0] + " " + row[1] + "\r\n")
 	}
 	return s.reply(respEnd)
 }
 
-// statRows renders the general statistics as (name, value) rows, in
-// the order the ASCII stats command has always sent them; the binary
-// stat opcode sends the same rows.
-func statRows(st kvstore.Stats) [][2]string {
+// StatRows renders the general statistics as (name, value) rows, in
+// the order the ASCII stats command has always sent them. It is the one
+// table of the store counters' names: the binary stat opcode sends the
+// same rows, and kvserver's /metrics exposes each numeric one as
+// live.store.<name>.
+func StatRows(st kvstore.Stats) [][2]string {
 	u := func(v uint64) string { return strconv.FormatUint(v, 10) }
 	i := func(v int64) string { return strconv.FormatInt(v, 10) }
 	return [][2]string{
@@ -628,19 +635,23 @@ func statRows(st kvstore.Stats) [][2]string {
 	}
 }
 
-// doStatsSlabs renders the per-class slab view like memcached's
-// "stats slabs".
-func (s *Session) doStatsSlabs() error {
-	classes := s.store.SlabStats()
-	for _, c := range classes {
-		fmt.Fprintf(s.w, "STAT %d:chunk_size %d\r\n", c.ClassID, c.ChunkSize)
-		fmt.Fprintf(s.w, "STAT %d:total_pages %d\r\n", c.ClassID, c.Pages)
-		fmt.Fprintf(s.w, "STAT %d:used_chunks %d\r\n", c.ClassID, c.UsedChunks)
-		fmt.Fprintf(s.w, "STAT %d:free_chunks %d\r\n", c.ClassID, c.FreeChunks)
+// SlabRows renders the per-class slab view like memcached's "stats
+// slabs": four "<class>:<field>" rows per class with pages, then the
+// totals. kvserver's /metrics exposes them as
+// live.slab.class-NN.<field> and live.slab.<name>.
+func SlabRows(st kvstore.Stats) [][2]string {
+	rows := make([][2]string, 0, 4*len(st.Classes)+2)
+	for _, c := range st.Classes {
+		id := strconv.Itoa(c.ClassID) + ":"
+		rows = append(rows,
+			[2]string{id + "chunk_size", strconv.Itoa(c.ChunkSize)},
+			[2]string{id + "total_pages", strconv.Itoa(c.Pages)},
+			[2]string{id + "used_chunks", strconv.Itoa(c.UsedChunks)},
+			[2]string{id + "free_chunks", strconv.Itoa(c.FreeChunks)})
 	}
-	fmt.Fprintf(s.w, "STAT active_slabs %d\r\n", len(classes))
-	fmt.Fprintf(s.w, "STAT slab_reassign_total %d\r\n", s.store.Stats().SlabReassigns)
-	return s.reply(respEnd)
+	return append(rows,
+		[2]string{"active_slabs", strconv.Itoa(len(st.Classes))},
+		[2]string{"slab_reassign_total", strconv.FormatUint(st.SlabReassigns, 10)})
 }
 
 // doStatsSettings reports the store's effective configuration.
