@@ -10,7 +10,7 @@ import (
 // checkErrDrop finds discarded errors at the sinks where this repo has
 // actually lost data before: buffered-writer flushes (the only point a
 // bufio.Writer surfaces its sticky error), network connection writes
-// (a failed UDP reply must still be counted as a drop), and the obs
+// (a failed reply write must reach the caller, not vanish), and the obs
 // package's renderers (a truncated /metrics scrape or trace file is
 // silent corruption). It is narrower than a general errcheck on
 // purpose: bufio's Write/WriteString/WriteByte returns are legitimately

@@ -24,7 +24,7 @@ import (
 //     stats lock calls a public accessor that locks it again.
 //
 // A "lock class" is the pair (defining named type, mutex field), e.g.
-// `UDPServer.mu`, or a package-level mutex variable. Classes
+// `Server.mu`, or a package-level mutex variable. Classes
 // deliberately ignore which *instance* is locked: the repo's
 // conventions never take the same field of two instances concurrently
 // in opposite orders, and instance-insensitivity is what makes the

@@ -79,7 +79,6 @@ func main() {
 	maxConns := flag.Int("max-conns", 0, "max simultaneous connections (0 = unlimited)")
 	idleTimeout := flag.Duration("idle-timeout", 0, "close idle connections after this long (0 = never)")
 	crawlEvery := flag.Duration("crawl-interval", 0, "background expiry sweep interval (0 = disabled)")
-	udpAddr := flag.String("udp", "", "also serve the UDP protocol on this address (e.g. :11211)")
 	metricsAddr := flag.String("metrics", "", "serve Prometheus-text metrics over HTTP on this address (e.g. :9190)")
 	pprofOn := flag.Bool("pprof", false, "mount /debug/pprof/ and /debug/trace on the -metrics listener")
 	flightCap := flag.Int("flight", 0, "flight-recorder ring capacity in events (0 = recording off)")
@@ -178,14 +177,6 @@ func main() {
 	if *crawlEvery > 0 {
 		crawler := store.StartCrawler(*crawlEvery)
 		defer crawler.Stop()
-	}
-	if *udpAddr != "" {
-		udp, err := srv.ListenUDP(*udpAddr)
-		if err != nil {
-			log.Fatalf("kv3d-server: udp: %v", err)
-		}
-		defer udp.Close()
-		log.Printf("kv3d-server: udp on %s", udp.Addr())
 	}
 	if *metricsAddr != "" {
 		mln, err := net.Listen("tcp", *metricsAddr)

@@ -50,8 +50,8 @@ type Config struct {
 	// microseconds): StackFail/NodeDown removes the target from the
 	// ring, StackDegrade scales its capacity to Arg percent,
 	// StackRecover/NodeUp restores it. Live-only kinds (resets, stalls,
-	// latency, UDP drops) are ignored here. A nil plan adds no work and
-	// changes no output, so existing golden results are untouched.
+	// latency) are ignored here. A nil plan adds no work and changes no
+	// output, so existing golden results are untouched.
 	Faults *faults.Plan
 }
 

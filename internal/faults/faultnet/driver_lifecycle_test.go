@@ -9,10 +9,9 @@ import (
 	"kv3d/internal/testutil"
 )
 
-// Driver lifecycle coverage, mirroring the kvserver TCP/UDP leak
-// tests: however a replay ends — schedule exhausted, or aborted — the
-// driver goroutine must be gone, Stop must stay safe to call, and Wait
-// must never wedge.
+// Driver lifecycle coverage, mirroring the kvserver leak tests: however
+// a replay ends — schedule exhausted, or aborted — the driver goroutine
+// must be gone, Stop must stay safe to call, and Wait must never wedge.
 
 // TestDriverCompletesThenStopNoLeak: after a schedule runs dry, the
 // driver goroutine has exited; Stop on a completed driver returns

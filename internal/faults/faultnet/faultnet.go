@@ -1,10 +1,10 @@
 // Package faultnet applies a faults.Plan to live network traffic: an
-// Injector holds per-target fault state, Conn/Listener/PacketConn
-// wrappers consult it on every I/O operation, and a Driver replays a
-// plan's schedule against the wall clock. The plan itself (and hence
-// the schedule of injections) is deterministic; only the interleaving
-// with real traffic is not, which is exactly the split the chaos suite
-// needs — a replayable fault schedule against a live server.
+// Injector holds per-target fault state, Conn/Listener wrappers consult
+// it on every I/O operation, and a Driver replays a plan's schedule
+// against the wall clock. The plan itself (and hence the schedule of
+// injections) is deterministic; only the interleaving with real traffic
+// is not, which is exactly the split the chaos suite needs — a
+// replayable fault schedule against a live server.
 //
 // This package is live-side only: it must never be imported by a
 // simulation package (kv3d-lint's determinism check would rightly
@@ -46,7 +46,6 @@ type state struct {
 	latencyUntil    time.Time
 	readStallUntil  time.Time
 	writeStallUntil time.Time
-	dropUntil       time.Time
 	conns           map[*faultConn]struct{}
 }
 
@@ -66,8 +65,8 @@ func New() *Injector {
 
 // SetProbes installs a registry receiving "faultnet.injected.<kind>"
 // counters (one per applied plan event) plus effect-site counters:
-// "faultnet.reset_conns", "faultnet.refused_conns", and
-// "faultnet.dropped_datagrams". Call before traffic starts.
+// "faultnet.reset_conns" and "faultnet.refused_conns". Call before
+// traffic starts.
 func (in *Injector) SetProbes(r *obs.Registry) {
 	in.mu.Lock()
 	in.probes = r
@@ -119,8 +118,6 @@ func (in *Injector) Apply(ev faults.Event) {
 		st.readStallUntil = now.Add(window)
 	case faults.WriteStall:
 		st.writeStallUntil = now.Add(window)
-	case faults.UDPDrop:
-		st.dropUntil = now.Add(window)
 	case faults.Partition:
 		// Unreachable, not dead: new connections are refused and
 		// established ones stall until the window closes, but nothing is
@@ -198,13 +195,6 @@ func (in *Injector) decide(target string, read bool) (delay time.Duration, reset
 		delay = st.latency
 	}
 	return delay, false
-}
-
-// dropping reports whether the target's UDP drop window is active.
-func (in *Injector) dropping(target string) bool {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.target(target).dropUntil.After(time.Now())
 }
 
 // Conn wraps a live connection so the injector can reset, stall, and
@@ -299,31 +289,6 @@ func (l *faultListener) Accept() (net.Conn, error) {
 		}
 		return l.inj.Conn(l.target, c), nil
 	}
-}
-
-// PacketConn wraps a datagram socket: while the target's UDP drop
-// window is active, outbound datagrams are silently discarded (reported
-// as sent, exactly like a congested network). A nil Injector returns
-// pc unchanged.
-func (in *Injector) PacketConn(target string, pc net.PacketConn) net.PacketConn {
-	if in == nil {
-		return pc
-	}
-	return &faultPacketConn{PacketConn: pc, inj: in, target: target}
-}
-
-type faultPacketConn struct {
-	net.PacketConn
-	inj    *Injector
-	target string
-}
-
-func (p *faultPacketConn) WriteTo(b []byte, addr net.Addr) (int, error) {
-	if p.inj.dropping(p.target) {
-		p.inj.count("faultnet.dropped_datagrams")
-		return len(b), nil
-	}
-	return p.PacketConn.WriteTo(b, addr)
 }
 
 // Driver replays a plan's schedule in real time, calling apply for each

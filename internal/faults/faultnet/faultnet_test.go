@@ -198,41 +198,6 @@ func TestReadStallWindow(t *testing.T) {
 	}
 }
 
-func TestUDPDropWindow(t *testing.T) {
-	in := New()
-	reg := obs.NewRegistry()
-	in.SetProbes(reg)
-	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pc.Close()
-	sink, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sink.Close()
-
-	fpc := in.PacketConn("node", pc)
-	in.Apply(faults.Event{Kind: faults.UDPDrop, Target: "node", For: sim.Second})
-	if n, err := fpc.WriteTo([]byte("dropped"), sink.LocalAddr()); err != nil || n != 7 {
-		t.Fatalf("drop-window write = %d, %v (must report success)", n, err)
-	}
-	sink.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
-	if _, _, err := sink.ReadFrom(make([]byte, 64)); err == nil {
-		t.Fatal("datagram arrived despite the drop window")
-	}
-	var drops float64
-	for _, p := range reg.Snapshot() {
-		if p.Name == "faultnet.dropped_datagrams" {
-			drops = p.Value
-		}
-	}
-	if drops != 1 {
-		t.Fatalf("drop counter = %v, want 1", drops)
-	}
-}
-
 func TestDriverRepaysScheduleInOrder(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	plan := &faults.Plan{

@@ -1,8 +1,8 @@
 // Package faults is the deterministic fault-plan engine. A plan is a
 // reproducible schedule of fault events — connection resets, read/write
-// stalls, latency windows, UDP drop windows, node down/up, stack
-// fail/degrade/recover — generated from a seed, so every chaos run is
-// replayable: the same seed yields a byte-identical schedule.
+// stalls, latency windows, node down/up, stack fail/degrade/recover —
+// generated from a seed, so every chaos run is replayable: the same seed
+// yields a byte-identical schedule.
 //
 // The package is deliberately pure: it imports only the sim kernel and
 // the stdlib, holds no clocks, sockets, or goroutines, and therefore
@@ -39,8 +39,6 @@ const (
 	// Latency delays every I/O operation on the target by Arg
 	// nanoseconds for a window of For.
 	Latency
-	// UDPDrop silently drops the target's outbound datagrams for For.
-	UDPDrop
 	// NodeDown takes a live node offline (listener refuses, open
 	// connections reset) until the paired NodeUp.
 	NodeDown
@@ -75,7 +73,6 @@ var kindNames = [numKinds]string{
 	ReadStall:    "read-stall",
 	WriteStall:   "write-stall",
 	Latency:      "latency",
-	UDPDrop:      "udp-drop",
 	NodeDown:     "node-down",
 	NodeUp:       "node-up",
 	StackFail:    "stack-fail",
@@ -113,7 +110,7 @@ type Event struct {
 	// address, ...). Targets must not contain whitespace.
 	Target string
 	// For is the window length for windowed kinds (stalls, latency,
-	// UDP drop); zero for instantaneous state changes.
+	// partition); zero for instantaneous state changes.
 	For sim.Duration
 	// Arg carries a kind-specific parameter: injected delay in
 	// nanoseconds for Latency, surviving capacity in percent for

@@ -73,7 +73,7 @@ func TestSeedsDiverge(t *testing.T) {
 
 func TestEncodeParseRoundTrip(t *testing.T) {
 	cfg := goldenGenConfig()
-	cfg.Kinds = []Kind{NodeDown, ConnReset, Latency, ReadStall, WriteStall, UDPDrop, StackDegrade}
+	cfg.Kinds = []Kind{NodeDown, ConnReset, Latency, ReadStall, WriteStall, StackDegrade}
 	p, err := Generate(cfg)
 	if err != nil {
 		t.Fatal(err)

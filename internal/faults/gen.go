@@ -137,7 +137,7 @@ func Generate(cfg GenConfig) (*Plan, error) {
 		case Latency:
 			plan.Events = append(plan.Events,
 				Event{At: t, Kind: Latency, Target: target, For: end - t, Arg: cfg.LatencyNanos})
-		case ReadStall, WriteStall, UDPDrop, Partition:
+		case ReadStall, WriteStall, Partition:
 			plan.Events = append(plan.Events,
 				Event{At: t, Kind: kind, Target: target, For: end - t})
 		case ConnReset:

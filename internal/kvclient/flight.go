@@ -6,8 +6,7 @@ package kvclient
 // correlation id into the request opaque, so merging the client's
 // recorder with the servers' (obs.WriteMergedTraceJSON) joins a client
 // attempt to the exact server-side parse/execute/write phases that
-// handled it. ASCII and UDP have no opaque, so their spans stay
-// client-side only.
+// handled it. ASCII has no opaque, so its spans stay client-side only.
 //
 // kvclient sits outside the simulator's deterministic import closure,
 // so defaulting to the wall clock is fine here; tests inject a fake

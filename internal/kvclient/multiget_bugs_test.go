@@ -1,6 +1,6 @@
 package kvclient
 
-// Regression tests for three protocol bugs fixed in the multiget PR:
+// Regression tests for two protocol bugs fixed in the multiget PR:
 //
 //   - getMulti with zero (or all-empty) keys used to write "get \r\n",
 //     a malformed request the server answers with ERROR; duplicate keys
@@ -8,13 +8,9 @@ package kvclient
 //   - getMulti trusted the advertised value length: it read n+2 bytes
 //     but never checked the last two were CRLF, so a lying server
 //     silently desynchronized the stream instead of failing fast.
-//   - UDP reassembly let whichever fragment arrived last overwrite the
-//     datagram count, so a corrupt fragment could truncate the value or
-//     park the client until timeout.
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"net"
 	"strings"
@@ -124,117 +120,5 @@ func TestGetMultiValidTrailerStillWorks(t *testing.T) {
 	}
 	if string(it.Value) != "hello" || it.Flags != 3 || it.CAS != 42 {
 		t.Fatalf("Gets = %+v", it)
-	}
-}
-
-// udpExchange starts a one-shot UDP responder: it waits for one request
-// datagram and answers with the frames produced by respond(reqID).
-// Returns a client dialed at the responder.
-func udpExchange(t *testing.T, respond func(reqID uint16) [][]byte) *UDPClient {
-	t.Helper()
-	srv, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	go func() {
-		buf := make([]byte, 2048)
-		n, addr, err := srv.ReadFromUDP(buf)
-		if err != nil || n < 8 {
-			return
-		}
-		reqID := binary.BigEndian.Uint16(buf[0:])
-		for _, frame := range respond(reqID) {
-			srv.WriteToUDP(frame, addr)
-		}
-	}()
-	c, err := DialUDP(srv.LocalAddr().String(), 500*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	return c
-}
-
-// udpFrame builds one response datagram: 8-byte header + payload chunk.
-func udpFrame(reqID, seq, count uint16, payload string) []byte {
-	frame := make([]byte, 8+len(payload))
-	binary.BigEndian.PutUint16(frame[0:], reqID)
-	binary.BigEndian.PutUint16(frame[2:], seq)
-	binary.BigEndian.PutUint16(frame[4:], count)
-	copy(frame[8:], payload)
-	return frame
-}
-
-// TestUDPGetMismatchedFragmentCounts: two fragments of one response
-// disagree about the datagram count. The old client let the last
-// arrival win; it must now reject the response outright.
-func TestUDPGetMismatchedFragmentCounts(t *testing.T) {
-	c := udpExchange(t, func(reqID uint16) [][]byte {
-		return [][]byte{
-			udpFrame(reqID, 0, 3, "VALUE k 0 10\r\nabcde"),
-			udpFrame(reqID, 1, 2, "fghij\r\nEND\r\n"), // lies: count 2, first said 3
-		}
-	})
-	_, err := c.Get("k")
-	if !errors.Is(err, ErrProtocol) {
-		t.Fatalf("mismatched counts returned %v, want ErrProtocol", err)
-	}
-}
-
-func TestUDPGetSeqOutOfRange(t *testing.T) {
-	c := udpExchange(t, func(reqID uint16) [][]byte {
-		return [][]byte{udpFrame(reqID, 5, 2, "VALUE k 0 2\r\nhi\r\nEND\r\n")}
-	})
-	_, err := c.Get("k")
-	if !errors.Is(err, ErrProtocol) {
-		t.Fatalf("out-of-range seq returned %v, want ErrProtocol", err)
-	}
-}
-
-// TestUDPGetMissingEndTrailer: all advertised fragments arrive but the
-// reassembled response stops mid-value — the header's count undersold
-// the payload. Must fail instead of returning a truncated item.
-func TestUDPGetMissingEndTrailer(t *testing.T) {
-	c := udpExchange(t, func(reqID uint16) [][]byte {
-		return [][]byte{udpFrame(reqID, 0, 1, "VALUE k 0 50\r\nonly-part-of-the-value")}
-	})
-	_, err := c.Get("k")
-	if !errors.Is(err, ErrProtocol) {
-		t.Fatalf("missing END returned %v, want ErrProtocol", err)
-	}
-}
-
-// TestUDPGetOutOfOrderWithDuplicates: the positive case — fragments
-// arriving reordered, with one duplicated (UDP may duplicate), still
-// reassemble into the right value.
-func TestUDPGetOutOfOrderWithDuplicates(t *testing.T) {
-	c := udpExchange(t, func(reqID uint16) [][]byte {
-		return [][]byte{
-			udpFrame(reqID, 2, 3, "ij\r\nEND\r\n"),
-			udpFrame(reqID, 0, 3, "VALUE k 6 10\r\nabc"),
-			udpFrame(reqID, 0, 3, "VALUE k 6 10\r\nabc"), // duplicate of seq 0
-			udpFrame(reqID, 1, 3, "defgh"),
-		}
-	})
-	it, err := c.Get("k")
-	if err != nil {
-		t.Fatalf("Get: %v", err)
-	}
-	if string(it.Value) != "abcdefghij" || it.Flags != 6 {
-		t.Fatalf("Get = %+v, want value abcdefghij flags 6", it)
-	}
-}
-
-// TestUDPGetValueTrailerMismatch: single datagram whose value bytes and
-// advertised length disagree but which still ends in END — the parser
-// must catch the bad CRLF position.
-func TestUDPGetValueTrailerMismatch(t *testing.T) {
-	c := udpExchange(t, func(reqID uint16) [][]byte {
-		return [][]byte{udpFrame(reqID, 0, 1, "VALUE k 0 3\r\nabcde\r\nEND\r\n")}
-	})
-	_, err := c.Get("k")
-	if !errors.Is(err, ErrProtocol) {
-		t.Fatalf("bad value trailer returned %v, want ErrProtocol", err)
 	}
 }

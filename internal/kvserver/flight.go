@@ -2,12 +2,11 @@ package kvserver
 
 // Flight recording: the server forwards sampled protocol.OpSpan phase
 // timelines and its own lifecycle events (connection open/close,
-// refusals, drain) into an obs.FlightRecorder ring. Each transport gets
-// its own track so a merged trace shows ASCII, binary, and UDP lanes
-// side by side; spans that carry an opaque additionally emit async
-// begin/end events keyed by it, which is what lets a client's attempt
-// span line up with this server's handling of that exact request in one
-// Perfetto view.
+// refusals, drain) into an obs.FlightRecorder ring. Each codec gets its
+// own track so a merged trace shows ASCII and binary lanes side by side;
+// spans that carry an opaque additionally emit async begin/end events
+// keyed by it, which is what lets a client's attempt span line up with
+// this server's handling of that exact request in one Perfetto view.
 
 import (
 	"kv3d/internal/obs"
@@ -46,16 +45,14 @@ func (f *flightSink) ObserveSpan(sp protocol.OpSpan) {
 	}
 }
 
-// serverFlight holds the server's recorder wiring: one lifecycle track,
-// the sink of stream sessions, and the sink of datagram sessions, whose
-// spans land on the UDP track whichever codec served them. All fields
-// are set at construction and immutable afterwards.
+// serverFlight holds the server's recorder wiring: one lifecycle track
+// and the sink of its sessions. All fields are set at construction and
+// immutable afterwards.
 type serverFlight struct {
-	rec       *obs.FlightRecorder
-	every     int
-	life      obs.TrackID
-	streams   flightSink
-	datagrams flightSink
+	rec      *obs.FlightRecorder
+	every    int
+	life     obs.TrackID
+	sessions flightSink
 }
 
 // newServerFlight registers the server's tracks on the recorder.
@@ -64,9 +61,7 @@ func newServerFlight(rec *obs.FlightRecorder, every int) *serverFlight {
 		every = DefaultFlightEvery
 	}
 	sf := &serverFlight{rec: rec, every: every, life: rec.RegisterTrack("srv.lifecycle")}
-	sf.streams = flightSink{rec: rec, ascii: rec.RegisterTrack("srv.ascii"), binary: rec.RegisterTrack("srv.binary")}
-	udp := rec.RegisterTrack("srv.udp")
-	sf.datagrams = flightSink{rec: rec, ascii: udp, binary: udp}
+	sf.sessions = flightSink{rec: rec, ascii: rec.RegisterTrack("srv.ascii"), binary: rec.RegisterTrack("srv.binary")}
 	return sf
 }
 

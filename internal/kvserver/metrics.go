@@ -44,12 +44,12 @@ func (r RejectReason) String() string {
 }
 
 // OpMetrics aggregates per-operation-class latency histograms across
-// all connections (TCP ASCII, TCP binary, UDP), split by outcome
-// (ok / error / busy) so load-shed responses appear in latency
-// accounting instead of vanishing, plus rejection counters. It
-// implements protocol.Observer; sessions call ObserveOp from their
-// connection goroutines, so the histograms sit behind a mutex (the
-// reject counters are atomic and lock-free).
+// all connections (ASCII and binary), split by outcome (ok / error /
+// busy) so load-shed responses appear in latency accounting instead of
+// vanishing, plus rejection counters. It implements protocol.Observer;
+// sessions call ObserveOp from their connection goroutines, so the
+// histograms sit behind a mutex (the reject counters are atomic and
+// lock-free).
 type OpMetrics struct {
 	mu      sync.Mutex
 	hists   [protocol.NumOpClasses][protocol.NumOutcomes]*metrics.Histogram //kv3d:guardedby mu
@@ -137,19 +137,17 @@ func (m *OpMetrics) Probes() []obs.Probe {
 
 // Probes renders the server's live state as one snapshot, sorted by
 // name so the metrics endpoint is deterministic for a given state:
-// connection and datagram accounting; the store's counters and slab
-// classes from one Stats pass, named by the rows of the stats and stats
-// slabs commands (live.store.<stat>, live.slab.class-NN.<field>,
-// live.slab.<total>); per-op latency summaries; Go runtime gauges read
-// now; and the flight recorder's, replicator's and migrator's counters
-// when the server has them.
+// connection accounting; the store's counters and slab classes from one
+// Stats pass, named by the rows of the stats and stats slabs commands
+// (live.store.<stat>, live.slab.class-NN.<field>, live.slab.<total>);
+// per-op latency summaries; Go runtime gauges read now; and the flight
+// recorder's, replicator's and migrator's counters when the server has
+// them.
 func (s *Server) Probes() []obs.Probe {
 	probes := []obs.Probe{
 		{Name: "live.server.conns_accepted", Value: float64(s.Accepted())},
 		{Name: "live.server.conns_active", Value: float64(s.Active())},
 		{Name: "live.server.metrics_write_errors", Value: float64(s.metricsWriteErrors.Load())},
-		{Name: "live.udp.handled", Value: float64(s.udpHandled.Load())},
-		{Name: "live.udp.dropped", Value: float64(s.udpDropped.Load())},
 	}
 	st := s.store.Stats()
 	probes = appendStatRows(probes, "live.store.", protocol.StatRows(st))

@@ -19,7 +19,7 @@ import (
 	"kv3d/internal/testutil"
 )
 
-// runMetricsGolden drives a fixed op script over ASCII, binary and UDP
+// runMetricsGolden drives a fixed op script over ASCII and binary
 // against a server with every probe source attached — a flight
 // recorder small enough to drop, a Replicator whose one peer is a fake
 // that acknowledges every quorum write, and a Migrator — and renders
@@ -72,34 +72,12 @@ func runMetricsGolden(t *testing.T) []byte {
 	}
 	go srv.Serve()
 	defer srv.Close()
-	udp, err := srv.ListenUDP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer udp.Close()
 
 	addr := srv.Addr().String()
 	scriptASCII(t, addr)
 	waitIdle(t, srv)
 	scriptBinary(t, addr)
 	waitIdle(t, srv)
-	if got := udpAsk(t, udp, "set u 0 0 2\r\nuv\r\n"); got != "STORED\r\n" {
-		t.Fatalf("UDP set answered %q", got)
-	}
-	if got := udpAsk(t, udp, "get u nope\r\n"); got != "VALUE u 0 2\r\nuv\r\nEND\r\n" {
-		t.Fatalf("UDP get answered %q", got)
-	}
-	conn, err := net.Dial("udp", udp.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write([]byte{1, 2, 3}); err != nil { // shorter than a frame header
-		t.Fatal(err)
-	}
-	// A datagram is counted after its reply is sent.
-	waitCounter(t, srv, "live.udp.handled", 2)
-	waitCounter(t, srv, "live.udp.dropped", 1)
 
 	var buf bytes.Buffer
 	for _, p := range srv.Probes() {

@@ -190,19 +190,6 @@ func TestOpMetricsDeterministicWithFakeClock(t *testing.T) {
 	}
 }
 
-func TestUDPObserverWired(t *testing.T) {
-	srv, _ := startMetricsServer(t)
-	u, err := srv.ListenUDP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer u.Close()
-	udpAsk(t, u, "get k\r\n")
-	if got := probeValue(srv.Probes(), "live.op.get.latency_ns.count"); got != 1 {
-		t.Fatalf("a UDP get left %v gets in the TCP server's op metrics, want 1", got)
-	}
-}
-
 // probeValue returns the named probe's value in a snapshot, 0 when the
 // snapshot has no such probe.
 func probeValue(probes []obs.Probe, name string) float64 {

@@ -6,7 +6,6 @@ package kvserver
 
 import (
 	"errors"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,43 +13,6 @@ import (
 
 	"kv3d/internal/kvstore"
 )
-
-// TestUDPWriteFailureCountsDropped pins the fix for the UDP stats
-// path: a WriteToUDP failure used to return without touching either
-// counter, so response losses were invisible. It must count as a drop.
-func TestUDPWriteFailureCountsDropped(t *testing.T) {
-	st, err := kvstore.New(kvstore.DefaultConfig(32 << 20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewWithOptions(st, nil, Options{NowNanos: fakeNanos()})
-
-	uaddr, err := net.ResolveUDPAddr("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn, err := net.ListenUDP("udp", uaddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	peer := conn.LocalAddr().(*net.UDPAddr)
-	conn.Close() // every WriteToUDP from here on fails
-
-	u := &UDPServer{srv: srv, conn: conn, sem: make(chan struct{}, 1)}
-	// handle expects serve's preamble: a semaphore slot held and the
-	// handler registered with the WaitGroup (release undoes both).
-	u.sem <- struct{}{}
-	u.handlers.Add(1)
-	u.handle(7, []byte("version\r\n"), peer)
-
-	probes := srv.Probes()
-	if got := probeValue(probes, "live.udp.dropped"); got != 1 {
-		t.Fatalf("live.udp.dropped = %v after send failure, want 1", got)
-	}
-	if got := probeValue(probes, "live.udp.handled"); got != 0 {
-		t.Fatalf("live.udp.handled = %v after send failure, want 0", got)
-	}
-}
 
 // failAfterWriter is an http.ResponseWriter whose body writes fail
 // once the byte budget is exhausted, mid-response.

@@ -2,6 +2,7 @@ package kvserver
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"io"
 	"net"
@@ -12,6 +13,7 @@ import (
 
 	"kv3d/internal/kvclient"
 	"kv3d/internal/kvstore"
+	"kv3d/internal/protocol"
 	"kv3d/internal/testutil"
 )
 
@@ -158,6 +160,87 @@ func TestInflightCapShedsUnderLoad(t *testing.T) {
 	}
 	if probeValue(srv.Probes(), "live.server.rejected.busy") == 0 {
 		t.Fatal("reject reason busy not counted")
+	}
+}
+
+// TestInflightGateShedsASCIIAndBinary holds the only in-flight slot
+// from the test itself, so the gate is full without racing any traffic:
+// an ASCII get and a binary GET must each be refused busy and counted,
+// and once the slot is released both must be served.
+func TestInflightGateShedsASCIIAndBinary(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	st, err := kvstore.New(kvstore.DefaultConfig(16 << 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewWithOptions(st, nil, Options{MaxInflight: 1})
+	if err := srv.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve()
+	defer srv.Close()
+	dial := func() net.Conn {
+		c, err := net.Dial("tcp", srv.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	ascii, bin := dial(), dial()
+	defer ascii.Close()
+	defer bin.Close()
+	asciiGet := func() string {
+		if _, err := io.WriteString(ascii, "get k\r\n"); err != nil {
+			t.Fatal(err)
+		}
+		line, err := bufio.NewReader(ascii).ReadString('\n')
+		if err != nil {
+			t.Fatal(err)
+		}
+		return line
+	}
+	binaryGet := func() uint16 {
+		req := make([]byte, 24+1)
+		req[0] = protocol.MagicRequest
+		req[1] = protocol.OpGet
+		binary.BigEndian.PutUint16(req[2:], 1) // key length
+		binary.BigEndian.PutUint32(req[8:], 1) // body length
+		req[24] = 'k'
+		if _, err := bin.Write(req); err != nil {
+			t.Fatal(err)
+		}
+		hdr := make([]byte, 24)
+		if _, err := io.ReadFull(bin, hdr); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(bin, make([]byte, binary.BigEndian.Uint32(hdr[8:]))); err != nil {
+			t.Fatal(err)
+		}
+		return binary.BigEndian.Uint16(hdr[6:])
+	}
+
+	gate := srv.sessionEnv().Gate
+	if !gate.TryAcquire() {
+		t.Fatal("could not take the only in-flight slot")
+	}
+	if got := asciiGet(); got != "SERVER_ERROR busy\r\n" {
+		t.Fatalf("ASCII get with the gate full answered %q, want a busy refusal", got)
+	}
+	if got := binaryGet(); got != protocol.StatusBusy {
+		t.Fatalf("binary GET with the gate full answered status %#x, want StatusBusy", got)
+	}
+	if got := probeValue(srv.Probes(), "live.server.rejected.busy"); got != 2 {
+		t.Fatalf("live.server.rejected.busy = %v after two shed gets, want 2", got)
+	}
+	gate.Release()
+	if got := asciiGet(); got != "END\r\n" {
+		t.Fatalf("ASCII get with the gate free answered %q, want END", got)
+	}
+	if got := binaryGet(); got != protocol.StatusKeyNotFound {
+		t.Fatalf("binary GET with the gate free answered status %#x, want StatusKeyNotFound", got)
 	}
 }
 

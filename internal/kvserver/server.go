@@ -75,15 +75,11 @@ type Server struct {
 	// metricsWriteErrors counts /metrics responses that failed mid-write
 	// (client gone, connection reset): the scrape was truncated.
 	metricsWriteErrors atomic.Uint64
-	// udpHandled counts datagrams answered by this server's UDP
-	// listeners; udpDropped those ignored as malformed or whose reply
-	// could not be sent.
-	udpHandled, udpDropped atomic.Uint64
 
 	ops *OpMetrics
 	// env is what every session of this server runs with, whichever
-	// transport carries it: built once at construction, Repl replaced
-	// by SetReplicator, read when a connection or datagram arrives.
+	// codec it speaks: built once at construction, Repl replaced by
+	// SetReplicator, read when a connection arrives.
 	env protocol.Env //kv3d:guardedby mu
 	// flight is nil unless Options.Flight was set; its own fields are
 	// immutable after construction and every recorder call is
@@ -144,7 +140,7 @@ func NewWithOptions(store *kvstore.Store, logger *log.Logger, opts Options) *Ser
 	}
 	if opts.Flight != nil {
 		s.flight = newServerFlight(opts.Flight, opts.FlightEvery)
-		s.env.Flight, s.env.FlightEvery = &s.flight.streams, s.flight.every
+		s.env.Flight, s.env.FlightEvery = &s.flight.sessions, s.flight.every
 	}
 	return s
 }
@@ -174,8 +170,7 @@ func (s *Server) Listen(addr string) error {
 // node's serving address, which an ephemeral-port server only knows
 // after Listen — so the caller listens, builds the Replicator from
 // Addr, then installs it. Sessions read the hook when their connection
-// or datagram arrives, so call it before Serve and before the first UDP
-// request, in either order with Listen and ListenUDP.
+// arrives, so call it before Serve.
 func (s *Server) SetReplicator(r protocol.Replicator) {
 	s.mu.Lock()
 	s.env.Repl = r

@@ -18,7 +18,7 @@ import (
 func startServer(t *testing.T) (*Server, string) {
 	t.Helper()
 	// Registered before the Close cleanup below, so it checks after the
-	// server (and any UDP listener the test added) has shut down.
+	// server has shut down.
 	testutil.CheckGoroutines(t)
 	st, err := kvstore.New(kvstore.DefaultConfig(32 << 20))
 	if err != nil {
@@ -336,95 +336,12 @@ func TestBinaryProtocolOverTCP(t *testing.T) {
 	}
 }
 
-func TestUDPGetRoundTrip(t *testing.T) {
-	srv, _ := startServer(t)
-	udp, err := srv.ListenUDP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer udp.Close()
-	srv.Store().Set("udp-key", []byte("udp-value"), 9, 0)
-
-	c, err := kvclient.DialUDP(udp.Addr().String(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	it, err := c.Get("udp-key")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(it.Value) != "udp-value" || it.Flags != 9 {
-		t.Fatalf("item = %+v", it)
-	}
-	if _, err := c.Get("absent"); !errors.Is(err, kvclient.ErrNotFound) {
-		t.Fatalf("miss err = %v", err)
-	}
-	// A handler counts its datagram after sending the reply, so the
-	// client can be here before the second one has: wait for the count.
-	waitCounter(t, srv, "live.udp.handled", 2)
-}
-
-func TestUDPMultiDatagramResponse(t *testing.T) {
-	srv, _ := startServer(t)
-	udp, err := srv.ListenUDP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer udp.Close()
-	big := make([]byte, 8000) // spans several fragments
-	for i := range big {
-		big[i] = byte('a' + i%26)
-	}
-	srv.Store().Set("big", big, 0, 0)
-
-	c, err := kvclient.DialUDP(udp.Addr().String(), 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	it, err := c.Get("big")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(it.Value) != len(big) {
-		t.Fatalf("len = %d, want %d", len(it.Value), len(big))
-	}
-	for i := range big {
-		if it.Value[i] != big[i] {
-			t.Fatalf("corruption at %d", i)
-		}
-	}
-}
-
-func TestUDPMalformedDatagramsDropped(t *testing.T) {
-	srv, _ := startServer(t)
-	udp, err := srv.ListenUDP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer udp.Close()
-	conn, err := net.Dial("udp", udp.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.Write([]byte{1, 2, 3})                          // shorter than the header
-	conn.Write([]byte{0, 1, 0, 5, 0, 9, 0, 0, 'g', 'x'}) // fragmented request
-	waitCounter(t, srv, "live.udp.dropped", 2)
-}
-
-// TestCloseReleasesAllGoroutines exercises the full TCP+UDP lifecycle
+// TestCloseReleasesAllGoroutines exercises the server lifecycle
 // explicitly: the leak check registered by startServer (which runs
-// after every cleanup) is the assertion — accept loop, per-connection
-// handlers and the UDP read loop must all exit once Close returns.
+// after every cleanup) is the assertion — the accept loop and the
+// per-connection handlers must all exit once Close returns.
 func TestCloseReleasesAllGoroutines(t *testing.T) {
-	srv, addr := startServer(t)
-	udp, err := srv.ListenUDP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer udp.Close()
+	_, addr := startServer(t)
 
 	c, err := kvclient.Dial(addr)
 	if err != nil {
@@ -437,19 +354,4 @@ func TestCloseReleasesAllGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Close()
-
-	uc, err := net.Dial("udp", udp.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer uc.Close()
-	req := append([]byte{0, 9, 0, 0, 0, 1, 0, 0}, "get k\r\n"...)
-	if _, err := uc.Write(req); err != nil {
-		t.Fatal(err)
-	}
-	uc.SetReadDeadline(time.Now().Add(2 * time.Second))
-	resp := make([]byte, 2048)
-	if _, err := uc.Read(resp); err != nil {
-		t.Fatalf("udp response: %v", err)
-	}
 }

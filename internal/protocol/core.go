@@ -122,14 +122,13 @@ func newCore(store *kvstore.Store, r *bufio.Reader, w *bufio.Writer, env Env) co
 }
 
 // NewBufferedPair builds the buffered reader and writer every session
-// runs on, and with them the one flush policy of all three transports:
-// responses are staged in the writer and written out when the session is
-// about to read from the transport — that is, when it has consumed all
-// the input it was given and would otherwise sleep. A pipelined burst
-// therefore costs one write per read instead of one per op, and a
-// client that withholds the rest of a request still gets every earlier
-// reply first, because no session can block in a read with output
-// pending. Sessions never flush at reply sites; Serve flushes on exit.
+// runs on, and with them the one flush policy of both codecs: responses
+// are staged in the writer and written out when the session is about to
+// read from the transport — that is, when it has consumed all the input
+// it was given and would otherwise sleep. A pipelined burst therefore
+// costs one write per read instead of one per op, and a client that
+// withholds the rest of a request still gets every earlier reply first,
+// because no session can block in a read with output pending. Sessions never flush at reply sites; Serve flushes on exit.
 func NewBufferedPair(rw io.ReadWriter) (*bufio.Reader, *bufio.Writer) {
 	r, w, _ := newBufferedPair(rw)
 	return r, w

@@ -164,46 +164,3 @@ func FuzzBinaryFramer(f *testing.F) {
 		}
 	})
 }
-
-// FuzzUDPFrame targets the UDP request parser: short datagrams and
-// fragmented requests must be rejected; accepted datagrams must echo
-// the request id and alias the payload exactly.
-func FuzzUDPFrame(f *testing.F) {
-	// Golden request: one well-formed framed GET.
-	well := make([]byte, UDPHeaderLen+len("get k\r\n"))
-	PutUDPHeader(well, 0x1234, 0, 1)
-	copy(well[UDPHeaderLen:], "get k\r\n")
-	f.Add(well)
-	empty := make([]byte, UDPHeaderLen)
-	PutUDPHeader(empty, 1, 0, 1)
-	f.Add(empty)                                             // header only, empty payload
-	f.Add([]byte{1, 2, 3})                                   // shorter than the header
-	f.Add([]byte{0, 1, 0, 5, 0, 9, 0, 0, 'g', 'x'})          // fragmented request
-	f.Add([]byte{0, 1, 0, 0, 0, 2, 0, 0, 'g', 'e', 't', 13}) // count > 1
-	f.Fuzz(func(t *testing.T, data []byte) {
-		reqID, payload, err := ParseUDPRequest(data)
-		if err != nil {
-			if len(data) >= UDPHeaderLen &&
-				binary.BigEndian.Uint16(data[2:]) == 0 &&
-				binary.BigEndian.Uint16(data[4:]) <= 1 {
-				t.Fatalf("rejected a well-formed datagram: %v", err)
-			}
-			return
-		}
-		if len(data) < UDPHeaderLen {
-			t.Fatal("accepted a datagram shorter than the frame header")
-		}
-		if seq := binary.BigEndian.Uint16(data[2:]); seq != 0 {
-			t.Fatalf("accepted fragmented request (seq=%d)", seq)
-		}
-		if !bytes.Equal(payload, data[UDPHeaderLen:]) {
-			t.Fatal("payload does not alias the datagram tail")
-		}
-		// The response header must echo the request id.
-		var resp [UDPHeaderLen]byte
-		PutUDPHeader(resp[:], reqID, 0, 1)
-		if !bytes.Equal(resp[:2], data[:2]) {
-			t.Fatalf("request id not echoed: sent %x, frame has %x", data[:2], resp[:2])
-		}
-	})
-}

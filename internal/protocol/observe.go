@@ -95,7 +95,7 @@ type Observer interface {
 // line / frame decode and payload read), store-execute (the kvstore
 // call), and write (response serialization and flush). All timestamps
 // come from the session's injected clock. Opaque carries the binary
-// protocol's opaque field (0 on ASCII/UDP, where no request id crosses
+// protocol's opaque field (0 on ASCII, where no request id crosses
 // the wire) — the correlation key that lets a merged trace line a
 // client attempt up with the server's handling of that exact request.
 // Binary names the codec that served it.
