@@ -1,9 +1,9 @@
 package kv3d
 
-// The benchmark harness: one benchmark per table and figure of the
-// paper (regenerating it end to end), microbenchmarks of the functional
-// kvstore, and the ablation benches DESIGN.md calls out (L2 on/off,
-// lock striping, port sharing). Run:
+// The benchmark harness: one benchmark per experiment (regenerating a
+// paper table, figure or extension study end to end), microbenchmarks
+// of the functional kvstore, and the ablation benches DESIGN.md calls
+// out (L2 on/off, lock striping, port sharing). Run:
 //
 //	go test -bench=. -benchmem
 //	go test -bench=BenchmarkTable4 -v
@@ -70,15 +70,6 @@ func BenchmarkFigure8(b *testing.B) { benchExperiment(b, "fig8") }
 
 // BenchmarkThermal regenerates the §6.5 cooling analysis.
 func BenchmarkThermal(b *testing.B) { benchExperiment(b, "thermal") }
-
-// BenchmarkHotspot regenerates the §3.8 DHT load-balance study.
-func BenchmarkHotspot(b *testing.B) { benchExperiment(b, "hotspot") }
-
-// BenchmarkEndurance regenerates the Iridium flash-lifetime study.
-func BenchmarkEndurance(b *testing.B) { benchExperiment(b, "endurance") }
-
-// BenchmarkAblationSuite regenerates the design-choice ablations.
-func BenchmarkAblationSuite(b *testing.B) { benchExperiment(b, "ablation") }
 
 // BenchmarkEvictionQuality regenerates the Bags-vs-exact-LRU hit-rate
 // study.
@@ -310,23 +301,6 @@ func BenchmarkSimulatorEventThroughput(b *testing.B) {
 	s.Run()
 }
 
-// BenchmarkFTLWrite measures FTL write-path cost under churn.
-func BenchmarkFTLWrite(b *testing.B) {
-	f, err := memmodel.NewFTL(256, 64, 16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := sim.NewRand(3)
-	n := f.LogicalPages()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := f.Write(rng.Intn(n)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(f.WriteAmplification(), "writeAmp")
-}
-
 // BenchmarkZipfSample measures workload generation cost.
 func BenchmarkZipfSample(b *testing.B) {
 	z, err := workload.NewZipf(1.01, 1_000_000)
@@ -339,12 +313,6 @@ func BenchmarkZipfSample(b *testing.B) {
 		z.Sample(rng)
 	}
 }
-
-// BenchmarkAccelerator regenerates the GET-engine composition study.
-func BenchmarkAccelerator(b *testing.B) { benchExperiment(b, "accelerator") }
-
-// BenchmarkDiurnal regenerates the energy-proportionality study.
-func BenchmarkDiurnal(b *testing.B) { benchExperiment(b, "diurnal") }
 
 // BenchmarkDRAMSim regenerates the bank-level DRAM validation.
 func BenchmarkDRAMSim(b *testing.B) { benchExperiment(b, "dramsim") }

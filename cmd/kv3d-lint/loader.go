@@ -71,8 +71,8 @@ type analysis struct {
 var defaultSimRoots = []string{
 	"internal/sim",
 	"internal/serversim",
-	"internal/clustersim",
 	"internal/experiments",
+	"internal/faults",
 }
 
 // defaultAllow lists real-server packages that are reachable from the

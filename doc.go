@@ -12,14 +12,16 @@
 //
 // The modeling half is a discrete-event simulation of the paper's
 // Mercury (3D DRAM) and Iridium (3D NAND Flash) stacked servers:
-// core timing models, cache hierarchy, DRAM/Flash devices with a
-// functional FTL, the 10GbE path, one-stack request simulation, and the
-// power/area composition of a 1.5U box (internal/sim, internal/cpu,
-// internal/cache, internal/memmodel, internal/netmodel,
-// internal/stackmodel, internal/phys, internal/server,
-// internal/baseline).
+// core timing models, cache hierarchy, DRAM/Flash devices, the 10GbE
+// path, one-stack request simulation, and the power/area composition of
+// a 1.5U box (internal/sim, internal/cpu, internal/cache,
+// internal/memmodel, internal/netmodel, internal/stackmodel,
+// internal/phys, internal/server, internal/baseline).
 //
-// internal/experiments regenerates every table and figure of the paper;
-// cmd/kv3d-bench prints them, and bench_test.go exposes each as a Go
-// benchmark. See README.md, DESIGN.md and EXPERIMENTS.md.
+// internal/experiments regenerates every table and figure of the paper,
+// plus extension studies that check a number the paper states (§6.5
+// cooling, bank-level DRAM) or measure the store's own mechanisms;
+// cmd/kv3d-bench prints them, golden files in its testdata pin their
+// output, and bench_test.go exposes each as a Go benchmark. See
+// README.md, DESIGN.md and EXPERIMENTS.md.
 package kv3d

@@ -50,8 +50,7 @@ var registry = map[string]Runner{
 var presentationOrder = []string{
 	"table1", "table2", "table3", "table4",
 	"fig4", "fig5", "fig6", "fig7", "fig8",
-	"thermal", "hotspot", "endurance", "ablation",
-	"eviction", "loadlatency", "multiget", "accelerator", "diurnal", "dramsim",
+	"thermal", "eviction", "loadlatency", "multiget", "dramsim",
 }
 
 // IDs lists experiment identifiers in presentation order; anything

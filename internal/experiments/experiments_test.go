@@ -29,8 +29,7 @@ func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		"table1", "table2", "table3", "table4",
 		"fig4", "fig5", "fig6", "fig7", "fig8",
-		"thermal", "hotspot", "endurance", "ablation",
-		"eviction", "loadlatency", "multiget", "accelerator", "diurnal", "dramsim",
+		"thermal", "eviction", "loadlatency", "multiget", "dramsim",
 	}
 	if len(ids) != len(want) {
 		t.Fatalf("registry has %d experiments: %v", len(ids), ids)

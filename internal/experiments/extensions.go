@@ -1,31 +1,22 @@
 package experiments
 
-// Extension experiments beyond the paper's published tables/figures:
-// the §6.5 cooling analysis as a table, the §3.8 DHT load-balance
-// argument quantified, Iridium flash endurance (the limit behind the
-// "moderate to low request rates" framing), and ablations of the
-// design choices DESIGN.md calls out (L2, DRAM page policy, port
-// sharing).
+// Extension studies beyond the paper's published tables and figures
+// that check a number the paper states: thermal (below) sets the
+// per-stack TDP beside §6.5's 6.2 W/stack and the passive-cooling limit,
+// and dramsim (dramsim.go) holds the flat DRAM model against a
+// bank-level one at Table 1's 6.25 GB/s per port and §5.2's closed-page
+// charge.
 
 import (
 	"fmt"
 
-	"kv3d/internal/cache"
-	"kv3d/internal/clustersim"
-	"kv3d/internal/cpu"
-	"kv3d/internal/memmodel"
 	"kv3d/internal/phys"
 	"kv3d/internal/report"
 	"kv3d/internal/server"
-	"kv3d/internal/sim"
-	"kv3d/internal/stackmodel"
 )
 
 func init() {
 	registry["thermal"] = Thermal
-	registry["hotspot"] = Hotspot
-	registry["endurance"] = Endurance
-	registry["ablation"] = Ablation
 }
 
 // Thermal reproduces the §6.5 cooling argument: per-stack TDP across
@@ -67,190 +58,4 @@ func yesNo(b bool) string {
 		return "yes"
 	}
 	return "NO"
-}
-
-// Hotspot quantifies §3.8: request imbalance across stacks under Zipf
-// traffic, as a function of node count and virtual-node count.
-func Hotspot(o Options) (Result, error) {
-	requests := 200_000
-	if o.Quick {
-		requests = 20_000
-	}
-	t := &report.Table{
-		Title: "DHT load balance (§3.8): imbalance = hottest stack / mean",
-		Columns: []string{"Stacks", "Virtual nodes", "Zipf skew",
-			"Imbalance", "Hottest share %", "Usable capacity %"},
-	}
-	type point struct {
-		stacks, vnodes int
-		skew           float64
-	}
-	points := []point{
-		{8, 1, 0}, {8, 160, 0},
-		{96, 1, 0}, {96, 160, 0},
-		{96, 160, 0.99}, {96, 160, 1.2},
-		{8, 160, 0.99},
-	}
-	for _, p := range points {
-		r, err := clustersim.Run(clustersim.Config{
-			Stacks:       p.stacks,
-			VirtualNodes: p.vnodes,
-			Keys:         100_000,
-			ZipfSkew:     p.skew,
-			Requests:     requests,
-			Seed:         11,
-		})
-		if err != nil {
-			return Result{}, err
-		}
-		t.AddRow(p.stacks, p.vnodes, p.skew,
-			fmt.Sprintf("%.2f", r.Imbalance),
-			fmt.Sprintf("%.2f", r.HottestShare*100),
-			fmt.Sprintf("%.0f", r.EffectiveThroughputFraction*100))
-	}
-	return Result{ID: "hotspot", Title: "DHT load balance", Tables: []*report.Table{t}}, nil
-}
-
-// Endurance quantifies Iridium's flash-lifetime envelope: sustainable
-// PUT rates per stack for target lifetimes, using the FTL's measured
-// write amplification on cache-like churn.
-func Endurance(o Options) (Result, error) {
-	// Measure write amplification on a hot/cold churn workload.
-	ftl, err := memmodel.NewFTL(128, 64, 12)
-	if err != nil {
-		return Result{}, err
-	}
-	writes := 200_000
-	if o.Quick {
-		writes = 20_000
-	}
-	rng := sim.NewRand(5)
-	hot := ftl.LogicalPages() / 4
-	for i := 0; i < ftl.LogicalPages(); i++ {
-		if _, _, err := ftl.Write(i); err != nil {
-			return Result{}, err
-		}
-	}
-	for i := 0; i < writes; i++ {
-		if _, _, err := ftl.Write(rng.Intn(hot)); err != nil {
-			return Result{}, err
-		}
-	}
-	wa := ftl.WriteAmplification()
-	m := memmodel.IridiumEndurance(wa)
-
-	t := &report.Table{
-		Title:   "Iridium flash endurance (per 19.8GB stack)",
-		Columns: []string{"PUT rate (/s)", "Lifetime", "Viable tier"},
-		Note: fmt.Sprintf("measured FTL write amplification %.2f on hot/cold churn; %g P/E cycles; %g programs/PUT",
-			wa, float64(memmodel.DefaultFlashEnduranceCycles), m.ProgramsPerPut),
-	}
-	const (
-		day  = 24 * 3600.0
-		year = 365.25 * day
-	)
-	for _, rate := range []float64{1, 10, 100, 1_000, 10_000, 100_000} {
-		life := m.LifetimeSeconds(rate)
-		var human, verdict string
-		switch {
-		case life >= year:
-			human = fmt.Sprintf("%.1f years", life/year)
-		case life >= day:
-			human = fmt.Sprintf("%.1f days", life/day)
-		default:
-			human = fmt.Sprintf("%.1f hours", life/3600)
-		}
-		switch {
-		case life >= 3*year:
-			verdict = "yes (write-once photo tier)"
-		case life >= year/2:
-			verdict = "marginal"
-		default:
-			verdict = "no (memcached-style churn)"
-		}
-		t.AddRow(fmt.Sprintf("%.0f", rate), human, verdict)
-	}
-	rateFor5y := m.MaxPutRateForLifetime(5 * year)
-	t.AddRow("—", fmt.Sprintf("5-year budget: %.0f PUT/s", rateFor5y), "")
-	return Result{ID: "endurance", Title: "Flash endurance", Tables: []*report.Table{t}}, nil
-}
-
-// Ablation quantifies three design choices: the L2 at fast vs slow DRAM
-// (§6.2), closed- vs open-page DRAM (the paper's worst-case assumption,
-// §5.2), and 1 vs 2 cores per memory port (§5.3).
-func Ablation(o Options) (Result, error) {
-	reqs := requestCount(o)
-	measure := func(cfg stackmodel.Config, op stackmodel.Op, size int64) (stackmodel.Result, error) {
-		st, err := stackmodel.NewStack(cfg)
-		if err != nil {
-			return stackmodel.Result{}, err
-		}
-		return st.Measure(op, size, reqs)
-	}
-
-	// L2 ablation across latencies.
-	l2 := &report.Table{
-		Title:   "Ablation: 2MB L2 on an A7 Mercury core (64B GET TPS)",
-		Columns: []string{"DRAM latency", "With L2", "Without L2", "L2 speedup"},
-	}
-	for _, lat := range []sim.Duration{10 * sim.Nanosecond, 50 * sim.Nanosecond, 100 * sim.Nanosecond} {
-		with, err := measure(stackmodel.Config{
-			Core: cpu.CortexA7(), Cache: cache.L2MB2(),
-			Mem: memmodel.MustDRAM3D(lat), CoresPerStack: 1}, stackmodel.Get, 64)
-		if err != nil {
-			return Result{}, err
-		}
-		without, err := measure(stackmodel.Config{
-			Core: cpu.CortexA7(), Cache: cache.None(),
-			Mem: memmodel.MustDRAM3D(lat), CoresPerStack: 1}, stackmodel.Get, 64)
-		if err != nil {
-			return Result{}, err
-		}
-		l2.AddRow(lat.String(),
-			fmt.Sprintf("%.0f", with.TPSPerCore),
-			fmt.Sprintf("%.0f", without.TPSPerCore),
-			fmt.Sprintf("%.2fx", with.TPSPerCore/without.TPSPerCore))
-	}
-
-	// DRAM page-policy ablation.
-	page := &report.Table{
-		Title:   "Ablation: closed-page (paper worst case) vs open-page DRAM (A7, no L2, 64B GET)",
-		Columns: []string{"Policy", "Effective latency", "TPS"},
-	}
-	closed := memmodel.MustDRAM3D(50 * sim.Nanosecond)
-	open := closed.WithOpenPage(0.5, 15*sim.Nanosecond)
-	for _, row := range []struct {
-		name string
-		dev  memmodel.Device
-	}{{"closed-page", closed}, {"open-page (50% row hits)", open}} {
-		r, err := measure(stackmodel.Config{
-			Core: cpu.CortexA7(), Cache: cache.None(),
-			Mem: row.dev, CoresPerStack: 1}, stackmodel.Get, 64)
-		if err != nil {
-			return Result{}, err
-		}
-		page.AddRow(row.name, row.dev.ReadLatency().String(), fmt.Sprintf("%.0f", r.TPSPerCore))
-	}
-
-	// Port-sharing ablation under port-heavy traffic.
-	ports := &report.Table{
-		Title:   "Ablation: memory-port sharing (Iridium, 1MB GET streams)",
-		Columns: []string{"Cores/stack", "Cores per port", "Stack TPS", "Per-core TPS", "Port utilization"},
-	}
-	for _, n := range []int{16, 32} {
-		r, err := measure(stackmodel.Config{
-			Core: cpu.CortexA7(), Cache: cache.L2MB2(),
-			Mem:           memmodel.MustFlash3D(10*sim.Microsecond, 200*sim.Microsecond),
-			CoresPerStack: n}, stackmodel.Get, 1<<20)
-		if err != nil {
-			return Result{}, err
-		}
-		ports.AddRow(n, n/16,
-			fmt.Sprintf("%.1f", r.StackTPS),
-			fmt.Sprintf("%.2f", r.StackTPS/float64(n)),
-			fmt.Sprintf("%.2f", r.PortUtilization))
-	}
-
-	return Result{ID: "ablation", Title: "Design-choice ablations",
-		Tables: []*report.Table{l2, page, ports}}, nil
 }

@@ -5,15 +5,15 @@
 // yields a byte-identical schedule.
 //
 // The package is deliberately pure: it imports only the sim kernel and
-// the stdlib, holds no clocks, sockets, or goroutines, and therefore
-// satisfies the kv3d-lint determinism contract when the simulation
-// closure (clustersim) pulls it in. The live-side machinery that applies
-// a plan to real connections lives in the faultnet subpackage.
+// the stdlib, and holds no clocks, sockets, or goroutines; kv3d-lint
+// holds it to the determinism contract as one of its simulation roots,
+// so a seeded plan stays replayable. The live-side machinery that
+// applies a plan to real connections lives in the faultnet subpackage.
 //
 // Time inside a plan is a sim.Duration offset from the plan's start.
-// The simulators interpret offsets on their own synthetic time axis;
-// the live driver (faultnet.Driver) replays them 1:1 against the wall
-// clock.
+// A simulated consumer interprets offsets on its own synthetic time
+// axis; the live driver (faultnet.Driver) replays them 1:1 against the
+// wall clock.
 package faults
 
 import (
@@ -52,8 +52,8 @@ const (
 	// StackRecover restores a failed or degraded stack to full health.
 	StackRecover
 	// NodeJoin adds the target to the cluster membership at the event
-	// time — a scale-out or rejoin event. The consumer (clustersim's
-	// ring, a live harness's Membership) decides what joining means.
+	// time — a scale-out or rejoin event. The consumer (a live
+	// harness's Membership) decides what joining means.
 	NodeJoin
 	// NodeLeave removes the target from the cluster membership — a
 	// graceful departure, which unlike NodeDown is supposed to come
@@ -236,7 +236,7 @@ func sortEvents(events []Event) {
 }
 
 // Schedule is a cursor over a plan's events for consumers that advance
-// along a time axis (the simulators). It does not mutate the plan.
+// along a synthetic time axis. It does not mutate the plan.
 type Schedule struct {
 	events []Event
 	next   int

@@ -1,9 +1,9 @@
 // Package memmodel provides the memory-device models under a Mercury or
 // Iridium stack: the Tezzaron-style 8-layer 3D DRAM (16 independent
-// 128-bit ports, closed-page access), the 16-layer p-BiCS NAND Flash
-// with a functional FTL (page mapping, garbage collection, wear
-// levelling), and the Table 2 catalog of contemporary memory
-// technologies for comparison.
+// 128-bit ports, closed-page access), its bank- and row-buffer-level
+// counterpart that the dramsim experiment checks the flat model
+// against, the 16-layer p-BiCS NAND Flash, and the Table 2 catalog of
+// contemporary memory technologies for comparison.
 package memmodel
 
 import (
@@ -70,13 +70,6 @@ const (
 // DRAM3D models the stacked DRAM of a Mercury stack.
 type DRAM3D struct {
 	latency sim.Duration
-	// Open-page policy (ablation): with rowHitRate > 0, accesses that
-	// hit the open row pay rowHitLatency instead of the closed-page
-	// latency. The paper assumes closed-page for every access as a
-	// worst case (§5.2); the ablation quantifies what that conservatism
-	// costs.
-	rowHitRate    float64
-	rowHitLatency sim.Duration
 }
 
 // NewDRAM3D builds the device with a closed-page access latency; the
@@ -98,35 +91,12 @@ func MustDRAM3D(latency sim.Duration) *DRAM3D {
 	return d
 }
 
-// WithOpenPage returns a copy using an open-page row-buffer policy: a
-// fraction hitRate of accesses pay only hitLatency.
-func (d *DRAM3D) WithOpenPage(hitRate float64, hitLatency sim.Duration) *DRAM3D {
-	cp := *d
-	if hitRate < 0 {
-		hitRate = 0
-	}
-	if hitRate > 1 {
-		hitRate = 1
-	}
-	cp.rowHitRate = hitRate
-	cp.rowHitLatency = hitLatency
-	return &cp
-}
-
 func (d *DRAM3D) Kind() Kind { return KindDRAM }
 
-// ReadLatency returns the expected access latency under the configured
-// row-buffer policy (the paper's closed-page default when no open-page
-// policy is set).
-func (d *DRAM3D) ReadLatency() sim.Duration {
-	if d.rowHitRate <= 0 {
-		return d.latency
-	}
-	expected := d.rowHitRate*float64(d.rowHitLatency.Ps()) + (1-d.rowHitRate)*float64(d.latency.Ps())
-	return sim.Ps(expected).Duration()
-}
-
-func (d *DRAM3D) WriteLatency() sim.Duration { return d.ReadLatency() }
+// ReadLatency is the closed-page access latency, which the paper charges
+// to every access as a worst case (§5.2).
+func (d *DRAM3D) ReadLatency() sim.Duration  { return d.latency }
+func (d *DRAM3D) WriteLatency() sim.Duration { return d.latency }
 func (d *DRAM3D) CapacityBytes() int64       { return DRAMCapacityBytes }
 func (d *DRAM3D) Ports() int                 { return DRAMPorts }
 func (d *DRAM3D) ActiveWPerGBps() float64    { return DRAMActiveWPerGBps }

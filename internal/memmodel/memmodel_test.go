@@ -2,7 +2,6 @@ package memmodel
 
 import (
 	"testing"
-	"testing/quick"
 
 	"kv3d/internal/sim"
 )
@@ -120,171 +119,5 @@ func TestTable2Catalog(t *testing.T) {
 	}
 	if future.BandwidthGBps != 100 || future.CapacityBytes != 4<<30 || !future.Stacked {
 		t.Fatalf("future Tezzaron row wrong: %+v", future)
-	}
-}
-
-func TestFTLBasicWriteRead(t *testing.T) {
-	f, err := NewFTL(16, 8, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.LogicalPages() != 14*8 {
-		t.Fatalf("logical pages = %d", f.LogicalPages())
-	}
-	mapped, err := f.Read(0)
-	if err != nil || mapped {
-		t.Fatal("fresh page should be unmapped")
-	}
-	progs, erases, err := f.Write(0)
-	if err != nil || progs != 1 || erases != 0 {
-		t.Fatalf("first write: progs=%d erases=%d err=%v", progs, erases, err)
-	}
-	mapped, _ = f.Read(0)
-	if !mapped {
-		t.Fatal("written page should be mapped")
-	}
-}
-
-func TestFTLRejectsBadConfig(t *testing.T) {
-	if _, err := NewFTL(2, 8, 1); err == nil {
-		t.Fatal("too few blocks accepted")
-	}
-	if _, err := NewFTL(16, 0, 1); err == nil {
-		t.Fatal("zero pages/block accepted")
-	}
-	if _, err := NewFTL(16, 8, 16); err == nil {
-		t.Fatal("reserve >= blocks accepted")
-	}
-}
-
-func TestFTLBadPage(t *testing.T) {
-	f, _ := NewFTL(16, 8, 2)
-	if _, _, err := f.Write(-1); err != ErrBadPage {
-		t.Fatal("negative page accepted")
-	}
-	if _, _, err := f.Write(f.LogicalPages()); err != ErrBadPage {
-		t.Fatal("out-of-range page accepted")
-	}
-	if _, err := f.Read(99999); err != ErrBadPage {
-		t.Fatal("out-of-range read accepted")
-	}
-	if err := f.Trim(99999); err != ErrBadPage {
-		t.Fatal("out-of-range trim accepted")
-	}
-}
-
-func TestFTLOverwriteTriggersGC(t *testing.T) {
-	f, _ := NewFTL(16, 8, 2)
-	// Fill logical space once, then overwrite it several times: GC must
-	// run and write amplification must stay finite and >= 1.
-	for round := 0; round < 6; round++ {
-		for p := 0; p < f.LogicalPages(); p++ {
-			if _, _, err := f.Write(p); err != nil {
-				t.Fatalf("round %d page %d: %v", round, p, err)
-			}
-		}
-	}
-	if f.GCRuns() == 0 {
-		t.Fatal("GC never ran under sustained overwrite")
-	}
-	wa := f.WriteAmplification()
-	if wa < 1.0 {
-		t.Fatalf("write amplification %v < 1", wa)
-	}
-	if wa > 5.0 {
-		t.Fatalf("write amplification %v implausibly high for sequential overwrite", wa)
-	}
-}
-
-func TestFTLHotColdWriteAmplification(t *testing.T) {
-	// Random overwrites of a subset with cold data resident: WA > 1.
-	f, _ := NewFTL(32, 16, 4)
-	for p := 0; p < f.LogicalPages(); p++ {
-		f.Write(p)
-	}
-	rng := sim.NewRand(1)
-	hot := f.LogicalPages() / 4
-	for i := 0; i < 20_000; i++ {
-		if _, _, err := f.Write(rng.Intn(hot)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	wa := f.WriteAmplification()
-	if wa <= 1.0 {
-		t.Fatalf("hot/cold workload should amplify writes, WA = %v", wa)
-	}
-}
-
-func TestFTLWearLevelling(t *testing.T) {
-	f, _ := NewFTL(32, 8, 4)
-	for p := 0; p < f.LogicalPages(); p++ {
-		f.Write(p)
-	}
-	rng := sim.NewRand(2)
-	for i := 0; i < 30_000; i++ {
-		f.Write(rng.Intn(f.LogicalPages()))
-	}
-	min, max := f.WearSpread()
-	if max == 0 {
-		t.Fatal("no erases happened")
-	}
-	// Wear levelling bound: max erase count within 3x of min+1.
-	if float64(max) > 3*float64(min+1) {
-		t.Fatalf("wear spread too wide: min=%d max=%d", min, max)
-	}
-}
-
-func TestFTLTrimFreesSpace(t *testing.T) {
-	f, _ := NewFTL(16, 8, 2)
-	for p := 0; p < f.LogicalPages(); p++ {
-		f.Write(p)
-	}
-	for p := 0; p < f.LogicalPages(); p++ {
-		if err := f.Trim(p); err != nil {
-			t.Fatal(err)
-		}
-		mapped, _ := f.Read(p)
-		if mapped {
-			t.Fatal("trimmed page still mapped")
-		}
-	}
-	// Rewrites after trim must succeed.
-	for p := 0; p < f.LogicalPages(); p++ {
-		if _, _, err := f.Write(p); err != nil {
-			t.Fatalf("rewrite after trim: %v", err)
-		}
-	}
-}
-
-func TestFTLMappingConsistencyProperty(t *testing.T) {
-	// Model check: after arbitrary write/trim sequences, Read agrees
-	// with a simple set model.
-	f2, _ := NewFTL(16, 8, 3)
-	model := make(map[int]bool)
-	prop := func(ops []uint16) bool {
-		for _, raw := range ops {
-			page := int(raw) % f2.LogicalPages()
-			if raw%3 == 0 {
-				if f2.Trim(page) != nil {
-					return false
-				}
-				delete(model, page)
-			} else {
-				if _, _, err := f2.Write(page); err != nil {
-					return false
-				}
-				model[page] = true
-			}
-		}
-		for p := 0; p < f2.LogicalPages(); p++ {
-			mapped, _ := f2.Read(p)
-			if mapped != model[p] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
 	}
 }

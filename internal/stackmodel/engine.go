@@ -22,8 +22,6 @@ type Config struct {
 	CoresPerStack int
 	// Costs defaults to DefaultCosts() when zero.
 	Costs *RequestCosts
-	// Offload optionally adds a TSSP-style GET engine (see offload.go).
-	Offload *Offload
 	// DegradedPorts disables that many of the stack's memory ports,
 	// modeling a partially failed stack (dead TSVs or vaults): the
 	// surviving ports absorb the displaced cores' traffic, so queueing
@@ -72,10 +70,6 @@ type Stack struct {
 
 	buf   trace.Buffer
 	reqID uint64
-
-	// Optional TSSP-style GET engine.
-	offload *Offload
-	accel   *sim.Resource
 }
 
 // NewStack builds the simulated stack. Cores are assigned to ports
@@ -95,9 +89,6 @@ func NewStack(cfg Config) (*Stack, error) {
 	st.mac = netmodel.NewMAC(s, "mac")
 	st.up = netmodel.NewLink(s, "uplink")
 	st.down = netmodel.NewLink(s, "downlink")
-	if cfg.Offload != nil {
-		st.withOffload(*cfg.Offload)
-	}
 	return st, nil
 }
 
@@ -290,7 +281,7 @@ func (st *Stack) Measure(op Op, valueBytes int64, requestsPerCore int) (Result, 
 		issue()
 	}
 	st.simr.Run()
-	return st.collectResult(start, len(st.cores))
+	return st.collectResult(start)
 }
 
 // DumpTrace emits the last run's packet trace as obs spans on a fresh
@@ -303,10 +294,9 @@ func (st *Stack) DumpTrace(t *obs.Tracer) {
 	trace.EmitSpans(t, t.RegisterTrack("packets"), st.buf.Snapshot())
 }
 
-// collectResult derives trace-based statistics for a finished run.
-// clients is the closed-loop population (cores, or accelerator
-// outstanding requests); TPSPerCore reports the per-client rate.
-func (st *Stack) collectResult(start sim.Time, clients int) (Result, error) {
+// collectResult derives trace-based statistics for a finished run;
+// TPSPerCore reports the rate of one closed-loop client (one per core).
+func (st *Stack) collectResult(start sim.Time) (Result, error) {
 	// Snapshot, not Records: the extracted view must not alias storage
 	// that the next Measure's Reset will reuse.
 	rtts := trace.ExtractRTTs(st.buf.Snapshot())
@@ -333,12 +323,6 @@ func (st *Stack) collectResult(start sim.Time, clients int) (Result, error) {
 		PortUtilization: util,
 	}, nil
 }
-
-// Sentinel errors for the offload API.
-var (
-	errNoOffload = fmt.Errorf("stackmodel: stack has no offload engine")
-	errBadArgs   = fmt.Errorf("stackmodel: outstanding and requests must be positive")
-)
 
 // Breakdown reports the Figure 4 decomposition: the fraction of server
 // processing time spent in hash computation, memcached metadata work,

@@ -298,66 +298,6 @@ func TestOpString(t *testing.T) {
 	}
 }
 
-func TestOffloadRequiresEngine(t *testing.T) {
-	st, _ := NewStack(mercuryA7(1))
-	if _, err := st.MeasureOffloaded(64, 4, 10); err == nil {
-		t.Fatal("MeasureOffloaded without an engine must fail")
-	}
-	cfg := mercuryA7(1)
-	o := TSSPOffload()
-	cfg.Offload = &o
-	st2, _ := NewStack(cfg)
-	if _, err := st2.MeasureOffloaded(64, 0, 10); err == nil {
-		t.Fatal("zero outstanding must be rejected")
-	}
-}
-
-func TestOffloadBeatsCoresOnGets(t *testing.T) {
-	// One TSSP-style engine should out-serve a single A7 core by an
-	// order of magnitude on small GETs (the §3.7 premise), and pipeline
-	// well with several outstanding requests.
-	core := measure(t, mercuryA7(1), Get, 64, 100)
-
-	cfg := mercuryA7(1)
-	o := TSSPOffload()
-	cfg.Offload = &o
-	st, err := NewStack(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := st.MeasureOffloaded(64, 8, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.StackTPS < core.TPSPerCore*10 {
-		t.Fatalf("offload = %.0f TPS vs core %.0f; want >=10x", res.StackTPS, core.TPSPerCore)
-	}
-	// The engine saturates around 1/EngineTime regardless of extra
-	// outstanding requests.
-	max := 1 / o.EngineTime.Seconds()
-	if res.StackTPS > max*1.05 {
-		t.Fatalf("offload %.0f exceeds engine limit %.0f", res.StackTPS, max)
-	}
-}
-
-func TestOffloadLeavesCoresForPuts(t *testing.T) {
-	// PUTs still travel the core path on an offloaded stack.
-	cfg := mercuryA7(2)
-	o := TSSPOffload()
-	cfg.Offload = &o
-	st, err := NewStack(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := st.Measure(Put, 64, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Completed != 40 {
-		t.Fatalf("core PUT path broken: %d completed", res.Completed)
-	}
-}
-
 // TestRTTMonotoneInMemoryLatencyProperty: for any pair of DRAM latencies
 // within the sweep range, the slower device never yields a faster RTT
 // (checked across cache configs and ops).

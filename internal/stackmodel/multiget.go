@@ -132,5 +132,5 @@ func (st *Stack) MeasureMultiget(k int, valueBytes int64, batchesPerCore int) (R
 		issue()
 	}
 	st.simr.Run()
-	return st.collectResult(start, len(st.cores))
+	return st.collectResult(start)
 }
