@@ -1,98 +1,32 @@
-// Command kv3d-client is a load generator and one-shot client for any
-// memcached-compatible server (including kv3d-server).
-//
-// Load generation:
-//
-//	kv3d-client -addr localhost:11211 -load -conns 8 -duration 5s \
-//	    -get-fraction 0.9 -value-size 64 -keys 100000 -zipf 1.01
-//
-// One-shot commands:
+// Command kv3d-client is a one-shot client for any memcached-compatible
+// server (including kv3d-server):
 //
 //	kv3d-client -addr localhost:11211 set mykey hello
 //	kv3d-client -addr localhost:11211 get mykey
 //	kv3d-client -addr localhost:11211 stats
 //
-// With -probes the load generator routes through the resilience layer
-// (retries, backoff, circuit breaker) and dumps its kvclient.* probe
-// registry as JSON on stdout when the run ends; the human-readable
-// summary moves to stderr so the JSON stays machine-parseable.
+// Load generation lives in one place, the benchmark harness
+// (go run ./benchmark).
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"log"
-	"os"
 	"sort"
-	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"kv3d/internal/kvclient"
-	"kv3d/internal/metrics"
-	"kv3d/internal/obs"
-	"kv3d/internal/protocol"
-	"kv3d/internal/workload"
 )
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:11211", "server address")
-	load := flag.Bool("load", false, "run the load generator")
-	conns := flag.Int("conns", 4, "load: concurrent connections")
-	duration := flag.Duration("duration", 5*time.Second, "load: run time")
-	getFraction := flag.Float64("get-fraction", 0.9, "load: GET share")
-	valueSize := flag.Int64("value-size", 64, "load: value bytes")
-	keys := flag.Int("keys", 10000, "load: key-space size")
-	zipf := flag.Float64("zipf", 1.01, "load: key popularity skew (0 = uniform)")
-	seed := flag.Uint64("seed", 1, "load: RNG seed")
-	probes := flag.Bool("probes", false, "load: use the cluster client and dump kvclient.* probes as JSON on exit")
-	addrs := flag.String("addrs", "", "load: comma-separated cluster node addresses (default: just -addr); implies the cluster client")
-	replicas := flag.Int("replicas", 1, "load: cluster replica count per key")
-	writeMode := flag.String("write-mode", "default", "load: per-op replication mode for cluster writes: default, async, or quorum (binary cluster)")
-	readRepair := flag.Bool("read-repair", false, "load: repair divergent replicas on cluster reads")
 	flag.Parse()
-
-	mode, ok := protocol.ParseReplMode(*writeMode)
-	if !ok {
-		log.Fatalf("kv3d-client: -write-mode must be default, async, or quorum, got %q", *writeMode)
-	}
-	nodeAddrs := []string{*addr}
-	if *addrs != "" {
-		nodeAddrs = nodeAddrs[:0]
-		for _, a := range strings.Split(*addrs, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				nodeAddrs = append(nodeAddrs, a)
-			}
-		}
-	}
-	if *load {
-		runLoad(loadConfig{
-			addrs:       nodeAddrs,
-			conns:       *conns,
-			duration:    *duration,
-			getFraction: *getFraction,
-			valueSize:   *valueSize,
-			keys:        *keys,
-			zipf:        *zipf,
-			seed:        *seed,
-			probes:      *probes,
-			replicas:    *replicas,
-			writeMode:   mode,
-			readRepair:  *readRepair,
-		})
-		return
-	}
-	if *probes {
-		log.Fatal("kv3d-client: -probes requires -load")
-	}
 	runCommand(*addr, flag.Args())
 }
 
 func runCommand(addr string, args []string) {
 	if len(args) == 0 {
-		log.Fatal("kv3d-client: need a command (get/set/delete/incr/stats/version) or -load")
+		log.Fatal("kv3d-client: need a command (get/set/delete/incr/stats/version)")
 	}
 	c, err := kvclient.Dial(addr)
 	if err != nil {
@@ -157,167 +91,5 @@ func runCommand(addr string, args []string) {
 		fmt.Println(v)
 	default:
 		log.Fatalf("kv3d-client: unknown command %q", args[0])
-	}
-}
-
-// loadConn is the surface the load loop needs; both the plain Client
-// and the ClusterClient (selected by -probes or any cluster flag)
-// satisfy it.
-type loadConn interface {
-	Get(key string) (kvclient.Item, error)
-	Set(key string, value []byte, flags uint32, exptime int64) error
-	Close() error
-}
-
-// loadConfig carries the load generator's knobs.
-type loadConfig struct {
-	addrs       []string
-	conns       int
-	duration    time.Duration
-	getFraction float64
-	valueSize   int64
-	keys        int
-	zipf        float64
-	seed        uint64
-	probes      bool
-	replicas    int
-	writeMode   protocol.ReplMode
-	readRepair  bool
-}
-
-// modeConn routes Sets through SetMode so the chosen consistency mode
-// rides every write.
-type modeConn struct {
-	*kvclient.ClusterClient
-	mode protocol.ReplMode
-}
-
-func (c modeConn) Set(key string, value []byte, flags uint32, exptime int64) error {
-	return c.ClusterClient.SetMode(key, value, flags, exptime, c.mode)
-}
-
-func runLoad(lc loadConfig) {
-	addr := lc.addrs[0]
-	conns, duration := lc.conns, lc.duration
-	getFraction, valueSize := lc.getFraction, lc.valueSize
-	keys, zipf, seed := lc.keys, lc.zipf, lc.seed
-	// Any cluster-layer knob routes through the ClusterClient; plain
-	// single-connection load otherwise.
-	useCluster := lc.probes || len(lc.addrs) > 1 || lc.replicas > 1 ||
-		lc.writeMode != protocol.ReplDefault || lc.readRepair
-	var (
-		ops      atomic.Uint64
-		hits     atomic.Uint64
-		misses   atomic.Uint64
-		errsN    atomic.Uint64
-		mu       sync.Mutex
-		combined = metrics.NewHistogram()
-	)
-	var reg *obs.Registry
-	if lc.probes {
-		reg = obs.NewRegistry()
-	}
-	dial := func(worker int) (loadConn, error) {
-		if !useCluster {
-			return kvclient.Dial(addr)
-		}
-		cc, err := kvclient.NewCluster(kvclient.ClusterConfig{
-			Addrs:      lc.addrs,
-			Replicas:   lc.replicas,
-			Binary:     lc.writeMode != protocol.ReplDefault,
-			ReadRepair: lc.readRepair,
-			Probes:     reg,
-			Seed:       seed + uint64(worker),
-		})
-		if err != nil {
-			return nil, err
-		}
-		if lc.writeMode != protocol.ReplDefault {
-			return modeConn{cc, lc.writeMode}, nil
-		}
-		return cc, nil
-	}
-	value := make([]byte, valueSize)
-	for i := range value {
-		value[i] = byte('a' + i%26)
-	}
-	deadline := time.Now().Add(duration)
-	var wg sync.WaitGroup
-	for i := 0; i < conns; i++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			c, err := dial(worker)
-			if err != nil {
-				log.Printf("worker %d: %v", worker, err)
-				errsN.Add(1)
-				return
-			}
-			defer c.Close()
-			gen, err := workload.NewGenerator(workload.MixConfig{
-				GetFraction: getFraction,
-				Keys:        keys,
-				ZipfSkew:    zipf,
-				Values:      workload.FixedSize(valueSize),
-				Seed:        seed + uint64(worker),
-			})
-			if err != nil {
-				log.Printf("worker %d: %v", worker, err)
-				return
-			}
-			hist := metrics.NewHistogram()
-			for time.Now().Before(deadline) {
-				req := gen.Next()
-				start := time.Now()
-				if req.IsGet {
-					_, err := c.Get(req.Key)
-					switch err {
-					case nil:
-						hits.Add(1)
-					case kvclient.ErrNotFound:
-						misses.Add(1)
-					default:
-						errsN.Add(1)
-						continue
-					}
-				} else {
-					if err := c.Set(req.Key, value, 0, 0); err != nil {
-						errsN.Add(1)
-						continue
-					}
-				}
-				hist.Record(time.Since(start).Nanoseconds())
-				ops.Add(1)
-			}
-			mu.Lock()
-			combined.Merge(hist)
-			mu.Unlock()
-		}(i)
-	}
-	wg.Wait()
-
-	// With -probes, stdout carries only the probe JSON.
-	var out io.Writer = os.Stdout
-	if reg != nil {
-		out = os.Stderr
-	}
-	total := ops.Load()
-	fmt.Fprintf(out, "ops:        %d (%.0f/s)\n", total, float64(total)/duration.Seconds())
-	fmt.Fprintf(out, "hits:       %d  misses: %d  errors: %d\n", hits.Load(), misses.Load(), errsN.Load())
-	if combined.Count() > 0 {
-		fmt.Fprintf(out, "latency us: mean=%.1f p50=%.1f p95=%.1f p99=%.1f max=%.1f\n",
-			combined.Mean()/1e3,
-			float64(combined.Percentile(50))/1e3,
-			float64(combined.Percentile(95))/1e3,
-			float64(combined.Percentile(99))/1e3,
-			float64(combined.Max())/1e3)
-	}
-	if reg != nil {
-		if err := obs.WriteProbesJSON(os.Stdout, reg.Snapshot()); err != nil {
-			log.Printf("kv3d-client: probes: %v", err)
-		}
-	}
-	if errsN.Load() > 0 {
-		os.Exit(1)
 	}
 }

@@ -53,13 +53,13 @@ var bannedRandFuncs = map[string]bool{
 // other packages.
 func checkDeterminism(a *analysis) []finding {
 	var out []finding
-	closure := a.simClosure()
+	closure := a.closure()
 	for path, via := range closure {
 		pkg := a.pkgs[path]
 		if pkg.depOnly {
 			continue
 		}
-		reach := "a sim root"
+		reach := "a root"
 		if via != "" {
 			reach = fmt.Sprintf("imported via %s", via)
 		}
@@ -85,7 +85,7 @@ func checkDeterminism(a *analysis) []finding {
 						out = append(out, finding{
 							pos:   a.fset.Position(call.Pos()),
 							check: "determinism",
-							msg: fmt.Sprintf("time.%s %s; package %s is in the sim-determinism set (%s) — use sim virtual time or an injected Clock",
+							msg: fmt.Sprintf("time.%s %s; package %s must be deterministic (%s) — read time through a clock.Clock or sim virtual time",
 								fn.Name(), why, path, reach),
 						})
 					}
@@ -94,7 +94,7 @@ func checkDeterminism(a *analysis) []finding {
 						out = append(out, finding{
 							pos:   a.fset.Position(call.Pos()),
 							check: "determinism",
-							msg: fmt.Sprintf("rand.%s uses the global math/rand source; package %s is in the sim-determinism set (%s) — use a seeded sim.Rand or an injected *rand.Rand",
+							msg: fmt.Sprintf("rand.%s uses the global math/rand source; package %s must be deterministic (%s) — use a seeded sim.Rand or an injected *rand.Rand",
 								fn.Name(), path, reach),
 						})
 					}

@@ -58,30 +58,33 @@ type analysis struct {
 	// resolved object (see funcDecls).
 	declOf map[*types.Func]*ast.FuncDecl
 
-	// simRoots are the packages whose (transitive) imports must be
-	// deterministic; allow exempts live-server packages that sit outside
-	// the simulation even when the graph reaches them.
-	simRoots []string
-	allow    map[string]bool
+	// roots are the packages whose (transitive) imports must be
+	// deterministic; allow exempts the one package that reads the host
+	// clock on everyone else's behalf.
+	roots []string
+	allow map[string]bool
 }
 
-// defaultSimRoots lists the simulation entry points, relative to the
-// module path. Every package one of these imports must obey the
-// determinism contract.
-var defaultSimRoots = []string{
+// defaultRoots lists, relative to the module path, the simulation entry
+// points and the live path's: every package one of these imports must
+// obey the determinism contract. The live path reads time only through
+// a clock.Clock, so a test can drive it on a fake.
+var defaultRoots = []string{
 	"internal/sim",
 	"internal/serversim",
 	"internal/experiments",
 	"internal/faults",
-}
-
-// defaultAllow lists real-server packages that are reachable from the
-// sim roots (experiments drive the live store too) but legitimately
-// touch wall clocks: they never run inside a simulation.
-var defaultAllow = []string{
+	"internal/protocol",
 	"internal/kvserver",
 	"internal/kvclient",
-	"internal/server",
+	"cmd/kv3d-server",
+	"cmd/kv3d-client",
+}
+
+// defaultAllow lists the packages the roots may reach that read the
+// host clock anyway: internal/clock, whose Wall is the one host clock.
+var defaultAllow = []string{
+	"internal/clock",
 }
 
 // load parses every package matched by the patterns under root, builds
@@ -111,8 +114,8 @@ func load(root string, patterns []string) (*analysis, error) {
 		pkgs:   map[string]*pkgInfo{},
 		allow:  map[string]bool{},
 	}
-	for _, r := range defaultSimRoots {
-		a.simRoots = append(a.simRoots, module+"/"+r)
+	for _, r := range defaultRoots {
+		a.roots = append(a.roots, module+"/"+r)
 	}
 	for _, al := range defaultAllow {
 		a.allow[module+"/"+al] = true
@@ -437,10 +440,10 @@ func parsePackage(fset *token.FileSet, root, module, dir string) (*pkgInfo, erro
 	return pkg, nil
 }
 
-// simClosure returns every analyzed package reachable from the sim
-// roots (roots included, allowlist excluded), mapped to a human-readable
+// closure returns every analyzed package reachable from the
+// determinism roots (roots included, allowlist excluded), mapped to a human-readable
 // import chain like "imported via kv3d/internal/experiments".
-func (a *analysis) simClosure() map[string]string {
+func (a *analysis) closure() map[string]string {
 	out := map[string]string{}
 	var visit func(path, via string)
 	visit = func(path, via string) {
@@ -459,7 +462,7 @@ func (a *analysis) simClosure() map[string]string {
 			visit(imp, path)
 		}
 	}
-	for _, r := range a.simRoots {
+	for _, r := range a.roots {
 		visit(r, "")
 	}
 	return out

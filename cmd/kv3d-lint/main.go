@@ -17,7 +17,8 @@
 // Checks (see LINTING.md for the full contract, and for the audit that
 // deleted the six others this tool once had):
 //
-//	determinism   wall-clock and global-rand calls in sim-imported packages
+//	determinism   wall-clock and global-rand calls in packages the
+//	              simulator or the live path reaches
 //	lockorder     lock-acquisition-order cycles and lock-held calls into
 //	              methods that re-acquire
 //	errdrop       dropped errors at flush/conn-write/renderer sinks

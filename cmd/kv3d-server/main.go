@@ -29,7 +29,6 @@ import (
 	"kv3d/internal/kvstore"
 	"kv3d/internal/obs"
 	"kv3d/internal/protocol"
-	"kv3d/internal/sim"
 )
 
 // replAdapter bridges kvclient.BinaryClient to kvserver.ReplConn
@@ -149,7 +148,7 @@ func main() {
 			DefaultMode:   mode,
 			QuorumTimeout: *quorumTimeout,
 			Flight:        rec,
-			NowNanos:      func() sim.Ns { return sim.Ns(time.Now().UnixNano()) },
+			Clock:         store.Clock(),
 			Dial: func(addr string) (kvserver.ReplConn, error) {
 				bc, err := kvclient.DialBinaryOptions(addr, kvclient.Options{
 					DialTimeout: *quorumTimeout, OpTimeout: *quorumTimeout,

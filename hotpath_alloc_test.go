@@ -23,6 +23,7 @@ import (
 	"strings"
 	"testing"
 
+	"kv3d/internal/clock"
 	"kv3d/internal/kvstore"
 	"kv3d/internal/obs"
 	"kv3d/internal/protocol"
@@ -114,8 +115,6 @@ func TestASCIIGetWithFlightZeroAllocPerOp(t *testing.T) {
 	}
 	rec := obs.NewFlightRecorder("gate", 256)
 	sink := &flightGateSink{rec: rec, track: rec.RegisterTrack("ops")}
-	var clock int64
-	nowNanos := func() sim.Ns { clock += 1000; return sim.Ns(clock) }
 	var nullObs nullObserver
 	session := func(n int) string {
 		var b strings.Builder
@@ -128,7 +127,7 @@ func TestASCIIGetWithFlightZeroAllocPerOp(t *testing.T) {
 	serve := func(req string) {
 		r := bufio.NewReaderSize(strings.NewReader(req), 4096)
 		w := bufio.NewWriterSize(io.Discard, 4096)
-		env := protocol.Env{Observer: nullObs, NowNanos: nowNanos, Flight: sink, FlightEvery: 1}
+		env := protocol.Env{Observer: nullObs, Clock: clock.NewFake(1000), Flight: sink, FlightEvery: 1}
 		if err := protocol.NewSessionBuffered(st, r, w, env).Serve(); err != nil {
 			t.Fatalf("serve: %v", err)
 		}

@@ -3,9 +3,12 @@ package experiments
 import (
 	"container/list"
 	"fmt"
+	"time"
 
+	"kv3d/internal/clock"
 	"kv3d/internal/kvstore"
 	"kv3d/internal/report"
+	"kv3d/internal/sim"
 	"kv3d/internal/workload"
 )
 
@@ -70,15 +73,22 @@ func EvictionQuality(o Options) (Result, error) {
 }
 
 // newEvictionStore builds the one-shard store a scenario runs against.
-// The clock is logical (one tick per store call) because the
+// The clock is logical (one second per store call) because the
 // determinism contract (LINTING.md) forbids the wall-clock default in
 // sim-reachable code: the table must replay byte-identically.
 func newEvictionStore(memBytes int64) (*kvstore.Store, error) {
 	cfg := kvstore.DefaultConfig(memBytes)
 	cfg.Shards = 1
-	var tick int64
-	cfg.Clock = func() int64 { tick++; return tick }
+	cfg.Clock = tickClock{clock.NewFake(0)}
 	return kvstore.New(cfg)
+}
+
+// tickClock is a logical clock one second further on every read.
+type tickClock struct{ *clock.Fake }
+
+func (c tickClock) Now() sim.Ns {
+	c.Advance(time.Second)
+	return c.Fake.Now()
 }
 
 // storeCapacity is how many of a scenario's items the store holds once

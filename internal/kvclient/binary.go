@@ -17,6 +17,7 @@ import (
 	"net"
 	"time"
 
+	"kv3d/internal/clock"
 	"kv3d/internal/protocol"
 )
 
@@ -99,13 +100,13 @@ func (b *BinaryClient) takeOpaque() uint32 {
 
 func (b *BinaryClient) armRead() {
 	if b.opTimeout > 0 {
-		b.conn.SetReadDeadline(time.Now().Add(b.opTimeout)) // deadline arming cannot usefully fail mid-op; the read reports any connection error
+		b.conn.SetReadDeadline(clock.Deadline(b.opTimeout)) // deadline arming cannot usefully fail mid-op; the read reports any connection error
 	}
 }
 
 func (b *BinaryClient) flush() error {
 	if b.opTimeout > 0 {
-		b.conn.SetWriteDeadline(time.Now().Add(b.opTimeout)) // deadline arming cannot usefully fail mid-op; the flush reports any connection error
+		b.conn.SetWriteDeadline(clock.Deadline(b.opTimeout)) // deadline arming cannot usefully fail mid-op; the flush reports any connection error
 	}
 	return b.w.Flush()
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"kv3d/internal/clock"
 	"kv3d/internal/faults"
 	"kv3d/internal/faults/faultnet"
 	"kv3d/internal/kvclient"
@@ -202,7 +203,7 @@ func TestClusterClientNoLeaks(t *testing.T) {
 		Addrs:      addrs,
 		Replicas:   2,
 		MaxRetries: 2,
-		Sleep:      func(time.Duration) {},
+		Clock:      clock.NewFake(0),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -13,6 +13,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"kv3d/internal/clock"
 )
 
 // Common protocol-level results.
@@ -104,7 +106,7 @@ func NewClientOptions(conn net.Conn, o Options) *Client {
 // read, not one shared budget for the whole operation.
 func (c *Client) armRead() {
 	if c.opTimeout > 0 {
-		c.conn.SetReadDeadline(time.Now().Add(c.opTimeout)) // deadline arming cannot usefully fail mid-op; the read reports any connection error
+		c.conn.SetReadDeadline(clock.Deadline(c.opTimeout)) // deadline arming cannot usefully fail mid-op; the read reports any connection error
 	}
 }
 
@@ -113,14 +115,14 @@ func (c *Client) armRead() {
 // the buffer flushes mid-Write).
 func (c *Client) armWrite() {
 	if c.opTimeout > 0 {
-		c.conn.SetWriteDeadline(time.Now().Add(c.opTimeout)) // deadline arming cannot usefully fail mid-op; the write reports any connection error
+		c.conn.SetWriteDeadline(clock.Deadline(c.opTimeout)) // deadline arming cannot usefully fail mid-op; the write reports any connection error
 	}
 }
 
 // flush arms the write deadline and flushes the buffered request.
 func (c *Client) flush() error {
 	if c.opTimeout > 0 {
-		c.conn.SetWriteDeadline(time.Now().Add(c.opTimeout)) // deadline arming cannot usefully fail mid-op; the flush reports any connection error
+		c.conn.SetWriteDeadline(clock.Deadline(c.opTimeout)) // deadline arming cannot usefully fail mid-op; the flush reports any connection error
 	}
 	return c.w.Flush()
 }

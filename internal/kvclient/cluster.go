@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"kv3d/internal/clock"
 	"kv3d/internal/cluster"
 	"kv3d/internal/obs"
 	"kv3d/internal/sim"
@@ -22,7 +23,7 @@ import (
 // circuit breaker — a node that fails EjectAfter consecutive transport
 // operations is removed from the ring, then re-admitted on probation
 // after Probation elapses (one more failure re-ejects it immediately).
-// Both the backoff's randomness and its sleeps are injectable, so the
+// Both the backoff's randomness and its clock are injectable, so the
 // chaos suite runs the whole layer deterministically.
 //
 // ClusterClient is safe for concurrent use: each node's connection is
@@ -40,7 +41,7 @@ type ClusterClient struct {
 	fanout     int
 	readRepair bool
 
-	sleep  func(time.Duration)
+	clock  clock.Clock
 	jitter func() float64
 	probes *obs.Registry
 	// flight is nil unless ClusterConfig.Flight was set; every method on
@@ -75,9 +76,9 @@ type nodeState struct {
 	conn NodeConn //kv3d:guardedby mu
 
 	// Health fields below are guarded by ClusterClient.mu, not mu.
-	fails   int       //kv3d:guardedby ClusterClient.mu
-	ejected bool      //kv3d:guardedby ClusterClient.mu
-	retryAt time.Time //kv3d:guardedby ClusterClient.mu
+	fails   int    //kv3d:guardedby ClusterClient.mu
+	ejected bool   //kv3d:guardedby ClusterClient.mu
+	retryAt sim.Ns //kv3d:guardedby ClusterClient.mu
 }
 
 // ClusterConfig configures a ClusterClient.
@@ -117,9 +118,11 @@ type ClusterConfig struct {
 	// different seeds jitter differently; the same seed replays the
 	// same backoff sequence.
 	Seed uint64
-	// Sleep replaces the backoff sleep (default time.Sleep). Tests
-	// inject a recorder to assert the schedule without waiting it out.
-	Sleep func(time.Duration)
+	// Clock runs the backoff sleeps and the probation, and stamps the
+	// flight recording (default clock.Wall). On a clock.Fake a backoff
+	// advances the fake instead of waiting, so a test reads the schedule
+	// off the fake's timeline.
+	Clock clock.Clock
 	// Jitter replaces the backoff jitter draw, which must return values
 	// in [0, 1). Default: a seeded deterministic generator.
 	Jitter func() float64
@@ -150,9 +153,6 @@ type ClusterConfig struct {
 	// events (retry, backoff, failover, breaker transitions) into the
 	// given ring.
 	Flight *obs.FlightRecorder
-	// FlightNow supplies flight timestamps (default: wall clock). Tests
-	// inject a fake clock for reproducible traces.
-	FlightNow func() sim.Ns
 }
 
 // ErrNoNodes is returned when the ring is empty.
@@ -193,6 +193,9 @@ func NewCluster(cfg ClusterConfig) (*ClusterClient, error) {
 	if cfg.MultigetFanout <= 0 {
 		cfg.MultigetFanout = 4
 	}
+	if cfg.Clock == nil {
+		cfg.Clock = clock.Wall
+	}
 	opts := Options{DialTimeout: cfg.DialTimeout, OpTimeout: cfg.OpTimeout}
 	c := &ClusterClient{
 		ring:       cluster.NewRing(cfg.VirtualNodes),
@@ -204,10 +207,10 @@ func NewCluster(cfg ClusterConfig) (*ClusterClient, error) {
 		probation:  cfg.Probation,
 		fanout:     cfg.MultigetFanout,
 		readRepair: cfg.ReadRepair,
-		sleep:      cfg.Sleep,
+		clock:      cfg.Clock,
 		jitter:     cfg.Jitter,
 		probes:     cfg.Probes,
-		flight:     newClientFlight(cfg.Flight, cfg.FlightNow),
+		flight:     newClientFlight(cfg.Flight, cfg.Clock),
 		nodes:      make(map[string]*nodeState),
 		rng:        sim.NewRand(cfg.Seed),
 		dial: func(addr string) (NodeConn, error) {
@@ -216,9 +219,6 @@ func NewCluster(cfg ClusterConfig) (*ClusterClient, error) {
 			}
 			return DialOptions(addr, opts)
 		},
-	}
-	if c.sleep == nil {
-		c.sleep = time.Sleep
 	}
 	if c.jitter == nil {
 		c.jitter = c.seededJitter
@@ -343,7 +343,7 @@ func (c *ClusterClient) observedOp(addr, name string, fn func(NodeConn) error) e
 	}
 	opaque := c.flight.nextOpaque()
 	correlated := false
-	start := c.flight.now()
+	start := c.clock.Now()
 	err := c.opOnNode(addr, func(conn NodeConn) error {
 		if bc, ok := conn.(*BinaryClient); ok {
 			bc.SetNextOpaque(opaque)
@@ -351,7 +351,7 @@ func (c *ClusterClient) observedOp(addr, name string, fn func(NodeConn) error) e
 		}
 		return fn(conn)
 	})
-	end := c.flight.now()
+	end := c.clock.Now()
 	if !correlated {
 		opaque = 0 // ASCII conn or failed dial: client-side span only
 	}
@@ -382,7 +382,7 @@ func (c *ClusterClient) recordFailure(addr string) {
 	eject := !ns.ejected && ns.fails >= c.ejectAfter
 	if eject {
 		ns.ejected = true
-		ns.retryAt = time.Now().Add(c.probation)
+		ns.retryAt = c.clock.Now() + sim.Ns(c.probation)
 	}
 	c.mu.Unlock()
 	if eject {
@@ -398,11 +398,11 @@ func (c *ClusterClient) recordFailure(addr string) {
 // is ejected the breaker yields — all are re-admitted immediately,
 // because guessing at a dead cluster beats refusing a live one.
 func (c *ClusterClient) maybeReadmit() {
-	now := time.Now()
+	now := c.clock.Now()
 	var back []string
 	c.mu.Lock()
 	for addr, ns := range c.nodes {
-		if ns.ejected && now.After(ns.retryAt) {
+		if ns.ejected && now > ns.retryAt {
 			ns.ejected = false
 			ns.fails = c.ejectAfter - 1
 			back = append(back, addr)
@@ -458,7 +458,7 @@ func (c *ClusterClient) withRetry(fn func() error) error {
 		c.flight.instant("retry")
 		d := time.Duration(c.jitter() * float64(ceiling))
 		c.flight.backoff(d)
-		c.sleep(d)
+		c.clock.Sleep(d)
 	}
 }
 

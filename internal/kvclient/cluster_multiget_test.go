@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"kv3d/internal/clock"
 	"kv3d/internal/kvclient"
 	"kv3d/internal/kvserver"
 	"kv3d/internal/obs"
@@ -34,7 +35,7 @@ func startMultigetCluster(t *testing.T, n, replicas int) (*kvclient.ClusterClien
 		MaxRetries:  1,
 		DialTimeout: 500 * time.Millisecond,
 		OpTimeout:   500 * time.Millisecond,
-		Sleep:       func(time.Duration) {}, // don't wait out backoff in tests
+		Clock:       clock.NewFake(0), // backoff advances the fake instead of waiting
 		Probes:      reg,
 	})
 	if err != nil {

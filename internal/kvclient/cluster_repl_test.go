@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"kv3d/internal/clock"
 	"kv3d/internal/kvclient"
 	"kv3d/internal/obs"
 	"kv3d/internal/protocol"
@@ -35,7 +36,7 @@ func startReplCluster(t *testing.T, n, replicas int, readRepair bool) (*kvclient
 		Probation:   time.Minute,
 		DialTimeout: 500 * time.Millisecond,
 		OpTimeout:   500 * time.Millisecond,
-		Sleep:       func(time.Duration) {},
+		Clock:       clock.NewFake(0),
 		Probes:      reg,
 	})
 	if err != nil {
@@ -67,7 +68,7 @@ func TestClusterGetMultiReResolvesOwners(t *testing.T) {
 		Probation:   time.Minute,
 		DialTimeout: 500 * time.Millisecond,
 		OpTimeout:   500 * time.Millisecond,
-		Sleep:       func(time.Duration) {},
+		Clock:       clock.NewFake(0),
 		Probes:      reg,
 	})
 	if err != nil {
@@ -174,7 +175,7 @@ func TestClusterSetModeFailsOver(t *testing.T) {
 		Addrs: addrs, Replicas: 2, Binary: true,
 		MaxRetries: 1, EjectAfter: 1, Probation: time.Minute,
 		DialTimeout: 500 * time.Millisecond, OpTimeout: 500 * time.Millisecond,
-		Sleep: func(time.Duration) {}, Probes: reg,
+		Clock: clock.NewFake(0), Probes: reg,
 	})
 	if err != nil {
 		t.Fatal(err)

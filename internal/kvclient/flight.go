@@ -8,15 +8,15 @@ package kvclient
 // attempt to the exact server-side parse/execute/write phases that
 // handled it. ASCII has no opaque, so its spans stay client-side only.
 //
-// kvclient sits outside the simulator's deterministic import closure,
-// so defaulting to the wall clock is fine here; tests inject a fake
-// through ClusterConfig.FlightNow for reproducible traces.
+// Stamps come from ClusterConfig.Clock, so a test on a clock.Fake
+// records a reproducible trace.
 
 import (
 	"errors"
 	"sync/atomic"
 	"time"
 
+	"kv3d/internal/clock"
 	"kv3d/internal/obs"
 	"kv3d/internal/sim"
 )
@@ -27,7 +27,7 @@ import (
 // makes the merged view line up.
 type clientFlight struct {
 	rec    *obs.FlightRecorder
-	now    func() sim.Ns
+	clock  clock.Clock
 	ops    obs.TrackID // per-attempt op spans
 	events obs.TrackID // resilience-layer instants
 
@@ -38,16 +38,13 @@ type clientFlight struct {
 
 // newClientFlight returns nil (a valid, disabled recorder) when rec is
 // nil; every method is nil-safe.
-func newClientFlight(rec *obs.FlightRecorder, now func() sim.Ns) *clientFlight {
+func newClientFlight(rec *obs.FlightRecorder, clk clock.Clock) *clientFlight {
 	if rec == nil {
 		return nil
 	}
-	if now == nil {
-		now = func() sim.Ns { return sim.Ns(time.Now().UnixNano()) }
-	}
 	return &clientFlight{
 		rec:    rec,
-		now:    now,
+		clock:  clk,
 		ops:    rec.RegisterTrack("cli.ops"),
 		events: rec.RegisterTrack("cli.events"),
 	}
@@ -81,7 +78,7 @@ func (f *clientFlight) instant(name string) {
 	if f == nil {
 		return
 	}
-	f.rec.Instant(f.events, name, f.now())
+	f.rec.Instant(f.events, name, f.clock.Now())
 }
 
 // backoff records a retry sleep with its duration as the argument.
@@ -89,7 +86,7 @@ func (f *clientFlight) backoff(d time.Duration) {
 	if f == nil {
 		return
 	}
-	f.rec.InstantArg(f.events, "backoff", f.now(), d.Nanoseconds())
+	f.rec.InstantArg(f.events, "backoff", f.clock.Now(), d.Nanoseconds())
 }
 
 // flightOutcome maps an attempt error onto the same outcome vocabulary

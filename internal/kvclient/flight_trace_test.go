@@ -3,11 +3,12 @@ package kvclient
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net"
-	"sync/atomic"
 	"testing"
 	"time"
 
+	"kv3d/internal/clock"
 	"kv3d/internal/kvserver"
 	"kv3d/internal/kvstore"
 	"kv3d/internal/obs"
@@ -15,22 +16,27 @@ import (
 	"kv3d/internal/testutil"
 )
 
-// fakeNs is a deterministic strictly-increasing clock: every call
-// advances one microsecond.
-func fakeNs() func() sim.Ns {
-	var n atomic.Int64
-	return func() sim.Ns { return sim.Ns(n.Add(1000)) }
+// stepClock is a deterministic strictly increasing clock: every read
+// advances it one microsecond, and a sleep advances it without waiting.
+type stepClock struct{ *clock.Fake }
+
+func newStepClock() stepClock { return stepClock{clock.NewFake(0)} }
+
+func (c stepClock) Now() sim.Ns {
+	c.Advance(time.Microsecond)
+	return c.Fake.Now()
 }
 
 func startFlightedServer(t *testing.T, name string) (*kvserver.Server, *obs.FlightRecorder, string) {
 	t.Helper()
-	st, err := kvstore.New(kvstore.DefaultConfig(32 << 20))
+	cfg := kvstore.DefaultConfig(32 << 20)
+	cfg.Clock = newStepClock()
+	st, err := kvstore.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := obs.NewFlightRecorder(name, 512)
 	srv := kvserver.NewWithOptions(st, nil, kvserver.Options{
-		NowNanos:    fakeNs(),
 		Flight:      rec,
 		FlightEvery: 1,
 	})
@@ -147,9 +153,8 @@ func TestCorrelatedRetryTrace(t *testing.T) {
 		MaxRetries: 3,
 		EjectAfter: 1,
 		Probation:  time.Hour,
-		Sleep:      func(time.Duration) {},
+		Clock:      newStepClock(),
 		Flight:     cliRec,
-		FlightNow:  fakeNs(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +162,8 @@ func TestCorrelatedRetryTrace(t *testing.T) {
 
 	// Find a key the dead node owns, so the first attempt must fail.
 	var key string
-	for _, k := range []string{"k0", "k1", "k2", "k3", "k4", "k5", "k6", "k7", "k8", "k9"} {
+	for i := 0; i < 100; i++ { // ten keys all missed it about once in 2^10 runs
+		k := fmt.Sprintf("k%d", i)
 		owners, err := c.ownersFor(k)
 		if err != nil {
 			t.Fatal(err)

@@ -2,14 +2,16 @@ package kvclient_test
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
 	"net"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
+	"kv3d/internal/clock"
 	"kv3d/internal/kvclient"
 	"kv3d/internal/kvserver"
 	"kv3d/internal/kvstore"
@@ -145,21 +147,18 @@ func TestClusterRetriesBusyWithRecordedBackoff(t *testing.T) {
 		"SERVER_ERROR busy\r\n",
 		"END\r\n",
 	})
-	var mu sync.Mutex
-	var slept []time.Duration
 	reg := obs.NewRegistry()
+	clk := clock.NewFake(0)
+	rec := obs.NewFlightRecorder("client", 64)
 	cc, err := kvclient.NewCluster(kvclient.ClusterConfig{
 		Addrs:          []string{addr},
 		MaxRetries:     3,
 		RetryBaseDelay: 2 * time.Millisecond,
 		RetryMaxDelay:  250 * time.Millisecond,
 		Jitter:         func() float64 { return 0.5 },
-		Sleep: func(d time.Duration) {
-			mu.Lock()
-			slept = append(slept, d)
-			mu.Unlock()
-		},
-		Probes: reg,
+		Clock:          clk,
+		Flight:         rec,
+		Probes:         reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -169,18 +168,21 @@ func TestClusterRetriesBusyWithRecordedBackoff(t *testing.T) {
 		t.Fatalf("err = %v, want ErrNotFound after retries drained the busy spell", err)
 	}
 	// Two busy replies → two backoff sleeps at jitter 0.5 of the
-	// doubling ceiling: 1ms, 2ms.
+	// doubling ceiling: 1ms, 2ms, the second starting when the first
+	// ended on the fake's timeline, which they moved 3ms in all.
 	want := []time.Duration{time.Millisecond, 2 * time.Millisecond}
-	mu.Lock()
-	got := append([]time.Duration(nil), slept...)
-	mu.Unlock()
+	wantAt := []time.Duration{0, time.Millisecond}
+	got, at := backoffTimeline(t, rec)
 	if len(got) != len(want) {
 		t.Fatalf("sleeps = %v, want %v", got, want)
 	}
 	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("sleep[%d] = %v, want %v (schedule drifted)", i, got[i], want[i])
+		if got[i] != want[i] || at[i] != wantAt[i] {
+			t.Fatalf("sleep[%d] = %v at %v, want %v at %v (schedule drifted)", i, got[i], at[i], want[i], wantAt[i])
 		}
+	}
+	if now := time.Duration(clk.Now()); now != 3*time.Millisecond {
+		t.Fatalf("fake clock at %v after the retries, want 3ms", now)
 	}
 	if v := counterValue(reg, "kvclient.retries"); v != 2 {
 		t.Fatalf("retries probe = %v, want 2", v)
@@ -194,18 +196,20 @@ func TestClusterRetriesBusyWithRecordedBackoff(t *testing.T) {
 // byte for byte; a different seed diverges.
 func TestSeededJitterIsDeterministic(t *testing.T) {
 	record := func(seed uint64) []time.Duration {
-		var slept []time.Duration
+		rec := obs.NewFlightRecorder("client", 64)
 		cc, err := kvclient.NewCluster(kvclient.ClusterConfig{
 			Addrs:      []string{"127.0.0.1:1"}, // nothing listens here
 			MaxRetries: 4,
 			Seed:       seed,
-			Sleep:      func(d time.Duration) { slept = append(slept, d) },
+			Clock:      clock.NewFake(0),
+			Flight:     rec,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer cc.Close()
 		cc.Get("k") // fails after retries; only the schedule matters
+		slept, _ := backoffTimeline(t, rec)
 		return slept
 	}
 	a, b, c := record(7), record(7), record(8)
@@ -228,6 +232,37 @@ func TestSeededJitterIsDeterministic(t *testing.T) {
 	}
 }
 
+// backoffTimeline reads a cluster client's backoff sleeps off its
+// flight recording on a clock.Fake started at 0: each backoff instant
+// carries the sleep it announced, and its timestamp is where on the
+// fake's timeline the sleep began.
+func backoffTimeline(t *testing.T, rec *obs.FlightRecorder) (slept, at []time.Duration) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := rec.WriteTraceJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string  `json:"name"`
+			Ts   float64 `json:"ts"` // microseconds
+			Args struct {
+				V int64 `json:"v"`
+			} `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range doc.TraceEvents {
+		if ev.Name == "backoff" {
+			slept = append(slept, time.Duration(ev.Args.V))
+			at = append(at, time.Duration(ev.Ts*1e3))
+		}
+	}
+	return slept, at
+}
+
 func counterValue(reg *obs.Registry, name string) float64 {
 	for _, p := range reg.Snapshot() {
 		if p.Name == name {
@@ -240,7 +275,8 @@ func counterValue(reg *obs.Registry, name string) float64 {
 // TestEjectionAndProbationReadmission runs the breaker end to end
 // against real servers: killing a node ejects it after EjectAfter
 // consecutive failures, traffic continues on the survivor, and the node
-// is re-admitted on probation once it comes back.
+// is re-admitted on probation once it comes back and the probation has
+// passed on the client's fake clock.
 func TestEjectionAndProbationReadmission(t *testing.T) {
 	stA, _ := kvstore.New(kvstore.DefaultConfig(16 << 20))
 	srvA := kvserver.New(stA, nil)
@@ -260,12 +296,13 @@ func TestEjectionAndProbationReadmission(t *testing.T) {
 	addrB := srvB.Addr().String()
 
 	reg := obs.NewRegistry()
+	clk := clock.NewFake(0)
 	cc, err := kvclient.NewCluster(kvclient.ClusterConfig{
 		Addrs:      []string{addrA, addrB},
 		EjectAfter: 1,
 		Probation:  150 * time.Millisecond,
 		MaxRetries: 3,
-		Sleep:      func(time.Duration) {}, // keep the test fast
+		Clock:      clk,
 		Probes:     reg,
 	})
 	if err != nil {
@@ -296,7 +333,9 @@ func TestEjectionAndProbationReadmission(t *testing.T) {
 		t.Fatalf("ring after ejection = %v, want just %s", nodes, addrA)
 	}
 
-	// Revive B on the same address and wait out probation.
+	// Revive B on the same address. Backoff moved the fake by
+	// milliseconds at most, so B stays out until the probation passes;
+	// then the next operation re-admits it.
 	stB2, _ := kvstore.New(kvstore.DefaultConfig(16 << 20))
 	srvB2 := kvserver.New(stB2, nil)
 	if err := srvB2.Listen(addrB); err != nil {
@@ -305,15 +344,15 @@ func TestEjectionAndProbationReadmission(t *testing.T) {
 	go srvB2.Serve()
 	defer srvB2.Close()
 
-	deadline := time.Now().Add(5 * time.Second)
-	for len(cc.Nodes()) < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("ejected node never re-admitted after probation")
-		}
-		time.Sleep(20 * time.Millisecond)
-		for i := 0; i < 5; i++ {
-			cc.Set(key(i), []byte("v3"), 0, 0)
-		}
+	if err := cc.Set(key(0), []byte("v3"), 0, 0); err != nil || len(cc.Nodes()) != 1 {
+		t.Fatalf("during probation: set err %v, ring %v, want B still out", err, cc.Nodes())
+	}
+	clk.Advance(151 * time.Millisecond) // past the 150ms probation
+	if err := cc.Set(key(0), []byte("v3"), 0, 0); err != nil {
+		t.Fatalf("set after probation: %v", err)
+	}
+	if len(cc.Nodes()) != 2 {
+		t.Fatalf("ring after probation = %v, want B re-admitted", cc.Nodes())
 	}
 	if counterValue(reg, "kvclient.readmissions") == 0 {
 		t.Fatal("readmissions probe never counted")
@@ -347,7 +386,7 @@ func TestAllNodesDownThenBack(t *testing.T) {
 		EjectAfter: 1,
 		Probation:  10 * time.Second, // long: recovery must come from the yield path
 		MaxRetries: 2,
-		Sleep:      func(time.Duration) {},
+		Clock:      clock.NewFake(0),
 	})
 	if err != nil {
 		t.Fatal(err)

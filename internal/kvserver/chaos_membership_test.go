@@ -21,6 +21,7 @@ import (
 	"testing"
 	"time"
 
+	"kv3d/internal/clock"
 	"kv3d/internal/cluster"
 	"kv3d/internal/faults"
 	"kv3d/internal/faults/faultnet"
@@ -223,7 +224,7 @@ func (h *chaosHarness) client(replicas int) *kvclient.ClusterClient {
 		Probation:    time.Minute,
 		DialTimeout:  time.Second,
 		OpTimeout:    time.Second,
-		Sleep:        func(time.Duration) {},
+		Clock:        clock.NewFake(0),
 	})
 	if err != nil {
 		h.t.Fatal(err)

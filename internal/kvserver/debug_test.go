@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"kv3d/internal/kvstore"
 	"kv3d/internal/obs"
 	"kv3d/internal/testutil"
 )
@@ -16,12 +15,9 @@ import (
 // endpoints over httptest.
 func TestDebugMuxEndpoints(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	st, err := kvstore.New(kvstore.DefaultConfig(32 << 20))
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := steppedStore(t, 32<<20)
 	rec := obs.NewFlightRecorder("server", 64)
-	srv := NewWithOptions(st, nil, Options{NowNanos: fakeNanos(), Flight: rec, FlightEvery: 1})
+	srv := NewWithOptions(st, nil, Options{Flight: rec, FlightEvery: 1})
 	defer srv.Close()
 	mux := srv.DebugMux()
 

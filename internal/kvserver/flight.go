@@ -9,9 +9,9 @@ package kvserver
 // this server's handling of that exact request in one Perfetto view.
 
 import (
+	"kv3d/internal/clock"
 	"kv3d/internal/obs"
 	"kv3d/internal/protocol"
-	"kv3d/internal/sim"
 )
 
 // flightSink adapts sampled spans onto recorder events, on the track of
@@ -46,21 +46,22 @@ func (f *flightSink) ObserveSpan(sp protocol.OpSpan) {
 }
 
 // serverFlight holds the server's recorder wiring: one lifecycle track
-// and the sink of its sessions. All fields are set at construction and
-// immutable afterwards.
+// stamped by the server's clock, and the sink of its sessions. All
+// fields are set at construction and immutable afterwards.
 type serverFlight struct {
 	rec      *obs.FlightRecorder
+	clock    clock.Clock
 	every    int
 	life     obs.TrackID
 	sessions flightSink
 }
 
 // newServerFlight registers the server's tracks on the recorder.
-func newServerFlight(rec *obs.FlightRecorder, every int) *serverFlight {
+func newServerFlight(rec *obs.FlightRecorder, clk clock.Clock, every int) *serverFlight {
 	if every < 1 {
 		every = DefaultFlightEvery
 	}
-	sf := &serverFlight{rec: rec, every: every, life: rec.RegisterTrack("srv.lifecycle")}
+	sf := &serverFlight{rec: rec, clock: clk, every: every, life: rec.RegisterTrack("srv.lifecycle")}
 	sf.sessions = flightSink{rec: rec, ascii: rec.RegisterTrack("srv.ascii"), binary: rec.RegisterTrack("srv.binary")}
 	return sf
 }
@@ -71,26 +72,31 @@ func newServerFlight(rec *obs.FlightRecorder, every int) *serverFlight {
 // server still fills the ring within seconds.
 const DefaultFlightEvery = 64
 
-// lifecycle event helpers; all nil-safe via the recorder contract.
+// lifecycle records one lifecycle instant at the server's clock; a nil
+// serverFlight records nothing.
+func (sf *serverFlight) lifecycle(name string) {
+	if sf != nil {
+		sf.rec.Instant(sf.life, name, sf.clock.Now())
+	}
+}
 
-func (sf *serverFlight) connOpen(ts sim.Ns)  { sf.rec.Instant(sf.life, "conn.open", ts) }
-func (sf *serverFlight) connClose(ts sim.Ns) { sf.rec.Instant(sf.life, "conn.close", ts) }
+// conns records a connection opening or closing and the active count
+// it leaves, at one clock reading.
+func (sf *serverFlight) conns(name string, active int64) {
+	if sf != nil {
+		ts := sf.clock.Now()
+		sf.rec.Instant(sf.life, name, ts)
+		sf.rec.Counter(sf.life, "conns.active", ts, active)
+	}
+}
 
 // reject records a refused accept: rejectConn, the only caller, passes
 // RejectMaxConns or RejectDraining. Requests the in-flight gate sheds
 // are counted (OpMetrics) and traced as busy-outcome spans, not here.
-func (sf *serverFlight) reject(reason RejectReason, ts sim.Ns) {
+func (sf *serverFlight) reject(reason RejectReason) {
 	name := "reject.max_conns"
 	if reason == RejectDraining {
 		name = "reject.draining"
 	}
-	sf.rec.Instant(sf.life, name, ts)
-}
-
-func (sf *serverFlight) drainBegin(ts sim.Ns)  { sf.rec.Instant(sf.life, "server.drain.begin", ts) }
-func (sf *serverFlight) drainEnd(ts sim.Ns)    { sf.rec.Instant(sf.life, "server.drain.end", ts) }
-func (sf *serverFlight) serverClose(ts sim.Ns) { sf.rec.Instant(sf.life, "server.close", ts) }
-
-func (sf *serverFlight) activeConns(ts sim.Ns, n int64) {
-	sf.rec.Counter(sf.life, "conns.active", ts, n)
+	sf.lifecycle(name)
 }

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"kv3d/internal/kvclient"
-	"kv3d/internal/kvstore"
 	"kv3d/internal/obs"
 	"kv3d/internal/testutil"
 )
@@ -25,13 +24,8 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden files under te
 // (FlightEvery=1) so a scripted session records every op.
 func startFlightServer(t *testing.T) (*Server, *obs.FlightRecorder, string) {
 	t.Helper()
-	st, err := kvstore.New(kvstore.DefaultConfig(32 << 20))
-	if err != nil {
-		t.Fatal(err)
-	}
 	rec := obs.NewFlightRecorder("server", 256)
-	srv := NewWithOptions(st, nil, Options{
-		NowNanos:    fakeNanos(),
+	srv := NewWithOptions(steppedStore(t, 32<<20), nil, Options{
 		Flight:      rec,
 		FlightEvery: 1,
 	})
@@ -230,12 +224,8 @@ func TestFlightGoldenContent(t *testing.T) {
 // leave their lifecycle instant in the trace.
 func TestFlightRecordsRefusalsAndDrain(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	st, err := kvstore.New(kvstore.DefaultConfig(16 << 20))
-	if err != nil {
-		t.Fatal(err)
-	}
 	rec := obs.NewFlightRecorder("server", 256)
-	srv := NewWithOptions(st, nil, Options{NowNanos: fakeNanos(), Flight: rec, MaxConns: 1})
+	srv := NewWithOptions(steppedStore(t, 16<<20), nil, Options{Flight: rec, MaxConns: 1})
 	if err := srv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}

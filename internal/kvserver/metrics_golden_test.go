@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"kv3d/internal/clock"
 	"kv3d/internal/cluster"
 	"kv3d/internal/kvstore"
 	"kv3d/internal/obs"
@@ -33,7 +34,7 @@ import (
 func runMetricsGolden(t *testing.T) []byte {
 	t.Helper()
 	cfg := kvstore.DefaultConfig(32 << 20)
-	cfg.Clock = func() int64 { return 1_000_000 }
+	cfg.Clock = clock.NewFake(1_000_000 * sim.Ns(time.Second))
 	st, err := kvstore.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +62,6 @@ func runMetricsGolden(t *testing.T) []byte {
 	}
 	defer mig.Close()
 	srv := NewWithOptions(st, nil, Options{
-		NowNanos:    func() sim.Ns { return 0 },
 		Flight:      obs.NewFlightRecorder("server", 32),
 		FlightEvery: 1,
 		Repl:        repl,

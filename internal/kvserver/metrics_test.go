@@ -7,9 +7,10 @@ import (
 	"reflect"
 	rtmetrics "runtime/metrics"
 	"strings"
-	"sync/atomic"
 	"testing"
+	"time"
 
+	"kv3d/internal/clock"
 	"kv3d/internal/kvclient"
 	"kv3d/internal/kvstore"
 	"kv3d/internal/obs"
@@ -18,21 +19,33 @@ import (
 	"kv3d/internal/testutil"
 )
 
-// fakeNanos is a deterministic clock: every read advances by 1µs, so
-// each timed operation records exactly 1000ns.
-func fakeNanos() func() sim.Ns {
-	var n atomic.Int64
-	return func() sim.Ns { return sim.Ns(n.Add(1000)) }
+// stepClock is a deterministic clock: every read advances it by 1µs,
+// so each timed span records 1000ns per read it encloses.
+type stepClock struct{ *clock.Fake }
+
+func newStepClock() stepClock { return stepClock{clock.NewFake(0)} }
+
+func (c stepClock) Now() sim.Ns {
+	c.Advance(time.Microsecond)
+	return c.Fake.Now()
+}
+
+// steppedStore is a store, and so a server, on a fresh stepClock.
+func steppedStore(t *testing.T, memory int64) *kvstore.Store {
+	t.Helper()
+	cfg := kvstore.DefaultConfig(memory)
+	cfg.Clock = newStepClock()
+	st, err := kvstore.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 func startMetricsServer(t *testing.T) (*Server, string) {
 	t.Helper()
 	testutil.CheckGoroutines(t)
-	st, err := kvstore.New(kvstore.DefaultConfig(32 << 20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewWithOptions(st, nil, Options{NowNanos: fakeNanos()})
+	srv := NewWithOptions(steppedStore(t, 32<<20), nil, Options{})
 	if err := srv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +116,7 @@ func TestMetricsProbesSorted(t *testing.T) {
 // that never started anything, and a scrape leaves no goroutine behind.
 func TestRuntimeProbesReadAtScrape(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	st, err := kvstore.New(kvstore.DefaultConfig(32 << 20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewWithOptions(st, nil, Options{NowNanos: fakeNanos()})
+	srv := NewWithOptions(steppedStore(t, 32<<20), nil, Options{})
 	defer srv.Close()
 	var names []string
 	have := map[string]float64{}
@@ -157,10 +166,10 @@ func TestQuantileNs(t *testing.T) {
 
 func TestOpMetricsDeterministicWithFakeClock(t *testing.T) {
 	m := NewOpMetrics()
-	clock := fakeNanos()
+	clk := newStepClock()
 	for i := 0; i < 5; i++ {
-		start := clock()
-		m.ObserveOp(protocol.ClassGet, protocol.OutcomeOK, clock()-start)
+		start := clk.Now()
+		m.ObserveOp(protocol.ClassGet, protocol.OutcomeOK, clk.Now()-start)
 	}
 	probes := m.Probes()
 	if got := probeValue(probes, "live.op.get.latency_ns.count"); got != 5 {

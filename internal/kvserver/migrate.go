@@ -26,6 +26,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"kv3d/internal/clock"
 	"kv3d/internal/kvstore"
 	"kv3d/internal/obs"
 	"kv3d/internal/protocol"
@@ -54,7 +55,8 @@ type StreamOptions struct {
 
 // MigOptions configure a Migrator.
 type MigOptions struct {
-	// Store is the local store keys are read from.
+	// Store is the local store keys are read from; its clock paces
+	// RateKeysPerSec.
 	Store *kvstore.Store
 	// Dial opens the transport to a target (default: 5s TCP dial).
 	Dial func(addr string) (net.Conn, error)
@@ -288,16 +290,16 @@ func (st *MigrationStream) run(keys []string) {
 		// keys/rate; a stop signal cuts it short.
 		if st.opts.RateKeysPerSec > 0 {
 			delay := time.Duration(n) * time.Second / time.Duration(st.opts.RateKeysPerSec)
-			timer := time.NewTimer(delay)
+			timer, stop := m.opts.Store.Clock().After(delay)
 			select {
-			case <-timer.C:
+			case <-timer:
 			case <-st.done:
-				timer.Stop()
+				stop()
 				m.interrupted.Add(1)
 				st.err = ErrMigrationStopped
 				return
 			case <-m.done:
-				timer.Stop()
+				stop()
 				m.interrupted.Add(1)
 				st.err = ErrMigrationStopped
 				return
@@ -314,7 +316,7 @@ func (st *MigrationStream) run(keys []string) {
 // the chunk.
 func (st *MigrationStream) sendChunk(conn net.Conn, chunk []byte, barrier uint32, sent int) error {
 	m := st.m
-	if err := conn.SetWriteDeadline(time.Now().Add(m.opts.OpTimeout)); err != nil {
+	if err := conn.SetWriteDeadline(clock.Deadline(m.opts.OpTimeout)); err != nil {
 		return err
 	}
 	if _, err := conn.Write(chunk); err != nil {
@@ -322,7 +324,7 @@ func (st *MigrationStream) sendChunk(conn net.Conn, chunk []byte, barrier uint32
 	}
 	exists, failed := 0, 0
 	for {
-		if err := conn.SetReadDeadline(time.Now().Add(m.opts.OpTimeout)); err != nil {
+		if err := conn.SetReadDeadline(clock.Deadline(m.opts.OpTimeout)); err != nil {
 			return err
 		}
 		var hdr [migHeaderLen]byte

@@ -15,6 +15,8 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -125,9 +127,9 @@ func exchange(t *testing.T, conn net.Conn, script []byte) []byte {
 }
 
 // TestPinnedRepliesMatchCopyPath serves the same scripts pinned over
-// loopback TCP (writev), over TCP behind the idle-timeout deadline
-// wrapper and over net.Pipe (both of which take net.Buffers' one write
-// per buffer), and requires each reply stream to equal the copy path's.
+// loopback TCP (writev), over TCP with an idle timeout armed and over
+// net.Pipe (which takes net.Buffers' one write per buffer), and
+// requires each reply stream to equal the copy path's.
 func TestPinnedRepliesMatchCopyPath(t *testing.T) {
 	transports := map[string]func(t *testing.T) net.Conn{
 		"tcp": func(t *testing.T) net.Conn {
@@ -167,6 +169,67 @@ func TestPinnedRepliesMatchCopyPath(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestIdleTimeoutKeepsPinnedGetOneWrite: with an idle timeout set, a
+// pinned 64 KiB binary GET still costs the server one write syscall.
+// The deadline used to be armed by a wrapper around the connection,
+// which hid net's own conn type from net.Buffers and so split every
+// reply into one write per buffer. The count is this process's write
+// syscalls (/proc/self/io syscw) less the client's one per request.
+func TestIdleTimeoutKeepsPinnedGetOneWrite(t *testing.T) {
+	conn := dialPinServer(t, Options{IdleTimeout: time.Minute})
+	defer conn.Close()
+	value := pinValue(0, 64<<10)
+	set := binFrame(protocol.OpSet, 1, make([]byte, 8), []byte("k"), value)
+	get := binFrame(protocol.OpGet, 2, nil, []byte("k"), nil)
+	reply := make([]byte, 24+4+len(value)) // header, flags, value
+	roundTrip := func(req, resp []byte) {
+		t.Helper()
+		if _, err := conn.Write(req); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(conn, resp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	roundTrip(set, reply[:24])
+	for i := 0; i < 50; i++ { // let the socket buffers grow first
+		roundTrip(get, reply)
+	}
+	const gets = 500
+	before := syscw(t)
+	for i := 0; i < gets; i++ {
+		roundTrip(get, reply)
+	}
+	if !bytes.Equal(reply[28:], value) {
+		t.Fatal("GET returned a different value")
+	}
+	perGet := float64(syscw(t)-before-gets) / gets
+	if perGet > 1.5 {
+		t.Fatalf("server write syscalls per pinned GET with an idle timeout = %.2f, want 1", perGet)
+	}
+}
+
+// syscw is this process's write syscall count so far; it skips the
+// test where /proc/self/io cannot be read.
+func syscw(t *testing.T) uint64 {
+	t.Helper()
+	b, err := os.ReadFile("/proc/self/io")
+	if err != nil {
+		t.Skipf("cannot count write syscalls: %v", err)
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		if v, ok := strings.CutPrefix(line, "syscw: "); ok {
+			n, err := strconv.ParseUint(v, 10, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
+		}
+	}
+	t.Skip("no syscw row in /proc/self/io")
+	return 0
 }
 
 func dialPinServer(t *testing.T, opts Options) net.Conn {

@@ -10,8 +10,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"kv3d/internal/kvstore"
 )
 
 // failAfterWriter is an http.ResponseWriter whose body writes fail
@@ -37,11 +35,7 @@ func (w *failAfterWriter) Write(p []byte) (int, error) {
 // renderer: a mid-write failure is too late for an HTTP status, so it
 // must be counted where the next scrape can see it.
 func TestMetricsHandlerCountsWriteErrors(t *testing.T) {
-	st, err := kvstore.New(kvstore.DefaultConfig(32 << 20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewWithOptions(st, nil, Options{NowNanos: fakeNanos()})
+	srv := NewWithOptions(steppedStore(t, 32<<20), nil, Options{})
 	h := srv.MetricsHandler()
 
 	req := httptest.NewRequest("GET", "/metrics", nil)

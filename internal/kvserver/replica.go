@@ -28,10 +28,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"kv3d/internal/clock"
 	"kv3d/internal/cluster"
 	"kv3d/internal/obs"
 	"kv3d/internal/protocol"
-	"kv3d/internal/sim"
 )
 
 // ErrNoQuorum reports a quorum write that could not gather majority
@@ -81,8 +81,9 @@ type ReplOptions struct {
 	Dial func(addr string) (ReplConn, error)
 	// Flight, when set, records replication lifecycle instants.
 	Flight *obs.FlightRecorder
-	// NowNanos timestamps flight instants (required with Flight).
-	NowNanos func() sim.Ns
+	// Clock stamps the flight instants and runs the quorum and Drain
+	// timeouts (default clock.Wall); a server passes its store's.
+	Clock clock.Clock
 }
 
 func (o ReplOptions) withDefaults() ReplOptions {
@@ -97,6 +98,9 @@ func (o ReplOptions) withDefaults() ReplOptions {
 	}
 	if o.DefaultMode != protocol.ReplQuorum && o.DefaultMode != protocol.ReplAsync {
 		o.DefaultMode = protocol.ReplAsync
+	}
+	if o.Clock == nil {
+		o.Clock = clock.Wall
 	}
 	return o
 }
@@ -143,6 +147,10 @@ type Replicator struct {
 
 	done chan struct{}
 	wg   sync.WaitGroup
+	// unsent counts the jobs handed to peer workers and not yet sent;
+	// settled is signalled each time it falls, for Drain.
+	unsent  atomic.Int64
+	settled chan struct{}
 
 	// live.repl.* counters, exported through Probes.
 	asyncQueued  atomic.Uint64
@@ -166,9 +174,10 @@ func NewReplicator(opts ReplOptions) (*Replicator, error) {
 	}
 	opts = opts.withDefaults()
 	r := &Replicator{
-		opts:  opts,
-		peers: make(map[string]*peer),
-		done:  make(chan struct{}),
+		opts:    opts,
+		peers:   make(map[string]*peer),
+		done:    make(chan struct{}),
+		settled: make(chan struct{}, 1),
 	}
 	if opts.Flight.Enabled() {
 		r.flightTrack = opts.Flight.RegisterTrack("replication")
@@ -275,12 +284,32 @@ func (r *Replicator) asyncFanout(job replJob, remote []string) {
 			r.asyncDropped.Add(1)
 			continue
 		}
-		select {
-		case p.q <- job:
+		if r.enqueue(p, job) {
 			r.asyncQueued.Add(1)
-		default:
+		} else {
 			r.asyncDropped.Add(1)
 		}
+	}
+}
+
+// enqueue hands job to p's worker, unless p's queue is full.
+func (r *Replicator) enqueue(p *peer, job replJob) bool {
+	r.unsent.Add(1)
+	select {
+	case p.q <- job:
+		return true
+	default:
+		r.settle()
+		return false
+	}
+}
+
+// settle takes one job off unsent and wakes a waiting Drain.
+func (r *Replicator) settle() {
+	r.unsent.Add(-1)
+	select {
+	case r.settled <- struct{}{}:
+	default:
 	}
 }
 
@@ -312,12 +341,10 @@ func (r *Replicator) quorumFanout(job replJob, remote []string, selfOwns bool) e
 		if p == nil {
 			continue
 		}
-		select {
-		case p.q <- job:
+		// A full queue is an immediate failed vote, not a silent drop:
+		// the client asked for acknowledged replication.
+		if r.enqueue(p, job) {
 			inflight++
-		default:
-			// Full queue = an immediate failed vote, not a silent drop:
-			// the client asked for acknowledged replication.
 		}
 	}
 	if votes+inflight < needed {
@@ -325,8 +352,8 @@ func (r *Replicator) quorumFanout(job replJob, remote []string, selfOwns bool) e
 		r.flightInstant("repl.quorum.fail")
 		return fmt.Errorf("%w: %d of %d acks reachable", ErrNoQuorum, votes+inflight, needed)
 	}
-	deadline := time.NewTimer(r.opts.QuorumTimeout)
-	defer deadline.Stop()
+	deadline, stop := r.opts.Clock.After(r.opts.QuorumTimeout)
+	defer stop()
 	for votes < needed {
 		select {
 		case err := <-ack:
@@ -339,7 +366,7 @@ func (r *Replicator) quorumFanout(job replJob, remote []string, selfOwns bool) e
 				r.flightInstant("repl.quorum.fail")
 				return fmt.Errorf("%w: %d of %d acks (%v)", ErrNoQuorum, votes, needed, err)
 			}
-		case <-deadline.C:
+		case <-deadline:
 			r.quorumFailed.Add(1)
 			r.flightInstant("repl.quorum.fail")
 			return fmt.Errorf("%w: %d of %d acks before timeout", ErrNoQuorum, votes, needed)
@@ -398,6 +425,7 @@ func (r *Replicator) worker(p *peer) {
 			} else {
 				r.asyncSent.Add(1)
 			}
+			r.settle()
 		}
 	}
 }
@@ -435,8 +463,8 @@ func (r *Replicator) send(conn *ReplConn, addr string, job replJob) error {
 }
 
 func (r *Replicator) flightInstant(name string) {
-	if r.opts.Flight.Enabled() && r.opts.NowNanos != nil {
-		r.opts.Flight.Instant(r.flightTrack, name, r.opts.NowNanos())
+	if r.opts.Flight.Enabled() {
+		r.opts.Flight.Instant(r.flightTrack, name, r.opts.Clock.Now())
 	}
 }
 
@@ -462,30 +490,22 @@ func (r *Replicator) Close() error {
 	return nil
 }
 
-// Drain blocks until every peer queue is empty and acknowledged or the
-// timeout passes — the bounded-staleness knob tests lean on: after
-// Drain, every async write issued before the call is on its replicas.
+// Drain blocks until every job handed to a peer worker has been sent,
+// or the timeout passes on the replicator's clock — the
+// bounded-staleness knob tests lean on: after Drain, every async write
+// issued before the call is on its replicas. It wakes on the workers'
+// signal rather than polling, so it waits on no clock but the timeout.
 func (r *Replicator) Drain(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		r.mu.Lock()
-		pending := 0
-		for _, p := range r.peers {
-			pending += len(p.q)
+	deadline, stop := r.opts.Clock.After(timeout)
+	defer stop()
+	for r.unsent.Load() > 0 {
+		select {
+		case <-r.settled:
+		case <-deadline:
+			return fmt.Errorf("kvserver: replication drain timed out with %d unsent", r.unsent.Load())
 		}
-		r.mu.Unlock()
-		if pending == 0 {
-			// Queues empty; in-flight sends (at most one per worker)
-			// settle within one op timeout, which the caller's timeout
-			// budget must cover. One final poll tick gives workers time
-			// to finish the job they hold.
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("kvserver: replication drain timed out with %d queued", pending)
-		}
-		time.Sleep(2 * time.Millisecond)
 	}
+	return nil
 }
 
 // Probes exports the live.repl.* counters.

@@ -12,10 +12,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"kv3d/internal/clock"
 	"kv3d/internal/kvstore"
 	"kv3d/internal/obs"
 	"kv3d/internal/protocol"
-	"kv3d/internal/sim"
 )
 
 // Options tune server-level limits. The zero value means unlimited.
@@ -31,13 +31,10 @@ type Options struct {
 	MaxInflight int
 	// IdleTimeout closes connections with no traffic for this long.
 	IdleTimeout time.Duration
-	// NowNanos is the clock used to time per-op latency, as a typed
-	// nanosecond count. Nil selects the wall clock; tests inject a
-	// fake to get deterministic histograms.
-	NowNanos func() sim.Ns
 	// Flight, when set, records sampled per-op phase spans and server
-	// lifecycle events into the ring. Timestamps come from NowNanos, so
-	// a fake clock makes the recording deterministic.
+	// lifecycle events into the ring. Timestamps come from the store's
+	// clock, which times every op and the drain too, so a store on a
+	// fake clock makes the recording deterministic.
 	Flight *obs.FlightRecorder
 	// FlightEvery samples one op in every FlightEvery per session
 	// (DefaultFlightEvery when <= 0). 1 traces every op.
@@ -81,9 +78,9 @@ type Server struct {
 	// codec it speaks: built once at construction, Repl replaced by
 	// SetReplicator, read when a connection arrives.
 	env protocol.Env //kv3d:guardedby mu
-	// flight is nil unless Options.Flight was set; its own fields are
-	// immutable after construction and every recorder call is
-	// internally synchronized.
+	// flight is nil unless Options.Flight was set, and its lifecycle
+	// methods are nil-safe; its own fields are immutable after
+	// construction and every recorder call is internally synchronized.
 	flight *serverFlight
 }
 
@@ -119,14 +116,6 @@ func New(store *kvstore.Store, logger *log.Logger) *Server {
 
 // NewWithOptions creates a server with explicit limits.
 func NewWithOptions(store *kvstore.Store, logger *log.Logger, opts Options) *Server {
-	now := opts.NowNanos
-	if now == nil {
-		// Wall time at construction plus the monotonic time since: one
-		// clock read per call where time.Now takes two.
-		base := time.Now()
-		baseNanos := base.UnixNano()
-		now = func() sim.Ns { return sim.Ns(baseNanos + int64(time.Since(base))) }
-	}
 	s := &Server{
 		store: store,
 		log:   logger,
@@ -134,12 +123,12 @@ func NewWithOptions(store *kvstore.Store, logger *log.Logger, opts Options) *Ser
 		conns: make(map[net.Conn]struct{}),
 		ops:   NewOpMetrics(),
 	}
-	s.env = protocol.Env{Observer: s.ops, NowNanos: now, Repl: opts.Repl}
+	s.env = protocol.Env{Observer: s.ops, Clock: store.Clock(), Repl: opts.Repl}
 	if opts.MaxInflight > 0 {
 		s.env.Gate = newInflightGate(opts.MaxInflight, s.ops)
 	}
 	if opts.Flight != nil {
-		s.flight = newServerFlight(opts.Flight, opts.FlightEvery)
+		s.flight = newServerFlight(opts.Flight, store.Clock(), opts.FlightEvery)
 		s.env.Flight, s.env.FlightEvery = &s.flight.sessions, s.flight.every
 	}
 	return s
@@ -253,13 +242,11 @@ func (s *Server) ServeOn(ln net.Listener) error {
 // peer can neither pin the accept loop nor leak the goroutine.
 func (s *Server) rejectConn(conn net.Conn, reason RejectReason) {
 	s.ops.Reject(reason)
-	if s.flight != nil {
-		s.flight.reject(reason, s.sessionEnv().NowNanos())
-	}
+	s.flight.reject(reason)
 	s.rejectWg.Add(1)
 	go func() {
 		defer s.rejectWg.Done()
-		conn.SetWriteDeadline(time.Now().Add(time.Second)) // best-effort farewell: a failed deadline arm just makes the write fail instead
+		conn.SetWriteDeadline(clock.Deadline(time.Second)) // best-effort farewell: a failed deadline arm just makes the write fail instead
 		io.WriteString(conn, "SERVER_ERROR busy\r\n")      // best-effort farewell to a refused client; nothing to do if it fails
 		conn.Close()                                       // the refusal is complete; the close error of a turned-away conn carries no signal
 	}()
@@ -268,28 +255,15 @@ func (s *Server) rejectConn(conn net.Conn, reason RejectReason) {
 func (s *Server) handle(conn net.Conn) {
 	defer s.wg.Done()
 	env := s.sessionEnv()
-	if s.flight != nil {
-		ts := env.NowNanos()
-		s.flight.connOpen(ts)
-		s.flight.activeConns(ts, s.active.Load())
-	}
+	s.flight.conns("conn.open", s.active.Load())
 	defer func() {
 		conn.Close()
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.mu.Unlock()
-		n := s.active.Add(-1)
-		if s.flight != nil {
-			ts := env.NowNanos()
-			s.flight.connClose(ts)
-			s.flight.activeConns(ts, n)
-		}
+		s.flight.conns("conn.close", s.active.Add(-1))
 	}()
-	var rw io.ReadWriter = conn
-	if s.opts.IdleTimeout > 0 {
-		rw = &deadlineRW{conn: conn, timeout: s.opts.IdleTimeout}
-	}
-	err := protocol.ServeConn(s.store, rw, env)
+	err := protocol.ServeConnIdle(s.store, conn, env, s.opts.IdleTimeout)
 	if err != nil && s.log != nil {
 		s.log.Printf("kvserver: connection %s: %v", conn.RemoteAddr(), err)
 	}
@@ -307,9 +281,7 @@ func (s *Server) Close() error {
 		c.Close()
 	}
 	s.mu.Unlock()
-	if s.flight != nil {
-		s.flight.serverClose(s.sessionEnv().NowNanos())
-	}
+	s.flight.lifecycle("server.close")
 	var err error
 	if s.ln != nil {
 		err = s.ln.Close()
@@ -322,7 +294,7 @@ func (s *Server) Close() error {
 // Shutdown drains gracefully: new connections are refused with a busy
 // line while established ones keep being served, for up to timeout;
 // whatever remains is then closed. It returns nil if the drain emptied
-// the server before the deadline.
+// the server before the deadline, which runs on the store's clock.
 func (s *Server) Shutdown(timeout time.Duration) error {
 	s.mu.Lock()
 	if s.closed {
@@ -331,9 +303,7 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 	}
 	s.draining = true
 	s.mu.Unlock()
-	if s.flight != nil {
-		s.flight.drainBegin(s.sessionEnv().NowNanos())
-	}
+	s.flight.lifecycle("server.drain.begin")
 	// wg.Add for handlers happens under mu before draining was set, so
 	// this waiter cannot race a late registration.
 	drained := make(chan struct{})
@@ -341,40 +311,19 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 		s.wg.Wait()
 		close(drained)
 	}()
+	deadline, stop := s.store.Clock().After(timeout)
+	defer stop()
 	var err error
 	select {
 	case <-drained:
-	case <-time.After(timeout):
+	case <-deadline:
 		err = errors.New("kvserver: drain deadline exceeded")
 	}
-	if s.flight != nil {
-		s.flight.drainEnd(s.sessionEnv().NowNanos())
-	}
+	s.flight.lifecycle("server.drain.end")
 	if cerr := s.Close(); cerr != nil && err == nil {
 		err = cerr
 	}
 	return err
-}
-
-// deadlineRW arms an idle deadline before every read and write so a
-// silent connection eventually errors out and closes.
-type deadlineRW struct {
-	conn    net.Conn
-	timeout time.Duration
-}
-
-func (d *deadlineRW) Read(p []byte) (int, error) {
-	if err := d.conn.SetReadDeadline(time.Now().Add(d.timeout)); err != nil {
-		return 0, err
-	}
-	return d.conn.Read(p)
-}
-
-func (d *deadlineRW) Write(p []byte) (int, error) {
-	if err := d.conn.SetWriteDeadline(time.Now().Add(d.timeout)); err != nil {
-		return 0, err
-	}
-	return d.conn.Write(p)
 }
 
 // Accepted reports the total number of accepted connections.

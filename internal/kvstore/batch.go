@@ -49,7 +49,7 @@ func (st *Store) GetBatch(keys []string) []BatchEntry {
 		order[cursor[s]] = int32(i)
 		cursor[s]++
 	}
-	now := st.clock()
+	now := st.now()
 	pos := 0
 	for s, c := range counts {
 		if c == 0 {
@@ -142,7 +142,7 @@ func (st *Store) GetBatchInto(dst []byte, keys [][]byte, out []BatchResult, scr 
 		order[cursor[s]] = int32(i)
 		cursor[s]++
 	}
-	now := st.clock()
+	now := st.now()
 	pos := 0
 	for s, c := range counts {
 		if c == 0 {

@@ -4,16 +4,28 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
+
+	"kv3d/internal/sim"
 )
+
+// tickClock advances one second on every read, the eviction
+// experiment's logical clock.
+type tickClock struct{ fakeClock }
+
+func (c tickClock) Now() sim.Ns {
+	c.Advance(time.Second)
+	return c.Fake.Now()
+}
 
 // TestUptimeFollowsInjectedClock is the regression test for the wall
 // clock that used to hide inside Stats(): uptime was computed with
 // time.Since(start), so a store driven by a virtual clock still reported
 // host-time uptime. It must follow the injected Clock exclusively.
 func TestUptimeFollowsInjectedClock(t *testing.T) {
-	now := int64(1_000)
+	clk := newFakeClock(1_000)
 	cfg := DefaultConfig(16 << 20)
-	cfg.Clock = func() int64 { return now }
+	cfg.Clock = clk
 	st, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -21,7 +33,7 @@ func TestUptimeFollowsInjectedClock(t *testing.T) {
 	if up := st.Stats().UptimeSeconds; up != 0 {
 		t.Fatalf("uptime at birth = %d, want 0", up)
 	}
-	now = 1_042
+	clk.set(1_042)
 	if up := st.Stats().UptimeSeconds; up != 42 {
 		t.Fatalf("uptime = %d, want 42", up)
 	}
@@ -56,8 +68,7 @@ func TestBagsSecondChanceDeterministicUnderLogicalClock(t *testing.T) {
 	run := func() Stats {
 		cfg := DefaultConfig(1 << 20)
 		cfg.Shards = 1
-		var tick int64
-		cfg.Clock = func() int64 { tick++; return tick }
+		cfg.Clock = tickClock{newFakeClock(0)}
 		st, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)

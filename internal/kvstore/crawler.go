@@ -38,15 +38,17 @@ func (st *Store) StartCrawler(interval time.Duration) *Crawler {
 	return c
 }
 
+// run sweeps one interval after the previous sweep ended, on the
+// store's clock.
 func (c *Crawler) run() {
 	defer close(c.done)
-	ticker := time.NewTicker(c.interval) //nolint:kv3d -- the crawler is a live-server background reaper; sims never start it and call SweepExpired explicitly
-	defer ticker.Stop()
 	for {
+		tick, stop := c.store.clock.After(c.interval)
 		select {
 		case <-c.stop:
+			stop()
 			return
-		case <-ticker.C:
+		case <-tick:
 			reaped, visited := c.store.SweepExpired()
 			c.mu.Lock()
 			c.sweeps++
@@ -74,7 +76,7 @@ func (c *Crawler) Stats() (sweeps, reaped, visited uint64) {
 // returning how many were reaped and how many were visited. Exposed for
 // tests and for callers that prefer explicit scheduling.
 func (st *Store) SweepExpired() (reaped, visited uint64) {
-	now := st.clock()
+	now := st.now()
 	for _, sh := range st.shards {
 		sh.mu.Lock()
 		r, v := sh.s.sweepExpired(now)

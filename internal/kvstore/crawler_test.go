@@ -7,8 +7,8 @@ import (
 )
 
 func TestSweepExpired(t *testing.T) {
-	clk := &fakeClock{now: 1000}
-	st := newTestStore(t, func(c *Config) { c.Clock = clk.fn })
+	clk := newFakeClock(1000)
+	st := newTestStore(t, func(c *Config) { c.Clock = clk })
 	for i := 0; i < 100; i++ {
 		ttl := int64(0)
 		if i%2 == 0 {
@@ -19,7 +19,7 @@ func TestSweepExpired(t *testing.T) {
 	if r, _ := st.SweepExpired(); r != 0 {
 		t.Fatalf("nothing should be expired yet, reaped %d", r)
 	}
-	clk.now = 1011
+	clk.set(1011)
 	reaped, visited := st.SweepExpired()
 	if reaped != 50 {
 		t.Fatalf("reaped %d, want 50", reaped)
@@ -37,11 +37,11 @@ func TestSweepExpired(t *testing.T) {
 }
 
 func TestSweepReclaimsFlushedItems(t *testing.T) {
-	clk := &fakeClock{now: 1000}
-	st := newTestStore(t, func(c *Config) { c.Clock = clk.fn })
+	clk := newFakeClock(1000)
+	st := newTestStore(t, func(c *Config) { c.Clock = clk })
 	st.Set("a", []byte("1"), 0, 0)
 	st.FlushAll(0)
-	clk.now = 1002
+	clk.set(1002)
 	reaped, _ := st.SweepExpired()
 	if reaped != 1 {
 		t.Fatalf("flush-dead item not swept: %d", reaped)
@@ -49,9 +49,9 @@ func TestSweepReclaimsFlushedItems(t *testing.T) {
 }
 
 func TestSweepFreesMemoryForReuse(t *testing.T) {
-	clk := &fakeClock{now: 1000}
+	clk := newFakeClock(1000)
 	st := newTestStore(t, func(c *Config) {
-		c.Clock = clk.fn
+		c.Clock = clk
 		c.MemoryLimit = 4 << 20
 		c.Shards = 1
 		c.EvictionsEnabled = false
@@ -69,36 +69,31 @@ func TestSweepFreesMemoryForReuse(t *testing.T) {
 	}
 	// All items expire; sweep must make room for new writes without
 	// evictions enabled.
-	clk.now = 1006
+	clk.set(1006)
 	st.SweepExpired()
 	if err := st.Set("fresh", val, 0, 0); err != nil {
 		t.Fatalf("set after sweep: %v", err)
 	}
 }
 
+// TestCrawlerLifecycle drives the crawler on the store's fake clock:
+// one interval passes, exactly one sweep runs and reaps every expired
+// item, and nothing waits in real time.
 func TestCrawlerLifecycle(t *testing.T) {
-	clk := &fakeClock{now: 1000}
-	st := newTestStore(t, func(c *Config) { c.Clock = clk.fn })
+	clk := newFakeClock(1000)
+	st := newTestStore(t, func(c *Config) { c.Clock = clk })
 	for i := 0; i < 20; i++ {
 		st.Set(fmt.Sprintf("k%d", i), []byte("v"), 0, 1)
 	}
-	clk.now = 1005
+	clk.set(1005)
 	c := st.StartCrawler(time.Millisecond)
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if _, reaped, _ := c.Stats(); reaped >= 20 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("crawler never reaped the expired items")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	clk.BlockUntil(1)
+	clk.Advance(time.Millisecond)
+	clk.BlockUntil(1) // the crawler waits again once its sweep is done
 	c.Stop()
 	c.Stop() // idempotent
-	sweeps, reaped, visited := c.Stats()
-	if sweeps == 0 || reaped < 20 || visited == 0 {
-		t.Fatalf("stats = %d/%d/%d", sweeps, reaped, visited)
+	if sweeps, reaped, visited := c.Stats(); sweeps != 1 || reaped != 20 || visited != 20 {
+		t.Fatalf("sweeps/reaped/visited = %d/%d/%d, want 1/20/20", sweeps, reaped, visited)
 	}
 }
 

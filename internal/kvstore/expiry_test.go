@@ -40,19 +40,19 @@ func TestExpiryTable(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			clk := &fakeClock{now: tc.now}
-			st := newTestStore(t, func(c *Config) { c.Clock = clk.fn })
+			clk := newFakeClock(tc.now)
+			st := newTestStore(t, func(c *Config) { c.Clock = clk })
 			if err := st.Set("k", []byte("v"), 0, tc.exptime); err != nil {
 				t.Fatal(err)
 			}
 			for _, at := range tc.probeAt {
-				clk.now = at
+				clk.set(at)
 				if _, ok := st.Get("k"); !ok {
 					t.Fatalf("exptime=%d: item gone at clock %d, want visible", tc.exptime, at)
 				}
 			}
 			for _, at := range tc.goneAt {
-				clk.now = at
+				clk.set(at)
 				if _, ok := st.Get("k"); ok {
 					t.Fatalf("exptime=%d: item visible at clock %d, want gone", tc.exptime, at)
 				}
@@ -64,8 +64,8 @@ func TestExpiryTable(t *testing.T) {
 // TestExpiryNegativeTouch covers the same sentinel through Touch: a
 // negative touch exptime kills the item even at clock t=0.
 func TestExpiryNegativeTouch(t *testing.T) {
-	clk := &fakeClock{now: 0}
-	st := newTestStore(t, func(c *Config) { c.Clock = clk.fn })
+	clk := newFakeClock(0)
+	st := newTestStore(t, func(c *Config) { c.Clock = clk })
 	if err := st.Set("k", []byte("v"), 0, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -81,8 +81,8 @@ func TestExpiryNegativeTouch(t *testing.T) {
 // int64 — 0 never, -1 the already-expired mark — whatever the header
 // stores; a date past the header's range reads back saturated.
 func TestExpirySurfaceStaysInt64(t *testing.T) {
-	clk := &fakeClock{now: 0}
-	st := newTestStore(t, func(c *Config) { c.Clock = clk.fn })
+	clk := newFakeClock(0)
+	st := newTestStore(t, func(c *Config) { c.Clock = clk })
 	for _, tc := range []struct{ exptime, want int64 }{
 		{0, 0},
 		{10, 10},

@@ -8,7 +8,7 @@ package kvstore
 func (st *Store) GetWithExpiry(key string) (Entry, int64, bool) {
 	k := keyBytes(key)
 	sh, hash := st.locate(k)
-	now := st.clock()
+	now := st.now()
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	h, c := sh.s.live(k, hash, now)
@@ -28,7 +28,7 @@ func (st *Store) GetWithExpiry(key string) (Entry, int64, bool) {
 // current. Each key is copied out of its chunk, so the result aliases
 // no store memory.
 func (st *Store) AppendKeys(dst []string) []string {
-	now := st.clock()
+	now := st.now()
 	for _, ls := range st.shards {
 		ls.mu.Lock()
 		ls.s.fireFlush(now)

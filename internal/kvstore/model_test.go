@@ -470,7 +470,7 @@ func (c modelCase) String() string {
 	return name
 }
 
-func (c modelCase) config(clock Clock) Config {
+func (c modelCase) config(clock fakeClock) Config {
 	cfg := DefaultConfig(64 << 20)
 	cfg.Shards, cfg.Clock = c.shards, clock
 	cfg.MaxItemSize = 8 << 10
@@ -493,7 +493,8 @@ func (c modelCase) config(clock Clock) Config {
 func runModel(t *testing.T, c modelCase, seed int64, steps int) (digest uint64, final Stats) {
 	t.Helper()
 	model := &refStore{now: 10_000_000, items: map[string]*refItem{}, maxItem: 8 << 10}
-	st, err := New(c.config(func() int64 { return model.now }))
+	clk := newFakeClock(model.now)
+	st, err := New(c.config(clk))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -519,6 +520,7 @@ func runModel(t *testing.T, c modelCase, seed int64, steps int) (digest uint64, 
 		switch op.kind {
 		case "tick":
 			model.now += int64(op.delta)
+			clk.set(model.now)
 			continue
 		case "flush":
 			st.FlushAll(op.exptime)

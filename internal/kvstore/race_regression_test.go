@@ -166,13 +166,13 @@ func TestStatsReadersDuringChurn(t *testing.T) {
 }
 
 // TestCrawlerConcurrentWithWrites runs the background reaper on a short
-// ticker while writers keep inserting expiring items, then checks the
-// crawler's own counters are consistent.
+// interval while writers keep inserting expiring items and moving the
+// store's fake clock, which fires the crawler's sweeps among the
+// writes, then checks the crawler's own counters are consistent.
 func TestCrawlerConcurrentWithWrites(t *testing.T) {
-	base := time.Now().Unix()
-	var offset atomic.Int64
+	clk := newFakeClock(1_700_000_000)
 	cfg := DefaultConfig(8 << 20)
-	cfg.Clock = func() int64 { return base + offset.Load() }
+	cfg.Clock = clk
 	st, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -192,30 +192,23 @@ func TestCrawlerConcurrentWithWrites(t *testing.T) {
 					return
 				}
 				if i%50 == 0 {
-					offset.Add(2) // push existing items past their TTL
+					clk.Advance(2 * time.Second) // push existing items past their TTL
 				}
 				_, _ = st.Get(key)
 			}
 		}(g)
 	}
 	wg.Wait()
-	offset.Add(2)
-	// Let the ticker observe the advanced clock at least once.
-	deadline := time.After(2 * time.Second)
-	for {
-		if _, reaped, _ := crawlerStats(cr); reaped > 0 {
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatal("crawler never reaped an expired item")
-		case <-time.After(5 * time.Millisecond):
-		}
-	}
+	// One more interval after the writers: the sweep it fires reaps the
+	// items written since the last advance, and is done once the
+	// crawler waits again.
+	clk.BlockUntil(1)
+	clk.Advance(2 * time.Second)
+	clk.BlockUntil(1)
 	cr.Stop()
 	sweeps, reaped, visited := crawlerStats(cr)
-	if sweeps == 0 || visited == 0 {
-		t.Fatalf("sweeps=%d visited=%d", sweeps, visited)
+	if sweeps == 0 || visited == 0 || reaped == 0 {
+		t.Fatalf("sweeps=%d reaped=%d visited=%d", sweeps, reaped, visited)
 	}
 	if reaped > 4*200 {
 		t.Fatalf("reaped %d items, more than were ever stored", reaped)

@@ -5,12 +5,12 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+	"time"
 	"unsafe"
-)
 
-// Clock abstracts wall time (unix seconds) so tests and simulations can
-// drive expiry deterministically.
-type Clock func() int64
+	"kv3d/internal/clock"
+	"kv3d/internal/sim"
+)
 
 // Config configures a Store. The zero value is not usable; call
 // DefaultConfig and adjust.
@@ -31,9 +31,10 @@ type Config struct {
 	BaseChunkSize int
 	GrowthFactor  float64
 	SlabPageSize  int
-	// Clock supplies unix seconds; defaults to WallClock. Simulations
-	// and experiments must inject a deterministic clock (LINTING.md).
-	Clock Clock
+	// Clock is what expiry, flush delays and uptime count whole seconds
+	// of; nil selects clock.Wall. Simulations and experiments must
+	// inject a deterministic clock (LINTING.md).
+	Clock clock.Clock
 }
 
 // DefaultConfig returns a memcached-like configuration with the given
@@ -63,7 +64,7 @@ type Store struct {
 	cfg       Config
 	shards    []*lockedShard
 	mask      uint64
-	clock     Clock
+	clock     clock.Clock
 	cas       casCounter
 	startUnix int64
 }
@@ -105,7 +106,7 @@ func New(cfg Config) (*Store, error) {
 		cfg.SlabPageSize = DefaultSlabPageSize
 	}
 	if cfg.Clock == nil {
-		cfg.Clock = WallClock
+		cfg.Clock = clock.Wall
 	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = 8
@@ -129,7 +130,8 @@ func New(cfg Config) (*Store, error) {
 			cfg.SlabPageSize, maxItemBytes)
 	}
 
-	st := &Store{cfg: cfg, mask: uint64(nShards - 1), clock: cfg.Clock, startUnix: cfg.Clock()}
+	st := &Store{cfg: cfg, mask: uint64(nShards - 1), clock: cfg.Clock}
+	st.startUnix = st.now()
 	for i := 0; i < nShards; i++ {
 		alloc, err := newSlabAllocator(cfg.BaseChunkSize, cfg.GrowthFactor, cfg.SlabPageSize, perShard)
 		if err != nil {
@@ -144,6 +146,13 @@ func New(cfg Config) (*Store, error) {
 
 // Config returns the effective configuration (after defaulting).
 func (st *Store) Config() Config { return st.cfg }
+
+// Clock is the clock the store reads; a server built on the store
+// times its sessions with it too.
+func (st *Store) Clock() clock.Clock { return st.clock }
+
+// now is the clock's time in whole unix seconds, the store's unit.
+func (st *Store) now() int64 { return int64(st.clock.Now() / sim.Ns(time.Second)) }
 
 // shardIndex uses the upper hash bits for shard selection so shard
 // choice stays independent of the table's bucket choice (which uses low
@@ -186,7 +195,7 @@ func (st *Store) expiryToAbs(exptime int64) int64 {
 		return expiredNow // memcached treats negatives as "immediately"
 	}
 	if exptime <= thirtyDays {
-		return st.clock() + exptime
+		return st.now() + exptime
 	}
 	return exptime
 }
@@ -203,7 +212,7 @@ type Entry struct {
 func (st *Store) Get(key string) (Entry, bool) {
 	k := keyBytes(key)
 	sh, hash := st.locate(k)
-	now := st.clock()
+	now := st.now()
 	sh.mu.Lock()
 	sh.s.stats.ReadLocks++
 	v, flags, cas, ok := sh.s.get(k, hash, now)
@@ -251,7 +260,7 @@ type Pin struct {
 //kv3d:hotpath
 func (st *Store) PinBytes(dst, key []byte, pinFrom int) ([]byte, Entry, Pin, bool) {
 	sh, hash := st.locate(key)
-	now := st.clock()
+	now := st.now()
 	sh.mu.Lock()
 	sh.s.stats.ReadLocks++
 	out, flags, cas, h, ok := sh.s.getOrPin(dst, key, hash, now, pinFrom)
@@ -304,7 +313,7 @@ func (st *Store) Put(verb Verb, key string, value []byte, flags uint32, exptime 
 //kv3d:hotpath
 func (st *Store) PutBytes(verb Verb, key, value []byte, flags uint32, exptime int64, casID uint64) (newCAS uint64, err error) {
 	sh, hash := st.locate(key)
-	now := st.clock()
+	now := st.now()
 	abs := st.expiryToAbs(exptime)
 	sh.mu.Lock()
 	switch verb {
@@ -351,7 +360,7 @@ func (st *Store) CAS(key string, value []byte, flags uint32, exptime int64, cas 
 func (st *Store) Append(key string, extra []byte) error {
 	k := keyBytes(key)
 	sh, hash := st.locate(k)
-	now := st.clock()
+	now := st.now()
 	sh.mu.Lock()
 	err := sh.s.appendValue(k, hash, extra, now, false)
 	sh.mu.Unlock()
@@ -362,7 +371,7 @@ func (st *Store) Append(key string, extra []byte) error {
 func (st *Store) Prepend(key string, extra []byte) error {
 	k := keyBytes(key)
 	sh, hash := st.locate(k)
-	now := st.clock()
+	now := st.now()
 	sh.mu.Lock()
 	err := sh.s.appendValue(k, hash, extra, now, true)
 	sh.mu.Unlock()
@@ -374,7 +383,7 @@ func (st *Store) Prepend(key string, extra []byte) error {
 func (st *Store) IncrDecr(key string, delta uint64, incr bool) (value, cas uint64, err error) {
 	k := keyBytes(key)
 	sh, hash := st.locate(k)
-	now := st.clock()
+	now := st.now()
 	sh.mu.Lock()
 	value, cas, err = sh.s.incrDecr(k, hash, delta, incr, now)
 	sh.mu.Unlock()
@@ -397,7 +406,7 @@ func (st *Store) Decr(key string, delta uint64) (uint64, error) {
 func (st *Store) Delete(key string) error {
 	k := keyBytes(key)
 	sh, hash := st.locate(k)
-	now := st.clock()
+	now := st.now()
 	sh.mu.Lock()
 	err := sh.s.delete(k, hash, now)
 	sh.mu.Unlock()
@@ -408,7 +417,7 @@ func (st *Store) Delete(key string) error {
 func (st *Store) Touch(key string, exptime int64) error {
 	k := keyBytes(key)
 	sh, hash := st.locate(k)
-	now := st.clock()
+	now := st.now()
 	abs := st.expiryToAbs(exptime)
 	sh.mu.Lock()
 	err := sh.s.touch(k, hash, abs, now)
@@ -423,7 +432,7 @@ func (st *Store) Touch(key string, exptime int64) error {
 // before that call. One delayed flush can be pending; a new one
 // replaces it, an immediate one leaves it in place (ROBUSTNESS.md).
 func (st *Store) FlushAll(delay int64) {
-	now := st.clock()
+	now := st.now()
 	for _, sh := range st.shards {
 		sh.mu.Lock()
 		sh.s.fireFlush(now)
@@ -508,7 +517,7 @@ func (st *Store) Stats() Stats {
 	}
 	out.Classes = kept
 	out.Shards = len(st.shards)
-	out.UptimeSeconds = st.clock() - st.startUnix
+	out.UptimeSeconds = st.now() - st.startUnix
 	return out
 }
 

@@ -9,12 +9,21 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
+
+	"kv3d/internal/clock"
+	"kv3d/internal/sim"
 )
 
-// fakeClock is a controllable Clock for expiry tests.
-type fakeClock struct{ now int64 }
+// fakeClock is a clock.Fake set in whole unix seconds, for expiry tests.
+type fakeClock struct{ *clock.Fake }
 
-func (c *fakeClock) fn() int64 { return c.now }
+func newFakeClock(unix int64) fakeClock {
+	return fakeClock{clock.NewFake(sim.Ns(unix) * sim.Ns(time.Second))}
+}
+
+// set moves the clock to unix second s.
+func (c fakeClock) set(s int64) { c.Advance(time.Duration(sim.Ns(s)*sim.Ns(time.Second) - c.Now())) }
 
 func newTestStore(t *testing.T, mut func(*Config)) *Store {
 	t.Helper()
@@ -211,17 +220,17 @@ func TestDelete(t *testing.T) {
 }
 
 func TestExpiry(t *testing.T) {
-	clk := &fakeClock{now: 1000}
-	st := newTestStore(t, func(c *Config) { c.Clock = clk.fn })
+	clk := newFakeClock(1000)
+	st := newTestStore(t, func(c *Config) { c.Clock = clk })
 	st.Set("k", []byte("v"), 0, 60) // relative: expires at 1060
 	if _, ok := st.Get("k"); !ok {
 		t.Fatal("not expired yet")
 	}
-	clk.now = 1059
+	clk.set(1059)
 	if _, ok := st.Get("k"); !ok {
 		t.Fatal("expired too early")
 	}
-	clk.now = 1060
+	clk.set(1060)
 	if _, ok := st.Get("k"); ok {
 		t.Fatal("should be expired")
 	}
@@ -232,22 +241,22 @@ func TestExpiry(t *testing.T) {
 }
 
 func TestExpiryAbsolute(t *testing.T) {
-	clk := &fakeClock{now: 5_000_000}
-	st := newTestStore(t, func(c *Config) { c.Clock = clk.fn })
+	clk := newFakeClock(5_000_000)
+	st := newTestStore(t, func(c *Config) { c.Clock = clk })
 	st.Set("k", []byte("v"), 0, 5_000_100) // > 30 days: absolute
-	clk.now = 5_000_099
+	clk.set(5_000_099)
 	if _, ok := st.Get("k"); !ok {
 		t.Fatal("absolute expiry fired early")
 	}
-	clk.now = 5_000_100
+	clk.set(5_000_100)
 	if _, ok := st.Get("k"); ok {
 		t.Fatal("absolute expiry missed")
 	}
 }
 
 func TestExpiryNegativeImmediate(t *testing.T) {
-	clk := &fakeClock{now: 1000}
-	st := newTestStore(t, func(c *Config) { c.Clock = clk.fn })
+	clk := newFakeClock(1000)
+	st := newTestStore(t, func(c *Config) { c.Clock = clk })
 	st.Set("k", []byte("v"), 0, -1)
 	if _, ok := st.Get("k"); ok {
 		t.Fatal("negative exptime should mean already expired")
@@ -255,13 +264,13 @@ func TestExpiryNegativeImmediate(t *testing.T) {
 }
 
 func TestTouch(t *testing.T) {
-	clk := &fakeClock{now: 1000}
-	st := newTestStore(t, func(c *Config) { c.Clock = clk.fn })
+	clk := newFakeClock(1000)
+	st := newTestStore(t, func(c *Config) { c.Clock = clk })
 	st.Set("k", []byte("v"), 0, 10)
 	if err := st.Touch("k", 100); err != nil {
 		t.Fatal(err)
 	}
-	clk.now = 1050 // would have expired at 1010 without touch
+	clk.set(1050) // would have expired at 1010 without touch
 	if _, ok := st.Get("k"); !ok {
 		t.Fatal("touch did not extend TTL")
 	}
@@ -274,12 +283,12 @@ func TestTouch(t *testing.T) {
 // the contract is about the order of calls, not about seconds.
 
 func TestFlushAll(t *testing.T) {
-	clk := &fakeClock{now: 1000}
-	st := newTestStore(t, func(c *Config) { c.Clock = clk.fn })
+	clk := newFakeClock(1000)
+	st := newTestStore(t, func(c *Config) { c.Clock = clk })
 	st.Set("a", []byte("1"), 0, 0)
 	st.Set("b", []byte("2"), 0, 0)
 	st.FlushAll(0)
-	clk.now = 1001
+	clk.set(1001)
 	if _, ok := st.Get("a"); ok {
 		t.Fatal("flush_all left a visible")
 	}
@@ -297,8 +306,8 @@ func TestFlushAll(t *testing.T) {
 // when it returns, in the same second. (The epoch used to be now+1 and
 // waited for the clock to reach it.)
 func TestFlushAllIsImmediate(t *testing.T) {
-	clk := &fakeClock{now: 1000}
-	st := newTestStore(t, func(c *Config) { c.Clock = clk.fn })
+	clk := newFakeClock(1000)
+	st := newTestStore(t, func(c *Config) { c.Clock = clk })
 	st.Set("a", []byte("1"), 0, 0)
 	st.FlushAll(0)
 	if _, ok := st.Get("a"); ok {
@@ -316,14 +325,14 @@ func TestFlushAllIsImmediate(t *testing.T) {
 // the same second and once the second ticks. (It used to die at the
 // tick: stored at second 1000 is "before" the epoch 1001.)
 func TestFlushAllIsExact(t *testing.T) {
-	clk := &fakeClock{now: 1000}
-	st := newTestStore(t, func(c *Config) { c.Clock = clk.fn })
+	clk := newFakeClock(1000)
+	st := newTestStore(t, func(c *Config) { c.Clock = clk })
 	st.Set("b", []byte("old"), 0, 0)
 	st.FlushAll(0)
 	st.Set("b", []byte("new"), 0, 0) // over the dead item, in place
 	st.Set("c", []byte("new"), 0, 0)
 	for _, now := range []int64{1000, 1001, 5000} {
-		clk.now = now
+		clk.set(now)
 		for _, key := range []string{"b", "c"} {
 			if e, ok := st.Get(key); !ok || string(e.Value) != "new" {
 				t.Fatalf("flush_all; set %s; get %s at clock %d: %q, %v", key, key, now, e.Value, ok)
@@ -336,16 +345,16 @@ func TestFlushAllIsExact(t *testing.T) {
 }
 
 func TestFlushAllDelayed(t *testing.T) {
-	clk := &fakeClock{now: 1000}
-	st := newTestStore(t, func(c *Config) { c.Clock = clk.fn })
+	clk := newFakeClock(1000)
+	st := newTestStore(t, func(c *Config) { c.Clock = clk })
 	st.Set("a", []byte("1"), 0, 0)
 	st.FlushAll(50) // due at 1050
-	clk.now = 1049
+	clk.set(1049)
 	st.Set("b", []byte("1"), 0, 0)
 	if _, ok := st.Get("a"); !ok {
 		t.Fatal("delayed flush should not fire yet")
 	}
-	clk.now = 1050
+	clk.set(1050)
 	// A store that finds the flush due is stored after it.
 	st.Set("c", []byte("1"), 0, 0)
 	for key, want := range map[string]bool{"a": false, "b": false, "c": true} {
@@ -354,9 +363,9 @@ func TestFlushAllDelayed(t *testing.T) {
 		}
 	}
 	// It fires once: later stores are not under it.
-	clk.now = 1051
+	clk.set(1051)
 	st.Set("d", []byte("1"), 0, 0)
-	clk.now = 2000
+	clk.set(2000)
 	if _, ok := st.Get("d"); !ok {
 		t.Fatal("a fired delayed flush killed a later store")
 	}
@@ -367,8 +376,8 @@ func TestFlushAllDelayed(t *testing.T) {
 // epoch was not above the pending one), and the pending one still fires
 // at its time.
 func TestFlushAllImmediateWhileDelayedPending(t *testing.T) {
-	clk := &fakeClock{now: 1000}
-	st := newTestStore(t, func(c *Config) { c.Clock = clk.fn })
+	clk := newFakeClock(1000)
+	st := newTestStore(t, func(c *Config) { c.Clock = clk })
 	st.Set("a", []byte("1"), 0, 0)
 	st.FlushAll(50)
 	st.FlushAll(0)
@@ -376,20 +385,21 @@ func TestFlushAllImmediateWhileDelayedPending(t *testing.T) {
 		t.Fatal("flush_all 50; flush_all; get a: hit")
 	}
 	st.Set("b", []byte("1"), 0, 0)
-	clk.now = 1049
+	clk.set(1049)
 	if _, ok := st.Get("b"); !ok {
 		t.Fatal("b, stored after the immediate flush, gone before the delayed one is due")
 	}
-	clk.now = 1050
+	clk.set(1050)
 	if _, ok := st.Get("b"); ok {
 		t.Fatal("the pending delayed flush did not fire at its time")
 	}
 	// A newer delayed flush replaces the pending one (memcached keeps
-	// one oldest_live); a delay no clock can reach never fires.
+	// one oldest_live); a delay no clock can reach never fires. 1<<33
+	// seconds (the year 2242) is near the end of a nanosecond clock.
 	st.Set("c", []byte("1"), 0, 0)
 	st.FlushAll(10)
 	st.FlushAll(math.MaxInt64)
-	clk.now = 1 << 40
+	clk.set(1 << 33)
 	if _, ok := st.Get("c"); !ok {
 		t.Fatal("a replaced delayed flush fired, or an unreachable delay wrapped around")
 	}
@@ -403,7 +413,7 @@ func TestFlushAllImmediateWhileDelayedPending(t *testing.T) {
 func TestFlushAllConcurrentWithStores(t *testing.T) {
 	// The clock stands still, so the delayed flushes stay pending and
 	// the last two checks do not race a second boundary.
-	st := newTestStore(t, func(c *Config) { c.Clock = func() int64 { return 1000 } })
+	st := newTestStore(t, func(c *Config) { c.Clock = newFakeClock(1000) })
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {

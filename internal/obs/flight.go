@@ -11,9 +11,9 @@ package obs
 //
 // Like everything in obs, the recorder never reads a clock: every
 // timestamp is a typed wall-nanosecond count (sim.Ns) handed in by the
-// caller through the injected clock seam (kvserver.Options.NowNanos,
-// kvclient's FlightNow). That keeps this file inside the sim import
-// closure's determinism contract, and it makes the golden test for live
+// caller from its clock.Clock (the server's store clock, a cluster
+// client's ClusterConfig.Clock). That keeps this file inside the
+// determinism contract, and it makes the golden test for live
 // traces possible: a scripted session with a fake clock serializes to
 // byte-identical output.
 //

@@ -25,7 +25,7 @@ import (
 // "expired = absolute 1" encoding still compared as live.
 func newClockStore(t *testing.T, now int64) *kvstore.Store {
 	t.Helper()
-	return frozenStore(t, &now)
+	return frozenStore(t, atSecond(now))
 }
 
 // touchExtras is the 4-byte big-endian exptime extras of OpTouch/OpFlush.
@@ -85,13 +85,8 @@ func TestBinaryNegativeExptime(t *testing.T) {
 // Pre-fix, a 2-byte extras field was silently treated as "flush now",
 // turning a client framing bug into whole-cache loss.
 func TestBinaryFlushExtras(t *testing.T) {
-	now := int64(1000)
-	cfg := kvstore.DefaultConfig(16 << 20)
-	cfg.Clock = func() int64 { return now }
-	st, err := kvstore.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	clk := atSecond(1000)
+	st := frozenStore(t, clk)
 	rs := runBinary(t, st,
 		frame(OpSet, "k", setExtras(0, 0), []byte("v"), 0, 1),
 		frame(OpFlush, "", touchExtras(100), nil, 0, 2), // delayed: fires at 1100, clock is 1000
@@ -121,12 +116,12 @@ func TestBinaryFlushExtras(t *testing.T) {
 	// The delay must have been parsed as exactly 100: the key survives
 	// at 1099 and is gone at 1100. Pre-fix behavior (treating a framing
 	// mismatch as "flush now") would already have killed it above.
-	now = 1099
+	clk.Advance(99 * time.Second) // 1099
 	rs = runBinary(t, st, frame(OpGet, "k", nil, nil, 0, 7))
 	if len(rs) != 1 || rs[0].status != StatusOK {
 		t.Fatalf("get at epoch-1 = %+v, want hit", rs)
 	}
-	now = 1100
+	clk.Advance(time.Second) // 1100
 	rs = runBinary(t, st, frame(OpGet, "k", nil, nil, 0, 8))
 	if len(rs) != 1 || rs[0].status != StatusKeyNotFound {
 		t.Fatalf("get at flush epoch = %+v, want KeyNotFound", rs)

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"strings"
 	"testing"
+	"time"
 
 	"kv3d/internal/kvstore"
 )
@@ -276,8 +277,8 @@ func TestBinaryTouchFlushNoopVersion(t *testing.T) {
 // TestBinaryFlushIsImmediateAndExact is TestFlushAllIsImmediateAndExact
 // over a binary session.
 func TestBinaryFlushIsImmediateAndExact(t *testing.T) {
-	now := int64(1000)
-	st := frozenStore(t, &now)
+	clk := atSecond(1000)
+	st := frozenStore(t, clk)
 	rs := runBinary(t, st,
 		frame(OpSet, "a", setExtras(0, 0), []byte("1"), 0, 0),
 		frame(OpFlush, "", touchExtras(50), nil, 0, 0),
@@ -292,11 +293,11 @@ func TestBinaryFlushIsImmediateAndExact(t *testing.T) {
 			t.Fatalf("in the second of the flush, response %d has status %#x, want %#x", i, r.status, want[i])
 		}
 	}
-	now = 1001
+	clk.Advance(time.Second) // 1001
 	if rs := runBinary(t, st, frame(OpGet, "b", nil, nil, 0, 0)); rs[0].status != StatusOK || string(rs[0].value) != "2" {
 		t.Fatalf("a second after the flush, get b: status %#x value %q", rs[0].status, rs[0].value)
 	}
-	now = 1050
+	clk.Advance(49 * time.Second) // 1050
 	if rs := runBinary(t, st, frame(OpGet, "b", nil, nil, 0, 0)); rs[0].status != StatusKeyNotFound {
 		t.Fatalf("at the delayed flush's time, get b: status %#x", rs[0].status)
 	}

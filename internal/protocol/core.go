@@ -13,7 +13,9 @@ import (
 	"io"
 	"math"
 	"net"
+	"time"
 
+	"kv3d/internal/clock"
 	"kv3d/internal/kvstore"
 	"kv3d/internal/sim"
 )
@@ -36,14 +38,14 @@ type Gate interface {
 type Env struct {
 	// Gate is the in-flight admission gate; nil means unlimited.
 	Gate Gate
-	// Observer receives one callback per command, timed by NowNanos —
-	// the clock is injected so this package never reads wall time
-	// itself. Commands are observed only when both are set.
+	// Observer receives one callback per command, timed by Clock (a
+	// server's is its store's). Commands are observed only when both
+	// are set.
 	Observer Observer
-	NowNanos func() sim.Ns
+	Clock    clock.Clock
 	// Flight receives a phase-split OpSpan for one command in every
-	// FlightEvery (minimum 1). Spans are stamped with NowNanos, so
-	// Flight does nothing unless commands are observed.
+	// FlightEvery (minimum 1). Spans are stamped with Clock, so Flight
+	// does nothing unless commands are observed.
 	Flight      SpanObserver
 	FlightEvery int
 	// Repl receives each successful local set/add/replace/cas, delete,
@@ -77,7 +79,7 @@ type core struct {
 	r     *bufio.Reader
 	w     *bufio.Writer
 	env   Env
-	// timed is env.Observer and env.NowNanos both set, decided once.
+	// timed is env.Observer and env.Clock both set, decided once.
 	timed bool
 	// transport and lastEnd let a pipelined request skip its start
 	// stamp: when the transport was not read since the previous request
@@ -113,7 +115,7 @@ type core struct {
 
 func newCore(store *kvstore.Store, r *bufio.Reader, w *bufio.Writer, env Env) core {
 	c := core{store: store, r: r, w: w, env: env, pinFrom: math.MaxInt}
-	c.timed = env.Observer != nil && env.NowNanos != nil
+	c.timed = env.Observer != nil && env.Clock != nil
 	if !c.timed {
 		c.env.Flight = nil
 	}
@@ -147,10 +149,18 @@ type flushBeforeRead struct {
 	// read is set by every transport read and cleared by the core when
 	// a request ends.
 	read bool
+	// idle, when set, times the connection out after that much silence:
+	// each transport read first moves its deadline to idle from now.
+	idle time.Duration
 }
 
 func (f *flushBeforeRead) Read(p []byte) (int, error) {
 	f.read = true
+	if f.idle > 0 {
+		if err := f.r.(net.Conn).SetDeadline(clock.Deadline(f.idle)); err != nil {
+			return 0, err
+		}
+	}
 	if err := f.w.Flush(); err != nil {
 		return 0, err
 	}
@@ -169,12 +179,21 @@ const pinThreshold = 16 << 10
 // connection that ends before its first byte was never a session and
 // returns nil.
 func ServeConn(store *kvstore.Store, rw io.ReadWriter, env Env) error {
-	return serveConn(store, rw, env, pinThreshold)
+	return serveConn(store, rw, env, pinThreshold, 0)
 }
 
-// serveConn is ServeConn with the pin threshold as a parameter.
-func serveConn(store *kvstore.Store, rw io.ReadWriter, env Env, pinFrom int) error {
+// ServeConnIdle is ServeConn on a connection that times out after idle
+// without traffic (0 = never), armed on conn itself: the session still
+// writes to net's own type, so a pinned GET stays one writev.
+func ServeConnIdle(store *kvstore.Store, conn net.Conn, env Env, idle time.Duration) error {
+	return serveConn(store, conn, env, pinThreshold, idle)
+}
+
+// serveConn is ServeConn with the pin threshold and the idle timeout as
+// parameters; idle > 0 needs rw to be a net.Conn.
+func serveConn(store *kvstore.Store, rw io.ReadWriter, env Env, pinFrom int, idle time.Duration) error {
 	r, w, transport := newBufferedPair(rw)
+	transport.idle = idle
 	first, err := r.Peek(1)
 	if err != nil {
 		return nil
@@ -252,7 +271,7 @@ func (c *core) serveOne(cd codec) error {
 		if c.transport != nil && !c.transport.read {
 			start = c.lastEnd
 		} else {
-			start = c.env.NowNanos()
+			start = c.env.Clock.Now()
 		}
 	}
 	admitted := c.env.Gate == nil || c.env.Gate.TryAcquire()
@@ -266,7 +285,7 @@ func (c *core) serveOne(cd codec) error {
 		err = cd.shed()
 	}
 	if c.timed {
-		end := c.env.NowNanos()
+		end := c.env.Clock.Now()
 		class, opaque := cd.tag()
 		c.env.Observer.ObserveOp(class, out, end-start)
 		c.endSpan(class, out, opaque, start, end)
@@ -303,7 +322,7 @@ func (c *core) beginSpan() {
 //kv3d:hotpath
 func (c *core) markParse() {
 	if c.spanActive && c.tParse == 0 {
-		c.tParse = c.env.NowNanos()
+		c.tParse = c.env.Clock.Now()
 	}
 }
 
@@ -314,7 +333,7 @@ func (c *core) markParse() {
 //kv3d:hotpath
 func (c *core) markExec() {
 	if c.spanActive && c.tExec == 0 {
-		c.tExec = c.env.NowNanos()
+		c.tExec = c.env.Clock.Now()
 	}
 }
 

@@ -51,7 +51,7 @@ func benchLargeGet(b *testing.B, size, pinFrom int) {
 	go func() {
 		conn, err := ln.Accept()
 		if err == nil {
-			err = serveConn(st, conn, Env{}, pinFrom)
+			err = serveConn(st, conn, Env{}, pinFrom, 0)
 			conn.Close()
 		}
 		served <- err

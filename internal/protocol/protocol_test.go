@@ -6,8 +6,11 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
+	"kv3d/internal/clock"
 	"kv3d/internal/kvstore"
+	"kv3d/internal/sim"
 )
 
 // rwBuffer joins a request buffer and a response buffer into one
@@ -197,11 +200,14 @@ func TestFlushAll(t *testing.T) {
 	}
 }
 
+// atSecond is a fake clock reading the unix second s.
+func atSecond(s int64) *clock.Fake { return clock.NewFake(sim.Ns(s) * sim.Ns(time.Second)) }
+
 // frozenStore is a store whose clock moves only when the test moves it.
-func frozenStore(t *testing.T, now *int64) *kvstore.Store {
+func frozenStore(t *testing.T, clk *clock.Fake) *kvstore.Store {
 	t.Helper()
 	cfg := kvstore.DefaultConfig(16 << 20)
-	cfg.Clock = func() int64 { return *now }
+	cfg.Clock = clk
 	st, err := kvstore.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -215,17 +221,17 @@ func frozenStore(t *testing.T, now *int64) *kvstore.Store {
 // stored after it survives the next tick, and a pending delayed flush
 // neither absorbs an immediate one nor is cancelled by it.
 func TestFlushAllIsImmediateAndExact(t *testing.T) {
-	now := int64(1000)
-	st := frozenStore(t, &now)
+	clk := atSecond(1000)
+	st := frozenStore(t, clk)
 	out := run(t, st, "set a 0 0 1\r\n1\r\nflush_all 50\r\nflush_all\r\nget a\r\nset b 0 0 1\r\n2\r\nget b\r\n")
 	if want := "STORED\r\nOK\r\nOK\r\nEND\r\nSTORED\r\nVALUE b 0 1\r\n2\r\nEND\r\n"; out != want {
 		t.Fatalf("in the second of the flush:\n got %q\nwant %q", out, want)
 	}
-	now = 1001
+	clk.Advance(time.Second) // 1001
 	if out := run(t, st, "get b\r\n"); out != "VALUE b 0 1\r\n2\r\nEND\r\n" {
 		t.Fatalf("a second after the flush, get b: %q", out)
 	}
-	now = 1050
+	clk.Advance(49 * time.Second) // 1050
 	if out := run(t, st, "get b\r\n"); out != "END\r\n" {
 		t.Fatalf("at the delayed flush's time, get b: %q", out)
 	}

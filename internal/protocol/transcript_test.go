@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"kv3d/internal/clock"
 	"kv3d/internal/kvstore"
 	"kv3d/internal/sim"
 )
@@ -26,7 +27,9 @@ import (
 // the number of clock reads the op made.
 
 // transcriptDeps is every session dependency as one recording fake.
+// Its clock reads only Now: a session never waits on its clock.
 type transcriptDeps struct {
+	clock.Clock
 	log      []string
 	clock    sim.Ns
 	every    int // flight sampling interval
@@ -38,7 +41,7 @@ type transcriptDeps struct {
 	replN    int
 }
 
-func (d *transcriptDeps) now() sim.Ns { d.clock++; return d.clock }
+func (d *transcriptDeps) Now() sim.Ns { d.clock++; return d.clock }
 
 func (d *transcriptDeps) TryAcquire() bool {
 	d.acquires++
@@ -91,7 +94,7 @@ func (d *transcriptDeps) ReplicateFlush(delay int64, mode ReplMode) error {
 func newTranscriptSession(bin bool, st *kvstore.Store, rw io.ReadWriter, d *transcriptDeps) interface{ Serve() error } {
 	var env Env
 	if d != nil {
-		env = Env{Gate: d, Observer: d, NowNanos: d.now, Flight: d, FlightEvery: d.every, Repl: d}
+		env = Env{Gate: d, Observer: d, Clock: d, Flight: d, FlightEvery: d.every, Repl: d}
 	}
 	r, w := NewBufferedPair(rw)
 	if bin {
@@ -502,7 +505,7 @@ func TestTruncationEndsSessionCleanly(t *testing.T) {
 				start += len(req.bytes)
 			}
 			d := &transcriptDeps{refuseAt: 1 << 30}
-			env := Env{Gate: d, Observer: d, NowNanos: d.now}
+			env := Env{Gate: d, Observer: d, Clock: d}
 			rw := &rwBuffer{in: bytes.NewReader(stream[:cut])}
 			if err := ServeConn(newStore(t), rw, env); err != nil {
 				t.Errorf("%s cut at %d: Serve = %v, want nil", codec, cut, err)
@@ -553,7 +556,7 @@ func TestClockReadsPerPipelinedOp(t *testing.T) {
 			{"16-deep burst on a caller's pair", burst, true, 16, 32},
 		} {
 			d := &transcriptDeps{}
-			env := Env{Observer: d, NowNanos: d.now}
+			env := Env{Observer: d, Clock: d}
 			rw := &segmentedRW{segs: append([][]byte(nil), tc.segs...)}
 			var err error
 			if !tc.callerPair {

@@ -20,8 +20,8 @@ package sim
 // for raw-integer seams (histogram samples, trace timestamps).
 type Ps int64
 
-// Ns is a nanosecond count: the live server's clock unit (injected
-// NowNanos clocks, protocol observers) as a defined type.
+// Ns is a nanosecond count: the live server's clock unit (clock.Clock
+// readings, protocol observers) as a defined type.
 type Ns int64
 
 // PsToNs converts picoseconds to nanoseconds, rounding to nearest
