@@ -45,7 +45,7 @@ func TestStoreHeapIsSlabPlusTable(t *testing.T) {
 	if stats.CurrItems != items {
 		t.Fatalf("resident items = %d, want %d", stats.CurrItems, items)
 	}
-	// 36 B of header + a 12 B key + 100 B of value is 148 B, which the
+	// 26 B of header + a 12 B key + 100 B of value is 138 B, which the
 	// 152 B class holds; the 48-byte header's 160 B needed the 192 B one.
 	// (SlabBytes also counts each shard's partly used last page, so the
 	// gate is on the chunks the items occupy.)

@@ -5,8 +5,8 @@
 // It contains two halves that meet in the experiments:
 //
 // The functional half is a production-quality memcached implementation —
-// slab allocator, incremental-rehash hash table, Bags pseudo-LRU
-// eviction, the full ASCII protocol over TCP, a client, and a
+// slab allocator, incremental-rehash hash table, CLOCK eviction, the
+// full ASCII protocol over TCP, a client, and a
 // consistent-hash ring (internal/kvstore, internal/protocol,
 // internal/kvserver, internal/kvclient, internal/cluster).
 //

@@ -24,6 +24,7 @@ import (
 	"testing"
 
 	"kv3d/internal/clock"
+	"kv3d/internal/kvclient"
 	"kv3d/internal/kvstore"
 	"kv3d/internal/obs"
 	"kv3d/internal/protocol"
@@ -503,5 +504,54 @@ func TestPinnedGetZeroAllocPerOp(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestBinaryClientGetOneAllocPerOp gates the client side of a binary
+// GET: over loopback TCP to a server that allocates nothing per GET,
+// BinaryClient.Get allocates once — the response body, which holds the
+// Value the caller keeps — and nothing else.
+func TestBinaryClientGetOneAllocPerOp(t *testing.T) {
+	st, err := kvstore.New(kvstore.DefaultConfig(8 << 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	value := bytes.Repeat([]byte("v"), 100)
+	if err := st.Set("key:00000001", value, 3, 0); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	served := make(chan error, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err == nil {
+			err = protocol.ServeConn(st, conn, protocol.Env{})
+			conn.Close()
+		}
+		served <- err
+	}()
+	c, err := kvclient.DialBinary(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got kvclient.Item
+	allocs := testing.AllocsPerRun(200, func() {
+		if got, err = c.Get("key:00000001"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("BinaryClient.Get allocates %v per op, want at most 1", allocs)
+	}
+	if !bytes.Equal(got.Value, value) || got.Flags != 3 {
+		t.Fatalf("get = %q flags %d", got.Value, got.Flags)
+	}
+	c.Close()
+	if err := <-served; err != nil {
+		t.Fatal(err)
 	}
 }

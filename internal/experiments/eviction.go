@@ -16,22 +16,22 @@ func init() {
 	registry["eviction"] = EvictionQuality
 }
 
-// EvictionQuality compares the store's Bags pseudo-LRU against strict
+// EvictionQuality compares the store's CLOCK eviction against strict
 // LRU on hit rate under Zipf traffic with cache-fill-on-miss — the
-// question Wiggins & Langston's design raises: Bags removes the
-// read-path lock (the Table 4 scaling win), but does its weaker recency
-// signal cost hits? The store runs Bags; the LRU column comes from
-// exactLRU, holding as many items as the store does, fed the identical
-// request stream.
+// question Wiggins & Langston's design raises: a read path that writes
+// no list removes the read-path lock (the Table 4 scaling win), but does
+// its weaker recency signal cost hits? The store column is the store
+// itself; the LRU column comes from exactLRU, holding as many items as
+// the store does, fed the identical request stream.
 func EvictionQuality(o Options) (Result, error) {
 	requests := 150_000
 	if o.Quick {
 		requests = 30_000
 	}
 	t := &report.Table{
-		Title:   "Eviction quality: strict LRU vs Bags pseudo-LRU (fill-on-miss)",
-		Columns: []string{"Zipf skew", "Cache/working set", "LRU hit %", "Bags hit %", "Bags deficit"},
-		Note:    "identical request streams; deficit = LRU hit rate - Bags hit rate",
+		Title:   "Eviction quality: strict LRU vs the store's CLOCK (fill-on-miss)",
+		Columns: []string{"Zipf skew", "Cache/working set", "LRU hit %", "store hit %", "store deficit"},
+		Note:    "identical request streams; deficit = LRU hit rate - store hit rate",
 	}
 	type scenario struct {
 		skew      float64
@@ -58,7 +58,7 @@ func EvictionQuality(o Options) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		bags, err := runFillOnMiss(storeCache{st, value}, sc.keys, sc.skew, requests)
+		store, err := runFillOnMiss(storeCache{st, value}, sc.keys, sc.skew, requests)
 		if err != nil {
 			return Result{}, err
 		}
@@ -66,8 +66,8 @@ func EvictionQuality(o Options) (Result, error) {
 		t.AddRow(sc.skew,
 			fmt.Sprintf("%.0f%%", coverage*100),
 			fmt.Sprintf("%.1f", lru*100),
-			fmt.Sprintf("%.1f", bags*100),
-			fmt.Sprintf("%.1f pp", (lru-bags)*100))
+			fmt.Sprintf("%.1f", store*100),
+			fmt.Sprintf("%.1f pp", (lru-store)*100))
 	}
 	return Result{ID: "eviction", Title: "Eviction quality", Tables: []*report.Table{t}}, nil
 }

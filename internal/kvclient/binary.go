@@ -43,6 +43,14 @@ type BinaryClient struct {
 	pendingOpaque uint32
 	pendingSet    bool
 	lastOpaque    uint32
+
+	// Scratch reused across calls, so the one allocation a Get makes is
+	// the response body the caller gets to keep: the two headers would
+	// escape through the bufio and io interfaces, and GetMulti's key and
+	// opaque lists would be made anew per batch.
+	wHdr, rHdr [24]byte
+	keys       []string
+	opaques    []uint32
 }
 
 // DialBinary connects to a memcached server's binary protocol.
@@ -120,7 +128,7 @@ func (b *BinaryClient) writeRequest(opcode byte, key string, extras, value []byt
 // the carrier of the per-op replication mode (see protocol.ReplMode).
 func (b *BinaryClient) writeRequestVbucket(opcode byte, key string, extras, value []byte, cas uint64, vbucket uint16) uint32 {
 	opaque := b.takeOpaque()
-	var hdr [24]byte
+	hdr := &b.wHdr
 	hdr[0] = protocol.MagicRequest
 	hdr[1] = opcode
 	binary.BigEndian.PutUint16(hdr[2:], uint16(len(key)))
@@ -148,7 +156,7 @@ type binResp struct {
 }
 
 func (b *BinaryClient) readResponse() (binResp, error) {
-	var hdr [24]byte
+	hdr := &b.rHdr
 	b.armRead()
 	if _, err := io.ReadFull(b.r, hdr[:]); err != nil {
 		return binResp{}, err
@@ -241,39 +249,38 @@ func (b *BinaryClient) Get(key string) (Item, error) {
 // GetMulti fetches several keys in one pipelined round trip; missing
 // keys are simply absent from the result.
 func (b *BinaryClient) GetMulti(keys []string) (map[string]Item, error) {
-	unique := make([]string, 0, len(keys))
-	seen := make(map[string]struct{}, len(keys))
+	// The result map de-duplicates: each distinct key is requested once,
+	// holding a placeholder until its response fills or deletes it.
+	out := make(map[string]Item, len(keys))
+	b.keys, b.opaques = b.keys[:0], b.opaques[:0]
 	for _, k := range keys {
-		if _, dup := seen[k]; dup || k == "" {
+		if _, dup := out[k]; dup || k == "" {
 			continue
 		}
-		seen[k] = struct{}{}
-		unique = append(unique, k)
+		out[k] = Item{}
+		b.keys = append(b.keys, k)
+		// Non-quiet gets answer in request order, so the i-th response
+		// is the i-th key; opaques double-check the pairing.
+		b.opaques = append(b.opaques, b.writeRequest(protocol.OpGet, k, nil, nil, 0))
 	}
-	out := make(map[string]Item, len(unique))
-	if len(unique) == 0 {
+	if len(b.keys) == 0 {
 		return out, nil
-	}
-	// Non-quiet gets answer in request order, so the i-th response is
-	// the i-th key; opaques double-check the pairing.
-	opaques := make([]uint32, len(unique))
-	for i, k := range unique {
-		opaques[i] = b.writeRequest(protocol.OpGet, k, nil, nil, 0)
 	}
 	if err := b.flush(); err != nil {
 		return nil, err
 	}
-	for i, k := range unique {
+	for i, k := range b.keys {
 		resp, err := b.readResponse()
 		if err != nil {
 			return nil, err
 		}
-		if resp.opaque != opaques[i] {
+		if resp.opaque != b.opaques[i] {
 			return nil, fmt.Errorf("%w: response opaque 0x%08x for request 0x%08x (stream desynchronized)",
-				ErrProtocol, resp.opaque, opaques[i])
+				ErrProtocol, resp.opaque, b.opaques[i])
 		}
 		serr := statusErr(resp.status, resp.value)
 		if errors.Is(serr, ErrNotFound) {
+			delete(out, k)
 			continue
 		}
 		if serr != nil {

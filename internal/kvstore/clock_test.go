@@ -94,7 +94,7 @@ func TestBagsSecondChanceDeterministicUnderLogicalClock(t *testing.T) {
 	}
 	a, b := run(), run()
 	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("bags eviction not deterministic:\nrun 1: %+v\nrun 2: %+v", a, b)
+		t.Fatalf("eviction not deterministic:\nrun 1: %+v\nrun 2: %+v", a, b)
 	}
 	if a.Evictions == 0 {
 		t.Fatal("scenario never evicted; it does not exercise second-chance logic")

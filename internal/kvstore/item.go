@@ -8,29 +8,26 @@ import (
 
 // handle names one slab chunk of a shard: page number << offBits |
 // byte offset within the page >> 3. Page numbers start at 1, so the
-// zero handle is "no item" — the nil of every hash chain, bag and free
-// list. Nothing in the store points at an item; everything holds
+// zero handle is "no item" — the nil of every hash chain and free list. Nothing in the store points at an item; everything holds
 // handles, so the collector has no per-item object to walk.
 type handle uint32
 
 // An item is its slab chunk: a fixed header, then the key, then the
-// value. The header holds every link the item takes part in, which is
-// why a stored item costs no memory outside the chunk (DESIGN.md,
-// "Chunk layout").
+// value. The header holds the one link the item takes part in, the
+// hash chain, which is why a stored item costs no memory outside the
+// chunk (DESIGN.md, "Chunk layout"). Eviction needs no link: the CLOCK
+// hand finds items by address.
 const (
 	offHNext    = 0  // u32 hash-chain next; free-list next while the chunk is free
 	offKeyLen   = 4  // u8  key length; 0 marks a free chunk (valid keys have 1..250 bytes)
 	offClass    = 5  // u8  slab class index; the top bit says the value is 8-byte aligned
-	offBag      = 6  // u16 bag index
-	offPrev     = 8  // u32 bag-list previous
-	offNext     = 12 // u32 bag-list next
-	offCAS      = 16 // u64 CAS id; ids below the shard's flush watermark are dead
-	offExpire   = 24 // u32 absolute expiry, unix seconds; 0 never, MaxUint32 already expired
-	offFlags    = 28 // u32 client flags
-	offValueLen = 32 // u24 value length
-	offRef      = 35 // u8  bit 0 referenced, bits 1–6 pin count, bit 7 unlinked while pinned
+	offCAS      = 6  // u64 CAS id; ids below the shard's flush watermark are dead
+	offExpire   = 14 // u32 absolute expiry, unix seconds; 0 never, MaxUint32 already expired
+	offFlags    = 18 // u32 client flags
+	offValueLen = 22 // u24 value length
+	offRef      = 25 // u8  bit 0 referenced, bits 1–6 pin count, bit 7 unlinked while pinned
 
-	itemHeaderSize = 36
+	itemHeaderSize = 26
 )
 
 // maxItemBytes is the largest SlabPageSize, and so the largest item,
@@ -54,11 +51,11 @@ const (
 	maxClasses   = 1 << 7
 )
 
-// The offRef byte has three tenants. The referenced mark is the Bags
+// The offRef byte has three tenants. The referenced mark is the CLOCK
 // second chance. The pin count is how many senders are reading the
 // value outside the shard lock (Store.PinBytes); a pinned chunk is never
 // rewritten, freed or re-carved. The unlinked mark says the item left
-// the table and its bag while pinned, so the last Unpin frees the chunk.
+// the table while pinned, so the last Unpin frees the chunk.
 const (
 	refMark      = 1 << 0
 	pinOne       = 1 << 1
@@ -76,12 +73,6 @@ func (c chunk) keyLen() int       { return int(c[offKeyLen]) }
 func (c chunk) inUse() bool       { return c[offKeyLen] != 0 }
 func (c chunk) markFree()         { c[offKeyLen] = 0 }
 func (c chunk) class() int        { return int(c[offClass] &^ valueAligned) }
-func (c chunk) bag() uint16       { return binary.LittleEndian.Uint16(c[offBag:]) }
-func (c chunk) setBag(b uint16)   { binary.LittleEndian.PutUint16(c[offBag:], b) }
-func (c chunk) prev() handle      { return handle(binary.LittleEndian.Uint32(c[offPrev:])) }
-func (c chunk) setPrev(h handle)  { binary.LittleEndian.PutUint32(c[offPrev:], uint32(h)) }
-func (c chunk) next() handle      { return handle(binary.LittleEndian.Uint32(c[offNext:])) }
-func (c chunk) setNext(h handle)  { binary.LittleEndian.PutUint32(c[offNext:], uint32(h)) }
 func (c chunk) casID() uint64     { return binary.LittleEndian.Uint64(c[offCAS:]) }
 func (c chunk) setCAS(id uint64)  { binary.LittleEndian.PutUint64(c[offCAS:], id) }
 func (c chunk) flags() uint32     { return binary.LittleEndian.Uint32(c[offFlags:]) }
@@ -174,14 +165,11 @@ func (c chunk) setValue(value []byte, size int) {
 }
 
 // init writes a fresh item's identity into a chunk the allocator just
-// handed out: key, value, class and cleared links.
+// handed out: key, value, class, a cleared link and a cleared ref byte.
 func (c chunk) init(classIdx, size int, key, value []byte) {
 	c.setHNext(0)
 	c[offKeyLen] = byte(len(key))
 	c[offClass] = byte(classIdx)
-	c.setBag(0)
-	c.setPrev(0)
-	c.setNext(0)
 	c.clearRef()
 	copy(c[itemHeaderSize:], key)
 	c.setValue(value, size)

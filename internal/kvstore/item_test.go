@@ -15,7 +15,7 @@ func TestValueAlignedWhenTheChunkHasRoom(t *testing.T) {
 	mem := newTestMem(t)
 	const class = 0
 	size := mem.alloc.chunkSize(class)
-	key := []byte("k2345")
+	key := []byte("k234567")
 	room := size - itemHeaderSize - len(key)
 	pad := align8(itemHeaderSize+len(key)) - (itemHeaderSize + len(key))
 	if pad < 2 {

@@ -17,9 +17,6 @@ var headerFields = []struct {
 	{"hnext", offHNext, 4},
 	{"key length", offKeyLen, 1},
 	{"slab class", offClass, 1},
-	{"bag", offBag, 2},
-	{"prev", offPrev, 4},
-	{"next", offNext, 4},
 	{"CAS id", offCAS, 8},
 	{"expiry", offExpire, 4},
 	{"flags", offFlags, 4},
@@ -27,13 +24,13 @@ var headerFields = []struct {
 	{"referenced / pins / unlinked", offRef, 1},
 }
 
-// TestHeaderLayout pins the one chunk layout: 36 bytes, tiled by the
+// TestHeaderLayout pins the one chunk layout: 26 bytes, tiled by the
 // fields with no gap or overlap, described by the table in DESIGN.md,
 // and with the two tenants of the length word keeping out of each
 // other's bytes.
 func TestHeaderLayout(t *testing.T) {
-	if itemHeaderSize > 36 {
-		t.Fatalf("itemHeaderSize = %d, want at most 36", itemHeaderSize)
+	if itemHeaderSize > 26 {
+		t.Fatalf("itemHeaderSize = %d, want at most 26", itemHeaderSize)
 	}
 	at := 0
 	for _, f := range headerFields {

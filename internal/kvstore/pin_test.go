@@ -108,18 +108,20 @@ func TestPinCountSaturates(t *testing.T) {
 // a page steal never picks a page that holds one.
 func TestPinnedItemIsNeverAVictim(t *testing.T) {
 	mem := newTestMem(t)
-	p := newBagsPolicy(&mem.alloc.arena, 1)
-	a, b := mem.mk("a", 0), mem.mk("b", 0)
-	p.onInsert(a)
-	p.onInsert(b)
+	items := fillPage(mem, 2)
+	a, b := items[0], items[1]
 	mem.alloc.chunk(a).pin()
-	if v := p.victim(0); v != b {
-		t.Fatalf("victim = %q, want b: a is pinned", mem.key(v))
+	for i := 0; i < 2; i++ { // wherever the hand starts
+		if v := mem.alloc.victim(0); v != b {
+			t.Fatalf("victim = %q, want b: a is pinned", mem.key(v))
+		}
 	}
 	mem.alloc.chunk(b).pin()
-	if v := p.victim(0); v != 0 {
+	mem.alloc.chunk(b).setReferenced()
+	if v := mem.alloc.victim(0); v != 0 {
 		t.Fatalf("victim = %q with every item pinned, want none", mem.key(v))
 	}
+	mem.alloc.release(b)
 
 	// Two pages of class 0; the one with fewer live chunks is the
 	// donor until a pin lands on it.

@@ -55,7 +55,6 @@ type shardStats struct {
 type shard struct {
 	table    *hashTable
 	alloc    *slabAllocator
-	pol      bagsPolicy
 	stats    shardStats //kv3d:guardedby lockedShard.mu
 	casSeq   *casCounter
 	flushCAS uint64 // flush_all's watermark: items with a CAS id below it are dead
@@ -73,7 +72,6 @@ func newShard(alloc *slabAllocator, cas *casCounter, maxItem int, evict bool) *s
 	return &shard{
 		table:          newHashTable(&alloc.arena),
 		alloc:          alloc,
-		pol:            newBagsPolicy(&alloc.arena, alloc.numClasses()),
 		casSeq:         cas,
 		maxItem:        maxItem,
 		evictOn:        evict,
@@ -122,14 +120,13 @@ func (s *shard) dead(c chunk, now int64) bool {
 	return c.casID() < s.flushCAS || c.expired(now)
 }
 
-// reap removes item h, whose key hashes to hash, from the table and its
-// bag and frees its chunk. It is the one place pinning changes what
-// removal does: a pinned item leaves the table, its bag and BytesUsed
-// all the same, but its chunk stays allocated, marked unlinked, until
-// the last unpin frees it.
+// reap removes item h, whose key hashes to hash, from the table and
+// frees its chunk. It is the one place pinning changes what removal
+// does: a pinned item leaves the table and BytesUsed all the same, but
+// its chunk stays allocated, marked unlinked, until the last unpin
+// frees it.
 func (s *shard) reap(h handle, c chunk, hash uint64) {
 	s.table.remove(h, hash)
-	s.pol.onRemove(h)
 	s.stats.BytesUsed -= int64(itemFootprint(c.keyLen(), c.valueLen()))
 	if c.pinned() {
 		c.setUnlinked()
@@ -177,7 +174,7 @@ func (s *shard) get(key []byte, hash uint64, now int64) (value []byte, flags uin
 		return nil, 0, 0, false
 	}
 	s.stats.GetHits++
-	s.pol.onAccess(h)
+	onAccess(c)
 	out := make([]byte, c.valueLen())
 	copy(out, c.value())
 	return out, c.flags(), c.casID(), true
@@ -202,7 +199,7 @@ func (s *shard) getOrPin(dst, key []byte, hash uint64, now int64, pinFrom int) (
 		return dst, 0, 0, 0, false
 	}
 	s.stats.GetHits++
-	s.pol.onAccess(h)
+	onAccess(c)
 	v := c.value()
 	if len(v) < pinFrom || c.pinFull() {
 		return append(dst, v...), c.flags(), c.casID(), 0, true
@@ -223,7 +220,7 @@ func (s *shard) allocChunk(classIdx int, now int64) handle {
 		return 0
 	}
 	for probe := 0; probe < s.maxProbe; probe++ {
-		victim := s.pol.victim(classIdx)
+		victim := s.alloc.victim(classIdx)
 		if victim == 0 {
 			break
 		}
@@ -304,7 +301,7 @@ func (s *shard) set(key []byte, hash uint64, value []byte, flags uint32, expireA
 		// sender is reading it.
 		s.stats.BytesUsed += int64(len(value) - c.valueLen())
 		c.setValue(value, s.alloc.chunkSize(classIdx))
-		s.pol.onAccess(h)
+		onAccess(c)
 	} else {
 		// Remove the old entry before allocating: the allocator may
 		// evict, and the old item must not be reaped twice if it is
@@ -318,7 +315,6 @@ func (s *shard) set(key []byte, hash uint64, value []byte, flags uint32, expireA
 		c = s.alloc.chunk(h)
 		c.init(classIdx, s.alloc.chunkSize(classIdx), key, value)
 		s.table.insert(h, hash)
-		s.pol.onInsert(h)
 		s.stats.BytesUsed += int64(need)
 	}
 	casID := s.casSeq.next()

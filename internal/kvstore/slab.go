@@ -1,15 +1,16 @@
 // Package kvstore implements a memcached-compatible in-memory key-value
 // store: a slab allocator with page reassignment, a hash table with
-// incremental rehashing, Bags pseudo-LRU eviction, TTLs, CAS, and the
-// usual verb set. It is both the functional substrate for the kv3d
-// examples and TCP server, and the reference the timing models' cost
-// parameters were derived from.
+// incremental rehashing, CLOCK eviction, TTLs, CAS, and the usual verb
+// set. It is both the functional substrate for the kv3d examples and TCP
+// server, and the reference the timing models' cost parameters were
+// derived from.
 //
 // Concurrency follows the designs the paper benchmarks against
 // (Wiggins & Langston): one shard serializes everything behind one lock
 // (memcached 1.4), more shards stripe the keyspace (memcached 1.6
-// fine-grained locking), and Bags eviction keeps LRU reordering off the
-// read path: a hit sets a mark instead of relinking a list.
+// fine-grained locking), and CLOCK eviction keeps the read path free of
+// list writes, as Bags does: a hit sets a bit instead of relinking a
+// list, and an item carries no eviction links at all.
 package kvstore
 
 import (
@@ -64,6 +65,7 @@ type slabClass struct {
 	freeCount int      // free chunks, threaded and fresh
 	pages     []uint32 // page numbers, in the order the class acquired them
 	allocated int      // chunks handed out
+	hand      int      // the CLOCK hand: index, over pages in order, of the chunk victim looks at next
 }
 
 // slabAllocator carves fixed-size pages into per-class chunks. It tracks
@@ -282,6 +284,7 @@ func (a *slabAllocator) completeReassign(page uint32, target int) error {
 	for i, p := range from.pages {
 		if p == page {
 			from.pages = append(from.pages[:i], from.pages[i+1:]...)
+			from.pageRemoved(i, a.pageSize)
 			break
 		}
 	}

@@ -530,7 +530,7 @@ func TestBagsPolicyEndToEnd(t *testing.T) {
 		}
 	}
 	if st.Stats().Evictions == 0 {
-		t.Fatal("bags store never evicted")
+		t.Fatal("the store never evicted")
 	}
 }
 

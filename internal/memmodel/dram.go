@@ -119,10 +119,8 @@ const (
 	// FlashCapacityBytes is 19.8 GiB expressed in integer arithmetic.
 	FlashCapacityBytes  int64 = 198 * (1 << 30) / 10
 	FlashPageBytes            = 4 << 10
-	FlashPagesPerBlock        = 64
 	FlashActiveWPerGBps       = 0.006
 	FlashBackgroundW          = 0.05
-	FlashEraseLatency         = 2 * sim.Millisecond
 	// FlashChannelBytesPerSec is the effective sustained per-port data
 	// rate for bulk page transfers (sense is pipelined with transfer
 	// only across pages, not within one). This is deliberately low —
