@@ -9,7 +9,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -30,27 +29,6 @@ import (
 	"kv3d/internal/obs"
 	"kv3d/internal/protocol"
 )
-
-// replAdapter bridges kvclient.BinaryClient to kvserver.ReplConn
-// (kvserver cannot import kvclient itself); delete-of-absent folds to
-// success per the ReplConn contract.
-type replAdapter struct{ *kvclient.BinaryClient }
-
-func (a replAdapter) DeleteWithMode(key string, mode protocol.ReplMode) error {
-	err := a.BinaryClient.DeleteWithMode(key, mode)
-	if errors.Is(err, kvclient.ErrNotFound) {
-		return nil
-	}
-	return err
-}
-
-func (a replAdapter) TouchWithMode(key string, exptime int64, mode protocol.ReplMode) error {
-	err := a.BinaryClient.TouchWithMode(key, exptime, mode)
-	if errors.Is(err, kvclient.ErrNotFound) {
-		return nil
-	}
-	return err
-}
 
 func parseSize(s string) (int64, error) {
 	s = strings.ToLower(strings.TrimSpace(s))
@@ -150,13 +128,11 @@ func main() {
 			Flight:        rec,
 			Clock:         store.Clock(),
 			Dial: func(addr string) (kvserver.ReplConn, error) {
-				bc, err := kvclient.DialBinaryOptions(addr, kvclient.Options{
-					DialTimeout: *quorumTimeout, OpTimeout: *quorumTimeout,
-				})
+				rc, err := kvclient.DialReplica(addr, *quorumTimeout)
 				if err != nil {
 					return nil, err
 				}
-				return replAdapter{bc}, nil
+				return rc, nil
 			},
 		})
 		if err != nil {

@@ -55,7 +55,6 @@ func TestFlightRecorderDisabledZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		rec.Complete(track, "op", "ok", 0, 10)
 		rec.Instant(track, "mark", 5)
-		rec.InstantArg(track, "gauge", 5, 42)
 		rec.Counter(track, "depth", 5, 1)
 		rec.AsyncBegin("op", "r", 1, 0)
 		rec.AsyncEnd("op", "r", 1, 10)
@@ -75,7 +74,6 @@ func TestFlightRecorderRecordZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		rec.Complete(track, "op", "ok", 0, 10)
 		rec.Instant(track, "mark", 5)
-		rec.InstantArg(track, "gauge", 5, 42)
 		rec.Counter(track, "depth", 5, 1)
 		rec.AsyncBegin("op", "r", 1, 0)
 		rec.AsyncEnd("op", "r", 1, 10)

@@ -11,9 +11,8 @@ package cluster
 // nodes agree on key placement exactly when their views agree on
 // (version, member set, epochs).
 //
-// Like the Ring it wraps, Membership is deterministic and goroutine-free
-// (watch callbacks run synchronously on the mutating goroutine), so it
-// stays importable from the simulation closure.
+// Like the Ring it wraps, Membership is deterministic and goroutine-free,
+// so it stays importable from the simulation closure.
 
 import (
 	"sort"
@@ -64,17 +63,13 @@ func (v View) Equal(o View) bool {
 }
 
 // Membership is a versioned member set over a consistent-hash ring.
-// It is safe for concurrent use; watch callbacks run under the
-// membership lock, so they observe deltas in strict version order —
-// and must therefore never call back into the Membership (enqueue the
-// delta and return).
+// It is safe for concurrent use.
 type Membership struct {
-	mu       sync.Mutex
-	ring     *Ring
-	version  uint64            //kv3d:guardedby mu
-	epochs   map[string]uint64 //kv3d:guardedby mu
-	weights  map[string]int    //kv3d:guardedby mu
-	watchers []func(Delta)     //kv3d:guardedby mu
+	mu      sync.Mutex
+	ring    *Ring
+	version uint64            //kv3d:guardedby mu
+	epochs  map[string]uint64 //kv3d:guardedby mu
+	weights map[string]int    //kv3d:guardedby mu
 }
 
 // NewMembership builds an empty membership whose ring uses the given
@@ -108,7 +103,6 @@ func (m *Membership) Join(node string, weight int) Delta {
 	m.weights[node] = weight
 	d := Delta{Version: m.version, Joined: []string{node}}
 	m.ring.AddWeighted(node, weight)
-	m.notifyLocked(d)
 	return d
 }
 
@@ -126,26 +120,7 @@ func (m *Membership) Leave(node string) Delta {
 	delete(m.weights, node)
 	d := Delta{Version: m.version, Left: []string{node}}
 	m.ring.Remove(node)
-	m.notifyLocked(d)
 	return d
-}
-
-// notifyLocked delivers one delta to every watcher. Caller holds mu, so
-// deltas arrive in version order.
-func (m *Membership) notifyLocked(d Delta) {
-	for _, fn := range m.watchers {
-		fn(d)
-	}
-}
-
-// Watch registers a callback invoked synchronously (on the goroutine
-// performing Join/Leave, under the membership lock) for every
-// subsequent delta. Callbacks must not call back into the Membership;
-// hand the delta off (e.g. onto a channel) and return.
-func (m *Membership) Watch(fn func(Delta)) {
-	m.mu.Lock()
-	m.watchers = append(m.watchers, fn)
-	m.mu.Unlock()
 }
 
 // Version reports the current membership version.
@@ -192,18 +167,4 @@ func (m *Membership) Len() int {
 // delegating to the ring.
 func (m *Membership) LocateN(key string, n int) ([]string, error) {
 	return m.ring.LocateN(key, n) // ring is set once in NewMembership and never reassigned; the Ring locks itself
-}
-
-// KeyEpoch reports the ownership epoch of key's primary owner: the
-// membership version at which the node currently first on key's
-// preference list joined. Handoff is complete for a key range when
-// every replica agrees on the primary and its epoch.
-func (m *Membership) KeyEpoch(key string) (uint64, error) {
-	owner, err := m.ring.Locate(key)
-	if err != nil {
-		return 0, err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.epochs[owner], nil
 }

@@ -82,69 +82,42 @@ func TestMembershipViewEqualAndIndependence(t *testing.T) {
 	}
 }
 
-func TestMembershipWatchOrder(t *testing.T) {
-	m := NewMembership(32)
-	var got []uint64
-	m.Watch(func(d Delta) { got = append(got, d.Version) })
-	m.Join("a", 1)
-	m.Join("b", 1)
-	m.Leave("a")
-	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("watcher saw versions %v, want [1 2 3]", got)
-	}
-}
-
-func TestMembershipKeyEpoch(t *testing.T) {
-	m := NewMembership(32)
-	m.Join("a", 1)
-	m.Join("b", 1)
-	ep, err := m.KeyEpoch("some-key")
-	if err != nil {
-		t.Fatal(err)
-	}
-	owner, _ := m.Ring().Locate("some-key")
-	if want := m.View().Epochs[owner]; ep != want {
-		t.Fatalf("KeyEpoch = %d, want owner %q epoch %d", ep, owner, want)
-	}
-}
-
 // TestMembershipConcurrentChurn drives joins and leaves from many
-// goroutines; versions must stay unique and strictly account for every
-// applied transition (run under -race in CI).
+// goroutines; the deltas Join and Leave return must carry unique
+// versions that strictly account for every applied transition (run
+// under -race in CI).
 func TestMembershipConcurrentChurn(t *testing.T) {
 	m := NewMembership(16)
-	seen := make(map[uint64]bool)
-	var seenMu sync.Mutex
-	m.Watch(func(d Delta) {
-		seenMu.Lock()
-		if seen[d.Version] {
-			t.Errorf("version %d delivered twice", d.Version)
-		}
-		seen[d.Version] = true
-		seenMu.Unlock()
-	})
+	deltas := make([][]Delta, 4)
 	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
+	for w := range deltas {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				node := fmt.Sprintf("n%d-%d", w, i)
-				m.Join(node, 1)
+				deltas[w] = append(deltas[w], m.Join(node, 1))
 				if i%2 == 0 {
-					m.Leave(node)
+					deltas[w] = append(deltas[w], m.Leave(node))
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
+	seen := make(map[uint64]bool)
+	for _, ds := range deltas {
+		for _, d := range ds {
+			if seen[d.Version] {
+				t.Errorf("version %d returned twice", d.Version)
+			}
+			seen[d.Version] = true
+		}
+	}
 	// 4 workers x (50 joins + 25 leaves) = 300 versions.
 	if v := m.Version(); v != 300 {
 		t.Fatalf("final version = %d, want 300", v)
 	}
-	seenMu.Lock()
-	defer seenMu.Unlock()
 	if len(seen) != 300 {
-		t.Fatalf("watcher saw %d distinct versions, want 300", len(seen))
+		t.Fatalf("deltas carry %d distinct versions, want 300", len(seen))
 	}
 }

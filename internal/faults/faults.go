@@ -7,13 +7,11 @@
 // The package is deliberately pure: it imports only the sim kernel and
 // the stdlib, and holds no clocks, sockets, or goroutines; kv3d-lint
 // holds it to the determinism contract as one of its simulation roots,
-// so a seeded plan stays replayable. The live-side machinery that
-// applies a plan to real connections lives in the faultnet subpackage.
+// so a seeded plan stays replayable. No live code applies a plan to
+// real connections today; only this package's own tests read one.
 //
-// Time inside a plan is a sim.Duration offset from the plan's start.
-// A simulated consumer interprets offsets on its own synthetic time
-// axis; the live driver (faultnet.Driver) replays them 1:1 against the
-// wall clock.
+// Time inside a plan is a sim.Duration offset from the plan's start,
+// which a consumer interprets on its own time axis.
 package faults
 
 import (

@@ -1,12 +1,12 @@
 package kvclient
 
 // BinaryClient speaks the memcached binary protocol over one TCP
-// connection. Its reason to exist next to the ASCII Client is the
-// request header's opaque field: the server echoes it verbatim in every
-// response, and the flight recorder uses it as the correlation id that
-// joins a client-side op span to the server-side parse/execute/write
-// phases in one merged Perfetto trace. Like Client, a BinaryClient is
-// not safe for concurrent use — open one per goroutine.
+// connection. Next to the ASCII Client it adds two header fields: the
+// vbucket field carries a write's per-op replication mode (see
+// protocol.ReplMode), and the opaque field, which the server echoes
+// verbatim, lets every reply be checked against its request. Like
+// Client, a BinaryClient is not safe for concurrent use — open one per
+// goroutine.
 
 import (
 	"bufio"
@@ -25,11 +25,6 @@ import (
 // stream cannot make the client allocate an absurd buffer.
 const maxBinaryRespBody = 16 << 20
 
-// autoOpaqueBase is where self-assigned opaques start. Explicit opaques
-// (SetNextOpaque, used by the flight recorder's correlation ids) live in
-// the low range, so the two never collide within a trace.
-const autoOpaqueBase = 0x8000_0000
-
 // BinaryClient is a single-connection binary-protocol client.
 type BinaryClient struct {
 	conn      net.Conn
@@ -37,12 +32,9 @@ type BinaryClient struct {
 	w         *bufio.Writer
 	opTimeout time.Duration
 
-	// autoOpaque self-assigns request opaques when the caller did not
-	// pick one; pendingOpaque holds an explicit id for the next request.
-	autoOpaque    uint32
-	pendingOpaque uint32
-	pendingSet    bool
-	lastOpaque    uint32
+	// opaque is the last request opaque handed out; replies are
+	// matched against it.
+	opaque uint32
 
 	// Scratch reused across calls, so the one allocation a Get makes is
 	// the response body the caller gets to keep: the two headers would
@@ -76,34 +68,16 @@ func NewBinaryClient(conn net.Conn) *BinaryClient {
 // NewBinaryClientOptions wraps an existing connection with options.
 func NewBinaryClientOptions(conn net.Conn, o Options) *BinaryClient {
 	return &BinaryClient{
-		conn:       conn,
-		r:          bufio.NewReaderSize(conn, 64<<10),
-		w:          bufio.NewWriterSize(conn, 64<<10),
-		opTimeout:  o.OpTimeout,
-		autoOpaque: autoOpaqueBase,
+		conn:      conn,
+		r:         bufio.NewReaderSize(conn, 64<<10),
+		w:         bufio.NewWriterSize(conn, 64<<10),
+		opTimeout: o.OpTimeout,
 	}
 }
-
-// SetNextOpaque makes the next request carry the given opaque instead of
-// a self-assigned one. The flight recorder uses this to stamp its
-// correlation id onto the wire.
-func (b *BinaryClient) SetNextOpaque(op uint32) {
-	b.pendingOpaque = op
-	b.pendingSet = true
-}
-
-// LastOpaque reports the opaque the most recent request carried.
-func (b *BinaryClient) LastOpaque() uint32 { return b.lastOpaque }
 
 func (b *BinaryClient) takeOpaque() uint32 {
-	if b.pendingSet {
-		b.pendingSet = false
-		b.lastOpaque = b.pendingOpaque
-		return b.pendingOpaque
-	}
-	b.autoOpaque++
-	b.lastOpaque = b.autoOpaque
-	return b.autoOpaque
+	b.opaque++
+	return b.opaque
 }
 
 func (b *BinaryClient) armRead() {

@@ -1,7 +1,9 @@
-// Package kvclient is a minimal memcached ASCII protocol client used by
-// the load generator, the cluster example, and the end-to-end tests.
-// One Client wraps one TCP connection; it is not safe for concurrent
-// use (open one per goroutine, as memcached clients typically do).
+// Package kvclient is a minimal memcached client, ASCII (Client) and
+// binary (BinaryClient), used by the load generator, the cluster
+// example, a server's replica links (DialReplica) and the end-to-end
+// tests. One client wraps one TCP connection; it is not safe for
+// concurrent use (open one per goroutine, as memcached clients
+// typically do).
 package kvclient
 
 import (

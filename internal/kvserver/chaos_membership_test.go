@@ -1,13 +1,14 @@
 package kvserver_test
 
 // Live chaos membership suite: three (or four) real servers wired with
-// Replicators and Migrators, a real ClusterClient, and the test acting
+// Replicators and Migrators, a router that sends each write to one
+// owner and lets that owner's Replicator fan it out, and the test acting
 // as control plane — applying joins and leaves to every node's
 // Membership the way a deployment's configuration push would. The
-// invariants under test are the PR's acceptance bars:
+// invariants under test:
 //
-//   - zero lost acknowledged quorum writes: every SetMode(ReplQuorum)
-//     that returned nil is readable after the chaos, whatever died;
+//   - zero lost acknowledged quorum writes: every ReplQuorum set that
+//     returned nil is readable after the chaos, whatever died;
 //   - bounded staleness for async writes: after Drain, every
 //     acknowledged async write is readable;
 //   - migration completes across membership churn, and every node's
@@ -21,48 +22,23 @@ import (
 	"testing"
 	"time"
 
-	"kv3d/internal/clock"
 	"kv3d/internal/cluster"
-	"kv3d/internal/faults"
-	"kv3d/internal/faults/faultnet"
 	"kv3d/internal/kvclient"
 	"kv3d/internal/kvserver"
 	"kv3d/internal/kvstore"
 	"kv3d/internal/protocol"
-	"kv3d/internal/sim"
 	"kv3d/internal/testutil"
 )
 
 const chaosVirtualNodes = 64
 
-// replAdapter adapts kvclient.BinaryClient to kvserver.ReplConn,
-// folding the delete-of-absent case to success per the contract.
-type replAdapter struct{ *kvclient.BinaryClient }
-
-func (a replAdapter) DeleteWithMode(key string, mode protocol.ReplMode) error {
-	err := a.BinaryClient.DeleteWithMode(key, mode)
-	if errors.Is(err, kvclient.ErrNotFound) {
-		return nil
-	}
-	return err
-}
-
-func (a replAdapter) TouchWithMode(key string, exptime int64, mode protocol.ReplMode) error {
-	err := a.BinaryClient.TouchWithMode(key, exptime, mode)
-	if errors.Is(err, kvclient.ErrNotFound) {
-		return nil
-	}
-	return err
-}
-
+// replDial is the peer dialer kv3d-server ships.
 func replDial(addr string) (kvserver.ReplConn, error) {
-	bc, err := kvclient.DialBinaryOptions(addr, kvclient.Options{
-		DialTimeout: time.Second, OpTimeout: time.Second,
-	})
+	rc, err := kvclient.DialReplica(addr, time.Second)
 	if err != nil {
 		return nil, err
 	}
-	return replAdapter{bc}, nil
+	return rc, nil
 }
 
 // chaosNode is one live server plus its cluster-layer wiring.
@@ -201,36 +177,85 @@ func (h *chaosHarness) drainAll(skip map[string]bool) {
 	}
 }
 
-// addrs lists the current nodes' serving addresses.
-func (h *chaosHarness) addrs() []string {
-	var out []string
-	for _, n := range h.nodes {
-		out = append(out, n.addr)
-	}
-	return out
+// router sends each key where the servers place it: LocateN(key, 2)
+// on the first node's Membership, captured once (h.nodes grows during a
+// join; the Membership itself is safe for concurrent use). It keeps one
+// BinaryClient per node and drops a connection on a transport error. A
+// set goes to the first owner that answers, and that owner's Replicator
+// fans it out; a get falls through the owners on a miss or a dead node.
+// Like a BinaryClient it is not safe for concurrent use.
+type router struct {
+	mem   *cluster.Membership
+	conns map[string]*kvclient.BinaryClient
 }
 
-// client builds a binary ClusterClient over the harness nodes, with
-// the same virtual-node count as the memberships so client-side and
-// server-side placement agree.
-func (h *chaosHarness) client(replicas int) *kvclient.ClusterClient {
-	h.t.Helper()
-	cc, err := kvclient.NewCluster(kvclient.ClusterConfig{
-		Addrs:        h.addrs(),
-		Replicas:     replicas,
-		VirtualNodes: chaosVirtualNodes,
-		Binary:       true,
-		EjectAfter:   1,
-		Probation:    time.Minute,
-		DialTimeout:  time.Second,
-		OpTimeout:    time.Second,
-		Clock:        clock.NewFake(0),
+func (h *chaosHarness) router() *router {
+	r := &router{mem: h.nodes[0].mem, conns: map[string]*kvclient.BinaryClient{}}
+	h.t.Cleanup(func() {
+		for _, bc := range r.conns {
+			bc.Close() // teardown; the servers are closing too
+		}
 	})
-	if err != nil {
-		h.t.Fatal(err)
+	return r
+}
+
+// answered reports whether err is a server's reply rather than a
+// transport failure.
+func answered(err error) bool {
+	for _, e := range []error{kvclient.ErrNotFound, kvclient.ErrNotStored, kvclient.ErrExists, kvclient.ErrServer, kvclient.ErrClient} {
+		if errors.Is(err, e) {
+			return true
+		}
 	}
-	h.t.Cleanup(func() { cc.Close() })
-	return cc
+	return false
+}
+
+// on runs fn against addr's connection, dialing it if needed.
+func (r *router) on(addr string, fn func(*kvclient.BinaryClient) error) error {
+	bc := r.conns[addr]
+	if bc == nil {
+		var err error
+		bc, err = kvclient.DialBinaryOptions(addr, kvclient.Options{DialTimeout: time.Second, OpTimeout: time.Second})
+		if err != nil {
+			return err
+		}
+		r.conns[addr] = bc
+	}
+	err := fn(bc)
+	if err != nil && !answered(err) {
+		bc.Close() // the transport error is the signal; closing a broken conn is cleanup
+		delete(r.conns, addr)
+	}
+	return err
+}
+
+func (r *router) set(key, val string, mode protocol.ReplMode) error {
+	owners, err := r.mem.LocateN(key, 2)
+	for _, addr := range owners {
+		err = r.on(addr, func(bc *kvclient.BinaryClient) error {
+			return bc.SetWithMode(key, []byte(val), 0, 0, mode)
+		})
+		if err == nil || answered(err) {
+			return err
+		}
+	}
+	return err
+}
+
+func (r *router) get(key string) (kvclient.Item, error) {
+	owners, err := r.mem.LocateN(key, 2)
+	for _, addr := range owners {
+		var it kvclient.Item
+		err = r.on(addr, func(bc *kvclient.BinaryClient) error {
+			var e error
+			it, e = bc.Get(key)
+			return e
+		})
+		if err == nil {
+			return it, nil
+		}
+	}
+	return kvclient.Item{}, err
 }
 
 // migrateTo streams, from every existing node, the keys addr now owns.
@@ -267,14 +292,12 @@ func (h *chaosHarness) migrateTo(addr string, rate int) []*kvserver.MigrationStr
 	return streams
 }
 
-// TestChaosLiveJoinDuringFlashCrowd: a node joins mid-storm, injected
-// through a faults plan replayed by the faultnet driver (the same
-// vocabulary the simulator uses). Writers never stop; after the join,
-// key-range migration streams hand the joiner its ranges. Every
-// acknowledged async write must be readable afterwards.
+// TestChaosLiveJoinDuringFlashCrowd: a node joins mid-storm, once the
+// writers have had a quarter of their writes acknowledged. Writers never
+// stop; after the join, key-range migration streams hand the joiner its
+// ranges. Every acknowledged async write must be readable afterwards.
 func TestChaosLiveJoinDuringFlashCrowd(t *testing.T) {
 	h := newChaosHarness(t, 3, protocol.ReplAsync)
-	cc := h.client(2)
 
 	type acked struct{ key, val string }
 	var (
@@ -282,26 +305,13 @@ func TestChaosLiveJoinDuringFlashCrowd(t *testing.T) {
 		acks  []acked
 	)
 	const writers, perWriter = 4, 150
+	const joinAfter = writers * perWriter / 4
 	var wg sync.WaitGroup
-	joined := make(chan struct{})
-
-	// The membership event arrives via the faults vocabulary: a plan
-	// with one node-join, replayed in real time by the driver, whose
-	// callback is the control plane.
-	plan := &faults.Plan{Horizon: sim.Second, Events: []faults.Event{
-		{At: 30 * sim.Millisecond, Kind: faults.NodeJoin, Target: "joiner"},
-	}}
-	driver := faultnet.NewDriver(plan, func(ev faults.Event) {
-		if ev.Kind != faults.NodeJoin {
-			return
-		}
-		n := h.startNode()
-		h.join(n)
-		cc.AddNode(n.addr)
-		close(joined)
-	})
-	driver.Start()
-	defer driver.Stop()
+	joinNow := make(chan struct{})
+	routers := make([]*router, writers)
+	for w := range routers {
+		routers[w] = h.router()
+	}
 
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
@@ -310,25 +320,35 @@ func TestChaosLiveJoinDuringFlashCrowd(t *testing.T) {
 			for i := 0; i < perWriter; i++ {
 				k := fmt.Sprintf("fc-%d-%d", w, i)
 				v := fmt.Sprintf("v-%d-%d", w, i)
-				if err := cc.SetMode(k, []byte(v), 0, 0, protocol.ReplAsync); err == nil {
+				if err := routers[w].set(k, v, protocol.ReplAsync); err == nil {
 					ackMu.Lock()
 					acks = append(acks, acked{k, v})
+					if len(acks) == joinAfter {
+						close(joinNow)
+					}
 					ackMu.Unlock()
 				}
 			}
 		}(w)
 	}
+	writersDone := make(chan struct{})
+	go func() { wg.Wait(); close(writersDone) }()
+	defer func() { <-writersDone }() // no writer outlives the servers, even on a failure
 
-	<-joined
-	joinerAddr := h.nodes[len(h.nodes)-1].addr
-	streams := h.migrateTo(joinerAddr, 0)
+	select {
+	case <-joinNow:
+	case <-writersDone:
+		t.Fatalf("writers finished with fewer than %d writes acknowledged", joinAfter)
+	}
+	joiner := h.startNode()
+	h.join(joiner)
+	streams := h.migrateTo(joiner.addr, 0)
 	for _, st := range streams {
 		if err := st.Wait(); err != nil {
 			t.Fatalf("migration stream: %v", err)
 		}
 	}
-	wg.Wait()
-	driver.Wait()
+	<-writersDone
 
 	// Ownership epochs converge across all four nodes.
 	h.assertViewsConverge(nil)
@@ -337,8 +357,9 @@ func TestChaosLiveJoinDuringFlashCrowd(t *testing.T) {
 	if len(acks) == 0 {
 		t.Fatal("no write was acknowledged during the flash crowd")
 	}
+	r := h.router()
 	for _, a := range acks {
-		it, err := cc.Get(a.key)
+		it, err := r.get(a.key)
 		if err != nil {
 			t.Fatalf("acked async write %q lost after join: %v", a.key, err)
 		}
@@ -354,7 +375,7 @@ func TestChaosLiveJoinDuringFlashCrowd(t *testing.T) {
 // that WAS acknowledged must be readable from the survivors.
 func TestChaosLiveKillReplicaMidQuorumWrite(t *testing.T) {
 	h := newChaosHarness(t, 3, protocol.ReplQuorum)
-	cc := h.client(2)
+	r := h.router()
 
 	type acked struct{ key, val string }
 	var acks []acked
@@ -370,7 +391,7 @@ func TestChaosLiveKillReplicaMidQuorumWrite(t *testing.T) {
 		}
 		k := fmt.Sprintf("qw-%d", i)
 		v := fmt.Sprintf("qv-%d", i)
-		err := cc.SetMode(k, []byte(v), 0, 0, protocol.ReplQuorum)
+		err := r.set(k, v, protocol.ReplQuorum)
 		if err == nil {
 			acks = append(acks, acked{k, v})
 		} else {
@@ -387,9 +408,9 @@ func TestChaosLiveKillReplicaMidQuorumWrite(t *testing.T) {
 	skip := map[string]bool{victim.addr: true}
 	h.drainAll(skip)
 	// Zero lost acknowledged quorum writes: every ack is readable from
-	// the surviving replicas (the client fails over off the corpse).
+	// the surviving replicas (the router falls through the corpse).
 	for _, a := range acks {
-		it, err := cc.Get(a.key)
+		it, err := r.get(a.key)
 		if err != nil {
 			t.Fatalf("acked quorum write %q lost after replica kill: %v", a.key, err)
 		}
@@ -407,14 +428,14 @@ func TestChaosLiveKillReplicaMidQuorumWrite(t *testing.T) {
 // be lost once it goes dark.
 func TestChaosLiveLeaveWithInFlightMigration(t *testing.T) {
 	h := newChaosHarness(t, 4, protocol.ReplAsync)
-	cc := h.client(2)
+	r := h.router()
 
 	const n = 400
 	want := map[string]string{}
 	for i := 0; i < n; i++ {
 		k := fmt.Sprintf("lv-%d", i)
 		v := fmt.Sprintf("lval-%d", i)
-		if err := cc.SetMode(k, []byte(v), 0, 0, protocol.ReplAsync); err != nil {
+		if err := r.set(k, v, protocol.ReplAsync); err != nil {
 			t.Fatalf("seed %q: %v", k, err)
 		}
 		want[k] = v
@@ -450,7 +471,6 @@ func TestChaosLiveLeaveWithInFlightMigration(t *testing.T) {
 
 	// The leave lands while the streams are in flight.
 	h.leave(leaver.addr)
-	cc.RemoveNode(leaver.addr)
 
 	for _, st := range streams {
 		if err := st.Wait(); err != nil {
@@ -464,7 +484,7 @@ func TestChaosLiveLeaveWithInFlightMigration(t *testing.T) {
 	h.assertViewsConverge(nil) // every node, leaver included, saw the leave
 	h.drainAll(skip)
 	for k, v := range want {
-		it, err := cc.Get(k)
+		it, err := r.get(k)
 		if err != nil {
 			t.Fatalf("key %q lost across leave+migration: %v", k, err)
 		}

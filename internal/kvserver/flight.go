@@ -3,10 +3,9 @@ package kvserver
 // Flight recording: the server forwards sampled protocol.OpSpan phase
 // timelines and its own lifecycle events (connection open/close,
 // refusals, drain) into an obs.FlightRecorder ring. Each codec gets its
-// own track so a merged trace shows ASCII and binary lanes side by side;
-// spans that carry an opaque additionally emit async begin/end events
-// keyed by it, which is what lets a client's attempt span line up with
-// this server's handling of that exact request in one Perfetto view.
+// own track so a trace shows ASCII and binary lanes side by side; spans
+// that carry an opaque additionally emit async begin/end events keyed
+// by it, so a request can be found by the opaque its client sent.
 
 import (
 	"kv3d/internal/clock"
@@ -26,7 +25,7 @@ type flightSink struct {
 // ObserveSpan renders one op as an enclosing span (named by class,
 // outcome in args) plus its parse / execute / write phase children,
 // and — when the request carried a nonzero binary opaque — an async
-// op span correlating it across the wire.
+// op span keyed by that opaque.
 //
 //kv3d:hotpath
 func (f *flightSink) ObserveSpan(sp protocol.OpSpan) {

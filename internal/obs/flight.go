@@ -11,8 +11,7 @@ package obs
 //
 // Like everything in obs, the recorder never reads a clock: every
 // timestamp is a typed wall-nanosecond count (sim.Ns) handed in by the
-// caller from its clock.Clock (the server's store clock, a cluster
-// client's ClusterConfig.Clock). That keeps this file inside the
+// caller from its clock.Clock (the server's store clock). That keeps this file inside the
 // determinism contract, and it makes the golden test for live
 // traces possible: a scripted session with a fake clock serializes to
 // byte-identical output.
@@ -44,7 +43,6 @@ type flightEvent struct {
 	outcome string
 	track   TrackID
 	ph      byte
-	argSet  bool
 }
 
 // FlightRecorder records live events into a bounded ring. It is safe
@@ -66,8 +64,7 @@ const DefaultFlightCapacity = 4096
 
 // NewFlightRecorder returns a recorder whose ring holds capacity events
 // (DefaultFlightCapacity if capacity <= 0). name labels the recorder's
-// synthetic process in trace output ("server", "client", ...), which is
-// how merged client+server traces stay tellable apart.
+// synthetic process in trace output ("server", ...).
 func NewFlightRecorder(name string, capacity int) *FlightRecorder {
 	if capacity <= 0 {
 		capacity = DefaultFlightCapacity
@@ -162,17 +159,6 @@ func (r *FlightRecorder) Instant(track TrackID, name string, ts sim.Ns) {
 	r.record(flightEvent{ph: phaseInstant, track: track, name: name, ts: ts})
 }
 
-// InstantArg records a point event carrying one integer argument
-// (retry attempt number, shed count, ...), rendered as args:{"v":n}.
-//
-//kv3d:hotpath
-func (r *FlightRecorder) InstantArg(track TrackID, name string, ts sim.Ns, arg int64) {
-	if r == nil {
-		return
-	}
-	r.record(flightEvent{ph: phaseInstant, track: track, name: name, ts: ts, arg: arg, argSet: true})
-}
-
 // Counter records a sampled integer value as a stepped counter track.
 //
 //kv3d:hotpath
@@ -180,14 +166,12 @@ func (r *FlightRecorder) Counter(track TrackID, name string, ts sim.Ns, value in
 	if r == nil {
 		return
 	}
-	r.record(flightEvent{ph: phaseCounter, track: track, name: name, ts: ts, arg: value, argSet: true})
+	r.record(flightEvent{ph: phaseCounter, track: track, name: name, ts: ts, arg: value})
 }
 
-// AsyncBegin opens an async span identified by (cat, id). Async ids are
-// trace-global in the Chrome format, which is exactly the correlation
-// seam: a client records AsyncBegin("op", ..., opaque, ...) around an
-// attempt and the server records the same (cat, id) around its
-// handling, so a merged trace draws both on one async lane.
+// AsyncBegin opens an async span identified by (cat, id). The server
+// records ("op", opaque) around each sampled binary op, so the span
+// carries the id the client put on the wire.
 //
 //kv3d:hotpath
 func (r *FlightRecorder) AsyncBegin(cat, name string, id uint64, ts sim.Ns) {
@@ -223,57 +207,30 @@ func (r *FlightRecorder) snapshot() (events []flightEvent, tracks []string) {
 }
 
 // WriteTraceJSON serializes the current ring contents in Chrome
-// trace-event format (Perfetto-loadable). The output is a pure function
-// of the recorded events — field order, number formatting, and event
-// order (oldest first) are fixed — so a scripted session with a fake
-// clock produces byte-identical output (flight_golden_test.go in
-// kvserver pins this).
+// trace-event format (Perfetto-loadable): one process (pid 1) named
+// after the recorder, with its tracks as threads. The output is a pure
+// function of the recorded events — field order, number formatting, and
+// event order (oldest first) are fixed — so a scripted session with a
+// fake clock produces byte-identical output (flight_golden_test.go in
+// kvserver pins this). A nil recorder writes an empty trace.
 func (r *FlightRecorder) WriteTraceJSON(w io.Writer) error {
-	return WriteMergedTraceJSON(w, r)
-}
-
-// WriteMergedTraceJSON serializes several recorders into one trace
-// document: each recorder becomes its own process (pid = position+1)
-// named after the recorder, with its tracks as threads. Async events
-// correlate across recorders by (cat, id) — the one-view merge the
-// flight recorder exists for. Nil recorders are skipped, so callers can
-// pass optional client/server recorders unconditionally.
-func WriteMergedTraceJSON(w io.Writer, recs ...*FlightRecorder) error {
 	bw := bufio.NewWriter(w)
 	bw.WriteString("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n")
-	first := true
-	sep := func() {
-		if !first {
-			bw.WriteString(",\n")
-		}
-		first = false
-	}
-	pid := 0
-	for _, r := range recs {
-		if r == nil {
-			continue
-		}
-		pid++
+	if r != nil {
 		events, tracks := r.snapshot()
-		sep()
-		bw.WriteString(`{"name":"process_name","ph":"M","pid":`)
-		bw.WriteString(strconv.Itoa(pid))
-		bw.WriteString(`,"tid":0,"args":{"name":`)
+		bw.WriteString(`{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":`)
 		writeJSONString(bw, r.name)
 		bw.WriteString(`}}`)
 		for id, name := range tracks {
-			sep()
-			bw.WriteString(`{"name":"thread_name","ph":"M","pid":`)
-			bw.WriteString(strconv.Itoa(pid))
-			bw.WriteString(`,"tid":`)
+			bw.WriteString(",\n" + `{"name":"thread_name","ph":"M","pid":1,"tid":`)
 			bw.WriteString(strconv.Itoa(id))
 			bw.WriteString(`,"args":{"name":`)
 			writeJSONString(bw, name)
 			bw.WriteString(`}}`)
 		}
 		for i := range events {
-			sep()
-			writeFlightEvent(bw, pid, &events[i])
+			bw.WriteString(",\n")
+			writeFlightEvent(bw, &events[i])
 		}
 	}
 	bw.WriteString("\n]}\n")
@@ -282,14 +239,12 @@ func WriteMergedTraceJSON(w io.Writer, recs ...*FlightRecorder) error {
 
 // writeFlightEvent renders one live event with a fixed field order,
 // mirroring writeEvent but in wall nanoseconds.
-func writeFlightEvent(bw *bufio.Writer, pid int, ev *flightEvent) {
+func writeFlightEvent(bw *bufio.Writer, ev *flightEvent) {
 	bw.WriteString(`{"name":`)
 	writeJSONString(bw, ev.name)
 	bw.WriteString(`,"ph":"`)
 	bw.WriteByte(ev.ph)
-	bw.WriteString(`","pid":`)
-	bw.WriteString(strconv.Itoa(pid))
-	bw.WriteString(`,"tid":`)
+	bw.WriteString(`","pid":1,"tid":`)
 	bw.WriteString(strconv.Itoa(int(ev.track)))
 	bw.WriteString(`,"ts":`)
 	writeMicrosNs(bw, ev.ts)
@@ -304,11 +259,6 @@ func writeFlightEvent(bw *bufio.Writer, pid int, ev *flightEvent) {
 		}
 	case phaseInstant:
 		bw.WriteString(`,"s":"t"`)
-		if ev.argSet {
-			bw.WriteString(`,"args":{"v":`)
-			bw.WriteString(strconv.FormatInt(ev.arg, 10))
-			bw.WriteString(`}`)
-		}
 	case phaseCounter:
 		bw.WriteString(`,"args":{"value":`)
 		bw.WriteString(strconv.FormatInt(ev.arg, 10))
