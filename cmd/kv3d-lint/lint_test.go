@@ -167,163 +167,25 @@ func D() int64 { return time.Now().Unix() }`,
 	}
 }
 
-// TestTypedCatchesAliasedMutexType is the aliased-import fixture for
-// syncguard: the mutex hides behind a renamed sync import and a type
-// alias in another file. A spelling pass would see a field of unknown
-// type `hotMu` and know of no lock; type resolution takes hotMu to
-// sync.Mutex, so the lock held in Inc counts and the unguarded read in
-// Bad is reported.
-func TestTypedCatchesAliasedMutexType(t *testing.T) {
+// TestTypedCatchesAliasedWriterType is the aliased-import fixture for
+// errdrop: the buffered writer hides behind a renamed bufio import and
+// a type alias in another file. A spelling pass would see a field of
+// unknown type `sink` and no Flush it knows; type resolution takes sink
+// to bufio.Writer, so the dropped Flush in Done is reported.
+func TestTypedCatchesAliasedWriterType(t *testing.T) {
 	a := writeModule(t, map[string]string{
 		"pkg/alias.go": `package pkg
-import s "sync"
-type hotMu = s.Mutex`,
+import b "bufio"
+type sink = b.Writer`,
 		"pkg/c.go": `package pkg
 
 type C struct {
-	mu hotMu
-	n  int //kv3d:guardedby mu
+	w *sink
 }
 
-func (c *C) Inc() {
-	c.mu.Lock()
-	c.n++
-	c.mu.Unlock()
-}
-
-func (c *C) Bad() int { return c.n }`,
+func (c *C) Done() { c.w.Flush() }`,
 	})
-	assertFindings(t, checkSyncGuard(a), 1, "C.n")
-}
-
-func TestLockOrderCycle(t *testing.T) {
-	a := writeModule(t, map[string]string{
-		"pkg/s.go": `package pkg
-import "sync"
-
-type A struct{ mu sync.Mutex }
-type B struct{ mu sync.Mutex }
-
-func f(a *A, b *B) {
-	a.mu.Lock()
-	b.mu.Lock()
-	b.mu.Unlock()
-	a.mu.Unlock()
-}
-
-func g(a *A, b *B) {
-	b.mu.Lock()
-	a.mu.Lock()
-	a.mu.Unlock()
-	b.mu.Unlock()
-}`,
-	})
-	assertFindings(t, checkLockOrder(a), 1, "lock-order cycle A.mu -> B.mu")
-}
-
-func TestLockOrderNoCycleWhenConsistent(t *testing.T) {
-	a := writeModule(t, map[string]string{
-		"pkg/s.go": `package pkg
-import "sync"
-
-type A struct{ mu sync.Mutex }
-type B struct{ mu sync.Mutex }
-
-func f(a *A, b *B) {
-	a.mu.Lock()
-	b.mu.Lock()
-	b.mu.Unlock()
-	a.mu.Unlock()
-}
-
-func g(a *A, b *B) {
-	a.mu.Lock()
-	b.mu.Lock()
-	b.mu.Unlock()
-	a.mu.Unlock()
-}`,
-	})
-	assertFindings(t, checkLockOrder(a), 0)
-}
-
-func TestLockOrderReentrantExportedMethod(t *testing.T) {
-	a := writeModule(t, map[string]string{
-		"pkg/s.go": `package pkg
-import "sync"
-
-type S struct {
-	mu sync.Mutex
-	n  int
-}
-
-func (s *S) Get() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n
-}
-
-// Sum deadlocks: it calls Get with s.mu held, and Get re-acquires.
-func (s *S) Sum() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.Get() + 1
-}
-
-// Ok releases before calling back in.
-func (s *S) Ok() int {
-	s.mu.Lock()
-	n := s.n
-	s.mu.Unlock()
-	return n + s.Get()
-}`,
-	})
-	assertFindings(t, checkLockOrder(a), 1,
-		"Sum calls exported method Get while holding S.mu")
-}
-
-func TestLockOrderReentrantTransitive(t *testing.T) {
-	a := writeModule(t, map[string]string{
-		"pkg/s.go": `package pkg
-import "sync"
-
-type S struct {
-	mu sync.Mutex
-	n  int
-}
-
-func (s *S) helper() int { return s.Probe() }
-
-func (s *S) Probe() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n
-}
-
-// Bad reaches Probe through helper with the lock held.
-func (s *S) Bad() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.helper()
-}`,
-	})
-	assertFindings(t, checkLockOrder(a), 1, "Bad calls function helper while holding S.mu")
-}
-
-func TestLockOrderDoubleAcquire(t *testing.T) {
-	a := writeModule(t, map[string]string{
-		"pkg/s.go": `package pkg
-import "sync"
-
-type S struct{ mu sync.Mutex }
-
-func (s *S) Bad() {
-	s.mu.Lock()
-	s.mu.Lock()
-	s.mu.Unlock()
-	s.mu.Unlock()
-}`,
-	})
-	assertFindings(t, checkLockOrder(a), 1, "acquires S.mu while already holding it")
+	assertFindings(t, checkErrDrop(a), 1, "bufio Flush")
 }
 
 func TestErrDropIgnoredVsHandled(t *testing.T) {
@@ -373,23 +235,12 @@ func TestDepOnlyPackagesTypedButNotLinted(t *testing.T) {
 import "fake/dep"
 var _ = dep.New`,
 		"dep/d.go": `package dep
-import "sync"
+import "bufio"
 
-type D struct {
-	mu sync.Mutex
-	n  int //kv3d:guardedby mu
-}
+func New() *bufio.Writer { return nil }
 
-func New() *D { return &D{} }
-
-func (d *D) Inc() {
-	d.mu.Lock()
-	d.n++
-	d.mu.Unlock()
-}
-
-// Unguarded access: would be a syncguard finding if dep were a target.
-func (d *D) Bad() int { return d.n }`,
+// A dropped Flush: would be an errdrop finding if dep were a target.
+func Done(w *bufio.Writer) { w.Flush() }`,
 	})
 	a, err := load(root, []string{"./pkg"})
 	if err != nil {
@@ -402,7 +253,7 @@ func (d *D) Bad() int { return d.n }`,
 	if dep.types == nil {
 		t.Fatal("dependency package was not type-checked")
 	}
-	assertFindings(t, checkSyncGuard(a), 0)
+	assertFindings(t, checkErrDrop(a), 0)
 }
 
 func TestModulePatternExpansion(t *testing.T) {

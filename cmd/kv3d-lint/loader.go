@@ -54,10 +54,6 @@ type analysis struct {
 	// package in pkgs.
 	info *types.Info
 
-	// declOf lazily indexes every loaded function declaration by its
-	// resolved object (see funcDecls).
-	declOf map[*types.Func]*ast.FuncDecl
-
 	// roots are the packages whose (transitive) imports must be
 	// deterministic; allow exempts the one package that reads the host
 	// clock on everyone else's behalf.
@@ -484,57 +480,4 @@ func (a *analysis) calleeFunc(call *ast.CallExpr) *types.Func {
 	}
 	fn, _ := a.info.Uses[id].(*types.Func)
 	return fn
-}
-
-// namedType unwraps pointers and aliases down to the *types.Named
-// behind a type, or nil.
-func namedType(t types.Type) *types.Named {
-	if t == nil {
-		return nil
-	}
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, _ := types.Unalias(t).(*types.Named)
-	return n
-}
-
-// isSyncMutex reports whether a type is sync.Mutex or sync.RWMutex
-// (directly, behind a pointer, or behind an alias).
-func isSyncMutex(t types.Type) bool {
-	n := namedType(t)
-	if n == nil {
-		return false
-	}
-	obj := n.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" &&
-		(obj.Name() == "Mutex" || obj.Name() == "RWMutex")
-}
-
-// funcDecls builds (once, lazily) the module-wide index from resolved
-// *types.Func objects to their declarations, covering dependency-only
-// packages too: lifecycle resolves the body a `go pkgFn()` statement
-// actually spawns, wherever pkgFn is declared.
-func (a *analysis) funcDecls() map[*types.Func]*ast.FuncDecl {
-	if a.declOf != nil {
-		return a.declOf
-	}
-	a.declOf = map[*types.Func]*ast.FuncDecl{}
-	for _, pkg := range a.pkgs {
-		for _, pf := range pkg.files {
-			for _, decl := range pf.ast.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok {
-					continue
-				}
-				if fn, ok := a.info.Defs[fd.Name].(*types.Func); ok {
-					a.declOf[fn] = fd
-				}
-			}
-		}
-	}
-	return a.declOf
 }

@@ -1,9 +1,10 @@
-// Command kv3d-lint is a repo-specific static analyzer guarding the
+// Command kv3d-lint is a repo-specific static analyzer guarding two
 // properties the kv3d codebase depends on and the standard toolchain
-// cannot check: determinism of the simulation layer (the paper's RTT/TPS
-// tables are only trustworthy if model code never reads wall clocks or
-// global randomness), concurrency hygiene of the live server path, and
-// error and goroutine discipline at the socket edge.
+// cannot check: determinism of the simulation layer and the live path
+// (the paper's RTT/TPS tables are only trustworthy if model code never
+// reads wall clocks or global randomness, and the live path is testable
+// only as far as its time comes from a clock.Clock), and no dropped
+// error at the sinks where a drop is silent data loss.
 //
 // It is stdlib-only (go/ast, go/parser, go/token, go/types, go/importer)
 // so it runs with `go run ./cmd/kv3d-lint ./...` in any environment that
@@ -14,34 +15,23 @@
 // and shadowing cannot hide a banned call the way they could from an
 // identifier-matching pass.
 //
-// Checks (see LINTING.md for the full contract, and for the audit that
-// deleted the six others this tool once had):
+// Checks (see LINTING.md for the full contract, and for the two audits
+// that deleted the nine others this tool once had):
 //
 //	determinism   wall-clock and global-rand calls in packages the
 //	              simulator or the live path reaches
-//	lockorder     lock-acquisition-order cycles and lock-held calls into
-//	              methods that re-acquire
 //	errdrop       dropped errors at flush/conn-write/renderer sinks
-//	syncguard     CFG-based lockset analysis: inferred
-//	              and annotated guarded-by relations (syncguard/guardedby),
-//	              mixed atomic/plain field access (syncguard/atomic), and
-//	              mutation after publication to another goroutine
-//	              (syncguard/publish)
-//	lifecycle     every go statement tied to a stop signal
-//	              (lifecycle/untied) and no unbounded spawn loops
-//	              (lifecycle/spawnloop)
 //
-// Findings print as "file:line:col: [check] message"; `-json` switches
-// to one JSON object per finding (file, line, col, check, message) for
-// machine consumers. A finding is suppressed by an end-of-line
-// directive `//nolint:kv3d -- <reason>`; the reason is mandatory.
+// Findings print as "file:line:col: [check] message". A finding is
+// suppressed by an end-of-line directive `//nolint:kv3d -- <reason>`;
+// the reason is mandatory.
 //
-// Exit codes: 0 clean, 1 findings, 2 internal error (bad flags, loader
-// failure) — so CI can tell "dirty tree" from "linter broke".
+// The command takes no flags, only package patterns (default ./...).
+// Exit codes: 0 clean, 1 findings, 2 internal error (an unknown flag, a
+// loader failure) — so CI can tell "dirty tree" from "linter broke".
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"go/token"
@@ -56,17 +46,13 @@ func main() {
 	os.Exit(run(".", os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// checks are the analyses in the order they run; -checks selects among
-// them by name.
+// checks are the analyses in the order they run.
 var checks = []struct {
 	name string
 	run  func(*analysis) []finding
 }{
 	{"determinism", checkDeterminism},
-	{"lockorder", checkLockOrder},
 	{"errdrop", checkErrDrop},
-	{"syncguard", checkSyncGuard},
-	{"lifecycle", checkLifecycle},
 }
 
 // run is the whole linter behind a testable seam: root is the
@@ -76,17 +62,8 @@ var checks = []struct {
 func run(root string, argv []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("kv3d-lint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var all []string
-	for _, c := range checks {
-		all = append(all, c.name)
-	}
-	checksFlag := fs.String("checks", strings.Join(all, ","),
-		"comma-separated subset of checks to run")
-	jsonFlag := fs.Bool("json", false,
-		"emit findings as JSON, one object per line: {file, line, col, check, message}")
 	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: kv3d-lint [-checks list] [-json] [packages]\n")
-		fs.PrintDefaults()
+		fmt.Fprintf(fs.Output(), "usage: kv3d-lint [packages]\n")
 	}
 	if err := fs.Parse(argv); err != nil {
 		return 2
@@ -101,16 +78,9 @@ func run(root string, argv []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	enabled := map[string]bool{}
-	for _, c := range strings.Split(*checksFlag, ",") {
-		enabled[strings.TrimSpace(c)] = true
-	}
-
 	var findings []finding
 	for _, c := range checks {
-		if enabled[c.name] {
-			findings = append(findings, c.run(a)...)
-		}
+		findings = append(findings, c.run(a)...)
 	}
 	findings = applyNolint(a, findings)
 
@@ -125,59 +95,31 @@ func run(root string, argv []string, stdout, stderr io.Writer) int {
 		return a.check < b.check
 	})
 	for _, f := range findings {
-		if *jsonFlag {
-			out, _ := json.Marshal(jsonFinding{
-				File: relPos2(f.pos).Filename, Line: f.pos.Line, Col: f.pos.Column,
-				Check: f.check, Message: f.msg,
-			})
-			fmt.Fprintln(stdout, string(out))
-		} else {
-			fmt.Fprintf(stdout, "%s: [%s] %s\n", relPos(f.pos), f.check, f.msg)
-		}
+		fmt.Fprintf(stdout, "%s: [%s] %s\n", relPos(f.pos), f.check, f.msg)
 	}
 	if len(findings) > 0 {
-		if !*jsonFlag {
-			fmt.Fprintf(stdout, "kv3d-lint: %d finding(s)\n", len(findings))
-		}
+		fmt.Fprintf(stdout, "kv3d-lint: %d finding(s)\n", len(findings))
 		return 1
 	}
-	if !*jsonFlag {
-		linted := 0
-		for _, pkg := range a.pkgs {
-			if !pkg.depOnly {
-				linted++
-			}
+	linted := 0
+	for _, pkg := range a.pkgs {
+		if !pkg.depOnly {
+			linted++
 		}
-		fmt.Fprintf(stdout, "kv3d-lint: %d package(s) clean\n", linted)
 	}
+	fmt.Fprintf(stdout, "kv3d-lint: %d package(s) clean\n", linted)
 	return 0
-}
-
-// jsonFinding is the -json wire format, one object per line.
-type jsonFinding struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Col     int    `json:"col"`
-	Check   string `json:"check"`
-	Message string `json:"message"`
-}
-
-// relPos2 is relPos without the string rendering: it relativizes the
-// filename in place for structured output.
-func relPos2(p token.Position) token.Position {
-	wd, err := os.Getwd()
-	if err == nil {
-		if rel, rerr := filepath.Rel(wd, p.Filename); rerr == nil && !strings.HasPrefix(rel, "..") {
-			p.Filename = rel
-		}
-	}
-	return p
 }
 
 // relPos renders a position with a path relative to the working
 // directory when possible, matching compiler diagnostics.
 func relPos(p token.Position) string {
-	return relPos2(p).String()
+	if wd, err := os.Getwd(); err == nil {
+		if rel, rerr := filepath.Rel(wd, p.Filename); rerr == nil && !strings.HasPrefix(rel, "..") {
+			p.Filename = rel
+		}
+	}
+	return p.String()
 }
 
 // applyNolint drops findings on lines carrying a well-formed

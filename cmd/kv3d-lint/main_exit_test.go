@@ -61,20 +61,3 @@ func TestRunExitCodeInternalErrorIsTwo(t *testing.T) {
 		t.Fatalf("loader error missing from stderr: %q", errb.String())
 	}
 }
-
-func TestRunJSONFindings(t *testing.T) {
-	root := writeModuleFiles(t, map[string]string{
-		"pkg/p.go": "package pkg\n\nvar x = 1 //nolint:kv3d\n",
-	})
-	var out, errb strings.Builder
-	if code := run(root, []string{"-json", "./..."}, &out, &errb); code != 1 {
-		t.Fatalf("run = %d, want 1", code)
-	}
-	if !strings.Contains(out.String(), `"check":"nolint"`) {
-		t.Fatalf("json finding missing: %q", out.String())
-	}
-	// The human summary line must not pollute -json output.
-	if strings.Contains(out.String(), "finding(s)") {
-		t.Fatalf("summary leaked into json output: %q", out.String())
-	}
-}

@@ -10,10 +10,8 @@ import (
 
 // CI annotates PR diffs through .github/kv3d-lint-matcher.json, whose
 // single regexp must keep matching every finding line the linter can
-// emit. The CFG-based checks emit slash-qualified names
-// (syncguard/guardedby, lifecycle/untied, ...), so the character class
-// is pinned here against both synthetic lines for the full check
-// vocabulary and real output from a run().
+// emit. It is pinned here against both synthetic lines for the full
+// check vocabulary and real output from a run().
 
 // matcherRegexp loads and compiles the problem matcher's pattern.
 func matcherRegexp(t *testing.T) *regexp.Regexp {
@@ -45,16 +43,12 @@ func matcherRegexp(t *testing.T) *regexp.Regexp {
 
 // TestMatcherCoversAllCheckNames formats one line per emittable check
 // name exactly as main.go prints findings and asserts the matcher
-// extracts the name back out, slashes included.
+// extracts the name back out.
 func TestMatcherCoversAllCheckNames(t *testing.T) {
 	re := matcherRegexp(t)
-	names := []string{
-		// -checks vocabulary.
-		"determinism", "lockorder", "errdrop", "syncguard", "lifecycle",
-		"nolint",
-		// Slash-qualified finding names within the families.
-		"syncguard/guardedby", "syncguard/atomic", "syncguard/publish",
-		"lifecycle/untied", "lifecycle/spawnloop",
+	names := []string{"nolint"}
+	for _, c := range checks {
+		names = append(names, c.name)
 	}
 	for _, name := range names {
 		line := "internal/kvstore/store.go:42:7: [" + name + "] example message"
@@ -69,49 +63,37 @@ func TestMatcherCoversAllCheckNames(t *testing.T) {
 	}
 }
 
-// TestMatcherMatchesRealOutput runs the linter over fixtures that
-// produce one finding from each slash-qualified family and asserts
-// every finding line in the real stdout matches the matcher with the
-// right check.
+// TestMatcherMatchesRealOutput runs the full pass over a fixture that
+// produces one finding from each check and asserts every finding line
+// in the real stdout matches the matcher with the right check.
 func TestMatcherMatchesRealOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("typed load in -short mode")
 	}
 	re := matcherRegexp(t)
 	root := writeModuleFiles(t, map[string]string{
-		"pkg/p.go": `package pkg
+		"internal/sim/sim.go": `package sim
 
-import "sync"
+import (
+	"bufio"
+	"time"
+)
 
-type box struct {
-	mu sync.Mutex
-	n  int //kv3d:guardedby mu
-}
+func Stamp() int64 { return time.Now().Unix() }
 
-func (b *box) Inc() {
-	b.mu.Lock()
-	b.n++
-	b.mu.Unlock()
-}
+func Done(w *bufio.Writer) { w.Flush() }
 
-func (b *box) Peek() int { return b.n }
-
-func spawn() {
-	go func() {
-		for {
-		}
-	}()
-}
+var x = 1 //nolint:kv3d
 `,
 	})
 	var out, errb strings.Builder
-	code := run(root, []string{"-checks=syncguard,lifecycle", "./..."}, &out, &errb)
+	code := run(root, []string{"./..."}, &out, &errb)
 	if code != 1 {
 		t.Fatalf("run = %d, want 1 (findings)\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
 	}
-	wantChecks := map[string]bool{
-		"syncguard/guardedby": false,
-		"lifecycle/untied":    false,
+	wantChecks := map[string]bool{"nolint": false}
+	for _, c := range checks {
+		wantChecks[c.name] = false
 	}
 	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
 		if strings.HasPrefix(line, "kv3d-lint:") { // summary line, not a finding

@@ -67,9 +67,9 @@ func (v View) Equal(o View) bool {
 type Membership struct {
 	mu      sync.Mutex
 	ring    *Ring
-	version uint64            //kv3d:guardedby mu
-	epochs  map[string]uint64 //kv3d:guardedby mu
-	weights map[string]int    //kv3d:guardedby mu
+	version uint64            // guarded by mu
+	epochs  map[string]uint64 // guarded by mu
+	weights map[string]int    // guarded by mu
 }
 
 // NewMembership builds an empty membership whose ring uses the given

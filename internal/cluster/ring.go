@@ -30,9 +30,9 @@ type point struct {
 // Ring is a consistent-hash ring. It is safe for concurrent use.
 type Ring struct {
 	mu     sync.RWMutex
-	points []point //kv3d:guardedby mu
+	points []point // guarded by mu
 	// nodes maps a node to its virtual point count.
-	nodes    map[string]int //kv3d:guardedby mu
+	nodes    map[string]int // guarded by mu
 	replicas int
 }
 

@@ -52,7 +52,7 @@ func (r RejectReason) String() string {
 // lock-free).
 type OpMetrics struct {
 	mu      sync.Mutex
-	hists   [protocol.NumOpClasses][protocol.NumOutcomes]*metrics.Histogram //kv3d:guardedby mu
+	hists   [protocol.NumOpClasses][protocol.NumOutcomes]*metrics.Histogram // guarded by mu
 	rejects [numRejectReasons]atomic.Uint64
 }
 

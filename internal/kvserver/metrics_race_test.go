@@ -9,9 +9,8 @@ import (
 )
 
 // TestOpMetricsConcurrentObserveRejectSnapshot is the -race regression
-// for the OpMetrics contracts syncguard pins: hists sits behind mu
-// (kv3d:guardedby) while the reject counters are a lock-free atomic
-// array that must never be read plainly. Observers, rejecters, and
+// for the OpMetrics locking contract: hists sits behind mu while the
+// reject counters are a lock-free atomic array. Observers, rejecters, and
 // scrapes hammer one aggregator from separate goroutines; the race
 // detector proves the split discipline holds (including the summaries
 // a scrape computes from its copies outside mu), and the final counts

@@ -70,8 +70,8 @@ type Migrator struct {
 	opts MigOptions
 
 	mu      sync.Mutex
-	streams []*MigrationStream //kv3d:guardedby mu
-	closed  bool               //kv3d:guardedby mu
+	streams []*MigrationStream // guarded by mu
+	closed  bool               // guarded by mu
 
 	done chan struct{}
 	wg   sync.WaitGroup

@@ -1,8 +1,8 @@
 package kvserver
 
-// Regression tests for bugs surfaced by the kv3d-lint v2 errdrop and
-// lockorder checks (see LINTING.md). Each pins a code path that used
-// to discard an error silently.
+// Regression tests for bugs surfaced by kv3d-lint's errdrop check (see
+// LINTING.md). Each pins a code path that used to discard an error
+// silently.
 
 import (
 	"errors"

@@ -142,8 +142,8 @@ type Replicator struct {
 	opts ReplOptions
 
 	mu     sync.Mutex
-	peers  map[string]*peer //kv3d:guardedby mu
-	closed bool             //kv3d:guardedby mu
+	peers  map[string]*peer // guarded by mu
+	closed bool             // guarded by mu
 
 	done chan struct{}
 	wg   sync.WaitGroup
@@ -334,7 +334,7 @@ func (r *Replicator) quorumFanout(job replJob, remote []string, selfOwns bool) e
 		return nil
 	}
 	ack := make(chan error, len(remote))
-	job.ack = ack //nolint:kv3d -- job is a value not yet shared; the channel send below publishes it (happens-before)
+	job.ack = ack // job is a value not yet shared; the channel send below publishes it (happens-before)
 	inflight := 0
 	for _, addr := range remote {
 		p := r.peer(addr)

@@ -58,9 +58,9 @@ type Server struct {
 	log   *log.Logger
 
 	mu       sync.Mutex
-	conns    map[net.Conn]struct{} //kv3d:guardedby mu
-	closed   bool                  //kv3d:guardedby mu
-	draining bool                  //kv3d:guardedby mu
+	conns    map[net.Conn]struct{} // guarded by mu
+	closed   bool                  // guarded by mu
+	draining bool                  // guarded by mu
 
 	wg sync.WaitGroup
 	// rejectWg tracks the short-lived goroutines that write busy
@@ -77,7 +77,7 @@ type Server struct {
 	// env is what every session of this server runs with, whichever
 	// codec it speaks: built once at construction, Repl replaced by
 	// SetReplicator, read when a connection arrives.
-	env protocol.Env //kv3d:guardedby mu
+	env protocol.Env // guarded by mu
 	// flight is nil unless Options.Flight was set, and its lifecycle
 	// methods are nil-safe; its own fields are immutable after
 	// construction and every recorder call is internally synchronized.

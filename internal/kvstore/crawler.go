@@ -9,17 +9,13 @@ import (
 // expired items normally die lazily on access, so a cache with cold
 // expired keys holds memory hostage. The crawler sweeps shards on an
 // interval and reaps anything past its TTL or below the flush watermark.
+// Every reap is counted in Stats().Expired (`expired_unfetched`).
 type Crawler struct {
 	store    *Store
 	interval time.Duration
 	stop     chan struct{}
 	done     chan struct{}
 	once     sync.Once
-
-	mu      sync.Mutex
-	sweeps  uint64 //kv3d:guardedby mu
-	reaped  uint64 //kv3d:guardedby mu
-	visited uint64 //kv3d:guardedby mu
 }
 
 // StartCrawler begins background sweeps at the given interval; it
@@ -49,12 +45,7 @@ func (c *Crawler) run() {
 			stop()
 			return
 		case <-tick:
-			reaped, visited := c.store.SweepExpired()
-			c.mu.Lock()
-			c.sweeps++
-			c.reaped += reaped
-			c.visited += visited
-			c.mu.Unlock()
+			c.store.SweepExpired()
 		}
 	}
 }
@@ -63,13 +54,6 @@ func (c *Crawler) run() {
 func (c *Crawler) Stop() {
 	c.once.Do(func() { close(c.stop) })
 	<-c.done
-}
-
-// Stats reports the crawler's lifetime counters.
-func (c *Crawler) Stats() (sweeps, reaped, visited uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.sweeps, c.reaped, c.visited
 }
 
 // SweepExpired synchronously reaps every expired or flushed item,

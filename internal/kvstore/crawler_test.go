@@ -92,8 +92,11 @@ func TestCrawlerLifecycle(t *testing.T) {
 	clk.BlockUntil(1) // the crawler waits again once its sweep is done
 	c.Stop()
 	c.Stop() // idempotent
-	if sweeps, reaped, visited := c.Stats(); sweeps != 1 || reaped != 20 || visited != 20 {
-		t.Fatalf("sweeps/reaped/visited = %d/%d/%d, want 1/20/20", sweeps, reaped, visited)
+	if got := st.Stats().Expired; got != 20 {
+		t.Fatalf("expired = %d after one sweep, want 20", got)
+	}
+	if n := st.ItemCount(); n != 0 {
+		t.Fatalf("%d items left after the sweep, want 0", n)
 	}
 }
 

@@ -202,19 +202,19 @@ func TestCrawlerConcurrentWithWrites(t *testing.T) {
 	// One more interval after the writers: the sweep it fires reaps the
 	// items written since the last advance, and is done once the
 	// crawler waits again.
+	before := st.Stats().Expired
 	clk.BlockUntil(1)
 	clk.Advance(2 * time.Second)
 	clk.BlockUntil(1)
 	cr.Stop()
-	sweeps, reaped, visited := crawlerStats(cr)
-	if sweeps == 0 || visited == 0 || reaped == 0 {
-		t.Fatalf("sweeps=%d reaped=%d visited=%d", sweeps, reaped, visited)
+	expired := st.Stats().Expired
+	if expired <= before {
+		t.Fatalf("expired = %d after the last sweep, %d before it: the sweep reaped nothing", expired, before)
 	}
-	if reaped > 4*200 {
-		t.Fatalf("reaped %d items, more than were ever stored", reaped)
+	if expired > 4*200 {
+		t.Fatalf("expired %d items, more than were ever stored", expired)
 	}
-}
-
-func crawlerStats(c *Crawler) (sweeps, reaped, visited uint64) {
-	return c.Stats()
+	if n := st.ItemCount(); n != 0 {
+		t.Fatalf("%d items left after the last sweep, want 0", n)
+	}
 }

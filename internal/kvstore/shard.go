@@ -55,7 +55,7 @@ type shardStats struct {
 type shard struct {
 	table    *hashTable
 	alloc    *slabAllocator
-	stats    shardStats //kv3d:guardedby lockedShard.mu
+	stats    shardStats // guarded by lockedShard.mu
 	casSeq   *casCounter
 	flushCAS uint64 // flush_all's watermark: items with a CAS id below it are dead
 	flushAt  int64  // unix time a delayed flush_all is due; 0 none pending

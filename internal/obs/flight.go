@@ -52,10 +52,10 @@ type FlightRecorder struct {
 	// mu guards the ring: events is the fixed-capacity storage, next the
 	// slot to overwrite, total the events ever recorded.
 	mu     sync.Mutex
-	events []flightEvent //kv3d:guardedby mu
-	next   int           //kv3d:guardedby mu
-	total  uint64        //kv3d:guardedby mu
-	tracks []string      //kv3d:guardedby mu
+	events []flightEvent // guarded by mu
+	next   int           // guarded by mu
+	total  uint64        // guarded by mu
+	tracks []string      // guarded by mu
 	name   string        // process name in trace output; immutable
 }
 

@@ -33,8 +33,8 @@ type Probe struct {
 // deterministically regardless of registration order.
 type Registry struct {
 	mu       sync.Mutex
-	counters map[string]*Counter       //kv3d:guardedby mu
-	gauges   map[string]func() float64 //kv3d:guardedby mu
+	counters map[string]*Counter       // guarded by mu
+	gauges   map[string]func() float64 // guarded by mu
 }
 
 // NewRegistry returns an empty probe registry.

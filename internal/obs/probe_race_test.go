@@ -7,8 +7,8 @@ import (
 )
 
 // TestRegistryConcurrentRegisterAndSnapshot is the -race regression for
-// the Registry contracts syncguard pins: the counters and gauges maps
-// are kv3d:guardedby mu, while each Counter's value is a typed atomic.
+// the Registry's locking contract: the counters and gauges maps are
+// guarded by mu, while each Counter's value is a typed atomic.
 // Concurrent first-use registration (the map write), increments, gauge
 // installs, and snapshots must all coexist.
 func TestRegistryConcurrentRegisterAndSnapshot(t *testing.T) {
