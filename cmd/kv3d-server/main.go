@@ -174,9 +174,6 @@ func main() {
 	} else if *pprofOn {
 		log.Fatalf("kv3d-server: -pprof requires -metrics (the debug mux mounts on the metrics listener)")
 	}
-	log.Printf("kv3d-server: listening on %s (%s, %d shards)",
-		srv.Addr(), *memory, store.Config().Shards)
-
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	go func() {
@@ -184,6 +181,10 @@ func main() {
 		log.Printf("kv3d-server: shutting down")
 		srv.Close()
 	}()
+	// Logged after the handler is in place: from this line on, SIGTERM
+	// closes the server instead of killing it.
+	log.Printf("kv3d-server: listening on %s (%s, %d shards)",
+		srv.Addr(), *memory, store.Config().Shards)
 	if err := srv.Serve(); err != nil {
 		log.Fatalf("kv3d-server: %v", err)
 	}

@@ -65,13 +65,13 @@ type MigOptions struct {
 }
 
 // Migrator runs migration streams and owns their lifecycle: Close
-// stops every stream and joins its goroutine.
+// closes done, which every stream polls between chunks, and waits on wg,
+// which counts the stream goroutines Start launched.
 type Migrator struct {
 	opts MigOptions
 
-	mu      sync.Mutex
-	streams []*MigrationStream // guarded by mu
-	closed  bool               // guarded by mu
+	mu     sync.Mutex
+	closed bool // guarded by mu
 
 	done chan struct{}
 	wg   sync.WaitGroup
@@ -192,7 +192,6 @@ func (m *Migrator) Start(opts StreamOptions) (*MigrationStream, error) {
 		m.mu.Unlock()
 		return nil, fmt.Errorf("kvserver: migrator closed")
 	}
-	m.streams = append(m.streams, st)
 	m.wg.Add(1)
 	m.mu.Unlock()
 	m.activeStream.Add(1)

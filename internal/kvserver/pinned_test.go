@@ -329,18 +329,18 @@ func TestPinnedGetsUnderConcurrentWrites(t *testing.T) {
 	}
 	type getter func(key string) ([]byte, error)
 	var readers []getter
+	var clients []io.Closer
 	for i := 0; i < 2; i++ {
 		b := kvclient.NewBinaryClient(dial())
 		a := kvclient.NewClient(dial())
-		defer b.Close()
-		defer a.Close()
+		clients = append(clients, a, b)
 		readers = append(readers,
 			func(key string) ([]byte, error) { it, err := b.Get(key); return it.Value, err },
 			func(key string) ([]byte, error) { it, err := a.Gets(key); return it.Value, err })
 	}
 
 	seed := kvclient.NewBinaryClient(dial())
-	defer seed.Close()
+	clients = append(clients, seed)
 	for key := 0; key < racyKeys; key++ {
 		if err := seed.Set(fmt.Sprintf("racy%d", key), racyValue(key, racyMinLen, 0), 0, 0); err != nil {
 			t.Fatal(err)
@@ -353,8 +353,7 @@ func TestPinnedGetsUnderConcurrentWrites(t *testing.T) {
 	for w := 0; w < 2; w++ {
 		a := kvclient.NewClient(dial())
 		b := kvclient.NewBinaryClient(dial())
-		defer a.Close()
-		defer b.Close()
+		clients = append(clients, a, b)
 		writers.Add(1)
 		go func(seed int64) {
 			defer writers.Done()
@@ -418,8 +417,14 @@ func TestPinnedGetsUnderConcurrentWrites(t *testing.T) {
 	if n := hits.Load(); n < int64(len(readers)*getsPerReader/4) {
 		t.Fatalf("only %d of %d gets hit; too few pinned sends to tell", n, len(readers)*getsPerReader)
 	}
-	// Every pin has been released: once the keys are gone, so is every
-	// chunk, unlinked ones included.
+	// Every pin has been released: once the sessions have ended and the
+	// keys are gone, so is every chunk, unlinked ones included. A reader
+	// holds its whole reply before the session that sent it unpins, so
+	// the store is read only after Close has waited for every handler.
+	for _, c := range clients {
+		c.Close() // the sessions end either way; Close below joins them
+	}
+	srv.Close()
 	st := srv.Store()
 	for key := 0; key < racyKeys; key++ {
 		st.Delete(fmt.Sprintf("racy%d", key))

@@ -3,10 +3,10 @@ package kvstore
 // hashTable is a chained hash table with memcached-style incremental
 // rehashing: when the load factor crosses the threshold the table
 // doubles, and buckets migrate a few at a time on subsequent operations
-// instead of in one stop-the-world pass. Buckets are flat arrays of
-// handles and chains run through the items' own headers, so the table
-// is the only memory an item costs outside its chunk: four bytes per
-// bucket.
+// (lookups too, so a rehash still finishes when writes stop) instead of
+// in one stop-the-world pass. Buckets are flat arrays of handles and
+// chains run through the items' own headers, so the table is the only
+// memory an item costs outside its chunk: four bytes per bucket.
 type hashTable struct {
 	mem     *arena
 	buckets []handle
@@ -19,7 +19,7 @@ const (
 	initialBuckets = 16
 	loadFactorNum  = 3 // grow when count > buckets * 3/2
 	loadFactorDen  = 2
-	migrationPerOp = 2 // old buckets moved per mutating operation
+	migrationPerOp = 2 // old buckets moved per lookup, insert or remove
 )
 
 func newHashTable(mem *arena) *hashTable {
@@ -59,8 +59,10 @@ func (t *hashTable) chainFor(hash uint64) ([]handle, int) {
 }
 
 // lookup finds the item for key, whose hash is hash, or the zero
-// handle.
+// handle. It steps the rehash like a write does: every caller holds the
+// shard's exclusive lock.
 func (t *hashTable) lookup(key []byte, hash uint64) (handle, chunk) {
+	t.stepMigration()
 	tbl, i := t.chainFor(hash)
 	for h := tbl[i]; h != 0; {
 		c := t.mem.chunk(h)

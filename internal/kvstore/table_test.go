@@ -113,18 +113,63 @@ func TestTableGrowsAndStaysConsistent(t *testing.T) {
 	}
 }
 
+// startRehash inserts keys k0, k1, ... until a rehash of a table of at
+// least minOld buckets has begun, and returns how many it inserted.
+func startRehash(tbl *hashTable, mem *testMem, minOld int) int {
+	n := 0
+	for tbl.old == nil || len(tbl.old) < minOld {
+		insert(tbl, mem, fmt.Sprintf("k%d", n))
+		n++
+	}
+	return n
+}
+
 func TestTableLookupDuringMigration(t *testing.T) {
 	mem := newTestMem(t)
 	tbl := mem.table()
-	// Insert enough to trigger at least one rehash, then probe while the
-	// migration is mid-flight.
-	for i := 0; i < 100; i++ {
-		insert(tbl, mem, fmt.Sprintf("k%d", i))
-		for j := 0; j <= i; j++ {
-			if lookup(tbl, fmt.Sprintf("k%d", j)) == 0 {
-				t.Fatalf("k%d invisible at step %d (old=%v migrate=%d)", j, i, tbl.old != nil, tbl.migrate)
-			}
+	// Each lookup moves migrationPerOp old buckets, so the first
+	// 1024/migrationPerOp probes below run mid-rehash, over migrated and
+	// unmigrated buckets alike.
+	n := startRehash(tbl, mem, 1024)
+	midRehash := 0
+	for j := 0; j < n; j++ {
+		if tbl.old != nil {
+			midRehash++
 		}
+		if lookup(tbl, fmt.Sprintf("k%d", j)) == 0 {
+			t.Fatalf("k%d invisible (old=%v migrate=%d)", j, tbl.old != nil, tbl.migrate)
+		}
+	}
+	if want := 1024 / migrationPerOp; midRehash < want {
+		t.Fatalf("%d probes ran mid-rehash, want at least %d", midRehash, want)
+	}
+}
+
+// TestTableRehashFinishesUnderLookups stops writing in the middle of a
+// rehash: lookups alone, hits and misses, must finish it, as a read-only
+// run after a preload needs.
+func TestTableRehashFinishesUnderLookups(t *testing.T) {
+	mem := newTestMem(t)
+	tbl := mem.table()
+	n := startRehash(tbl, mem, 1024)
+	left := (len(tbl.old) - tbl.migrate + migrationPerOp - 1) / migrationPerOp
+	for i := 0; i < left; i++ {
+		key := fmt.Sprintf("k%d", i)
+		if i%2 == 1 {
+			key = "absent"
+		}
+		lookup(tbl, key)
+	}
+	if tbl.old != nil {
+		t.Fatalf("rehash still in progress after %d lookups: bucket %d of %d", left, tbl.migrate, len(tbl.old))
+	}
+	for j := 0; j < n; j++ {
+		if lookup(tbl, fmt.Sprintf("k%d", j)) == 0 {
+			t.Fatalf("k%d lost by the rehash", j)
+		}
+	}
+	if tbl.len() != n {
+		t.Fatalf("len = %d, want %d", tbl.len(), n)
 	}
 }
 

@@ -23,10 +23,21 @@ func SizeSweep() []int64 {
 }
 
 // Zipf draws ranks in [0, n) with probability proportional to
-// 1/(rank+1)^s using inverse-CDF sampling over a precomputed table.
-// Deterministic given the Rand stream.
+// 1/(rank+1)^s by inverting a precomputed CDF. Deterministic given the
+// Rand stream.
+//
+// A draw u finds the first rank whose CDF value is at least u. A guide
+// table (Chen and Asau's indexed search) narrows that search to a few
+// ranks: guide[j] is the first rank i with int(cdf[i]*n) >= j, and u is
+// searched for only in cdf[guide[j]..guide[j+1]] with j = int(u*n).
+// The answer is exact, not approximate: a floating-point product with n
+// never decreases when its other factor grows, so every rank below
+// guide[j] has cdf < u and the rank at guide[j+1] has cdf >= u, and the
+// narrowed search returns for every u the rank a search of the whole
+// CDF returns. The guide costs 4(n+2) bytes beside the CDF's 8n.
 type Zipf struct {
-	cdf []float64
+	cdf   []float64
+	guide []int32
 }
 
 // NewZipf builds the distribution; s is the skew (1.01 is the classic
@@ -34,6 +45,9 @@ type Zipf struct {
 func NewZipf(s float64, n int) (*Zipf, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("workload: zipf needs positive n, got %d", n)
+	}
+	if n >= math.MaxInt32 {
+		return nil, fmt.Errorf("workload: zipf n %d overflows its int32 guide table", n)
 	}
 	if s <= 0 {
 		return nil, fmt.Errorf("workload: zipf skew must be positive, got %v", s)
@@ -47,13 +61,25 @@ func NewZipf(s float64, n int) (*Zipf, error) {
 	for i := range cdf {
 		cdf[i] /= sum
 	}
-	return &Zipf{cdf: cdf}, nil
+	// u*n can round up to n itself, so j runs to n and guide[j+1] to n+1.
+	guide := make([]int32, n+2)
+	i := 0
+	for j := range guide {
+		for i < n && int(cdf[i]*float64(n)) < j {
+			i++
+		}
+		guide[j] = int32(i)
+	}
+	return &Zipf{cdf: cdf, guide: guide}, nil
 }
 
 // Sample draws a rank; rank 0 is the hottest key.
-func (z *Zipf) Sample(r *sim.Rand) int {
-	u := r.Float64()
-	lo, hi := 0, len(z.cdf)-1
+func (z *Zipf) Sample(r *sim.Rand) int { return z.rank(r.Float64()) }
+
+// rank is the first rank whose CDF value is at least u in [0, 1).
+func (z *Zipf) rank(u float64) int {
+	j := int(u * float64(len(z.cdf)))
+	lo, hi := int(z.guide[j]), min(int(z.guide[j+1]), len(z.cdf)-1)
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if z.cdf[mid] < u {

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -28,6 +30,9 @@ func TestZipfValidation(t *testing.T) {
 	}
 	if _, err := NewZipf(0, 10); err == nil {
 		t.Fatal("zero skew accepted")
+	}
+	if _, err := NewZipf(1.01, math.MaxInt32); err == nil {
+		t.Fatal("n past the int32 guide table accepted")
 	}
 }
 
@@ -63,6 +68,68 @@ func TestZipfSampleInRangeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// fullSearch is the draw Sample made before its guide table: a binary
+// search of the whole CDF for the first rank whose value is at least u.
+func fullSearch(cdf []float64, u float64) int {
+	lo, hi := 0, len(cdf)-1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if cdf[mid] < u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// TestZipfGuideMatchesFullSearch holds the guided draw to the full
+// search, draw for draw: a million draws from the Rand stream per case
+// through Sample itself, both ends of [0, 1), and the values where a
+// guide bucket or a rank begins, where an off-by-one would show.
+func TestZipfGuideMatchesFullSearch(t *testing.T) {
+	cases := []struct {
+		s float64
+		n int
+	}{
+		{0.99, 500_000}, {0.99, 200_000}, {1.01, 1_000_000},
+		{0.99, 1}, {0.99, 7}, {0.99, 100}, {1.01, 1}, {1.01, 7}, {1.01, 100},
+	}
+	for _, c := range cases {
+		t.Run(fmt.Sprintf("s=%v/n=%d", c.s, c.n), func(t *testing.T) {
+			z, err := NewZipf(c.s, c.n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(u float64) {
+				t.Helper()
+				if got, want := z.rank(u), fullSearch(z.cdf, u); got != want {
+					t.Fatalf("u=%v (%b): guided rank %d, full search %d", u, math.Float64bits(u), got, want)
+				}
+			}
+			check(0)
+			check(math.Nextafter(1, 0))
+			// Bucket starts j/n and rank edges cdf[i], each with both
+			// neighbours: every i up to 1000, then ever sparser.
+			for i := 0; i < c.n; i += 1 + i/1000 {
+				for _, x := range []float64{float64(i) / float64(c.n), z.cdf[i]} {
+					for _, u := range []float64{math.Nextafter(x, 0), x, math.Nextafter(x, 1)} {
+						if u >= 0 && u < 1 {
+							check(u)
+						}
+					}
+				}
+			}
+			sample, ref := sim.NewRand(uint64(c.n)), sim.NewRand(uint64(c.n))
+			for d := 0; d < 1_000_000; d++ {
+				if got, want := z.Sample(sample), fullSearch(z.cdf, ref.Float64()); got != want {
+					t.Fatalf("draw %d: Sample %d, full search %d", d, got, want)
+				}
+			}
+		})
 	}
 }
 
