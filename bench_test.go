@@ -144,6 +144,35 @@ func BenchmarkStoreSet(b *testing.B) {
 	}
 }
 
+// BenchmarkStorePreload measures a server's preload in process: 500,000
+// × 100 B PutBytes of new keys into a fresh DefaultConfig(1 GiB) store,
+// the population rtt_get loads. Every op inserts a new key, so index
+// misses, inserts and growth are most of what it times beside the value
+// copies.
+func BenchmarkStorePreload(b *testing.B) {
+	const n = 500_000
+	keys := make([][]byte, n)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("key:%08d", i))
+	}
+	val := make([]byte, 100)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		st, err := kvstore.New(kvstore.DefaultConfig(1 << 30))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for _, k := range keys {
+			if _, err := st.PutBytes(kvstore.VerbSet, k, val, 0, 0, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // --- batched GET (multiget) ---------------------------------------------
 
 // BenchmarkMultiget regenerates the batched-GET amortization study

@@ -9,14 +9,14 @@ import (
 )
 
 // TestStoreHeapIsSlabPlusTable is the density gate: what a loaded store
-// adds to the Go heap is its slab pages plus the hash-table buckets, and
+// adds to the Go heap is its slab pages plus the index's slots, and
 // nothing per item — header, key and value all live in the slab chunk,
 // and every link is a handle rather than a pointer (DESIGN.md, "Chunk
 // layout"). So the memory limit bounds the store's heap, and the
 // collector has one object per slab page to look at instead of one or
-// two per item. 8 B per item is the table's own worst case: 4-byte
-// buckets at the 3/2 load factor, old and new arrays both alive at the
-// start of a rehash. Before the chunk layout an item cost ~170 B and an
+// two per item. The index is 5.25 B per slot and doubles past 7/8 full,
+// so here, at 25,000 items per shard in 32,768 slots, it is 6.9 B per
+// item; just after a doubling it is 12. Before the chunk layout an item cost ~170 B and an
 // object beyond the slab, plus a key string when it came off the wire.
 func TestStoreHeapIsSlabPlusTable(t *testing.T) {
 	const items = 200_000
@@ -45,7 +45,7 @@ func TestStoreHeapIsSlabPlusTable(t *testing.T) {
 	if stats.CurrItems != items {
 		t.Fatalf("resident items = %d, want %d", stats.CurrItems, items)
 	}
-	// 26 B of header + a 12 B key + 100 B of value is 138 B, which the
+	// 22 B of header + a 12 B key + 100 B of value is 134 B, which the
 	// 152 B class holds; the 48-byte header's 160 B needed the 192 B one.
 	// (SlabBytes also counts each shard's partly used last page, so the
 	// gate is on the chunks the items occupy.)
@@ -62,8 +62,8 @@ func TestStoreHeapIsSlabPlusTable(t *testing.T) {
 		t.Errorf("heap grew %d B for %d items: %d B of slab + %.1f B/item, want at most slab + 8 B/item",
 			heap, items, stats.SlabBytes, float64(heap-stats.SlabBytes)/items)
 	}
-	// One object per slab page, plus per shard the bucket array (two
-	// while a rehash is in flight) and the regrown page lists.
+	// One object per slab page, plus per shard the index's two arrays
+	// and the regrown page lists.
 	objects := int64(after.HeapObjects) - int64(before.HeapObjects)
 	if limit := pages + 8*int64(stats.Shards); objects > limit {
 		t.Errorf("heap grew by %d objects for %d items on %d slab pages, want at most %d", objects, items, pages, limit)

@@ -5,7 +5,7 @@
 // It contains two halves that meet in the experiments:
 //
 // The functional half is a production-quality memcached implementation —
-// slab allocator, incremental-rehash hash table, CLOCK eviction, the
+// slab allocator, tagged open-addressing index, CLOCK eviction, the
 // full ASCII protocol over TCP, a client, and a
 // consistent-hash ring (internal/kvstore, internal/protocol,
 // internal/kvserver, internal/kvclient, internal/cluster).

@@ -2,12 +2,16 @@ package kvserver
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"testing"
 	"time"
 
 	"kv3d/internal/kvstore"
+	"kv3d/internal/protocol"
 	"kv3d/internal/testutil"
 )
 
@@ -344,6 +348,68 @@ func TestMigrationCloseJoinsStreams(t *testing.T) {
 	// Second Close is a no-op.
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMigrationStopBetweenChunks stops an unthrottled stream while its
+// first chunk is unacknowledged. The peer is the other end of a pipe: it
+// reads the first chunk, holds the ack until Stop has closed the
+// stream's done channel, and then reads on. The stream must see the stop
+// before it sends the next chunk — its per-chunk check is the only place
+// an unthrottled stream looks — and end with ErrMigrationStopped, one
+// interruption counted and one key disposed of. A second chunk, were one
+// sent, would meet a closed pipe.
+func TestMigrationStopBetweenChunks(t *testing.T) {
+	defer testutil.CheckGoroutines(t)
+	src := newMigStore(t)
+	for i := 0; i < 3; i++ {
+		if err := src.Set(fmt.Sprintf("s-%d", i), []byte("v"), 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	streamEnd, peer := net.Pipe()
+	defer peer.Close()
+	m, err := NewMigrator(MigOptions{Store: src, Dial: func(string) (net.Conn, error) { return streamEnd, nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	st, err := m.Start(StreamOptions{Target: "peer", ChunkKeys: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	want := AppendChunk(nil, []MigEntry{{Key: "s-0", Value: []byte("v")}}, 1)
+	got := make([]byte, len(want))
+	if _, err := io.ReadFull(peer, got); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("first chunk %x (%v), want %x", got, err, want)
+	}
+	stopped := make(chan struct{})
+	go func() {
+		st.Stop()
+		close(stopped)
+	}()
+	<-st.done
+	var ack [migHeaderLen]byte
+	ack[0], ack[1] = protocol.MagicResponse, protocol.OpNoop
+	binary.BigEndian.PutUint32(ack[12:], 1)
+	if _, err := peer.Write(ack[:]); err != nil {
+		t.Fatal(err)
+	}
+	var next [1]byte
+	if n, _ := peer.Read(next[:]); n != 0 {
+		peer.Close()
+		t.Errorf("the stream sent another chunk after Stop")
+	}
+	<-stopped
+	if err := st.Err(); !errors.Is(err, ErrMigrationStopped) {
+		t.Fatalf("stopped stream err = %v, want ErrMigrationStopped", err)
+	}
+	if n := m.interrupted.Load(); n != 1 {
+		t.Fatalf("interrupted = %d, want 1", n)
+	}
+	if c := st.Cursor(); c != 1 {
+		t.Fatalf("cursor = %d, want 1", c)
 	}
 }
 

@@ -19,6 +19,26 @@ func newBatchStore(t *testing.T, shards int) *Store {
 	return st
 }
 
+// batchInto runs one GetBatchInto over string keys and returns each
+// key's value (nil on a miss) with the results.
+func batchInto(st *Store, keys ...string) ([][]byte, []BatchResult) {
+	bkeys := make([][]byte, len(keys))
+	for i, k := range keys {
+		bkeys[i] = []byte(k)
+	}
+	var scr BatchScratch
+	dst, out := st.GetBatchInto(nil, bkeys, nil, &scr)
+	values := make([][]byte, len(out))
+	for i, r := range out {
+		if r.Found {
+			values[i] = dst[r.Start:r.End]
+		}
+	}
+	return values, out
+}
+
+// TestGetBatchMatchesPerKeyGet checks a batch against per-key Gets:
+// every hit, miss, value, flag word and CAS id matches.
 func TestGetBatchMatchesPerKeyGet(t *testing.T) {
 	st := newBatchStore(t, 8)
 	var keys []string
@@ -31,21 +51,21 @@ func TestGetBatchMatchesPerKeyGet(t *testing.T) {
 			}
 		}
 	}
-	got := st.GetBatch(keys)
-	if len(got) != len(keys) {
-		t.Fatalf("GetBatch returned %d entries for %d keys", len(got), len(keys))
+	values, out := batchInto(st, keys...)
+	if len(out) != len(keys) {
+		t.Fatalf("GetBatchInto returned %d results for %d keys", len(out), len(keys))
 	}
 	for i, k := range keys {
 		e, ok := st.Get(k)
-		if got[i].Found != ok {
-			t.Fatalf("key %q: batch found=%v, Get found=%v", k, got[i].Found, ok)
+		if out[i].Found != ok {
+			t.Fatalf("key %q: batch found=%v, Get found=%v", k, out[i].Found, ok)
 		}
 		if !ok {
 			continue
 		}
-		if !bytes.Equal(got[i].Value, e.Value) || got[i].Flags != e.Flags || got[i].CAS != e.CAS {
+		if !bytes.Equal(values[i], e.Value) || out[i].Flags != e.Flags || out[i].CAS != e.CAS {
 			t.Fatalf("key %q: batch (%q,%d,%d) != Get (%q,%d,%d)",
-				k, got[i].Value, got[i].Flags, got[i].CAS, e.Value, e.Flags, e.CAS)
+				k, values[i], out[i].Flags, out[i].CAS, e.Value, e.Flags, e.CAS)
 		}
 	}
 }
@@ -58,26 +78,23 @@ func TestGetBatchPreservesOrderAndDuplicates(t *testing.T) {
 	if err := st.Set("b", []byte("vb"), 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	got := st.GetBatch([]string{"b", "missing", "a", "b", "a"})
+	values, out := batchInto(st, "b", "missing", "a", "b", "a")
 	want := []string{"vb", "", "va", "vb", "va"}
 	for i, w := range want {
 		if w == "" {
-			if got[i].Found {
-				t.Fatalf("entry %d: expected miss, got %q", i, got[i].Value)
+			if out[i].Found {
+				t.Fatalf("entry %d: expected miss, got %q", i, values[i])
 			}
 			continue
 		}
-		if !got[i].Found || string(got[i].Value) != w {
-			t.Fatalf("entry %d = (%q, found=%v), want %q", i, got[i].Value, got[i].Found, w)
+		if !out[i].Found || string(values[i]) != w {
+			t.Fatalf("entry %d = (%q, found=%v), want %q", i, values[i], out[i].Found, w)
 		}
 	}
 }
 
 func TestGetBatchEmpty(t *testing.T) {
 	st := newBatchStore(t, 4)
-	if got := st.GetBatch(nil); len(got) != 0 {
-		t.Fatalf("GetBatch(nil) = %d entries", len(got))
-	}
 	var scr BatchScratch
 	dst, out := st.GetBatchInto(nil, nil, nil, &scr)
 	if len(dst) != 0 || len(out) != 0 {
@@ -85,13 +102,15 @@ func TestGetBatchEmpty(t *testing.T) {
 	}
 }
 
+// TestGetBatchIntoMatchesGetBatch checks GetBatchInto against the
+// one-key byte path, GetIntoBytes: values of different lengths append
+// after a caller's prefix in one shared buffer, the prefix survives, and
+// every span, flag word and CAS id matches.
 func TestGetBatchIntoMatchesGetBatch(t *testing.T) {
 	st := newBatchStore(t, 8)
-	var keys []string
 	var bkeys [][]byte
 	for i := 0; i < 64; i++ {
 		k := fmt.Sprintf("key:%03d", i)
-		keys = append(keys, k)
 		bkeys = append(bkeys, []byte(k))
 		if i%4 != 1 {
 			if err := st.Set(k, bytes.Repeat([]byte{byte('a' + i%26)}, 8+i), uint32(i), 0); err != nil {
@@ -99,18 +118,32 @@ func TestGetBatchIntoMatchesGetBatch(t *testing.T) {
 			}
 		}
 	}
-	want := st.GetBatch(keys)
+	prefix := []byte("VALUE prefix\r\n")
 	var scr BatchScratch
-	dst, out := st.GetBatchInto(nil, bkeys, nil, &scr)
-	if len(out) != len(want) {
-		t.Fatalf("GetBatchInto returned %d results, want %d", len(out), len(want))
+	dst, out := st.GetBatchInto(append([]byte(nil), prefix...), bkeys, nil, &scr)
+	if len(out) != len(bkeys) {
+		t.Fatalf("GetBatchInto returned %d results for %d keys", len(out), len(bkeys))
 	}
-	for i := range want {
-		if out[i].Found != want[i].Found || out[i].Flags != want[i].Flags || out[i].CAS != want[i].CAS {
-			t.Fatalf("result %d metadata mismatch: %+v vs %+v", i, out[i], want[i])
+	if !bytes.HasPrefix(dst, prefix) {
+		t.Fatalf("GetBatchInto overwrote the caller's prefix: %q", dst[:len(prefix)])
+	}
+	for i, k := range bkeys {
+		want, e, ok := st.GetIntoBytes(nil, k)
+		if out[i].Found != ok {
+			t.Fatalf("key %q: batch found=%v, GetIntoBytes found=%v", k, out[i].Found, ok)
 		}
-		if got := dst[out[i].Start:out[i].End]; !bytes.Equal(got, want[i].Value) {
-			t.Fatalf("result %d value %q, want %q", i, got, want[i].Value)
+		if !ok {
+			continue
+		}
+		if out[i].Flags != e.Flags || out[i].CAS != e.CAS {
+			t.Fatalf("key %q: batch (flags %d, cas %d) != GetIntoBytes (flags %d, cas %d)",
+				k, out[i].Flags, out[i].CAS, e.Flags, e.CAS)
+		}
+		if out[i].Start < len(prefix) {
+			t.Fatalf("key %q: span starts at %d, inside the %d-byte prefix", k, out[i].Start, len(prefix))
+		}
+		if got := dst[out[i].Start:out[i].End]; !bytes.Equal(got, want) {
+			t.Fatalf("key %q: value %q, want %q", k, got, want)
 		}
 	}
 }
@@ -132,14 +165,8 @@ func TestGetBatchLockCount(t *testing.T) {
 		}
 	}
 
-	before := st.ReadLockCount()
-	st.GetBatch(keys)
-	if locks := st.ReadLockCount() - before; locks > uint64(shards) {
-		t.Fatalf("GetBatch(64 keys) took %d shard locks, want <= %d", locks, shards)
-	}
-
 	var scr BatchScratch
-	before = st.ReadLockCount()
+	before := st.ReadLockCount()
 	st.GetBatchInto(nil, bkeys, nil, &scr)
 	if locks := st.ReadLockCount() - before; locks > uint64(shards) {
 		t.Fatalf("GetBatchInto(64 keys) took %d shard locks, want <= %d", locks, shards)
@@ -208,10 +235,7 @@ func TestGetBatchConcurrentWriters(t *testing.T) {
 	var scr BatchScratch
 	var dst []byte
 	var out []BatchResult
-	for r := 0; r < 400; r++ {
-		for i, e := range st.GetBatch(keys) {
-			check(i, e.Value, e.Found)
-		}
+	for r := 0; r < 800; r++ {
 		dst, out = st.GetBatchInto(dst[:0], bkeys, out[:0], &scr)
 		for i, e := range out {
 			check(i, dst[e.Start:e.End], e.Found)

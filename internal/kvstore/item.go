@@ -8,26 +8,29 @@ import (
 
 // handle names one slab chunk of a shard: page number << offBits |
 // byte offset within the page >> 3. Page numbers start at 1, so the
-// zero handle is "no item" — the nil of every hash chain and free list. Nothing in the store points at an item; everything holds
+// zero handle is "no item" — the nil of the table's slots and of every
+// free list. Nothing in the store points at an item; everything holds
 // handles, so the collector has no per-item object to walk.
 type handle uint32
 
 // An item is its slab chunk: a fixed header, then the key, then the
-// value. The header holds the one link the item takes part in, the
-// hash chain, which is why a stored item costs no memory outside the
-// chunk (DESIGN.md, "Chunk layout"). Eviction needs no link: the CLOCK
-// hand finds items by address.
+// value. The header holds no link: the table's slots live outside the
+// chunks and eviction finds items by address, so a stored item costs no
+// memory outside its chunk but its slot (DESIGN.md, "Chunk layout").
+// A free chunk's free-list link lives in the CAS field, which is dead
+// while the key length is 0.
 const (
-	offHNext    = 0  // u32 hash-chain next; free-list next while the chunk is free
-	offKeyLen   = 4  // u8  key length; 0 marks a free chunk (valid keys have 1..250 bytes)
-	offClass    = 5  // u8  slab class index; the top bit says the value is 8-byte aligned
-	offCAS      = 6  // u64 CAS id; ids below the shard's flush watermark are dead
-	offExpire   = 14 // u32 absolute expiry, unix seconds; 0 never, MaxUint32 already expired
-	offFlags    = 18 // u32 client flags
-	offValueLen = 22 // u24 value length
-	offRef      = 25 // u8  bit 0 referenced, bits 1–6 pin count, bit 7 unlinked while pinned
+	offKeyLen   = 0  // u8  key length; 0 marks a free chunk (valid keys have 1..250 bytes)
+	offClass    = 1  // u8  slab class index; the top bit says the value is 8-byte aligned
+	offCAS      = 2  // u64 CAS id; ids below the shard's flush watermark are dead
+	offExpire   = 10 // u32 absolute expiry, unix seconds; 0 never, MaxUint32 already expired
+	offFlags    = 14 // u32 client flags
+	offValueLen = 18 // u24 value length
+	offRef      = 21 // u8  bit 0 referenced, bits 1–6 pin count, bit 7 unlinked while pinned
 
-	itemHeaderSize = 26
+	itemHeaderSize = 22
+
+	offFreeNext = offCAS // u32 free-list next, while the chunk is free
 )
 
 // maxItemBytes is the largest SlabPageSize, and so the largest item,
@@ -67,26 +70,26 @@ const (
 // byte on. It is only ever held under the shard lock.
 type chunk []byte
 
-func (c chunk) hnext() handle     { return handle(binary.LittleEndian.Uint32(c[offHNext:])) }
-func (c chunk) setHNext(h handle) { binary.LittleEndian.PutUint32(c[offHNext:], uint32(h)) }
-func (c chunk) keyLen() int       { return int(c[offKeyLen]) }
-func (c chunk) inUse() bool       { return c[offKeyLen] != 0 }
-func (c chunk) markFree()         { c[offKeyLen] = 0 }
-func (c chunk) class() int        { return int(c[offClass] &^ valueAligned) }
-func (c chunk) casID() uint64     { return binary.LittleEndian.Uint64(c[offCAS:]) }
-func (c chunk) setCAS(id uint64)  { binary.LittleEndian.PutUint64(c[offCAS:], id) }
-func (c chunk) flags() uint32     { return binary.LittleEndian.Uint32(c[offFlags:]) }
-func (c chunk) setFlags(f uint32) { binary.LittleEndian.PutUint32(c[offFlags:], f) }
-func (c chunk) referenced() bool  { return c[offRef]&refMark != 0 }
-func (c chunk) setReferenced()    { c[offRef] |= refMark }
-func (c chunk) clearReferenced()  { c[offRef] &^= refMark }
-func (c chunk) pinned() bool      { return c[offRef]&pinMask != 0 }
-func (c chunk) pinFull() bool     { return c[offRef]&pinMask == pinMask }
-func (c chunk) pin()              { c[offRef] += pinOne }
-func (c chunk) unpin()            { c[offRef] -= pinOne }
-func (c chunk) unlinked() bool    { return c[offRef]&unlinkedMark != 0 }
-func (c chunk) setUnlinked()      { c[offRef] |= unlinkedMark }
-func (c chunk) clearRef()         { c[offRef] = 0 }
+func (c chunk) freeNext() handle     { return handle(binary.LittleEndian.Uint32(c[offFreeNext:])) }
+func (c chunk) setFreeNext(h handle) { binary.LittleEndian.PutUint32(c[offFreeNext:], uint32(h)) }
+func (c chunk) keyLen() int          { return int(c[offKeyLen]) }
+func (c chunk) inUse() bool          { return c[offKeyLen] != 0 }
+func (c chunk) markFree()            { c[offKeyLen] = 0 }
+func (c chunk) class() int           { return int(c[offClass] &^ valueAligned) }
+func (c chunk) casID() uint64        { return binary.LittleEndian.Uint64(c[offCAS:]) }
+func (c chunk) setCAS(id uint64)     { binary.LittleEndian.PutUint64(c[offCAS:], id) }
+func (c chunk) flags() uint32        { return binary.LittleEndian.Uint32(c[offFlags:]) }
+func (c chunk) setFlags(f uint32)    { binary.LittleEndian.PutUint32(c[offFlags:], f) }
+func (c chunk) referenced() bool     { return c[offRef]&refMark != 0 }
+func (c chunk) setReferenced()       { c[offRef] |= refMark }
+func (c chunk) clearReferenced()     { c[offRef] &^= refMark }
+func (c chunk) pinned() bool         { return c[offRef]&pinMask != 0 }
+func (c chunk) pinFull() bool        { return c[offRef]&pinMask == pinMask }
+func (c chunk) pin()                 { c[offRef] += pinOne }
+func (c chunk) unpin()               { c[offRef] -= pinOne }
+func (c chunk) unlinked() bool       { return c[offRef]&unlinkedMark != 0 }
+func (c chunk) setUnlinked()         { c[offRef] |= unlinkedMark }
+func (c chunk) clearRef()            { c[offRef] = 0 }
 
 // valueLen loads the length with its neighbour offRef and masks that
 // byte off: one load instead of three.
@@ -165,9 +168,9 @@ func (c chunk) setValue(value []byte, size int) {
 }
 
 // init writes a fresh item's identity into a chunk the allocator just
-// handed out: key, value, class, a cleared link and a cleared ref byte.
+// handed out: key, value, class and a cleared ref byte. The CAS field
+// still holds the free-list link until the store writes the item's id.
 func (c chunk) init(classIdx, size int, key, value []byte) {
-	c.setHNext(0)
 	c[offKeyLen] = byte(len(key))
 	c[offClass] = byte(classIdx)
 	c.clearRef()

@@ -14,7 +14,6 @@ var headerFields = []struct {
 	name      string
 	off, size int
 }{
-	{"hnext", offHNext, 4},
 	{"key length", offKeyLen, 1},
 	{"slab class", offClass, 1},
 	{"CAS id", offCAS, 8},
@@ -24,13 +23,13 @@ var headerFields = []struct {
 	{"referenced / pins / unlinked", offRef, 1},
 }
 
-// TestHeaderLayout pins the one chunk layout: 26 bytes, tiled by the
+// TestHeaderLayout pins the one chunk layout: 22 bytes, tiled by the
 // fields with no gap or overlap, described by the table in DESIGN.md,
 // and with the two tenants of the length word keeping out of each
 // other's bytes.
 func TestHeaderLayout(t *testing.T) {
-	if itemHeaderSize > 26 {
-		t.Fatalf("itemHeaderSize = %d, want at most 26", itemHeaderSize)
+	if itemHeaderSize > 22 {
+		t.Fatalf("itemHeaderSize = %d, want at most 22", itemHeaderSize)
 	}
 	at := 0
 	for _, f := range headerFields {

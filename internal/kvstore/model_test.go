@@ -46,9 +46,9 @@ type refStore struct {
 
 // refHeader is the per-item overhead the model charges. It is written
 // out rather than taken from the store so that the store's claim — a
-// header of at most 26 bytes, all of it in the chunk — is checked, not
+// header of at most 22 bytes, all of it in the chunk — is checked, not
 // assumed.
-const refHeader = 26
+const refHeader = 22
 
 func refFootprint(key string, value []byte) int { return refHeader + len(key) + len(value) }
 
@@ -790,7 +790,7 @@ func checkShardInvariants(s *shard) error {
 			return fmt.Errorf("class %d: %d used + %d free chunks, %d carved", i, cl.allocated, cl.freeCount, carved)
 		}
 		free := 0
-		for h := cl.free; h != 0; h = a.chunk(h).hnext() {
+		for h := cl.free; h != 0; h = a.chunk(h).freeNext() {
 			if a.chunk(h).inUse() || inTable[h] {
 				return fmt.Errorf("class %d: chunk %#x is on the free list and in use", i, h)
 			}

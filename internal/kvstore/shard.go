@@ -70,7 +70,7 @@ type shard struct {
 
 func newShard(alloc *slabAllocator, cas *casCounter, maxItem int, evict bool) *shard {
 	return &shard{
-		table:          newHashTable(&alloc.arena),
+		table:          newHashTable(alloc),
 		alloc:          alloc,
 		casSeq:         cas,
 		maxItem:        maxItem,

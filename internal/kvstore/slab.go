@@ -1,6 +1,6 @@
 // Package kvstore implements a memcached-compatible in-memory key-value
-// store: a slab allocator with page reassignment, a hash table with
-// incremental rehashing, CLOCK eviction, TTLs, CAS, and the usual verb
+// store: a slab allocator with page reassignment, a tagged
+// open-addressing hash index, CLOCK eviction, TTLs, CAS, and the usual verb
 // set. It is both the functional substrate for the kv3d examples and TCP
 // server, and the reference the timing models' cost parameters were
 // derived from.
@@ -51,7 +51,7 @@ func (a *arena) handleAt(page uint32, off int) handle {
 }
 
 // slabClass manages chunks of a single size. Free chunks form an
-// intrusive LIFO threaded through their own offHNext field, so a free
+// intrusive LIFO threaded through their own offFreeNext field, so a free
 // chunk costs nothing outside its page. The chunks of a page fresh from
 // the heap are not even threaded: the fresh lowest-offset chunks of
 // freshPage have never been handed out, and are taken highest first once
@@ -156,7 +156,7 @@ func (a *slabAllocator) numClasses() int { return len(a.classes) }
 func (a *slabAllocator) pushFree(c *slabClass, h handle) {
 	ck := a.chunk(h)
 	ck.markFree()
-	ck.setHNext(c.free)
+	ck.setFreeNext(c.free)
 	c.free = h
 	c.freeCount++
 }
@@ -173,11 +173,18 @@ func (a *slabAllocator) carve(page uint32, i int) {
 	}
 }
 
-// forEachInUse visits the chunks of a page that hold items: the page's
-// own chunks say which they are. fn may release the chunk it is given.
+// forEachInUse visits the chunks of a page that hold items, in address
+// order: the page's own chunks say which they are. The fresh chunks of
+// the class's fresh page were never handed out and are not read, so a
+// walk faults in no memory an item has not touched. fn may release the
+// chunk it is given.
 func (a *slabAllocator) forEachInUse(page uint32, fn func(handle)) {
-	size := a.classes[a.pageClass[page]].chunkSize
-	for off := 0; off+size <= a.pageSize; off += size {
+	c := &a.classes[a.pageClass[page]]
+	size, start := c.chunkSize, 0
+	if page == c.freshPage {
+		start = c.fresh * size
+	}
+	for off := start; off+size <= a.pageSize; off += size {
 		if h := a.handleAt(page, off); a.chunk(h).inUse() {
 			fn(h)
 		}
@@ -193,7 +200,7 @@ func (a *slabAllocator) alloc(i int) handle {
 	switch {
 	case c.free != 0:
 		h = c.free
-		c.free = a.chunk(h).hnext()
+		c.free = a.chunk(h).freeNext()
 	case c.fresh > 0:
 		c.fresh--
 		h = a.handleAt(c.freshPage, c.fresh*c.chunkSize)
@@ -295,20 +302,20 @@ func (a *slabAllocator) completeReassign(page uint32, target int) error {
 	}
 	var head, last handle
 	kept := 0
-	for h := from.free; h != 0; h = a.chunk(h).hnext() {
+	for h := from.free; h != 0; h = a.chunk(h).freeNext() {
 		if a.pageOf(h) == page {
 			continue
 		}
 		if last == 0 {
 			head = h
 		} else {
-			a.chunk(last).setHNext(h)
+			a.chunk(last).setFreeNext(h)
 		}
 		last = h
 		kept++
 	}
 	if last != 0 {
-		a.chunk(last).setHNext(0)
+		a.chunk(last).setFreeNext(0)
 	}
 	from.free, from.freeCount = head, kept+from.fresh
 	// Re-carve for the target class.
