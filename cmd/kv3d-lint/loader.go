@@ -69,7 +69,6 @@ var defaultRoots = []string{
 	"internal/sim",
 	"internal/serversim",
 	"internal/experiments",
-	"internal/faults",
 	"internal/protocol",
 	"internal/kvserver",
 	"internal/kvclient",

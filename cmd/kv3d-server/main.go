@@ -16,7 +16,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"sort"
 	"strconv"
 	"strings"
 	"syscall"
@@ -97,23 +96,16 @@ func main() {
 		if selfAddr == "" {
 			selfAddr = srv.Addr().String()
 		}
-		// Join the full member set (self included) in sorted order, so
-		// every node that was handed the same -peers list derives the
-		// same membership versions and ownership epochs.
-		members := map[string]bool{selfAddr: true}
+		// The member set is fixed for the server's life. Ring points are
+		// sorted by hash and Add is idempotent, so every node handed the
+		// same -peers list places keys alike, whatever the list's order
+		// and whether it names this node too.
+		ring := cluster.NewRing(0)
+		ring.Add(selfAddr)
 		for _, p := range strings.Split(*peers, ",") {
 			if p = strings.TrimSpace(p); p != "" {
-				members[p] = true
+				ring.Add(p)
 			}
-		}
-		sorted := make([]string, 0, len(members))
-		for m := range members {
-			sorted = append(sorted, m)
-		}
-		sort.Strings(sorted)
-		mem := cluster.NewMembership(0)
-		for _, m := range sorted {
-			mem.Join(m, 1)
 		}
 		mode, ok := protocol.ParseReplMode(*replDefault)
 		if !ok || (mode != protocol.ReplAsync && mode != protocol.ReplQuorum) {
@@ -121,7 +113,7 @@ func main() {
 		}
 		repl, err := kvserver.NewReplicator(kvserver.ReplOptions{
 			Self:          selfAddr,
-			Membership:    mem,
+			Ring:          ring,
 			Replicas:      *replicas,
 			DefaultMode:   mode,
 			QuorumTimeout: *quorumTimeout,
@@ -139,15 +131,9 @@ func main() {
 			log.Fatalf("kv3d-server: %v", err)
 		}
 		defer repl.Close()
-		mig, err := kvserver.NewMigrator(kvserver.MigOptions{Store: store})
-		if err != nil {
-			log.Fatalf("kv3d-server: %v", err)
-		}
-		defer mig.Close()
 		srv.SetReplicator(repl)
-		srv.SetMigrator(mig)
 		log.Printf("kv3d-server: replication on as %s (R=%d, default %s, %d members)",
-			selfAddr, *replicas, mode, len(sorted))
+			selfAddr, *replicas, mode, ring.Len())
 	}
 	if *crawlEvery > 0 {
 		crawler := store.StartCrawler(*crawlEvery)

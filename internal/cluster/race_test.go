@@ -6,11 +6,11 @@ import (
 	"testing"
 )
 
-// TestConcurrentLocateAndMembership exercises the ring's locking under
-// the chaos suite's access pattern: readers routing keys while the
-// breaker adds and removes nodes. Run under -race (CI does); the
+// TestConcurrentLocateAndChurn exercises the ring's locking, which
+// makes it safe for concurrent use: readers routing keys while writers
+// add and remove nodes. Run under -race (CI does); the
 // assertions here only pin liveness and basic sanity.
-func TestConcurrentLocateAndMembership(t *testing.T) {
+func TestConcurrentLocateAndChurn(t *testing.T) {
 	r := NewRing(64)
 	for i := 0; i < 4; i++ {
 		r.Add(fmt.Sprintf("node-%d", i))
@@ -49,7 +49,7 @@ func TestConcurrentLocateAndMembership(t *testing.T) {
 			}
 		}(g)
 	}
-	// Two writers churn membership: one flaps node-3, one flaps a node
+	// Two writers churn the node set: one flaps node-3, one flaps a node
 	// that was never in the initial set.
 	for w, name := range []string{"node-3", "node-9"} {
 		wg.Add(1)

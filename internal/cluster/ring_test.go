@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -60,21 +61,36 @@ func TestRemove(t *testing.T) {
 	}
 }
 
+// TestDeterministicMapping: two rings built from the same nodes place
+// every key alike, whatever order the nodes were added in and however
+// often one was added. Points are kept sorted by hash and Add is
+// idempotent, so kv3d-server adds self and its -peers entries as given,
+// with no sort or de-duplication, and every node still derives the
+// same replica sets.
 func TestDeterministicMapping(t *testing.T) {
-	build := func() *Ring {
+	build := func(order ...int) *Ring {
 		r := NewRing(0)
-		for i := 0; i < 5; i++ {
+		for _, i := range order {
 			r.Add(fmt.Sprintf("node-%d", i))
 		}
 		return r
 	}
-	a, b := build(), build()
+	a, b := build(0, 1, 2, 3, 4), build(0, 1, 2, 3, 4)
+	permuted := build(3, 0, 4, 4, 1, 3, 2)
+	if !reflect.DeepEqual(a.points, permuted.points) {
+		t.Fatal("the permuted build's points differ from the in-order build's")
+	}
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("key-%d", i)
 		na, _ := a.Locate(key)
 		nb, _ := b.Locate(key)
 		if na != nb {
 			t.Fatalf("mapping not deterministic for %s: %s vs %s", key, na, nb)
+		}
+		ownA, _ := a.LocateN(key, 3)
+		ownP, _ := permuted.LocateN(key, 3)
+		if !reflect.DeepEqual(ownA, ownP) {
+			t.Fatalf("owners of %s depend on the order nodes were added: %v vs %v", key, ownA, ownP)
 		}
 	}
 }

@@ -30,13 +30,13 @@ func TestOneFakeClockDrivesServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := obs.NewFlightRecorder("server", 256)
-	mem := cluster.NewMembership(16)
-	mem.Join("self", 1)
-	mem.Join("peer-a", 1)
+	ring := cluster.NewRing(16)
+	ring.Add("self")
+	ring.Add("peer-a")
 	peers := newFakeReplStore()
 	peers.dialErr["peer-a"] = errors.New("peer-a is down")
 	repl, err := NewReplicator(ReplOptions{
-		Self: "self", Membership: mem, Replicas: 2,
+		Self: "self", Ring: ring, Replicas: 2,
 		Dial: peers.dial, Flight: rec, Clock: st.Clock(),
 	})
 	if err != nil {

@@ -141,8 +141,7 @@ func (m *OpMetrics) Probes() []obs.Probe {
 // Stats pass, named by the rows of the stats and stats slabs commands
 // (live.store.<stat>, live.slab.class-NN.<field>, live.slab.<total>);
 // per-op latency summaries; Go runtime gauges read now; and the flight
-// recorder's, replicator's and migrator's counters when the server has
-// them.
+// recorder's and replicator's counters when the server has them.
 func (s *Server) Probes() []obs.Probe {
 	probes := []obs.Probe{
 		{Name: "live.server.conns_accepted", Value: float64(s.Accepted())},
@@ -159,9 +158,6 @@ func (s *Server) Probes() []obs.Probe {
 	}
 	if rp, ok := s.sessionEnv().Repl.(*Replicator); ok && rp != nil {
 		probes = append(probes, rp.Probes()...)
-	}
-	if s.opts.Migrator != nil {
-		probes = append(probes, s.opts.Migrator.Probes()...)
 	}
 	sort.Slice(probes, func(i, j int) bool { return probes[i].Name < probes[j].Name })
 	return probes

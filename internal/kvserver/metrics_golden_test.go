@@ -3,7 +3,6 @@ package kvserver
 import (
 	"bytes"
 	"fmt"
-	"net"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -22,8 +21,8 @@ import (
 
 // runMetricsGolden drives a fixed op script over ASCII and binary
 // against a server with every probe source attached — a flight
-// recorder small enough to drop, a Replicator whose one peer is a fake
-// that acknowledges every quorum write, and a Migrator — and renders
+// recorder small enough to drop, and a Replicator whose one peer is a
+// fake that acknowledges every quorum write — and renders
 // the resulting /metrics snapshot one probe per line. live.runtime.*
 // values depend on the process, so only their names are kept.
 //
@@ -39,12 +38,12 @@ func runMetricsGolden(t *testing.T) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem := cluster.NewMembership(16)
-	mem.Join("self", 1)
-	mem.Join("peer-a", 1)
+	ring := cluster.NewRing(16)
+	ring.Add("self")
+	ring.Add("peer-a")
 	repl, err := NewReplicator(ReplOptions{
 		Self:          "self",
-		Membership:    mem,
+		Ring:          ring,
 		Replicas:      2,
 		DefaultMode:   protocol.ReplQuorum,
 		QuorumTimeout: 5 * time.Second,
@@ -54,18 +53,10 @@ func runMetricsGolden(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	defer repl.Close()
-	mig, err := NewMigrator(MigOptions{Store: st, Dial: func(string) (net.Conn, error) {
-		return nil, fmt.Errorf("the golden script starts no migration")
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mig.Close()
 	srv := NewWithOptions(st, nil, Options{
 		Flight:      obs.NewFlightRecorder("server", 32),
 		FlightEvery: 1,
 		Repl:        repl,
-		Migrator:    mig,
 	})
 	if err := srv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)

@@ -25,15 +25,17 @@ type liveNode struct {
 	addr string
 	srv  *kvserver.Server
 	st   *kvstore.Store
-	mem  *cluster.Membership
 	repl *kvserver.Replicator
 }
 
-// startLiveCluster boots n live servers with a fully-joined shared
-// membership and default-quorum replication.
-func startLiveCluster(t *testing.T, n int) []*liveNode {
+// startLiveCluster boots n live servers over one fixed ring, as
+// kv3d-server does with -peers: every node is on the ring before any
+// serves, and each replicates to R=2 owners, quorum by default. It
+// returns the nodes and the ring they place keys by.
+func startLiveCluster(t *testing.T, n int) ([]*liveNode, *cluster.Ring) {
 	t.Helper()
 	nodes := make([]*liveNode, 0, n)
+	ring := cluster.NewRing(chaosVirtualNodes)
 	for i := 0; i < n; i++ {
 		st, err := kvstore.New(kvstore.DefaultConfig(32 << 20))
 		if err != nil {
@@ -43,22 +45,14 @@ func startLiveCluster(t *testing.T, n int) []*liveNode {
 		if err := srv.Listen("127.0.0.1:0"); err != nil {
 			t.Fatal(err)
 		}
-		nodes = append(nodes, &liveNode{
-			addr: srv.Addr().String(),
-			srv:  srv,
-			st:   st,
-			mem:  cluster.NewMembership(64),
-		})
-	}
-	for _, node := range nodes {
-		for _, peer := range nodes {
-			node.mem.Join(peer.addr, 1)
-		}
+		node := &liveNode{addr: srv.Addr().String(), srv: srv, st: st}
+		ring.Add(node.addr)
+		nodes = append(nodes, node)
 	}
 	for _, node := range nodes {
 		repl, err := kvserver.NewReplicator(kvserver.ReplOptions{
 			Self:          node.addr,
-			Membership:    node.mem,
+			Ring:          ring,
 			Replicas:      2,
 			DefaultMode:   protocol.ReplQuorum,
 			QuorumTimeout: 2 * time.Second,
@@ -76,7 +70,7 @@ func startLiveCluster(t *testing.T, n int) []*liveNode {
 			node.repl.Close()
 		})
 	}
-	return nodes
+	return nodes, ring
 }
 
 // holders counts how many nodes' local stores currently return the key.
@@ -98,7 +92,7 @@ func holders(nodes []*liveNode, key string) int {
 // already invalidated.
 func TestLiveTouchFlushDivergence(t *testing.T) {
 	defer testutil.CheckGoroutines(t)
-	nodes := startLiveCluster(t, 3)
+	nodes, _ := startLiveCluster(t, 3)
 
 	cli, err := kvclient.DialBinary(nodes[0].addr)
 	if err != nil {

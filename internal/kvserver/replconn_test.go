@@ -39,12 +39,12 @@ func TestReplicationContractOnTheClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	self := srv.Addr().String()
-	mem := cluster.NewMembership(chaosVirtualNodes)
-	mem.Join(self, 1)
-	mem.Join(down, 1)
+	ring := cluster.NewRing(chaosVirtualNodes)
+	ring.Add(self)
+	ring.Add(down)
 	repl, err := kvserver.NewReplicator(kvserver.ReplOptions{
 		Self:          self,
-		Membership:    mem,
+		Ring:          ring,
 		Replicas:      2, // both nodes own every key
 		DefaultMode:   protocol.ReplQuorum,
 		QuorumTimeout: 2 * time.Second,

@@ -3,8 +3,8 @@ package kvserver
 // Replica write fan-out: the server-side half of the cluster layer.
 // Every successful local mutation arrives here from the protocol
 // sessions (see protocol.Replicator) and is propagated to the key's
-// replica set, looked up in the versioned cluster membership at send
-// time — so fan-out follows joins and leaves without reconfiguration.
+// replica set, looked up on the cluster ring. The member set is fixed at
+// start: kv3d-server builds the ring once from self and -peers.
 //
 // Two consistency modes, chosen per op by the client (binary vbucket
 // flag) or by the server default:
@@ -24,6 +24,7 @@ package kvserver
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,12 +58,13 @@ type ReplConn interface {
 
 // ReplOptions configure a Replicator.
 type ReplOptions struct {
-	// Self is this node's name in the membership (its serving address);
-	// it is skipped during fan-out and counts as one quorum vote when it
-	// owns the key.
+	// Self is this node's name on the ring (its serving address); it is
+	// skipped during fan-out and counts as one quorum vote when it owns
+	// the key.
 	Self string
-	// Membership resolves each key's replica set at send time.
-	Membership *cluster.Membership
+	// Ring resolves each key's replica set. It must not change after
+	// NewReplicator: the member list a flush fans out to is read once.
+	Ring *cluster.Ring
 	// Replicas is the replica-set size R (minimum 1; 1 means no
 	// remote copies and quorum writes succeed locally).
 	Replicas int
@@ -140,6 +142,8 @@ type peer struct {
 // connection goroutines.
 type Replicator struct {
 	opts ReplOptions
+	// remotes is every member but Self, sorted: a flush's fan-out.
+	remotes []string
 
 	mu     sync.Mutex
 	peers  map[string]*peer // guarded by mu
@@ -164,17 +168,25 @@ type Replicator struct {
 	flightTrack obs.TrackID
 }
 
-// NewReplicator builds a replicator over the given membership.
+// NewReplicator builds a replicator over the given ring.
 func NewReplicator(opts ReplOptions) (*Replicator, error) {
-	if opts.Membership == nil {
-		return nil, fmt.Errorf("kvserver: replicator needs a membership")
+	if opts.Ring == nil {
+		return nil, fmt.Errorf("kvserver: replicator needs a ring")
 	}
 	if opts.Dial == nil {
 		return nil, fmt.Errorf("kvserver: replicator needs a dialer")
 	}
 	opts = opts.withDefaults()
+	var remotes []string
+	for _, n := range opts.Ring.Nodes() {
+		if n != opts.Self {
+			remotes = append(remotes, n)
+		}
+	}
+	sort.Strings(remotes)
 	r := &Replicator{
 		opts:    opts,
+		remotes: remotes,
 		peers:   make(map[string]*peer),
 		done:    make(chan struct{}),
 		settled: make(chan struct{}, 1),
@@ -198,9 +210,9 @@ func (r *Replicator) resolve(mode protocol.ReplMode) protocol.ReplMode {
 
 // owners returns the key's replica set and whether this node is in it.
 func (r *Replicator) owners(key string) (remote []string, selfOwns bool) {
-	owners, err := r.opts.Membership.LocateN(key, r.opts.Replicas)
+	owners, err := r.opts.Ring.LocateN(key, r.opts.Replicas)
 	if err != nil {
-		return nil, false // empty membership: nothing to fan out to
+		return nil, false // empty ring: nothing to fan out to
 	}
 	for _, o := range owners {
 		if o == r.opts.Self {
@@ -241,27 +253,14 @@ func (r *Replicator) ReplicateTouch(key string, exptime int64, mode protocol.Rep
 // any of it must hear about it.
 func (r *Replicator) ReplicateFlush(delay int64, mode protocol.ReplMode) error {
 	job := replJob{exptime: delay, kind: replFlush}
-	remote := r.allRemotes()
 	switch r.resolve(mode) {
 	case protocol.ReplQuorum:
 		// The local flush already succeeded, so self always votes.
-		return r.quorumFanout(job, remote, true)
+		return r.quorumFanout(job, r.remotes, true)
 	default:
-		r.asyncFanout(job, remote)
+		r.asyncFanout(job, r.remotes)
 		return nil
 	}
-}
-
-// allRemotes lists every current member except this node.
-func (r *Replicator) allRemotes() []string {
-	v := r.opts.Membership.View()
-	remote := v.Nodes[:0]
-	for _, n := range v.Nodes {
-		if n != r.opts.Self {
-			remote = append(remote, n)
-		}
-	}
-	return remote
 }
 
 func (r *Replicator) replicate(job replJob, mode protocol.ReplMode) error {
@@ -325,7 +324,7 @@ func (r *Replicator) quorumFanout(job replJob, remote []string, selfOwns bool) e
 		votes++ // the local store already succeeded
 	}
 	if setSize == 0 {
-		// Single-node membership where self is the only conceivable
+		// A single-node ring where self is the only conceivable
 		// owner: the local store is the whole replica set.
 		return nil
 	}

@@ -124,21 +124,20 @@ func (c *fakeReplConn) FlushWithMode(delay int64, mode protocol.ReplMode) error 
 
 func (c *fakeReplConn) Close() error { return nil }
 
-// threeNodeMembership builds self + two peers.
-func threeNodeMembership(t *testing.T) *cluster.Membership {
-	t.Helper()
-	m := cluster.NewMembership(16)
-	m.Join("self", 1)
-	m.Join("peer-a", 1)
-	m.Join("peer-b", 1)
-	return m
+// threeNodeRing builds self + two peers.
+func threeNodeRing() *cluster.Ring {
+	r := cluster.NewRing(16)
+	r.Add("self")
+	r.Add("peer-a")
+	r.Add("peer-b")
+	return r
 }
 
 func newTestReplicator(t *testing.T, fake *fakeReplStore, mode protocol.ReplMode) *Replicator {
 	t.Helper()
 	r, err := NewReplicator(ReplOptions{
 		Self:          "self",
-		Membership:    threeNodeMembership(t),
+		Ring:          threeNodeRing(),
 		Replicas:      2,
 		DefaultMode:   mode,
 		QuorumTimeout: time.Second,
@@ -151,9 +150,9 @@ func newTestReplicator(t *testing.T, fake *fakeReplStore, mode protocol.ReplMode
 }
 
 // remoteOwners lists a key's owners excluding self.
-func remoteOwners(t *testing.T, m *cluster.Membership, key string, n int) []string {
+func remoteOwners(t *testing.T, ring *cluster.Ring, key string, n int) []string {
 	t.Helper()
-	owners, err := m.LocateN(key, n)
+	owners, err := ring.LocateN(key, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +183,7 @@ func TestReplicatorAsyncFanout(t *testing.T) {
 	// Workers may still be finishing the job they dequeued last; settle.
 	deadline := time.Now().Add(2 * time.Second)
 	for _, k := range keys {
-		for _, peer := range remoteOwners(t, r.opts.Membership, k, 2) {
+		for _, peer := range remoteOwners(t, r.opts.Ring, k, 2) {
 			for {
 				v, ok := fake.get(peer, k)
 				if ok {
@@ -219,7 +218,7 @@ func TestReplicatorQuorumAck(t *testing.T) {
 	}
 	// With R=2 the quorum is 2; whether self owns the key or not, at
 	// least one remote owner must hold the value now (synchronously).
-	remotes := remoteOwners(t, r.opts.Membership, "q-key", 2)
+	remotes := remoteOwners(t, r.opts.Ring, "q-key", 2)
 	found := false
 	for _, peer := range remotes {
 		if v, ok := fake.get(peer, "q-key"); ok && v == "qv" {
@@ -261,14 +260,14 @@ func TestReplicatorQuorumShortfall(t *testing.T) {
 	}
 }
 
-// TestReplicatorSingleNodeQuorum: with only self in the membership, a
-// quorum write is satisfied by the local store alone.
+// TestReplicatorSingleNodeQuorum: with only self on the ring, a quorum
+// write is satisfied by the local store alone.
 func TestReplicatorSingleNodeQuorum(t *testing.T) {
 	defer testutil.CheckGoroutines(t)
-	m := cluster.NewMembership(16)
-	m.Join("self", 1)
+	ring := cluster.NewRing(16)
+	ring.Add("self")
 	r, err := NewReplicator(ReplOptions{
-		Self: "self", Membership: m, Replicas: 2,
+		Self: "self", Ring: ring, Replicas: 2,
 		DefaultMode: protocol.ReplQuorum,
 		Dial: func(string) (ReplConn, error) {
 			return nil, errors.New("must not dial")
@@ -283,16 +282,15 @@ func TestReplicatorSingleNodeQuorum(t *testing.T) {
 	}
 }
 
-// TestReplicatorFollowsMembership: fan-out targets are resolved at send
-// time, so a join shifts subsequent writes to the new member.
-func TestReplicatorFollowsMembership(t *testing.T) {
-	defer testutil.CheckGoroutines(t)
+// TestReplicatorQuorumCountsSelf: when this node owns the key, its own
+// store is one of the quorum's votes. With R=3 and one peer down, self
+// and the live peer are two of three owners, a majority.
+func TestReplicatorQuorumCountsSelf(t *testing.T) {
+	testutil.CheckGoroutines(t)
 	fake := newFakeReplStore()
-	m := cluster.NewMembership(16)
-	m.Join("self", 1)
-	m.Join("peer-a", 1)
+	fake.dialErr["peer-a"] = errors.New("peer down")
 	r, err := NewReplicator(ReplOptions{
-		Self: "self", Membership: m, Replicas: 2,
+		Self: "self", Ring: threeNodeRing(), Replicas: 3,
 		DefaultMode: protocol.ReplQuorum, QuorumTimeout: time.Second,
 		Dial: fake.dial,
 	})
@@ -300,44 +298,49 @@ func TestReplicatorFollowsMembership(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
+	if err := r.ReplicateSet("k", []byte("v"), 0, 0, protocol.ReplQuorum); err != nil {
+		t.Fatalf("quorum write with self and one of two peers up: %v", err)
+	}
+}
 
-	if err := r.ReplicateSet("k1", []byte("v1"), 0, 0, protocol.ReplQuorum); err != nil {
+// TestReplicatorDrainWaitsForStalledPeer: Drain returns nil only once
+// every queued job has been sent. While both peers' first dials stall,
+// Drain times out with the write unsent; once they complete, Drain
+// returns and both peers already hold the value.
+func TestReplicatorDrainWaitsForStalledPeer(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	fake := newFakeReplStore()
+	block := make(chan struct{})
+	release := sync.OnceFunc(func() { close(block) })
+	r, err := NewReplicator(ReplOptions{
+		Self: "self", Ring: threeNodeRing(), Replicas: 3,
+		DefaultMode: protocol.ReplAsync,
+		Dial: func(addr string) (ReplConn, error) {
+			<-block
+			return fake.dial(addr)
+		},
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := fake.get("peer-a", "k1"); !ok {
-		t.Fatal("two-node cluster: peer-a must hold k1")
-	}
+	defer r.Close()
+	defer release() // before Close, which waits for the stalled workers
 
-	m.Join("peer-b", 1)
-	// Find a key peer-b now owns and verify quorum writes reach it.
-	for i := 0; i < 2000; i++ {
-		key := fmt.Sprintf("mk-%d", i)
-		owners := remoteOwners(t, m, key, 2)
-		hasB := false
-		for _, o := range owners {
-			hasB = hasB || o == "peer-b"
-		}
-		if !hasB {
-			continue
-		}
-		if err := r.ReplicateSet(key, []byte("vb"), 0, 0, protocol.ReplQuorum); err != nil {
-			t.Fatal(err)
-		}
-		if err := r.Drain(2 * time.Second); err != nil {
-			t.Fatal(err)
-		}
-		deadline := time.Now().Add(2 * time.Second)
-		for {
-			if v, ok := fake.get("peer-b", key); ok && v == "vb" {
-				return // success
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("post-join quorum write to %q never reached peer-b (owners %v)", key, owners)
-			}
-			time.Sleep(time.Millisecond)
+	if err := r.ReplicateSet("k", []byte("v"), 0, 0, protocol.ReplAsync); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Drain(20 * time.Millisecond); err == nil {
+		t.Fatal("Drain returned nil while both peers' dials were stalled")
+	}
+	release()
+	if err := r.Drain(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for _, peer := range []string{"peer-a", "peer-b"} {
+		if v, ok := fake.get(peer, "k"); !ok || v != "v" {
+			t.Fatalf("after Drain, peer %s holds %q (present %v), want \"v\"", peer, v, ok)
 		}
 	}
-	t.Fatal("no key owned by peer-b found in 2000 tries")
 }
 
 // TestReplicatorTouchFanout: touch rides the same key-owner fan-out as
@@ -361,7 +364,7 @@ func TestReplicatorTouchFanout(t *testing.T) {
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for _, k := range keys {
-		for _, peer := range remoteOwners(t, r.opts.Membership, k, 2) {
+		for _, peer := range remoteOwners(t, r.opts.Ring, k, 2) {
 			for {
 				fake.mu.Lock()
 				exp, ok := fake.touches[peer][k]
@@ -453,7 +456,7 @@ func TestReplicatorCloseJoinsWorkers(t *testing.T) {
 	fake := newFakeReplStore()
 	block := make(chan struct{})
 	r, err := NewReplicator(ReplOptions{
-		Self: "self", Membership: threeNodeMembership(t), Replicas: 2,
+		Self: "self", Ring: threeNodeRing(), Replicas: 2,
 		DefaultMode: protocol.ReplAsync, QueueDepth: 4,
 		Dial: func(addr string) (ReplConn, error) {
 			<-block // stall the first dial so jobs pile up

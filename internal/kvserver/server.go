@@ -44,10 +44,6 @@ type Options struct {
 	// fake it). The server does not own it — the caller Closes it after
 	// the server stops.
 	Repl protocol.Replicator
-	// Migrator, when set, contributes live.migrate.* counters to the
-	// server's probes. Like Repl it is caller-owned: the caller Closes
-	// it after the server stops.
-	Migrator *Migrator
 }
 
 // Server accepts memcached protocol connections and serves a Store.
@@ -172,11 +168,6 @@ func (s *Server) sessionEnv() protocol.Env {
 	defer s.mu.Unlock()
 	return s.env
 }
-
-// SetMigrator attaches a caller-owned Migrator so its live.migrate.*
-// counters surface through Probes, under the same call-before-Serve
-// contract as SetReplicator.
-func (s *Server) SetMigrator(m *Migrator) { s.opts.Migrator = m }
 
 // Addr returns the listener address, or nil before Listen.
 func (s *Server) Addr() net.Addr {

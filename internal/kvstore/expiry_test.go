@@ -106,3 +106,23 @@ func TestExpirySurfaceStaysInt64(t *testing.T) {
 		t.Fatalf("the already-expired mark reads back as %d, expired at t=0: %v", c.expireAt(), c.expired(0))
 	}
 }
+
+// GetWithExpiry returns a copy of the entry plus its absolute expiry
+// (unix seconds, 0 = never): the tests' reference read of what the
+// store holds, which Get does not expose. Unlike Get it neither counts
+// a hit/miss nor promotes the item in the eviction policy, so a probe
+// does not change what it observes.
+func (st *Store) GetWithExpiry(key string) (Entry, int64, bool) {
+	k := keyBytes(key)
+	sh, hash := st.locate(k)
+	now := st.now()
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	h, c := sh.s.live(k, hash, now)
+	if h == 0 {
+		return Entry{}, 0, false
+	}
+	out := make([]byte, c.valueLen())
+	copy(out, c.value())
+	return Entry{Value: out, Flags: c.flags(), CAS: c.casID()}, c.expireAt(), true
+}

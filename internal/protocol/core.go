@@ -361,9 +361,9 @@ func (c *core) endSpan(class OpClass, out Outcome, opaque uint64, start, end sim
 }
 
 // replicates is the loop guard: a write fans out only when a
-// Replicator is installed and the write is not itself replica or
-// migration traffic (ReplLocal). ASCII writes pass ReplDefault, binary
-// writes the mode their vbucket field carries. The four helpers below
+// Replicator is installed and the write is not itself replica traffic
+// (ReplLocal). ASCII writes pass ReplDefault, binary writes the mode
+// their vbucket field carries. The four helpers below
 // hand a mutation that succeeded locally to the Replicator, whose
 // methods document why each must fan out; a miss is not replicated.
 func (c *core) replicates(mode ReplMode) bool {

@@ -8,8 +8,8 @@ package protocol
 // per-op ReplMode; the ASCII protocol has no spare field, so ASCII
 // writes always use the server's default mode.
 //
-// Loop prevention is by construction: replica and migration traffic is
-// sent with ReplLocal, which the receiving session never re-replicates.
+// Loop prevention is by construction: replica traffic is sent with
+// ReplLocal, which the receiving session never re-replicates.
 
 // ReplMode selects how one write propagates to replicas.
 type ReplMode uint16
@@ -17,8 +17,8 @@ type ReplMode uint16
 const (
 	// ReplDefault defers to the server's configured default mode.
 	ReplDefault ReplMode = 0
-	// ReplLocal applies the write locally only — the mode replica and
-	// migration traffic is tagged with, so fan-out never loops.
+	// ReplLocal applies the write locally only — the mode replica
+	// traffic is tagged with, so fan-out never loops.
 	ReplLocal ReplMode = 1
 	// ReplAsync acknowledges after the local store and fans out to
 	// replicas in the background (fire-and-forget; bounded staleness).
