@@ -10,6 +10,7 @@ package kv3d
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 	"testing"
 
@@ -198,7 +199,7 @@ func BenchmarkMultigetStoreBatch64(b *testing.B) {
 		for j := range bkeys {
 			bkeys[j] = append(bkeys[j][:0], keys[(i*64+j)&65535]...)
 		}
-		dst, out = st.GetBatchInto(dst[:0], bkeys, out[:0], &scr)
+		dst, out = st.GetBatchInto(dst[:0], bkeys, out[:0], &scr, math.MaxInt)
 		if len(out) != 64 {
 			b.Fatal("short batch")
 		}

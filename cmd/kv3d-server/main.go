@@ -162,10 +162,12 @@ func main() {
 	}
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	closed := make(chan struct{})
 	go func() {
 		<-sig
 		log.Printf("kv3d-server: shutting down")
 		srv.Close()
+		close(closed)
 	}()
 	// Logged after the handler is in place: from this line on, SIGTERM
 	// closes the server instead of killing it.
@@ -174,6 +176,10 @@ func main() {
 	if err := srv.Serve(); err != nil {
 		log.Fatalf("kv3d-server: %v", err)
 	}
+	// Serve returns once Close has closed the listener; Close is still
+	// closing connections and joining their handlers. The final line
+	// waits for it, so nothing the handlers log can follow it.
+	<-closed
 	s := store.Stats()
 	log.Printf("kv3d-server: served %d conns, %d gets (%.1f%% hit), %d sets, %d evictions",
 		srv.Accepted(), s.GetHits+s.GetMisses, s.HitRate()*100, s.Sets, s.Evictions)

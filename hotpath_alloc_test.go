@@ -9,8 +9,9 @@ package kv3d
 //   - A disabled (nil) obs.Tracer costs zero allocations per event, so
 //     model code can instrument unconditionally; so does the
 //     simulator's event dispatch.
-//   - The ASCII and binary GET paths — read, dispatch, doGet, store
-//     lookup, response write — and the SET paths, down to the rewrite
+//   - The ASCII and binary GET paths — read, dispatch, doGet/getRun,
+//     store lookup, response write, a pipelined run of binary GETs
+//     included — and the SET paths, down to the rewrite
 //     of a resident item's chunk, allocate nothing per operation in
 //     steady state. Per-session setup (bufio buffers, scratch growth on
 //     first use) is allowed; per-op cost must be flat.
@@ -19,6 +20,7 @@ import (
 	"bufio"
 	"bytes"
 	"io"
+	"math"
 	"net"
 	"strings"
 	"testing"
@@ -145,7 +147,7 @@ func TestASCIIGetWithFlightZeroAllocPerOp(t *testing.T) {
 // not histogram bucketing (OpMetrics is separately alloc-free).
 type nullObserver struct{}
 
-func (nullObserver) ObserveOp(protocol.OpClass, protocol.Outcome, sim.Ns) {}
+func (nullObserver) ObserveOp(protocol.OpClass, protocol.Outcome, int, sim.Ns) {}
 
 func TestKVStoreGetIntoBytesZeroAlloc(t *testing.T) {
 	st, err := kvstore.New(kvstore.DefaultConfig(32 << 20))
@@ -289,9 +291,9 @@ func TestKVStoreGetBatchIntoZeroAlloc(t *testing.T) {
 	dst := make([]byte, 0, 4096)
 	out := make([]kvstore.BatchResult, 0, 64)
 	// Warm the scratch to its high-water mark.
-	dst, out = st.GetBatchInto(dst[:0], keys, out[:0], &scr)
+	dst, out = st.GetBatchInto(dst[:0], keys, out[:0], &scr, math.MaxInt)
 	allocs := testing.AllocsPerRun(100, func() {
-		dst, out = st.GetBatchInto(dst[:0], keys, out[:0], &scr)
+		dst, out = st.GetBatchInto(dst[:0], keys, out[:0], &scr, math.MaxInt)
 		if len(out) != len(keys) || !out[0].Found {
 			t.Fatal("batch lookup failed")
 		}
@@ -336,6 +338,79 @@ func TestBinaryGetZeroAllocPerOp(t *testing.T) {
 	if perOp := (allocsLarge - allocsSmall) / float64(large-small); perOp != 0 {
 		t.Fatalf("binary GET allocates %v per op (session totals: %v @ %d ops, %v @ %d ops), want 0",
 			perOp, allocsSmall, small, allocsLarge, large)
+	}
+}
+
+// segmentConn is a transport that delivers one prepared segment per
+// Read and discards what is written to it.
+type segmentConn struct{ segs [][]byte }
+
+func (c *segmentConn) Read(p []byte) (int, error) {
+	if len(c.segs) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, c.segs[0])
+	if c.segs[0] = c.segs[0][n:]; len(c.segs[0]) == 0 {
+		c.segs = c.segs[1:]
+	}
+	return n, nil
+}
+
+func (c *segmentConn) Write(p []byte) (int, error) { return len(p), nil }
+
+// eighthGate stands in for the server's in-flight gate and refuses
+// every eighth acquire, so a run both releases slots and sheds frames:
+// two of every 16, the same two in every run, so the run's scratch is
+// sized by the first one.
+type eighthGate struct{ n int }
+
+func (g *eighthGate) TryAcquire() bool { g.n++; return g.n%8 != 0 }
+func (g *eighthGate) Release()         {}
+
+// TestBinaryGetRunZeroAllocPerOp gates the pipelined binary GET path: a
+// session ServeConn built, fed 16 get-family frames per transport read,
+// serves each read as one run — one batched lookup, the replies staged
+// in order, a refused frame's busy in its place — with a gate that
+// refuses some frames, the observer, the clock and flight spans of
+// every frame all live, and allocates nothing per frame.
+func TestBinaryGetRunZeroAllocPerOp(t *testing.T) {
+	st, err := kvstore.New(kvstore.DefaultConfig(32 << 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"a", "b", "c", "d"} {
+		if err := st.Set(k, []byte("0123456789abcdef"), 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var run []byte
+	for i := 0; i < 16; i++ {
+		op := [...]byte{protocol.OpGet, protocol.OpGetQ, protocol.OpGetK, protocol.OpGetKQ}[i%4]
+		key := "abcdx"[i%5] // four hits and a miss
+		run = append(run, protocol.MagicRequest, op, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, byte(i+1), 0, 0, 0, 0, 0, 0, 0, 0, key)
+	}
+	rec := obs.NewFlightRecorder("gate", 256)
+	sink := &flightGateSink{rec: rec, track: rec.RegisterTrack("ops")}
+	var nullObs nullObserver
+	env := protocol.Env{Gate: &eighthGate{}, Observer: nullObs, Clock: clock.NewFake(1000), Flight: sink, FlightEvery: 1}
+	serve := func(runs int) {
+		segs := make([][]byte, runs)
+		for i := range segs {
+			segs[i] = run
+		}
+		if err := protocol.ServeConn(st, &segmentConn{segs: segs}, env); err != nil {
+			t.Fatalf("serve: %v", err)
+		}
+	}
+	const small, large = 8, 128 // runs of 16 frames
+	allocsSmall := testing.AllocsPerRun(10, func() { serve(small) })
+	allocsLarge := testing.AllocsPerRun(10, func() { serve(large) })
+	if perOp := (allocsLarge - allocsSmall) / float64(16*(large-small)); perOp != 0 {
+		t.Fatalf("a 16-frame binary GET run allocates %v per frame (session totals: %v @ %d runs, %v @ %d runs), want 0",
+			perOp, allocsSmall, small, allocsLarge, large)
+	}
+	if rec.Len() == 0 {
+		t.Fatal("the flight recorder saw no spans")
 	}
 }
 

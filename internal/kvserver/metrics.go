@@ -76,9 +76,10 @@ func NewOpMetrics() *OpMetrics {
 	return m
 }
 
-// ObserveOp records one command's handling time in nanoseconds under
-// its outcome.
-func (m *OpMetrics) ObserveOp(c protocol.OpClass, o protocol.Outcome, nanos sim.Ns) {
+// ObserveOp records n commands that together took nanos under their
+// class and outcome: n samples that sum to nanos, under one lock, so a
+// pipelined run of gets takes the mutex once rather than once a frame.
+func (m *OpMetrics) ObserveOp(c protocol.OpClass, o protocol.Outcome, n int, nanos sim.Ns) {
 	if c < 0 || c >= protocol.NumOpClasses {
 		c = protocol.ClassOther
 	}
@@ -86,7 +87,7 @@ func (m *OpMetrics) ObserveOp(c protocol.OpClass, o protocol.Outcome, nanos sim.
 		o = protocol.OutcomeError
 	}
 	m.mu.Lock()
-	m.hists[c][o].Record(int64(nanos))
+	m.hists[c][o].RecordN(n, int64(nanos))
 	m.mu.Unlock()
 }
 

@@ -27,7 +27,7 @@ func TestOpMetricsConcurrentObserveRejectSnapshot(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perW; i++ {
-				m.ObserveOp(protocol.OpClass(i%int(protocol.NumOpClasses)), protocol.Outcome(i%int(protocol.NumOutcomes)), sim.Ns(100+i))
+				m.ObserveOp(protocol.OpClass(i%int(protocol.NumOpClasses)), protocol.Outcome(i%int(protocol.NumOutcomes)), 1, sim.Ns(100+i))
 				m.Reject(RejectReason(i % int(numRejectReasons)))
 			}
 		}(w)

@@ -169,7 +169,7 @@ func TestOpMetricsDeterministicWithFakeClock(t *testing.T) {
 	clk := newStepClock()
 	for i := 0; i < 5; i++ {
 		start := clk.Now()
-		m.ObserveOp(protocol.ClassGet, protocol.OutcomeOK, clk.Now()-start)
+		m.ObserveOp(protocol.ClassGet, protocol.OutcomeOK, 1, clk.Now()-start)
 	}
 	probes := m.Probes()
 	if got := probeValue(probes, "live.op.get.latency_ns.count"); got != 5 {
@@ -180,7 +180,7 @@ func TestOpMetricsDeterministicWithFakeClock(t *testing.T) {
 	}
 	// Out-of-range classes fold into "other" rather than panicking, and
 	// out-of-range outcomes fold into "error".
-	m.ObserveOp(protocol.OpClass(99), protocol.Outcome(99), 5)
+	m.ObserveOp(protocol.OpClass(99), protocol.Outcome(99), 1, 5)
 	probes = m.Probes()
 	if got := probeValue(probes, "live.op.other.latency_ns.count"); got != 1 {
 		t.Fatalf("other count = %v", got)
@@ -189,13 +189,23 @@ func TestOpMetricsDeterministicWithFakeClock(t *testing.T) {
 		t.Fatalf("other/error count = %v", got)
 	}
 	// The aggregate keeps counting across outcomes.
-	m.ObserveOp(protocol.ClassGet, protocol.OutcomeBusy, 7)
+	m.ObserveOp(protocol.ClassGet, protocol.OutcomeBusy, 1, 7)
 	probes = m.Probes()
 	if got := probeValue(probes, "live.op.get.latency_ns.count"); got != 6 {
 		t.Fatalf("get aggregate count = %v, want 6 (5 ok + 1 busy)", got)
 	}
 	if got := probeValue(probes, "live.op.get.busy.latency_ns.count"); got != 1 {
 		t.Fatalf("get busy count = %v", got)
+	}
+	// A run of 16 gets observed in one call is 16 samples whose sum is
+	// the run's time.
+	m.ObserveOp(protocol.ClassGet, protocol.OutcomeOK, 16, 1000)
+	probes = m.Probes()
+	if got := probeValue(probes, "live.op.get.ok.latency_ns.count"); got != 21 {
+		t.Fatalf("get ok count = %v after a 16-op run, want 21", got)
+	}
+	if got := probeValue(probes, "live.op.get.ok.latency_ns.mean"); got != 6000.0/21 {
+		t.Fatalf("get ok mean = %v, want %v: the run's 1000 ns over its 16 ops plus 5 ops of 1000", got, 6000.0/21)
 	}
 }
 

@@ -91,7 +91,7 @@ func holders(nodes []*liveNode, key string) int {
 // reached the Replicator, so replicas kept serving data the primary had
 // already invalidated.
 func TestLiveTouchFlushDivergence(t *testing.T) {
-	defer testutil.CheckGoroutines(t)
+	testutil.CheckGoroutines(t)
 	nodes, _ := startLiveCluster(t, 3)
 
 	cli, err := kvclient.DialBinary(nodes[0].addr)
@@ -181,7 +181,7 @@ func (c *writeCountingConn) Write(p []byte) (int, error) {
 // when the session goes back to read (1 write per op before; 1/16 is
 // the floor, 0.2 leaves room for a burst the kernel delivers in pieces).
 func TestLiveBatchedPipeline(t *testing.T) {
-	defer testutil.CheckGoroutines(t)
+	testutil.CheckGoroutines(t)
 	st, err := kvstore.New(kvstore.DefaultConfig(32 << 20))
 	if err != nil {
 		t.Fatal(err)

@@ -166,7 +166,7 @@ func remoteOwners(t *testing.T, ring *cluster.Ring, key string, n int) []string 
 }
 
 func TestReplicatorAsyncFanout(t *testing.T) {
-	defer testutil.CheckGoroutines(t)
+	testutil.CheckGoroutines(t)
 	fake := newFakeReplStore()
 	r := newTestReplicator(t, fake, protocol.ReplAsync)
 	defer r.Close()
@@ -205,7 +205,7 @@ func TestReplicatorAsyncFanout(t *testing.T) {
 }
 
 func TestReplicatorQuorumAck(t *testing.T) {
-	defer testutil.CheckGoroutines(t)
+	testutil.CheckGoroutines(t)
 	fake := newFakeReplStore()
 	r := newTestReplicator(t, fake, protocol.ReplQuorum)
 	defer r.Close()
@@ -240,7 +240,7 @@ func TestReplicatorQuorumAck(t *testing.T) {
 }
 
 func TestReplicatorQuorumShortfall(t *testing.T) {
-	defer testutil.CheckGoroutines(t)
+	testutil.CheckGoroutines(t)
 	fake := newFakeReplStore()
 	boom := errors.New("peer down")
 	fake.dialErr["peer-a"] = boom
@@ -263,7 +263,7 @@ func TestReplicatorQuorumShortfall(t *testing.T) {
 // TestReplicatorSingleNodeQuorum: with only self on the ring, a quorum
 // write is satisfied by the local store alone.
 func TestReplicatorSingleNodeQuorum(t *testing.T) {
-	defer testutil.CheckGoroutines(t)
+	testutil.CheckGoroutines(t)
 	ring := cluster.NewRing(16)
 	ring.Add("self")
 	r, err := NewReplicator(ReplOptions{
@@ -348,7 +348,7 @@ func TestReplicatorDrainWaitsForStalledPeer(t *testing.T) {
 // Pre-fix, touch never reached the Replicator at all, so replica TTLs
 // silently diverged from the primary's.
 func TestReplicatorTouchFanout(t *testing.T) {
-	defer testutil.CheckGoroutines(t)
+	testutil.CheckGoroutines(t)
 	fake := newFakeReplStore()
 	r := newTestReplicator(t, fake, protocol.ReplAsync)
 	defer r.Close()
@@ -388,7 +388,7 @@ func TestReplicatorTouchFanout(t *testing.T) {
 // member except self — not just a key's owner set. A flush that skipped
 // a non-owner peer would leave that peer serving the flushed data.
 func TestReplicatorFlushFanoutAll(t *testing.T) {
-	defer testutil.CheckGoroutines(t)
+	testutil.CheckGoroutines(t)
 	fake := newFakeReplStore()
 	r := newTestReplicator(t, fake, protocol.ReplAsync)
 	defer r.Close()
@@ -423,7 +423,7 @@ func TestReplicatorFlushFanoutAll(t *testing.T) {
 // synchronously; a quorum flush counts the local flush as one vote and
 // still succeeds with one of two peers down.
 func TestReplicatorTouchFlushQuorum(t *testing.T) {
-	defer testutil.CheckGoroutines(t)
+	testutil.CheckGoroutines(t)
 	fake := newFakeReplStore()
 	r := newTestReplicator(t, fake, protocol.ReplQuorum)
 	defer r.Close()
@@ -452,7 +452,7 @@ func TestReplicatorTouchFlushQuorum(t *testing.T) {
 // TestReplicatorCloseJoinsWorkers: Close stops every peer worker even
 // with queued work, and queued-but-unsent jobs are counted dropped.
 func TestReplicatorCloseJoinsWorkers(t *testing.T) {
-	defer testutil.CheckGoroutines(t)
+	testutil.CheckGoroutines(t)
 	fake := newFakeReplStore()
 	block := make(chan struct{})
 	r, err := NewReplicator(ReplOptions{

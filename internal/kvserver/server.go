@@ -255,9 +255,21 @@ func (s *Server) handle(conn net.Conn) {
 		s.flight.conns("conn.close", s.active.Add(-1))
 	}()
 	err := protocol.ServeConnIdle(s.store, conn, env, s.opts.IdleTimeout)
-	if err != nil && s.log != nil {
+	if err != nil && s.log != nil && !s.closedByClose(err) {
 		s.log.Printf("kvserver: connection %s: %v", conn.RemoteAddr(), err)
 	}
+}
+
+// closedByClose reports whether err is a connection's session ending
+// because the server's own Close closed it: that is shutdown, not a
+// fault worth a log line.
+func (s *Server) closedByClose(err error) bool {
+	if !errors.Is(err, net.ErrClosed) {
+		return false
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.closed
 }
 
 // Close stops accepting, closes all connections, and waits for handlers.

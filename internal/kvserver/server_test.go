@@ -1,10 +1,13 @@
 package kvserver
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net"
 	"sync"
 	"testing"
@@ -213,6 +216,45 @@ func TestServerCloseIdempotent(t *testing.T) {
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCloseWithIdleConnLogsNothing: Close ends an idle session by
+// closing its connection under it, and the session's read then fails
+// with net.ErrClosed. That is the server shutting down, not a fault in
+// the connection, so nothing is logged for it.
+func TestCloseWithIdleConnLogsNothing(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	st, err := kvstore.New(kvstore.DefaultConfig(16 << 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logged bytes.Buffer // written by the handler, read after Close has joined it
+	srv := New(st, log.New(&logged, "", 0))
+	if err := srv.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve()
+	conn, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	// One served request puts the session in its read of the next one.
+	if _, err := io.WriteString(conn, "version\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bufio.NewReader(conn).ReadString('\n'); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if logged.Len() != 0 {
+		t.Fatalf("Close with one idle connection logged %q, want nothing", logged.String())
 	}
 }
 

@@ -11,12 +11,16 @@ package kvstore
 // allocates nothing.
 
 // BatchResult locates one key's value inside the shared destination
-// buffer of a GetBatchInto call: the value is dst[Start:End].
+// buffer of a GetBatchInto call: the value is dst[Start:End] — unless
+// Pin holds it, and then the value is Pinned, a read-only view of the
+// item's chunk that the caller must Unpin once it has sent it.
 type BatchResult struct {
 	Start, End int
 	Flags      uint32
 	CAS        uint64
 	Found      bool
+	Pinned     []byte
+	Pin        Pin
 }
 
 // BatchScratch holds the reusable grouping state of GetBatchInto. The
@@ -48,19 +52,34 @@ func (scr *BatchScratch) grow(n, nShards int) {
 // dst, and out (reused, resliced to len(keys)) records each key's
 // value span, flags, CAS and hit/miss in request order (duplicate keys
 // get duplicate results). Each involved shard's lock is acquired exactly
-// once, so an N-key batch costs at most min(N, Shards) acquisitions.
+// once, so an N-key batch costs at most min(N, Shards) acquisitions,
+// and the clock is read at most once, as for a single-key call.
+//
+// A hit whose value is at least pinFrom bytes long is pinned as
+// PinBytes pins it and is not copied into dst: its result carries the
+// view and the Pin (math.MaxInt copies every value).
 //
 // The returned slices must be consumed before the next call that
 // reuses dst, out or scr.
 //
 //kv3d:hotpath
-func (st *Store) GetBatchInto(dst []byte, keys [][]byte, out []BatchResult, scr *BatchScratch) ([]byte, []BatchResult) {
+func (st *Store) GetBatchInto(dst []byte, keys [][]byte, out []BatchResult, scr *BatchScratch, pinFrom int) ([]byte, []BatchResult) {
 	n := len(keys)
 	if cap(out) < n {
 		out = make([]BatchResult, n)
 	}
 	out = out[:n]
-	if n == 0 {
+	now := st.lazyNow()
+	switch n {
+	case 0:
+		return dst, out
+	case 1:
+		// One key has nothing to group: the single-key path.
+		sh, hash := st.locate(keys[0])
+		sh.mu.Lock()
+		sh.s.stats.ReadLocks++
+		dst, out[0] = sh.batchGet(dst, keys[0], hash, &now, pinFrom)
+		sh.mu.Unlock()
 		return dst, out
 	}
 	scr.grow(n, len(st.shards))
@@ -85,7 +104,6 @@ func (st *Store) GetBatchInto(dst []byte, keys [][]byte, out []BatchResult, scr 
 		order[cursor[s]] = int32(i)
 		cursor[s]++
 	}
-	now := st.now()
 	pos := 0
 	for s, c := range counts {
 		if c == 0 {
@@ -95,13 +113,24 @@ func (st *Store) GetBatchInto(dst []byte, keys [][]byte, out []BatchResult, scr 
 		sh.mu.Lock()
 		sh.s.stats.ReadLocks++
 		for _, ki := range order[pos : pos+int(c)] {
-			start := len(dst)
-			v, flags, cas, ok := sh.s.getInto(dst, keys[ki], hashes[ki], now)
-			dst = v
-			out[ki] = BatchResult{Start: start, End: len(dst), Flags: flags, CAS: cas, Found: ok}
+			dst, out[ki] = sh.batchGet(dst, keys[ki], hashes[ki], &now, pinFrom)
 		}
 		sh.mu.Unlock()
 		pos += int(c)
 	}
 	return dst, out
+}
+
+// batchGet serves one key of a batch under the shard's lock: its
+// result, and dst with the value appended unless it was pinned.
+func (sh *lockedShard) batchGet(dst, key []byte, hash uint64, now *lazyNow, pinFrom int) ([]byte, BatchResult) {
+	start := len(dst)
+	v, flags, cas, h, ok := sh.s.getOrPin(dst, key, hash, now, pinFrom)
+	r := BatchResult{Start: start, End: start, Flags: flags, CAS: cas, Found: ok}
+	if h != 0 {
+		r.Pinned, r.Pin = v, Pin{sh: sh, h: h}
+		return dst, r
+	}
+	r.End = len(v)
+	return v, r
 }

@@ -3,6 +3,7 @@ package kvstore
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -27,7 +28,7 @@ func batchInto(st *Store, keys ...string) ([][]byte, []BatchResult) {
 		bkeys[i] = []byte(k)
 	}
 	var scr BatchScratch
-	dst, out := st.GetBatchInto(nil, bkeys, nil, &scr)
+	dst, out := st.GetBatchInto(nil, bkeys, nil, &scr, math.MaxInt)
 	values := make([][]byte, len(out))
 	for i, r := range out {
 		if r.Found {
@@ -96,7 +97,7 @@ func TestGetBatchPreservesOrderAndDuplicates(t *testing.T) {
 func TestGetBatchEmpty(t *testing.T) {
 	st := newBatchStore(t, 4)
 	var scr BatchScratch
-	dst, out := st.GetBatchInto(nil, nil, nil, &scr)
+	dst, out := st.GetBatchInto(nil, nil, nil, &scr, math.MaxInt)
 	if len(dst) != 0 || len(out) != 0 {
 		t.Fatalf("GetBatchInto(empty) = %d bytes, %d results", len(dst), len(out))
 	}
@@ -120,7 +121,7 @@ func TestGetBatchIntoMatchesGetBatch(t *testing.T) {
 	}
 	prefix := []byte("VALUE prefix\r\n")
 	var scr BatchScratch
-	dst, out := st.GetBatchInto(append([]byte(nil), prefix...), bkeys, nil, &scr)
+	dst, out := st.GetBatchInto(append([]byte(nil), prefix...), bkeys, nil, &scr, math.MaxInt)
 	if len(out) != len(bkeys) {
 		t.Fatalf("GetBatchInto returned %d results for %d keys", len(out), len(bkeys))
 	}
@@ -167,7 +168,7 @@ func TestGetBatchLockCount(t *testing.T) {
 
 	var scr BatchScratch
 	before := st.ReadLockCount()
-	st.GetBatchInto(nil, bkeys, nil, &scr)
+	st.GetBatchInto(nil, bkeys, nil, &scr, math.MaxInt)
 	if locks := st.ReadLockCount() - before; locks > uint64(shards) {
 		t.Fatalf("GetBatchInto(64 keys) took %d shard locks, want <= %d", locks, shards)
 	}
@@ -236,7 +237,7 @@ func TestGetBatchConcurrentWriters(t *testing.T) {
 	var dst []byte
 	var out []BatchResult
 	for r := 0; r < 800; r++ {
-		dst, out = st.GetBatchInto(dst[:0], bkeys, out[:0], &scr)
+		dst, out = st.GetBatchInto(dst[:0], bkeys, out[:0], &scr, math.MaxInt)
 		for i, e := range out {
 			check(i, dst[e.Start:e.End], e.Found)
 		}
@@ -266,7 +267,7 @@ func BenchmarkGetBatch64(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		dst, out = st.GetBatchInto(dst[:0], bkeys, out[:0], &scr)
+		dst, out = st.GetBatchInto(dst[:0], bkeys, out[:0], &scr, math.MaxInt)
 	}
 	_ = out
 }

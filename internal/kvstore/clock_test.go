@@ -100,3 +100,86 @@ func TestBagsSecondChanceDeterministicUnderLogicalClock(t *testing.T) {
 		t.Fatal("scenario never evicted; it does not exercise second-chance logic")
 	}
 }
+
+// countingClock counts its reads.
+type countingClock struct {
+	fakeClock
+	reads *int
+}
+
+func (c countingClock) Now() sim.Ns {
+	*c.reads++
+	return c.Fake.Now()
+}
+
+// TestStoreReadsClockOnlyForDeadlines pins when a store call reads its
+// clock: only when it judges an item that has an expiry, fires or
+// schedules a delayed flush, or turns a relative exptime into a
+// deadline — and then once per call. An item stored with exptime 0 in
+// a store with no flush pending is read, written and deleted without
+// a clock read.
+func TestStoreReadsClockOnlyForDeadlines(t *testing.T) {
+	newStore := func(t *testing.T) (*Store, *int) {
+		t.Helper()
+		reads := new(int)
+		cfg := DefaultConfig(16 << 20)
+		cfg.Clock = countingClock{newFakeClock(1_000), reads}
+		st, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st, reads
+	}
+	calls := []struct {
+		name string
+		call func(st *Store, exptime int64)
+	}{
+		{"get", func(st *Store, _ int64) { st.Get("k") }},
+		{"get into", func(st *Store, _ int64) { st.GetIntoBytes(nil, []byte("k")) }},
+		{"batch get", func(st *Store, _ int64) {
+			var scr BatchScratch
+			st.GetBatchInto(nil, [][]byte{[]byte("k"), []byte("k"), []byte("j")}, nil, &scr, 0)
+		}},
+		{"set", func(st *Store, exptime int64) { st.Set("k", []byte("w"), 0, exptime) }},
+		{"delete", func(st *Store, _ int64) { st.Delete("k") }},
+	}
+	for _, tc := range []struct {
+		name    string
+		setup   func(st *Store)
+		want    int
+		exptime int64
+	}{
+		{"exptime 0", func(st *Store) {}, 0, 0},
+		{"relative exptime", func(st *Store) {}, 1, 100},
+		{"absolute exptime", func(st *Store) {}, 1, 5_000_000_000},
+		{"pending flush", func(st *Store) { st.FlushAll(60) }, 1, 0},
+	} {
+		for _, c := range calls {
+			st, reads := newStore(t)
+			if err := st.Set("k", []byte("v"), 0, tc.exptime); err != nil {
+				t.Fatal(err)
+			}
+			tc.setup(st)
+			*reads = 0
+			c.call(st, tc.exptime)
+			want := tc.want
+			if c.name == "set" && tc.name == "absolute exptime" {
+				want = 0 // an absolute deadline needs no clock, and a set does not judge the item it overwrites
+			}
+			if *reads != want {
+				t.Errorf("%s of an item with %s: %d clock reads, want %d", c.name, tc.name, *reads, want)
+			}
+		}
+	}
+	// A set that needs the time twice, for a relative deadline and for
+	// a pending flush, still reads the clock once.
+	st, reads := newStore(t)
+	st.FlushAll(60)
+	*reads = 0
+	if err := st.Set("k", []byte("v"), 0, 100); err != nil {
+		t.Fatal(err)
+	}
+	if *reads != 1 {
+		t.Errorf("set with exptime 100 and a pending flush: %d clock reads, want 1", *reads)
+	}
+}

@@ -60,10 +60,10 @@ func (c *Crawler) Stop() {
 // returning how many were reaped and how many were visited. Exposed for
 // tests and for callers that prefer explicit scheduling.
 func (st *Store) SweepExpired() (reaped, visited uint64) {
-	now := st.now()
+	now := st.lazyNow()
 	for _, sh := range st.shards {
 		sh.mu.Lock()
-		r, v := sh.s.sweepExpired(now)
+		r, v := sh.s.sweepExpired(&now)
 		sh.mu.Unlock()
 		reaped += r
 		visited += v
@@ -72,7 +72,7 @@ func (st *Store) SweepExpired() (reaped, visited uint64) {
 }
 
 // sweepExpired is the per-shard sweep, run under the shard lock.
-func (s *shard) sweepExpired(now int64) (reaped, visited uint64) {
+func (s *shard) sweepExpired(now *lazyNow) (reaped, visited uint64) {
 	s.fireFlush(now)
 	var dead []handle
 	s.table.forEach(func(h handle, c chunk) {

@@ -115,10 +115,10 @@ func TestExpirySurfaceStaysInt64(t *testing.T) {
 func (st *Store) GetWithExpiry(key string) (Entry, int64, bool) {
 	k := keyBytes(key)
 	sh, hash := st.locate(k)
-	now := st.now()
+	now := st.lazyNow()
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	h, c := sh.s.live(k, hash, now)
+	h, c := sh.s.live(k, hash, &now)
 	if h == 0 {
 		return Entry{}, 0, false
 	}

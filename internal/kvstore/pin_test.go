@@ -139,3 +139,47 @@ func TestPinnedItemIsNeverAVictim(t *testing.T) {
 		t.Fatal("a page holding a pinned chunk was picked to be stolen")
 	}
 }
+
+// TestGetBatchIntoPins checks the batch's pin threshold against
+// PinBytes: a hit of at least pinFrom bytes is pinned — a view of the
+// chunk, held until Unpin, once per occurrence of its key — and copies
+// nothing into dst; a shorter hit is copied; a miss is neither.
+func TestGetBatchIntoPins(t *testing.T) {
+	st := newTestStore(t, func(c *Config) { c.Shards = 2 })
+	big, small := bytes.Repeat([]byte("b"), 3000), []byte("small")
+	if err := st.Set("big", big, 7, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Set("small", small, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	keys := [][]byte{[]byte("big"), []byte("small"), []byte("none"), []byte("big")}
+	var scr BatchScratch
+	dst, out := st.GetBatchInto([]byte("pre"), keys, nil, &scr, 1000)
+	if string(dst) != "presmall" {
+		t.Fatalf("dst = %q, want the prefix and the small value only", dst)
+	}
+	for _, i := range []int{0, 3} {
+		r := out[i]
+		if !r.Found || r.Pin == (Pin{}) || !bytes.Equal(r.Pinned, big) || r.Flags != 7 || r.Start != r.End {
+			t.Fatalf("big result %d = %+v, want a pinned view of the value", i, r)
+		}
+	}
+	if r := out[1]; !r.Found || r.Pin != (Pin{}) || string(dst[r.Start:r.End]) != "small" {
+		t.Fatalf("small result = %+v, want a copy", r)
+	}
+	if r := out[2]; r.Found || r.Pin != (Pin{}) {
+		t.Fatalf("miss = %+v", r)
+	}
+	// Both pins hold the chunk through a delete; the last Unpin frees it.
+	st.Delete("big")
+	used := usedChunks(st)
+	st.Unpin(out[0].Pin)
+	if usedChunks(st) != used || !bytes.Equal(out[3].Pinned, big) {
+		t.Fatal("the first Unpin freed a chunk the second pin still holds")
+	}
+	st.Unpin(out[3].Pin)
+	if usedChunks(st) != used-1 {
+		t.Fatal("the last Unpin did not free the deleted item's chunk")
+	}
+}

@@ -82,7 +82,7 @@ func newShard(alloc *slabAllocator, cas *casCounter, maxItem int, evict bool) *s
 
 // live returns the item for key if present and not expired/flushed; lazily
 // reaps dead items it encounters.
-func (s *shard) live(key []byte, hash uint64, now int64) (handle, chunk) {
+func (s *shard) live(key []byte, hash uint64, now *lazyNow) (handle, chunk) {
 	s.fireFlush(now)
 	h, c := s.table.lookup(key, hash)
 	if h == 0 {
@@ -107,17 +107,17 @@ func (s *shard) flushNow() { s.flushCAS = s.casSeq.last() + 1 }
 // listing) calls it before anything else, so what was stored before the
 // due time dies and the store that found it due gets its CAS id after
 // the watermark.
-func (s *shard) fireFlush(now int64) {
-	if s.flushAt != 0 && now >= s.flushAt {
+func (s *shard) fireFlush(now *lazyNow) {
+	if s.flushAt != 0 && now.get() >= s.flushAt {
 		s.flushAt = 0
 		s.flushNow()
 	}
 }
 
 // dead reports whether the item is past its TTL or below the flush
-// watermark.
-func (s *shard) dead(c chunk, now int64) bool {
-	return c.casID() < s.flushCAS || c.expired(now)
+// watermark. The clock is read only for an item that has an expiry.
+func (s *shard) dead(c chunk, now *lazyNow) bool {
+	return c.casID() < s.flushCAS || (c.expireAt() != 0 && c.expired(now.get()))
 }
 
 // reap removes item h, whose key hashes to hash, from the table and
@@ -156,7 +156,7 @@ func (s *shard) unpin(h handle) {
 
 // evict reaps an eviction or page-steal victim, counting it as expired
 // if it was already dead and as an eviction otherwise.
-func (s *shard) evict(h handle, now int64) {
+func (s *shard) evict(h handle, now *lazyNow) {
 	c := s.alloc.chunk(h)
 	if s.dead(c, now) {
 		s.stats.Expired++
@@ -167,7 +167,7 @@ func (s *shard) evict(h handle, now int64) {
 }
 
 // get returns a copy of the value plus metadata.
-func (s *shard) get(key []byte, hash uint64, now int64) (value []byte, flags uint32, casID uint64, ok bool) {
+func (s *shard) get(key []byte, hash uint64, now *lazyNow) (value []byte, flags uint32, casID uint64, ok bool) {
 	h, c := s.live(key, hash, now)
 	if h == 0 {
 		s.stats.GetMisses++
@@ -182,7 +182,7 @@ func (s *shard) get(key []byte, hash uint64, now int64) (value []byte, flags uin
 
 // getInto appends the value to dst, so the copy made under the shard
 // lock lands in memory the caller already owns.
-func (s *shard) getInto(dst, key []byte, hash uint64, now int64) (value []byte, flags uint32, casID uint64, ok bool) {
+func (s *shard) getInto(dst, key []byte, hash uint64, now *lazyNow) (value []byte, flags uint32, casID uint64, ok bool) {
 	value, flags, casID, _, ok = s.getOrPin(dst, key, hash, now, math.MaxInt)
 	return value, flags, casID, ok
 }
@@ -192,7 +192,7 @@ func (s *shard) getInto(dst, key []byte, hash uint64, now int64) (value []byte, 
 // returned as a view of the chunk, with the handle to unpin; a shorter
 // one, or one whose pin count is full, is appended to dst and returned
 // with the zero handle.
-func (s *shard) getOrPin(dst, key []byte, hash uint64, now int64, pinFrom int) (value []byte, flags uint32, casID uint64, pinned handle, ok bool) {
+func (s *shard) getOrPin(dst, key []byte, hash uint64, now *lazyNow, pinFrom int) (value []byte, flags uint32, casID uint64, pinned handle, ok bool) {
 	h, c := s.live(key, hash, now)
 	if h == 0 {
 		s.stats.GetMisses++
@@ -212,7 +212,7 @@ func (s *shard) getOrPin(dst, key []byte, hash uint64, now int64, pinFrom int) (
 // class if necessary and allowed, and falling back to stealing a slab
 // page from another class when this class has nothing left to evict
 // (memcached's slab reassignment, preventing calcification).
-func (s *shard) allocChunk(classIdx int, now int64) handle {
+func (s *shard) allocChunk(classIdx int, now *lazyNow) handle {
 	if h := s.alloc.alloc(classIdx); h != 0 {
 		return h
 	}
@@ -245,7 +245,7 @@ const stealCooldownOps = 1000
 // target class. Pages with no live chunks move for free; stealing a
 // page full of live items (evicting them wholesale) sits behind a
 // cooldown.
-func (s *shard) reassignPageTo(target int, now int64) bool {
+func (s *shard) reassignPageTo(target int, now *lazyNow) bool {
 	page := s.alloc.freeDonor(target)
 	if page == 0 {
 		if s.setsSinceSteal < stealCooldownOps {
@@ -280,7 +280,7 @@ func validKey(key []byte) bool {
 // set unconditionally stores key=value and returns the CAS id it
 // assigned — read under the shard lock, so it is this write's id and
 // not a later writer's.
-func (s *shard) set(key []byte, hash uint64, value []byte, flags uint32, expireAt, now int64) (uint64, error) {
+func (s *shard) set(key []byte, hash uint64, value []byte, flags uint32, expireAt int64, now *lazyNow) (uint64, error) {
 	s.fireFlush(now)
 	if !validKey(key) {
 		return 0, ErrBadKey
@@ -327,7 +327,7 @@ func (s *shard) set(key []byte, hash uint64, value []byte, flags uint32, expireA
 }
 
 // add stores only if the key is absent.
-func (s *shard) add(key []byte, hash uint64, value []byte, flags uint32, expireAt, now int64) (uint64, error) {
+func (s *shard) add(key []byte, hash uint64, value []byte, flags uint32, expireAt int64, now *lazyNow) (uint64, error) {
 	if h, _ := s.live(key, hash, now); h != 0 {
 		return 0, ErrNotStored
 	}
@@ -335,7 +335,7 @@ func (s *shard) add(key []byte, hash uint64, value []byte, flags uint32, expireA
 }
 
 // replace stores only if the key is present.
-func (s *shard) replace(key []byte, hash uint64, value []byte, flags uint32, expireAt, now int64) (uint64, error) {
+func (s *shard) replace(key []byte, hash uint64, value []byte, flags uint32, expireAt int64, now *lazyNow) (uint64, error) {
 	if h, _ := s.live(key, hash, now); h == 0 {
 		return 0, ErrNotStored
 	}
@@ -343,7 +343,7 @@ func (s *shard) replace(key []byte, hash uint64, value []byte, flags uint32, exp
 }
 
 // cas stores only if the entry's CAS id still matches.
-func (s *shard) cas(key []byte, hash uint64, value []byte, flags uint32, expireAt int64, casID uint64, now int64) (uint64, error) {
+func (s *shard) cas(key []byte, hash uint64, value []byte, flags uint32, expireAt int64, casID uint64, now *lazyNow) (uint64, error) {
 	h, c := s.live(key, hash, now)
 	if h == 0 {
 		s.stats.CasMisses++
@@ -358,7 +358,7 @@ func (s *shard) cas(key []byte, hash uint64, value []byte, flags uint32, expireA
 }
 
 // appendValue / prependValue concatenate onto an existing value.
-func (s *shard) appendValue(key []byte, hash uint64, extra []byte, now int64, front bool) error {
+func (s *shard) appendValue(key []byte, hash uint64, extra []byte, now *lazyNow, front bool) error {
 	h, c := s.live(key, hash, now)
 	if h == 0 {
 		return ErrNotStored
@@ -378,7 +378,7 @@ func (s *shard) appendValue(key []byte, hash uint64, extra []byte, now int64, fr
 // incrDecr adjusts a decimal-uint64 value and returns it with the CAS
 // id of the rewritten item. Decrement floors at zero (memcached
 // semantics); increment wraps.
-func (s *shard) incrDecr(key []byte, hash uint64, delta uint64, incr bool, now int64) (next, casID uint64, err error) {
+func (s *shard) incrDecr(key []byte, hash uint64, delta uint64, incr bool, now *lazyNow) (next, casID uint64, err error) {
 	h, c := s.live(key, hash, now)
 	if h == 0 {
 		if incr {
@@ -411,7 +411,7 @@ func (s *shard) incrDecr(key []byte, hash uint64, delta uint64, incr bool, now i
 }
 
 // delete removes a key.
-func (s *shard) delete(key []byte, hash uint64, now int64) error {
+func (s *shard) delete(key []byte, hash uint64, now *lazyNow) error {
 	h, c := s.live(key, hash, now)
 	if h == 0 {
 		s.stats.DeleteMiss++
@@ -423,7 +423,7 @@ func (s *shard) delete(key []byte, hash uint64, now int64) error {
 }
 
 // touch updates the expiry of an existing item.
-func (s *shard) touch(key []byte, hash uint64, expireAt, now int64) error {
+func (s *shard) touch(key []byte, hash uint64, expireAt int64, now *lazyNow) error {
 	h, c := s.live(key, hash, now)
 	if h == 0 {
 		s.stats.TouchMisses++

@@ -154,6 +154,27 @@ func (st *Store) Clock() clock.Clock { return st.clock }
 // now is the clock's time in whole unix seconds, the store's unit.
 func (st *Store) now() int64 { return int64(st.clock.Now() / sim.Ns(time.Second)) }
 
+// lazyNow is one store call's time, read from the clock at most once
+// and only when something needs it: an item that has an expiry, a
+// pending delayed flush, or a relative exptime. A get, set or delete
+// of an item that never expires, with no flush pending, reads no clock.
+type lazyNow struct {
+	st   *Store
+	t    int64
+	read bool
+}
+
+// lazyNow starts one call's time; nothing is read yet.
+func (st *Store) lazyNow() lazyNow { return lazyNow{st: st} }
+
+// get is the call's time in unix seconds, read on first use.
+func (n *lazyNow) get() int64 {
+	if !n.read {
+		n.t, n.read = n.st.now(), true
+	}
+	return n.t
+}
+
 // shardIndex uses the upper hash bits for shard selection so shard
 // choice stays independent of the table's bucket choice (which uses low
 // bits).
@@ -186,7 +207,7 @@ const expiredNow int64 = -1
 // expiryToAbs converts a memcached exptime to an absolute unix time:
 // 0 = never, negative = already expired, <= 30 days = relative seconds,
 // otherwise already absolute.
-func (st *Store) expiryToAbs(exptime int64) int64 {
+func expiryToAbs(exptime int64, now *lazyNow) int64 {
 	const thirtyDays = 60 * 60 * 24 * 30
 	if exptime == 0 {
 		return 0
@@ -195,7 +216,7 @@ func (st *Store) expiryToAbs(exptime int64) int64 {
 		return expiredNow // memcached treats negatives as "immediately"
 	}
 	if exptime <= thirtyDays {
-		return st.now() + exptime
+		return now.get() + exptime
 	}
 	return exptime
 }
@@ -212,10 +233,10 @@ type Entry struct {
 func (st *Store) Get(key string) (Entry, bool) {
 	k := keyBytes(key)
 	sh, hash := st.locate(k)
-	now := st.now()
+	now := st.lazyNow()
 	sh.mu.Lock()
 	sh.s.stats.ReadLocks++
-	v, flags, cas, ok := sh.s.get(k, hash, now)
+	v, flags, cas, ok := sh.s.get(k, hash, &now)
 	sh.mu.Unlock()
 	return Entry{Value: v, Flags: flags, CAS: cas}, ok
 }
@@ -260,10 +281,10 @@ type Pin struct {
 //kv3d:hotpath
 func (st *Store) PinBytes(dst, key []byte, pinFrom int) ([]byte, Entry, Pin, bool) {
 	sh, hash := st.locate(key)
-	now := st.now()
+	now := st.lazyNow()
 	sh.mu.Lock()
 	sh.s.stats.ReadLocks++
-	out, flags, cas, h, ok := sh.s.getOrPin(dst, key, hash, now, pinFrom)
+	out, flags, cas, h, ok := sh.s.getOrPin(dst, key, hash, &now, pinFrom)
 	sh.mu.Unlock()
 	var p Pin
 	if h != 0 {
@@ -313,18 +334,18 @@ func (st *Store) Put(verb Verb, key string, value []byte, flags uint32, exptime 
 //kv3d:hotpath
 func (st *Store) PutBytes(verb Verb, key, value []byte, flags uint32, exptime int64, casID uint64) (newCAS uint64, err error) {
 	sh, hash := st.locate(key)
-	now := st.now()
-	abs := st.expiryToAbs(exptime)
+	now := st.lazyNow()
+	abs := expiryToAbs(exptime, &now)
 	sh.mu.Lock()
 	switch verb {
 	case VerbAdd:
-		newCAS, err = sh.s.add(key, hash, value, flags, abs, now)
+		newCAS, err = sh.s.add(key, hash, value, flags, abs, &now)
 	case VerbReplace:
-		newCAS, err = sh.s.replace(key, hash, value, flags, abs, now)
+		newCAS, err = sh.s.replace(key, hash, value, flags, abs, &now)
 	case VerbCAS:
-		newCAS, err = sh.s.cas(key, hash, value, flags, abs, casID, now)
+		newCAS, err = sh.s.cas(key, hash, value, flags, abs, casID, &now)
 	default:
-		newCAS, err = sh.s.set(key, hash, value, flags, abs, now)
+		newCAS, err = sh.s.set(key, hash, value, flags, abs, &now)
 	}
 	sh.mu.Unlock()
 	return newCAS, err
@@ -360,9 +381,9 @@ func (st *Store) CAS(key string, value []byte, flags uint32, exptime int64, cas 
 func (st *Store) Append(key string, extra []byte) error {
 	k := keyBytes(key)
 	sh, hash := st.locate(k)
-	now := st.now()
+	now := st.lazyNow()
 	sh.mu.Lock()
-	err := sh.s.appendValue(k, hash, extra, now, false)
+	err := sh.s.appendValue(k, hash, extra, &now, false)
 	sh.mu.Unlock()
 	return err
 }
@@ -371,9 +392,9 @@ func (st *Store) Append(key string, extra []byte) error {
 func (st *Store) Prepend(key string, extra []byte) error {
 	k := keyBytes(key)
 	sh, hash := st.locate(k)
-	now := st.now()
+	now := st.lazyNow()
 	sh.mu.Lock()
-	err := sh.s.appendValue(k, hash, extra, now, true)
+	err := sh.s.appendValue(k, hash, extra, &now, true)
 	sh.mu.Unlock()
 	return err
 }
@@ -383,9 +404,9 @@ func (st *Store) Prepend(key string, extra []byte) error {
 func (st *Store) IncrDecr(key string, delta uint64, incr bool) (value, cas uint64, err error) {
 	k := keyBytes(key)
 	sh, hash := st.locate(k)
-	now := st.now()
+	now := st.lazyNow()
 	sh.mu.Lock()
-	value, cas, err = sh.s.incrDecr(k, hash, delta, incr, now)
+	value, cas, err = sh.s.incrDecr(k, hash, delta, incr, &now)
 	sh.mu.Unlock()
 	return value, cas, err
 }
@@ -406,9 +427,9 @@ func (st *Store) Decr(key string, delta uint64) (uint64, error) {
 func (st *Store) Delete(key string) error {
 	k := keyBytes(key)
 	sh, hash := st.locate(k)
-	now := st.now()
+	now := st.lazyNow()
 	sh.mu.Lock()
-	err := sh.s.delete(k, hash, now)
+	err := sh.s.delete(k, hash, &now)
 	sh.mu.Unlock()
 	return err
 }
@@ -417,10 +438,10 @@ func (st *Store) Delete(key string) error {
 func (st *Store) Touch(key string, exptime int64) error {
 	k := keyBytes(key)
 	sh, hash := st.locate(k)
-	now := st.now()
-	abs := st.expiryToAbs(exptime)
+	now := st.lazyNow()
+	abs := expiryToAbs(exptime, &now)
 	sh.mu.Lock()
-	err := sh.s.touch(k, hash, abs, now)
+	err := sh.s.touch(k, hash, abs, &now)
 	sh.mu.Unlock()
 	return err
 }
@@ -432,12 +453,12 @@ func (st *Store) Touch(key string, exptime int64) error {
 // before that call. One delayed flush can be pending; a new one
 // replaces it, an immediate one leaves it in place (ROBUSTNESS.md).
 func (st *Store) FlushAll(delay int64) {
-	now := st.now()
+	now := st.lazyNow()
 	for _, sh := range st.shards {
 		sh.mu.Lock()
-		sh.s.fireFlush(now)
+		sh.s.fireFlush(&now)
 		if delay > 0 {
-			sh.s.flushAt = dueAt(now, delay)
+			sh.s.flushAt = dueAt(now.get(), delay)
 		} else {
 			sh.s.flushNow()
 		}

@@ -76,6 +76,33 @@ func (h *Histogram) Record(v int64) {
 	}
 }
 
+// RecordN adds n samples whose sum is exactly total: total/n each,
+// one more for total%n of them (n < 1 records nothing). It is how a
+// batch of n operations timed as one interval is recorded.
+func (h *Histogram) RecordN(n int, total int64) {
+	if n < 1 {
+		return
+	}
+	if total < 0 {
+		total = 0
+	}
+	q, r := total/int64(n), total%int64(n)
+	h.counts[bucketIndex(q)] += uint64(int64(n) - r)
+	h.counts[bucketIndex(q+1)] += uint64(r)
+	h.total += uint64(n)
+	h.sum += float64(total)
+	if q < h.min {
+		h.min = q
+	}
+	hi := q
+	if r > 0 {
+		hi = q + 1
+	}
+	if hi > h.max {
+		h.max = hi
+	}
+}
+
 // Count returns the number of recorded samples.
 func (h *Histogram) Count() uint64 { return h.total }
 

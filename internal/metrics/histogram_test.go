@@ -272,3 +272,34 @@ func TestMergeEqualsSingleRecording(t *testing.T) {
 		t.Fatal("re-merge after Reset diverged")
 	}
 }
+
+// TestHistogramRecordNMatchesRecord holds RecordN to n Record calls of
+// the split it documents: n-r samples of total/n and r of total/n+1,
+// r = total%n, so the samples sum to total.
+func TestHistogramRecordNMatchesRecord(t *testing.T) {
+	for _, tc := range []struct {
+		n     int
+		total int64
+	}{{1, 0}, {1, 7}, {16, 1}, {16, 0}, {16, 15}, {16, 16}, {16, 1000}, {32, 123_457}, {3, -5}, {0, 9}} {
+		got, want := NewHistogram(), NewHistogram()
+		got.Record(40) // RecordN adds to what is there
+		want.Record(40)
+		got.RecordN(tc.n, tc.total)
+		total := max(tc.total, 0)
+		var sum int64
+		for i := 0; i < tc.n; i++ {
+			v := total / int64(tc.n)
+			if int64(i) < total%int64(tc.n) {
+				v++
+			}
+			want.Record(v)
+			sum += v
+		}
+		if *got != *want {
+			t.Errorf("RecordN(%d, %d) = %v, want %v", tc.n, tc.total, got, want)
+		}
+		if tc.n > 0 && sum != total {
+			t.Errorf("the split of %d over %d sums to %d", total, tc.n, sum)
+		}
+	}
+}

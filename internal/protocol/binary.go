@@ -107,15 +107,27 @@ func parseBinHeader(buf []byte) binHeader {
 type BinarySession struct {
 	core
 	body []byte // reused frame body buffer
-	val  []byte // reused get value buffer
+	val  []byte // reused get value buffer: the copied values of a run
 	head []byte // reused head (header, extras, key) of a pinned get reply
 	// Fixed-size scratch for the request header, the response header and
 	// a get's flags extras: locals would escape to the heap through the
 	// io.Reader/io.Writer interfaces, one allocation each per frame.
 	reqHdr, respHdr [binHeaderLen]byte
 	flags           [4]byte
-	// h is the header of the frame being served.
+	// h is the header of the frame being served, the first of its run.
 	h binHeader
+
+	// The run being served (core.serveOne): the headers of its frames,
+	// h first; where each later frame's body starts in the buffered
+	// bytes behind h's body, and how many bytes those frames take.
+	runHdr  [maxRun]binHeader
+	runBody [maxRun]int
+	runRest int
+	// The run's batched lookup: the admitted frames' keys, their
+	// results, and the store's grouping scratch.
+	keys  [][]byte
+	batch []kvstore.BatchResult
+	scr   kvstore.BatchScratch
 }
 
 // NewBinarySession serves the binary protocol on a transport, with no
@@ -162,10 +174,62 @@ func (s *BinarySession) next() error {
 	return nil
 }
 
-// tag classifies the opcode; binary spans carry the request's opaque
-// field as the correlation key.
-func (s *BinarySession) tag() (OpClass, uint64) {
-	return classifyOpcode(s.h.opcode), uint64(s.h.opaque)
+// getFamily reports whether op is get, getq, getk or getkq.
+func getFamily(op byte) bool {
+	return op == OpGet || op == OpGetQ || op == OpGetK || op == OpGetKQ
+}
+
+// run is one for any frame but a get. A get on a session that owns its
+// transport runs together with the complete get frames already
+// buffered behind it, up to maxRun: they are found with Peek on what
+// the reader holds, so forming a run reads nothing from the transport
+// and the flush-before-read policy sees the same reads as frame by
+// frame. A frame that is not a well-formed get ends the run, and the
+// next next reads it as usual.
+//
+//kv3d:hotpath
+func (s *BinarySession) run() int {
+	s.runHdr[0], s.runRest = s.h, 0
+	if !getFamily(s.h.opcode) || s.transport == nil {
+		return 1
+	}
+	buf, _ := s.r.Peek(s.r.Buffered()) // never more than is buffered, so it cannot fail or read
+	base := int(s.h.bodyLen)
+	off, n := base, 1
+	for n < maxRun && off+binHeaderLen <= len(buf) {
+		h := parseBinHeader(buf[off:])
+		end := off + binHeaderLen + int(h.bodyLen)
+		if h.magic != MagicRequest || !getFamily(h.opcode) ||
+			int(h.extrasLen)+int(h.keyLen) > int(h.bodyLen) || end > len(buf) {
+			break
+		}
+		s.runHdr[n], s.runBody[n] = h, off+binHeaderLen-base
+		n++
+		off = end
+	}
+	s.runRest = off - base
+	return n
+}
+
+// tag classifies frame i's opcode; binary spans carry the frame's
+// opaque field as the correlation key.
+func (s *BinarySession) tag(i int) (OpClass, uint64) {
+	h := s.runHdr[i]
+	return classifyOpcode(h.opcode), uint64(h.opaque)
+}
+
+// exec serves the run: a run of gets as one batch, any other frame on
+// its own.
+//
+//kv3d:hotpath
+func (s *BinarySession) exec(admit []bool) (int, error) {
+	if getFamily(s.h.opcode) {
+		return s.getRun(admit)
+	}
+	if !admit[0] {
+		return 1, s.shed()
+	}
+	return 1, s.command()
 }
 
 // readBody reads the frame's body into the reused buffer and splits it;
@@ -188,44 +252,51 @@ func (s *BinarySession) readBody() (extras, key, value []byte, err error) {
 
 // shed refuses one frame while the server is over its in-flight cap.
 // The body is consumed first, so the refusal cannot desynchronize the
-// stream. Quiet variants are shed silently; quit still quits.
+// stream. Quit still quits.
 func (s *BinarySession) shed() error {
 	if _, _, _, err := s.readBody(); err != nil {
 		return err
 	}
 	h := s.h
-	switch {
-	case h.opcode == OpQuit:
+	switch h.opcode {
+	case OpQuit:
 		// The session ends either way; ErrQuit carries the outcome even
 		// if the farewell respond failed.
 		s.respond(h, StatusOK, nil, nil, nil, 0)
 		return ErrQuit
-	case h.opcode == OpQuitQ:
+	case OpQuitQ:
 		return ErrQuit
-	case quiet(h.opcode):
-		return nil
 	}
-	return s.respond(h, StatusBusy, nil, nil, []byte("busy"), 0)
+	return s.refuse(h)
 }
 
-// exec reads the frame's body and executes it. The get and store
-// families keep their key as bytes of the frame body all the way into
-// the store; every other opcode crosses into the string-keyed API.
+// refuse answers a shed frame busy; quiet variants are shed silently.
 //
 //kv3d:hotpath
-func (s *BinarySession) exec() error {
+func (s *BinarySession) refuse(h binHeader) error {
+	if quiet(h.opcode) {
+		return nil
+	}
+	return s.respond(h, StatusBusy, nil, nil, binBusy, 0)
+}
+
+// command reads the frame's body and executes it. The store family
+// keeps its key as bytes of the frame body all the way into the store;
+// every other opcode crosses into the string-keyed API. The get family
+// never comes here: getRun serves it.
+//
+//kv3d:hotpath
+func (s *BinarySession) command() error {
 	h := s.h
 	extras, keyB, value, err := s.readBody()
 	if err != nil {
 		return err
 	}
 	switch h.opcode {
-	case OpGet, OpGetQ, OpGetK, OpGetKQ:
-		return s.doGet(h, keyB)
 	case OpSet, OpSetQ, OpAdd, OpAddQ, OpReplace, OpReplaceQ:
 		return s.doStore(h, extras, keyB, value)
 	}
-	key := string(keyB) // concat, delete, arithmetic and admin opcodes tolerate one short per-frame allocation; the get and store families return above and never reach this line
+	key := string(keyB) // concat, delete, arithmetic and admin opcodes tolerate one short per-frame allocation; the store family returns above and never reaches this line
 	switch h.opcode {
 	case OpAppend, OpAppendQ, OpPrepend, OpPrependQ:
 		return s.doConcat(h, key, value)
@@ -298,37 +369,85 @@ func (s *BinarySession) respHeader(h binHeader, status uint16, extras, key []byt
 
 // Static response bodies the hot-path functions send.
 var (
+	binBusy     = []byte("busy")
 	binNotFound = []byte("Not found")
 	binUnknown  = []byte("Unknown command")
 	binVersion  = []byte(Version)
 )
 
-// doGet serves the get family, the measured hot path of the binary
-// protocol, without allocating: the key is a slice of the frame body and
-// the value either copies into the reused val buffer or, from pinFrom
-// bytes on, is pinned and sent from its chunk.
+// getRun serves a run of get-family frames, the measured hot path of
+// the binary protocol, without allocating: one batched lookup of the
+// admitted frames' keys — slices of the frame bodies — then the
+// replies staged in request order, a refused frame's busy in its
+// place. A value shorter than pinFrom is copied into the reused val
+// buffer; a longer one is pinned and sent from its chunk. A run of one
+// — every get on a caller's pair — takes the same path.
 //
 //kv3d:hotpath
-func (s *BinarySession) doGet(h binHeader, key []byte) error {
-	out, e, pin, ok := s.store.PinBytes(s.val[:0], key, s.pinFrom)
-	if !ok {
+func (s *BinarySession) getRun(admit []bool) (int, error) {
+	_, key, _, err := s.readBody()
+	if err != nil {
+		return 1, err
+	}
+	var rest []byte
+	if s.runRest > 0 {
+		rest, _ = s.r.Peek(s.runRest) // run counted these bytes as buffered
+	}
+	s.keys = s.keys[:0]
+	for i, ok := range admit {
+		if !ok {
+			continue
+		}
+		if i > 0 {
+			h, off := s.runHdr[i], s.runBody[i]+int(s.runHdr[i].extrasLen)
+			key = rest[off : off+int(h.keyLen)]
+		}
+		s.keys = append(s.keys, key) // keys alias the frame bodies, which stay put until the run is discarded below
+	}
+	s.val, s.batch = s.store.GetBatchInto(s.val[:0], s.keys, s.batch[:0], &s.scr, s.pinFrom)
+	served, j := len(admit), 0
+	for i, ok := range admit {
+		if ok {
+			err = s.getReply(s.runHdr[i], s.keys[j], &s.batch[j])
+			j++
+		} else {
+			err = s.refuse(s.runHdr[i])
+		}
+		if err != nil {
+			served = i + 1
+			for _, r := range s.batch[j:] {
+				s.store.Unpin(r.Pin)
+			}
+			break
+		}
+	}
+	s.r.Discard(s.runRest) // the run's later frames, all buffered: Discard cannot fail or read
+	return served, err
+}
+
+// getReply stages the reply to one get of a run: a miss (silent for
+// the quiet variants), a copied hit, or a pinned hit sent from its
+// chunk behind the replies staged before it.
+//
+//kv3d:hotpath
+func (s *BinarySession) getReply(h binHeader, key []byte, r *kvstore.BatchResult) error {
+	if !r.Found {
 		if quiet(h.opcode) {
 			return nil // getq: silent miss
 		}
 		return s.respond(h, StatusKeyNotFound, nil, nil, binNotFound, 0)
 	}
-	binary.BigEndian.PutUint32(s.flags[:], e.Flags)
+	binary.BigEndian.PutUint32(s.flags[:], r.Flags)
 	if h.opcode != OpGetK && h.opcode != OpGetKQ {
 		key = nil
 	}
-	if pin != (kvstore.Pin{}) {
+	if r.Pin != (kvstore.Pin{}) {
 		s.markExec()
-		s.head = append(s.head[:0], s.respHeader(h, StatusOK, s.flags[:], key, len(out), e.CAS)...)
+		s.head = append(s.head[:0], s.respHeader(h, StatusOK, s.flags[:], key, len(r.Pinned), r.CAS)...)
 		s.head = append(append(s.head, s.flags[:]...), key...)
-		return s.sendPinned(s.head, out, nil, pin)
+		return s.sendPinned(s.head, r.Pinned, nil, r.Pin)
 	}
-	s.val = out[:0]
-	return s.respond(h, StatusOK, s.flags[:], key, out, e.CAS)
+	return s.respond(h, StatusOK, s.flags[:], key, s.val[r.Start:r.End], r.CAS)
 }
 
 // doStore serves the set family without allocating on success: key and

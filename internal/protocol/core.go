@@ -57,21 +57,33 @@ type Env struct {
 }
 
 // codec is what a wire format supplies to the core's envelope. The
-// calls for one request come in the order next, then exec or shed,
-// then tag; a codec keeps the request it is serving in its own fields.
+// calls for one run come in the order next, run, exec, then tag for
+// each request the run observes; a codec keeps the requests it is
+// serving in its own fields.
 type codec interface {
 	// next reads one request up to the point its op clock starts: the
 	// wait for a request to arrive is not part of handling it. An error
 	// ends the session with nothing observed.
 	next() error
-	// tag reports the class and the correlation key of that request.
-	tag() (OpClass, uint64)
-	// exec reads the rest of the request, runs it and stages the reply.
-	exec() error
-	// shed reads the rest of the request, so the stream stays in step,
-	// and stages a busy refusal in place of running it.
-	shed() error
+	// run reports how many requests the envelope serves as one run:
+	// the one next read, and for a binary get on a session that owns
+	// its transport also the complete get frames already buffered
+	// behind it (at most maxRun in all). It reads nothing.
+	run() int
+	// tag reports the class and the correlation key of request i of
+	// the run. Every request of a run has the same class.
+	tag(i int) (OpClass, uint64)
+	// exec reads the rest of the run's requests and serves them in
+	// order: request i runs if admit[i] and is shed in place — read to
+	// its end, so the stream stays in step, and answered busy —
+	// otherwise. It returns how many requests it served: all of them,
+	// unless an error ended the session at the last one it returns.
+	exec(admit []bool) (int, error)
 }
+
+// maxRun bounds a run, and with it the scratch a binary session holds
+// for one: 32 frames, each value under pinThreshold copied into it.
+const maxRun = 32
 
 // core is the codec-independent half of a session.
 type core struct {
@@ -103,12 +115,15 @@ type core struct {
 	iov     net.Buffers
 	iovArr  [3][]byte
 
+	// admit is the run's admission per request, scratch of serveOne.
+	admit [maxRun]bool
+
 	// Sampled flight tracing: every flightEvery-th command gets a span.
-	// spanActive and the t* stamps are per-command scratch, valid only
-	// inside serveOne.
+	// sampled (bit i: request i of the run) and the t* stamps are
+	// per-run scratch, valid only inside serveOne.
 	flightEvery uint64
 	flightSeq   uint64
-	spanActive  bool
+	sampled     uint32
 	tParse      sim.Ns
 	tExec       sim.Ns
 }
@@ -256,10 +271,12 @@ func (c *core) serve(cd codec) error {
 	}
 }
 
-// serveOne is the envelope around one request: read its head, start the
-// op clock, ask the gate, run or shed it, observe it, give the slot
-// back. Shed requests are observed too — a busy refusal is part of the
-// latency story, not a gap in it.
+// serveOne is the envelope around one run of requests — for every
+// request but a pipelined binary get, a run of one: read its head,
+// start the op clock, ask the gate for each request in order, run the
+// admitted ones and shed the rest in place, stop the clock, observe
+// the run, give the slots back. Shed requests are observed too — a
+// busy refusal is part of the latency story, not a gap in it.
 //
 //kv3d:hotpath
 func (c *core) serveOne(cd codec) error {
@@ -274,79 +291,117 @@ func (c *core) serveOne(cd codec) error {
 			start = c.env.Clock.Now()
 		}
 	}
-	admitted := c.env.Gate == nil || c.env.Gate.TryAcquire()
-	c.beginSpan()
-	var err error
-	out := OutcomeBusy
-	if admitted {
-		err = cd.exec()
-		out = outcomeOf(err)
-	} else {
-		err = cd.shed()
+	admit := c.admit[:cd.run()]
+	admitted := 0
+	c.sampled, c.tParse, c.tExec = 0, 0, 0
+	for i := range admit {
+		admit[i] = c.env.Gate == nil || c.env.Gate.TryAcquire()
+		if admit[i] {
+			admitted++
+		}
+		c.sample(i)
 	}
+	served, err := cd.exec(admit)
 	if c.timed {
 		end := c.env.Clock.Now()
-		class, opaque := cd.tag()
-		c.env.Observer.ObserveOp(class, out, end-start)
-		c.endSpan(class, out, opaque, start, end)
+		c.observe(cd, admit[:served], err, start, end)
 		if c.transport != nil {
 			c.lastEnd, c.transport.read = end, false
 		}
 	}
-	if admitted && c.env.Gate != nil {
-		c.env.Gate.Release()
+	if c.env.Gate != nil {
+		for ; admitted > 0; admitted-- {
+			c.env.Gate.Release()
+		}
 	}
 	return err
 }
 
-// beginSpan decides whether this command is sampled and resets the
-// phase stamps.
+// outcomeAt is how request i of a run that served len(admit) requests
+// and returned err ended: busy if shed, else what err says for the
+// last request and OK for the ones before it.
+func outcomeAt(admit []bool, i int, err error) Outcome {
+	switch {
+	case !admit[i]:
+		return OutcomeBusy
+	case i == len(admit)-1:
+		return outcomeOf(err)
+	}
+	return OutcomeOK
+}
+
+// observe reports a run that served len(admit) requests between start
+// and end: one Observer call per outcome the run holds (one, unless the
+// gate refused some of its requests), each with its requests' share of
+// the run's time, so the shares sum to end-start exactly; then a span
+// for each sampled request.
 //
 //kv3d:hotpath
-func (c *core) beginSpan() {
+func (c *core) observe(cd codec, admit []bool, err error, start, end sim.Ns) {
+	n := len(admit)
+	class, _ := cd.tag(0)
+	var count [NumOutcomes]int
+	for i := range admit {
+		count[outcomeAt(admit, i, err)]++
+	}
+	span, before := end-start, 0
+	for o, k := range count {
+		if k == 0 {
+			continue
+		}
+		share := span*sim.Ns(before+k)/sim.Ns(n) - span*sim.Ns(before)/sim.Ns(n)
+		c.env.Observer.ObserveOp(class, Outcome(o), k, share)
+		before += k
+	}
+	for i := range admit {
+		if c.sampled&(1<<i) != 0 {
+			_, opaque := cd.tag(i)
+			c.endSpan(class, outcomeAt(admit, i, err), opaque, start, end)
+		}
+	}
+}
+
+// sample decides whether request i of the run gets a span.
+//
+//kv3d:hotpath
+func (c *core) sample(i int) {
 	if c.env.Flight == nil {
 		return
 	}
 	n := c.flightSeq
 	c.flightSeq++
-	if n%c.flightEvery != 0 {
-		return
+	if n%c.flightEvery == 0 {
+		c.sampled |= 1 << i
 	}
-	c.spanActive = true
-	c.tParse = 0
-	c.tExec = 0
 }
 
-// markParse stamps the end of the parse phase (first call wins).
+// markParse stamps the end of the run's parse phase (first call wins).
 //
 //kv3d:hotpath
 func (c *core) markParse() {
-	if c.spanActive && c.tParse == 0 {
+	if c.sampled != 0 && c.tParse == 0 {
 		c.tParse = c.env.Clock.Now()
 	}
 }
 
-// markExec stamps the end of the store-execute phase; first call wins,
-// so multi-frame responders (binary stat) measure up to their first
-// write.
+// markExec stamps the end of the run's store-execute phase; first call
+// wins, so multi-frame responders (binary stat) and runs measure up to
+// their first write.
 //
 //kv3d:hotpath
 func (c *core) markExec() {
-	if c.spanActive && c.tExec == 0 {
+	if c.sampled != 0 && c.tExec == 0 {
 		c.tExec = c.env.Clock.Now()
 	}
 }
 
-// endSpan emits the sampled span. Unstamped phases collapse to
-// zero-length: parse defaults to the op start, execute to parse-done
-// (cold verbs mark nothing and report all time as write).
+// endSpan emits one sampled request's span; every request of a run
+// carries the run's stamps. Unstamped phases collapse to zero-length:
+// parse defaults to the op start, execute to parse-done (cold verbs
+// mark nothing and report all time as write).
 //
 //kv3d:hotpath
 func (c *core) endSpan(class OpClass, out Outcome, opaque uint64, start, end sim.Ns) {
-	if !c.spanActive {
-		return
-	}
-	c.spanActive = false
 	p, e := c.tParse, c.tExec
 	if p == 0 {
 		p = start

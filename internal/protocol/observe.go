@@ -79,16 +79,21 @@ func outcomeOf(err error) Outcome {
 	return OutcomeError
 }
 
-// Observer receives one callback per executed command with the
-// command's handling time (read of the value payload through response
-// serialization) as reported by the injected clock, and the command's
-// outcome. The duration is a typed nanosecond count (sim.Ns) so it
-// cannot be mixed with the kernel's picosecond values without an
-// explicit conversion. Implementations are called from the
-// connection's goroutine and must be safe for concurrent use across
-// connections.
+// Observer receives the handling time of executed commands (read of
+// the value payload through response serialization) as reported by the
+// injected clock, with their outcome. One call reports n commands of
+// one class and outcome that together took nanos: n is 1 for a request
+// served alone, and for a pipelined run of binary gets it is how many
+// of the run's frames ended with o, nanos their share of the run's
+// time (DESIGN.md "The session core"). An implementation that keeps
+// per-command samples records n of them summing to nanos, as
+// metrics.Histogram.RecordN does. The duration is a typed nanosecond
+// count (sim.Ns) so it cannot be mixed with the kernel's picosecond
+// values without an explicit conversion. Implementations are called
+// from the connection's goroutine and must be safe for concurrent use
+// across connections.
 type Observer interface {
-	ObserveOp(c OpClass, o Outcome, nanos sim.Ns)
+	ObserveOp(c OpClass, o Outcome, n int, nanos sim.Ns)
 }
 
 // OpSpan is one sampled operation's phase timeline: parse (command
@@ -98,7 +103,9 @@ type Observer interface {
 // protocol's opaque field (0 on ASCII, where no request id crosses
 // the wire) — the correlation key that lets a merged trace line a
 // client attempt up with the server's handling of that exact request.
-// Binary names the codec that served it.
+// Binary names the codec that served it. A sampled frame of a
+// pipelined run of binary gets carries the run's stamps: its Start and
+// End are the run's, and so are its parse and execute phases.
 type OpSpan struct {
 	Start     sim.Ns
 	ParseDone sim.Ns

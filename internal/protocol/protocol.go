@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -102,8 +103,22 @@ func (s *Session) next() error {
 	}
 }
 
+// run is always one: an ASCII multi-get is one command, served by one
+// batched lookup of its own.
+func (s *Session) run() int { return 1 }
+
 // tag classifies the verb; no request id crosses the ASCII wire.
-func (s *Session) tag() (OpClass, uint64) { return classifyVerb(s.verb), 0 }
+func (s *Session) tag(int) (OpClass, uint64) { return classifyVerb(s.verb), 0 }
+
+// exec runs the command, or sheds it if the gate refused it.
+//
+//kv3d:hotpath
+func (s *Session) exec(admit []bool) (int, error) {
+	if !admit[0] {
+		return 1, s.shed()
+	}
+	return 1, s.command()
+}
 
 // shed refuses one command while the server is over its in-flight
 // cap. Store-class commands carry a data block that must be consumed
@@ -131,13 +146,13 @@ func (s *Session) shed() error {
 	return s.reply(respBusy)
 }
 
-// exec executes one command. The verb comparison converts through
+// command executes one command. The verb comparison converts through
 // string only inside the switch, which the compiler performs without
 // allocating; the get and store verbs keep their arguments as tokens of
 // the command line, cold verbs materialize argument strings.
 //
 //kv3d:hotpath
-func (s *Session) exec() error {
+func (s *Session) command() error {
 	verb, rest := s.verb, s.rest
 	switch string(verb) {
 	case "get":
@@ -290,7 +305,7 @@ func (s *Session) doGet(rest []byte, withCAS bool) error {
 		s.keyBuf = append(s.keyBuf, key) // same session-scratch self-alias as above; keyBuf is reset at the next multiget
 	}
 	s.markParse()
-	s.valBuf, s.batchBuf = s.store.GetBatchInto(s.valBuf[:0], s.keyBuf, s.batchBuf[:0], &s.batchScr)
+	s.valBuf, s.batchBuf = s.store.GetBatchInto(s.valBuf[:0], s.keyBuf, s.batchBuf[:0], &s.batchScr, math.MaxInt)
 	s.markExec()
 	for i, r := range s.batchBuf {
 		if r.Found {

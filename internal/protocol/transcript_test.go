@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"maps"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -39,6 +41,7 @@ type transcriptDeps struct {
 	admitted int
 	released int
 	replN    int
+	observes int // ObserveOp calls, each of which may report many ops
 }
 
 func (d *transcriptDeps) Now() sim.Ns { d.clock++; return d.clock }
@@ -54,8 +57,17 @@ func (d *transcriptDeps) TryAcquire() bool {
 
 func (d *transcriptDeps) Release() { d.released++ }
 
-func (d *transcriptDeps) ObserveOp(c OpClass, o Outcome, nanos sim.Ns) {
-	d.log = append(d.log, fmt.Sprintf("op %v %v %d", c, o, nanos))
+// ObserveOp logs each of the n ops on its own line, with the share of
+// nanos a histogram records for it: n-r of q, then r of q+1.
+func (d *transcriptDeps) ObserveOp(c OpClass, o Outcome, n int, nanos sim.Ns) {
+	d.observes++
+	q, r := nanos/sim.Ns(n), int(nanos%sim.Ns(n))
+	for i := 0; i < n; i++ {
+		if i == n-r {
+			q++
+		}
+		d.log = append(d.log, fmt.Sprintf("op %v %v %d", c, o, q))
+	}
 }
 
 func (d *transcriptDeps) ObserveSpan(sp OpSpan) {
@@ -529,13 +541,15 @@ func TestTruncationEndsSessionCleanly(t *testing.T) {
 }
 
 // TestClockReadsPerPipelinedOp pins what timing a request costs. The op
-// clock is read when a request ends and, if the transport was read
-// since the previous request ended, when it starts; a request served
-// from bytes already buffered starts where its predecessor ended. So a
-// lone request reads the clock twice, a 16-deep burst 17 times rather
-// than 32, and the burst's spans tile it without gaps. A session built
-// on its caller's pair cannot see the transport and stamps every start,
-// as before.
+// clock is read when a run of requests ends and, if the transport was
+// read since the previous run ended, when it starts; a run served from
+// bytes already buffered starts where its predecessor ended. An ASCII
+// request is a run of one, so a lone request reads the clock twice and
+// a 16-deep ASCII burst 17 times rather than 32, its spans tiling it
+// without gaps. A 16-deep binary GET burst is one run: two reads, and
+// its 16 ops share the run's one tick. A session built on its caller's
+// pair cannot see the transport, forms runs of one and stamps every
+// start, as before.
 func TestClockReadsPerPipelinedOp(t *testing.T) {
 	requests := map[string][]byte{
 		"ascii":  []byte("get k\r\n"),
@@ -547,17 +561,21 @@ func TestClockReadsPerPipelinedOp(t *testing.T) {
 		for i := range roundTrips {
 			roundTrips[i] = req
 		}
+		burstReads, burstRuns := sim.Ns(17), 16
+		if codec == "binary" {
+			burstReads, burstRuns = 2, 1
+		}
 		for _, tc := range []struct {
 			name       string
 			segs       [][]byte
 			callerPair bool
-			ops        int
+			ops, runs  int
 			reads      sim.Ns
 		}{
-			{"lone request", [][]byte{req}, false, 1, 2},
-			{"16-deep burst", burst, false, 16, 17},
-			{"16 round trips", roundTrips, false, 16, 32},
-			{"16-deep burst on a caller's pair", burst, true, 16, 32},
+			{"lone request", [][]byte{req}, false, 1, 1, 2},
+			{"16-deep burst", burst, false, 16, burstRuns, burstReads},
+			{"16 round trips", roundTrips, false, 16, 16, 32},
+			{"16-deep burst on a caller's pair", burst, true, 16, 16, 32},
 		} {
 			d := &transcriptDeps{}
 			env := Env{Observer: d, Clock: d}
@@ -576,12 +594,167 @@ func TestClockReadsPerPipelinedOp(t *testing.T) {
 			if len(d.log) != tc.ops || d.clock != tc.reads {
 				t.Errorf("%s, %s: %d ops observed with %d clock reads, want %d with %d", codec, tc.name, len(d.log), d.clock, tc.ops, tc.reads)
 			}
-			// On the counting clock an op that reused its predecessor's
-			// end lasts exactly one tick.
+			// On the counting clock a run lasts exactly one tick, and its
+			// ops' durations sum to it: one op of 1 and the rest of 0.
+			var ticks int
 			for i, entry := range d.log {
-				if !strings.HasSuffix(entry, " 1") {
-					t.Errorf("%s, %s: op %d observed as %q, want a duration of 1", codec, tc.name, i, entry)
+				switch {
+				case strings.HasSuffix(entry, " 1"):
+					ticks++
+				case !strings.HasSuffix(entry, " 0"):
+					t.Errorf("%s, %s: op %d observed as %q, want a duration of 0 or 1", codec, tc.name, i, entry)
 				}
+			}
+			if ticks != tc.runs {
+				t.Errorf("%s, %s: durations sum to %d ticks, want %d, one per run", codec, tc.name, ticks, tc.runs)
+			}
+		}
+	}
+}
+
+// runStream is one seed's request list for TestTranscriptServeConnRuns:
+// sets that leave values below and above pinThreshold, then bursts of
+// get-family frames — hits, misses and repeated keys — with other
+// frames between them, none of which ends the session. split is an
+// offset inside a get frame that follows another get.
+func runStream(seed uint64) (requests [][]byte, split int) {
+	g := &transcriptGen{r: sim.NewRand(seed), kinds: map[string]int{}}
+	opaque := func() uint32 { return uint32(g.r.Intn(1 << 16)) }
+	for i := 0; i < 6; i++ {
+		value := []byte(g.value())
+		if i < 2 && seed%2 == 0 {
+			value = bytes.Repeat([]byte{byte('A' + i)}, pinThreshold+g.r.Intn(4<<10))
+		}
+		requests = append(requests, frame(OpSet, fmt.Sprintf("k%d", i), setExtras(uint32(i), 0), value, 0, opaque()))
+	}
+	ends := map[string]bool{"quit": true, "bad-magic": true, "bad-lengths": true, "oversize-body": true}
+	at, prevGet := 0, false
+	for _, req := range requests {
+		at += len(req)
+	}
+	for len(requests) < 80 {
+		var req []byte
+		if g.r.Intn(4) != 0 {
+			op := []byte{OpGet, OpGetQ, OpGetK, OpGetKQ}[g.r.Intn(4)]
+			req = frame(op, fmt.Sprintf("k%d", g.r.Intn(8)), nil, nil, 0, opaque()) // k6 and k7 are never set
+			if prevGet && split == 0 && len(requests) > 20 {
+				split = at + []int{12, binHeaderLen + 1}[seed%2] // inside the header, or inside the key
+			}
+			prevGet = true
+		} else {
+			for {
+				before := maps.Clone(g.kinds)
+				req = g.binaryRequest()
+				if !ends[kindDrawn(before, g.kinds)] {
+					break
+				}
+			}
+			prevGet = req[1] == OpGet || req[1] == OpGetQ || req[1] == OpGetK || req[1] == OpGetKQ
+		}
+		requests = append(requests, req)
+		at += len(req)
+	}
+	return requests, split
+}
+
+// kindDrawn is the kind whose count grew from before to after.
+func kindDrawn(before, after map[string]int) string {
+	for k, n := range after {
+		if before[k] != n {
+			return k
+		}
+	}
+	return ""
+}
+
+// runLine is what a transcript log line says about one frame: an op's
+// class and outcome, a span's class, outcome and opaque. The stamps and
+// durations, which depend on how frames were grouped into runs, go.
+func runLine(entry string) string {
+	f := strings.Fields(entry)
+	if f[0] == "span" {
+		return strings.Join([]string{f[0], f[1], f[2], f[len(f)-1]}, " ")
+	}
+	return strings.Join(f[:3], " ")
+}
+
+// TestTranscriptServeConnRuns feeds get-heavy binary streams through
+// ServeConn, which serves each get together with the complete get
+// frames buffered behind it as one run. Delivered as one burst (long
+// runs), one request per read and one byte per read (runs of one), and
+// in two reads that split a get frame inside a burst, a stream must give
+// the client byte-identical replies and leave the store with identical
+// stats. Each frame is observed exactly once, with its class, and as
+// busy exactly when the gate — which refuses every few acquires, so
+// inside runs too — refused it; each sampled frame has one span, with
+// its own opaque.
+func TestTranscriptServeConnRuns(t *testing.T) {
+	for seed := uint64(1); seed <= 12; seed++ {
+		requests, split := runStream(seed)
+		if split == 0 {
+			t.Fatalf("seed %d: no get follows a get to split", seed)
+		}
+		every, refuseAt := 1+int(seed%3), 3+int(seed%4)
+		var want []string
+		for i, req := range requests {
+			h := parseBinHeader(req)
+			out := OutcomeOK
+			if (i+1)%refuseAt == 0 {
+				out = OutcomeBusy
+			}
+			want = append(want, fmt.Sprintf("op %v %v", classifyOpcode(h.opcode), out))
+			if i%every == 0 {
+				want = append(want, fmt.Sprintf("span %v %v opaque=%d", classifyOpcode(h.opcode), out, h.opaque))
+			}
+		}
+		sortedWant := slices.Clone(want)
+		slices.Sort(sortedWant)
+		cuts := deliveries(requests)
+		all := bytes.Join(requests, nil)
+		cuts["split"] = [][]byte{all[:split], all[split:]}
+		var reply []byte
+		var stats kvstore.Stats
+		for _, name := range []string{"per-request", "per-byte", "burst", "split"} {
+			d := &transcriptDeps{every: every, refuseAt: refuseAt}
+			st := newClockStore(t, 1000)
+			rw := &segmentedRW{segs: append([][]byte(nil), cuts[name]...)}
+			if err := ServeConn(st, rw, Env{Gate: d, Observer: d, Clock: d, Flight: d, FlightEvery: every}); err != nil {
+				t.Fatalf("seed %d, %s: Serve = %v", seed, name, err)
+			}
+			if d.admitted != d.released {
+				t.Errorf("seed %d, %s: %d admitted, %d released", seed, name, d.admitted, d.released)
+			}
+			var got []string
+			for _, entry := range d.log {
+				got = append(got, runLine(entry))
+			}
+			if name == "per-request" || name == "per-byte" {
+				// Runs of one: the log is in frame order.
+				if !slices.Equal(got, want) {
+					t.Errorf("seed %d, %s: observed\n%q\nwant\n%q", seed, name, got, want)
+				}
+				if d.observes != len(requests) {
+					t.Errorf("seed %d, %s: %d observer calls for %d frames, want one each", seed, name, d.observes, len(requests))
+				}
+			} else {
+				if slices.Sort(got); !slices.Equal(got, sortedWant) {
+					t.Errorf("seed %d, %s: observed\n%q\nwant, in some order,\n%q", seed, name, got, sortedWant)
+				}
+				if name == "burst" && d.observes >= len(requests) {
+					t.Errorf("seed %d, burst: %d observer calls for %d frames: no run of more than one formed", seed, d.observes, len(requests))
+				}
+			}
+			got1 := rw.out.Bytes()
+			s := st.Stats()
+			if name == "per-request" {
+				reply, stats = got1, s
+				continue
+			}
+			if !bytes.Equal(got1, reply) {
+				t.Errorf("seed %d, %s: replies differ from one request per read", seed, name)
+			}
+			if !reflect.DeepEqual(s, stats) {
+				t.Errorf("seed %d, %s: store stats %+v, want %+v", seed, name, s, stats)
 			}
 		}
 	}
