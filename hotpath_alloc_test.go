@@ -359,9 +359,8 @@ func (c *segmentConn) Read(p []byte) (int, error) {
 func (c *segmentConn) Write(p []byte) (int, error) { return len(p), nil }
 
 // eighthGate stands in for the server's in-flight gate and refuses
-// every eighth acquire, so a run both releases slots and sheds frames:
-// two of every 16, the same two in every run, so the run's scratch is
-// sized by the first one.
+// every eighth acquire, so runs both release their slot and are cut
+// to a shed first frame, the other 15 then served as the next run.
 type eighthGate struct{ n int }
 
 func (g *eighthGate) TryAcquire() bool { g.n++; return g.n%8 != 0 }
@@ -369,10 +368,10 @@ func (g *eighthGate) Release()         {}
 
 // TestBinaryGetRunZeroAllocPerOp gates the pipelined binary GET path: a
 // session ServeConn built, fed 16 get-family frames per transport read,
-// serves each read as one run — one batched lookup, the replies staged
-// in order, a refused frame's busy in its place — with a gate that
-// refuses some frames, the observer, the clock and flight spans of
-// every frame all live, and allocates nothing per frame.
+// serves each read as one run — one gate slot, one batched lookup, the
+// replies staged in order — with a gate that refuses some runs, the
+// observer, the clock and flight spans of every frame all live, and
+// allocates nothing per frame.
 func TestBinaryGetRunZeroAllocPerOp(t *testing.T) {
 	st, err := kvstore.New(kvstore.DefaultConfig(32 << 20))
 	if err != nil {

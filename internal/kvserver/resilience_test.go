@@ -244,6 +244,64 @@ func TestInflightGateShedsASCIIAndBinary(t *testing.T) {
 	}
 }
 
+// TestInflightCapServesPipelinedRun: the in-flight cap counts
+// executing requests, and a pipelined run of binary gets is one. With
+// MaxInflight 1 and no other client, 16 gets written in one burst are
+// all answered, none of them busy.
+func TestInflightCapServesPipelinedRun(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	st, err := kvstore.New(kvstore.DefaultConfig(16 << 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Set("k", []byte("v"), 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewWithOptions(st, nil, Options{MaxInflight: 1})
+	if err := srv.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve()
+	defer srv.Close()
+	c, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	const depth = 16
+	var burst []byte
+	for i := 0; i < depth; i++ {
+		req := make([]byte, 24+1)
+		req[0] = protocol.MagicRequest
+		req[1] = protocol.OpGet
+		binary.BigEndian.PutUint16(req[2:], 1) // key length
+		binary.BigEndian.PutUint32(req[8:], 1) // body length
+		req[24] = 'k'
+		burst = append(burst, req...)
+	}
+	if _, err := c.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < depth; i++ {
+		hdr := make([]byte, 24)
+		if _, err := io.ReadFull(c, hdr); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(c, make([]byte, binary.BigEndian.Uint32(hdr[8:]))); err != nil {
+			t.Fatal(err)
+		}
+		if status := binary.BigEndian.Uint16(hdr[6:]); status != protocol.StatusOK {
+			t.Fatalf("get %d of a %d-deep burst answered status %#x, want StatusOK", i, depth, status)
+		}
+	}
+	if got := probeValue(srv.Probes(), "live.server.rejected.busy"); got != 0 {
+		t.Fatalf("live.server.rejected.busy = %v, want 0", got)
+	}
+}
+
 // TestShutdownDrains: established connections finish their work during
 // the drain window while new arrivals are refused; Shutdown returns nil
 // when the server empties before the deadline.

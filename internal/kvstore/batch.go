@@ -55,9 +55,12 @@ func (scr *BatchScratch) grow(n, nShards int) {
 // once, so an N-key batch costs at most min(N, Shards) acquisitions,
 // and the clock is read at most once, as for a single-key call.
 //
-// A hit whose value is at least pinFrom bytes long is pinned as
-// PinBytes pins it and is not copied into dst: its result carries the
-// view and the Pin (math.MaxInt copies every value).
+// A hit that would take dst to pinFrom bytes or more is pinned as
+// PinBytes pins it and is not copied: its result carries the view and
+// the Pin. So a value of pinFrom bytes or more is always pinned, and
+// dst stays under pinFrom bytes however many keys hit, except for a
+// value whose chunk already holds the most pins it can count, which
+// is copied (math.MaxInt copies every value).
 //
 // The returned slices must be consumed before the next call that
 // reuses dst, out or scr.
@@ -69,17 +72,7 @@ func (st *Store) GetBatchInto(dst []byte, keys [][]byte, out []BatchResult, scr 
 		out = make([]BatchResult, n)
 	}
 	out = out[:n]
-	now := st.lazyNow()
-	switch n {
-	case 0:
-		return dst, out
-	case 1:
-		// One key has nothing to group: the single-key path.
-		sh, hash := st.locate(keys[0])
-		sh.mu.Lock()
-		sh.s.stats.ReadLocks++
-		dst, out[0] = sh.batchGet(dst, keys[0], hash, &now, pinFrom)
-		sh.mu.Unlock()
+	if n == 0 {
 		return dst, out
 	}
 	scr.grow(n, len(st.shards))
@@ -104,6 +97,7 @@ func (st *Store) GetBatchInto(dst []byte, keys [][]byte, out []BatchResult, scr 
 		order[cursor[s]] = int32(i)
 		cursor[s]++
 	}
+	now := st.lazyNow()
 	pos := 0
 	for s, c := range counts {
 		if c == 0 {
@@ -113,24 +107,18 @@ func (st *Store) GetBatchInto(dst []byte, keys [][]byte, out []BatchResult, scr 
 		sh.mu.Lock()
 		sh.s.stats.ReadLocks++
 		for _, ki := range order[pos : pos+int(c)] {
-			dst, out[ki] = sh.batchGet(dst, keys[ki], hashes[ki], &now, pinFrom)
+			start := len(dst)
+			v, flags, cas, h, ok := sh.s.getOrPin(dst, keys[ki], hashes[ki], &now, pinFrom-len(dst))
+			r := BatchResult{Start: start, End: start, Flags: flags, CAS: cas, Found: ok}
+			if h != 0 {
+				r.Pinned, r.Pin = v, Pin{sh: sh, h: h}
+			} else {
+				dst, r.End = v, len(v)
+			}
+			out[ki] = r
 		}
 		sh.mu.Unlock()
 		pos += int(c)
 	}
 	return dst, out
-}
-
-// batchGet serves one key of a batch under the shard's lock: its
-// result, and dst with the value appended unless it was pinned.
-func (sh *lockedShard) batchGet(dst, key []byte, hash uint64, now *lazyNow, pinFrom int) ([]byte, BatchResult) {
-	start := len(dst)
-	v, flags, cas, h, ok := sh.s.getOrPin(dst, key, hash, now, pinFrom)
-	r := BatchResult{Start: start, End: start, Flags: flags, CAS: cas, Found: ok}
-	if h != 0 {
-		r.Pinned, r.Pin = v, Pin{sh: sh, h: h}
-		return dst, r
-	}
-	r.End = len(v)
-	return v, r
 }

@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -181,5 +182,35 @@ func TestGetBatchIntoPins(t *testing.T) {
 	st.Unpin(out[3].Pin)
 	if usedChunks(st) != used-1 {
 		t.Fatal("the last Unpin did not free the deleted item's chunk")
+	}
+
+	// Values under pinFrom are copied only while dst stays under it; the
+	// rest are pinned, so dst is bounded however many keys hit.
+	keys = keys[:0]
+	for i := 0; i < 8; i++ {
+		k := fmt.Sprintf("mid%d", i)
+		if err := st.Set(k, bytes.Repeat([]byte{byte('0' + i)}, 300), 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, []byte(k))
+	}
+	dst, out = st.GetBatchInto(nil, keys, out, &scr, 1000)
+	if len(dst) >= 1000 {
+		t.Fatalf("dst holds %d bytes, want under pinFrom", len(dst))
+	}
+	copied := 0
+	for i, r := range out {
+		want := bytes.Repeat([]byte{byte('0' + i)}, 300)
+		switch {
+		case r.Pin == (Pin{}) && r.Found && bytes.Equal(dst[r.Start:r.End], want):
+			copied++
+		case r.Pin != (Pin{}) && r.Found && bytes.Equal(r.Pinned, want):
+			st.Unpin(r.Pin)
+		default:
+			t.Fatalf("result %d = %+v, want a copy or a pinned view of its value", i, r)
+		}
+	}
+	if copied != 3 {
+		t.Fatalf("%d of 8 300-byte values copied under a 1000-byte pinFrom, want 3", copied)
 	}
 }

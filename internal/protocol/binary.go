@@ -123,8 +123,8 @@ type BinarySession struct {
 	runHdr  [maxRun]binHeader
 	runBody [maxRun]int
 	runRest int
-	// The run's batched lookup: the admitted frames' keys, their
-	// results, and the store's grouping scratch.
+	// The run's batched lookup: the frames' keys, their results, and
+	// the store's grouping scratch.
 	keys  [][]byte
 	batch []kvstore.BatchResult
 	scr   kvstore.BatchScratch
@@ -170,7 +170,7 @@ func (s *BinarySession) next() error {
 	if int(h.extrasLen)+int(h.keyLen) > int(h.bodyLen) {
 		return fmt.Errorf("protocol: binary frame lengths inconsistent")
 	}
-	s.h = h
+	s.h, s.runHdr[0] = h, h
 	return nil
 }
 
@@ -189,7 +189,7 @@ func getFamily(op byte) bool {
 //
 //kv3d:hotpath
 func (s *BinarySession) run() int {
-	s.runHdr[0], s.runRest = s.h, 0
+	s.runRest = 0
 	if !getFamily(s.h.opcode) || s.transport == nil {
 		return 1
 	}
@@ -222,12 +222,9 @@ func (s *BinarySession) tag(i int) (OpClass, uint64) {
 // its own.
 //
 //kv3d:hotpath
-func (s *BinarySession) exec(admit []bool) (int, error) {
+func (s *BinarySession) exec(n int) (int, error) {
 	if getFamily(s.h.opcode) {
-		return s.getRun(admit)
-	}
-	if !admit[0] {
-		return 1, s.shed()
+		return s.getRun(n)
 	}
 	return 1, s.command()
 }
@@ -252,29 +249,21 @@ func (s *BinarySession) readBody() (extras, key, value []byte, err error) {
 
 // shed refuses one frame while the server is over its in-flight cap.
 // The body is consumed first, so the refusal cannot desynchronize the
-// stream. Quit still quits.
+// stream. Quiet variants are shed silently; quit still quits.
 func (s *BinarySession) shed() error {
 	if _, _, _, err := s.readBody(); err != nil {
 		return err
 	}
 	h := s.h
-	switch h.opcode {
-	case OpQuit:
+	switch {
+	case h.opcode == OpQuit:
 		// The session ends either way; ErrQuit carries the outcome even
 		// if the farewell respond failed.
 		s.respond(h, StatusOK, nil, nil, nil, 0)
 		return ErrQuit
-	case OpQuitQ:
+	case h.opcode == OpQuitQ:
 		return ErrQuit
-	}
-	return s.refuse(h)
-}
-
-// refuse answers a shed frame busy; quiet variants are shed silently.
-//
-//kv3d:hotpath
-func (s *BinarySession) refuse(h binHeader) error {
-	if quiet(h.opcode) {
+	case quiet(h.opcode):
 		return nil
 	}
 	return s.respond(h, StatusBusy, nil, nil, binBusy, 0)
@@ -375,16 +364,17 @@ var (
 	binVersion  = []byte(Version)
 )
 
-// getRun serves a run of get-family frames, the measured hot path of
-// the binary protocol, without allocating: one batched lookup of the
-// admitted frames' keys — slices of the frame bodies — then the
-// replies staged in request order, a refused frame's busy in its
-// place. A value shorter than pinFrom is copied into the reused val
-// buffer; a longer one is pinned and sent from its chunk. A run of one
-// — every get on a caller's pair — takes the same path.
+// getRun serves a run of n get-family frames, the measured hot path
+// of the binary protocol, without allocating: one batched lookup of
+// their keys — slices of the frame bodies — then the replies staged in
+// request order. A value of pinFrom bytes or more is pinned and sent
+// from its chunk; shorter ones are copied into the reused val buffer
+// while it stays under pinFrom bytes, and pinned past that, so a run
+// of mid-size values keeps no more scratch than one value did. A run
+// of one — every get on a caller's pair — takes the same path.
 //
 //kv3d:hotpath
-func (s *BinarySession) getRun(admit []bool) (int, error) {
+func (s *BinarySession) getRun(n int) (int, error) {
 	_, key, _, err := s.readBody()
 	if err != nil {
 		return 1, err
@@ -393,29 +383,17 @@ func (s *BinarySession) getRun(admit []bool) (int, error) {
 	if s.runRest > 0 {
 		rest, _ = s.r.Peek(s.runRest) // run counted these bytes as buffered
 	}
-	s.keys = s.keys[:0]
-	for i, ok := range admit {
-		if !ok {
-			continue
-		}
-		if i > 0 {
-			h, off := s.runHdr[i], s.runBody[i]+int(s.runHdr[i].extrasLen)
-			key = rest[off : off+int(h.keyLen)]
-		}
-		s.keys = append(s.keys, key) // keys alias the frame bodies, which stay put until the run is discarded below
+	s.keys = append(s.keys[:0], key)
+	for i := 1; i < n; i++ {
+		h, off := s.runHdr[i], s.runBody[i]+int(s.runHdr[i].extrasLen)
+		s.keys = append(s.keys, rest[off:off+int(h.keyLen)]) // keys alias the frame bodies, which stay put until the run is discarded below
 	}
 	s.val, s.batch = s.store.GetBatchInto(s.val[:0], s.keys, s.batch[:0], &s.scr, s.pinFrom)
-	served, j := len(admit), 0
-	for i, ok := range admit {
-		if ok {
-			err = s.getReply(s.runHdr[i], s.keys[j], &s.batch[j])
-			j++
-		} else {
-			err = s.refuse(s.runHdr[i])
-		}
-		if err != nil {
+	served := n
+	for i := range s.batch {
+		if err = s.getReply(s.runHdr[i], s.keys[i], &s.batch[i]); err != nil {
 			served = i + 1
-			for _, r := range s.batch[j:] {
+			for _, r := range s.batch[served:] {
 				s.store.Unpin(r.Pin)
 			}
 			break
@@ -426,8 +404,9 @@ func (s *BinarySession) getRun(admit []bool) (int, error) {
 }
 
 // getReply stages the reply to one get of a run: a miss (silent for
-// the quiet variants), a copied hit, or a pinned hit sent from its
-// chunk behind the replies staged before it.
+// the quiet variants), a copied hit, a hit pinned short of pinFrom
+// staged from its chunk, or a pinned hit of pinFrom bytes or more sent
+// from its chunk behind the replies staged before it.
 //
 //kv3d:hotpath
 func (s *BinarySession) getReply(h binHeader, key []byte, r *kvstore.BatchResult) error {
@@ -441,13 +420,20 @@ func (s *BinarySession) getReply(h binHeader, key []byte, r *kvstore.BatchResult
 	if h.opcode != OpGetK && h.opcode != OpGetKQ {
 		key = nil
 	}
-	if r.Pin != (kvstore.Pin{}) {
-		s.markExec()
-		s.head = append(s.head[:0], s.respHeader(h, StatusOK, s.flags[:], key, len(r.Pinned), r.CAS)...)
-		s.head = append(append(s.head, s.flags[:]...), key...)
-		return s.sendPinned(s.head, r.Pinned, nil, r.Pin)
+	switch {
+	case r.Pin == (kvstore.Pin{}):
+		return s.respond(h, StatusOK, s.flags[:], key, s.val[r.Start:r.End], r.CAS)
+	case len(r.Pinned) < s.pinFrom:
+		// Pinned only because the run's copies filled val: staged
+		// from its chunk like a copied value, then let go.
+		err := s.respond(h, StatusOK, s.flags[:], key, r.Pinned, r.CAS)
+		s.store.Unpin(r.Pin)
+		return err
 	}
-	return s.respond(h, StatusOK, s.flags[:], key, s.val[r.Start:r.End], r.CAS)
+	s.markExec()
+	s.head = append(s.head[:0], s.respHeader(h, StatusOK, s.flags[:], key, len(r.Pinned), r.CAS)...)
+	s.head = append(append(s.head, s.flags[:]...), key...)
+	return s.sendPinned(s.head, r.Pinned, nil, r.Pin)
 }
 
 // doStore serves the set family without allocating on success: key and

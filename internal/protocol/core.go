@@ -57,9 +57,9 @@ type Env struct {
 }
 
 // codec is what a wire format supplies to the core's envelope. The
-// calls for one run come in the order next, run, exec, then tag for
-// each request the run observes; a codec keeps the requests it is
-// serving in its own fields.
+// calls for one run come in the order next, then run and exec or shed,
+// then tag for each request the run served; a codec keeps the requests
+// it is serving in its own fields.
 type codec interface {
 	// next reads one request up to the point its op clock starts: the
 	// wait for a request to arrive is not part of handling it. An error
@@ -73,12 +73,13 @@ type codec interface {
 	// tag reports the class and the correlation key of request i of
 	// the run. Every request of a run has the same class.
 	tag(i int) (OpClass, uint64)
-	// exec reads the rest of the run's requests and serves them in
-	// order: request i runs if admit[i] and is shed in place — read to
-	// its end, so the stream stays in step, and answered busy —
-	// otherwise. It returns how many requests it served: all of them,
+	// exec reads the rest of the run's n requests, runs them in order
+	// and stages their replies. It returns how many it served: n,
 	// unless an error ended the session at the last one it returns.
-	exec(admit []bool) (int, error)
+	exec(n int) (int, error)
+	// shed reads the rest of the one request next read, so the stream
+	// stays in step, and stages a busy refusal in place of running it.
+	shed() error
 }
 
 // maxRun bounds a run, and with it the scratch a binary session holds
@@ -114,9 +115,6 @@ type core struct {
 	pinFrom int
 	iov     net.Buffers
 	iovArr  [3][]byte
-
-	// admit is the run's admission per request, scratch of serveOne.
-	admit [maxRun]bool
 
 	// Sampled flight tracing: every flightEvery-th command gets a span.
 	// sampled (bit i: request i of the run) and the t* stamps are
@@ -273,10 +271,12 @@ func (c *core) serve(cd codec) error {
 
 // serveOne is the envelope around one run of requests — for every
 // request but a pipelined binary get, a run of one: read its head,
-// start the op clock, ask the gate for each request in order, run the
-// admitted ones and shed the rest in place, stop the clock, observe
-// the run, give the slots back. Shed requests are observed too — a
-// busy refusal is part of the latency story, not a gap in it.
+// start the op clock, ask the gate once, run the requests or shed the
+// one read, stop the clock, observe them, give the slot back. A run
+// holds one slot, as it is served by one goroutine start to end; a
+// refused run is cut to its first request, and the requests behind it
+// ask again as the next run. Shed requests are observed too — a busy
+// refusal is part of the latency story, not a gap in it.
 //
 //kv3d:hotpath
 func (c *core) serveOne(cd codec) error {
@@ -291,88 +291,64 @@ func (c *core) serveOne(cd codec) error {
 			start = c.env.Clock.Now()
 		}
 	}
-	admit := c.admit[:cd.run()]
-	admitted := 0
-	c.sampled, c.tParse, c.tExec = 0, 0, 0
-	for i := range admit {
-		admit[i] = c.env.Gate == nil || c.env.Gate.TryAcquire()
-		if admit[i] {
-			admitted++
-		}
-		c.sample(i)
+	admitted := c.env.Gate == nil || c.env.Gate.TryAcquire()
+	served := 1
+	var err error
+	out := OutcomeBusy
+	if admitted {
+		n := cd.run()
+		c.sample(n)
+		served, err = cd.exec(n)
+		out = outcomeOf(err)
+	} else {
+		c.sample(1)
+		err = cd.shed()
 	}
-	served, err := cd.exec(admit)
 	if c.timed {
 		end := c.env.Clock.Now()
-		c.observe(cd, admit[:served], err, start, end)
+		c.observe(cd, served, out, start, end)
 		if c.transport != nil {
 			c.lastEnd, c.transport.read = end, false
 		}
 	}
-	if c.env.Gate != nil {
-		for ; admitted > 0; admitted-- {
-			c.env.Gate.Release()
-		}
+	if admitted && c.env.Gate != nil {
+		c.env.Gate.Release()
 	}
 	return err
 }
 
-// outcomeAt is how request i of a run that served len(admit) requests
-// and returned err ended: busy if shed, else what err says for the
-// last request and OK for the ones before it.
-func outcomeAt(admit []bool, i int, err error) Outcome {
-	switch {
-	case !admit[i]:
-		return OutcomeBusy
-	case i == len(admit)-1:
-		return outcomeOf(err)
-	}
-	return OutcomeOK
-}
-
-// observe reports a run that served len(admit) requests between start
-// and end: one Observer call per outcome the run holds (one, unless the
-// gate refused some of its requests), each with its requests' share of
-// the run's time, so the shares sum to end-start exactly; then a span
-// for each sampled request.
+// observe reports the n requests a run served between start and end
+// as one Observer call, then a span for each sampled request. They all
+// end with out: a run that an error ends at its last request was
+// staged in the writer that failed.
 //
 //kv3d:hotpath
-func (c *core) observe(cd codec, admit []bool, err error, start, end sim.Ns) {
-	n := len(admit)
+func (c *core) observe(cd codec, n int, out Outcome, start, end sim.Ns) {
 	class, _ := cd.tag(0)
-	var count [NumOutcomes]int
-	for i := range admit {
-		count[outcomeAt(admit, i, err)]++
-	}
-	span, before := end-start, 0
-	for o, k := range count {
-		if k == 0 {
-			continue
-		}
-		share := span*sim.Ns(before+k)/sim.Ns(n) - span*sim.Ns(before)/sim.Ns(n)
-		c.env.Observer.ObserveOp(class, Outcome(o), k, share)
-		before += k
-	}
-	for i := range admit {
+	c.env.Observer.ObserveOp(class, out, n, end-start)
+	for i := 0; i < n && c.sampled>>i != 0; i++ {
 		if c.sampled&(1<<i) != 0 {
 			_, opaque := cd.tag(i)
-			c.endSpan(class, outcomeAt(admit, i, err), opaque, start, end)
+			c.endSpan(class, out, opaque, start, end)
 		}
 	}
 }
 
-// sample decides whether request i of the run gets a span.
+// sample decides which of the run's n requests get a span: bit i of
+// sampled is request i. It resets the run's phase stamps.
 //
 //kv3d:hotpath
-func (c *core) sample(i int) {
+func (c *core) sample(n int) {
+	c.sampled, c.tParse, c.tExec = 0, 0, 0
 	if c.env.Flight == nil {
 		return
 	}
-	n := c.flightSeq
-	c.flightSeq++
-	if n%c.flightEvery == 0 {
-		c.sampled |= 1 << i
+	for i := 0; i < n; i++ {
+		if (c.flightSeq+uint64(i))%c.flightEvery == 0 {
+			c.sampled |= 1 << i
+		}
 	}
+	c.flightSeq += uint64(n)
 }
 
 // markParse stamps the end of the run's parse phase (first call wins).

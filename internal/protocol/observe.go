@@ -84,8 +84,8 @@ func outcomeOf(err error) Outcome {
 // injected clock, with their outcome. One call reports n commands of
 // one class and outcome that together took nanos: n is 1 for a request
 // served alone, and for a pipelined run of binary gets it is how many
-// of the run's frames ended with o, nanos their share of the run's
-// time (DESIGN.md "The session core"). An implementation that keeps
+// frames the run served, all ending with o, and nanos the run's time
+// (DESIGN.md "The session core"). An implementation that keeps
 // per-command samples records n of them summing to nanos, as
 // metrics.Histogram.RecordN does. The duration is a typed nanosecond
 // count (sim.Ns) so it cannot be mixed with the kernel's picosecond

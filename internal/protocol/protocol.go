@@ -110,15 +110,10 @@ func (s *Session) run() int { return 1 }
 // tag classifies the verb; no request id crosses the ASCII wire.
 func (s *Session) tag(int) (OpClass, uint64) { return classifyVerb(s.verb), 0 }
 
-// exec runs the command, or sheds it if the gate refused it.
+// exec runs the one command of the run.
 //
 //kv3d:hotpath
-func (s *Session) exec(admit []bool) (int, error) {
-	if !admit[0] {
-		return 1, s.shed()
-	}
-	return 1, s.command()
-}
+func (s *Session) exec(int) (int, error) { return 1, s.command() }
 
 // shed refuses one command while the server is over its in-flight
 // cap. Store-class commands carry a data block that must be consumed

@@ -34,9 +34,10 @@ type transcriptDeps struct {
 	clock.Clock
 	log      []string
 	clock    sim.Ns
-	every    int // flight sampling interval
-	refuseAt int // the gate refuses every refuseAt-th acquire
-	failAt   int // the replicator fails every failAt-th call
+	every    int          // flight sampling interval
+	refuseAt int          // the gate refuses every refuseAt-th acquire
+	refuse   map[int]bool // if set, the gate refuses these acquires (from 1) instead
+	failAt   int          // the replicator fails every failAt-th call
 	acquires int
 	admitted int
 	released int
@@ -48,7 +49,7 @@ func (d *transcriptDeps) Now() sim.Ns { d.clock++; return d.clock }
 
 func (d *transcriptDeps) TryAcquire() bool {
 	d.acquires++
-	if d.acquires%d.refuseAt == 0 {
+	if d.refuse != nil && d.refuse[d.acquires] || d.refuse == nil && d.acquires%d.refuseAt == 0 {
 		return false
 	}
 	d.admitted++
@@ -613,7 +614,8 @@ func TestClockReadsPerPipelinedOp(t *testing.T) {
 }
 
 // runStream is one seed's request list for TestTranscriptServeConnRuns:
-// sets that leave values below and above pinThreshold, then bursts of
+// sets that leave values below and above pinThreshold (and, on every
+// third seed, values a third of it long), then bursts of
 // get-family frames — hits, misses and repeated keys — with other
 // frames between them, none of which ends the session. split is an
 // offset inside a get frame that follows another get.
@@ -622,8 +624,12 @@ func runStream(seed uint64) (requests [][]byte, split int) {
 	opaque := func() uint32 { return uint32(g.r.Intn(1 << 16)) }
 	for i := 0; i < 6; i++ {
 		value := []byte(g.value())
-		if i < 2 && seed%2 == 0 {
+		switch {
+		case i < 2 && seed%2 == 0:
 			value = bytes.Repeat([]byte{byte('A' + i)}, pinThreshold+g.r.Intn(4<<10))
+		case i >= 2 && i < 5 && seed%3 == 0:
+			// Three of these in one run fill the session's copy buffer.
+			value = bytes.Repeat([]byte{byte('a' + i)}, pinThreshold/3+g.r.Intn(1<<10))
 		}
 		requests = append(requests, frame(OpSet, fmt.Sprintf("k%d", i), setExtras(uint32(i), 0), value, 0, opaque()))
 	}
@@ -667,95 +673,108 @@ func kindDrawn(before, after map[string]int) string {
 	return ""
 }
 
-// runLine is what a transcript log line says about one frame: an op's
-// class and outcome, a span's class, outcome and opaque. The stamps and
-// durations, which depend on how frames were grouped into runs, go.
-func runLine(entry string) string {
-	f := strings.Fields(entry)
-	if f[0] == "span" {
-		return strings.Join([]string{f[0], f[1], f[2], f[len(f)-1]}, " ")
+// serveRuns serves segs through ServeConn on a fresh store with d as
+// every dependency, and returns the replies, the store's stats, and
+// the log's op lines and span lines, each in the order logged, without
+// their stamps and durations, which depend on how frames were grouped
+// into runs.
+func serveRuns(t *testing.T, segs [][]byte, d *transcriptDeps) (reply []byte, stats kvstore.Stats, ops, spans []string) {
+	t.Helper()
+	st := newClockStore(t, 1000)
+	rw := &segmentedRW{segs: append([][]byte(nil), segs...)}
+	if err := ServeConn(st, rw, Env{Gate: d, Observer: d, Clock: d, Flight: d, FlightEvery: d.every}); err != nil {
+		t.Fatalf("Serve = %v", err)
 	}
-	return strings.Join(f[:3], " ")
+	if d.admitted != d.released {
+		t.Errorf("gate: %d admitted, %d released", d.admitted, d.released)
+	}
+	for _, entry := range d.log {
+		f := strings.Fields(entry)
+		if f[0] == "span" {
+			spans = append(spans, strings.Join([]string{f[1], f[2], f[len(f)-1]}, " "))
+		} else {
+			ops = append(ops, strings.Join(f[1:3], " "))
+		}
+	}
+	return rw.out.Bytes(), st.Stats(), ops, spans
 }
 
 // TestTranscriptServeConnRuns feeds get-heavy binary streams through
 // ServeConn, which serves each get together with the complete get
-// frames buffered behind it as one run. Delivered as one burst (long
-// runs), one request per read and one byte per read (runs of one), and
-// in two reads that split a get frame inside a burst, a stream must give
-// the client byte-identical replies and leave the store with identical
-// stats. Each frame is observed exactly once, with its class, and as
-// busy exactly when the gate — which refuses every few acquires, so
-// inside runs too — refused it; each sampled frame has one span, with
-// its own opaque.
+// frames buffered behind it as one run. The gate refuses every few
+// acquires, and a run asks it once: a refusal sheds the run's first
+// frame, and the frames behind it ask again as the next run. Delivered
+// as one burst (long runs), one request per read and one byte per read
+// (runs of one), and in two reads that split a get frame inside a
+// burst, each frame must be observed exactly once, in order, with its
+// class, as busy only where an acquire was refused (one frame each),
+// and each sampled frame must have one span with its own opaque. The
+// replies and the store's stats must then be byte-identical to serving
+// the stream one request per read with the gate refusing exactly the
+// frames that were shed.
 func TestTranscriptServeConnRuns(t *testing.T) {
+	headsShed := 0 // refusals that cut a run: a shed get with a get behind it
 	for seed := uint64(1); seed <= 12; seed++ {
 		requests, split := runStream(seed)
 		if split == 0 {
 			t.Fatalf("seed %d: no get follows a get to split", seed)
 		}
 		every, refuseAt := 1+int(seed%3), 3+int(seed%4)
-		var want []string
-		for i, req := range requests {
-			h := parseBinHeader(req)
-			out := OutcomeOK
-			if (i+1)%refuseAt == 0 {
-				out = OutcomeBusy
-			}
-			want = append(want, fmt.Sprintf("op %v %v", classifyOpcode(h.opcode), out))
-			if i%every == 0 {
-				want = append(want, fmt.Sprintf("span %v %v opaque=%d", classifyOpcode(h.opcode), out, h.opaque))
-			}
-		}
-		sortedWant := slices.Clone(want)
-		slices.Sort(sortedWant)
 		cuts := deliveries(requests)
 		all := bytes.Join(requests, nil)
 		cuts["split"] = [][]byte{all[:split], all[split:]}
-		var reply []byte
-		var stats kvstore.Stats
 		for _, name := range []string{"per-request", "per-byte", "burst", "split"} {
 			d := &transcriptDeps{every: every, refuseAt: refuseAt}
-			st := newClockStore(t, 1000)
-			rw := &segmentedRW{segs: append([][]byte(nil), cuts[name]...)}
-			if err := ServeConn(st, rw, Env{Gate: d, Observer: d, Clock: d, Flight: d, FlightEvery: every}); err != nil {
-				t.Fatalf("seed %d, %s: Serve = %v", seed, name, err)
+			reply, stats, ops, spans := serveRuns(t, cuts[name], d)
+			if len(ops) != len(requests) {
+				t.Fatalf("seed %d, %s: %d ops observed for %d frames", seed, name, len(ops), len(requests))
 			}
-			if d.admitted != d.released {
-				t.Errorf("seed %d, %s: %d admitted, %d released", seed, name, d.admitted, d.released)
-			}
-			var got []string
-			for _, entry := range d.log {
-				got = append(got, runLine(entry))
-			}
-			if name == "per-request" || name == "per-byte" {
-				// Runs of one: the log is in frame order.
-				if !slices.Equal(got, want) {
-					t.Errorf("seed %d, %s: observed\n%q\nwant\n%q", seed, name, got, want)
+			shed := map[int]bool{}
+			var wantSpans []string
+			for i, req := range requests {
+				h := parseBinHeader(req)
+				class, out, _ := strings.Cut(ops[i], " ")
+				if class != classifyOpcode(h.opcode).String() {
+					t.Errorf("seed %d, %s: frame %d observed as %q, want class %v", seed, name, i, ops[i], classifyOpcode(h.opcode))
 				}
+				if out == OutcomeBusy.String() {
+					shed[i+1] = true
+					if name == "burst" && i+1 < len(requests) && getFamily(h.opcode) && getFamily(requests[i+1][1]) {
+						headsShed++
+					}
+				}
+				if i%every == 0 {
+					wantSpans = append(wantSpans, fmt.Sprintf("%s opaque=%d", ops[i], h.opaque))
+				}
+			}
+			if len(shed) != d.acquires-d.admitted {
+				t.Errorf("seed %d, %s: %d frames shed for %d refused acquires", seed, name, len(shed), d.acquires-d.admitted)
+			}
+			if !slices.Equal(spans, wantSpans) {
+				t.Errorf("seed %d, %s: spans\n%q\nwant\n%q", seed, name, spans, wantSpans)
+			}
+			switch {
+			case name == "per-request" || name == "per-byte":
 				if d.observes != len(requests) {
 					t.Errorf("seed %d, %s: %d observer calls for %d frames, want one each", seed, name, d.observes, len(requests))
 				}
-			} else {
-				if slices.Sort(got); !slices.Equal(got, sortedWant) {
-					t.Errorf("seed %d, %s: observed\n%q\nwant, in some order,\n%q", seed, name, got, sortedWant)
-				}
-				if name == "burst" && d.observes >= len(requests) {
-					t.Errorf("seed %d, burst: %d observer calls for %d frames: no run of more than one formed", seed, d.observes, len(requests))
-				}
+			case name == "burst" && d.observes >= len(requests):
+				t.Errorf("seed %d, burst: %d observer calls for %d frames: no run of more than one formed", seed, d.observes, len(requests))
 			}
-			got1 := rw.out.Bytes()
-			s := st.Stats()
-			if name == "per-request" {
-				reply, stats = got1, s
-				continue
+			ref := &transcriptDeps{every: every, refuse: shed}
+			wantReply, wantStats, wantOps, _ := serveRuns(t, requests, ref)
+			if !slices.Equal(ops, wantOps) {
+				t.Errorf("seed %d, %s: observed\n%q\nwant\n%q", seed, name, ops, wantOps)
 			}
-			if !bytes.Equal(got1, reply) {
+			if !bytes.Equal(reply, wantReply) {
 				t.Errorf("seed %d, %s: replies differ from one request per read", seed, name)
 			}
-			if !reflect.DeepEqual(s, stats) {
-				t.Errorf("seed %d, %s: store stats %+v, want %+v", seed, name, s, stats)
+			if !reflect.DeepEqual(stats, wantStats) {
+				t.Errorf("seed %d, %s: store stats %+v, want %+v", seed, name, stats, wantStats)
 			}
 		}
+	}
+	if headsShed == 0 {
+		t.Error("no refusal fell on a get with gets buffered behind it")
 	}
 }
