@@ -10,10 +10,14 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
+	"os"
 	"sort"
+	"strconv"
+	"strings"
 
 	"kv3d/internal/kvclient"
 )
@@ -21,59 +25,61 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:11211", "server address")
 	flag.Parse()
-	runCommand(*addr, flag.Args())
+	if err := runCommand(*addr, flag.Args(), os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "kv3d-client:", err)
+		os.Exit(1)
+	}
 }
 
-func runCommand(addr string, args []string) {
+// runCommand runs one command against the server at addr and prints
+// its result to out.
+func runCommand(addr string, args []string, out io.Writer) error {
 	if len(args) == 0 {
-		log.Fatal("kv3d-client: need a command (get/set/delete/incr/stats/version)")
+		return errors.New("need a command (get/set/delete/incr/stats/version)")
+	}
+	usage := map[string]string{"get": "get <key>", "set": "set <key> <value>", "delete": "delete <key>", "incr": "incr <key> <delta>"}
+	if u, ok := usage[args[0]]; ok && len(args) != len(strings.Fields(u)) {
+		return fmt.Errorf("usage: %s", u)
+	}
+	var delta uint64
+	if args[0] == "incr" {
+		var err error
+		if delta, err = strconv.ParseUint(args[2], 10, 64); err != nil {
+			return fmt.Errorf("incr: bad delta %q: %w", args[2], err)
+		}
 	}
 	c, err := kvclient.Dial(addr)
 	if err != nil {
-		log.Fatalf("kv3d-client: %v", err)
+		return err
 	}
 	defer c.Close()
 	switch args[0] {
 	case "get":
-		if len(args) != 2 {
-			log.Fatal("usage: get <key>")
-		}
 		it, err := c.Get(args[1])
 		if err != nil {
-			log.Fatalf("get: %v", err)
+			return fmt.Errorf("get: %w", err)
 		}
-		fmt.Printf("%s\n", it.Value)
+		fmt.Fprintf(out, "%s\n", it.Value)
 	case "set":
-		if len(args) != 3 {
-			log.Fatal("usage: set <key> <value>")
-		}
 		if err := c.Set(args[1], []byte(args[2]), 0, 0); err != nil {
-			log.Fatalf("set: %v", err)
+			return fmt.Errorf("set: %w", err)
 		}
-		fmt.Println("STORED")
+		fmt.Fprintln(out, "STORED")
 	case "delete":
-		if len(args) != 2 {
-			log.Fatal("usage: delete <key>")
-		}
 		if err := c.Delete(args[1]); err != nil {
-			log.Fatalf("delete: %v", err)
+			return fmt.Errorf("delete: %w", err)
 		}
-		fmt.Println("DELETED")
+		fmt.Fprintln(out, "DELETED")
 	case "incr":
-		if len(args) != 3 {
-			log.Fatal("usage: incr <key> <delta>")
-		}
-		var delta uint64
-		fmt.Sscan(args[2], &delta)
 		v, err := c.Incr(args[1], delta)
 		if err != nil {
-			log.Fatalf("incr: %v", err)
+			return fmt.Errorf("incr: %w", err)
 		}
-		fmt.Println(v)
+		fmt.Fprintln(out, v)
 	case "stats":
 		st, err := c.Stats()
 		if err != nil {
-			log.Fatalf("stats: %v", err)
+			return fmt.Errorf("stats: %w", err)
 		}
 		names := make([]string, 0, len(st))
 		for k := range st {
@@ -81,15 +87,16 @@ func runCommand(addr string, args []string) {
 		}
 		sort.Strings(names)
 		for _, k := range names {
-			fmt.Printf("%s %s\n", k, st[k])
+			fmt.Fprintf(out, "%s %s\n", k, st[k])
 		}
 	case "version":
 		v, err := c.Version()
 		if err != nil {
-			log.Fatalf("version: %v", err)
+			return fmt.Errorf("version: %w", err)
 		}
-		fmt.Println(v)
+		fmt.Fprintln(out, v)
 	default:
-		log.Fatalf("kv3d-client: unknown command %q", args[0])
+		return fmt.Errorf("unknown command %q", args[0])
 	}
+	return nil
 }

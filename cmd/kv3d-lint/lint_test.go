@@ -266,3 +266,135 @@ func TestModulePatternExpansion(t *testing.T) {
 		t.Fatalf("got %d packages, want 2 (testdata skipped): %v", len(a.pkgs), a.pkgs)
 	}
 }
+
+// unusedNames runs the unused check over a fixture module and returns
+// the reported "kind name" pairs.
+func unusedNames(t *testing.T, files map[string]string) []string {
+	t.Helper()
+	var out []string
+	for _, f := range checkUnused(writeModule(t, files)) {
+		kindName, _, _ := strings.Cut(f.msg, " is used by")
+		out = append(out, kindName)
+	}
+	return out
+}
+
+func assertNames(t *testing.T, got []string, want ...string) {
+	t.Helper()
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("unused reported:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// TestUnusedCatchesPastFinds reseeds three finds earlier reviews made
+// by hand: a ring's Nodes and Len that only tests called, a crawler's
+// Stats method (and, without it, counters that are only incremented),
+// and a migrator's slice that is appended to and never read. A use in
+// a _test.go file does not count.
+func TestUnusedCatchesPastFinds(t *testing.T) {
+	got := unusedNames(t, map[string]string{
+		"cluster/ring.go": `package cluster
+type Ring struct{ nodes []string }
+func (r *Ring) Add(n string)     { r.nodes = append(r.nodes, n) }
+func (r *Ring) Owner() string    { return r.nodes[0] }
+func (r *Ring) Nodes() []string  { return r.nodes }
+func (r *Ring) Len() int         { return len(r.nodes) }`,
+		"cluster/ring_test.go": `package cluster
+import "testing"
+func TestLen(t *testing.T) { var r Ring; _ = r.Len(); _ = r.Nodes() }`,
+		"store/crawler.go": `package store
+type Crawler struct{ passes, reaped int }
+func (c *Crawler) Run()           { c.passes++; c.reaped += 2 }
+func (c *Crawler) Stats() (int, int) { return c.passes, c.reaped }
+type Sweeper struct{ visits int }
+func (s *Sweeper) Run() { s.visits++ }`,
+		"server/migrate.go": `package server
+type Migrator struct {
+	streams []int
+	done    int
+}
+func (m *Migrator) Start(n int) int { m.streams = append(m.streams, n); m.done = n; return m.done }`,
+		"cmd/app/main.go": `package main
+import (
+	"fake/cluster"
+	"fake/server"
+	"fake/store"
+)
+func main() {
+	var r cluster.Ring
+	r.Add("a")
+	_ = r.Owner()
+	(&store.Crawler{}).Run()
+	(&store.Sweeper{}).Run()
+	_ = (&server.Migrator{}).Start(1)
+}`,
+	})
+	assertNames(t, got,
+		"method Nodes", "method Len", "field streams", "method Stats", "field visits")
+}
+
+// TestUnusedExemptions pins what must stay silent: a String method only
+// fmt calls, heap.Interface methods, a method reached through a module
+// interface, a tagged field, a struct built positionally, and anything
+// declared in package main or internal/testutil — whose uses still
+// count. A same-named method on a type that does not implement the
+// interface is still reported: the exemption is types.Implements, not
+// a name match.
+func TestUnusedExemptions(t *testing.T) {
+	got := unusedNames(t, map[string]string{
+		"pkg/p.go": `package pkg
+import (
+	"container/heap"
+	"encoding/json"
+	"fmt"
+)
+type Temp int
+func (t Temp) String() string { return fmt.Sprint(int(t)) + "C" }
+
+type queue []int
+func (q queue) Len() int           { return len(q) }
+func (q queue) Less(i, j int) bool { return q[i] < q[j] }
+func (q queue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
+func (q *queue) Push(x any)        { *q = append(*q, x.(int)) }
+func (q *queue) Pop() any          { old := *q; x := old[len(old)-1]; *q = old[:len(old)-1]; return x }
+
+type Observer interface{ Observe(n int) }
+type counter struct{ n int }
+func (c *counter) Observe(n int) { c.n = c.n + n }
+func Notify(o Observer)         { o.Observe(1) }
+func NewCounter() *counter      { return &counter{} }
+
+type wire struct {
+	Name string ` + "`json:\"name\"`" + `
+}
+type pair struct{ a, b int }
+func Pairs() []pair { return []pair{{1, 2}} }
+
+type notStringer struct{}
+func (notStringer) String(x int) string { return fmt.Sprint(x) }
+type lenOnly []int
+func (l lenOnly) Len() int { return len(l) }
+
+func Run() string {
+	q := &queue{3, 1}
+	heap.Init(q)
+	b, _ := json.Marshal(wire{})
+	_ = notStringer{}
+	_ = lenOnly{}
+	return fmt.Sprint(Temp(3)) + string(b) + Helper()
+}`,
+		"internal/testutil/u.go": `package testutil
+func Unused() {}
+func Helper() int { return 1 }`,
+		"pkg/h.go": `package pkg
+func Helper() string { return "" }`,
+		"cmd/app/main.go": `package main
+import (
+	"fake/internal/testutil"
+	"fake/pkg"
+)
+func unusedInMain() {}
+func main() { _ = pkg.Run(); _ = testutil.Helper(); pkg.Notify(pkg.NewCounter()); _ = pkg.Pairs() }`,
+	})
+	assertNames(t, got, "method String", "method Len")
+}

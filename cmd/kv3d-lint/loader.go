@@ -125,7 +125,7 @@ func load(root string, patterns []string) (*analysis, error) {
 			a.pkgs[pkg.path] = pkg
 		}
 	}
-	if err := a.loadModuleDeps(absRoot); err != nil {
+	if err := a.loadModule(absRoot); err != nil {
 		return nil, err
 	}
 	if err := a.typeCheck(absRoot); err != nil {
@@ -134,36 +134,30 @@ func load(root string, patterns []string) (*analysis, error) {
 	return a, nil
 }
 
-// loadModuleDeps parses, transitively, every module-internal package a
-// target imports but the patterns did not match. They are type-checked
-// (imports must resolve) but never linted.
-func (a *analysis) loadModuleDeps(root string) error {
-	var queue []string
-	for _, pkg := range a.pkgs {
-		for imp := range pkg.imports {
-			queue = append(queue, imp)
-		}
+// loadModule parses every other package of the module as a dependency:
+// it is type-checked, and its uses count for the unused check, but it
+// is never linted. The unused check needs the whole module in view,
+// since a declaration's only caller may sit outside the patterns.
+func (a *analysis) loadModule(root string) error {
+	dirs, err := expandPatterns(root, []string{"./..."})
+	if err != nil {
+		return err
 	}
-	sort.Strings(queue)
-	for len(queue) > 0 {
-		p := queue[0]
-		queue = queue[1:]
-		if _, ok := a.pkgs[p]; ok {
+	loaded := map[string]bool{}
+	for _, pkg := range a.pkgs {
+		loaded[pkg.dir] = true
+	}
+	for _, dir := range dirs {
+		if loaded[dir] {
 			continue
 		}
-		rel := strings.TrimPrefix(strings.TrimPrefix(p, a.module), "/")
-		dir := filepath.Join(root, filepath.FromSlash(rel))
 		pkg, err := parsePackage(a.fset, root, a.module, dir)
 		if err != nil {
-			return fmt.Errorf("loading dependency %s: %w", p, err)
+			return err
 		}
-		if pkg == nil {
-			return fmt.Errorf("dependency %s has no Go files in %s", p, dir)
-		}
-		pkg.depOnly = true
-		a.pkgs[p] = pkg
-		for imp := range pkg.imports {
-			queue = append(queue, imp)
+		if pkg != nil {
+			pkg.depOnly = true
+			a.pkgs[pkg.path] = pkg
 		}
 	}
 	return nil

@@ -1,10 +1,11 @@
-// Command kv3d-lint is a repo-specific static analyzer guarding two
+// Command kv3d-lint is a repo-specific static analyzer guarding three
 // properties the kv3d codebase depends on and the standard toolchain
 // cannot check: determinism of the simulation layer and the live path
 // (the paper's RTT/TPS tables are only trustworthy if model code never
 // reads wall clocks or global randomness, and the live path is testable
-// only as far as its time comes from a clock.Clock), and no dropped
-// error at the sinks where a drop is silent data loss.
+// only as far as its time comes from a clock.Clock), no dropped error
+// at the sinks where a drop is silent data loss, and no declaration
+// that only tests reach.
 //
 // It is stdlib-only (go/ast, go/parser, go/token, go/types, go/importer)
 // so it runs with `go run ./cmd/kv3d-lint ./...` in any environment that
@@ -21,6 +22,8 @@
 //	determinism   wall-clock and global-rand calls in packages the
 //	              simulator or the live path reaches
 //	errdrop       dropped errors at flush/conn-write/renderer sinks
+//	unused        declarations and struct fields no non-test file of
+//	              the module uses (a field counts only when read)
 //
 // Findings print as "file:line:col: [check] message". A finding is
 // suppressed by an end-of-line directive `//nolint:kv3d -- <reason>`;
@@ -53,6 +56,7 @@ var checks = []struct {
 }{
 	{"determinism", checkDeterminism},
 	{"errdrop", checkErrDrop},
+	{"unused", checkUnused},
 }
 
 // run is the whole linter behind a testable seam: root is the

@@ -73,13 +73,12 @@ type published struct {
 	threads  int
 	memoryGB int
 	powerW   float64
-	tpsM     float64
 }
 
 var publishedPoints = map[Version]published{
-	V14:  {threads: 6, memoryGB: 12, powerW: 143, tpsM: 0.41},
-	V16:  {threads: 4, memoryGB: 128, powerW: 159, tpsM: 0.52},
-	Bags: {threads: 16, memoryGB: 128, powerW: 285, tpsM: 3.15},
+	V14:  {threads: 6, memoryGB: 12, powerW: 143},
+	V16:  {threads: 4, memoryGB: 128, powerW: 159},
+	Bags: {threads: 16, memoryGB: 128, powerW: 285},
 }
 
 // Reference returns the published Table 4 configuration for a version.

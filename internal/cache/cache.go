@@ -6,16 +6,10 @@
 // L2 (at L2 latency) and how many go to memory?
 package cache
 
-import (
-	"kv3d/internal/sim"
-)
-
 // Hierarchy describes the cache configuration above memory.
 type Hierarchy struct {
 	// HasL2 toggles the 2MB L2.
 	HasL2 bool
-	// L2SizeBytes is informational (area/power accounting lives in phys).
-	L2SizeBytes int64
 	// L2HitRate is the fraction of L1 misses the L2 absorbs in steady
 	// state. The memcached instruction footprint plus hot metadata fit
 	// in 2MB, so this is high; the remainder is per-request-unique data
@@ -33,7 +27,6 @@ func None() Hierarchy { return Hierarchy{} }
 func L2MB2() Hierarchy {
 	return Hierarchy{
 		HasL2:           true,
-		L2SizeBytes:     2 << 20,
 		L2HitRate:       0.995,
 		L2LatencyCycles: 12,
 	}
@@ -50,16 +43,6 @@ func (h Hierarchy) Split(l1Misses float64) (l2Served, memBound float64) {
 	}
 	l2Served = l1Misses * h.L2HitRate
 	return l2Served, l1Misses - l2Served
-}
-
-// StallLatency computes the total (un-overlapped) miss latency for a
-// block: L2 hits pay the L2 lookup, memory trips pay lookup plus the
-// memory access latency supplied by the memory model.
-func (h Hierarchy) StallLatency(l1Misses float64, cycle sim.Duration, memLatency sim.Duration) sim.Duration {
-	l2Served, memBound := h.Split(l1Misses)
-	lookup := float64(cycle) * h.L2LatencyCycles
-	total := l2Served*lookup + memBound*(lookup+float64(memLatency))
-	return sim.Duration(total)
 }
 
 // String names the configuration for experiment labels.

@@ -22,7 +22,7 @@ func TestNone(t *testing.T) {
 
 func TestL2MB2(t *testing.T) {
 	h := L2MB2()
-	if !h.HasL2 || h.L2SizeBytes != 2<<20 {
+	if !h.HasL2 || h.L2HitRate != 0.995 {
 		t.Fatalf("config = %+v", h)
 	}
 	l2, mem := h.Split(1000)
@@ -81,4 +81,16 @@ func TestStallLatencyL2CostsAtFastMemory(t *testing.T) {
 	if withL2 <= without {
 		t.Fatalf("at 10ns, L2 (%v) should not beat direct access (%v)", withL2, without)
 	}
+}
+
+// StallLatency computes the total (un-overlapped) miss latency for a
+// block: L2 hits pay the L2 lookup, memory trips pay lookup plus the
+// memory access latency supplied by the memory model. It is the
+// reference the tests hold the hierarchy's parameters to; the stack
+// model's stallTime adds the core's memory-level parallelism on top.
+func (h Hierarchy) StallLatency(l1Misses float64, cycle sim.Duration, memLatency sim.Duration) sim.Duration {
+	l2Served, memBound := h.Split(l1Misses)
+	lookup := float64(cycle) * h.L2LatencyCycles
+	total := l2Served*lookup + memBound*(lookup+float64(memLatency))
+	return sim.Duration(total)
 }

@@ -111,7 +111,7 @@ func (f *Fake) Advance(d time.Duration) {
 
 // BlockUntil returns once n goroutines wait on an unfired After, so an
 // Advance cannot race a timer that is yet to be set.
-func (f *Fake) BlockUntil(n int) {
+func (f *Fake) BlockUntil(n int) { //nolint:kv3d -- kvstore's crawler tests wait on the crawler's timer with it
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for len(f.waiters) < n {

@@ -168,17 +168,3 @@ func (r *Ring) search(h uint64) int {
 	}
 	return i
 }
-
-// Distribution counts, for a sample of numKeys synthetic keys, how many
-// land on each node — used to validate balance.
-func (r *Ring) Distribution(numKeys int) map[string]int {
-	out := make(map[string]int)
-	for i := 0; i < numKeys; i++ {
-		node, err := r.Locate(fmt.Sprintf("sample-key-%d", i))
-		if err != nil {
-			return out
-		}
-		out[node]++
-	}
-	return out
-}

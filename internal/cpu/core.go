@@ -1,6 +1,6 @@
 // Package cpu provides the core timing models used by the Mercury and
-// Iridium stack simulations: ARM Cortex-A7 (in-order), Cortex-A15
-// (out-of-order) and a Xeon-class server core for baselines.
+// Iridium stack simulations: ARM Cortex-A7 (in-order) and Cortex-A15
+// (out-of-order).
 //
 // The model is request-level, matching the paper's methodology: a
 // request executes instruction blocks whose time is instructions /
@@ -55,26 +55,15 @@ type Core struct {
 	// movement through the kernel network path (copy + checksum),
 	// largely memory-bound and therefore only weakly frequency-scaled.
 	StreamBytesPerSec float64
-	// PowerW and AreaMM2 are the Table 1 figures.
-	PowerW  float64
-	AreaMM2 float64
-	// OutOfOrder is informational (A15, Xeon).
-	OutOfOrder bool
+	// PowerW is the Table 1 figure.
+	PowerW float64
 }
 
 // Table 1 power/area constants from the paper.
 const (
-	a7PowerW      = 0.100 // A7 @1GHz
-	a15PowerW1G   = 0.600 // A15 @1GHz
-	a15PowerW15G  = 1.000 // A15 @1.5GHz
-	a7AreaMM2     = 0.58
-	a15AreaMM2    = 2.82
-	xeonPowerW    = 12.0 // per core, conventional server class
-	xeonAreaMM2   = 20.0
-	xeonFreqHz    = 2.5e9
-	xeonIPC       = 1.6
-	xeonMLP       = 4.0
-	xeonStreamBps = 3.0e9
+	a7PowerW     = 0.100 // A7 @1GHz
+	a15PowerW1G  = 0.600 // A15 @1GHz
+	a15PowerW15G = 1.000 // A15 @1.5GHz
 )
 
 // CortexA7 returns the 1GHz in-order A7 model used by Mercury/Iridium.
@@ -86,7 +75,6 @@ func CortexA7() Core {
 		MLP:               1.0,
 		StreamBytesPerSec: 240e6,
 		PowerW:            a7PowerW,
-		AreaMM2:           a7AreaMM2,
 	}
 }
 
@@ -98,8 +86,6 @@ func CortexA15(freqHz float64) (Core, error) {
 		Kind:              KindA15,
 		IPC:               1.15,
 		MLP:               2.0,
-		OutOfOrder:        true,
-		AreaMM2:           a15AreaMM2,
 		StreamBytesPerSec: 360e6,
 	}
 	switch freqHz {
@@ -124,21 +110,6 @@ func MustCortexA15(freqHz float64) Core {
 		panic(err)
 	}
 	return c
-}
-
-// Xeon returns a conventional out-of-order server core for the baseline
-// comparisons (Table 4's "state-of-the-art server").
-func Xeon() Core {
-	return Core{
-		Kind:              KindXeon,
-		FreqHz:            xeonFreqHz,
-		IPC:               xeonIPC,
-		MLP:               xeonMLP,
-		StreamBytesPerSec: xeonStreamBps,
-		PowerW:            xeonPowerW,
-		AreaMM2:           xeonAreaMM2,
-		OutOfOrder:        true,
-	}
 }
 
 // Name renders e.g. "Cortex-A15 @1.5GHz".
@@ -185,15 +156,9 @@ func (c Core) EffectiveMLP(missLatency sim.Duration) float64 {
 	return mlp
 }
 
-// StallTime converts an aggregate miss-latency sum into core stall time,
-// applying the core's memory-level parallelism for misses of the given
-// individual latency.
-func (c Core) StallTime(totalMissLatency sim.Duration) sim.Duration {
-	return c.StallTimeAt(totalMissLatency, 0)
-}
-
-// StallTimeAt is StallTime with the per-miss latency made explicit so
-// Flash-class misses are not overlapped.
+// StallTimeAt converts an aggregate miss-latency sum into core stall
+// time, applying the core's memory-level parallelism for misses of the
+// given individual latency, so Flash-class misses are not overlapped.
 func (c Core) StallTimeAt(totalMissLatency, perMiss sim.Duration) sim.Duration {
 	if totalMissLatency <= 0 {
 		return 0

@@ -78,5 +78,5 @@ func DRAMSim(o Options) (Result, error) {
 		ppMean.String(), flat.String(),
 		fmt.Sprintf("%+.1f%%", 100*(ppMean.Seconds()-flat.Seconds())/flat.Seconds()))
 
-	return Result{ID: "dramsim", Title: "Bank-level DRAM validation", Tables: []*report.Table{t}}, nil
+	return Result{ID: "dramsim", Tables: []*report.Table{t}}, nil
 }

@@ -69,7 +69,7 @@ func EvictionQuality(o Options) (Result, error) {
 			fmt.Sprintf("%.1f", store*100),
 			fmt.Sprintf("%.1f pp", (lru-store)*100))
 	}
-	return Result{ID: "eviction", Title: "Eviction quality", Tables: []*report.Table{t}}, nil
+	return Result{ID: "eviction", Tables: []*report.Table{t}}, nil
 }
 
 // newEvictionStore builds the one-shard store a scenario runs against.

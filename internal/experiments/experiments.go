@@ -26,7 +26,6 @@ type Options struct {
 // Result is one regenerated experiment.
 type Result struct {
 	ID     string
-	Title  string
 	Tables []*report.Table
 }
 

@@ -50,7 +50,7 @@ func Thermal(o Options) (Result, error) {
 			}
 		}
 	}
-	return Result{ID: "thermal", Title: "Cooling analysis", Tables: []*report.Table{t}}, nil
+	return Result{ID: "thermal", Tables: []*report.Table{t}}, nil
 }
 
 func yesNo(b bool) string {

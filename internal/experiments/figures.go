@@ -67,7 +67,7 @@ func Figure4(o Options) (Result, error) {
 		}
 		tables = append(tables, t)
 	}
-	return Result{ID: "fig4", Title: "Request breakdown", Tables: tables}, nil
+	return Result{ID: "fig4", Tables: tables}, nil
 }
 
 // coreCacheConfigs are the four panels of Figures 5 and 6.
@@ -140,7 +140,7 @@ func Figure5(o Options) (Result, error) {
 		}
 		tables = append(tables, t)
 	}
-	return Result{ID: "fig5", Title: "Mercury-1 DRAM latency sensitivity", Tables: tables}, nil
+	return Result{ID: "fig5", Tables: tables}, nil
 }
 
 // Figure6 reproduces the Iridium-1 Flash-latency sensitivity sweep.
@@ -161,7 +161,7 @@ func Figure6(o Options) (Result, error) {
 		}
 		tables = append(tables, t)
 	}
-	return Result{ID: "fig6", Title: "Iridium-1 Flash latency sensitivity", Tables: tables}, nil
+	return Result{ID: "fig6", Tables: tables}, nil
 }
 
 // densityThroughput is shared by Figures 7 and 8.
@@ -184,7 +184,7 @@ func densityThroughput(o Options, id, title string, mk func(cpu.Core, int) serve
 				fmt.Sprintf("%.2f", e.TPS64B/1e6))
 		}
 	}
-	return Result{ID: id, Title: title, Tables: []*report.Table{t}}, nil
+	return Result{ID: id, Tables: []*report.Table{t}}, nil
 }
 
 // Figure7 reproduces density vs throughput for Mercury and Iridium.
@@ -197,7 +197,7 @@ func Figure7(o Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return Result{ID: "fig7", Title: "Density and throughput",
+	return Result{ID: "fig7",
 		Tables: append(ma.Tables, ib.Tables...)}, nil
 }
 
@@ -211,6 +211,6 @@ func Figure8(o Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return Result{ID: "fig8", Title: "Power and throughput",
+	return Result{ID: "fig8",
 		Tables: append(ma.Tables, ib.Tables...)}, nil
 }

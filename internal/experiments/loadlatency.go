@@ -93,7 +93,7 @@ func LoadLatency(o Options) (Result, error) {
 		}
 		tables = append(tables, t)
 	}
-	return Result{ID: "loadlatency", Title: "Open-loop load vs latency", Tables: tables}, nil
+	return Result{ID: "loadlatency", Tables: tables}, nil
 }
 
 // writeTrace dumps a recorded tracer to path as trace-event JSON.

@@ -102,7 +102,6 @@ func Multiget(o Options) (Result, error) {
 
 	return Result{
 		ID:     "multiget",
-		Title:  "Batched GET amortization",
 		Tables: []*report.Table{simT, liveT},
 	}, nil
 }

@@ -24,7 +24,7 @@ func Table1(Options) (Result, error) {
 		}
 		t.AddRow(row.Component, power, fmt.Sprintf("%.2f", row.AreaMM2))
 	}
-	return Result{ID: "table1", Title: "Component power and area", Tables: []*report.Table{t}}, nil
+	return Result{ID: "table1", Tables: []*report.Table{t}}, nil
 }
 
 // Table2 reproduces the memory technology comparison.
@@ -40,7 +40,7 @@ func Table2(Options) (Result, error) {
 		}
 		t.AddRow(tech.Name, tech.BandwidthGBps, report.Bytes(tech.CapacityBytes), stacked)
 	}
-	return Result{ID: "table2", Title: "Memory technologies", Tables: []*report.Table{t}}, nil
+	return Result{ID: "table2", Tables: []*report.Table{t}}, nil
 }
 
 // table3Counts trims the sweep in quick mode.
@@ -77,7 +77,7 @@ func Table3(o Options) (Result, error) {
 		}
 		tables = append(tables, t)
 	}
-	return Result{ID: "table3", Title: "1.5U maximum configurations", Tables: tables}, nil
+	return Result{ID: "table3", Tables: tables}, nil
 }
 
 // Table4 reproduces the comparison of A7-based Mercury and Iridium
@@ -173,5 +173,5 @@ func Table4(o Options) (Result, error) {
 		fmt.Sprintf("%.1fx (3.5x)", best.TPSPerGB()/bags.TPSPerGB()),
 		fmt.Sprintf("%.2fx (0.36x)", bestIridium.TPSPerGB()/bags.TPSPerGB()))
 
-	return Result{ID: "table4", Title: "Comparison to prior art", Tables: []*report.Table{t, h}}, nil
+	return Result{ID: "table4", Tables: []*report.Table{t, h}}, nil
 }

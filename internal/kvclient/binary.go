@@ -45,12 +45,7 @@ type BinaryClient struct {
 	opaques    []uint32
 }
 
-// DialBinary connects to a memcached server's binary protocol.
-func DialBinary(addr string) (*BinaryClient, error) {
-	return DialBinaryOptions(addr, Options{})
-}
-
-// DialBinaryOptions connects with full option control.
+// DialBinaryOptions connects to a memcached server's binary protocol.
 func DialBinaryOptions(addr string, o Options) (*BinaryClient, error) {
 	o = o.withDefaults()
 	conn, err := net.DialTimeout("tcp", addr, o.DialTimeout)
@@ -93,14 +88,10 @@ func (b *BinaryClient) flush() error {
 	return b.w.Flush()
 }
 
-// writeRequest buffers one request frame and returns its opaque.
-func (b *BinaryClient) writeRequest(opcode byte, key string, extras, value []byte, cas uint64) uint32 {
-	return b.writeRequestVbucket(opcode, key, extras, value, cas, 0)
-}
-
-// writeRequestVbucket is writeRequest with an explicit vbucket field —
-// the carrier of the per-op replication mode (see protocol.ReplMode).
-func (b *BinaryClient) writeRequestVbucket(opcode byte, key string, extras, value []byte, cas uint64, vbucket uint16) uint32 {
+// writeRequest buffers one request frame and returns its opaque. The
+// vbucket field carries the per-op replication mode (see
+// protocol.ReplMode).
+func (b *BinaryClient) writeRequest(opcode byte, key string, extras, value []byte, vbucket uint16) uint32 {
 	opaque := b.takeOpaque()
 	hdr := &b.wHdr
 	hdr[0] = protocol.MagicRequest
@@ -110,7 +101,6 @@ func (b *BinaryClient) writeRequestVbucket(opcode byte, key string, extras, valu
 	binary.BigEndian.PutUint16(hdr[6:], vbucket)
 	binary.BigEndian.PutUint32(hdr[8:], uint32(len(extras)+len(key)+len(value)))
 	binary.BigEndian.PutUint32(hdr[12:], opaque)
-	binary.BigEndian.PutUint64(hdr[16:], cas)
 	b.w.Write(hdr[:])
 	b.w.Write(extras)
 	b.w.WriteString(key)
@@ -120,12 +110,8 @@ func (b *BinaryClient) writeRequestVbucket(opcode byte, key string, extras, valu
 
 // binResp is one parsed response frame.
 type binResp struct {
-	opcode byte
 	status uint16
 	opaque uint32
-	cas    uint64
-	extras []byte
-	key    []byte
 	value  []byte
 }
 
@@ -151,12 +137,8 @@ func (b *BinaryClient) readResponse() (binResp, error) {
 		return binResp{}, err
 	}
 	return binResp{
-		opcode: hdr[1],
 		status: binary.BigEndian.Uint16(hdr[6:]),
 		opaque: binary.BigEndian.Uint32(hdr[12:]),
-		cas:    binary.BigEndian.Uint64(hdr[16:]),
-		extras: body[:extLen],
-		key:    body[extLen : extLen+keyLen],
 		value:  body[extLen+keyLen:],
 	}, nil
 }
@@ -169,8 +151,6 @@ func statusErr(status uint16, value []byte) error {
 		return nil
 	case protocol.StatusKeyNotFound:
 		return ErrNotFound
-	case protocol.StatusKeyExists:
-		return ErrExists
 	case protocol.StatusNotStored:
 		return ErrNotStored
 	case protocol.StatusBusy:
@@ -213,11 +193,7 @@ func (b *BinaryClient) Get(key string) (Item, error) {
 	if err := statusErr(resp.status, resp.value); err != nil {
 		return Item{}, err
 	}
-	var flags uint32
-	if len(resp.extras) >= 4 {
-		flags = binary.BigEndian.Uint32(resp.extras)
-	}
-	return Item{Key: key, Value: resp.value, Flags: flags, CAS: resp.cas}, nil
+	return Item{Key: key, Value: resp.value}, nil
 }
 
 // GetMulti fetches several keys in one pipelined round trip; missing
@@ -260,11 +236,7 @@ func (b *BinaryClient) GetMulti(keys []string) (map[string]Item, error) {
 		if serr != nil {
 			return nil, serr
 		}
-		var flags uint32
-		if len(resp.extras) >= 4 {
-			flags = binary.BigEndian.Uint32(resp.extras)
-		}
-		out[k] = Item{Key: k, Value: resp.value, Flags: flags, CAS: resp.cas}
+		out[k] = Item{Key: k, Value: resp.value}
 	}
 	return out, nil
 }
@@ -284,7 +256,7 @@ func (b *BinaryClient) SetWithMode(key string, value []byte, flags uint32, expti
 	var extras [8]byte
 	binary.BigEndian.PutUint32(extras[:], flags)
 	binary.BigEndian.PutUint32(extras[4:], uint32(exptime))
-	opaque := b.writeRequestVbucket(protocol.OpSet, key, extras[:], value, 0, uint16(mode))
+	opaque := b.writeRequest(protocol.OpSet, key, extras[:], value, uint16(mode))
 	resp, err := b.roundTrip(opaque)
 	if err != nil {
 		return err
@@ -292,15 +264,10 @@ func (b *BinaryClient) SetWithMode(key string, value []byte, flags uint32, expti
 	return statusErr(resp.status, resp.value)
 }
 
-// Delete removes a key with the server's default replication mode.
-func (b *BinaryClient) Delete(key string) error {
-	return b.DeleteWithMode(key, protocol.ReplDefault)
-}
-
-// DeleteWithMode removes a key with an explicit per-op replication
-// mode, as on SetWithMode.
+// DeleteWithMode removes a key with a per-op replication mode, as on
+// SetWithMode; ErrNotFound when the key is absent.
 func (b *BinaryClient) DeleteWithMode(key string, mode protocol.ReplMode) error {
-	opaque := b.writeRequestVbucket(protocol.OpDelete, key, nil, nil, 0, uint16(mode))
+	opaque := b.writeRequest(protocol.OpDelete, key, nil, nil, uint16(mode))
 	resp, err := b.roundTrip(opaque)
 	if err != nil {
 		return err
@@ -308,18 +275,12 @@ func (b *BinaryClient) DeleteWithMode(key string, mode protocol.ReplMode) error 
 	return statusErr(resp.status, resp.value)
 }
 
-// Touch updates a key's TTL with the server's default replication mode;
-// ErrNotFound when the key is absent.
-func (b *BinaryClient) Touch(key string, exptime int64) error {
-	return b.TouchWithMode(key, exptime, protocol.ReplDefault)
-}
-
-// TouchWithMode updates a key's TTL with an explicit per-op replication
-// mode, as on SetWithMode.
+// TouchWithMode updates a key's TTL with a per-op replication mode, as
+// on SetWithMode; ErrNotFound when the key is absent.
 func (b *BinaryClient) TouchWithMode(key string, exptime int64, mode protocol.ReplMode) error {
 	var extras [4]byte
 	binary.BigEndian.PutUint32(extras[:], uint32(exptime))
-	opaque := b.writeRequestVbucket(protocol.OpTouch, key, extras[:], nil, 0, uint16(mode))
+	opaque := b.writeRequest(protocol.OpTouch, key, extras[:], nil, uint16(mode))
 	resp, err := b.roundTrip(opaque)
 	if err != nil {
 		return err
@@ -327,15 +288,10 @@ func (b *BinaryClient) TouchWithMode(key string, exptime int64, mode protocol.Re
 	return statusErr(resp.status, resp.value)
 }
 
-// Flush invalidates the whole cache after delay seconds (0 = now) with
-// the server's default replication mode.
-func (b *BinaryClient) Flush(delay int64) error {
-	return b.FlushWithMode(delay, protocol.ReplDefault)
-}
-
-// FlushWithMode is Flush with an explicit per-op replication mode. A
-// zero delay sends no extras; a non-zero delay rides the optional
-// 4-byte extras field.
+// FlushWithMode invalidates the whole cache after delay seconds (0 =
+// now) with a per-op replication mode, as on SetWithMode. A zero delay
+// sends no extras; a non-zero delay rides the optional 4-byte extras
+// field.
 func (b *BinaryClient) FlushWithMode(delay int64, mode protocol.ReplMode) error {
 	var extras []byte
 	if delay != 0 {
@@ -343,18 +299,7 @@ func (b *BinaryClient) FlushWithMode(delay int64, mode protocol.ReplMode) error 
 		binary.BigEndian.PutUint32(buf[:], uint32(delay))
 		extras = buf[:]
 	}
-	opaque := b.writeRequestVbucket(protocol.OpFlush, "", extras, nil, 0, uint16(mode))
-	resp, err := b.roundTrip(opaque)
-	if err != nil {
-		return err
-	}
-	return statusErr(resp.status, resp.value)
-}
-
-// Noop round-trips an empty command — a liveness probe that also acts
-// as a pipeline barrier.
-func (b *BinaryClient) Noop() error {
-	opaque := b.writeRequest(protocol.OpNoop, "", nil, nil, 0)
+	opaque := b.writeRequest(protocol.OpFlush, "", extras, nil, uint16(mode))
 	resp, err := b.roundTrip(opaque)
 	if err != nil {
 		return err

@@ -6,6 +6,7 @@ import (
 
 	"kv3d/internal/kvserver"
 	"kv3d/internal/kvstore"
+	"kv3d/internal/protocol"
 	"kv3d/internal/testutil"
 )
 
@@ -40,7 +41,7 @@ func waitServerIdle(t *testing.T, srv *kvserver.Server) {
 func TestBinaryClientOps(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	srv, addr := startServer(t)
-	bc, err := DialBinary(addr)
+	bc, err := DialBinaryOptions(addr, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,8 +52,8 @@ func TestBinaryClientOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(it.Value) != "bv" || it.Flags != 7 {
-		t.Fatalf("got %q flags %d", it.Value, it.Flags)
+	if string(it.Value) != "bv" {
+		t.Fatalf("got %q", it.Value)
 	}
 	if _, err := bc.Get("missing"); err != ErrNotFound {
 		t.Fatalf("get missing: %v", err)
@@ -67,13 +68,10 @@ func TestBinaryClientOps(t *testing.T) {
 	if len(items) != 2 || string(items["bk2"].Value) != "v2" {
 		t.Fatalf("multiget = %v", items)
 	}
-	if err := bc.Noop(); err != nil {
+	if err := bc.DeleteWithMode("bk", protocol.ReplDefault); err != nil {
 		t.Fatal(err)
 	}
-	if err := bc.Delete("bk"); err != nil {
-		t.Fatal(err)
-	}
-	if err := bc.Delete("bk"); err != ErrNotFound {
+	if err := bc.DeleteWithMode("bk", protocol.ReplDefault); err != ErrNotFound {
 		t.Fatalf("double delete: %v", err)
 	}
 	if err := bc.Close(); err != nil {
@@ -96,7 +94,7 @@ func TestBinaryClientLifecycleNoLeak(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	srv, addr := startServer(t)
 	for i := 0; i < 3; i++ {
-		bc, err := DialBinary(addr)
+		bc, err := DialBinaryOptions(addr, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +116,7 @@ func TestBinaryClientLifecycleNoLeak(t *testing.T) {
 func TestBinaryClientOpsAfterCloseFail(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	srv, addr := startServer(t)
-	bc, err := DialBinary(addr)
+	bc, err := DialBinaryOptions(addr, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,6 @@ import (
 var (
 	ErrNotFound  = errors.New("kvclient: not found")
 	ErrNotStored = errors.New("kvclient: not stored")
-	ErrExists    = errors.New("kvclient: exists")
 	ErrServer    = errors.New("kvclient: server error")
 	ErrClient    = errors.New("kvclient: client error")
 	ErrProtocol  = errors.New("kvclient: protocol error")
@@ -168,17 +167,12 @@ func classify(line string) error {
 type Item struct {
 	Key   string
 	Value []byte
-	Flags uint32
-	CAS   uint64
 }
 
-func (c *Client) store(verb, key string, value []byte, flags uint32, exptime int64, cas uint64) error {
+// Set stores a value unconditionally.
+func (c *Client) Set(key string, value []byte, flags uint32, exptime int64) error {
 	c.armWrite()
-	if verb == "cas" {
-		fmt.Fprintf(c.w, "cas %s %d %d %d %d\r\n", key, flags, exptime, len(value), cas)
-	} else {
-		fmt.Fprintf(c.w, "%s %s %d %d %d\r\n", verb, key, flags, exptime, len(value))
-	}
+	fmt.Fprintf(c.w, "set %s %d %d %d\r\n", key, flags, exptime, len(value))
 	c.w.Write(value)
 	c.w.WriteString("\r\n")
 	if err := c.flush(); err != nil {
@@ -193,60 +187,14 @@ func (c *Client) store(verb, key string, value []byte, flags uint32, exptime int
 		return nil
 	case "NOT_STORED":
 		return ErrNotStored
-	case "EXISTS":
-		return ErrExists
-	case "NOT_FOUND":
-		return ErrNotFound
 	default:
 		return classify(line)
 	}
 }
 
-// Set stores a value unconditionally.
-func (c *Client) Set(key string, value []byte, flags uint32, exptime int64) error {
-	return c.store("set", key, value, flags, exptime, 0)
-}
-
-// Add stores only if absent.
-func (c *Client) Add(key string, value []byte, flags uint32, exptime int64) error {
-	return c.store("add", key, value, flags, exptime, 0)
-}
-
-// Replace stores only if present.
-func (c *Client) Replace(key string, value []byte, flags uint32, exptime int64) error {
-	return c.store("replace", key, value, flags, exptime, 0)
-}
-
-// Append appends to an existing value.
-func (c *Client) Append(key string, value []byte) error {
-	return c.store("append", key, value, 0, 0, 0)
-}
-
-// Prepend prepends to an existing value.
-func (c *Client) Prepend(key string, value []byte) error {
-	return c.store("prepend", key, value, 0, 0, 0)
-}
-
-// CAS stores if the server-side CAS id still matches.
-func (c *Client) CAS(key string, value []byte, flags uint32, exptime int64, cas uint64) error {
-	return c.store("cas", key, value, flags, exptime, cas)
-}
-
 // Get fetches one key; ErrNotFound on miss.
 func (c *Client) Get(key string) (Item, error) {
-	items, err := c.getMulti("get", []string{key})
-	if err != nil {
-		return Item{}, err
-	}
-	if len(items) == 0 {
-		return Item{}, ErrNotFound
-	}
-	return items[0], nil
-}
-
-// Gets fetches one key including its CAS id.
-func (c *Client) Gets(key string) (Item, error) {
-	items, err := c.getMulti("gets", []string{key})
+	items, err := c.getMulti([]string{key})
 	if err != nil {
 		return Item{}, err
 	}
@@ -259,7 +207,7 @@ func (c *Client) Gets(key string) (Item, error) {
 // GetMulti fetches several keys in one round trip; missing keys are
 // simply absent from the result.
 func (c *Client) GetMulti(keys []string) (map[string]Item, error) {
-	items, err := c.getMulti("get", keys)
+	items, err := c.getMulti(keys)
 	if err != nil {
 		return nil, err
 	}
@@ -270,7 +218,7 @@ func (c *Client) GetMulti(keys []string) (map[string]Item, error) {
 	return out, nil
 }
 
-func (c *Client) getMulti(verb string, keys []string) ([]Item, error) {
+func (c *Client) getMulti(keys []string) ([]Item, error) {
 	// A zero-key multiget would serialize as "get \r\n" — a malformed
 	// request the server answers with ERROR, leaving the caller with a
 	// protocol error for what is semantically an empty result. The same
@@ -294,7 +242,7 @@ func (c *Client) getMulti(verb string, keys []string) ([]Item, error) {
 		return nil, nil
 	}
 	c.armWrite()
-	c.w.WriteString(verb)
+	c.w.WriteString("get")
 	for _, k := range unique {
 		c.w.WriteByte(' ')
 		c.w.WriteString(k)
@@ -316,20 +264,9 @@ func (c *Client) getMulti(verb string, keys []string) ([]Item, error) {
 		if len(fields) < 4 || fields[0] != "VALUE" {
 			return nil, classify(line)
 		}
-		flags, err := strconv.ParseUint(fields[2], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("%w: bad flags %q", ErrProtocol, fields[2])
-		}
 		n, err := strconv.Atoi(fields[3])
 		if err != nil || n < 0 {
 			return nil, fmt.Errorf("%w: bad length %q", ErrProtocol, fields[3])
-		}
-		var cas uint64
-		if len(fields) >= 5 {
-			cas, err = strconv.ParseUint(fields[4], 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("%w: bad cas %q", ErrProtocol, fields[4])
-			}
 		}
 		buf := make([]byte, n+2)
 		c.armRead()
@@ -343,7 +280,7 @@ func (c *Client) getMulti(verb string, keys []string) ([]Item, error) {
 		if buf[n] != '\r' || buf[n+1] != '\n' {
 			return nil, fmt.Errorf("%w: value for %q not terminated by CRLF (stream desynchronized)", ErrProtocol, fields[1])
 		}
-		items = append(items, Item{Key: fields[1], Value: buf[:n], Flags: uint32(flags), CAS: cas})
+		items = append(items, Item{Key: fields[1], Value: buf[:n]})
 	}
 }
 
@@ -369,16 +306,7 @@ func (c *Client) Delete(key string) error {
 
 // Incr increments a numeric value.
 func (c *Client) Incr(key string, delta uint64) (uint64, error) {
-	return c.incrDecr("incr", key, delta)
-}
-
-// Decr decrements a numeric value (floored at 0).
-func (c *Client) Decr(key string, delta uint64) (uint64, error) {
-	return c.incrDecr("decr", key, delta)
-}
-
-func (c *Client) incrDecr(verb, key string, delta uint64) (uint64, error) {
-	fmt.Fprintf(c.w, "%s %s %d\r\n", verb, key, delta)
+	fmt.Fprintf(c.w, "incr %s %d\r\n", key, delta)
 	if err := c.flush(); err != nil {
 		return 0, err
 	}
@@ -394,46 +322,6 @@ func (c *Client) incrDecr(verb, key string, delta uint64) (uint64, error) {
 		return 0, classify(line)
 	}
 	return v, nil
-}
-
-// Touch updates a key's TTL.
-func (c *Client) Touch(key string, exptime int64) error {
-	fmt.Fprintf(c.w, "touch %s %d\r\n", key, exptime)
-	if err := c.flush(); err != nil {
-		return err
-	}
-	line, err := c.readLine()
-	if err != nil {
-		return err
-	}
-	switch line {
-	case "TOUCHED":
-		return nil
-	case "NOT_FOUND":
-		return ErrNotFound
-	default:
-		return classify(line)
-	}
-}
-
-// FlushAll invalidates the whole cache after delay seconds.
-func (c *Client) FlushAll(delay int64) error {
-	if delay > 0 {
-		fmt.Fprintf(c.w, "flush_all %d\r\n", delay)
-	} else {
-		fmt.Fprint(c.w, "flush_all\r\n")
-	}
-	if err := c.flush(); err != nil {
-		return err
-	}
-	line, err := c.readLine()
-	if err != nil {
-		return err
-	}
-	if line != "OK" {
-		return classify(line)
-	}
-	return nil
 }
 
 // Stats fetches the server's STAT map.

@@ -63,7 +63,11 @@ func TestFlightSinkZeroAllocPerOp(t *testing.T) {
 		t.Fatalf("flight-traced binary GET allocates %v per op (session totals: %v @ %d ops, %v @ %d ops), want 0",
 			perOp, allocsSmall, small, allocsLarge, large)
 	}
-	if srv.Flight().Len() == 0 {
+	var trace bytes.Buffer
+	if err := srv.Flight().WriteTraceJSON(&trace); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(trace.Bytes(), []byte(`"ts":`)) {
 		t.Fatal("the flight recorder saw no events")
 	}
 }

@@ -72,7 +72,7 @@ func newRouter(t *testing.T, ring *cluster.Ring) *router {
 // answered reports whether err is a server's reply rather than a
 // transport failure.
 func answered(err error) bool {
-	for _, e := range []error{kvclient.ErrNotFound, kvclient.ErrNotStored, kvclient.ErrExists, kvclient.ErrServer, kvclient.ErrClient} {
+	for _, e := range []error{kvclient.ErrNotFound, kvclient.ErrNotStored, kvclient.ErrServer, kvclient.ErrClient} {
 		if errors.Is(err, e) {
 			return true
 		}

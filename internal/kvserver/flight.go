@@ -88,14 +88,3 @@ func (sf *serverFlight) conns(name string, active int64) {
 		sf.rec.Counter(sf.life, "conns.active", ts, active)
 	}
 }
-
-// reject records a refused accept: rejectConn, the only caller, passes
-// RejectMaxConns or RejectDraining. Requests the in-flight gate sheds
-// are counted (OpMetrics) and traced as busy-outcome spans, not here.
-func (sf *serverFlight) reject(reason RejectReason) {
-	name := "reject.max_conns"
-	if reason == RejectDraining {
-		name = "reject.draining"
-	}
-	sf.lifecycle(name)
-}

@@ -25,8 +25,6 @@ const (
 	RejectMaxConns RejectReason = iota
 	// RejectBusy is a request shed by the in-flight cap.
 	RejectBusy
-	// RejectDraining is an accept refused during graceful shutdown.
-	RejectDraining
 
 	numRejectReasons
 )
@@ -37,8 +35,6 @@ func (r RejectReason) String() string {
 		return "max_conns"
 	case RejectBusy:
 		return "busy"
-	case RejectDraining:
-		return "draining"
 	}
 	return "unknown"
 }

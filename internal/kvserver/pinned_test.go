@@ -8,6 +8,7 @@ package kvserver
 // carries a value some write stored.
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -145,7 +146,7 @@ func TestPinnedRepliesMatchCopyPath(t *testing.T) {
 			go func() {
 				defer close(done)
 				defer server.Close()
-				if err := protocol.ServeConn(st, server, protocol.Env{}); err != nil {
+				if err := protocol.ServeConnIdle(st, server, protocol.Env{}, 0); err != nil {
 					t.Error(err)
 				}
 			}()
@@ -336,7 +337,7 @@ func TestPinnedGetsUnderConcurrentWrites(t *testing.T) {
 		clients = append(clients, a, b)
 		readers = append(readers,
 			func(key string) ([]byte, error) { it, err := b.Get(key); return it.Value, err },
-			func(key string) ([]byte, error) { it, err := a.Gets(key); return it.Value, err })
+			func(key string) ([]byte, error) { it, err := a.Get(key); return it.Value, err })
 	}
 
 	seed := kvclient.NewBinaryClient(dial())
@@ -353,11 +354,30 @@ func TestPinnedGetsUnderConcurrentWrites(t *testing.T) {
 	for w := 0; w < 2; w++ {
 		a := kvclient.NewClient(dial())
 		b := kvclient.NewBinaryClient(dial())
-		clients = append(clients, a, b)
+		raw := dial()
+		clients = append(clients, a, b, raw)
 		writers.Add(1)
 		go func(seed int64) {
 			defer writers.Done()
 			rng := rand.New(rand.NewSource(seed))
+			rr := bufio.NewReader(raw)
+			// rawCmd sends an ASCII verb the client does not speak and
+			// maps its one-line reply onto the client's errors.
+			rawCmd := func(req string) error {
+				if _, err := io.WriteString(raw, req); err != nil {
+					return err
+				}
+				line, err := rr.ReadString('\n')
+				switch {
+				case err != nil:
+					return err
+				case line == "STORED\r\n" || line == "OK\r\n":
+					return nil
+				case line == "NOT_STORED\r\n":
+					return kvclient.ErrNotStored
+				}
+				return fmt.Errorf("reply %q", line)
+			}
 			for id := byte(seed); ; id++ {
 				select {
 				case <-stop:
@@ -373,13 +393,14 @@ func TestPinnedGetsUnderConcurrentWrites(t *testing.T) {
 				case r < 80:
 					err = b.Set(name, racyValue(key, racyMinLen+rng.Intn(racyMaxLen-racyMinLen), id), 0, 0)
 				case r < 90:
-					err = a.Append(name, bytes.Repeat([]byte{'+'}, 1+rng.Intn(64)))
+					n := 1 + rng.Intn(64)
+					err = rawCmd(fmt.Sprintf("append %s 0 0 %d\r\n%s\r\n", name, n, bytes.Repeat([]byte{'+'}, n)))
 				case r < 94:
 					err = a.Delete(name)
 				case r < 99:
 					_, err = a.Incr(name, 1)
 				default:
-					err = a.FlushAll(0)
+					err = rawCmd("flush_all\r\n")
 				}
 				if err != nil && !errors.Is(err, kvclient.ErrNotFound) && !errors.Is(err, kvclient.ErrNotStored) &&
 					!strings.Contains(err.Error(), "non-numeric") {
@@ -425,7 +446,7 @@ func TestPinnedGetsUnderConcurrentWrites(t *testing.T) {
 		c.Close() // the sessions end either way; Close below joins them
 	}
 	srv.Close()
-	st := srv.Store()
+	st := srv.store
 	for key := 0; key < racyKeys; key++ {
 		st.Delete(fmt.Sprintf("racy%d", key))
 	}

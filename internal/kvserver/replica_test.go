@@ -483,3 +483,21 @@ func TestReplicatorCloseJoinsWorkers(t *testing.T) {
 		t.Fatalf("expected both queued (%d) and dropped (%d) with tiny stalled queues", queued, dropped)
 	}
 }
+
+// Drain blocks until every job handed to a peer worker has been sent,
+// or the timeout passes on the replicator's clock — the
+// bounded-staleness knob tests lean on: after Drain, every async write
+// issued before the call is on its replicas. It wakes on the workers'
+// signal rather than polling, so it waits on no clock but the timeout.
+func (r *Replicator) Drain(timeout time.Duration) error {
+	deadline, stop := r.opts.Clock.After(timeout)
+	defer stop()
+	for r.unsent.Load() > 0 {
+		select {
+		case <-r.settled:
+		case <-deadline:
+			return fmt.Errorf("kvserver: replication drain timed out with %d unsent", r.unsent.Load())
+		}
+	}
+	return nil
+}

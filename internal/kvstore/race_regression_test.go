@@ -47,7 +47,7 @@ func TestConcurrentCASStressExactCounts(t *testing.T) {
 					t.Errorf("key %s vanished", key)
 					return
 				}
-				err := st.CAS(key, []byte(fmt.Sprintf("g%d-%d", g, i)), 0, 0, e.CAS)
+				_, err := st.Put(VerbCAS, key, []byte(fmt.Sprintf("g%d-%d", g, i)), 0, 0, e.CAS)
 				switch err {
 				case nil:
 					wins.Add(1)

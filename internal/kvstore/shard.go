@@ -2,7 +2,6 @@ package kvstore
 
 import (
 	"errors"
-	"math"
 	"strconv"
 )
 
@@ -166,32 +165,10 @@ func (s *shard) evict(h handle, now *lazyNow) {
 	s.reap(h, c, fnv1a64(c.key()))
 }
 
-// get returns a copy of the value plus metadata.
-func (s *shard) get(key []byte, hash uint64, now *lazyNow) (value []byte, flags uint32, casID uint64, ok bool) {
-	h, c := s.live(key, hash, now)
-	if h == 0 {
-		s.stats.GetMisses++
-		return nil, 0, 0, false
-	}
-	s.stats.GetHits++
-	onAccess(c)
-	out := make([]byte, c.valueLen())
-	copy(out, c.value())
-	return out, c.flags(), c.casID(), true
-}
-
-// getInto appends the value to dst, so the copy made under the shard
-// lock lands in memory the caller already owns.
-func (s *shard) getInto(dst, key []byte, hash uint64, now *lazyNow) (value []byte, flags uint32, casID uint64, ok bool) {
-	value, flags, casID, _, ok = s.getOrPin(dst, key, hash, now, math.MaxInt)
-	return value, flags, casID, ok
-}
-
-// getOrPin is getInto for a caller that can send a value from the
-// chunk itself: a value of at least pinFrom bytes is pinned and
-// returned as a view of the chunk, with the handle to unpin; a shorter
-// one, or one whose pin count is full, is appended to dst and returned
-// with the zero handle.
+// getOrPin looks key up for a reader. A value of at least pinFrom
+// bytes is pinned and returned as a view of the chunk, with the handle
+// to unpin; a shorter one, or one whose pin count is full, is appended
+// to dst and returned with the zero handle.
 func (s *shard) getOrPin(dst, key []byte, hash uint64, now *lazyNow, pinFrom int) (value []byte, flags uint32, casID uint64, pinned handle, ok bool) {
 	h, c := s.live(key, hash, now)
 	if h == 0 {

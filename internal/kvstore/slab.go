@@ -84,7 +84,6 @@ type slabAllocator struct {
 	classes   []slabClass
 	pageSize  int
 	maxPages  uint32
-	reassigns uint64
 }
 
 // newSlabAllocator builds the size-class ladder: chunk sizes start at
@@ -322,6 +321,5 @@ func (a *slabAllocator) completeReassign(page uint32, target int) error {
 	to := &a.classes[target]
 	to.pages = append(to.pages, page)
 	a.carve(page, target)
-	a.reassigns++
 	return nil
 }

@@ -152,9 +152,6 @@ func TestSlabReassignMovesPage(t *testing.T) {
 	if a.alloc(big) == 0 {
 		t.Fatal("big class still starved after reassignment")
 	}
-	if a.reassigns != 1 {
-		t.Fatalf("reassigns = %d", a.reassigns)
-	}
 	// Small class must still work with its remaining page, and hand out
 	// only chunks that lie on it.
 	for i := 0; i < a.classes[small].freeCount; i++ {

@@ -231,14 +231,9 @@ type Entry struct {
 // Get returns a copy of the stored entry: one allocation per hit, the
 // caller's to keep. The zero-allocation read is GetInto.
 func (st *Store) Get(key string) (Entry, bool) {
-	k := keyBytes(key)
-	sh, hash := st.locate(k)
-	now := st.lazyNow()
-	sh.mu.Lock()
-	sh.s.stats.ReadLocks++
-	v, flags, cas, ok := sh.s.get(k, hash, &now)
-	sh.mu.Unlock()
-	return Entry{Value: v, Flags: flags, CAS: cas}, ok
+	v, e, ok := st.GetInto(nil, key)
+	e.Value = v
+	return e, ok
 }
 
 // GetInto appends the value to dst and returns the extended slice,
@@ -317,10 +312,10 @@ const (
 )
 
 // Put stores key=value under verb's guard and returns the CAS id the
-// shard assigned to the stored item under its lock. It is the one store
-// entry point behind Set, Add, Replace and CAS; callers that must
-// report the new CAS id (the binary protocol) use it directly instead
-// of reading the key back. casID is consulted by VerbCAS only.
+// shard assigned to the stored item under its lock, so a caller that
+// must report the new CAS id (the binary protocol) need not read the
+// key back. It is the one store entry point behind Set and the
+// protocols' add, replace and cas. casID is consulted by VerbCAS only.
 //
 //kv3d:hotpath
 func (st *Store) Put(verb Verb, key string, value []byte, flags uint32, exptime int64, casID uint64) (newCAS uint64, err error) {
@@ -356,24 +351,6 @@ func (st *Store) PutBytes(verb Verb, key, value []byte, flags uint32, exptime in
 //kv3d:hotpath
 func (st *Store) Set(key string, value []byte, flags uint32, exptime int64) error {
 	_, err := st.Put(VerbSet, key, value, flags, exptime, 0)
-	return err
-}
-
-// Add stores only if absent.
-func (st *Store) Add(key string, value []byte, flags uint32, exptime int64) error {
-	_, err := st.Put(VerbAdd, key, value, flags, exptime, 0)
-	return err
-}
-
-// Replace stores only if present.
-func (st *Store) Replace(key string, value []byte, flags uint32, exptime int64) error {
-	_, err := st.Put(VerbReplace, key, value, flags, exptime, 0)
-	return err
-}
-
-// CAS stores only if the caller's CAS id matches the current one.
-func (st *Store) CAS(key string, value []byte, flags uint32, exptime int64, cas uint64) error {
-	_, err := st.Put(VerbCAS, key, value, flags, exptime, cas)
 	return err
 }
 

@@ -131,13 +131,13 @@ func TestCASOperation(t *testing.T) {
 	st := newTestStore(t, nil)
 	st.Set("k", []byte("v1"), 0, 0)
 	e, _ := st.Get("k")
-	if err := st.CAS("k", []byte("v2"), 0, 0, e.CAS); err != nil {
+	if _, err := st.Put(VerbCAS, "k", []byte("v2"), 0, 0, e.CAS); err != nil {
 		t.Fatalf("matching CAS failed: %v", err)
 	}
-	if err := st.CAS("k", []byte("v3"), 0, 0, e.CAS); !errors.Is(err, ErrExists) {
+	if _, err := st.Put(VerbCAS, "k", []byte("v3"), 0, 0, e.CAS); !errors.Is(err, ErrExists) {
 		t.Fatalf("stale CAS should return ErrExists, got %v", err)
 	}
-	if err := st.CAS("absent", []byte("v"), 0, 0, 1); !errors.Is(err, ErrNotFound) {
+	if _, err := st.Put(VerbCAS, "absent", []byte("v"), 0, 0, 1); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("CAS on absent key should return ErrNotFound, got %v", err)
 	}
 	s := st.Stats()
@@ -148,16 +148,16 @@ func TestCASOperation(t *testing.T) {
 
 func TestAddReplace(t *testing.T) {
 	st := newTestStore(t, nil)
-	if err := st.Replace("k", []byte("v"), 0, 0); !errors.Is(err, ErrNotStored) {
+	if _, err := st.Put(VerbReplace, "k", []byte("v"), 0, 0, 0); !errors.Is(err, ErrNotStored) {
 		t.Fatalf("replace absent = %v", err)
 	}
-	if err := st.Add("k", []byte("v"), 0, 0); err != nil {
+	if _, err := st.Put(VerbAdd, "k", []byte("v"), 0, 0, 0); err != nil {
 		t.Fatalf("add new = %v", err)
 	}
-	if err := st.Add("k", []byte("v2"), 0, 0); !errors.Is(err, ErrNotStored) {
+	if _, err := st.Put(VerbAdd, "k", []byte("v2"), 0, 0, 0); !errors.Is(err, ErrNotStored) {
 		t.Fatalf("add existing = %v", err)
 	}
-	if err := st.Replace("k", []byte("v2"), 0, 0); err != nil {
+	if _, err := st.Put(VerbReplace, "k", []byte("v2"), 0, 0, 0); err != nil {
 		t.Fatalf("replace existing = %v", err)
 	}
 	e, _ := st.Get("k")
@@ -316,7 +316,7 @@ func TestFlushAllIsImmediate(t *testing.T) {
 	if err := st.Touch("a", 0); err != ErrNotFound {
 		t.Fatalf("touch of a flushed key = %v, want ErrNotFound", err)
 	}
-	if err := st.Add("a", []byte("2"), 0, 0); err != nil {
+	if _, err := st.Put(VerbAdd, "a", []byte("2"), 0, 0, 0); err != nil {
 		t.Fatalf("add over a flushed key = %v, want stored", err)
 	}
 }

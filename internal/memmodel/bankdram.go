@@ -95,9 +95,6 @@ func (d *BankedDRAM) RowHitRate() float64 {
 	return float64(d.rowHits) / float64(d.accesses)
 }
 
-// Accesses reports the total access count.
-func (d *BankedDRAM) Accesses() uint64 { return d.accesses }
-
 // ClosedPageLatency returns the full random-access path (tRP+tRCD+tCAS
 // plus one burst), the figure the flat model charges every access.
 func (d *BankedDRAM) ClosedPageLatency() sim.Duration {

@@ -91,7 +91,7 @@ func TestBankedDRAMReset(t *testing.T) {
 	d, _ := NewBankedDRAM(10 * sim.Nanosecond)
 	d.Access(0)
 	d.Reset()
-	if d.Accesses() != 0 || d.RowHitRate() != 0 {
+	if d.accesses != 0 || d.RowHitRate() != 0 {
 		t.Fatal("reset did not clear stats")
 	}
 	// After reset the first access is cold again.

@@ -1,6 +1,6 @@
 // Package metrics provides the measurement primitives used by the kv3d
 // models and harness: log-bucketed latency histograms with percentile
-// queries, simple counters, and running statistics. Everything is plain
+// queries. Everything is plain
 // single-threaded value code; concurrency (if any) is owned by callers.
 package metrics
 
@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 )
 
 // Histogram is a log-linear histogram of int64 samples (typically
@@ -114,14 +113,6 @@ func (h *Histogram) Mean() float64 {
 	return h.sum / float64(h.total)
 }
 
-// Min returns the smallest recorded sample, or 0 if empty.
-func (h *Histogram) Min() int64 {
-	if h.total == 0 {
-		return 0
-	}
-	return h.min
-}
-
 // Max returns the largest recorded sample, or 0 if empty.
 func (h *Histogram) Max() int64 {
 	if h.total == 0 {
@@ -187,17 +178,6 @@ func (h *Histogram) Merge(other *Histogram) {
 	}
 }
 
-// Reset clears the histogram.
-func (h *Histogram) Reset() {
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
-	h.total = 0
-	h.sum = 0
-	h.min = math.MaxInt64
-	h.max = math.MinInt64
-}
-
 // String summarizes the histogram for debugging.
 func (h *Histogram) String() string {
 	return fmt.Sprintf("n=%d mean=%.1f p50=%d p99=%d max=%d",
@@ -226,59 +206,4 @@ func (h *Histogram) Summarize() Summary {
 		P999:  h.Percentile(99.9),
 		Max:   h.Max(),
 	}
-}
-
-// Welford keeps running mean/variance without storing samples; used for
-// sanity checks on workload generators.
-type Welford struct {
-	n    uint64
-	mean float64
-	m2   float64
-}
-
-// Add incorporates one observation.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// Count returns the number of observations.
-func (w *Welford) Count() uint64 { return w.n }
-
-// Mean returns the running mean.
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the sample variance.
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
-
-// ExactPercentile computes a percentile from a raw sample slice (used in
-// tests to validate the histogram approximation). p in [0,100].
-func ExactPercentile(samples []int64, p float64) int64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	s := make([]int64, len(samples))
-	copy(s, samples)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	rank := int(math.Ceil(p/100*float64(len(s)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return s[rank]
 }

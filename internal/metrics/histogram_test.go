@@ -3,13 +3,14 @@ package metrics
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
 
 func TestHistogramEmpty(t *testing.T) {
 	h := NewHistogram()
-	if h.Count() != 0 || h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 {
+	if h.Count() != 0 || h.Mean() != 0 || h.Percentile(0) != 0 || h.Max() != 0 {
 		t.Fatal("empty histogram should report zeros")
 	}
 	if h.Percentile(50) != 0 {
@@ -28,8 +29,8 @@ func TestHistogramBasicStats(t *testing.T) {
 	if h.Mean() != 3 {
 		t.Fatalf("mean = %v", h.Mean())
 	}
-	if h.Min() != 1 || h.Max() != 5 {
-		t.Fatalf("min/max = %d/%d", h.Min(), h.Max())
+	if h.Percentile(0) != 1 || h.Max() != 5 {
+		t.Fatalf("min/max = %d/%d", h.Percentile(0), h.Max())
 	}
 }
 
@@ -49,8 +50,8 @@ func TestHistogramExactSmallValues(t *testing.T) {
 func TestHistogramNegativeClamped(t *testing.T) {
 	h := NewHistogram()
 	h.Record(-5)
-	if h.Min() != 0 {
-		t.Fatalf("negative samples should clamp to 0, min = %d", h.Min())
+	if h.Percentile(0) != 0 {
+		t.Fatalf("negative samples should clamp to 0, min = %d", h.Percentile(0))
 	}
 }
 
@@ -127,8 +128,8 @@ func TestHistogramMerge(t *testing.T) {
 	if a.Count() != 200 {
 		t.Fatalf("merged count = %d", a.Count())
 	}
-	if a.Min() != 1 || a.Max() != 200 {
-		t.Fatalf("merged min/max = %d/%d", a.Min(), a.Max())
+	if a.Percentile(0) != 1 || a.Max() != 200 {
+		t.Fatalf("merged min/max = %d/%d", a.Percentile(0), a.Max())
 	}
 	if math.Abs(a.Mean()-100.5) > 1e-9 {
 		t.Fatalf("merged mean = %v", a.Mean())
@@ -139,7 +140,7 @@ func TestHistogramMergeEmpty(t *testing.T) {
 	a := NewHistogram()
 	a.Record(5)
 	a.Merge(NewHistogram())
-	if a.Count() != 1 || a.Min() != 5 {
+	if a.Count() != 1 || a.Percentile(0) != 5 {
 		t.Fatal("merging an empty histogram must not disturb stats")
 	}
 }
@@ -152,7 +153,7 @@ func TestHistogramReset(t *testing.T) {
 		t.Fatal("reset did not clear")
 	}
 	h.Record(7)
-	if h.Min() != 7 || h.Max() != 7 {
+	if h.Percentile(0) != 7 || h.Max() != 7 {
 		t.Fatal("histogram unusable after reset")
 	}
 }
@@ -303,3 +304,69 @@ func TestHistogramRecordNMatchesRecord(t *testing.T) {
 		}
 	}
 }
+
+// Reset clears the histogram.
+func (h *Histogram) Reset() {
+	for i := range h.counts {
+		h.counts[i] = 0
+	}
+	h.total = 0
+	h.sum = 0
+	h.min = math.MaxInt64
+	h.max = math.MinInt64
+}
+
+// ExactPercentile computes a percentile from a raw sample slice (the reference
+// the histogram's approximation is checked against). p in [0,100].
+func ExactPercentile(samples []int64, p float64) int64 {
+	if len(samples) == 0 {
+		return 0
+	}
+	s := make([]int64, len(samples))
+	copy(s, samples)
+	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	if p <= 0 {
+		return s[0]
+	}
+	if p >= 100 {
+		return s[len(s)-1]
+	}
+	rank := int(math.Ceil(p/100*float64(len(s)))) - 1
+	if rank < 0 {
+		rank = 0
+	}
+	return s[rank]
+}
+
+// Welford keeps running mean/variance without storing samples. It is
+// used by no non-test code; TestWelford pins its arithmetic.
+type Welford struct {
+	n    uint64
+	mean float64
+	m2   float64
+}
+
+// Add incorporates one observation.
+func (w *Welford) Add(x float64) {
+	w.n++
+	d := x - w.mean
+	w.mean += d / float64(w.n)
+	w.m2 += d * (x - w.mean)
+}
+
+// Count returns the number of observations.
+func (w *Welford) Count() uint64 { return w.n }
+
+// Mean returns the running mean.
+func (w *Welford) Mean() float64 { return w.mean }
+
+// Variance returns the sample variance.
+func (w *Welford) Variance() float64 {
+	if w.n < 2 {
+		return 0
+	}
+	return w.m2 / float64(w.n-1)
+}
+
+// StdDev returns the sample standard deviation.
+func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }

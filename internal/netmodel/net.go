@@ -5,11 +5,7 @@
 // request-cost parameters in stackmodel; this package is the physics.
 package netmodel
 
-import (
-	"fmt"
-
-	"kv3d/internal/sim"
-)
+import "kv3d/internal/sim"
 
 // 10GbE constants.
 const (
@@ -36,8 +32,7 @@ const (
 	// Table 1 power figures.
 	MACPowerW = 0.120
 	PHYPowerW = 0.300
-	// Table 1 / §5.5 area figures.
-	MACAreaMM2    = 0.43
+	// §5.5 area figures.
 	PHYChipMM2    = 441.0 // packaged dual-PHY chip
 	PHYsPerChip   = 2
 	MaxServerNICs = 96 // back-panel port cap (§5.5)
@@ -64,12 +59,6 @@ func SerializationTime(payload int64) sim.Duration {
 	return sim.FromSeconds(float64(FrameBytes(payload)) / WireBytesPerSec)
 }
 
-// WireTime is the one-way delivery time for a payload: serialization
-// plus propagation.
-func WireTime(payload int64) sim.Duration {
-	return SerializationTime(payload) + PropagationDelay
-}
-
 // Link is a simulated unidirectional 10GbE link: frames serialize in
 // FIFO order, then arrive after the propagation delay.
 type Link struct {
@@ -78,8 +67,8 @@ type Link struct {
 }
 
 // NewLink creates a link on the simulator.
-func NewLink(s *sim.Simulator, name string) *Link {
-	return &Link{simr: s, res: sim.NewResource(s, name, 1)}
+func NewLink(s *sim.Simulator) *Link {
+	return &Link{simr: s, res: sim.NewResource(s, 1)}
 }
 
 // Send delivers payload bytes; delivered runs when the last frame
@@ -97,8 +86,8 @@ type MAC struct {
 }
 
 // NewMAC creates the MAC with a single forwarding engine.
-func NewMAC(s *sim.Simulator, name string) *MAC {
-	return &MAC{res: sim.NewResource(s, name, 1)}
+func NewMAC(s *sim.Simulator) *MAC {
+	return &MAC{res: sim.NewResource(s, 1)}
 }
 
 // Forward processes a payload's frames; done runs after the last frame
@@ -108,13 +97,4 @@ func (m *MAC) Forward(payload int64, done func()) {
 	service := MACForwardLatency*sim.Duration(frames) +
 		sim.FromSeconds(float64(FrameBytes(payload))/MACBytesPerSec)
 	m.res.Acquire(service, done)
-}
-
-// Validate sanity-checks the constant relationships once at startup of
-// tools (defensive: these are load-bearing for every experiment).
-func Validate() error {
-	if MaxSegment <= 0 || MaxSegment > MTU {
-		return fmt.Errorf("netmodel: bad segment size %d", MaxSegment)
-	}
-	return nil
 }

@@ -65,7 +65,7 @@ func TestWireTimeMonotoneProperty(t *testing.T) {
 
 func TestLinkFIFODelivery(t *testing.T) {
 	s := sim.New()
-	l := NewLink(s, "wire")
+	l := NewLink(s)
 	var order []int
 	s.At(0, func() {
 		l.Send(1<<20, func() { order = append(order, 1) }) // big first
@@ -79,7 +79,7 @@ func TestLinkFIFODelivery(t *testing.T) {
 
 func TestLinkTiming(t *testing.T) {
 	s := sim.New()
-	l := NewLink(s, "wire")
+	l := NewLink(s)
 	var done sim.Time
 	s.At(0, func() { l.Send(64, func() { done = s.Now() }) })
 	s.Run()
@@ -91,7 +91,7 @@ func TestLinkTiming(t *testing.T) {
 
 func TestMACForward(t *testing.T) {
 	s := sim.New()
-	m := NewMAC(s, "mac")
+	m := NewMAC(s)
 	var done sim.Time
 	s.At(0, func() { m.Forward(64, func() { done = s.Now() }) })
 	s.Run()
@@ -106,7 +106,14 @@ func TestMACForward(t *testing.T) {
 }
 
 func TestValidate(t *testing.T) {
-	if err := Validate(); err != nil {
-		t.Fatal(err)
+	// The segment size is load-bearing for every experiment.
+	if MaxSegment <= 0 || MaxSegment > MTU {
+		t.Fatalf("bad segment size %d", MaxSegment)
 	}
+}
+
+// WireTime is the one-way delivery time for a payload: serialization
+// plus propagation.
+func WireTime(payload int64) sim.Duration {
+	return SerializationTime(payload) + PropagationDelay
 }

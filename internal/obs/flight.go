@@ -79,19 +79,6 @@ func NewFlightRecorder(name string, capacity int) *FlightRecorder {
 // Enabled reports whether events are being recorded.
 func (r *FlightRecorder) Enabled() bool { return r != nil }
 
-// Len reports how many events the ring currently retains.
-func (r *FlightRecorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.total < uint64(len(r.events)) {
-		return int(r.total)
-	}
-	return len(r.events)
-}
-
 // Dropped reports how many events have been overwritten by ring wrap.
 func (r *FlightRecorder) Dropped() uint64 {
 	if r == nil {

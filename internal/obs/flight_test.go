@@ -156,3 +156,16 @@ func TestWriteMicrosNs(t *testing.T) {
 		}
 	}
 }
+
+// Len reports how many events the ring currently retains.
+func (r *FlightRecorder) Len() int {
+	if r == nil {
+		return 0
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.total < uint64(len(r.events)) {
+		return int(r.total)
+	}
+	return len(r.events)
+}

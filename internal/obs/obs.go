@@ -75,14 +75,6 @@ func NewTracer() *Tracer {
 // path: a nil *Tracer is a valid, disabled tracer.
 func (t *Tracer) Enabled() bool { return t != nil }
 
-// Len reports the number of recorded events.
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.events)
-}
-
 // RegisterTrack allocates a named track (rendered as a thread lane in
 // Perfetto). On a nil tracer it returns track 0.
 func (t *Tracer) RegisterTrack(name string) TrackID {
@@ -153,9 +145,6 @@ func (t *Tracer) AsyncEnd(cat, name string, id uint64, ts sim.Time) {
 		ph: phaseAsyncEnd, cat: cat, name: name, id: id, ts: ts,
 	})
 }
-
-// pid is the single synthetic process all tracks live under.
-const pid = 1
 
 // WriteJSON serializes the trace in Chrome trace-event format. The
 // output is a pure function of the recorded events — field order, number

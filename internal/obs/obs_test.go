@@ -178,11 +178,11 @@ func TestGaugeDoubleRegistrationPanics(t *testing.T) {
 }
 
 // TestSamplerCapturesSeries drives a simulator with a resource under
-// load and checks the sampler sees the queue build and drain at the
-// expected sim-times.
+// load and checks the sampler's counter events see the queue build and
+// drain at the expected sim-times.
 func TestSamplerCapturesSeries(t *testing.T) {
 	s := sim.New()
-	r := sim.NewResource(s, "srv", 1)
+	r := sim.NewResource(s, 1)
 	tr := NewTracer()
 	track := tr.RegisterTrack("srv")
 	sp := NewSampler(s, tr, 10*sim.Nanosecond)
@@ -195,32 +195,27 @@ func TestSamplerCapturesSeries(t *testing.T) {
 	sp.Start(sim.Time(100 * sim.Nanosecond))
 	s.Run()
 
-	series := sp.Series("srv.queue_depth")
+	var series []traceEvent
+	for _, ev := range tr.events {
+		if ev.ph == phaseCounter && ev.name == "srv.queue_depth" {
+			series = append(series, ev)
+		}
+	}
 	if len(series) != 11 {
 		t.Fatalf("got %d samples, want 11 (0..100ns every 10ns): %v", len(series), series)
 	}
-	if series[0].Value != 2 {
-		t.Fatalf("queue depth at t=0 = %v, want 2", series[0].Value)
+	if series[0].value != 2 {
+		t.Fatalf("queue depth at t=0 = %v, want 2", series[0].value)
 	}
 	// After 90ns all three 30ns jobs are done.
-	if last := series[len(series)-1]; last.Value != 0 || last.At != sim.Time(100*sim.Nanosecond) {
+	if last := series[len(series)-1]; last.value != 0 || last.ts != sim.Time(100*sim.Nanosecond) {
 		t.Fatalf("last sample %+v, want value 0 at 100ns", last)
-	}
-	// The tracer saw the same samples as counter events.
-	counters := 0
-	for i := range tr.events {
-		if tr.events[i].ph == phaseCounter {
-			counters++
-		}
-	}
-	if counters != len(series) {
-		t.Fatalf("tracer has %d counter events, series has %d", counters, len(series))
 	}
 }
 
 func TestInstrumentResourceEmitsSpans(t *testing.T) {
 	s := sim.New()
-	r := sim.NewResource(s, "srv", 1)
+	r := sim.NewResource(s, 1)
 	tr := NewTracer()
 	InstrumentResource(tr, tr.RegisterTrack("srv"), r)
 	r.Acquire(20*sim.Nanosecond, nil)
@@ -346,4 +341,12 @@ func TestWriteProbesJSON(t *testing.T) {
 	if !json.Valid(buf.Bytes()) {
 		t.Fatalf("invalid empty JSON: %s", buf.String())
 	}
+}
+
+// Len reports the number of recorded events.
+func (t *Tracer) Len() int {
+	if t == nil {
+		return 0
+	}
+	return len(t.events)
 }

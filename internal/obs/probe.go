@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -28,9 +27,8 @@ type Probe struct {
 
 // Registry holds named probes. Counters are registered once and
 // incremented on hot paths; gauges are callbacks evaluated at snapshot
-// time (queue depths, utilization, anything derivable on demand).
-// Snapshot order is sorted by name, so registry contents serialize
-// deterministically regardless of registration order.
+// time. Snapshot order is sorted by name, so registry contents
+// serialize deterministically regardless of registration order.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter       // guarded by mu
@@ -56,17 +54,6 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Gauge registers a callback gauge. Registering a name twice panics:
-// two owners for one probe is always a wiring bug.
-func (r *Registry) Gauge(name string, fn func() float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.gauges[name]; dup {
-		panic(fmt.Sprintf("obs: gauge %q registered twice", name))
-	}
-	r.gauges[name] = fn
 }
 
 // Snapshot evaluates every probe and returns them sorted by name.

@@ -50,3 +50,15 @@ func TestRegistryConcurrentRegisterAndSnapshot(t *testing.T) {
 		t.Fatalf("counters sum to %v, want %v", total, want)
 	}
 }
+
+// Gauge registers a callback gauge. Registering a name twice panics:
+// two owners for one probe is always a wiring bug. No non-test code
+// registers a gauge.
+func (r *Registry) Gauge(name string, fn func() float64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, dup := r.gauges[name]; dup {
+		panic(fmt.Sprintf("obs: gauge %q registered twice", name))
+	}
+	r.gauges[name] = fn
+}

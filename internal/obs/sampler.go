@@ -1,14 +1,6 @@
 package obs
 
-import (
-	"kv3d/internal/sim"
-)
-
-// Sample is one (time, value) observation of a sampled gauge.
-type Sample struct {
-	At    sim.Time
-	Value float64
-}
+import "kv3d/internal/sim"
 
 // sampledGauge pairs a gauge with its trace destination.
 type sampledGauge struct {
@@ -20,23 +12,22 @@ type sampledGauge struct {
 // Sampler periodically evaluates registered gauges on the simulation's
 // own event queue: it schedules itself with sim.After, so samples land
 // at deterministic sim-times interleaved with model events. Each tick
-// appends to an in-memory series and, when a tracer is attached, emits a
-// counter event so the series shows up as a stepped track in Perfetto.
+// emits one counter event per gauge, so each series shows up as a
+// stepped track in Perfetto.
 type Sampler struct {
 	s      *sim.Simulator
-	tr     *Tracer // may be nil: series are still collected
+	tr     *Tracer
 	every  sim.Duration
 	until  sim.Time
 	gauges []sampledGauge
-	series map[string][]Sample
 }
 
-// NewSampler creates a sampler with the given period. tr may be nil.
+// NewSampler creates a sampler with the given period.
 func NewSampler(s *sim.Simulator, tr *Tracer, every sim.Duration) *Sampler {
 	if every <= 0 {
 		panic("obs: sampler period must be positive")
 	}
-	return &Sampler{s: s, tr: tr, every: every, series: map[string][]Sample{}}
+	return &Sampler{s: s, tr: tr, every: every}
 }
 
 // Gauge registers a gauge to be sampled each tick. Must be called
@@ -58,23 +49,9 @@ func (sp *Sampler) tick() {
 	now := sp.s.Now()
 	for i := range sp.gauges {
 		g := &sp.gauges[i]
-		v := g.fn()
-		sp.series[g.name] = append(sp.series[g.name], Sample{At: now, Value: v})
-		sp.tr.Counter(g.track, g.name, now, v)
+		sp.tr.Counter(g.track, g.name, now, g.fn())
 	}
 	if next := now.Add(sp.every); next <= sp.until {
 		sp.s.At(next, sp.tick)
 	}
-}
-
-// Series returns the collected samples for one gauge name.
-func (sp *Sampler) Series(name string) []Sample { return sp.series[name] }
-
-// Names returns the registered gauge names in registration order.
-func (sp *Sampler) Names() []string {
-	out := make([]string, len(sp.gauges))
-	for i := range sp.gauges {
-		out[i] = sp.gauges[i].name
-	}
-	return out
 }

@@ -25,12 +25,11 @@ const (
 
 // ThermalReport summarizes the §6.5 analysis for one configuration.
 type ThermalReport struct {
-	StackTDPW      float64
-	JunctionC      float64
-	PassiveOK      bool
-	ServerTDPW     float64
-	AirflowOK      bool
-	HotspotMarginC float64
+	StackTDPW  float64
+	JunctionC  float64
+	PassiveOK  bool
+	ServerTDPW float64
+	AirflowOK  bool
 }
 
 // Thermal evaluates per-stack and chassis-level cooling for a
@@ -40,11 +39,10 @@ func Thermal(core cpu.Core, coresPerStack int, mem memmodel.Device, bwBytesPerSe
 	junction := AmbientC + tdp*ThetaJAPassive
 	server := tdp * float64(stacks)
 	return ThermalReport{
-		StackTDPW:      tdp,
-		JunctionC:      junction,
-		PassiveOK:      tdp <= PassiveCoolingLimitW && junction <= JunctionMaxC,
-		ServerTDPW:     server,
-		AirflowOK:      server <= ChassisAirflowLimitW,
-		HotspotMarginC: JunctionMaxC - junction,
+		StackTDPW:  tdp,
+		JunctionC:  junction,
+		PassiveOK:  tdp <= PassiveCoolingLimitW && junction <= JunctionMaxC,
+		ServerTDPW: server,
+		AirflowOK:  server <= ChassisAirflowLimitW,
 	}
 }

@@ -1,7 +1,7 @@
 package protocol
 
 // The memcached binary protocol: 24-byte framed requests/responses with
-// quiet (pipelined) variants. ServeConn sniffs the first byte of a
+// quiet (pipelined) variants. ServeConnIdle sniffs the first byte of a
 // connection (0x80) and routes it here; everything else speaks the ASCII
 // protocol. Opcode coverage matches memcached 1.4: get/getq/getk/getkq,
 // set/add/replace (+quiet), delete(+q), incr/decr(+q), append/prepend

@@ -97,7 +97,7 @@ type core struct {
 	// transport and lastEnd let a pipelined request skip its start
 	// stamp: when the transport was not read since the previous request
 	// ended, nothing was waited for and that request's end is this
-	// one's start. Set by ServeConn only, which builds the pair itself;
+	// one's start. Set by serveConn only, which builds the pair itself;
 	// a session on a caller's pair cannot see the caller's reads and
 	// stamps every start.
 	transport *flushBeforeRead
@@ -107,7 +107,7 @@ type core struct {
 
 	// One copy per side: a single-key GET hit whose value is at least
 	// pinFrom bytes is pinned in the store and written from its chunk
-	// straight to conn, the raw transport, by sendPinned. ServeConn sets
+	// straight to conn, the raw transport, by sendPinned. serveConn sets
 	// both; a session on a caller's pair has no transport to write to,
 	// and its pinFrom of MaxInt keeps every value on the copy path.
 	// iov and iovArr are the vectored write's list and its backing array.
@@ -180,30 +180,25 @@ func (f *flushBeforeRead) Read(p []byte) (int, error) {
 	return f.r.Read(p)
 }
 
-// pinThreshold is the shortest value a GET served by ServeConn sends
+// pinThreshold is the shortest value a GET served by ServeConnIdle sends
 // from its chunk instead of copying. Below it pinning saves nothing
 // measurable (BenchmarkLargeGet), while a copied reply still shares one
 // write with the other replies of a pipelined burst.
 const pinThreshold = 16 << 10
 
-// ServeConn serves one connection until its peer leaves, choosing the
-// codec from the first byte: MagicRequest selects the binary protocol,
-// anything else the ASCII protocol — memcached's auto-negotiation. A
-// connection that ends before its first byte was never a session and
-// returns nil.
-func ServeConn(store *kvstore.Store, rw io.ReadWriter, env Env) error {
-	return serveConn(store, rw, env, pinThreshold, 0)
-}
-
-// ServeConnIdle is ServeConn on a connection that times out after idle
+// ServeConnIdle serves one connection until its peer leaves, choosing
+// the codec from the first byte: MagicRequest selects the binary
+// protocol, anything else the ASCII protocol — memcached's
+// auto-negotiation. A connection that ends before its first byte was
+// never a session and returns nil. The connection times out after idle
 // without traffic (0 = never), armed on conn itself: the session still
 // writes to net's own type, so a pinned GET stays one writev.
 func ServeConnIdle(store *kvstore.Store, conn net.Conn, env Env, idle time.Duration) error {
 	return serveConn(store, conn, env, pinThreshold, idle)
 }
 
-// serveConn is ServeConn with the pin threshold and the idle timeout as
-// parameters; idle > 0 needs rw to be a net.Conn.
+// serveConn is ServeConnIdle on any transport, with the pin threshold
+// as a parameter; idle > 0 needs rw to be a net.Conn.
 func serveConn(store *kvstore.Store, rw io.ReadWriter, env Env, pinFrom int, idle time.Duration) error {
 	r, w, transport := newBufferedPair(rw)
 	transport.idle = idle

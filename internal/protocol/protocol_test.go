@@ -3,6 +3,7 @@ package protocol
 import (
 	"bytes"
 	"errors"
+	"io"
 	"strconv"
 	"strings"
 	"testing"
@@ -12,6 +13,12 @@ import (
 	"kv3d/internal/kvstore"
 	"kv3d/internal/sim"
 )
+
+// ServeConn is ServeConnIdle on any transport, with no idle timeout:
+// the tests feed sessions from buffers and pipes.
+func ServeConn(store *kvstore.Store, rw io.ReadWriter, env Env) error {
+	return serveConn(store, rw, env, pinThreshold, 0)
+}
 
 // rwBuffer joins a request buffer and a response buffer into one
 // io.ReadWriter for driving a Session without sockets.

@@ -48,8 +48,6 @@ func Iridium(core cpu.Core, coresPerStack int) Design {
 
 // Evaluation is the measured server-level outcome of a Design.
 type Evaluation struct {
-	Design Design
-
 	// Stacks is the number of stacks fitted, and LimitedBy the binding
 	// constraint (power / area / ports).
 	Stacks    int
@@ -164,7 +162,6 @@ func Evaluate(d Design) (Evaluation, error) {
 	s := float64(stacks)
 	stackPower64 := phys.StackPowerW(d.Core, d.CoresPerStack, d.Mem, bw64PerStack)
 	return Evaluation{
-		Design:           d,
 		Stacks:           stacks,
 		LimitedBy:        limit,
 		Cores:            stacks * d.CoresPerStack,

@@ -23,8 +23,7 @@ func TestBatchSizeOneIsIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.Arrivals != b.Arrivals || plain.Completions != b.Completions ||
-		plain.Latency != b.Latency || plain.CompletedTPS != b.CompletedTPS {
+	if plain != b {
 		t.Fatalf("BatchSize=1 run diverges from default:\n%+v\n%+v", plain, b)
 	}
 }

@@ -66,53 +66,17 @@ type Config struct {
 	SampleEvery sim.Duration
 }
 
-// StackStats is the per-stack slice of the latency attribution.
-type StackStats struct {
-	// Name is the stack's ring identity ("stack-00", ...).
-	Name string
-	// Completed counts measured-window completions routed here.
-	Completed int
-	// QueueWait and Service split the measured sojourn time.
-	QueueWait metrics.Summary
-	Service   metrics.Summary
-	// Utilization of this stack's core pool over the whole run.
-	Utilization float64
-	// MaxQueueLen is the queue's high-water mark.
-	MaxQueueLen int
-}
-
 // Result reports the measured open-loop behaviour.
 type Result struct {
-	// OfferedTPS and CompletedTPS; a completed rate noticeably below
-	// offered means the box is saturated (queues still growing at the
-	// end of the run).
-	OfferedTPS   float64
+	// CompletedTPS noticeably below the offered rate means the box is
+	// saturated (queues still growing at the end of the run).
 	CompletedTPS float64
 	// Latency is the server-side sojourn time (queueing + service).
 	Latency metrics.Summary
-	// QueueWait and Service attribute the sojourn time: Latency is
-	// their per-request sum, so a p99 dominated by QueueWait means the
-	// box needs capacity, one dominated by Service means the stack
-	// model itself is the floor.
-	QueueWait metrics.Summary
-	Service   metrics.Summary
 	// SubMsFraction is the share of measured requests under 1ms.
 	SubMsFraction float64
-	// HottestUtilization and MeanUtilization of the per-stack core pools.
+	// HottestUtilization is the busiest per-stack core pool's.
 	HottestUtilization float64
-	MeanUtilization    float64
-	// Arrivals counts every generated request over the full run
-	// (warmup included); Completions counts those that finished before
-	// the bounded post-run drain gave up. IncompleteRequests is the
-	// difference: anything still queued or in service after the 50ms
-	// drain. A non-zero value is the direct signature of saturation —
-	// previously these requests were silently dropped.
-	Arrivals           int
-	Completions        int
-	IncompleteRequests int
-	// PerStack is the attribution broken down by ring placement,
-	// ordered by stack name.
-	PerStack []StackStats
 }
 
 // recordPs is the one sanctioned crossing from kernel time into the
@@ -161,18 +125,14 @@ func Run(cfg Config) (Result, error) {
 	stacks := make([]*sim.Resource, cfg.Stacks)
 	names := make([]string, cfg.Stacks)
 	tracks := make([]obs.TrackID, cfg.Stacks)
-	waitHists := make([]*metrics.Histogram, cfg.Stacks)
-	serviceHists := make([]*metrics.Histogram, cfg.Stacks)
 	perStackCompleted := make([]int, cfg.Stacks)
 	ring := cluster.NewRing(cfg.VirtualNodes)
 	byName := make(map[string]int, cfg.Stacks)
 	for i := range stacks {
 		names[i] = fmt.Sprintf("stack-%02d", i)
-		stacks[i] = sim.NewResource(s, names[i], cfg.Stack.CoresPerStack)
+		stacks[i] = sim.NewResource(s, cfg.Stack.CoresPerStack)
 		ring.Add(names[i])
 		byName[names[i]] = i
-		waitHists[i] = metrics.NewHistogram()
-		serviceHists[i] = metrics.NewHistogram()
 		if tr.Enabled() {
 			tracks[i] = tr.RegisterTrack(names[i])
 			obs.InstrumentResource(tr, tracks[i], stacks[i])
@@ -202,8 +162,6 @@ func Run(cfg Config) (Result, error) {
 	}
 
 	hist := metrics.NewHistogram()
-	waitAll := metrics.NewHistogram()
-	serviceAll := metrics.NewHistogram()
 	warmEnd := sim.Time(float64(cfg.Duration) * cfg.WarmupFraction)
 	end := sim.Time(cfg.Duration)
 	completedInWindow := 0
@@ -266,10 +224,6 @@ func Run(cfg Config) (Result, error) {
 				}
 				if start >= warmEnd && start < end {
 					recordPs(hist, done.Sub(start))
-					recordPs(waitAll, info.Wait())
-					recordPs(serviceAll, info.Service())
-					recordPs(waitHists[idx], info.Wait())
-					recordPs(serviceHists[idx], info.Service())
 					perStackCompleted[idx]++
 				}
 				// Throughput counts completions inside the window —
@@ -286,48 +240,26 @@ func Run(cfg Config) (Result, error) {
 
 	// Run past the end so in-flight requests drain (bounded: 50 extra ms).
 	// Requests still unfinished after the bound are not silently lost:
-	// they surface as IncompleteRequests.
+	// they surface as the serversim.incomplete probe.
 	s.RunUntil(end.Add(50 * sim.Millisecond))
 
 	window := sim.Duration(end - warmEnd)
 	span := sim.Duration(s.Now())
-	perStack := make([]StackStats, cfg.Stacks)
-	var maxU, sumU float64
+	var maxU float64
 	for i, r := range stacks {
-		u := r.Utilization(span)
-		sumU += u
-		if u > maxU {
-			maxU = u
-		}
-		perStack[i] = StackStats{
-			Name:        names[i],
-			Completed:   perStackCompleted[i],
-			QueueWait:   waitHists[i].Summarize(),
-			Service:     serviceHists[i].Summarize(),
-			Utilization: u,
-			MaxQueueLen: r.MaxQueueLen(),
-		}
+		maxU = max(maxU, r.Utilization(span))
 		if cfg.Probes != nil {
 			cfg.Probes.Counter("serversim." + names[i] + ".completed").Add(int64(perStackCompleted[i]))
 		}
 	}
-	incomplete := arrivalCount - completionCount
 	if cfg.Probes != nil {
-		cfg.Probes.Counter("serversim.incomplete").Add(int64(incomplete))
+		cfg.Probes.Counter("serversim.incomplete").Add(int64(arrivalCount - completionCount))
 	}
 	return Result{
-		OfferedTPS:         cfg.OfferedTPS,
 		CompletedTPS:       float64(completedInWindow) / window.Seconds(),
 		Latency:            hist.Summarize(),
-		QueueWait:          waitAll.Summarize(),
-		Service:            serviceAll.Summarize(),
 		SubMsFraction:      hist.FractionBelow(int64(sim.Millisecond.Ps())),
 		HottestUtilization: maxU,
-		MeanUtilization:    sumU / float64(len(stacks)),
-		Arrivals:           arrivalCount,
-		Completions:        completionCount,
-		IncompleteRequests: incomplete,
-		PerStack:           perStack,
 	}, nil
 }
 

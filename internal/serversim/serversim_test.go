@@ -59,8 +59,8 @@ func TestLightLoadLatencyIsServiceTime(t *testing.T) {
 		t.Fatalf("light load must be sub-ms, got %.2f", r.SubMsFraction)
 	}
 	// Throughput tracks the offered rate (Poisson noise allowed).
-	if r.CompletedTPS < r.OfferedTPS*0.9 || r.CompletedTPS > r.OfferedTPS*1.1 {
-		t.Fatalf("completed %.0f vs offered %.0f", r.CompletedTPS, r.OfferedTPS)
+	if r.CompletedTPS < cfg.OfferedTPS*0.9 || r.CompletedTPS > cfg.OfferedTPS*1.1 {
+		t.Fatalf("completed %.0f vs offered %.0f", r.CompletedTPS, cfg.OfferedTPS)
 	}
 }
 
@@ -83,7 +83,7 @@ func TestQueueingGrowsNearSaturation(t *testing.T) {
 		t.Fatalf("p99 must grow with load: %v -> %v",
 			sim.Duration(light.Latency.P99), sim.Duration(heavy.Latency.P99))
 	}
-	if heavy.MeanUtilization <= light.MeanUtilization {
+	if heavy.HottestUtilization <= light.HottestUtilization {
 		t.Fatal("utilization must grow with load")
 	}
 }
@@ -100,8 +100,8 @@ func TestOverloadCapsThroughput(t *testing.T) {
 	if r.CompletedTPS > nominal*1.1 {
 		t.Fatalf("completed %.0f exceeds capacity %.0f", r.CompletedTPS, nominal)
 	}
-	if r.MeanUtilization < 0.9 {
-		t.Fatalf("overloaded box should be ~fully utilized, got %.2f", r.MeanUtilization)
+	if r.HottestUtilization < 0.9 {
+		t.Fatalf("overloaded box should be ~fully utilized, got %.2f", r.HottestUtilization)
 	}
 }
 

@@ -6,18 +6,11 @@ package sim
 // scheduled. This is the building block for memory ports, flash
 // controllers, NIC MACs and wire links.
 type Resource struct {
-	sim     *Simulator
-	name    string
-	servers int
-	busy    int
-	waiting []*job
-
-	// Stats.
-	served       uint64
-	busyTime     Duration // integrated over servers
-	queueDelay   Duration
-	maxQueueLen  int
-	lastStatTime Time
+	sim      *Simulator
+	servers  int
+	busy     int
+	waiting  []*job
+	busyTime Duration // integrated over servers, for Utilization
 
 	hooks *ResourceHooks
 }
@@ -50,9 +43,6 @@ type ServiceInfo struct {
 // Wait is the time the job spent queued for a free server.
 func (i ServiceInfo) Wait() Duration { return i.Started.Sub(i.Enqueued) }
 
-// Service is the time the job spent in service.
-func (i ServiceInfo) Service() Duration { return i.Completed.Sub(i.Started) }
-
 type job struct {
 	enqueued Time
 	service  Duration
@@ -61,15 +51,12 @@ type job struct {
 }
 
 // NewResource creates a resource with the given parallelism.
-func NewResource(s *Simulator, name string, servers int) *Resource {
+func NewResource(s *Simulator, servers int) *Resource {
 	if servers < 1 {
 		panic("sim: resource needs at least one server")
 	}
-	return &Resource{sim: s, name: name, servers: servers}
+	return &Resource{sim: s, servers: servers}
 }
-
-// Name returns the resource's diagnostic name.
-func (r *Resource) Name() string { return r.name }
 
 // Acquire enqueues a job needing the given service time; done runs when
 // service completes. Service order is strictly FIFO.
@@ -95,9 +82,6 @@ func (r *Resource) acquire(service Duration, done func(), doneInfo func(ServiceI
 		return
 	}
 	r.waiting = append(r.waiting, j)
-	if len(r.waiting) > r.maxQueueLen {
-		r.maxQueueLen = len(r.waiting)
-	}
 	if r.hooks != nil && r.hooks.Enqueued != nil {
 		r.hooks.Enqueued(r.sim.Now(), len(r.waiting))
 	}
@@ -107,14 +91,12 @@ func (r *Resource) start(j *job) {
 	started := r.sim.Now()
 	wait := started.Sub(j.enqueued)
 	r.busy++
-	r.queueDelay += wait
 	r.busyTime += j.service
 	if r.hooks != nil && r.hooks.Started != nil && wait > 0 {
 		r.hooks.Started(started, wait)
 	}
 	r.sim.After(j.service, func() {
 		r.busy--
-		r.served++
 		if len(r.waiting) > 0 {
 			next := r.waiting[0]
 			copy(r.waiting, r.waiting[1:])
@@ -134,17 +116,11 @@ func (r *Resource) start(j *job) {
 	})
 }
 
-// Served reports how many jobs completed service.
-func (r *Resource) Served() uint64 { return r.served }
-
 // Busy reports how many servers are currently serving.
 func (r *Resource) Busy() int { return r.busy }
 
 // QueueLen reports the current number of waiting jobs.
 func (r *Resource) QueueLen() int { return len(r.waiting) }
-
-// MaxQueueLen reports the high-water mark of the waiting queue.
-func (r *Resource) MaxQueueLen() int { return r.maxQueueLen }
 
 // Utilization returns integrated busy time divided by (servers × span).
 func (r *Resource) Utilization(span Duration) float64 {
@@ -153,6 +129,3 @@ func (r *Resource) Utilization(span Duration) float64 {
 	}
 	return r.busyTime.Seconds() / (float64(r.servers) * span.Seconds())
 }
-
-// TotalQueueDelay returns the summed time jobs spent waiting for a server.
-func (r *Resource) TotalQueueDelay() Duration { return r.queueDelay }

@@ -73,12 +73,6 @@ func FromSeconds(s float64) Duration {
 	return Duration(ps + 0.5)
 }
 
-// FromNanos builds a Duration from floating-point nanoseconds.
-func FromNanos(ns float64) Duration { return FromSeconds(ns * 1e-9) }
-
-// FromMicros builds a Duration from floating-point microseconds.
-func FromMicros(us float64) Duration { return FromSeconds(us * 1e-6) }
-
 // Add offsets a Time by a Duration, saturating at MaxTime.
 func (t Time) Add(d Duration) Time {
 	if int64(t) > int64(MaxTime)-int64(d) {
@@ -95,12 +89,7 @@ type event struct {
 	when Time
 	seq  uint64 // tie-break so same-time events run in schedule order
 	fn   func()
-	// index in the heap, or -1 when cancelled/popped.
-	index int
 }
-
-// EventID identifies a scheduled event so it can be cancelled.
-type EventID struct{ ev *event }
 
 type eventQueue []*event
 
@@ -113,38 +102,29 @@ func (q eventQueue) Less(i, j int) bool {
 }
 func (q eventQueue) Swap(i, j int) {
 	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
 }
-func (q *eventQueue) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*q)
-	*q = append(*q, ev)
-}
+func (q *eventQueue) Push(x any) { *q = append(*q, x.(*event)) }
 func (q *eventQueue) Pop() any {
 	old := *q
 	n := len(old)
 	ev := old[n-1]
 	old[n-1] = nil
-	ev.index = -1
 	*q = old[:n-1]
 	return ev
 }
 
 // Simulator owns the clock and the pending event queue.
 type Simulator struct {
-	now       Time
-	queue     eventQueue
-	seq       uint64
-	processed uint64
-	running   bool
-	dispatch  DispatchHook
+	now      Time
+	queue    eventQueue
+	seq      uint64
+	dispatch DispatchHook
 }
 
 // DispatchHook observes event dispatch: it runs after each event
 // executes, with the event's timestamp. Observability code (the obs
-// package) uses it to count dispatched events; it must not schedule or
-// cancel events, only observe.
+// package) uses it to count dispatched events; it must not schedule
+// events, only observe.
 type DispatchHook func(now Time)
 
 // SetDispatchHook installs (or, with nil, removes) the dispatch hook.
@@ -157,41 +137,23 @@ func New() *Simulator { return &Simulator{} }
 // Now returns the current simulation time.
 func (s *Simulator) Now() Time { return s.now }
 
-// Processed reports how many events have been executed so far.
-func (s *Simulator) Processed() uint64 { return s.processed }
-
-// Pending reports how many events are currently scheduled.
-func (s *Simulator) Pending() int { return len(s.queue) }
-
 // At schedules fn to run at absolute time t. Scheduling in the past
 // (before Now) panics: it is always a model bug.
-func (s *Simulator) At(t Time, fn func()) EventID {
+func (s *Simulator) At(t Time, fn func()) {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, s.now))
 	}
 	ev := &event{when: t, seq: s.seq, fn: fn}
 	s.seq++
 	heap.Push(&s.queue, ev)
-	return EventID{ev}
 }
 
 // After schedules fn to run d after the current time.
-func (s *Simulator) After(d Duration, fn func()) EventID {
+func (s *Simulator) After(d Duration, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	return s.At(s.now.Add(d), fn)
-}
-
-// Cancel removes a scheduled event. Cancelling an already-fired or
-// already-cancelled event is a no-op and returns false.
-func (s *Simulator) Cancel(id EventID) bool {
-	if id.ev == nil || id.ev.index < 0 {
-		return false
-	}
-	heap.Remove(&s.queue, id.ev.index)
-	id.ev.index = -1
-	return true
+	s.At(s.now.Add(d), fn)
 }
 
 // Step executes the single next event, if any, and reports whether one
@@ -205,7 +167,6 @@ func (s *Simulator) Step() bool {
 	}
 	ev := heap.Pop(&s.queue).(*event)
 	s.now = ev.when
-	s.processed++
 	ev.fn()
 	if s.dispatch != nil {
 		s.dispatch(ev.when)
@@ -215,27 +176,17 @@ func (s *Simulator) Step() bool {
 
 // Run executes events until the queue is empty.
 func (s *Simulator) Run() {
-	s.running = true
-	for s.running && s.Step() {
+	for s.Step() {
 	}
-	s.running = false
 }
 
 // RunUntil executes events with timestamps <= deadline. The clock is
 // advanced to the deadline even if the queue drains earlier.
 func (s *Simulator) RunUntil(deadline Time) {
-	s.running = true
-	for s.running && len(s.queue) > 0 && s.queue[0].when <= deadline {
+	for len(s.queue) > 0 && s.queue[0].when <= deadline {
 		s.Step()
 	}
-	s.running = false
 	if s.now < deadline {
 		s.now = deadline
 	}
 }
-
-// RunFor executes events for a span of simulated time from Now.
-func (s *Simulator) RunFor(d Duration) { s.RunUntil(s.now.Add(d)) }
-
-// Stop halts a Run/RunUntil loop from inside an event callback.
-func (s *Simulator) Stop() { s.running = false }

@@ -13,11 +13,8 @@ func TestDurationUnits(t *testing.T) {
 	if Microsecond.Micros() != 1 {
 		t.Fatalf("Micros() of 1us = %v", Microsecond.Micros())
 	}
-	if got := FromNanos(10).Nanos(); got != 10 {
-		t.Fatalf("FromNanos(10).Nanos() = %v", got)
-	}
-	if got := FromMicros(2.5); got != 2500*Nanosecond {
-		t.Fatalf("FromMicros(2.5) = %v", got)
+	if got := FromSeconds(10e-9).Nanos(); got != 10 {
+		t.Fatalf("FromSeconds(10e-9).Nanos() = %v", got)
 	}
 	if got := FromSeconds(-1); got != 0 {
 		t.Fatalf("negative seconds should clamp to 0, got %v", got)
@@ -65,9 +62,6 @@ func TestEventOrdering(t *testing.T) {
 	if s.Now() != 30 {
 		t.Fatalf("clock should end at 30, got %d", s.Now())
 	}
-	if s.Processed() != 3 {
-		t.Fatalf("processed = %d, want 3", s.Processed())
-	}
 }
 
 func TestSameTimeEventsFIFO(t *testing.T) {
@@ -110,35 +104,6 @@ func TestAfterFromWithinEvent(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	s := New()
-	ran := false
-	id := s.At(10, func() { ran = true })
-	if !s.Cancel(id) {
-		t.Fatal("first cancel should succeed")
-	}
-	if s.Cancel(id) {
-		t.Fatal("second cancel should fail")
-	}
-	s.Run()
-	if ran {
-		t.Fatal("cancelled event still ran")
-	}
-}
-
-func TestCancelMiddleOfQueue(t *testing.T) {
-	s := New()
-	var order []int
-	s.At(10, func() { order = append(order, 1) })
-	id := s.At(20, func() { order = append(order, 2) })
-	s.At(30, func() { order = append(order, 3) })
-	s.Cancel(id)
-	s.Run()
-	if len(order) != 2 || order[0] != 1 || order[1] != 3 {
-		t.Fatalf("order after cancel = %v, want [1 3]", order)
-	}
-}
-
 func TestRunUntil(t *testing.T) {
 	s := New()
 	count := 0
@@ -152,8 +117,8 @@ func TestRunUntil(t *testing.T) {
 	if s.Now() != 50 {
 		t.Fatalf("clock = %d, want 50", s.Now())
 	}
-	if s.Pending() != 5 {
-		t.Fatalf("pending = %d, want 5", s.Pending())
+	if len(s.queue) != 5 {
+		t.Fatalf("pending = %d, want 5", len(s.queue))
 	}
 	s.Run()
 	if count != 10 {
@@ -166,21 +131,6 @@ func TestRunForAdvancesIdleClock(t *testing.T) {
 	s.RunFor(2 * Second)
 	if s.Now() != Time(2*Second) {
 		t.Fatalf("idle RunFor should advance clock, now = %d", s.Now())
-	}
-}
-
-func TestStopInsideEvent(t *testing.T) {
-	s := New()
-	count := 0
-	s.At(10, func() { count++; s.Stop() })
-	s.At(20, func() { count++ })
-	s.Run()
-	if count != 1 {
-		t.Fatalf("Stop should halt the loop, count = %d", count)
-	}
-	s.Run()
-	if count != 2 {
-		t.Fatalf("Run should resume after Stop, count = %d", count)
 	}
 }
 
@@ -229,7 +179,7 @@ func TestEventOrderingProperty(t *testing.T) {
 
 func TestResourceSingleServerFIFO(t *testing.T) {
 	s := New()
-	r := NewResource(s, "port", 1)
+	r := NewResource(s, 1)
 	var done []Time
 	for i := 0; i < 3; i++ {
 		s.At(0, func() {
@@ -246,17 +196,11 @@ func TestResourceSingleServerFIFO(t *testing.T) {
 			t.Fatalf("completion %d at %v, want %v", i, done[i], want[i])
 		}
 	}
-	if r.Served() != 3 {
-		t.Fatalf("served = %d", r.Served())
-	}
-	if r.MaxQueueLen() != 2 {
-		t.Fatalf("max queue = %d, want 2", r.MaxQueueLen())
-	}
 }
 
 func TestResourceParallelServers(t *testing.T) {
 	s := New()
-	r := NewResource(s, "ports", 2)
+	r := NewResource(s, 2)
 	var done []Time
 	for i := 0; i < 4; i++ {
 		s.At(0, func() {
@@ -275,7 +219,7 @@ func TestResourceParallelServers(t *testing.T) {
 
 func TestResourceUtilization(t *testing.T) {
 	s := New()
-	r := NewResource(s, "link", 1)
+	r := NewResource(s, 1)
 	s.At(0, func() { r.Acquire(Second/2, nil) })
 	s.Run()
 	s.RunUntil(Time(Second))
@@ -286,13 +230,15 @@ func TestResourceUtilization(t *testing.T) {
 
 func TestResourceQueueDelay(t *testing.T) {
 	s := New()
-	r := NewResource(s, "port", 1)
+	r := NewResource(s, 1)
+	var got Duration
+	wait := func(i ServiceInfo) { got += i.Wait() }
 	s.At(0, func() {
-		r.Acquire(100*Nanosecond, nil)
-		r.Acquire(100*Nanosecond, nil)
+		r.AcquireInfo(100*Nanosecond, wait)
+		r.AcquireInfo(100*Nanosecond, wait)
 	})
 	s.Run()
-	if got := r.TotalQueueDelay(); got != 100*Nanosecond {
+	if got != 100*Nanosecond {
 		t.Fatalf("queue delay = %v, want 100ns", got)
 	}
 }
@@ -303,12 +249,12 @@ func TestResourceZeroServersPanics(t *testing.T) {
 			t.Fatal("expected panic for zero servers")
 		}
 	}()
-	NewResource(New(), "bad", 0)
+	NewResource(New(), 0)
 }
 
 func TestResourceNegativeServiceClamped(t *testing.T) {
 	s := New()
-	r := NewResource(s, "port", 1)
+	r := NewResource(s, 1)
 	fired := false
 	s.At(5, func() { r.Acquire(-10, func() { fired = true }) })
 	s.Run()
@@ -385,7 +331,7 @@ func TestRandZeroSeed(t *testing.T) {
 
 func TestAcquireInfoTimings(t *testing.T) {
 	s := New()
-	r := NewResource(s, "srv", 1)
+	r := NewResource(s, 1)
 	var infos []ServiceInfo
 	r.AcquireInfo(30*Nanosecond, func(i ServiceInfo) { infos = append(infos, i) })
 	r.AcquireInfo(30*Nanosecond, func(i ServiceInfo) { infos = append(infos, i) })
@@ -394,11 +340,11 @@ func TestAcquireInfoTimings(t *testing.T) {
 		t.Fatalf("got %d completions, want 2", len(infos))
 	}
 	first, second := infos[0], infos[1]
-	if first.Wait() != 0 || first.Service() != 30*Nanosecond {
-		t.Fatalf("first job wait=%v service=%v", first.Wait(), first.Service())
+	if first.Wait() != 0 || first.Completed.Sub(first.Started) != 30*Nanosecond {
+		t.Fatalf("first job wait=%v info=%+v", first.Wait(), first)
 	}
-	if second.Wait() != 30*Nanosecond || second.Service() != 30*Nanosecond {
-		t.Fatalf("second job wait=%v service=%v", second.Wait(), second.Service())
+	if second.Wait() != 30*Nanosecond || second.Completed.Sub(second.Started) != 30*Nanosecond {
+		t.Fatalf("second job wait=%v info=%+v", second.Wait(), second)
 	}
 	if second.Completed != Time(60*Nanosecond) {
 		t.Fatalf("second job completed at %v", second.Completed)
@@ -407,7 +353,7 @@ func TestAcquireInfoTimings(t *testing.T) {
 
 func TestResourceHooksFire(t *testing.T) {
 	s := New()
-	r := NewResource(s, "srv", 1)
+	r := NewResource(s, 1)
 	var enq, started, completed int
 	var sawQueueLen int
 	r.SetHooks(&ResourceHooks{
@@ -446,3 +392,6 @@ func TestDispatchHook(t *testing.T) {
 		t.Fatal("removed hook still fired")
 	}
 }
+
+// RunFor executes events for a span of simulated time from Now.
+func (s *Simulator) RunFor(d Duration) { s.RunUntil(s.now.Add(d)) }

@@ -24,20 +24,6 @@ type Ps int64
 // readings, protocol observers) as a defined type.
 type Ns int64
 
-// PsToNs converts picoseconds to nanoseconds, rounding to nearest
-// (half away from zero). Rounding — not truncation — keeps sub-ns
-// picosecond values from silently vanishing at the seam.
-func PsToNs(p Ps) Ns {
-	if p >= 0 {
-		return Ns((p + 500) / 1000)
-	}
-	return Ns((p - 500) / 1000)
-}
-
-// NsToPs converts nanoseconds to picoseconds. Exact: the kernel unit
-// is finer.
-func NsToPs(n Ns) Ps { return Ps(n) * 1000 }
-
 // CyclesToPs converts a (possibly fractional) core-cycle count into
 // picoseconds given the core's cycle period, truncating toward zero
 // exactly like the untyped float64 arithmetic it replaces — callers
@@ -54,10 +40,6 @@ func (p Ps) Duration() Duration { return Duration(p) }
 
 // Ps returns the duration as a typed picosecond count.
 func (d Duration) Ps() Ps { return Ps(d) }
-
-// Ns returns the duration as a typed nanosecond count, rounded to
-// nearest like PsToNs.
-func (d Duration) Ns() Ns { return PsToNs(Ps(d)) }
 
 // Ps returns the timestamp as a typed picosecond count (picoseconds
 // since simulation start).

@@ -55,9 +55,6 @@ func TestDurationTypedAccessors(t *testing.T) {
 	if d.Ps() != 1_500_000 {
 		t.Errorf("Ps() = %d", d.Ps())
 	}
-	if d.Ns() != 1500 {
-		t.Errorf("Ns() = %d", d.Ns())
-	}
 	if Time(42).Ps() != 42 {
 		t.Errorf("Time.Ps() = %d", Time(42).Ps())
 	}
@@ -65,3 +62,21 @@ func TestDurationTypedAccessors(t *testing.T) {
 		t.Errorf("Ps.Duration() = %v", Ps(7).Duration())
 	}
 }
+
+// PsToNs and NsToPs convert between the two units; no non-test code
+// crosses from Ps to Ns, so they live here, pinned by
+// TestPsNsRoundTrip.
+//
+// PsToNs converts picoseconds to nanoseconds, rounding to nearest
+// (half away from zero). Rounding — not truncation — keeps sub-ns
+// picosecond values from silently vanishing at the seam.
+func PsToNs(p Ps) Ns {
+	if p >= 0 {
+		return Ns((p + 500) / 1000)
+	}
+	return Ns((p - 500) / 1000)
+}
+
+// NsToPs converts nanoseconds to picoseconds. Exact: the kernel unit
+// is finer.
+func NsToPs(n Ns) Ps { return Ps(n) * 1000 }

@@ -8,7 +8,6 @@ import (
 	"kv3d/internal/memmodel"
 	"kv3d/internal/metrics"
 	"kv3d/internal/netmodel"
-	"kv3d/internal/obs"
 	"kv3d/internal/sim"
 	"kv3d/internal/trace"
 )
@@ -81,14 +80,14 @@ func NewStack(cfg Config) (*Stack, error) {
 	s := sim.New()
 	st := &Stack{cfg: cfg, costs: cfg.costs(), simr: s}
 	for i := 0; i < cfg.CoresPerStack; i++ {
-		st.cores = append(st.cores, sim.NewResource(s, fmt.Sprintf("core%d", i), 1))
+		st.cores = append(st.cores, sim.NewResource(s, 1))
 	}
 	for i := 0; i < cfg.Mem.Ports()-cfg.DegradedPorts; i++ {
-		st.ports = append(st.ports, sim.NewResource(s, fmt.Sprintf("port%d", i), 1))
+		st.ports = append(st.ports, sim.NewResource(s, 1))
 	}
-	st.mac = netmodel.NewMAC(s, "mac")
-	st.up = netmodel.NewLink(s, "uplink")
-	st.down = netmodel.NewLink(s, "downlink")
+	st.mac = netmodel.NewMAC(s)
+	st.up = netmodel.NewLink(s)
+	st.down = netmodel.NewLink(s)
 	return st, nil
 }
 
@@ -240,17 +239,8 @@ type Result struct {
 	// StackTPS = TPSPerCore × cores, the paper's linear scaling, with
 	// port contention included because it is simulated directly.
 	StackTPS float64
-	// Completed counts measured requests.
-	Completed int
 	// Hist is the RTT distribution in picoseconds.
 	Hist *metrics.Histogram
-	// PortUtilization is the mean busy fraction of the memory ports.
-	PortUtilization float64
-}
-
-// BandwidthBytesPerSec is the payload bandwidth implied by the result.
-func (r Result) BandwidthBytesPerSec(valueBytes int64) float64 {
-	return r.StackTPS * float64(valueBytes)
 }
 
 // Measure runs requestsPerCore closed-loop requests on every core and
@@ -284,21 +274,11 @@ func (st *Stack) Measure(op Op, valueBytes int64, requestsPerCore int) (Result, 
 	return st.collectResult(start)
 }
 
-// DumpTrace emits the last run's packet trace as obs spans on a fresh
-// track, so a closed-loop Measure can be opened in Perfetto. Call it
-// before the next Measure: that Reset invalidates the packet buffer.
-func (st *Stack) DumpTrace(t *obs.Tracer) {
-	if !t.Enabled() {
-		return
-	}
-	trace.EmitSpans(t, t.RegisterTrack("packets"), st.buf.Snapshot())
-}
-
 // collectResult derives trace-based statistics for a finished run;
 // TPSPerCore reports the rate of one closed-loop client (one per core).
 func (st *Stack) collectResult(start sim.Time) (Result, error) {
-	// Snapshot, not Records: the extracted view must not alias storage
-	// that the next Measure's Reset will reuse.
+	// A snapshot: the extracted view must not alias storage that the
+	// next Measure's Reset will reuse.
 	rtts := trace.ExtractRTTs(st.buf.Snapshot())
 	if len(rtts) == 0 {
 		return Result{}, fmt.Errorf("stackmodel: no completed requests")
@@ -309,18 +289,11 @@ func (st *Stack) collectResult(start sim.Time) (Result, error) {
 	}
 	mean := trace.MeanRTT(rtts)
 	span := st.simr.Now().Sub(start)
-	var util float64
-	for _, p := range st.ports {
-		util += p.Utilization(span)
-	}
-	util /= float64(len(st.ports))
 	return Result{
-		MeanRTT:         mean,
-		TPSPerCore:      1 / mean.Seconds(),
-		StackTPS:        float64(len(rtts)) / span.Seconds(),
-		Completed:       len(rtts),
-		Hist:            hist,
-		PortUtilization: util,
+		MeanRTT:    mean,
+		TPSPerCore: 1 / mean.Seconds(),
+		StackTPS:   float64(len(rtts)) / span.Seconds(),
+		Hist:       hist,
 	}, nil
 }
 

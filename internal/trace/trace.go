@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"sort"
 
-	"kv3d/internal/obs"
 	"kv3d/internal/sim"
 )
 
@@ -49,15 +48,6 @@ type Buffer struct {
 // Append adds a record.
 func (b *Buffer) Append(r Record) { b.recs = append(b.recs, r) }
 
-// Len reports the number of records.
-func (b *Buffer) Len() int { return len(b.recs) }
-
-// Records returns the raw records. It is a view of live storage:
-// callers must not mutate it, and it is invalidated by the next Reset
-// (the backing array is reused). Use Snapshot to hold records past the
-// buffer's lifetime.
-func (b *Buffer) Records() []Record { return b.recs }
-
 // Snapshot returns a copy of the records that stays valid across Reset
 // and further appends.
 func (b *Buffer) Snapshot() []Record {
@@ -66,13 +56,12 @@ func (b *Buffer) Snapshot() []Record {
 	return out
 }
 
-// Reset clears the buffer. Slices returned by Records become invalid;
-// Snapshot copies survive.
+// Reset clears the buffer, reusing its backing array; Snapshot copies
+// survive.
 func (b *Buffer) Reset() { b.recs = b.recs[:0] }
 
 // RTT is one measured round trip.
 type RTT struct {
-	ReqID    uint64
 	Start    sim.Time
 	Duration sim.Duration
 }
@@ -101,7 +90,7 @@ func ExtractRTTs(recs []Record) []RTT {
 		if !ok || end < start {
 			continue
 		}
-		out = append(out, RTT{ReqID: id, Start: start, Duration: end.Sub(start)})
+		out = append(out, RTT{Start: start, Duration: end.Sub(start)})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
 	return out
@@ -117,29 +106,6 @@ func MeanRTT(rtts []RTT) sim.Duration {
 		sum += r.Duration.Seconds()
 	}
 	return sim.FromSeconds(sum / float64(len(rtts)))
-}
-
-// EmitSpans converts the packet trace into obs request spans: one async
-// "rtt" span per completed round trip (id = request id) plus an instant
-// per packet record on the given track. This bridges the paper's
-// packet-level methodology into the Chrome-trace view, so a closed-loop
-// stackmodel run can be inspected in Perfetto next to the open-loop
-// serversim lanes. A nil tracer is a no-op.
-func EmitSpans(t *obs.Tracer, track obs.TrackID, recs []Record) {
-	if !t.Enabled() {
-		return
-	}
-	for _, r := range recs {
-		name := "pkt:c->s"
-		if r.Dir == ServerToClient {
-			name = "pkt:s->c"
-		}
-		t.Instant(track, name, r.Time)
-	}
-	for _, rtt := range ExtractRTTs(recs) {
-		t.AsyncBegin("rtt", "rtt", rtt.ReqID, rtt.Start)
-		t.AsyncEnd("rtt", "rtt", rtt.ReqID, rtt.Start.Add(rtt.Duration))
-	}
 }
 
 // String renders a record like a one-line pcap summary.

@@ -91,9 +91,6 @@ func (z *Zipf) rank(u float64) int {
 	return lo
 }
 
-// N returns the key-space size.
-func (z *Zipf) N() int { return len(z.cdf) }
-
 // Request is one generated operation.
 type Request struct {
 	// Key is the rank-derived key name.

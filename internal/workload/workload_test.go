@@ -64,7 +64,7 @@ func TestZipfSampleInRangeProperty(t *testing.T) {
 	r := sim.NewRand(2)
 	f := func(uint8) bool {
 		v := z.Sample(r)
-		return v >= 0 && v < z.N()
+		return v >= 0 && v < len(z.cdf)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
