@@ -149,31 +149,10 @@ type nullObserver struct{}
 
 func (nullObserver) ObserveOp(protocol.OpClass, protocol.Outcome, int, sim.Ns) {}
 
-func TestKVStoreGetIntoBytesZeroAlloc(t *testing.T) {
-	st, err := kvstore.New(kvstore.DefaultConfig(32 << 20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Set("bench-key", []byte("bench-value-0123456789"), 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	key := []byte("bench-key")
-	dst := make([]byte, 0, 64)
-	allocs := testing.AllocsPerRun(100, func() {
-		out, _, ok := st.GetIntoBytes(dst, key)
-		if !ok || len(out) == 0 {
-			t.Fatal("lookup failed")
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("GetIntoBytes allocates %v per op, want 0", allocs)
-	}
-}
-
 // TestKVStoreStringKeysZeroAlloc gates the string-keyed wrappers: Set
 // (through Put to PutBytes) overwriting a resident item, and GetInto
-// (to GetIntoBytes) reading it back, view the key's bytes and copy only
-// into the chunk and the caller's dst.
+// reading it back, view the key's bytes and copy only into the chunk
+// and the caller's dst.
 func TestKVStoreStringKeysZeroAlloc(t *testing.T) {
 	st, err := kvstore.New(kvstore.DefaultConfig(32 << 20))
 	if err != nil {
@@ -478,9 +457,16 @@ func TestASCIISetZeroAllocPerOp(t *testing.T) {
 		t.Fatalf("ASCII SET allocates %v per op (session totals: %v @ %d ops, %v @ %d ops), want 0",
 			perOp, allocsSmall, small, allocsLarge, large)
 	}
-	if e, ok := st.Get("key:00000001"); !ok || string(e.Value) != "0123456789abcdef" || e.Flags != 5 {
-		t.Fatalf("after the sets, get = %q flags %d found %v", e.Value, e.Flags, ok)
+	if v, flags, ok := storedItem(st, "key:00000001"); !ok || v != "0123456789abcdef" || flags != 5 {
+		t.Fatalf("after the sets, get = %q flags %d found %v", v, flags, ok)
 	}
+}
+
+// storedItem reads key back through GetBatchInto, the store's read
+// that reports flags.
+func storedItem(st *kvstore.Store, key string) (value string, flags uint32, found bool) {
+	dst, out := st.GetBatchInto(nil, [][]byte{[]byte(key)}, nil, new(kvstore.BatchScratch), math.MaxInt)
+	return string(dst[out[0].Start:out[0].End]), out[0].Flags, out[0].Found
 }
 
 // TestBinarySetZeroAllocPerOp is the binary twin: key and value are
@@ -518,15 +504,17 @@ func TestBinarySetZeroAllocPerOp(t *testing.T) {
 		t.Fatalf("binary SET allocates %v per op (session totals: %v @ %d ops, %v @ %d ops), want 0",
 			perOp, allocsSmall, small, allocsLarge, large)
 	}
-	if e, ok := st.Get("key:00000001"); !ok || string(e.Value) != "0123456789abcdef" || e.Flags != 5 {
-		t.Fatalf("after the sets, get = %q flags %d found %v", e.Value, e.Flags, ok)
+	if v, flags, ok := storedItem(st, "key:00000001"); !ok || v != "0123456789abcdef" || flags != 5 {
+		t.Fatalf("after the sets, get = %q flags %d found %v", v, flags, ok)
 	}
 }
 
 // TestPinnedGetZeroAllocPerOp gates the large-value GET as a server
 // connection serves it: over loopback TCP through protocol.ServeConnIdle, a
 // 64 KiB hit is pinned in the store and written from its chunk by one
-// writev, then unpinned — and none of that allocates, on either codec.
+// writev, then unpinned — and none of that allocates, on either codec,
+// nor for a multi-key ASCII get that sends two pinned values around a
+// miss.
 func TestPinnedGetZeroAllocPerOp(t *testing.T) {
 	st, err := kvstore.New(kvstore.DefaultConfig(32 << 20))
 	if err != nil {
@@ -544,6 +532,7 @@ func TestPinnedGetZeroAllocPerOp(t *testing.T) {
 	}{
 		{"binary", binGet, 24 + 4 + len(value)},
 		{"ascii", []byte("get k\r\n"), len("VALUE k 0 65535\r\n") + len(value) + len("\r\nEND\r\n")},
+		{"ascii-multi", []byte("get k absent k\r\n"), 2*(len("VALUE k 0 65535\r\n")+len(value)) + len("\r\n\r\nEND\r\n")},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			ln, err := net.Listen("tcp", "127.0.0.1:0")

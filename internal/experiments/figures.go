@@ -165,7 +165,7 @@ func Figure6(o Options) (Result, error) {
 }
 
 // densityThroughput is shared by Figures 7 and 8.
-func densityThroughput(o Options, id, title string, mk func(cpu.Core, int) server.Design) (Result, error) {
+func densityThroughput(o Options, title string, mk func(cpu.Core, int) server.Design) (*report.Table, error) {
 	t := &report.Table{
 		Title: title,
 		Columns: []string{"Config", "Core", "Density (GB)", "Power (W)",
@@ -176,7 +176,7 @@ func densityThroughput(o Options, id, title string, mk func(cpu.Core, int) serve
 			d := mk(core, n)
 			e, err := server.Evaluate(d)
 			if err != nil {
-				return Result{}, err
+				return nil, err
 			}
 			t.AddRow(d.Name, core.Name(),
 				fmt.Sprintf("%.0f", float64(e.DensityBytes)/(1<<30)),
@@ -184,33 +184,31 @@ func densityThroughput(o Options, id, title string, mk func(cpu.Core, int) serve
 				fmt.Sprintf("%.2f", e.TPS64B/1e6))
 		}
 	}
-	return Result{ID: id, Tables: []*report.Table{t}}, nil
+	return t, nil
 }
 
 // Figure7 reproduces density vs throughput for Mercury and Iridium.
 func Figure7(o Options) (Result, error) {
-	ma, err := densityThroughput(o, "fig7", "Figure 7a: Mercury density vs TPS (64B GETs)", server.Mercury)
+	ma, err := densityThroughput(o, "Figure 7a: Mercury density vs TPS (64B GETs)", server.Mercury)
 	if err != nil {
 		return Result{}, err
 	}
-	ib, err := densityThroughput(o, "fig7", "Figure 7b: Iridium density vs TPS (64B GETs)", server.Iridium)
+	ib, err := densityThroughput(o, "Figure 7b: Iridium density vs TPS (64B GETs)", server.Iridium)
 	if err != nil {
 		return Result{}, err
 	}
-	return Result{ID: "fig7",
-		Tables: append(ma.Tables, ib.Tables...)}, nil
+	return Result{ID: "fig7", Tables: []*report.Table{ma, ib}}, nil
 }
 
 // Figure8 reproduces power vs throughput for Mercury and Iridium.
 func Figure8(o Options) (Result, error) {
-	ma, err := densityThroughput(o, "fig8", "Figure 8a: Mercury power vs TPS (64B GETs)", server.Mercury)
+	ma, err := densityThroughput(o, "Figure 8a: Mercury power vs TPS (64B GETs)", server.Mercury)
 	if err != nil {
 		return Result{}, err
 	}
-	ib, err := densityThroughput(o, "fig8", "Figure 8b: Iridium power vs TPS (64B GETs)", server.Iridium)
+	ib, err := densityThroughput(o, "Figure 8b: Iridium power vs TPS (64B GETs)", server.Iridium)
 	if err != nil {
 		return Result{}, err
 	}
-	return Result{ID: "fig8",
-		Tables: append(ma.Tables, ib.Tables...)}, nil
+	return Result{ID: "fig8", Tables: []*report.Table{ma, ib}}, nil
 }

@@ -42,8 +42,10 @@ func pinValue(i, n int) []byte {
 }
 
 // asciiPinScript stores one value per size, then reads each back with
-// get, gets and a multi-get, pipelined behind and ahead of other
-// replies, and quits.
+// get and gets, pipelined behind and ahead of other replies. Then come
+// multi-key gets: a gets of values under the pin threshold whose copies
+// cross it, and gets where a value sent pinned is followed by a pinned
+// value, by a miss, or by nothing. Then it quits.
 func asciiPinScript() []byte {
 	var b bytes.Buffer
 	for i, n := range pinScriptSizes {
@@ -52,7 +54,7 @@ func asciiPinScript() []byte {
 	for i := range pinScriptSizes {
 		fmt.Fprintf(&b, "get k%d\r\ngets k%d\r\nversion\r\n", i, i)
 	}
-	b.WriteString("get k3 k4 absent k5\r\nget absent\r\nquit\r\n")
+	b.WriteString("gets k1 k2 k1 k2 k0 absent\r\nget k3 k4 absent k5\r\nget k6 absent\r\nget absent\r\nquit\r\n")
 	return b.Bytes()
 }
 
@@ -307,8 +309,8 @@ func checkRacy(key int, v []byte) string {
 	return ""
 }
 
-// TestPinnedGetsUnderConcurrentWrites runs large binary and ASCII GETs
-// over loopback TCP against writers doing same-key, same-class sets,
+// TestPinnedGetsUnderConcurrentWrites runs large binary and ASCII GETs,
+// single- and multi-key, over loopback TCP against writers doing same-key, same-class sets,
 // deletes, flush_all, appends and (failing, non-numeric) incrs. The
 // server's send buffers are shrunk, so a pinned send can wait part-way
 // while the writers reach for its chunk. Every hit must be a value some
@@ -328,22 +330,42 @@ func TestPinnedGetsUnderConcurrentWrites(t *testing.T) {
 		}
 		return conn
 	}
-	type getter func(key string) ([]byte, error)
+	keyName := func(key int) string { return fmt.Sprintf("racy%d", key) }
+	type getter func(key int) ([]byte, error)
 	var readers []getter
 	var clients []io.Closer
 	for i := 0; i < 2; i++ {
 		b := kvclient.NewBinaryClient(dial())
 		a := kvclient.NewClient(dial())
-		clients = append(clients, a, b)
+		m := kvclient.NewClient(dial())
+		clients = append(clients, a, b, m)
 		readers = append(readers,
-			func(key string) ([]byte, error) { it, err := b.Get(key); return it.Value, err },
-			func(key string) ([]byte, error) { it, err := a.Get(key); return it.Value, err })
+			func(key int) ([]byte, error) { it, err := b.Get(keyName(key)); return it.Value, err },
+			func(key int) ([]byte, error) { it, err := a.Get(keyName(key)); return it.Value, err },
+			// One multi-key get: two values sent pinned around a miss.
+			func(key int) ([]byte, error) {
+				next := (key + 1) % racyKeys
+				items, err := m.GetMulti([]string{keyName(key), "absent", keyName(next)})
+				if err != nil {
+					return nil, err
+				}
+				if it, ok := items[keyName(next)]; ok {
+					if why := checkRacy(next, it.Value); why != "" {
+						return nil, fmt.Errorf("%s: %s", keyName(next), why)
+					}
+				}
+				it, ok := items[keyName(key)]
+				if !ok {
+					return nil, kvclient.ErrNotFound
+				}
+				return it.Value, nil
+			})
 	}
 
 	seed := kvclient.NewBinaryClient(dial())
 	clients = append(clients, seed)
 	for key := 0; key < racyKeys; key++ {
-		if err := seed.Set(fmt.Sprintf("racy%d", key), racyValue(key, racyMinLen, 0), 0, 0); err != nil {
+		if err := seed.Set(keyName(key), racyValue(key, racyMinLen, 0), 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -385,7 +407,7 @@ func TestPinnedGetsUnderConcurrentWrites(t *testing.T) {
 				default:
 				}
 				key := rng.Intn(racyKeys)
-				name := fmt.Sprintf("racy%d", key)
+				name := keyName(key)
 				var err error
 				switch r := rng.Intn(100); {
 				case r < 40:
@@ -416,7 +438,7 @@ func TestPinnedGetsUnderConcurrentWrites(t *testing.T) {
 			defer wg.Done()
 			for n := 0; n < getsPerReader; n++ {
 				key := (i + n) % racyKeys
-				v, err := get(fmt.Sprintf("racy%d", key))
+				v, err := get(key)
 				if errors.Is(err, kvclient.ErrNotFound) {
 					continue
 				}

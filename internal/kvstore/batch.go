@@ -55,12 +55,13 @@ func (scr *BatchScratch) grow(n, nShards int) {
 // once, so an N-key batch costs at most min(N, Shards) acquisitions,
 // and the clock is read at most once, as for a single-key call.
 //
-// A hit that would take dst to pinFrom bytes or more is pinned as
-// PinBytes pins it and is not copied: its result carries the view and
-// the Pin. So a value of pinFrom bytes or more is always pinned, and
-// dst stays under pinFrom bytes however many keys hit, except for a
-// value whose chunk already holds the most pins it can count, which
-// is copied (math.MaxInt copies every value).
+// A hit that would take dst to pinFrom bytes or more is pinned and not
+// copied: its result carries a read-only view of the item's chunk and
+// the Pin the caller must pass to Unpin once it has sent it. So a value
+// of pinFrom bytes or more is always pinned, and dst stays under
+// pinFrom bytes however many keys hit, except for a value whose chunk
+// already holds the most pins it can count (63), which is copied
+// (math.MaxInt copies every value).
 //
 // The returned slices must be consumed before the next call that
 // reuses dst, out or scr.

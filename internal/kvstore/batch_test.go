@@ -39,7 +39,8 @@ func batchInto(st *Store, keys ...string) ([][]byte, []BatchResult) {
 }
 
 // TestGetBatchMatchesPerKeyGet checks a batch against per-key Gets:
-// every hit, miss, value, flag word and CAS id matches.
+// every hit, miss, value and CAS id matches, and every flag word is
+// the one its set stored.
 func TestGetBatchMatchesPerKeyGet(t *testing.T) {
 	st := newBatchStore(t, 8)
 	var keys []string
@@ -64,9 +65,9 @@ func TestGetBatchMatchesPerKeyGet(t *testing.T) {
 		if !ok {
 			continue
 		}
-		if !bytes.Equal(values[i], e.Value) || out[i].Flags != e.Flags || out[i].CAS != e.CAS {
+		if !bytes.Equal(values[i], e.Value) || out[i].Flags != uint32(i) || out[i].CAS != e.CAS {
 			t.Fatalf("key %q: batch (%q,%d,%d) != Get (%q,%d,%d)",
-				k, values[i], out[i].Flags, out[i].CAS, e.Value, e.Flags, e.CAS)
+				k, values[i], out[i].Flags, out[i].CAS, e.Value, i, e.CAS)
 		}
 	}
 }
@@ -104,15 +105,16 @@ func TestGetBatchEmpty(t *testing.T) {
 }
 
 // TestGetBatchIntoMatchesGetBatch checks GetBatchInto against the
-// one-key byte path, GetIntoBytes: values of different lengths append
-// after a caller's prefix in one shared buffer, the prefix survives, and
-// every span, flag word and CAS id matches.
+// one-key path, GetInto: values of different lengths append after a
+// caller's prefix in one shared buffer, the prefix survives, every span
+// and CAS id matches, and every flag word is the one its set stored.
 func TestGetBatchIntoMatchesGetBatch(t *testing.T) {
 	st := newBatchStore(t, 8)
+	var keys []string
 	var bkeys [][]byte
 	for i := 0; i < 64; i++ {
 		k := fmt.Sprintf("key:%03d", i)
-		bkeys = append(bkeys, []byte(k))
+		keys, bkeys = append(keys, k), append(bkeys, []byte(k))
 		if i%4 != 1 {
 			if err := st.Set(k, bytes.Repeat([]byte{byte('a' + i%26)}, 8+i), uint32(i), 0); err != nil {
 				t.Fatal(err)
@@ -128,17 +130,17 @@ func TestGetBatchIntoMatchesGetBatch(t *testing.T) {
 	if !bytes.HasPrefix(dst, prefix) {
 		t.Fatalf("GetBatchInto overwrote the caller's prefix: %q", dst[:len(prefix)])
 	}
-	for i, k := range bkeys {
-		want, e, ok := st.GetIntoBytes(nil, k)
+	for i, k := range keys {
+		want, e, ok := st.GetInto(nil, k)
 		if out[i].Found != ok {
-			t.Fatalf("key %q: batch found=%v, GetIntoBytes found=%v", k, out[i].Found, ok)
+			t.Fatalf("key %q: batch found=%v, GetInto found=%v", k, out[i].Found, ok)
 		}
 		if !ok {
 			continue
 		}
-		if out[i].Flags != e.Flags || out[i].CAS != e.CAS {
-			t.Fatalf("key %q: batch (flags %d, cas %d) != GetIntoBytes (flags %d, cas %d)",
-				k, out[i].Flags, out[i].CAS, e.Flags, e.CAS)
+		if out[i].Flags != uint32(i) || out[i].CAS != e.CAS {
+			t.Fatalf("key %q: batch (flags %d, cas %d) != GetInto (flags %d, cas %d)",
+				k, out[i].Flags, out[i].CAS, i, e.CAS)
 		}
 		if out[i].Start < len(prefix) {
 			t.Fatalf("key %q: span starts at %d, inside the %d-byte prefix", k, out[i].Start, len(prefix))
@@ -279,11 +281,10 @@ func BenchmarkGetPerKey64(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	bkeys := make([][]byte, 64)
-	for i := range bkeys {
-		k := fmt.Sprintf("key:%05d", i)
-		bkeys[i] = []byte(k)
-		if err := st.Set(k, bytes.Repeat([]byte("x"), 64), 0, 0); err != nil {
+	keys := make([]string, 64)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key:%05d", i)
+		if err := st.Set(keys[i], bytes.Repeat([]byte("x"), 64), 0, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -292,8 +293,8 @@ func BenchmarkGetPerKey64(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		dst = dst[:0]
-		for _, k := range bkeys {
-			dst, _, _ = st.GetIntoBytes(dst, k)
+		for _, k := range keys {
+			dst, _, _ = st.GetInto(dst, k)
 		}
 	}
 }

@@ -135,7 +135,6 @@ func TestStoreReadsClockOnlyForDeadlines(t *testing.T) {
 		call func(st *Store, exptime int64)
 	}{
 		{"get", func(st *Store, _ int64) { st.Get("k") }},
-		{"get into", func(st *Store, _ int64) { st.GetIntoBytes(nil, []byte("k")) }},
 		{"batch get", func(st *Store, _ int64) {
 			var scr BatchScratch
 			st.GetBatchInto(nil, [][]byte{[]byte("k"), []byte("k"), []byte("j")}, nil, &scr, 0)

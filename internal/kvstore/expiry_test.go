@@ -94,8 +94,8 @@ func TestExpirySurfaceStaysInt64(t *testing.T) {
 		if err := st.Set("k", []byte("v"), 0, tc.exptime); err != nil {
 			t.Fatal(err)
 		}
-		if _, at, ok := st.GetWithExpiry("k"); !ok || at != tc.want {
-			t.Fatalf("exptime %d reads back as %d (found %v), want %d", tc.exptime, at, ok, tc.want)
+		if got := st.peek("k"); !got.found || got.expireAt != tc.want {
+			t.Fatalf("exptime %d reads back as %d (found %v), want %d", tc.exptime, got.expireAt, got.found, tc.want)
 		}
 	}
 	// The mark itself, as the shard hands it to an append's rewrite.
@@ -107,12 +107,12 @@ func TestExpirySurfaceStaysInt64(t *testing.T) {
 	}
 }
 
-// GetWithExpiry returns a copy of the entry plus its absolute expiry
-// (unix seconds, 0 = never): the tests' reference read of what the
-// store holds, which Get does not expose. Unlike Get it neither counts
-// a hit/miss nor promotes the item in the eviction policy, so a probe
-// does not change what it observes.
-func (st *Store) GetWithExpiry(key string) (Entry, int64, bool) {
+// peek returns a copy of the entry plus its absolute expiry (unix
+// seconds, 0 = never): the tests' reference read of what the store
+// holds, which no read of the store exposes. Unlike a read it neither
+// counts a hit/miss nor promotes the item in the eviction policy, so a
+// probe does not change what it observes.
+func (st *Store) peek(key string) opResult {
 	k := keyBytes(key)
 	sh, hash := st.locate(k)
 	now := st.lazyNow()
@@ -120,9 +120,8 @@ func (st *Store) GetWithExpiry(key string) (Entry, int64, bool) {
 	defer sh.mu.Unlock()
 	h, c := sh.s.live(k, hash, &now)
 	if h == 0 {
-		return Entry{}, 0, false
+		return opResult{}
 	}
-	out := make([]byte, c.valueLen())
-	copy(out, c.value())
-	return Entry{Value: out, Flags: c.flags(), CAS: c.casID()}, c.expireAt(), true
+	value := append([]byte(nil), c.value()...)
+	return opResult{found: true, value: value, flags: c.flags(), cas: c.casID(), expireAt: c.expireAt()}
 }

@@ -56,7 +56,7 @@ const (
 
 // The offRef byte has three tenants. The referenced mark is the CLOCK
 // second chance. The pin count is how many senders are reading the
-// value outside the shard lock (Store.PinBytes); a pinned chunk is never
+// value outside the shard lock (Store.GetBatchInto); a pinned chunk is never
 // rewritten, freed or re-carved. The unlinked mark says the item left
 // the table while pinned, so the last Unpin frees the chunk.
 const (

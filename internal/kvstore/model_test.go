@@ -451,7 +451,7 @@ func absent(op modelOp, res opResult) bool {
 type modelCase struct {
 	shards int // 1 is the global lock
 	tight  bool
-	pins   bool // interleave PinBytes and Unpin with the generated ops
+	pins   bool // interleave pinning GetBatchInto calls and Unpin with the generated ops
 }
 
 func (c modelCase) String() string {
@@ -531,13 +531,10 @@ func runModel(t *testing.T, c modelCase, seed int64, steps int) (digest uint64, 
 		case "sweep":
 			got.count, _ = st.SweepExpired()
 		case "get":
-			var e Entry
-			e, got.found = st.Get(op.key)
-			got.value, got.flags, got.cas = e.Value, e.Flags, e.CAS
+			values, out := batchInto(st, op.key)
+			got.found, got.value, got.flags, got.cas = out[0].Found, values[0], out[0].Flags, out[0].CAS
 		case "peek":
-			var e Entry
-			e, got.expireAt, got.found = st.GetWithExpiry(op.key)
-			got.value, got.flags, got.cas = e.Value, e.Flags, e.CAS
+			got = st.peek(op.key)
 		case "put":
 			got.cas, got.err = st.Put(op.verb, op.key, op.value, op.flags, op.exptime, op.cas)
 		case "concat":
@@ -650,7 +647,7 @@ func TestModelAgreesWithStore(t *testing.T) {
 	}
 }
 
-// heldPin is a value the model test holds pinned: the view PinBytes
+// heldPin is a value the model test holds pinned: the view GetBatchInto
 // returned and a copy of it taken at pin time.
 type heldPin struct {
 	pin            Pin
@@ -658,8 +655,11 @@ type heldPin struct {
 }
 
 // pinStep checks that every held value still reads as it did when it
-// was pinned, then pins a key's value (a get, as far as the model is
-// concerned) or lets go of one pin.
+// was pinned, then reads one to four keys in one GetBatchInto call (a
+// get of each, as far as the model is concerned) or lets go of one pin.
+// The batch's pinFrom is 0 (every hit pinned), 500 or 250: values under
+// it are copied while the batch's copies stay under it, and pinned past
+// that, so 250 fills part-way on two of the ample cases' values.
 func pinStep(t *testing.T, c modelCase, seed int64, step int, st *Store, model *refStore, rng *rand.Rand, keys int, held []heldPin) []heldPin {
 	t.Helper()
 	for _, p := range held {
@@ -669,24 +669,36 @@ func pinStep(t *testing.T, c modelCase, seed int64, step int, st *Store, model *
 	}
 	switch r := rng.Intn(8); {
 	case r < 2 && len(held) < 4:
-		key := fmt.Sprintf("key-%d", rng.Intn(keys))
-		pinFrom := 0
-		if rng.Intn(4) == 0 {
-			pinFrom = 500 // shorter values take the copy path
+		bkeys := make([][]byte, 1+rng.Intn(4))
+		for i := range bkeys {
+			bkeys[i] = fmt.Appendf(nil, "key-%d", rng.Intn(keys))
 		}
-		v, e, p, ok := st.PinBytes(nil, []byte(key), pinFrom)
-		got := opResult{found: ok, value: v, flags: e.Flags, cas: e.CAS}
-		if c.tight && model.present(key) && !ok {
-			delete(model.items, key) // evicted
+		pinFrom := [...]int{0, 0, 500, 250}[rng.Intn(4)]
+		var scr BatchScratch
+		dst, out := st.GetBatchInto(nil, bkeys, nil, &scr, pinFrom)
+		if len(dst) != 0 && len(dst) >= pinFrom {
+			t.Fatalf("%v seed %d step %d: batch copied %d bytes under a pinFrom of %d", c, seed, step, len(dst), pinFrom)
 		}
-		if want := model.get(key); !got.equal(want) {
-			t.Fatalf("%v seed %d step %d: pin %q\n store %v\n model %v", c, seed, step, key, got, want)
-		}
-		if pinned := p != (Pin{}); pinned != (ok && len(v) >= pinFrom) {
-			t.Fatalf("%v seed %d step %d: pin %q of %d bytes from %d: pinned %v", c, seed, step, key, len(v), pinFrom, pinned)
-		}
-		if p != (Pin{}) {
-			held = append(held, heldPin{pin: p, view: v, snapshot: append([]byte(nil), v...)})
+		for i, r := range out {
+			key, v := string(bkeys[i]), dst[r.Start:r.End]
+			if r.Pin != (Pin{}) {
+				v = r.Pinned
+			}
+			got := opResult{found: r.Found, value: v, flags: r.Flags, cas: r.CAS}
+			if c.tight && model.present(key) && !r.Found {
+				delete(model.items, key) // evicted
+			}
+			if want := model.get(key); !got.equal(want) {
+				t.Fatalf("%v seed %d step %d: pin %q\n store %v\n model %v", c, seed, step, key, got, want)
+			}
+			// r.Start is what the batch had copied when it reached
+			// this key, so the room left under pinFrom was the rest.
+			if pinned := r.Pin != (Pin{}); pinned != (r.Found && len(v) >= pinFrom-r.Start) {
+				t.Fatalf("%v seed %d step %d: pin %q of %d bytes from %d after %d copied: pinned %v", c, seed, step, key, len(v), pinFrom, r.Start, pinned)
+			}
+			if r.Pin != (Pin{}) {
+				held = append(held, heldPin{pin: r.Pin, view: v, snapshot: append([]byte(nil), v...)})
+			}
 		}
 	case r < 4 && len(held) > 0:
 		i := rng.Intn(len(held))

@@ -15,6 +15,20 @@ func usedChunks(st *Store) int {
 	return n
 }
 
+// pinKey reads key through a one-key GetBatchInto with a pinFrom of 0,
+// so a hit is pinned unless its chunk already counts the most pins it
+// can; it returns the pinned view or the copy appended to dst, and the
+// Pin.
+func pinKey(st *Store, dst []byte, key string) ([]byte, Pin, bool) {
+	var scr BatchScratch
+	dst, out := st.GetBatchInto(dst, [][]byte{[]byte(key)}, nil, &scr, 0)
+	r := out[0]
+	if r.Pin != (Pin{}) {
+		return r.Pinned, r.Pin, true
+	}
+	return dst[r.Start:r.End], Pin{}, r.Found
+}
+
 // TestPinOutlivesItsItem walks one pinned chunk through everything that
 // removes or rewrites an item: the pinned bytes never change, the store
 // answers as if the pin were not there, and the chunk is freed by the
@@ -25,9 +39,9 @@ func TestPinOutlivesItsItem(t *testing.T) {
 	if err := st.Set("k", first, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	v, _, p, ok := st.PinBytes(nil, []byte("k"), 0)
+	v, p, ok := pinKey(st, nil, "k")
 	if !ok || p == (Pin{}) || !bytes.Equal(v, first) {
-		t.Fatalf("PinBytes = %d bytes, pin %v, ok %v", len(v), p, ok)
+		t.Fatalf("pin = %d bytes, pin %v, ok %v", len(v), p, ok)
 	}
 	// A same-class overwrite takes a new chunk instead of the pinned one.
 	second := bytes.Repeat([]byte("b"), 3001)
@@ -41,7 +55,7 @@ func TestPinOutlivesItsItem(t *testing.T) {
 		t.Fatalf("after the overwrite: %d chunks, %d items, %d bytes", used, s.CurrItems, s.BytesUsed)
 	}
 	// Append and incr rewrite through the same path.
-	q, _, p2, _ := st.PinBytes(nil, []byte("k"), 0)
+	q, p2, _ := pinKey(st, nil, "k")
 	if err := st.Append("k", []byte("c")); err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +66,7 @@ func TestPinOutlivesItsItem(t *testing.T) {
 	if err := st.Set("n", []byte("41"), 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	nv, _, pn, _ := st.PinBytes(nil, []byte("n"), 0)
+	nv, pn, _ := pinKey(st, nil, "n")
 	if got, err := st.Incr("n", 1); err != nil || got != 42 || string(nv) != "41" {
 		t.Fatalf("incr = %d, %v; pinned %q", got, err, nv)
 	}
@@ -84,14 +98,14 @@ func TestPinCountSaturates(t *testing.T) {
 	st.Set("k", val, 0, 0)
 	var pins []Pin
 	for i := 0; i < 63; i++ {
-		_, _, p, _ := st.PinBytes(nil, []byte("k"), 0)
+		_, p, _ := pinKey(st, nil, "k")
 		if p == (Pin{}) {
 			t.Fatalf("pin %d refused", i+1)
 		}
 		pins = append(pins, p)
 	}
 	dst := make([]byte, 0, 16)
-	v, _, p, ok := st.PinBytes(dst, []byte("k"), 0)
+	v, p, ok := pinKey(st, dst, "k")
 	if !ok || p != (Pin{}) || !bytes.Equal(v, val) || &v[0] != &dst[:1][0] {
 		t.Fatalf("64th pin: ok %v, pin %v, value %q (copied into dst: %v)", ok, p, v, &v[0] == &dst[:1][0])
 	}
@@ -141,10 +155,10 @@ func TestPinnedItemIsNeverAVictim(t *testing.T) {
 	}
 }
 
-// TestGetBatchIntoPins checks the batch's pin threshold against
-// PinBytes: a hit of at least pinFrom bytes is pinned — a view of the
-// chunk, held until Unpin, once per occurrence of its key — and copies
-// nothing into dst; a shorter hit is copied; a miss is neither.
+// TestGetBatchIntoPins checks the batch's pin threshold: a hit of at
+// least pinFrom bytes is pinned — a view of the chunk, held until Unpin,
+// once per occurrence of its key — and copies nothing into dst; a
+// shorter hit is copied; a miss is neither.
 func TestGetBatchIntoPins(t *testing.T) {
 	st := newTestStore(t, func(c *Config) { c.Shards = 2 })
 	big, small := bytes.Repeat([]byte("b"), 3000), []byte("small")

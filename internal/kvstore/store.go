@@ -221,10 +221,10 @@ func expiryToAbs(exptime int64, now *lazyNow) int64 {
 	return exptime
 }
 
-// Entry is the result of a Get.
+// Entry is the result of a Get. A caller that needs an item's flags
+// reads it through GetBatchInto, whose results carry them.
 type Entry struct {
 	Value []byte
-	Flags uint32
 	CAS   uint64
 }
 
@@ -237,58 +237,32 @@ func (st *Store) Get(key string) (Entry, bool) {
 }
 
 // GetInto appends the value to dst and returns the extended slice,
-// avoiding a per-hit allocation on the server hot path.
+// avoiding a per-hit allocation; it never pins.
 //
 //kv3d:hotpath
 func (st *Store) GetInto(dst []byte, key string) ([]byte, Entry, bool) {
-	return st.GetIntoBytes(dst, keyBytes(key))
+	k := keyBytes(key)
+	sh, hash := st.locate(k)
+	now := st.lazyNow()
+	sh.mu.Lock()
+	sh.s.stats.ReadLocks++
+	out, _, cas, _, ok := sh.s.getOrPin(dst, k, hash, &now, math.MaxInt)
+	sh.mu.Unlock()
+	return out, Entry{CAS: cas}, ok
 }
 
-// GetIntoBytes is GetInto keyed by a byte slice, so the protocol layer
-// can serve a GET straight from the parsed key token.
-//
-//kv3d:hotpath
-func (st *Store) GetIntoBytes(dst, key []byte) ([]byte, Entry, bool) {
-	out, e, _, ok := st.PinBytes(dst, key, math.MaxInt)
-	return out, e, ok
-}
-
-// Pin holds one item's chunk for a caller that sends the value straight
-// from slab memory: while it is held the value bytes PinBytes returned
-// stay exactly as they were, whatever else happens to the key. It is a
-// value — the shard and the chunk's handle — so pinning allocates
-// nothing. The zero Pin holds nothing.
+// Pin holds the chunk of a value GetBatchInto returned pinned, for a
+// caller that sends it straight from slab memory: while it is held the
+// bytes stay as they were, whatever happens to the key — a set, delete,
+// flush, expiry or eviction takes effect, but the chunk is not rewritten
+// or reused until the last Unpin. It is a value (shard and handle), so
+// pinning allocates nothing. The zero Pin holds nothing.
 type Pin struct {
 	sh *lockedShard
 	h  handle
 }
 
-// PinBytes is GetIntoBytes for a caller that can send a value without
-// copying it. A hit whose value is at least pinFrom bytes long is pinned
-// and returned as a read-only view of the item's chunk, with the Pin
-// the caller must pass to Unpin once it has stopped reading; a shorter
-// value, or one already held by the most pins a chunk can count (63),
-// is appended to dst as GetIntoBytes does, with the zero Pin. A set,
-// delete, flush, expiry or eviction of the key while it is pinned takes
-// effect as usual, except that the chunk is not rewritten or reused
-// until the last Unpin.
-//
-//kv3d:hotpath
-func (st *Store) PinBytes(dst, key []byte, pinFrom int) ([]byte, Entry, Pin, bool) {
-	sh, hash := st.locate(key)
-	now := st.lazyNow()
-	sh.mu.Lock()
-	sh.s.stats.ReadLocks++
-	out, flags, cas, h, ok := sh.s.getOrPin(dst, key, hash, &now, pinFrom)
-	sh.mu.Unlock()
-	var p Pin
-	if h != 0 {
-		p = Pin{sh: sh, h: h}
-	}
-	return out, Entry{Flags: flags, CAS: cas}, p, ok
-}
-
-// Unpin releases a Pin from PinBytes; the value it pinned must not be
+// Unpin releases a Pin from GetBatchInto; the value it pinned must not be
 // read afterwards. Unpinning the zero Pin does nothing.
 //
 //kv3d:hotpath

@@ -48,8 +48,8 @@ func TestSetGetRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("get miss after set")
 	}
-	if string(e.Value) != "world" || e.Flags != 42 || e.CAS == 0 {
-		t.Fatalf("entry = %+v", e)
+	if _, out := batchInto(st, "hello"); string(e.Value) != "world" || out[0].Flags != 42 || e.CAS == 0 || out[0].CAS != e.CAS {
+		t.Fatalf("entry = %+v, flags %d", e, out[0].Flags)
 	}
 }
 
@@ -80,8 +80,8 @@ func TestGetInto(t *testing.T) {
 	st.Set("k", []byte("value"), 7, 0)
 	buf := []byte("prefix:")
 	out, e, ok := st.GetInto(buf, "k")
-	if !ok || string(out) != "prefix:value" || e.Flags != 7 {
-		t.Fatalf("GetInto = %q ok=%v flags=%d", out, ok, e.Flags)
+	if !ok || string(out) != "prefix:value" || e.CAS == 0 {
+		t.Fatalf("GetInto = %q ok=%v cas=%d", out, ok, e.CAS)
 	}
 	if _, _, ok := st.GetInto(nil, "absent"); ok {
 		t.Fatal("GetInto hit on absent key")
@@ -178,8 +178,8 @@ func TestAppendPrepend(t *testing.T) {
 	if string(e.Value) != "start-mid-end" {
 		t.Fatalf("value = %q", e.Value)
 	}
-	if e.Flags != 5 {
-		t.Fatalf("flags lost: %d", e.Flags)
+	if _, out := batchInto(st, "k"); out[0].Flags != 5 {
+		t.Fatalf("flags lost: %d", out[0].Flags)
 	}
 }
 

@@ -105,11 +105,12 @@ type core struct {
 	// binary names the codec on sampled spans.
 	binary bool
 
-	// One copy per side: a single-key GET hit whose value is at least
-	// pinFrom bytes is pinned in the store and written from its chunk
-	// straight to conn, the raw transport, by sendPinned. serveConn sets
-	// both; a session on a caller's pair has no transport to write to,
-	// and its pinFrom of MaxInt keeps every value on the copy path.
+	// One copy per side: a GET hit whose value is at least pinFrom
+	// bytes is pinned in the store and written from its chunk straight
+	// to conn, the raw transport, by sendPinned; a get's copies stop
+	// short of pinFrom bytes. serveConn sets both; a session on a
+	// caller's pair has no transport to write to, and its pinFrom of
+	// MaxInt keeps every value on the copy path.
 	// iov and iovArr are the vectored write's list and its backing array.
 	conn    io.Writer
 	pinFrom int

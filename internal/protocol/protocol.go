@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 	"strings"
 
@@ -254,57 +253,50 @@ func wantsNoReply(args []string) bool {
 	return len(args) > 0 && args[len(args)-1] == "noreply"
 }
 
-// doGet serves get/gets, the measured hot path of the ASCII protocol.
-// It must not allocate: keys stay byte slices of the command line,
-// values copy into the reused valBuf (a single key's is sent pinned from
-// pinFrom bytes on), and the response header is
-// assembled with strconv.Append into the reused numBuf (intermediate
-// bufio writes lean on the sticky-error contract; the END write reports).
-//
-// A single-key get takes the direct per-key path; a multi-key get is
-// served through kvstore.GetBatchInto, which groups the keys by shard
-// and acquires each involved shard's lock once — an N-key get costs at
-// most Shards lock acquisitions instead of N.
+// doGet serves get/gets, the measured hot path of the ASCII protocol,
+// the way getRun serves binary gets: one GetBatchInto call for every
+// key, a lone one included, then the VALUE blocks in request order
+// under the same copy budget, pinFrom. It must not allocate: keys stay
+// byte slices of the command line and each header is assembled in the
+// reused numBuf (intermediate bufio writes lean on the sticky-error
+// contract; the END write reports).
 //
 //kv3d:hotpath
 func (s *Session) doGet(rest []byte, withCAS bool) error {
-	key, rest := nextToken(rest)
-	if len(key) == 0 {
+	s.keyBuf = s.keyBuf[:0]
+	for key, rest := nextToken(rest); len(key) != 0; key, rest = nextToken(rest) {
+		s.keyBuf = append(s.keyBuf, key) // keyBuf entries alias lineBuf; both are this session's scratch, consumed before the next readLine overwrites them
+	}
+	if len(s.keyBuf) == 0 {
 		return s.reply(respError)
 	}
-	second, rest := nextToken(rest)
-	if len(second) == 0 {
-		// Single-key fast path: a value from pinFrom bytes on is sent
-		// from its chunk, head, value and END in one write.
-		s.markParse()
-		out, e, pin, ok := s.store.PinBytes(s.valBuf[:0], key, s.pinFrom)
-		s.markExec()
-		if pin != (kvstore.Pin{}) {
-			return s.sendPinned(s.valueHead(key, len(out), e.Flags, e.CAS, withCAS), out, valueEnd, pin)
-		}
-		s.valBuf = out[:0]
-		if ok {
-			s.writeValue(key, out, e.Flags, e.CAS, withCAS)
-		}
-		return s.reply(respEnd)
-	}
-	// Multi-key: collect the tokens (they alias lineBuf, which stays
-	// untouched until the next readLine), run one batched lookup, then
-	// emit VALUE blocks in request order.
-	s.keyBuf = append(s.keyBuf[:0], key, second) // keyBuf entries alias lineBuf; both are this session's scratch, consumed before the next readLine overwrites them
-	for {
-		key, rest = nextToken(rest)
-		if len(key) == 0 {
-			break
-		}
-		s.keyBuf = append(s.keyBuf, key) // same session-scratch self-alias as above; keyBuf is reset at the next multiget
-	}
 	s.markParse()
-	s.valBuf, s.batchBuf = s.store.GetBatchInto(s.valBuf[:0], s.keyBuf, s.batchBuf[:0], &s.batchScr, math.MaxInt)
+	s.valBuf, s.batchBuf = s.store.GetBatchInto(s.valBuf[:0], s.keyBuf, s.batchBuf[:0], &s.batchScr, s.pinFrom)
 	s.markExec()
-	for i, r := range s.batchBuf {
-		if r.Found {
+	for i := range s.batchBuf {
+		r := &s.batchBuf[i]
+		switch {
+		case !r.Found:
+		case r.Pin == (kvstore.Pin{}):
 			s.writeValue(s.keyBuf[i], s.valBuf[r.Start:r.End], r.Flags, r.CAS, withCAS)
+		case len(r.Pinned) < s.pinFrom: // pinned only because the copies filled valBuf
+			s.writeValue(s.keyBuf[i], r.Pinned, r.Flags, r.CAS, withCAS)
+			s.store.Unpin(r.Pin)
+		default:
+			// The last result's send carries END too: a lone pinned
+			// get stays one write.
+			last := i == len(s.batchBuf)-1
+			tail := valueEnd[:2]
+			if last {
+				tail = valueEnd
+			}
+			err := s.sendPinned(s.valueHead(s.keyBuf[i], len(r.Pinned), r.Flags, r.CAS, withCAS), r.Pinned, tail, r.Pin)
+			if err != nil || last {
+				for _, r := range s.batchBuf[i+1:] {
+					s.store.Unpin(r.Pin)
+				}
+				return err
+			}
 		}
 	}
 	return s.reply(respEnd)
@@ -339,8 +331,9 @@ func (s *Session) valueHead(key []byte, n int, flags uint32, cas uint64, withCAS
 	return s.numBuf
 }
 
-// valueEnd closes a single-key reply sent pinned: the value's own line
-// end, then END.
+// valueEnd closes a get's reply whose last value is sent pinned: the
+// value's own line end, then END. Its first two bytes end any other
+// value sent pinned.
 var valueEnd = []byte("\r\n" + respEnd)
 
 // storageCmd is a parsed storage command: the arguments of the command
