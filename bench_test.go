@@ -365,7 +365,7 @@ func benchServersimTraced(b *testing.B, traced bool) {
 	}
 	for i := 0; i < b.N; i++ {
 		if traced {
-			cfg.Trace = obs.NewTracer()
+			cfg.Trace = obs.NewFlightRecorder[sim.Time]("kv3d", 0)
 		}
 		if _, err := serversim.Run(cfg); err != nil {
 			b.Fatal(err)

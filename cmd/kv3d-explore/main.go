@@ -97,9 +97,9 @@ func main() {
 	var probes []obs.Probe
 	if *jsonOut || *tracePath != "" {
 		reg := obs.NewRegistry()
-		var tr *obs.Tracer
+		var tr *obs.FlightRecorder[sim.Time]
 		if *tracePath != "" {
-			tr = obs.NewTracer()
+			tr = obs.NewFlightRecorder[sim.Time]("kv3d", 0)
 		}
 		cfg := serversim.Config{
 			Stack:      stackCfg(d),

@@ -27,6 +27,7 @@ import (
 	"kv3d/internal/kvstore"
 	"kv3d/internal/obs"
 	"kv3d/internal/protocol"
+	"kv3d/internal/sim"
 )
 
 func parseSize(s string) (int64, error) {
@@ -45,6 +46,17 @@ func parseSize(s string) (int64, error) {
 		return 0, fmt.Errorf("bad size %q", s)
 	}
 	return n * mult, nil
+}
+
+// flightRecorder is the -flight flag's recorder: a ring of capacity
+// events, or nil (recording off) unless capacity is positive. To obs a
+// capacity of 0 means "keep every event", which a long-running server
+// must never get from its flags.
+func flightRecorder(capacity int) *obs.FlightRecorder[sim.Ns] {
+	if capacity <= 0 {
+		return nil
+	}
+	return obs.NewFlightRecorder[sim.Ns]("kv3d-server", capacity)
 }
 
 func main() {
@@ -78,10 +90,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("kv3d-server: %v", err)
 	}
-	var rec *obs.FlightRecorder
-	if *flightCap > 0 {
-		rec = obs.NewFlightRecorder("kv3d-server", *flightCap)
-	}
+	rec := flightRecorder(*flightCap)
 	srv := kvserver.NewWithOptions(store, log.New(os.Stderr, "", log.LstdFlags), kvserver.Options{
 		MaxConns:    *maxConns,
 		IdleTimeout: *idleTimeout,

@@ -6,9 +6,9 @@ package kv3d
 // two whose functions are unexported there), so an allocation seeded
 // into a hot path fails a test, whatever its shape. The contracts:
 //
-//   - A disabled (nil) obs.Tracer costs zero allocations per event, so
-//     model code can instrument unconditionally; so does the
-//     simulator's event dispatch.
+//   - A disabled (nil) obs.FlightRecorder costs zero allocations per
+//     event, so model and server code can instrument unconditionally;
+//     so do a recording ring and the simulator's event dispatch.
 //   - The ASCII and binary GET paths — read, dispatch, doGet/getRun,
 //     store lookup, response write, a pipelined run of binary GETs
 //     included — and the SET paths, down to the rewrite
@@ -33,26 +33,29 @@ import (
 	"kv3d/internal/sim"
 )
 
+// TestTracerDisabledZeroAlloc pins the simulator's nil-recorder fast
+// path: model code traces unconditionally, so a disabled sim.Time
+// recorder must cost nothing per event.
 func TestTracerDisabledZeroAlloc(t *testing.T) {
-	var tr *obs.Tracer // nil = disabled, the documented fast path
+	var tr *obs.FlightRecorder[sim.Time] // nil = disabled simulator trace
 	track := tr.RegisterTrack("x")
 	allocs := testing.AllocsPerRun(100, func() {
-		tr.Complete(track, "op", 0, sim.Time(10))
+		tr.Complete(track, "op", "", 0, 10)
 		tr.Instant(track, "mark", 5)
 		tr.Counter(track, "depth", 5, 1)
 		tr.AsyncBegin("req", "r", 1, 0)
 		tr.AsyncEnd("req", "r", 1, 10)
 	})
 	if allocs != 0 {
-		t.Fatalf("disabled Tracer allocates %v per event batch, want 0", allocs)
+		t.Fatalf("disabled sim.Time FlightRecorder allocates %v per event batch, want 0", allocs)
 	}
 }
 
-// TestFlightRecorderDisabledZeroAlloc pins the nil-recorder fast path:
-// instrumented code records unconditionally, so a disabled flight
-// recorder must cost nothing per event.
+// TestFlightRecorderDisabledZeroAlloc pins the server's nil-recorder
+// fast path: instrumented code records unconditionally, so a disabled
+// flight recorder must cost nothing per event.
 func TestFlightRecorderDisabledZeroAlloc(t *testing.T) {
-	var rec *obs.FlightRecorder // nil = recording off
+	var rec *obs.FlightRecorder[sim.Ns] // nil = server recording off
 	track := rec.RegisterTrack("x")
 	allocs := testing.AllocsPerRun(100, func() {
 		rec.Complete(track, "op", "ok", 0, 10)
@@ -71,7 +74,7 @@ func TestFlightRecorderDisabledZeroAlloc(t *testing.T) {
 // recording into a live ring must also be alloc-free — the recorder is
 // safe on the request hot path even when tracing is on.
 func TestFlightRecorderRecordZeroAlloc(t *testing.T) {
-	rec := obs.NewFlightRecorder("gate", 64)
+	rec := obs.NewFlightRecorder[sim.Ns]("gate", 64)
 	track := rec.RegisterTrack("x")
 	allocs := testing.AllocsPerRun(100, func() {
 		rec.Complete(track, "op", "ok", 0, 10)
@@ -88,7 +91,7 @@ func TestFlightRecorderRecordZeroAlloc(t *testing.T) {
 // flightGateSink mirrors the server's flight sink shape: one enclosing
 // span plus the three phases per op, recorded from ObserveSpan.
 type flightGateSink struct {
-	rec   *obs.FlightRecorder
+	rec   *obs.FlightRecorder[sim.Ns]
 	track obs.TrackID
 }
 
@@ -114,7 +117,7 @@ func TestASCIIGetWithFlightZeroAllocPerOp(t *testing.T) {
 	if err := st.Set("k", []byte("0123456789abcdef"), 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	rec := obs.NewFlightRecorder("gate", 256)
+	rec := obs.NewFlightRecorder[sim.Ns]("gate", 256)
 	sink := &flightGateSink{rec: rec, track: rec.RegisterTrack("ops")}
 	var nullObs nullObserver
 	session := func(n int) string {
@@ -371,7 +374,7 @@ func TestBinaryGetRunZeroAllocPerOp(t *testing.T) {
 		key := "abcdx"[i%5] // four hits and a miss
 		run = append(run, protocol.MagicRequest, op, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, byte(i+1), 0, 0, 0, 0, 0, 0, 0, 0, key)
 	}
-	rec := obs.NewFlightRecorder("gate", 256)
+	rec := obs.NewFlightRecorder[sim.Ns]("gate", 256)
 	sink := &flightGateSink{rec: rec, track: rec.RegisterTrack("ops")}
 	var nullObs nullObserver
 	env := protocol.Env{Gate: &eighthGate{}, Observer: nullObs, Clock: clock.NewFake(1000), Flight: sink, FlightEvery: 1}
@@ -392,7 +395,7 @@ func TestBinaryGetRunZeroAllocPerOp(t *testing.T) {
 			perOp, allocsSmall, small, allocsLarge, large)
 	}
 	var trace bytes.Buffer
-	if err := rec.WriteTraceJSON(&trace); err != nil {
+	if err := rec.WriteJSON(&trace); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Contains(trace.Bytes(), []byte(`"dur":`)) {

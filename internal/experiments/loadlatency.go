@@ -70,9 +70,9 @@ func LoadLatency(o Options) (Result, error) {
 			cfg.OfferedTPS = nominal * frac
 			// Record the representative loaded-but-stable point (85%
 			// offered, uniform keys) when tracing was requested.
-			var tr *obs.Tracer
+			var tr *obs.FlightRecorder[sim.Time]
 			if o.TracePath != "" && skew == 0 && frac == 0.85 {
-				tr = obs.NewTracer()
+				tr = obs.NewFlightRecorder[sim.Time]("kv3d", 0)
 				cfg.Trace = tr
 			}
 			r, err := serversim.Run(cfg)
@@ -96,8 +96,8 @@ func LoadLatency(o Options) (Result, error) {
 	return Result{ID: "loadlatency", Tables: tables}, nil
 }
 
-// writeTrace dumps a recorded tracer to path as trace-event JSON.
-func writeTrace(path string, tr *obs.Tracer) error {
+// writeTrace dumps a recorded run to path as trace-event JSON.
+func writeTrace(path string, tr *obs.FlightRecorder[sim.Time]) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err

@@ -16,6 +16,7 @@ import (
 	"kv3d/internal/kvstore"
 	"kv3d/internal/obs"
 	"kv3d/internal/protocol"
+	"kv3d/internal/sim"
 )
 
 // newGateServer is a server with every per-op dependency live: op
@@ -30,7 +31,7 @@ func newGateServer(t *testing.T) *Server {
 		t.Fatal(err)
 	}
 	return NewWithOptions(st, log.New(io.Discard, "", 0), Options{
-		Flight: obs.NewFlightRecorder("gate", 256), FlightEvery: 1,
+		Flight: obs.NewFlightRecorder[sim.Ns]("gate", 256), FlightEvery: 1,
 	})
 }
 
@@ -64,7 +65,7 @@ func TestFlightSinkZeroAllocPerOp(t *testing.T) {
 			perOp, allocsSmall, small, allocsLarge, large)
 	}
 	var trace bytes.Buffer
-	if err := srv.Flight().WriteTraceJSON(&trace); err != nil {
+	if err := srv.Flight().WriteJSON(&trace); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Contains(trace.Bytes(), []byte(`"ts":`)) {

@@ -29,7 +29,7 @@ func TestOneFakeClockDrivesServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := obs.NewFlightRecorder("server", 256)
+	rec := obs.NewFlightRecorder[sim.Ns]("server", 256)
 	ring := cluster.NewRing(16)
 	ring.Add("self")
 	ring.Add("peer-a")
@@ -73,7 +73,7 @@ func TestOneFakeClockDrivesServer(t *testing.T) {
 	waitIdle(t, srv)
 
 	var buf bytes.Buffer
-	if err := rec.WriteTraceJSON(&buf); err != nil {
+	if err := rec.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {

@@ -44,7 +44,7 @@ func (s *Server) FlightDumpHandler() http.Handler {
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		if err := rec.WriteTraceJSON(w); err != nil {
+		if err := rec.WriteJSON(w); err != nil {
 			// Same discipline as MetricsHandler: the body already
 			// started, so count the truncated dump instead of failing.
 			s.metricsWriteErrors.Add(1)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"kv3d/internal/obs"
+	"kv3d/internal/sim"
 	"kv3d/internal/testutil"
 )
 
@@ -16,7 +17,7 @@ import (
 func TestDebugMuxEndpoints(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	st := steppedStore(t, 32<<20)
-	rec := obs.NewFlightRecorder("server", 64)
+	rec := obs.NewFlightRecorder[sim.Ns]("server", 64)
 	srv := NewWithOptions(st, nil, Options{Flight: rec, FlightEvery: 1})
 	defer srv.Close()
 	mux := srv.DebugMux()

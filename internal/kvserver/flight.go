@@ -11,6 +11,7 @@ import (
 	"kv3d/internal/clock"
 	"kv3d/internal/obs"
 	"kv3d/internal/protocol"
+	"kv3d/internal/sim"
 )
 
 // flightSink adapts sampled spans onto recorder events, on the track of
@@ -18,7 +19,7 @@ import (
 // sessions call ObserveSpan from their connection goroutines (the
 // recorder ring is the synchronization).
 type flightSink struct {
-	rec           *obs.FlightRecorder
+	rec           *obs.FlightRecorder[sim.Ns]
 	ascii, binary obs.TrackID
 }
 
@@ -48,7 +49,7 @@ func (f *flightSink) ObserveSpan(sp protocol.OpSpan) {
 // stamped by the server's clock, and the sink of its sessions. All
 // fields are set at construction and immutable afterwards.
 type serverFlight struct {
-	rec      *obs.FlightRecorder
+	rec      *obs.FlightRecorder[sim.Ns]
 	clock    clock.Clock
 	every    int
 	life     obs.TrackID
@@ -56,7 +57,7 @@ type serverFlight struct {
 }
 
 // newServerFlight registers the server's tracks on the recorder.
-func newServerFlight(rec *obs.FlightRecorder, clk clock.Clock, every int) *serverFlight {
+func newServerFlight(rec *obs.FlightRecorder[sim.Ns], clk clock.Clock, every int) *serverFlight {
 	if every < 1 {
 		every = DefaultFlightEvery
 	}

@@ -15,6 +15,7 @@ import (
 
 	"kv3d/internal/kvclient"
 	"kv3d/internal/obs"
+	"kv3d/internal/sim"
 	"kv3d/internal/testutil"
 )
 
@@ -22,9 +23,9 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden files under te
 
 // startFlightServer runs a server with a fake clock and full sampling
 // (FlightEvery=1) so a scripted session records every op.
-func startFlightServer(t *testing.T) (*Server, *obs.FlightRecorder, string) {
+func startFlightServer(t *testing.T) (*Server, *obs.FlightRecorder[sim.Ns], string) {
 	t.Helper()
-	rec := obs.NewFlightRecorder("server", 256)
+	rec := obs.NewFlightRecorder[sim.Ns]("server", 256)
 	srv := NewWithOptions(steppedStore(t, 32<<20), nil, Options{
 		Flight:      rec,
 		FlightEvery: 1,
@@ -125,7 +126,7 @@ func runFlightGolden(t *testing.T) []byte {
 	scriptBinary(t, addr)
 	waitIdle(t, srv)
 	var buf bytes.Buffer
-	if err := rec.WriteTraceJSON(&buf); err != nil {
+	if err := rec.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -224,7 +225,7 @@ func TestFlightGoldenContent(t *testing.T) {
 // lifecycle instant in the trace.
 func TestFlightRecordsRefusalsAndDrain(t *testing.T) {
 	testutil.CheckGoroutines(t)
-	rec := obs.NewFlightRecorder("server", 256)
+	rec := obs.NewFlightRecorder[sim.Ns]("server", 256)
 	srv := NewWithOptions(steppedStore(t, 16<<20), nil, Options{Flight: rec, MaxConns: 1})
 	if err := srv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
@@ -260,7 +261,7 @@ func TestFlightRecordsRefusalsAndDrain(t *testing.T) {
 	c.Close()
 
 	var buf bytes.Buffer
-	if err := rec.WriteTraceJSON(&buf); err != nil {
+	if err := rec.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {

@@ -54,7 +54,7 @@ func runMetricsGolden(t *testing.T) []byte {
 	}
 	defer repl.Close()
 	srv := NewWithOptions(st, nil, Options{
-		Flight:      obs.NewFlightRecorder("server", 32),
+		Flight:      obs.NewFlightRecorder[sim.Ns]("server", 32),
 		FlightEvery: 1,
 		Repl:        repl,
 	})

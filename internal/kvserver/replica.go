@@ -33,6 +33,7 @@ import (
 	"kv3d/internal/cluster"
 	"kv3d/internal/obs"
 	"kv3d/internal/protocol"
+	"kv3d/internal/sim"
 )
 
 // ErrNoQuorum reports a quorum write that could not gather majority
@@ -82,7 +83,7 @@ type ReplOptions struct {
 	// over kvclient.DialBinaryOptions; see cmd/kv3d-server).
 	Dial func(addr string) (ReplConn, error)
 	// Flight, when set, records replication lifecycle instants.
-	Flight *obs.FlightRecorder
+	Flight *obs.FlightRecorder[sim.Ns]
 	// Clock stamps the flight instants and runs the quorum and Drain
 	// timeouts (default clock.Wall); a server passes its store's.
 	Clock clock.Clock

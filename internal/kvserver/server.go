@@ -16,6 +16,7 @@ import (
 	"kv3d/internal/kvstore"
 	"kv3d/internal/obs"
 	"kv3d/internal/protocol"
+	"kv3d/internal/sim"
 )
 
 // Options tune server-level limits. The zero value means unlimited.
@@ -35,7 +36,7 @@ type Options struct {
 	// lifecycle events into the ring. Timestamps come from the store's
 	// clock, which times every op and the drain too, so a store on a
 	// fake clock makes the recording deterministic.
-	Flight *obs.FlightRecorder
+	Flight *obs.FlightRecorder[sim.Ns]
 	// FlightEvery samples one op in every FlightEvery per session
 	// (DefaultFlightEvery when <= 0). 1 traces every op.
 	FlightEvery int
@@ -129,7 +130,7 @@ func NewWithOptions(store *kvstore.Store, logger *log.Logger, opts Options) *Ser
 
 // Flight exposes the server's recorder (nil when recording is off) so
 // tools can dump or merge its trace.
-func (s *Server) Flight() *obs.FlightRecorder {
+func (s *Server) Flight() *obs.FlightRecorder[sim.Ns] {
 	if s.flight == nil {
 		return nil
 	}

@@ -1,28 +1,37 @@
 package obs
 
-// The flight recorder is the live-side counterpart of Tracer: a bounded
-// ring buffer of span/instant/async events safe for concurrent recording
-// from connection goroutines, holding the most recent window of sampled
-// operations. Where Tracer accumulates a whole (single-goroutine,
-// sim-time) run and serializes once, FlightRecorder is always on:
-// recording overwrites the oldest events when the ring is full, and a
-// snapshot can be serialized at any moment — the crash-dump/trace-dump
-// discipline of a real flight recorder.
+// The flight recorder is obs's one trace recorder, for both halves of
+// the repo. With a positive capacity it is a bounded ring, safe for
+// concurrent recording from connection goroutines, that holds the most
+// recent window of sampled live operations: recording overwrites the
+// oldest events when the ring is full, and a snapshot can be
+// serialized at any moment — the crash-dump/trace-dump discipline of a
+// real flight recorder. With capacity 0 it keeps every event, which is
+// how a single-goroutine simulator run is recorded whole and
+// serialized once at the end (the mutex is then uncontended).
+//
+// Each recorder counts time in its own tick, the type parameter:
+// sim.Time (picoseconds since the simulation started) or sim.Ns (wall
+// nanoseconds from the caller's clock.Clock). The tick is not converted
+// on the way in — a wall reading is about 1.8e18 ns since the Unix
+// epoch, which in picoseconds would overflow int64 — only the
+// serializer divides by the tick's count per microsecond.
 //
 // Like everything in obs, the recorder never reads a clock: every
-// timestamp is a typed wall-nanosecond count (sim.Ns) handed in by the
-// caller from its clock.Clock (the server's store clock). That keeps this file inside the
-// determinism contract, and it makes the golden test for live
-// traces possible: a scripted session with a fake clock serializes to
-// byte-identical output.
+// timestamp is handed in by the caller. That keeps this file inside the
+// determinism contract, and it makes the golden tests possible: a
+// seeded simulator run, or a scripted session with a fake clock,
+// serializes to byte-identical output.
 //
 // Every method is nil-receiver safe and the recording methods are
-// allocation-free (//kv3d:hotpath): event slots are preallocated at
-// construction and names/outcomes must be constant strings, so a
-// sampled hot-path op costs one mutex acquisition and a few stores.
+// allocation-free (//kv3d:hotpath) on a ring, whose slots are
+// preallocated at construction; names/outcomes must be constant
+// strings, so a sampled hot-path op costs one mutex acquisition and a
+// few stores.
 
 import (
 	"bufio"
+	"bytes"
 	"io"
 	"strconv"
 	"sync"
@@ -30,72 +39,93 @@ import (
 	"kv3d/internal/sim"
 )
 
-// flightEvent is one recorded live event; flat for the same reason
-// traceEvent is. Timestamps are wall nanoseconds from the injected
-// clock, not sim picoseconds.
-type flightEvent struct {
-	ts      sim.Ns
-	dur     sim.Ns
-	id      uint64
-	arg     int64
-	name    string
-	cat     string
-	outcome string
-	track   TrackID
-	ph      byte
-}
+// Tick is a recorder's time unit: simulated picoseconds or wall
+// nanoseconds.
+type Tick interface{ sim.Time | sim.Ns }
 
-// FlightRecorder records live events into a bounded ring. It is safe
-// for concurrent use; a nil *FlightRecorder is a valid, disabled
-// recorder whose methods all return immediately.
-type FlightRecorder struct {
-	// mu guards the ring: events is the fixed-capacity storage, next the
-	// slot to overwrite, total the events ever recorded.
-	mu     sync.Mutex
-	events []flightEvent // guarded by mu
-	next   int           // guarded by mu
-	total  uint64        // guarded by mu
-	tracks []string      // guarded by mu
-	name   string        // process name in trace output; immutable
-}
-
-// DefaultFlightCapacity bounds the ring when callers pass 0.
-const DefaultFlightCapacity = 4096
-
-// NewFlightRecorder returns a recorder whose ring holds capacity events
-// (DefaultFlightCapacity if capacity <= 0). name labels the recorder's
-// synthetic process in trace output ("server", ...).
-func NewFlightRecorder(name string, capacity int) *FlightRecorder {
-	if capacity <= 0 {
-		capacity = DefaultFlightCapacity
+// ticksPerMicro is T's count per microsecond, the trace format's unit.
+func ticksPerMicro[T Tick]() int64 {
+	var zero T
+	if _, ps := any(zero).(sim.Time); ps {
+		return int64(sim.Microsecond)
 	}
-	return &FlightRecorder{
-		events: make([]flightEvent, capacity),
+	return 1_000
+}
+
+// TrackID identifies one named track ("thread") in the trace. Track 0 is
+// the default track; RegisterTrack allocates labeled tracks.
+type TrackID int32
+
+// phase bytes of the Chrome trace-event format.
+const (
+	phaseComplete   = 'X'
+	phaseInstant    = 'i'
+	phaseCounter    = 'C'
+	phaseAsyncBegin = 'b'
+	phaseAsyncEnd   = 'e'
+)
+
+// event is one recorded event. One flat struct (no per-kind
+// allocation) keeps recording cheap, and a small one keeps a run that
+// keeps every event compact, so two fields mean what the phase says:
+// arg is a complete span's duration in ticks, a counter's value or an
+// async span's id; label is a complete span's outcome ("" for none) or
+// an async span's category.
+type event[T Tick] struct {
+	ts    T
+	arg   int64
+	name  string
+	label string
+	track TrackID
+	ph    byte
+}
+
+// FlightRecorder records events in ticks of T. It is safe for
+// concurrent use; a nil *FlightRecorder is a valid, disabled recorder
+// whose methods all return immediately.
+type FlightRecorder[T Tick] struct {
+	// mu guards the events: once a ring is full, next is the oldest
+	// slot (the one to overwrite) and dropped counts overwritten events.
+	mu      sync.Mutex
+	events  []event[T] // guarded by mu
+	next    int        // guarded by mu
+	dropped uint64     // guarded by mu
+	tracks  []string   // guarded by mu
+	limit   int        // ring capacity, 0 = keep everything; immutable
+	name    string     // process name in trace output; immutable
+}
+
+// NewFlightRecorder returns a recorder that keeps the newest capacity
+// events, or every event if capacity is 0; a negative capacity panics.
+// name labels the recorder's synthetic process in trace output
+// ("server", "kv3d", ...).
+func NewFlightRecorder[T Tick](name string, capacity int) *FlightRecorder[T] {
+	return &FlightRecorder[T]{
+		events: make([]event[T], 0, capacity),
 		tracks: []string{"main"},
+		limit:  capacity,
 		name:   name,
 	}
 }
 
-// Enabled reports whether events are being recorded.
-func (r *FlightRecorder) Enabled() bool { return r != nil }
+// Enabled reports whether events are being recorded. It is the fast
+// path: a nil *FlightRecorder is a valid, disabled recorder.
+func (r *FlightRecorder[T]) Enabled() bool { return r != nil }
 
 // Dropped reports how many events have been overwritten by ring wrap.
-func (r *FlightRecorder) Dropped() uint64 {
+func (r *FlightRecorder[T]) Dropped() uint64 {
 	if r == nil {
 		return 0
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.total <= uint64(len(r.events)) {
-		return 0
-	}
-	return r.total - uint64(len(r.events))
+	return r.dropped
 }
 
-// RegisterTrack allocates a named track lane. On a nil recorder it
-// returns track 0. Register tracks at wiring time, not on hot paths
-// (the tracks slice grows).
-func (r *FlightRecorder) RegisterTrack(name string) TrackID {
+// RegisterTrack allocates a named track lane (rendered as a thread in
+// Perfetto). On a nil recorder it returns track 0. Register tracks at
+// wiring time, not on hot paths (the tracks slice grows).
+func (r *FlightRecorder[T]) RegisterTrack(name string) TrackID {
 	if r == nil {
 		return 0
 	}
@@ -105,19 +135,27 @@ func (r *FlightRecorder) RegisterTrack(name string) TrackID {
 	return TrackID(len(r.tracks) - 1)
 }
 
-// record claims the next ring slot. Callers hold no lock; the ring
-// mutex is the only synchronization (recording is sampled, so the
-// critical section is short and rarely contended).
+// record appends an event, or overwrites the oldest once a ring is
+// full. Callers hold no lock; the mutex is the only synchronization
+// (live recording is sampled, so the critical section is short and
+// rarely contended). It takes the event's fields, not an event, which
+// keeps every recording method small enough to inline: on a nil
+// recorder a call costs the inlined nil check.
 //
 //kv3d:hotpath
-func (r *FlightRecorder) record(ev flightEvent) {
+func (r *FlightRecorder[T]) record(ph byte, track TrackID, name, label string, ts T, arg int64) {
+	ev := event[T]{ts: ts, arg: arg, name: name, label: label, track: track, ph: ph}
 	r.mu.Lock()
-	r.events[r.next] = ev
-	r.next++
-	if r.next == len(r.events) {
-		r.next = 0
+	if r.limit == 0 || len(r.events) < r.limit {
+		r.events = append(r.events, ev)
+	} else {
+		r.events[r.next] = ev
+		r.next++
+		if r.next == r.limit {
+			r.next = 0
+		}
+		r.dropped++
 	}
-	r.total++
 	r.mu.Unlock()
 }
 
@@ -126,81 +164,78 @@ func (r *FlightRecorder) record(ev flightEvent) {
 // span's args for filtering in Perfetto.
 //
 //kv3d:hotpath
-func (r *FlightRecorder) Complete(track TrackID, name, outcome string, start, end sim.Ns) {
+func (r *FlightRecorder[T]) Complete(track TrackID, name, outcome string, start, end T) {
 	if r == nil {
 		return
 	}
-	r.record(flightEvent{
-		ph: phaseComplete, track: track, name: name, outcome: outcome,
-		ts: start, dur: end - start,
-	})
+	r.record(phaseComplete, track, name, outcome, start, int64(end-start))
 }
 
 // Instant records a point event on a track.
 //
 //kv3d:hotpath
-func (r *FlightRecorder) Instant(track TrackID, name string, ts sim.Ns) {
+func (r *FlightRecorder[T]) Instant(track TrackID, name string, ts T) {
 	if r == nil {
 		return
 	}
-	r.record(flightEvent{ph: phaseInstant, track: track, name: name, ts: ts})
+	r.record(phaseInstant, track, name, "", ts, 0)
 }
 
-// Counter records a sampled integer value as a stepped counter track.
+// Counter records a sampled integer value; Perfetto renders each
+// counter name as its own stepped time-series track.
 //
 //kv3d:hotpath
-func (r *FlightRecorder) Counter(track TrackID, name string, ts sim.Ns, value int64) {
+func (r *FlightRecorder[T]) Counter(track TrackID, name string, ts T, value int64) {
 	if r == nil {
 		return
 	}
-	r.record(flightEvent{ph: phaseCounter, track: track, name: name, ts: ts, arg: value})
+	r.record(phaseCounter, track, name, "", ts, value)
 }
 
-// AsyncBegin opens an async span identified by (cat, id). The server
-// records ("op", opaque) around each sampled binary op, so the span
-// carries the id the client put on the wire.
+// AsyncBegin opens an async span identified by (cat, id). Async spans
+// may overlap freely, which is how per-request lifecycles are drawn:
+// the simulator keys ("req", request id) with nested phases, the
+// server ("op", opaque), so a span carries the id the client put on
+// the wire.
 //
 //kv3d:hotpath
-func (r *FlightRecorder) AsyncBegin(cat, name string, id uint64, ts sim.Ns) {
+func (r *FlightRecorder[T]) AsyncBegin(cat, name string, id uint64, ts T) {
 	if r == nil {
 		return
 	}
-	r.record(flightEvent{ph: phaseAsyncBegin, cat: cat, name: name, id: id, ts: ts})
+	r.record(phaseAsyncBegin, 0, name, cat, ts, int64(id))
 }
 
 // AsyncEnd closes the async span opened with the same (cat, id).
 //
 //kv3d:hotpath
-func (r *FlightRecorder) AsyncEnd(cat, name string, id uint64, ts sim.Ns) {
+func (r *FlightRecorder[T]) AsyncEnd(cat, name string, id uint64, ts T) {
 	if r == nil {
 		return
 	}
-	r.record(flightEvent{ph: phaseAsyncEnd, cat: cat, name: name, id: id, ts: ts})
+	r.record(phaseAsyncEnd, 0, name, cat, ts, int64(id))
 }
 
 // snapshot copies the retained events oldest-first plus the track
-// table, so serialization never holds the ring lock across I/O.
-func (r *FlightRecorder) snapshot() (events []flightEvent, tracks []string) {
+// table, so serialization never holds the lock across I/O.
+func (r *FlightRecorder[T]) snapshot() (events []event[T], tracks []string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.total < uint64(len(r.events)) {
-		events = append(events, r.events[:r.total]...)
-	} else {
-		events = append(events, r.events[r.next:]...)
-		events = append(events, r.events[:r.next]...)
-	}
+	events = append(events, r.events[r.next:]...)
+	events = append(events, r.events[:r.next]...)
 	tracks = append(tracks, r.tracks...)
 	return events, tracks
 }
 
-// WriteTraceJSON serializes the current ring contents in Chrome
-// trace-event format (Perfetto-loadable): one process (pid 1) named
-// after the recorder, with its tracks as threads. The output is a pure
-// function of the recorded events — field order, number formatting, and
-// event order (oldest first) are fixed — so a scripted session with a
-// fake clock produces byte-identical output (flight_golden_test.go in
-// kvserver pins this). A nil recorder writes an empty trace.
-func (r *FlightRecorder) WriteTraceJSON(w io.Writer) error {
+// WriteJSON serializes the retained events in Chrome trace-event
+// format (Perfetto-loadable): one process (pid 1) named after the
+// recorder, with its tracks as threads. The output is a pure function
+// of the recorded events — field order, number formatting, and event
+// order (oldest first) are fixed — so a seeded run's trace is
+// byte-identical across runs and platforms (the golden tests in
+// serversim and kvserver pin this). A nil recorder writes an empty
+// trace.
+func (r *FlightRecorder[T]) WriteJSON(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	bw.WriteString("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n")
 	if r != nil {
@@ -215,18 +250,18 @@ func (r *FlightRecorder) WriteTraceJSON(w io.Writer) error {
 			writeJSONString(bw, name)
 			bw.WriteString(`}}`)
 		}
+		perUs := ticksPerMicro[T]()
 		for i := range events {
 			bw.WriteString(",\n")
-			writeFlightEvent(bw, &events[i])
+			writeEvent(bw, &events[i], perUs)
 		}
 	}
 	bw.WriteString("\n]}\n")
 	return bw.Flush()
 }
 
-// writeFlightEvent renders one live event with a fixed field order,
-// mirroring writeEvent but in wall nanoseconds.
-func writeFlightEvent(bw *bufio.Writer, ev *flightEvent) {
+// writeEvent renders one event with a fixed field order.
+func writeEvent[T Tick](bw *bufio.Writer, ev *event[T], perUs int64) {
 	bw.WriteString(`{"name":`)
 	writeJSONString(bw, ev.name)
 	bw.WriteString(`,"ph":"`)
@@ -234,14 +269,14 @@ func writeFlightEvent(bw *bufio.Writer, ev *flightEvent) {
 	bw.WriteString(`","pid":1,"tid":`)
 	bw.WriteString(strconv.Itoa(int(ev.track)))
 	bw.WriteString(`,"ts":`)
-	writeMicrosNs(bw, ev.ts)
+	writeMicros(bw, int64(ev.ts), perUs)
 	switch ev.ph {
 	case phaseComplete:
 		bw.WriteString(`,"dur":`)
-		writeMicrosNs(bw, ev.dur)
-		if ev.outcome != "" {
+		writeMicros(bw, ev.arg, perUs)
+		if ev.label != "" {
 			bw.WriteString(`,"args":{"outcome":`)
-			writeJSONString(bw, ev.outcome)
+			writeJSONString(bw, ev.label)
 			bw.WriteString(`}`)
 		}
 	case phaseInstant:
@@ -252,38 +287,55 @@ func writeFlightEvent(bw *bufio.Writer, ev *flightEvent) {
 		bw.WriteString(`}`)
 	case phaseAsyncBegin, phaseAsyncEnd:
 		bw.WriteString(`,"cat":`)
-		writeJSONString(bw, ev.cat)
+		writeJSONString(bw, ev.label)
 		bw.WriteString(`,"id":"`)
-		bw.WriteString(strconv.FormatUint(ev.id, 10))
+		bw.WriteString(strconv.FormatUint(uint64(ev.arg), 10))
 		bw.WriteString(`"`)
 	}
 	bw.WriteString(`}`)
 }
 
-// writeMicrosNs renders a typed nanosecond count as decimal
-// microseconds with full nanosecond precision and no float round-trip:
-// 1234567 ns -> "1234.567".
-func writeMicrosNs(bw *bufio.Writer, ns sim.Ns) {
-	neg := ns < 0
-	if neg {
+// writeMicros renders a tick count as decimal microseconds (the trace
+// format's time unit) with full tick precision, no float round-trip
+// and trailing zeros stripped: 1234567 ps -> "1.234567", 1234567 ns ->
+// "1234.567", and n ns reads the same as n*1000 ps. perUs is a power
+// of ten.
+func writeMicros(bw *bufio.Writer, ticks, perUs int64) {
+	if ticks < 0 {
 		bw.WriteByte('-')
-		ns = -ns
+		ticks = -ticks
 	}
-	const nsPerUs = 1_000
-	bw.WriteString(strconv.FormatInt(int64(ns/nsPerUs), 10))
-	frac := int64(ns % nsPerUs)
+	bw.WriteString(strconv.FormatInt(ticks/perUs, 10))
+	frac := ticks % perUs
 	if frac == 0 {
 		return
 	}
-	var buf [4]byte
-	buf[0] = '.'
-	for i := 3; i >= 1; i-- {
-		buf[i] = byte('0' + frac%10)
-		frac /= 10
+	// perUs+frac is a 1 followed by the zero-padded fraction digits.
+	var buf [20]byte
+	digits := strconv.AppendInt(buf[:0], perUs+frac, 10)
+	digits[0] = '.'
+	bw.Write(bytes.TrimRight(digits, "0"))
+}
+
+// writeJSONString escapes a name for embedding in the trace. Names are
+// repo-controlled ASCII, so only the JSON structural characters and
+// control bytes need handling.
+func writeJSONString(bw *bufio.Writer, s string) {
+	bw.WriteByte('"')
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		switch {
+		case c == '"' || c == '\\':
+			bw.WriteByte('\\')
+			bw.WriteByte(c)
+		case c < 0x20:
+			const hex = "0123456789abcdef"
+			bw.WriteString(`\u00`)
+			bw.WriteByte(hex[c>>4])
+			bw.WriteByte(hex[c&0xf])
+		default:
+			bw.WriteByte(c)
+		}
 	}
-	out := buf[:]
-	for out[len(out)-1] == '0' {
-		out = out[:len(out)-1]
-	}
-	bw.Write(out)
+	bw.WriteByte('"')
 }

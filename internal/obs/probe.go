@@ -25,21 +25,18 @@ type Probe struct {
 	Value float64
 }
 
-// Registry holds named probes. Counters are registered once and
-// incremented on hot paths; gauges are callbacks evaluated at snapshot
-// time. Snapshot order is sorted by name, so registry contents
+// Registry holds named counters, registered once and incremented on
+// hot paths. Snapshot order is sorted by name, so registry contents
 // serialize deterministically regardless of registration order.
 type Registry struct {
 	mu       sync.Mutex
-	counters map[string]*Counter       // guarded by mu
-	gauges   map[string]func() float64 // guarded by mu
+	counters map[string]*Counter // guarded by mu
 }
 
 // NewRegistry returns an empty probe registry.
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: map[string]*Counter{},
-		gauges:   map[string]func() float64{},
 	}
 }
 
@@ -56,16 +53,13 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Snapshot evaluates every probe and returns them sorted by name.
+// Snapshot reads every counter and returns them sorted by name.
 func (r *Registry) Snapshot() []Probe {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Probe, 0, len(r.counters)+len(r.gauges))
+	out := make([]Probe, 0, len(r.counters))
 	for name, c := range r.counters {
 		out = append(out, Probe{Name: name, Value: float64(c.Value())})
-	}
-	for name, fn := range r.gauges {
-		out = append(out, Probe{Name: name, Value: fn()})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out

@@ -7,10 +7,10 @@ import (
 )
 
 // TestRegistryConcurrentRegisterAndSnapshot is the -race regression for
-// the Registry's locking contract: the counters and gauges maps are
-// guarded by mu, while each Counter's value is a typed atomic.
-// Concurrent first-use registration (the map write), increments, gauge
-// installs, and snapshots must all coexist.
+// the Registry's locking contract: the counters map is guarded by mu,
+// while each Counter's value is a typed atomic. Concurrent first-use
+// registration (the map write), reuse, increments and snapshots must
+// all coexist.
 func TestRegistryConcurrentRegisterAndSnapshot(t *testing.T) {
 	r := NewRegistry()
 	const (
@@ -27,7 +27,8 @@ func TestRegistryConcurrentRegisterAndSnapshot(t *testing.T) {
 				// reuse race on the counters map.
 				r.Counter(fmt.Sprintf("c.%d", i%7)).Add(1)
 			}
-			r.Gauge(fmt.Sprintf("g.%d", w), func() float64 { return float64(w) })
+			// One name per worker: registration races snapshots alone.
+			r.Counter(fmt.Sprintf("g.%d", w)).Add(int64(w))
 		}(w)
 	}
 	snaps := make(chan struct{})
@@ -49,16 +50,4 @@ func TestRegistryConcurrentRegisterAndSnapshot(t *testing.T) {
 	if want := float64(workers * perW); total != want {
 		t.Fatalf("counters sum to %v, want %v", total, want)
 	}
-}
-
-// Gauge registers a callback gauge. Registering a name twice panics:
-// two owners for one probe is always a wiring bug. No non-test code
-// registers a gauge.
-func (r *Registry) Gauge(name string, fn func() float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.gauges[name]; dup {
-		panic(fmt.Sprintf("obs: gauge %q registered twice", name))
-	}
-	r.gauges[name] = fn
 }

@@ -6,7 +6,7 @@ import "kv3d/internal/sim"
 type sampledGauge struct {
 	name  string
 	track TrackID
-	fn    func() float64
+	fn    func() int64
 }
 
 // Sampler periodically evaluates registered gauges on the simulation's
@@ -16,14 +16,14 @@ type sampledGauge struct {
 // stepped track in Perfetto.
 type Sampler struct {
 	s      *sim.Simulator
-	tr     *Tracer
+	tr     *FlightRecorder[sim.Time]
 	every  sim.Duration
 	until  sim.Time
 	gauges []sampledGauge
 }
 
 // NewSampler creates a sampler with the given period.
-func NewSampler(s *sim.Simulator, tr *Tracer, every sim.Duration) *Sampler {
+func NewSampler(s *sim.Simulator, tr *FlightRecorder[sim.Time], every sim.Duration) *Sampler {
 	if every <= 0 {
 		panic("obs: sampler period must be positive")
 	}
@@ -32,7 +32,7 @@ func NewSampler(s *sim.Simulator, tr *Tracer, every sim.Duration) *Sampler {
 
 // Gauge registers a gauge to be sampled each tick. Must be called
 // before Start.
-func (sp *Sampler) Gauge(track TrackID, name string, fn func() float64) {
+func (sp *Sampler) Gauge(track TrackID, name string, fn func() int64) {
 	sp.gauges = append(sp.gauges, sampledGauge{name: name, track: track, fn: fn})
 }
 

@@ -20,7 +20,7 @@ func TestAttributionSumsToLatency(t *testing.T) {
 	cfg := mercuryBox(4, 4)
 	nominal, _ := NominalTPS(cfg)
 	cfg.OfferedTPS = nominal * 0.7
-	cfg.Trace = obs.NewTracer()
+	cfg.Trace = obs.NewFlightRecorder[sim.Time]("kv3d", 0)
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestTracingDoesNotPerturbResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	traced := cfg
-	traced.Trace = obs.NewTracer()
+	traced.Trace = obs.NewFlightRecorder[sim.Time]("kv3d", 0)
 	traced.Probes = obs.NewRegistry()
 	withObs, err := Run(traced)
 	if err != nil {

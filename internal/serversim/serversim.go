@@ -56,7 +56,9 @@ type Config struct {
 	// phases), per-stack wait/serve lanes, and sampled queue-depth and
 	// busy-core counters. Tracing is observation-only: it never
 	// perturbs model event order, so results match an untraced run.
-	Trace *obs.Tracer
+	// A recorder of capacity 0 keeps the whole run; a ring keeps only
+	// its newest events.
+	Trace *obs.FlightRecorder[sim.Time]
 	// Probes, when non-nil, receives run counters under the
 	// "serversim." prefix (arrivals, completions, incomplete, per-stack
 	// completions) plus "sim.events_dispatched".
@@ -75,7 +77,8 @@ type Result struct {
 	Latency metrics.Summary
 	// SubMsFraction is the share of measured requests under 1ms.
 	SubMsFraction float64
-	// HottestUtilization is the busiest per-stack core pool's.
+	// HottestUtilization is the busiest per-stack core pool's share of
+	// core time spent serving inside the measured window.
 	HottestUtilization float64
 }
 
@@ -125,7 +128,12 @@ func Run(cfg Config) (Result, error) {
 	stacks := make([]*sim.Resource, cfg.Stacks)
 	names := make([]string, cfg.Stacks)
 	tracks := make([]obs.TrackID, cfg.Stacks)
-	perStackCompleted := make([]int, cfg.Stacks)
+	// Per stack, inside the measured window: requests that arrived
+	// and completed, and service time spent.
+	measured := make([]struct {
+		completed int
+		busy      sim.Duration
+	}, cfg.Stacks)
 	ring := cluster.NewRing(cfg.VirtualNodes)
 	byName := make(map[string]int, cfg.Stacks)
 	for i := range stacks {
@@ -180,9 +188,9 @@ func Run(cfg Config) (Result, error) {
 		for i := range stacks {
 			r := stacks[i]
 			sampler.Gauge(tracks[i], "serversim."+names[i]+".queue_depth",
-				func() float64 { return float64(r.QueueLen()) })
+				func() int64 { return int64(r.QueueLen()) })
 			sampler.Gauge(tracks[i], "serversim."+names[i]+".busy_cores",
-				func() float64 { return float64(r.Busy()) })
+				func() int64 { return int64(r.Busy()) })
 		}
 		sampler.Start(end)
 	}
@@ -222,9 +230,10 @@ func Run(cfg Config) (Result, error) {
 					tr.AsyncEnd("req", "service", rid, info.Completed)
 					tr.AsyncEnd("req", "request", rid, info.Completed)
 				}
+				measured[idx].busy += overlap(info.Started, info.Completed, warmEnd, end)
 				if start >= warmEnd && start < end {
 					recordPs(hist, done.Sub(start))
-					perStackCompleted[idx]++
+					measured[idx].completed++
 				}
 				// Throughput counts completions inside the window —
 				// counting by arrival would credit queued work that
@@ -244,12 +253,11 @@ func Run(cfg Config) (Result, error) {
 	s.RunUntil(end.Add(50 * sim.Millisecond))
 
 	window := sim.Duration(end - warmEnd)
-	span := sim.Duration(s.Now())
 	var maxU float64
-	for i, r := range stacks {
-		maxU = max(maxU, r.Utilization(span))
+	for i := range stacks {
+		maxU = max(maxU, measured[i].busy.Seconds()/(float64(cfg.Stack.CoresPerStack)*window.Seconds()))
 		if cfg.Probes != nil {
-			cfg.Probes.Counter("serversim." + names[i] + ".completed").Add(int64(perStackCompleted[i]))
+			cfg.Probes.Counter("serversim." + names[i] + ".completed").Add(int64(measured[i].completed))
 		}
 	}
 	if cfg.Probes != nil {
@@ -261,6 +269,14 @@ func Run(cfg Config) (Result, error) {
 		SubMsFraction:      hist.FractionBelow(int64(sim.Millisecond.Ps())),
 		HottestUtilization: maxU,
 	}, nil
+}
+
+// overlap is how much of [from, to) lies inside [lo, hi). A job that
+// started before the end of the window completes well within the 50 ms
+// drain, so summing it over completions integrates a stack's busy
+// cores over the window exactly.
+func overlap(from, to, lo, hi sim.Time) sim.Duration {
+	return max(0, min(to, hi).Sub(max(from, lo)))
 }
 
 // NominalTPS returns the linear-scaling capacity the paper reports:

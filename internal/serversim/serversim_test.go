@@ -105,6 +105,33 @@ func TestOverloadCapsThroughput(t *testing.T) {
 	}
 }
 
+// TestHottestUtilizationCountsTheWindow holds HottestUtilization to
+// the measured window: the warm-up and the drain after it are not
+// diluting the busy time. At 30 % uniform load the hottest stack (the
+// ring never balances exactly) is at least 30 % busy, and 105 % of
+// nominal with Zipf keys saturates it.
+func TestHottestUtilizationCountsTheWindow(t *testing.T) {
+	cfg := mercuryBox(8, 8)
+	cfg.Duration = 20 * sim.Millisecond
+	cfg.Keys = 50_000
+	nominal, _ := NominalTPS(cfg)
+	hottest := func(frac, skew float64) float64 {
+		c := cfg
+		c.OfferedTPS, c.ZipfSkew = nominal*frac, skew
+		r, err := Run(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.HottestUtilization
+	}
+	if u := hottest(0.3, 0); u < 0.30 {
+		t.Errorf("30%% uniform load: hottest utilization %.3f, want >= 0.30", u)
+	}
+	if u := hottest(1.05, 0.99); u < 0.95 {
+		t.Errorf("105%% Zipf load: hottest utilization %.3f, want >= 0.95", u)
+	}
+}
+
 func TestSkewErodesUsableCapacity(t *testing.T) {
 	// At 70% of nominal load, uniform traffic holds the SLA; heavy
 	// Zipf skew saturates the hottest stack and latency explodes.

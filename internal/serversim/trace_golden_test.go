@@ -30,7 +30,7 @@ func goldenConfig() Config {
 func runGoldenTrace(t *testing.T) []byte {
 	t.Helper()
 	cfg := goldenConfig()
-	cfg.Trace = obs.NewTracer()
+	cfg.Trace = obs.NewFlightRecorder[sim.Time]("kv3d", 0)
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
 	}

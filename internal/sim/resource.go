@@ -6,11 +6,10 @@ package sim
 // scheduled. This is the building block for memory ports, flash
 // controllers, NIC MACs and wire links.
 type Resource struct {
-	sim      *Simulator
-	servers  int
-	busy     int
-	waiting  []*job
-	busyTime Duration // integrated over servers, for Utilization
+	sim     *Simulator
+	servers int
+	busy    int
+	waiting []*job
 
 	hooks *ResourceHooks
 }
@@ -91,7 +90,6 @@ func (r *Resource) start(j *job) {
 	started := r.sim.Now()
 	wait := started.Sub(j.enqueued)
 	r.busy++
-	r.busyTime += j.service
 	if r.hooks != nil && r.hooks.Started != nil && wait > 0 {
 		r.hooks.Started(started, wait)
 	}
@@ -121,11 +119,3 @@ func (r *Resource) Busy() int { return r.busy }
 
 // QueueLen reports the current number of waiting jobs.
 func (r *Resource) QueueLen() int { return len(r.waiting) }
-
-// Utilization returns integrated busy time divided by (servers × span).
-func (r *Resource) Utilization(span Duration) float64 {
-	if span <= 0 {
-		return 0
-	}
-	return r.busyTime.Seconds() / (float64(r.servers) * span.Seconds())
-}

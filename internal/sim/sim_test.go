@@ -217,17 +217,6 @@ func TestResourceParallelServers(t *testing.T) {
 	}
 }
 
-func TestResourceUtilization(t *testing.T) {
-	s := New()
-	r := NewResource(s, 1)
-	s.At(0, func() { r.Acquire(Second/2, nil) })
-	s.Run()
-	s.RunUntil(Time(Second))
-	if got := r.Utilization(Second); math.Abs(got-0.5) > 1e-9 {
-		t.Fatalf("utilization = %v, want 0.5", got)
-	}
-}
-
 func TestResourceQueueDelay(t *testing.T) {
 	s := New()
 	r := NewResource(s, 1)

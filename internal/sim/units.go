@@ -17,7 +17,7 @@ package sim
 // crossings.
 
 // Ps is a picosecond count: the kernel's base unit as a defined type
-// for raw-integer seams (histogram samples, trace timestamps).
+// for raw-integer seams (histogram samples).
 type Ps int64
 
 // Ns is a nanosecond count: the live server's clock unit (clock.Clock
@@ -40,7 +40,3 @@ func (p Ps) Duration() Duration { return Duration(p) }
 
 // Ps returns the duration as a typed picosecond count.
 func (d Duration) Ps() Ps { return Ps(d) }
-
-// Ps returns the timestamp as a typed picosecond count (picoseconds
-// since simulation start).
-func (t Time) Ps() Ps { return Ps(t) }

@@ -55,9 +55,6 @@ func TestDurationTypedAccessors(t *testing.T) {
 	if d.Ps() != 1_500_000 {
 		t.Errorf("Ps() = %d", d.Ps())
 	}
-	if Time(42).Ps() != 42 {
-		t.Errorf("Time.Ps() = %d", Time(42).Ps())
-	}
 	if (Ps(7)).Duration() != 7 {
 		t.Errorf("Ps.Duration() = %v", Ps(7).Duration())
 	}

@@ -1,12 +1,9 @@
 package trace
 
 import (
-	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 
-	"kv3d/internal/obs"
 	"kv3d/internal/sim"
 )
 
@@ -107,51 +104,6 @@ func TestSnapshotSurvivesReset(t *testing.T) {
 	// the hazard Snapshot exists to avoid.
 	if live[0].ReqID == 1 {
 		t.Fatal("expected Records view to be clobbered after Reset+Append; the aliasing contract changed")
-	}
-}
-
-func TestEmitSpans(t *testing.T) {
-	recs := []Record{
-		{Time: sim.Time(1 * sim.Microsecond), Dir: ClientToServer, ReqID: 7, Bytes: 24},
-		{Time: sim.Time(4 * sim.Microsecond), Dir: ServerToClient, ReqID: 7, Bytes: 104},
-		{Time: sim.Time(5 * sim.Microsecond), Dir: ClientToServer, ReqID: 8, Bytes: 24},
-		// request 8 never completes: no rtt span.
-	}
-	tr := obs.NewTracer()
-	EmitSpans(tr, tr.RegisterTrack("nic"), recs)
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !json.Valid(buf.Bytes()) {
-		t.Fatal("invalid JSON")
-	}
-	// 3 packet instants + 1 begin/end pair for the completed request.
-	if n := bytes.Count(buf.Bytes(), []byte(`"ts":`)); n != 5 {
-		t.Fatalf("emitted %d events, want 5", n)
-	}
-	// Nil tracer: no panic.
-	EmitSpans(nil, 0, recs)
-}
-
-// EmitSpans converts the packet trace into obs request spans: one async
-// "rtt" span per completed round trip plus an instant per packet record
-// on the given track. A nil tracer is a no-op. No non-test code calls
-// it; TestEmitSpans pins it.
-func EmitSpans(t *obs.Tracer, track obs.TrackID, recs []Record) {
-	if !t.Enabled() {
-		return
-	}
-	for _, r := range recs {
-		name := "pkt:c->s"
-		if r.Dir == ServerToClient {
-			name = "pkt:s->c"
-		}
-		t.Instant(track, name, r.Time)
-	}
-	for i, rtt := range ExtractRTTs(recs) {
-		t.AsyncBegin("rtt", "rtt", uint64(i), rtt.Start)
-		t.AsyncEnd("rtt", "rtt", uint64(i), rtt.Start.Add(rtt.Duration))
 	}
 }
 
