@@ -9,8 +9,11 @@ package kv3d
 //	go test -bench=BenchmarkTable4 -v
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"math"
+	"net"
 	"sync/atomic"
 	"testing"
 
@@ -20,9 +23,11 @@ import (
 	"kv3d/internal/kvstore"
 	"kv3d/internal/memmodel"
 	"kv3d/internal/obs"
+	"kv3d/internal/protocol"
 	"kv3d/internal/serversim"
 	"kv3d/internal/sim"
 	"kv3d/internal/stackmodel"
+	"kv3d/internal/testutil"
 	"kv3d/internal/workload"
 )
 
@@ -383,3 +388,77 @@ func BenchmarkTracerDisabled(b *testing.B) { benchServersimTraced(b, false) }
 // BenchmarkTracerEnabled runs the same experiment with a live tracer
 // recording request, queue/service and sampler events.
 func BenchmarkTracerEnabled(b *testing.B) { benchServersimTraced(b, true) }
+
+// --- the loopback bound under rtt_get ----------------------------------
+
+// rttGetFrames are rtt_get's frame sizes: a 36 B binary GET of a 12 B
+// key, answered by a 128 B reply carrying a 100 B value.
+func rttGetFrames() (key string, req []byte, value []byte) {
+	key = "key:00000001"
+	req = append([]byte{protocol.MagicRequest, protocol.OpGet, 0, byte(len(key)), 0, 0, 0, 0, 0, 0, 0, byte(len(key)),
+		0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, key...)
+	return key, req, bytes.Repeat([]byte("v"), 100)
+}
+
+// roundTrips makes b.N closed-loop round trips of req over a loopback
+// connection to addr, each reading a reply of replyLen bytes.
+func roundTrips(b *testing.B, addr string, req []byte, replyLen int) {
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer conn.Close()
+	reply := make([]byte, replyLen)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := conn.Write(req); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := io.ReadFull(conn, reply); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLoopbackEcho is the floor BenchmarkLoopbackGet stands on:
+// the same round trips against testutil.EchoServer, a goroutine per
+// connection that answers each 36 B request with 128 B and parses
+// nothing. The gap between the two is what kv3d's session, store and
+// codec add per GET in one process; the rest is the loopback stack.
+func BenchmarkLoopbackEcho(b *testing.B) {
+	_, req, _ := rttGetFrames()
+	roundTrips(b, testutil.EchoServer(b, len(req), make([]byte, 128)), req, 128)
+}
+
+// BenchmarkLoopbackGet makes rtt_get's round trips against a store
+// served by protocol.ServeConnIdle, as kv3d-server serves a
+// connection: a binary GET of a resident 100 B value per round trip.
+func BenchmarkLoopbackGet(b *testing.B) {
+	key, req, value := rttGetFrames()
+	st, err := kvstore.New(kvstore.DefaultConfig(8 << 20))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := st.Set(key, value, 0, 0); err != nil {
+		b.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ln.Close()
+	served := make(chan error, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err == nil {
+			err = protocol.ServeConnIdle(st, conn, protocol.Env{}, 0)
+			conn.Close()
+		}
+		served <- err
+	}()
+	roundTrips(b, ln.Addr().String(), req, 24+4+len(value))
+	if err := <-served; err != nil {
+		b.Fatal(err)
+	}
+}

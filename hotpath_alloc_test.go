@@ -9,9 +9,9 @@ package kv3d
 //   - A disabled (nil) obs.FlightRecorder costs zero allocations per
 //     event, so model and server code can instrument unconditionally;
 //     so do a recording ring and the simulator's event dispatch.
-//   - The ASCII and binary GET paths — read, dispatch, doGet/getRun,
-//     store lookup, response write, a pipelined run of binary GETs
-//     included — and the SET paths, down to the rewrite
+//   - The ASCII and binary GET paths — read, parse, the one execute,
+//     store lookup, response write, pipelined runs of binary frames
+//     and of ASCII lines included — and the SET paths, down to the rewrite
 //     of a resident item's chunk, allocate nothing per operation in
 //     steady state. Per-session setup (bufio buffers, scratch growth on
 //     first use) is allowed; per-op cost must be flat.
@@ -400,6 +400,49 @@ func TestBinaryGetRunZeroAllocPerOp(t *testing.T) {
 	}
 	if !bytes.Contains(trace.Bytes(), []byte(`"dur":`)) {
 		t.Fatal("the flight recorder saw no spans")
+	}
+}
+
+// TestASCIIGetRunZeroAllocPerOp is the ASCII twin of the binary run
+// gate: 16 pipelined get and gets lines per transport read — single-
+// and multi-key, hits and a miss — are served as one run on a session
+// ServeConnIdle built, with a gate that refuses every eighth run, and
+// the observer, the clock and a flight span of every line live; none
+// of it allocates per line.
+func TestASCIIGetRunZeroAllocPerOp(t *testing.T) {
+	st, err := kvstore.New(kvstore.DefaultConfig(32 << 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"a", "b", "c", "d"} {
+		if err := st.Set(k, []byte("0123456789abcdef"), 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var run []byte
+	for i := 0; i < 16; i++ {
+		line := []string{"get a\r\n", "gets b c\r\n", "get d x a\r\n", "gets x\r\n"}[i%4] // x misses
+		run = append(run, line...)
+	}
+	rec := obs.NewFlightRecorder[sim.Ns]("gate", 256)
+	sink := &flightGateSink{rec: rec, track: rec.RegisterTrack("ops")}
+	var nullObs nullObserver
+	env := protocol.Env{Gate: &eighthGate{}, Observer: nullObs, Clock: clock.NewFake(1000), Flight: sink, FlightEvery: 1}
+	serve := func(runs int) {
+		segs := make([][]byte, runs)
+		for i := range segs {
+			segs[i] = run
+		}
+		if err := protocol.ServeConnIdle(st, &segmentConn{segs: segs}, env, 0); err != nil {
+			t.Fatalf("serve: %v", err)
+		}
+	}
+	const small, large = 8, 128 // runs of 16 lines
+	allocsSmall := testing.AllocsPerRun(10, func() { serve(small) })
+	allocsLarge := testing.AllocsPerRun(10, func() { serve(large) })
+	if perOp := (allocsLarge - allocsSmall) / float64(16*(large-small)); perOp != 0 {
+		t.Fatalf("a 16-line ASCII GET run allocates %v per line (session totals: %v @ %d runs, %v @ %d runs), want 0",
+			perOp, allocsSmall, small, allocsLarge, large)
 	}
 }
 

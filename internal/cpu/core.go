@@ -24,7 +24,6 @@ type Kind int
 const (
 	KindA7 Kind = iota
 	KindA15
-	KindXeon
 )
 
 func (k Kind) String() string {
@@ -33,8 +32,6 @@ func (k Kind) String() string {
 		return "Cortex-A7"
 	case KindA15:
 		return "Cortex-A15"
-	case KindXeon:
-		return "Xeon"
 	default:
 		return "unknown-core"
 	}

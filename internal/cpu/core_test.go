@@ -105,30 +105,4 @@ func TestNames(t *testing.T) {
 	if Kind(42).String() != "unknown-core" {
 		t.Fatal("unknown kind name")
 	}
-	if Xeon().Kind.String() != "Xeon" {
-		t.Fatal("xeon name")
-	}
-}
-
-func TestXeonOutclassesEmbedded(t *testing.T) {
-	x, a7 := Xeon(), CortexA7()
-	if x.ComputeTime(10000) >= a7.ComputeTime(10000) {
-		t.Fatal("Xeon should be faster per instruction block")
-	}
-	if x.PowerW <= a7.PowerW*10 {
-		t.Fatal("Xeon should cost far more power")
-	}
-}
-
-// Xeon returns a conventional out-of-order server core, the comparison
-// TestXeonOutclassesEmbedded draws. No model uses it.
-func Xeon() Core {
-	return Core{
-		Kind:              KindXeon,
-		FreqHz:            2.5e9,
-		IPC:               1.6,
-		MLP:               4.0,
-		StreamBytesPerSec: 3.0e9,
-		PowerW:            12.0, // per core, conventional server class
-	}
 }

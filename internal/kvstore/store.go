@@ -368,12 +368,6 @@ func (st *Store) Incr(key string, delta uint64) (uint64, error) {
 	return v, err
 }
 
-// Decr subtracts delta from a decimal value (floored at 0).
-func (st *Store) Decr(key string, delta uint64) (uint64, error) {
-	v, _, err := st.IncrDecr(key, delta, false)
-	return v, err
-}
-
 // Delete removes a key.
 func (st *Store) Delete(key string) error {
 	k := keyBytes(key)

@@ -189,7 +189,7 @@ func TestIncrDecr(t *testing.T) {
 	if v, err := st.Incr("n", 5); err != nil || v != 15 {
 		t.Fatalf("incr = %d, %v", v, err)
 	}
-	if v, err := st.Decr("n", 20); err != nil || v != 0 {
+	if v, _, err := st.IncrDecr("n", 20, false); err != nil || v != 0 {
 		t.Fatalf("decr should floor at 0, got %d, %v", v, err)
 	}
 	if _, err := st.Incr("absent", 1); !errors.Is(err, ErrNotFound) {

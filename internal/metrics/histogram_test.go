@@ -192,33 +192,6 @@ func TestPercentileEdges(t *testing.T) {
 	}
 }
 
-func TestWelford(t *testing.T) {
-	var w Welford
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		w.Add(x)
-	}
-	if w.Count() != 8 {
-		t.Fatalf("count = %d", w.Count())
-	}
-	if math.Abs(w.Mean()-5) > 1e-12 {
-		t.Fatalf("mean = %v", w.Mean())
-	}
-	// Sample variance of this classic set is 32/7.
-	if math.Abs(w.Variance()-32.0/7.0) > 1e-9 {
-		t.Fatalf("variance = %v", w.Variance())
-	}
-	if math.Abs(w.StdDev()-math.Sqrt(32.0/7.0)) > 1e-9 {
-		t.Fatalf("stddev = %v", w.StdDev())
-	}
-}
-
-func TestWelfordEmpty(t *testing.T) {
-	var w Welford
-	if w.Variance() != 0 || w.StdDev() != 0 {
-		t.Fatal("empty Welford should report zero variance")
-	}
-}
-
 func TestExactPercentile(t *testing.T) {
 	s := []int64{5, 1, 3, 2, 4}
 	if got := ExactPercentile(s, 50); got != 3 {
@@ -337,36 +310,3 @@ func ExactPercentile(samples []int64, p float64) int64 {
 	}
 	return s[rank]
 }
-
-// Welford keeps running mean/variance without storing samples. It is
-// used by no non-test code; TestWelford pins its arithmetic.
-type Welford struct {
-	n    uint64
-	mean float64
-	m2   float64
-}
-
-// Add incorporates one observation.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// Count returns the number of observations.
-func (w *Welford) Count() uint64 { return w.n }
-
-// Mean returns the running mean.
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the sample variance.
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }

@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strconv"
 
 	"kv3d/internal/kvstore"
 )
@@ -106,28 +105,16 @@ func parseBinHeader(buf []byte) binHeader {
 // binary codec around the session core.
 type BinarySession struct {
 	core
-	body []byte // reused frame body buffer
-	val  []byte // reused get value buffer: the copied values of a run
-	head []byte // reused head (header, extras, key) of a pinned get reply
+	body    []byte // reused frame body buffer
+	pinHead []byte // reused head (header, extras, key) of a pinned get reply
 	// Fixed-size scratch for the request header, the response header and
 	// a get's flags extras: locals would escape to the heap through the
 	// io.Reader/io.Writer interfaces, one allocation each per frame.
 	reqHdr, respHdr [binHeaderLen]byte
 	flags           [4]byte
-	// h is the header of the frame being served, the first of its run.
-	h binHeader
-
-	// The run being served (core.serveOne): the headers of its frames,
-	// h first; where each later frame's body starts in the buffered
-	// bytes behind h's body, and how many bytes those frames take.
-	runHdr  [maxRun]binHeader
-	runBody [maxRun]int
-	runRest int
-	// The run's batched lookup: the frames' keys, their results, and
-	// the store's grouping scratch.
-	keys  [][]byte
-	batch []kvstore.BatchResult
-	scr   kvstore.BatchScratch
+	// runHdr holds the headers of the run's frames, the one next read
+	// first.
+	runHdr [maxRun]binHeader
 }
 
 // NewBinarySession serves the binary protocol on a transport, with no
@@ -170,71 +157,47 @@ func (s *BinarySession) next() error {
 	if int(h.extrasLen)+int(h.keyLen) > int(h.bodyLen) {
 		return fmt.Errorf("protocol: binary frame lengths inconsistent")
 	}
-	s.h, s.runHdr[0] = h, h
+	s.runHdr[0], s.head = h, binOps[h.opcode]
 	return nil
 }
 
-// getFamily reports whether op is get, getq, getk or getkq.
-func getFamily(op byte) bool {
-	return op == OpGet || op == OpGetQ || op == OpGetK || op == OpGetKQ
+// binOps names the op of each opcode; the rest are opNone, unknown.
+var binOps = [256]op{
+	OpGet: opGet, OpGetQ: opGet, OpGetK: opGet, OpGetKQ: opGet,
+	OpSet: opStore, OpSetQ: opStore, OpAdd: opStore, OpAddQ: opStore, OpReplace: opStore, OpReplaceQ: opStore,
+	OpAppend: opAppend, OpAppendQ: opAppend, OpPrepend: opPrepend, OpPrependQ: opPrepend,
+	OpDelete: opDelete, OpDeleteQ: opDelete, OpIncr: opIncr, OpIncrQ: opIncr, OpDecr: opDecr, OpDecrQ: opDecr,
+	OpTouch: opTouch, OpFlush: opFlush, OpFlushQ: opFlush, OpStat: opStats, OpVersion: opVersion,
+	OpNoop: opNoop, OpQuit: opQuit, OpQuitQ: opQuit,
 }
 
-// run is one for any frame but a get. A get on a session that owns its
-// transport runs together with the complete get frames already
-// buffered behind it, up to maxRun: they are found with Peek on what
-// the reader holds, so forming a run reads nothing from the transport
-// and the flush-before-read policy sees the same reads as frame by
-// frame. A frame that is not a well-formed get ends the run, and the
-// next next reads it as usual.
+// getAt reads a get frame buffered behind the run's last request.
 //
 //kv3d:hotpath
-func (s *BinarySession) run() int {
-	s.runRest = 0
-	if !getFamily(s.h.opcode) || s.transport == nil {
-		return 1
+func (s *BinarySession) getAt(i int, buf []byte) int {
+	if len(buf) < binHeaderLen {
+		return 0
 	}
-	buf, _ := s.r.Peek(s.r.Buffered()) // never more than is buffered, so it cannot fail or read
-	base := int(s.h.bodyLen)
-	off, n := base, 1
-	for n < maxRun && off+binHeaderLen <= len(buf) {
-		h := parseBinHeader(buf[off:])
-		end := off + binHeaderLen + int(h.bodyLen)
-		if h.magic != MagicRequest || !getFamily(h.opcode) ||
-			int(h.extrasLen)+int(h.keyLen) > int(h.bodyLen) || end > len(buf) {
-			break
-		}
-		s.runHdr[n], s.runBody[n] = h, off+binHeaderLen-base
-		n++
-		off = end
+	h := parseBinHeader(buf)
+	end := binHeaderLen + int(h.bodyLen)
+	if h.magic != MagicRequest || binOps[h.opcode] != opGet ||
+		int(h.extrasLen)+int(h.keyLen) > int(h.bodyLen) || end > len(buf) {
+		return 0
 	}
-	s.runRest = off - base
-	return n
+	s.runHdr[i] = h
+	off := binHeaderLen + int(h.extrasLen)
+	s.keys = append(s.keys, buf[off:off+int(h.keyLen)]) // keys alias the frame bodies, which stay put until the run is discarded
+	return end
 }
 
-// tag classifies frame i's opcode; binary spans carry the frame's
-// opaque field as the correlation key.
-func (s *BinarySession) tag(i int) (OpClass, uint64) {
-	h := s.runHdr[i]
-	return classifyOpcode(h.opcode), uint64(h.opaque)
-}
-
-// exec serves the run: a run of gets as one batch, any other frame on
-// its own.
-//
-//kv3d:hotpath
-func (s *BinarySession) exec(n int) (int, error) {
-	if getFamily(s.h.opcode) {
-		return s.getRun(n)
-	}
-	return 1, s.command()
-}
+func (s *BinarySession) opaque(i int) uint64 { return uint64(s.runHdr[i].opaque) }
 
 // readBody reads the frame's body into the reused buffer and splits it;
 // the three slices are valid until the next frame is read.
 //
 //kv3d:hotpath
 func (s *BinarySession) readBody() (extras, key, value []byte, err error) {
-	h := s.h
+	h := s.runHdr[0]
 	if cap(s.body) < int(h.bodyLen) {
 		s.body = make([]byte, h.bodyLen)
 	}
@@ -242,7 +205,6 @@ func (s *BinarySession) readBody() (extras, key, value []byte, err error) {
 	if _, err := io.ReadFull(s.r, body); err != nil {
 		return nil, nil, nil, err
 	}
-	s.markParse()
 	nk := int(h.extrasLen) + int(h.keyLen)
 	return body[:h.extrasLen], body[h.extrasLen:nk], body[nk:], nil
 }
@@ -254,84 +216,137 @@ func (s *BinarySession) shed() error {
 	if _, _, _, err := s.readBody(); err != nil {
 		return err
 	}
-	h := s.h
+	h := s.runHdr[0]
 	switch {
-	case h.opcode == OpQuit:
-		// The session ends either way; ErrQuit carries the outcome even
-		// if the farewell respond failed.
-		s.respond(h, StatusOK, nil, nil, nil, 0)
-		return ErrQuit
-	case h.opcode == OpQuitQ:
-		return ErrQuit
+	case s.head == opQuit:
+		return s.encode(&command{op: opQuit, quiet: quiet(h.opcode)}, result{})
 	case quiet(h.opcode):
 		return nil
 	}
 	return s.respond(h, StatusBusy, nil, nil, binBusy, 0)
 }
 
-// command reads the frame's body and executes it. The store family
-// keeps its key as bytes of the frame body all the way into the store;
-// every other opcode crosses into the string-keyed API. The get family
-// never comes here: getRun serves it.
+// parse reads the frame's body and turns it into a command: key and
+// value stay slices of the body, the extras become fields, and the
+// vbucket field the replication mode. Wrong extras and unknown opcodes
+// are answered here.
 //
 //kv3d:hotpath
-func (s *BinarySession) command() error {
-	h := s.h
-	extras, keyB, value, err := s.readBody()
+func (s *BinarySession) parse(cmd *command) error {
+	h := s.runHdr[0]
+	extras, key, value, err := s.readBody()
 	if err != nil {
 		return err
 	}
-	switch h.opcode {
-	case OpSet, OpSetQ, OpAdd, OpAddQ, OpReplace, OpReplaceQ:
-		return s.doStore(h, extras, keyB, value)
-	}
-	key := string(keyB) // concat, delete, arithmetic and admin opcodes tolerate one short per-frame allocation; the store family returns above and never reaches this line
-	switch h.opcode {
-	case OpAppend, OpAppendQ, OpPrepend, OpPrependQ:
-		return s.doConcat(h, key, value)
-	case OpDelete, OpDeleteQ:
-		return s.doDelete(h, key)
-	case OpIncr, OpIncrQ, OpDecr, OpDecrQ:
-		return s.doIncrDecr(h, extras, key)
-	case OpTouch:
-		return s.doTouch(h, extras, key)
-	case OpFlush, OpFlushQ:
-		return s.doFlush(h, extras)
-	case OpNoop:
-		return s.respond(h, StatusOK, nil, nil, nil, 0)
-	case OpVersion:
-		return s.respond(h, StatusOK, nil, nil, binVersion, 0)
-	case OpStat:
-		return s.doStat(h)
-	case OpQuit:
-		s.respond(h, StatusOK, nil, nil, nil, 0)
-		return ErrQuit
-	case OpQuitQ:
-		return ErrQuit
-	default:
+	*cmd = command{key: key, value: value, cas: h.cas, mode: ReplModeFromVbucket(h.status), quiet: quiet(h.opcode)}
+	switch s.head {
+	case opNone:
 		return s.respond(h, StatusUnknownCommand, nil, nil, binUnknown, 0)
+	case opGet:
+		s.keys = append(s.keys, key)
+	case opStore:
+		if len(extras) != 8 {
+			return s.respond(h, StatusInvalidArgs, nil, nil, binInvalid, 0)
+		}
+		cmd.flags = binary.BigEndian.Uint32(extras)
+		cmd.exptime = int64(int32(binary.BigEndian.Uint32(extras[4:])))
+		switch {
+		case h.opcode == OpAdd || h.opcode == OpAddQ:
+			cmd.verb = kvstore.VerbAdd
+		case h.opcode == OpReplace || h.opcode == OpReplaceQ:
+			cmd.verb = kvstore.VerbReplace
+		case h.cas != 0:
+			cmd.verb = kvstore.VerbCAS
+		}
+	case opIncr, opDecr:
+		if len(extras) != 20 {
+			return s.respond(h, StatusInvalidArgs, nil, nil, binInvalid, 0)
+		}
+		cmd.delta = binary.BigEndian.Uint64(extras)
+		cmd.initial = binary.BigEndian.Uint64(extras[8:])
+		cmd.exptime = int64(int32(binary.BigEndian.Uint32(extras[16:])))
+		// Binary protocol: exptime 0xffffffff means "do not create".
+		cmd.create = uint32(cmd.exptime) != 0xffffffff
+	case opTouch:
+		if len(extras) != 4 {
+			return s.respond(h, StatusInvalidArgs, nil, nil, binInvalid, 0)
+		}
+		cmd.exptime = int64(int32(binary.BigEndian.Uint32(extras)))
+	case opFlush:
+		// The optional extras are exactly one 32-bit delay; anything
+		// else is refused, even for flushq, rather than turning a
+		// client framing bug into immediate whole-cache loss.
+		switch len(extras) {
+		case 0:
+		case 4:
+			cmd.exptime = int64(binary.BigEndian.Uint32(extras))
+		default:
+			return s.respond(h, StatusInvalidArgs, nil, nil, binInvalid, 0)
+		}
+	case opStats:
+		cmd.key = nil // every stat request gets the general rows
 	}
+	cmd.op = s.head
+	return nil
 }
 
 // quiet reports whether the opcode is a quiet variant (success responses
 // suppressed; for getq, miss responses suppressed).
 func quiet(op byte) bool {
-	switch op {
-	case OpGetQ, OpGetKQ, OpSetQ, OpAddQ, OpReplaceQ, OpDeleteQ,
-		OpIncrQ, OpDecrQ, OpQuitQ, OpFlushQ, OpAppendQ, OpPrependQ:
-		return true
-	}
-	return false
+	return op == OpGetQ || op == OpGetKQ || op >= OpSetQ && op <= OpPrependQ
 }
 
-// respond stages one response frame in the session writer. Its entry
-// marks the end of the store-execute phase for sampled spans (first
-// response wins). bufio's sticky error makes the last write report a
-// failure of any of the four.
+// encode stages the reply to an executed frame. A quorum shortfall is
+// reported even on quiet opcodes — the client asked for an
+// acknowledgement guarantee, so silence would lie — and so is any other
+// failure but a deleteq's miss; quiet suppresses success.
+func (s *BinarySession) encode(cmd *command, res result) error {
+	h := s.runHdr[0]
+	switch {
+	case res.err == nil:
+	case res.repl:
+		return s.respond(h, StatusNoQuorum, nil, nil, []byte(res.err.Error()), 0)
+	case cmd.op == opDelete && cmd.quiet:
+		return nil
+	case cmd.op == opDelete, cmd.op == opTouch, errors.Is(res.err, kvstore.ErrNotFound) && (cmd.op == opIncr || cmd.op == opDecr):
+		return s.respond(h, StatusKeyNotFound, nil, nil, binNotFound, 0)
+	default:
+		return s.respond(h, storeStatus(res.err), nil, nil, []byte(res.err.Error()), 0)
+	}
+	switch {
+	case cmd.op == opQuit:
+		// The session ends either way; ErrQuit carries the outcome even
+		// if the farewell respond failed.
+		if !cmd.quiet {
+			s.respond(h, StatusOK, nil, nil, nil, 0)
+		}
+		return ErrQuit
+	case cmd.quiet:
+		return nil
+	case cmd.op == opStats:
+		// The rows of the ASCII stats command, one frame each, then an
+		// empty one.
+		for _, row := range res.rows {
+			if err := s.respond(h, StatusOK, nil, []byte(row[0]), []byte(row[1]), 0); err != nil {
+				return err
+			}
+		}
+	case cmd.op == opVersion:
+		return s.respond(h, StatusOK, nil, nil, binVersion, 0)
+	case cmd.op == opIncr || cmd.op == opDecr:
+		var out [8]byte
+		binary.BigEndian.PutUint64(out[:], res.num)
+		return s.respond(h, StatusOK, nil, nil, out[:], res.cas)
+	}
+	return s.respond(h, StatusOK, nil, nil, nil, res.cas)
+}
+
+// respond stages one response frame in the session writer. bufio's
+// sticky error makes the last write report a failure of any of the
+// four.
 //
 //kv3d:hotpath
 func (s *BinarySession) respond(h binHeader, status uint16, extras, key, value []byte, cas uint64) error {
-	s.markExec()
 	s.w.Write(s.respHeader(h, status, extras, key, len(value), cas))
 	s.w.Write(extras)
 	s.w.Write(key)
@@ -360,56 +375,20 @@ func (s *BinarySession) respHeader(h binHeader, status uint16, extras, key []byt
 var (
 	binBusy     = []byte("busy")
 	binNotFound = []byte("Not found")
+	binInvalid  = []byte("Invalid arguments")
 	binUnknown  = []byte("Unknown command")
 	binVersion  = []byte(Version)
 )
 
-// getRun serves a run of n get-family frames, the measured hot path
-// of the binary protocol, without allocating: one batched lookup of
-// their keys — slices of the frame bodies — then the replies staged in
-// request order. A value of pinFrom bytes or more is pinned and sent
-// from its chunk; shorter ones are copied into the reused val buffer
-// while it stays under pinFrom bytes, and pinned past that, so a run
-// of mid-size values keeps no more scratch than one value did. A run
-// of one — every get on a caller's pair — takes the same path.
+// encodeGet stages the reply to get frame i of the run without
+// allocating: a miss (silent for the quiet variants), a copied hit, a
+// hit pinned short of pinFrom staged from its chunk, or a pinned hit of
+// pinFrom bytes or more sent from its chunk behind the replies staged
+// before it.
 //
 //kv3d:hotpath
-func (s *BinarySession) getRun(n int) (int, error) {
-	_, key, _, err := s.readBody()
-	if err != nil {
-		return 1, err
-	}
-	var rest []byte
-	if s.runRest > 0 {
-		rest, _ = s.r.Peek(s.runRest) // run counted these bytes as buffered
-	}
-	s.keys = append(s.keys[:0], key)
-	for i := 1; i < n; i++ {
-		h, off := s.runHdr[i], s.runBody[i]+int(s.runHdr[i].extrasLen)
-		s.keys = append(s.keys, rest[off:off+int(h.keyLen)]) // keys alias the frame bodies, which stay put until the run is discarded below
-	}
-	s.val, s.batch = s.store.GetBatchInto(s.val[:0], s.keys, s.batch[:0], &s.scr, s.pinFrom)
-	served := n
-	for i := range s.batch {
-		if err = s.getReply(s.runHdr[i], s.keys[i], &s.batch[i]); err != nil {
-			served = i + 1
-			for _, r := range s.batch[served:] {
-				s.store.Unpin(r.Pin)
-			}
-			break
-		}
-	}
-	s.r.Discard(s.runRest) // the run's later frames, all buffered: Discard cannot fail or read
-	return served, err
-}
-
-// getReply stages the reply to one get of a run: a miss (silent for
-// the quiet variants), a copied hit, a hit pinned short of pinFrom
-// staged from its chunk, or a pinned hit of pinFrom bytes or more sent
-// from its chunk behind the replies staged before it.
-//
-//kv3d:hotpath
-func (s *BinarySession) getReply(h binHeader, key []byte, r *kvstore.BatchResult) error {
+func (s *BinarySession) encodeGet(i int, keys [][]byte, rs []kvstore.BatchResult) error {
+	h, key, r := s.runHdr[i], keys[0], &rs[0]
 	if !r.Found {
 		if quiet(h.opcode) {
 			return nil // getq: silent miss
@@ -430,165 +409,13 @@ func (s *BinarySession) getReply(h binHeader, key []byte, r *kvstore.BatchResult
 		s.store.Unpin(r.Pin)
 		return err
 	}
-	s.markExec()
-	s.head = append(s.head[:0], s.respHeader(h, StatusOK, s.flags[:], key, len(r.Pinned), r.CAS)...)
-	s.head = append(append(s.head, s.flags[:]...), key...)
-	return s.sendPinned(s.head, r.Pinned, nil, r.Pin)
-}
-
-// doStore serves the set family without allocating on success: key and
-// value are slices of the frame body, copied by the store into the
-// item's chunk.
-func (s *BinarySession) doStore(h binHeader, extras, key, value []byte) error {
-	if len(extras) != 8 {
-		return s.respond(h, StatusInvalidArgs, nil, nil, []byte("Invalid arguments"), 0)
-	}
-	flags := binary.BigEndian.Uint32(extras)
-	exptime := int64(int32(binary.BigEndian.Uint32(extras[4:])))
-	verb := kvstore.VerbSet
-	switch h.opcode {
-	case OpSet, OpSetQ:
-		if h.cas != 0 {
-			verb = kvstore.VerbCAS
-		}
-	case OpAdd, OpAddQ:
-		verb = kvstore.VerbAdd
-	case OpReplace, OpReplaceQ:
-		verb = kvstore.VerbReplace
-	}
-	cas, err := s.store.PutBytes(verb, key, value, flags, exptime, h.cas)
-	if err != nil {
-		return s.respond(h, storeStatus(err), nil, nil, []byte(err.Error()), 0)
-	}
-	// Replica fan-out after the local store succeeds. CAS and add/replace
-	// variants all propagate as plain sets: replicas converge on the
-	// winning value (last-writer-wins), they do not re-run the guard. A
-	// quorum shortfall is reported even on quiet opcodes — the client
-	// asked for an acknowledgement guarantee, so silence would lie.
-	if rerr := s.replicateSet(key, value, flags, exptime, ReplModeFromVbucket(h.status)); rerr != nil {
-		return s.respond(h, StatusNoQuorum, nil, nil, []byte(rerr.Error()), 0)
-	}
-	if quiet(h.opcode) {
-		return nil
-	}
-	return s.respond(h, StatusOK, nil, nil, nil, cas)
-}
-
-func (s *BinarySession) doConcat(h binHeader, key string, value []byte) error {
-	var err error
-	if h.opcode == OpAppend || h.opcode == OpAppendQ {
-		err = s.store.Append(key, value)
-	} else {
-		err = s.store.Prepend(key, value)
-	}
-	if err != nil {
-		return s.respond(h, storeStatus(err), nil, nil, []byte(err.Error()), 0)
-	}
-	if quiet(h.opcode) {
-		return nil
-	}
-	return s.respond(h, StatusOK, nil, nil, nil, 0)
-}
-
-func (s *BinarySession) doDelete(h binHeader, key string) error {
-	err := s.store.Delete(key)
-	if err != nil {
-		if quiet(h.opcode) {
-			return nil
-		}
-		return s.respond(h, StatusKeyNotFound, nil, nil, binNotFound, 0)
-	}
-	if rerr := s.replicateDelete(key, ReplModeFromVbucket(h.status)); rerr != nil {
-		return s.respond(h, StatusNoQuorum, nil, nil, []byte(rerr.Error()), 0)
-	}
-	if quiet(h.opcode) {
-		return nil
-	}
-	return s.respond(h, StatusOK, nil, nil, nil, 0)
-}
-
-func (s *BinarySession) doIncrDecr(h binHeader, extras []byte, key string) error {
-	if len(extras) != 20 {
-		return s.respond(h, StatusInvalidArgs, nil, nil, []byte("Invalid arguments"), 0)
-	}
-	delta := binary.BigEndian.Uint64(extras)
-	initial := binary.BigEndian.Uint64(extras[8:])
-	exptime := int64(int32(binary.BigEndian.Uint32(extras[16:])))
-
-	v, cas, err := s.store.IncrDecr(key, delta, h.opcode == OpIncr || h.opcode == OpIncrQ)
-	if errors.Is(err, kvstore.ErrNotFound) {
-		// Binary protocol: exptime 0xffffffff means "do not create".
-		if uint32(exptime) == 0xffffffff {
-			return s.respond(h, StatusKeyNotFound, nil, nil, binNotFound, 0)
-		}
-		v = initial
-		cas, err = s.store.Put(kvstore.VerbAdd, key, strconv.AppendUint(nil, initial, 10), 0, exptime, 0)
-	}
-	if err != nil {
-		return s.respond(h, storeStatus(err), nil, nil, []byte(err.Error()), 0)
-	}
-	if quiet(h.opcode) {
-		return nil
-	}
-	var out [8]byte
-	binary.BigEndian.PutUint64(out[:], v)
-	return s.respond(h, StatusOK, nil, nil, out[:], cas)
-}
-
-func (s *BinarySession) doTouch(h binHeader, extras []byte, key string) error {
-	if len(extras) != 4 {
-		return s.respond(h, StatusInvalidArgs, nil, nil, []byte("Invalid arguments"), 0)
-	}
-	exptime := int64(int32(binary.BigEndian.Uint32(extras)))
-	if err := s.store.Touch(key, exptime); err != nil {
-		return s.respond(h, StatusKeyNotFound, nil, nil, binNotFound, 0)
-	}
-	if rerr := s.replicateTouch(key, exptime, ReplModeFromVbucket(h.status)); rerr != nil {
-		return s.respond(h, StatusNoQuorum, nil, nil, []byte(rerr.Error()), 0)
-	}
-	return s.respond(h, StatusOK, nil, nil, nil, 0)
-}
-
-func (s *BinarySession) doFlush(h binHeader, extras []byte) error {
-	// The optional extras are exactly one 32-bit delay. Anything else is
-	// a malformed frame and must be refused — the previous behaviour of
-	// silently flushing now turned a client framing bug into immediate
-	// whole-cache loss. Error responses are sent even for flushq: quiet
-	// suppresses success only.
-	var delay int64
-	switch len(extras) {
-	case 0:
-		// flush now
-	case 4:
-		delay = int64(binary.BigEndian.Uint32(extras))
-	default:
-		return s.respond(h, StatusInvalidArgs, nil, nil, []byte("Invalid arguments"), 0)
-	}
-	s.store.FlushAll(delay)
-	if rerr := s.replicateFlush(delay, ReplModeFromVbucket(h.status)); rerr != nil {
-		return s.respond(h, StatusNoQuorum, nil, nil, []byte(rerr.Error()), 0)
-	}
-	if quiet(h.opcode) {
-		return nil
-	}
-	return s.respond(h, StatusOK, nil, nil, nil, 0)
-}
-
-// doStat sends the rows of the ASCII stats command, one frame each.
-func (s *BinarySession) doStat(h binHeader) error {
-	for _, row := range StatRows(s.store.Stats()) {
-		if err := s.respond(h, StatusOK, nil, []byte(row[0]), []byte(row[1]), 0); err != nil {
-			return err
-		}
-	}
-	// Terminating empty stat.
-	return s.respond(h, StatusOK, nil, nil, nil, 0)
+	s.pinHead = append(s.pinHead[:0], s.respHeader(h, StatusOK, s.flags[:], key, len(r.Pinned), r.CAS)...)
+	s.pinHead = append(append(s.pinHead, s.flags[:]...), key...)
+	return s.sendPinned(s.pinHead, r.Pinned, nil, r.Pin)
 }
 
 func storeStatus(err error) uint16 {
 	switch {
-	case err == nil:
-		return StatusOK
 	case errors.Is(err, kvstore.ErrNotFound):
 		return StatusKeyNotFound
 	case errors.Is(err, kvstore.ErrExists):

@@ -1,11 +1,12 @@
 package protocol
 
 // The session core: what the ASCII and binary sessions share. A session
-// is a codec (Session, BinarySession) around one core; the core owns the
-// buffered pair, the injected dependencies, the Serve loop and the one
-// per-request envelope, and calls back into the codec for everything
-// that depends on the wire format. DESIGN.md "The session core" has the
-// envelope as a numbered sequence.
+// is a codec (Session, BinarySession) — a parser and an encoder — around
+// one core; the core owns the buffered pair, the injected dependencies,
+// the Serve loop, the one per-request envelope, runs of gets, and
+// execute, where every verb meets the store and the Replicator once for
+// both codecs. DESIGN.md "The session core" has the envelope as a
+// numbered sequence.
 
 import (
 	"bufio"
@@ -13,6 +14,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"strconv"
 	"time"
 
 	"kv3d/internal/clock"
@@ -56,34 +58,108 @@ type Env struct {
 	Repl Replicator
 }
 
-// codec is what a wire format supplies to the core's envelope. The
-// calls for one run come in the order next, then run and exec or shed,
-// then tag for each request the run served; a codec keeps the requests
-// it is serving in its own fields.
+// codec is what a wire format supplies to the core: a parser, from wire
+// bytes to one command, and an encoder, from a result to wire bytes.
 type codec interface {
-	// next reads one request up to the point its op clock starts: the
-	// wait for a request to arrive is not part of handling it. An error
-	// ends the session with nothing observed.
+	// next reads one request up to the point its op clock starts — the
+	// wait for a request to arrive is not part of handling it — and sets
+	// core.head. An error ends the session with nothing observed.
 	next() error
-	// run reports how many requests the envelope serves as one run:
-	// the one next read, and for a binary get on a session that owns
-	// its transport also the complete get frames already buffered
-	// behind it (at most maxRun in all). It reads nothing.
-	run() int
-	// tag reports the class and the correlation key of request i of
-	// the run. Every request of a run has the same class.
-	tag(i int) (OpClass, uint64)
-	// exec reads the rest of the run's n requests, runs them in order
-	// and stages their replies. It returns how many it served: n,
-	// unless an error ended the session at the last one it returns.
-	exec(n int) (int, error)
-	// shed reads the rest of the one request next read, so the stream
-	// stays in step, and stages a busy refusal in place of running it.
+	// parse reads the rest of that request (ASCII data block, binary
+	// body) into cmd; a get appends its keys to core.keys. A request the
+	// parser refuses is answered there and left as opNone. An error ends
+	// the session.
+	parse(cmd *command) error
+	// getAt reports the length of the complete, well-formed get request
+	// at the head of buf, or 0 if there is none. If there is one it
+	// becomes request i of the run, its keys (slices of buf) appended to
+	// core.keys. It reads nothing.
+	getAt(i int, buf []byte) int
+	// encode stages the reply to an executed command other than a get,
+	// encodeGet the reply to get request i of the run.
+	encode(cmd *command, res result) error
+	encodeGet(i int, keys [][]byte, rs []kvstore.BatchResult) error
+	// shed reads the rest of the request next read, so the stream stays
+	// in step, and stages a busy refusal in place of running it.
 	shed() error
+	// opaque is request i's correlation key: the binary opaque field;
+	// no request id crosses the ASCII wire.
+	opaque(i int) uint64
 }
 
-// maxRun bounds a run, and with it the scratch a binary session holds
-// for one: 32 frames, each value under pinThreshold copied into it.
+// op is what a request asks of the store, named once per codec by its
+// verb or opcode.
+type op uint8
+
+const (
+	opNone op = iota // an unknown verb, or a request its parser refused
+	opGet
+	opStore // set, add, replace or cas: command.verb says which
+	opAppend
+	opPrepend
+	opDelete
+	opIncr
+	opDecr
+	opTouch
+	opFlush
+	opStats
+	opVersion
+	opNoop // binary noop, ASCII verbosity: answered OK
+	opQuit
+)
+
+// class is the latency class of the requests that name o.
+func (o op) class() OpClass {
+	switch o {
+	case opGet:
+		return ClassGet
+	case opStore, opAppend, opPrepend:
+		return ClassStore
+	case opDelete:
+		return ClassDelete
+	case opIncr, opDecr:
+		return ClassArith
+	case opTouch:
+		return ClassTouch
+	}
+	return ClassOther
+}
+
+// command is one request as its parser leaves it for execute. The byte
+// fields alias the session's buffers until the next request is read.
+type command struct {
+	op      op
+	verb    kvstore.Verb
+	key     []byte // opStats: the group ("", "slabs", "settings")
+	value   []byte
+	flags   uint32
+	exptime int64 // opFlush: the delay
+	cas     uint64
+	delta   uint64
+	// initial is what a binary incr or decr of a missing key creates it
+	// with, if create is set; ASCII answers NOT_FOUND.
+	initial uint64
+	create  bool
+	// mode is the binary vbucket field's replication mode; ASCII writes
+	// leave it ReplDefault.
+	mode ReplMode
+	// quiet is a binary quiet opcode (no reply on success), noreply an
+	// ASCII noreply (no reply at all).
+	quiet, noreply bool
+}
+
+// result is what executing a command gave: the store's error or, for
+// a write that succeeded locally, the replicator's (repl set); the CAS
+// id it assigned; incr/decr's new value; the stats rows.
+type result struct {
+	err  error
+	repl bool
+	cas  uint64
+	num  uint64
+	rows [][2]string
+}
+
+// maxRun bounds a run, and with it the pins a run holds: 32 requests.
 const maxRun = 32
 
 // core is the codec-independent half of a session.
@@ -99,15 +175,17 @@ type core struct {
 	// ended, nothing was waited for and that request's end is this
 	// one's start. Set by serveConn only, which builds the pair itself;
 	// a session on a caller's pair cannot see the caller's reads and
-	// stamps every start.
+	// stamps every start, and forms runs of one.
 	transport *flushBeforeRead
 	lastEnd   sim.Ns
-	// binary names the codec on sampled spans.
+	// binary names the codec on sampled spans; head is the op the
+	// request next read names, whose class every request of its run has.
 	binary bool
+	head   op
 
 	// One copy per side: a GET hit whose value is at least pinFrom
 	// bytes is pinned in the store and written from its chunk straight
-	// to conn, the raw transport, by sendPinned; a get's copies stop
+	// to conn, the raw transport, by sendPinned; a run's copies stop
 	// short of pinFrom bytes. serveConn sets both; a session on a
 	// caller's pair has no transport to write to, and its pinFrom of
 	// MaxInt keeps every value on the copy path.
@@ -116,6 +194,19 @@ type core struct {
 	pinFrom int
 	iov     net.Buffers
 	iovArr  [3][]byte
+
+	// The command being served, and the run of gets: their keys, where
+	// request i's keys start in keys (keyAt[i]), how many bytes the
+	// requests after the first take in the reader, the batched lookup's
+	// results and grouping scratch, and val, which holds a run's copied
+	// values or an ASCII data block.
+	cmd     command
+	keys    [][]byte
+	keyAt   [maxRun + 1]int
+	runRest int
+	batch   []kvstore.BatchResult
+	scr     kvstore.BatchScratch
+	val     []byte
 
 	// Sampled flight tracing: every flightEvery-th command gets a span.
 	// sampled (bit i: request i of the run) and the t* stamps are
@@ -266,13 +357,13 @@ func (c *core) serve(cd codec) error {
 }
 
 // serveOne is the envelope around one run of requests — for every
-// request but a pipelined binary get, a run of one: read its head,
-// start the op clock, ask the gate once, run the requests or shed the
-// one read, stop the clock, observe them, give the slot back. A run
-// holds one slot, as it is served by one goroutine start to end; a
-// refused run is cut to its first request, and the requests behind it
-// ask again as the next run. Shed requests are observed too — a busy
-// refusal is part of the latency story, not a gap in it.
+// request but a pipelined get, a run of one: read its head, start the
+// op clock, ask the gate once, run the requests or shed the one read,
+// stop the clock, observe them, give the slot back. A run holds one
+// slot, as it is served by one goroutine start to end; a refused run is
+// cut to its first request, and the requests behind it ask again as the
+// next run. Shed requests are observed too — a busy refusal is part of
+// the latency story, not a gap in it.
 //
 //kv3d:hotpath
 func (c *core) serveOne(cd codec) error {
@@ -288,13 +379,9 @@ func (c *core) serveOne(cd codec) error {
 		}
 	}
 	admitted := c.env.Gate == nil || c.env.Gate.TryAcquire()
-	served := 1
-	var err error
-	out := OutcomeBusy
+	served, err, out := 1, error(nil), OutcomeBusy
 	if admitted {
-		n := cd.run()
-		c.sample(n)
-		served, err = cd.exec(n)
+		served, err = c.exec(cd)
 		out = outcomeOf(err)
 	} else {
 		c.sample(1)
@@ -313,19 +400,142 @@ func (c *core) serveOne(cd codec) error {
 	return err
 }
 
+// exec serves an admitted run: parse the request next read — a get on
+// a session that owns its transport takes along the complete gets
+// already buffered behind it, up to maxRun — execute it once, and stage
+// the replies in request order. It returns how many requests it
+// served: all, unless an error ended the session at the last one.
+//
+//kv3d:hotpath
+func (c *core) exec(cd codec) (int, error) {
+	cmd := &c.cmd
+	c.keys, c.runRest = c.keys[:0], 0
+	err := cd.parse(cmd)
+	n := 1
+	if err == nil && cmd.op == opGet && c.transport != nil {
+		// Found with Peek on what the reader holds, the run reads nothing
+		// from the transport: flush-before-read sees the same reads as
+		// request by request. The first request that is not a complete
+		// get ends the run; the next next reads it.
+		buf, _ := c.r.Peek(c.r.Buffered()) // never more than is buffered, so it cannot fail or read
+		for ; n < maxRun; n++ {
+			c.keyAt[n] = len(c.keys)
+			size := cd.getAt(n, buf[c.runRest:])
+			if size == 0 {
+				break
+			}
+			c.runRest += size
+		}
+	}
+	c.sample(n)
+	if err != nil || cmd.op == opNone {
+		return 1, err
+	}
+	res := c.execute(cmd)
+	if cmd.op != opGet {
+		return 1, cd.encode(cmd, res)
+	}
+	c.keyAt[n] = len(c.keys)
+	for i := 0; i < n; i++ {
+		k, end := c.keyAt[i], c.keyAt[i+1]
+		if err = cd.encodeGet(i, c.keys[k:end], c.batch[k:end]); err != nil {
+			for _, r := range c.batch[end:] {
+				c.store.Unpin(r.Pin)
+			}
+			n = i + 1 // the error ends the run at this request
+		}
+	}
+	c.r.Discard(c.runRest) // the run's later requests, all buffered: Discard cannot fail or read
+	return n, err
+}
+
+// execute runs one command — for a get, every key of the run — against
+// the store: the one store call of each verb, and the one hand-off of a
+// write that succeeded locally to the Replicator. Its entry stamps the
+// end of the parse phase and its exit the end of the execute phase, for
+// every verb of both codecs. A get's copies, short of pinFrom bytes in
+// all, go to val and its results to batch.
+//
+//kv3d:hotpath
+func (c *core) execute(cmd *command) (res result) {
+	if c.sampled != 0 {
+		c.tParse = c.env.Clock.Now()
+	}
+	switch cmd.op {
+	case opGet:
+		c.val, c.batch = c.store.GetBatchInto(c.val[:0], c.keys, c.batch[:0], &c.scr, c.pinFrom)
+	case opStore:
+		res.cas, res.err = c.store.PutBytes(cmd.verb, cmd.key, cmd.value, cmd.flags, cmd.exptime, cmd.cas)
+	case opAppend:
+		res.err = c.store.Append(string(cmd.key), cmd.value)
+	case opPrepend:
+		res.err = c.store.Prepend(string(cmd.key), cmd.value)
+	case opDelete:
+		res.err = c.store.Delete(string(cmd.key))
+	case opIncr, opDecr:
+		res.num, res.cas, res.err = c.store.IncrDecr(string(cmd.key), cmd.delta, cmd.op == opIncr)
+		if cmd.create && errors.Is(res.err, kvstore.ErrNotFound) {
+			res.num = cmd.initial
+			res.cas, res.err = c.store.PutBytes(kvstore.VerbAdd, cmd.key, strconv.AppendUint(nil, cmd.initial, 10), 0, cmd.exptime, 0)
+		}
+	case opTouch:
+		res.err = c.store.Touch(string(cmd.key), cmd.exptime)
+	case opFlush:
+		c.store.FlushAll(cmd.exptime)
+	case opStats:
+		res.rows = statRows(c.store, string(cmd.key))
+	}
+	if res.err == nil && c.env.Repl != nil && cmd.mode != ReplLocal {
+		res.err = c.replicate(cmd)
+		res.repl = res.err != nil
+	}
+	if c.sampled != 0 {
+		c.tExec = c.env.Clock.Now()
+	}
+	return res
+}
+
+// replicate hands a write that succeeded locally to the Replicator
+// (Env.Repl says which do); execute skips replica traffic (ReplLocal),
+// so fan-out never loops. CAS, add and replace propagate as plain sets:
+// replicas converge on the winning value, not re-run the guard.
+func (c *core) replicate(cmd *command) error {
+	switch cmd.op {
+	case opStore:
+		return c.env.Repl.ReplicateSet(string(cmd.key), cmd.value, cmd.flags, cmd.exptime, cmd.mode)
+	case opDelete:
+		return c.env.Repl.ReplicateDelete(string(cmd.key), cmd.mode)
+	case opTouch:
+		return c.env.Repl.ReplicateTouch(string(cmd.key), cmd.exptime, cmd.mode)
+	case opFlush:
+		return c.env.Repl.ReplicateFlush(cmd.exptime, cmd.mode)
+	}
+	return nil
+}
+
 // observe reports the n requests a run served between start and end
-// as one Observer call, then a span for each sampled request. They all
-// end with out: a run that an error ends at its last request was
-// staged in the writer that failed.
+// as one Observer call, then a span with the run's stamps for each
+// sampled request. They all end with out: a run that an error ends at
+// its last request was staged in the writer that failed. A request that
+// was never executed has no stamps: its span is all write.
 //
 //kv3d:hotpath
 func (c *core) observe(cd codec, n int, out Outcome, start, end sim.Ns) {
-	class, _ := cd.tag(0)
+	class := c.head.class()
 	c.env.Observer.ObserveOp(class, out, n, end-start)
+	p, e := c.tParse, c.tExec
+	if p == 0 {
+		p = start
+	}
+	if e == 0 {
+		e = p
+	}
 	for i := 0; i < n && c.sampled>>i != 0; i++ {
 		if c.sampled&(1<<i) != 0 {
-			_, opaque := cd.tag(i)
-			c.endSpan(class, out, opaque, start, end)
+			c.env.Flight.ObserveSpan(OpSpan{
+				Start: start, ParseDone: p, ExecDone: e, End: end,
+				Opaque: cd.opaque(i), Class: class, Outcome: out, Binary: c.binary,
+			})
 		}
 	}
 }
@@ -345,84 +555,4 @@ func (c *core) sample(n int) {
 		}
 	}
 	c.flightSeq += uint64(n)
-}
-
-// markParse stamps the end of the run's parse phase (first call wins).
-//
-//kv3d:hotpath
-func (c *core) markParse() {
-	if c.sampled != 0 && c.tParse == 0 {
-		c.tParse = c.env.Clock.Now()
-	}
-}
-
-// markExec stamps the end of the run's store-execute phase; first call
-// wins, so multi-frame responders (binary stat) and runs measure up to
-// their first write.
-//
-//kv3d:hotpath
-func (c *core) markExec() {
-	if c.sampled != 0 && c.tExec == 0 {
-		c.tExec = c.env.Clock.Now()
-	}
-}
-
-// endSpan emits one sampled request's span; every request of a run
-// carries the run's stamps. Unstamped phases collapse to zero-length:
-// parse defaults to the op start, execute to parse-done (cold verbs
-// mark nothing and report all time as write).
-//
-//kv3d:hotpath
-func (c *core) endSpan(class OpClass, out Outcome, opaque uint64, start, end sim.Ns) {
-	p, e := c.tParse, c.tExec
-	if p == 0 {
-		p = start
-	}
-	if e == 0 {
-		e = p
-	}
-	c.env.Flight.ObserveSpan(OpSpan{
-		Start: start, ParseDone: p, ExecDone: e, End: end,
-		Opaque: opaque, Class: class, Outcome: out, Binary: c.binary,
-	})
-}
-
-// replicates is the loop guard: a write fans out only when a
-// Replicator is installed and the write is not itself replica traffic
-// (ReplLocal). ASCII writes pass ReplDefault, binary writes the mode
-// their vbucket field carries. The four helpers below
-// hand a mutation that succeeded locally to the Replicator, whose
-// methods document why each must fan out; a miss is not replicated.
-func (c *core) replicates(mode ReplMode) bool {
-	return c.env.Repl != nil && mode != ReplLocal
-}
-
-// The key stays bytes until the guard has passed, so an unreplicated
-// set allocates nothing here.
-func (c *core) replicateSet(key, value []byte, flags uint32, exptime int64, mode ReplMode) error {
-	if !c.replicates(mode) {
-		return nil
-	}
-	return c.env.Repl.ReplicateSet(string(key), value, flags, exptime, mode)
-}
-
-func (c *core) replicateDelete(key string, mode ReplMode) error {
-	if !c.replicates(mode) {
-		return nil
-	}
-	return c.env.Repl.ReplicateDelete(key, mode)
-}
-
-func (c *core) replicateTouch(key string, exptime int64, mode ReplMode) error {
-	if !c.replicates(mode) {
-		return nil
-	}
-	return c.env.Repl.ReplicateTouch(key, exptime, mode)
-}
-
-func (c *core) replicateFlush(delay int64, mode ReplMode) error {
-	if !c.replicates(mode) {
-		return nil
-	}
-	return c.env.Repl.ReplicateFlush(delay, mode)
 }

@@ -26,20 +26,10 @@ const (
 
 // String returns the class's metric-name segment.
 func (c OpClass) String() string {
-	switch c {
-	case ClassGet:
-		return "get"
-	case ClassStore:
-		return "store"
-	case ClassDelete:
-		return "delete"
-	case ClassArith:
-		return "arith"
-	case ClassTouch:
-		return "touch"
-	default:
-		return "other"
+	if c >= 0 && c < ClassOther {
+		return [...]string{"get", "store", "delete", "arith", "touch"}[c]
 	}
+	return "other"
 }
 
 // Outcome classifies how a command ended, so latency accounting can
@@ -57,14 +47,10 @@ const (
 
 // String returns the outcome's metric-name segment.
 func (o Outcome) String() string {
-	switch o {
-	case OutcomeOK:
-		return "ok"
-	case OutcomeError:
-		return "error"
-	default:
-		return "busy"
+	if o == OutcomeOK || o == OutcomeError {
+		return [...]string{"ok", "error"}[o]
 	}
+	return "busy"
 }
 
 // outcomeOf maps what executing a request returned onto an outcome. A
@@ -83,8 +69,8 @@ func outcomeOf(err error) Outcome {
 // the value payload through response serialization) as reported by the
 // injected clock, with their outcome. One call reports n commands of
 // one class and outcome that together took nanos: n is 1 for a request
-// served alone, and for a pipelined run of binary gets it is how many
-// frames the run served, all ending with o, and nanos the run's time
+// served alone, and for a pipelined run of gets (either codec) it is
+// how many the run served, all ending with o, and nanos the run's time
 // (DESIGN.md "The session core"). An implementation that keeps
 // per-command samples records n of them summing to nanos, as
 // metrics.Histogram.RecordN does. The duration is a typed nanosecond
@@ -98,14 +84,18 @@ type Observer interface {
 
 // OpSpan is one sampled operation's phase timeline: parse (command
 // line / frame decode and payload read), store-execute (the kvstore
-// call), and write (response serialization and flush). All timestamps
-// come from the session's injected clock. Opaque carries the binary
+// call and replication), and write (response serialization and flush),
+// split at the same two points for every verb of both codecs: parse
+// ends when execute starts, execute when it returns. A request that
+// never reached execute (refused by its parser, shed) has no phases:
+// its span is all write. All timestamps come from the session's
+// injected clock. Opaque carries the binary
 // protocol's opaque field (0 on ASCII, where no request id crosses
 // the wire) — the correlation key that lets a merged trace line a
 // client attempt up with the server's handling of that exact request.
-// Binary names the codec that served it. A sampled frame of a
-// pipelined run of binary gets carries the run's stamps: its Start and
-// End are the run's, and so are its parse and execute phases.
+// Binary names the codec that served it. A sampled request of a
+// pipelined run of gets carries the run's stamps: its Start and End
+// are the run's, and so are its parse and execute phases.
 type OpSpan struct {
 	Start     sim.Ns
 	ParseDone sim.Ns
@@ -123,43 +113,4 @@ type OpSpan struct {
 // obs.FlightRecorder ring).
 type SpanObserver interface {
 	ObserveSpan(sp OpSpan)
-}
-
-// classifyVerb maps a raw ASCII verb token onto its class. The string
-// conversion happens only inside the switch comparison, which does not
-// allocate.
-func classifyVerb(verb []byte) OpClass {
-	switch string(verb) {
-	case "get", "gets":
-		return ClassGet
-	case "set", "add", "replace", "append", "prepend", "cas":
-		return ClassStore
-	case "delete":
-		return ClassDelete
-	case "incr", "decr":
-		return ClassArith
-	case "touch":
-		return ClassTouch
-	default:
-		return ClassOther
-	}
-}
-
-// classifyOpcode maps a binary opcode onto its class.
-func classifyOpcode(op byte) OpClass {
-	switch op {
-	case OpGet, OpGetQ, OpGetK, OpGetKQ:
-		return ClassGet
-	case OpSet, OpSetQ, OpAdd, OpAddQ, OpReplace, OpReplaceQ,
-		OpAppend, OpAppendQ, OpPrepend, OpPrependQ:
-		return ClassStore
-	case OpDelete, OpDeleteQ:
-		return ClassDelete
-	case OpIncr, OpIncrQ, OpDecr, OpDecrQ:
-		return ClassArith
-	case OpTouch:
-		return ClassTouch
-	default:
-		return ClassOther
-	}
 }

@@ -108,7 +108,7 @@ func TestPinnedGetBoundsValueScratch(t *testing.T) {
 		if err := s.Serve(); err != nil {
 			t.Fatal(err)
 		}
-		if c := cap(s.valBuf); c >= 2*pinThreshold {
+		if c := cap(s.val); c >= 2*pinThreshold {
 			t.Fatalf("after a 32-key get of %d KiB values the session keeps %d KiB of value scratch, want under %d KiB",
 				size>>10, c>>10, 2*pinThreshold>>10)
 		}

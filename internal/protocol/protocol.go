@@ -1,18 +1,20 @@
-// Package protocol implements the memcached ASCII protocol: command
-// parsing, response serialization, and a per-connection session loop
-// that executes commands against a kvstore.Store. It supports the verb
-// set used by memcached 1.4 (the paper's workload): get/gets, set, add,
-// replace, append, prepend, cas, delete, incr, decr, touch, stats,
-// flush_all, version, verbosity, and quit, including noreply variants.
+// Package protocol implements memcached's ASCII and binary protocols:
+// per codec a parser and an encoder, and one session core that executes
+// what they parse against a kvstore.Store. It supports the verb set of
+// memcached 1.4 (the paper's workload): get/gets, set, add, replace,
+// append, prepend, cas, delete, incr, decr, touch, stats, flush_all,
+// version, verbosity, and quit, with noreply and quiet variants.
 package protocol
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"kv3d/internal/kvstore"
 )
@@ -50,17 +52,13 @@ type Session struct {
 	core
 	// scratch buffers reused across requests to keep the hot path
 	// allocation-free.
-	valBuf  []byte
 	lineBuf []byte
 	numBuf  []byte
-	// multiget scratch: key tokens of the current command line, the
-	// per-key batch results, and the store-side grouping state.
-	keyBuf   [][]byte
-	batchBuf []kvstore.BatchResult
-	batchScr kvstore.BatchScratch
 	// verb and rest split the command line being served; both alias
 	// lineBuf and are valid until next reads the following line.
 	verb, rest []byte
+	// gets[i] is whether get request i of the run is a gets.
+	gets [maxRun]bool
 }
 
 // NewSession serves the ASCII protocol on a transport, with no
@@ -94,6 +92,7 @@ func (s *Session) next() error {
 		}
 		s.verb, s.rest = nextToken(line)
 		if len(s.verb) != 0 {
+			s.head = asciiOps[string(s.verb)]
 			return nil
 		}
 		if err := s.reply(respError); err != nil {
@@ -102,17 +101,15 @@ func (s *Session) next() error {
 	}
 }
 
-// run is always one: an ASCII multi-get is one command, served by one
-// batched lookup of its own.
-func (s *Session) run() int { return 1 }
+// asciiOps names the op of each verb; any other verb is opNone.
+var asciiOps = map[string]op{
+	"get": opGet, "gets": opGet, "set": opStore, "add": opStore, "replace": opStore, "cas": opStore,
+	"append": opAppend, "prepend": opPrepend, "delete": opDelete, "incr": opIncr, "decr": opDecr,
+	"touch": opTouch, "flush_all": opFlush, "stats": opStats, "version": opVersion,
+	"verbosity": opNoop, "quit": opQuit,
+}
 
-// tag classifies the verb; no request id crosses the ASCII wire.
-func (s *Session) tag(int) (OpClass, uint64) { return classifyVerb(s.verb), 0 }
-
-// exec runs the one command of the run.
-//
-//kv3d:hotpath
-func (s *Session) exec(int) (int, error) { return 1, s.command() }
+func (s *Session) opaque(int) uint64 { return 0 }
 
 // shed refuses one command while the server is over its in-flight
 // cap. Store-class commands carry a data block that must be consumed
@@ -120,78 +117,141 @@ func (s *Session) exec(int) (int, error) { return 1, s.command() }
 // block's bytes would be parsed as commands). noreply commands are shed
 // silently, matching their fire-and-forget contract; quit still quits.
 func (s *Session) shed() error {
-	verb, rest := s.verb, s.rest
-	switch string(verb) {
-	case "quit":
+	switch s.head {
+	case opQuit:
 		return ErrQuit
-	case "set", "add", "replace", "append", "prepend", "cas":
-		c, ok, err := s.readStorage(rest, string(verb) == "cas")
-		if !ok {
+	case opStore, opAppend, opPrepend:
+		if err := s.parseStorage(&s.cmd); err != nil || s.cmd.op == opNone || s.cmd.noreply {
 			return err
 		}
-		if c.noreply {
+	default:
+		if string(lastField(s.rest)) == "noreply" {
 			return nil
 		}
-		return s.reply(respBusy)
-	}
-	if wantsNoReply(strings.Fields(string(rest))) {
-		return nil
 	}
 	return s.reply(respBusy)
 }
 
-// command executes one command. The verb comparison converts through
-// string only inside the switch, which the compiler performs without
-// allocating; the get and store verbs keep their arguments as tokens of
-// the command line, cold verbs materialize argument strings.
+// lastField is the last of bytes.Fields(b), empty if there is none,
+// found without allocating.
+func lastField(b []byte) []byte {
+	b = bytes.TrimRightFunc(b, unicode.IsSpace)
+	if i := bytes.LastIndexFunc(b, unicode.IsSpace); i >= 0 {
+		_, n := utf8.DecodeRune(b[i:])
+		return b[i+n:]
+	}
+	return b
+}
+
+// parse turns the command line, and a storage command's data block,
+// into a command. The get and store verbs keep their arguments as
+// tokens of the command line, without allocating.
 //
 //kv3d:hotpath
-func (s *Session) command() error {
-	verb, rest := s.verb, s.rest
-	switch string(verb) {
-	case "get":
-		return s.doGet(rest, false)
-	case "gets":
-		return s.doGet(rest, true)
-	case "set":
-		return s.doStore(kvstore.VerbSet, rest)
-	case "add":
-		return s.doStore(kvstore.VerbAdd, rest)
-	case "replace":
-		return s.doStore(kvstore.VerbReplace, rest)
-	case "cas":
-		return s.doStore(kvstore.VerbCAS, rest)
-	case "append":
-		return s.doConcat(rest, false)
-	case "prepend":
-		return s.doConcat(rest, true)
-	case "quit":
-		return ErrQuit
-	}
-	args := strings.Fields(string(rest)) // admin verbs tolerate one parse allocation; the get and store verbs return above and never reach this line
-	switch string(verb) {
-	case "delete":
-		return s.doDelete(args)
-	case "incr":
-		return s.doIncrDecr(args, true)
-	case "decr":
-		return s.doIncrDecr(args, false)
-	case "touch":
-		return s.doTouch(args)
-	case "stats":
-		return s.doStats(args)
-	case "flush_all":
-		return s.doFlushAll(args)
-	case "version":
-		return s.reply("VERSION " + Version + "\r\n")
-	case "verbosity":
-		if wantsNoReply(args) {
-			return nil
-		}
-		return s.reply(respOK)
-	default:
+func (s *Session) parse(cmd *command) error {
+	*cmd = command{}
+	switch s.head {
+	case opNone:
 		return s.reply(respError)
+	case opGet:
+		if !s.addGet(0, s.verb, s.rest) {
+			return s.reply(respError)
+		}
+	case opStore, opAppend, opPrepend:
+		return s.parseStorage(cmd)
+	case opQuit, opVersion:
+	default:
+		return s.parseArgs(cmd)
 	}
+	cmd.op = s.head
+	return nil
+}
+
+// parseArgs parses the arguments of a cold verb, split by bytes.Fields
+// (one allocation per command, which these verbs tolerate): a trailing
+// noreply — stats takes none — then the verb's own.
+func (s *Session) parseArgs(cmd *command) error {
+	args := bytes.Fields(s.rest)
+	if n := len(args); n > 0 && string(args[n-1]) == "noreply" && s.head != opStats {
+		cmd.noreply, args = true, args[:n-1]
+	}
+	var err error
+	switch s.head {
+	case opStats:
+		if len(args) == 1 {
+			switch string(args[0]) {
+			case "slabs", "settings":
+				cmd.key = args[0]
+			case "reset":
+				// Accepted for compatibility; counters are cumulative here.
+				return s.reply("RESET\r\n")
+			default:
+				return s.clientError("unknown stats sub-command")
+			}
+		}
+	case opDelete:
+		if len(args) != 1 {
+			return s.clientError("bad command line format")
+		}
+		cmd.key = args[0]
+	case opIncr, opDecr:
+		if len(args) != 2 {
+			return s.clientError("bad command line format")
+		}
+		if cmd.delta, err = strconv.ParseUint(string(args[1]), 10, 64); err != nil {
+			return s.clientError("invalid numeric delta argument")
+		}
+		cmd.key = args[0]
+	case opTouch:
+		if len(args) != 2 {
+			return s.clientError("bad command line format")
+		}
+		if cmd.exptime, err = strconv.ParseInt(string(args[1]), 10, 64); err != nil {
+			return s.clientError("invalid exptime argument")
+		}
+		cmd.key = args[0]
+	case opFlush:
+		if len(args) > 1 {
+			return s.clientError("bad command line format")
+		}
+		if len(args) == 1 {
+			if cmd.exptime, err = strconv.ParseInt(string(args[0]), 10, 64); err != nil {
+				return s.clientError("invalid delay argument")
+			}
+		}
+	}
+	cmd.op = s.head
+	return nil
+}
+
+// addGet appends the keys of a get or gets line to the run as request
+// i, and reports whether the line has at least one. The keys alias the
+// line.
+//
+//kv3d:hotpath
+func (s *Session) addGet(i int, verb, rest []byte) bool {
+	n := len(s.keys)
+	for key, rest := nextToken(rest); len(key) != 0; key, rest = nextToken(rest) {
+		s.keys = append(s.keys, key)
+	}
+	s.gets[i] = string(verb) == "gets"
+	return len(s.keys) > n
+}
+
+// getAt reads a get line buffered behind the run's last request.
+//
+//kv3d:hotpath
+func (s *Session) getAt(i int, buf []byte) int {
+	n := bytes.IndexByte(buf, '\n') + 1
+	if n == 0 {
+		return 0
+	}
+	line := trimEOL(buf[:n])
+	verb, rest := nextToken(line)
+	if len(line) > maxLineLen || asciiOps[string(verb)] != opGet || !s.addGet(i, verb, rest) {
+		return 0
+	}
+	return n
 }
 
 // nextToken splits off the next space-delimited token (memcached's
@@ -228,16 +288,19 @@ func (s *Session) readLine() ([]byte, error) {
 		}
 		return nil, err
 	}
-	line := s.lineBuf
-	if n := len(line); n >= 2 && line[n-2] == '\r' {
-		line = line[:n-2]
-	} else if n >= 1 {
-		line = line[:n-1] // tolerate bare \n like memcached does
-	}
+	line := trimEOL(s.lineBuf)
 	if len(line) > maxLineLen {
 		return nil, fmt.Errorf("protocol: command line exceeds %d bytes", maxLineLen)
 	}
 	return line, nil
+}
+
+// trimEOL drops a line's \r\n, or a bare \n like memcached does.
+func trimEOL(line []byte) []byte {
+	if n := len(line); n >= 2 && line[n-2] == '\r' {
+		return line[:n-2]
+	}
+	return line[:len(line)-1]
 }
 
 func (s *Session) reply(msg string) error {
@@ -249,50 +312,74 @@ func (s *Session) clientError(msg string) error {
 	return s.reply("CLIENT_ERROR " + msg + "\r\n")
 }
 
-func wantsNoReply(args []string) bool {
-	return len(args) > 0 && args[len(args)-1] == "noreply"
+// encode stages the reply to an executed command; noreply suppresses
+// it, and quit has none.
+func (s *Session) encode(cmd *command, res result) error {
+	switch {
+	case cmd.op == opQuit:
+		return ErrQuit
+	case cmd.noreply:
+		return nil
+	case cmd.op == opStats:
+		for _, row := range res.rows {
+			s.w.WriteString("STAT " + row[0] + " " + row[1] + "\r\n")
+		}
+		return s.reply(respEnd)
+	case cmd.op == opVersion:
+		return s.reply("VERSION " + Version + "\r\n")
+	case res.repl:
+		return s.reply("SERVER_ERROR " + res.err.Error() + "\r\n")
+	case cmd.op == opStore || cmd.op == opAppend || cmd.op == opPrepend:
+		return s.reply(storeResponse(res.err))
+	case res.err == nil:
+	case errors.Is(res.err, kvstore.ErrNotFound):
+		return s.reply(respNotFound)
+	case errors.Is(res.err, kvstore.ErrNotNumeric):
+		return s.clientError("cannot increment or decrement non-numeric value")
+	default:
+		return s.reply("SERVER_ERROR " + res.err.Error() + "\r\n")
+	}
+	switch cmd.op {
+	case opDelete:
+		return s.reply(respDeleted)
+	case opTouch:
+		return s.reply(respTouched)
+	case opIncr, opDecr:
+		return s.reply(strconv.FormatUint(res.num, 10) + "\r\n")
+	}
+	return s.reply(respOK)
 }
 
-// doGet serves get/gets, the measured hot path of the ASCII protocol,
-// the way getRun serves binary gets: one GetBatchInto call for every
-// key, a lone one included, then the VALUE blocks in request order
-// under the same copy budget, pinFrom. It must not allocate: keys stay
-// byte slices of the command line and each header is assembled in the
-// reused numBuf (intermediate bufio writes lean on the sticky-error
-// contract; the END write reports).
+// encodeGet stages the VALUE blocks of get request i's hits, in request
+// order, then END — without allocating: keys stay byte slices of the
+// command line and each header is assembled in the reused numBuf
+// (intermediate bufio writes lean on the sticky-error contract; the END
+// write reports). A hit of pinFrom bytes or more is sent from its chunk
+// behind the replies staged before it.
 //
 //kv3d:hotpath
-func (s *Session) doGet(rest []byte, withCAS bool) error {
-	s.keyBuf = s.keyBuf[:0]
-	for key, rest := nextToken(rest); len(key) != 0; key, rest = nextToken(rest) {
-		s.keyBuf = append(s.keyBuf, key) // keyBuf entries alias lineBuf; both are this session's scratch, consumed before the next readLine overwrites them
-	}
-	if len(s.keyBuf) == 0 {
-		return s.reply(respError)
-	}
-	s.markParse()
-	s.valBuf, s.batchBuf = s.store.GetBatchInto(s.valBuf[:0], s.keyBuf, s.batchBuf[:0], &s.batchScr, s.pinFrom)
-	s.markExec()
-	for i := range s.batchBuf {
-		r := &s.batchBuf[i]
+func (s *Session) encodeGet(i int, keys [][]byte, rs []kvstore.BatchResult) error {
+	withCAS := s.gets[i]
+	for j := range rs {
+		r := &rs[j]
 		switch {
 		case !r.Found:
 		case r.Pin == (kvstore.Pin{}):
-			s.writeValue(s.keyBuf[i], s.valBuf[r.Start:r.End], r.Flags, r.CAS, withCAS)
-		case len(r.Pinned) < s.pinFrom: // pinned only because the copies filled valBuf
-			s.writeValue(s.keyBuf[i], r.Pinned, r.Flags, r.CAS, withCAS)
+			s.writeValue(keys[j], s.val[r.Start:r.End], r.Flags, r.CAS, withCAS)
+		case len(r.Pinned) < s.pinFrom: // pinned only because the copies filled val
+			s.writeValue(keys[j], r.Pinned, r.Flags, r.CAS, withCAS)
 			s.store.Unpin(r.Pin)
 		default:
 			// The last result's send carries END too: a lone pinned
 			// get stays one write.
-			last := i == len(s.batchBuf)-1
+			last := j == len(rs)-1
 			tail := valueEnd[:2]
 			if last {
 				tail = valueEnd
 			}
-			err := s.sendPinned(s.valueHead(s.keyBuf[i], len(r.Pinned), r.Flags, r.CAS, withCAS), r.Pinned, tail, r.Pin)
+			err := s.sendPinned(s.valueHead(keys[j], len(r.Pinned), r.Flags, r.CAS, withCAS), r.Pinned, tail, r.Pin)
 			if err != nil || last {
-				for _, r := range s.batchBuf[i+1:] {
+				for _, r := range rs[j+1:] {
 					s.store.Unpin(r.Pin)
 				}
 				return err
@@ -336,138 +423,83 @@ func (s *Session) valueHead(key []byte, n int, flags uint32, cas uint64, withCAS
 // value sent pinned.
 var valueEnd = []byte("\r\n" + respEnd)
 
-// storageCmd is a parsed storage command: the arguments of the command
-// line plus, once readStorage has run, its data block.
-type storageCmd struct {
-	key, data []byte
-	flags     uint32
-	exptime   int64
-	nbytes    int
-	cas       uint64
-	noreply   bool
-}
+// storeVerbs names the guard of the storage verbs that have one; set,
+// append and prepend store under VerbSet's.
+var storeVerbs = map[string]kvstore.Verb{"add": kvstore.VerbAdd, "replace": kvstore.VerbReplace, "cas": kvstore.VerbCAS}
 
 var (
 	errBadFormat    = errors.New("bad command line format")
 	errBadChunkSize = errors.New("bad data chunk size")
 )
 
+// parseStorage parses "<verb> <key> <flags> <exptime> <bytes> [<cas>]
+// [noreply]" and reads the data block; the key aliases the line and the
+// data val. The numeric tokens convert through strings that do not
+// escape, so a well-formed command parses without allocating. A
+// malformed one is answered here (noreply or not).
+//
+//kv3d:hotpath
+func (s *Session) parseStorage(cmd *command) error {
+	*cmd = command{verb: storeVerbs[string(s.verb)]}
+	nbytes, err := parseStorageArgs(s.rest, cmd)
+	if err != nil {
+		return s.clientError(err.Error())
+	}
+	if cap(s.val) < nbytes+2 {
+		s.val = make([]byte, nbytes+2)
+	}
+	buf := s.val[:nbytes+2]
+	switch _, err := io.ReadFull(s.r, buf); {
+	case err != nil && peerLeft(err):
+		return err
+	case err != nil || buf[nbytes] != '\r' || buf[nbytes+1] != '\n':
+		return s.clientError("bad data chunk")
+	}
+	cmd.op, cmd.value = s.head, buf[:nbytes]
+	return nil
+}
+
 // parseStorageArgs parses "<key> <flags> <exptime> <bytes> [<cas>]
-// [noreply]" from the rest of a storage command line. The key aliases
-// the line; the numeric tokens convert through strings that do not
-// escape, so a well-formed line parses without allocating.
-func parseStorageArgs(rest []byte, withCAS bool) (c storageCmd, err error) {
-	c.key, rest = nextToken(rest)
+// [noreply]" from the rest of a storage command line into cmd, and
+// returns the data block's length.
+func parseStorageArgs(rest []byte, cmd *command) (nbytes int, err error) {
+	withCAS := cmd.verb == kvstore.VerbCAS
+	cmd.key, rest = nextToken(rest)
 	flags, rest := nextToken(rest)
 	exptime, rest := nextToken(rest)
-	nbytes, rest := nextToken(rest)
+	size, rest := nextToken(rest)
 	var cas []byte
 	if withCAS {
 		cas, rest = nextToken(rest)
 	}
 	last, rest := nextToken(rest)
 	if string(last) == "noreply" {
-		c.noreply = true
+		cmd.noreply = true
 		last, _ = nextToken(rest)
 	}
 	// Too few tokens leave the last expected one empty; too many leave
 	// one after the optional noreply.
-	if len(nbytes) == 0 || (withCAS && len(cas) == 0) || len(last) != 0 {
-		return c, errBadFormat
+	if len(size) == 0 || (withCAS && len(cas) == 0) || len(last) != 0 {
+		return 0, errBadFormat
 	}
 	f64, err := strconv.ParseUint(string(flags), 10, 32)
 	if err != nil {
-		return c, errBadFormat
+		return 0, errBadFormat
 	}
-	c.flags = uint32(f64)
-	if c.exptime, err = strconv.ParseInt(string(exptime), 10, 64); err != nil {
-		return c, errBadFormat
+	cmd.flags = uint32(f64)
+	if cmd.exptime, err = strconv.ParseInt(string(exptime), 10, 64); err != nil {
+		return 0, errBadFormat
 	}
-	n64, err := strconv.ParseUint(string(nbytes), 10, 31)
+	n64, err := strconv.ParseUint(string(size), 10, 31)
 	if err != nil {
-		return c, errBadChunkSize
+		return 0, errBadChunkSize
 	}
-	c.nbytes = int(n64)
 	if withCAS {
-		if c.cas, err = strconv.ParseUint(string(cas), 10, 64); err != nil {
-			return c, errBadFormat
+		if cmd.cas, err = strconv.ParseUint(string(cas), 10, 64); err != nil {
+			return 0, errBadFormat
 		}
 	}
-	return c, nil
-}
-
-// readData reads the nbytes data block plus trailing \r\n.
-func (s *Session) readData(nbytes int) ([]byte, error) {
-	if cap(s.valBuf) < nbytes+2 {
-		s.valBuf = make([]byte, nbytes+2)
-	}
-	buf := s.valBuf[:nbytes+2]
-	if _, err := io.ReadFull(s.r, buf); err != nil {
-		return nil, err
-	}
-	if buf[nbytes] != '\r' || buf[nbytes+1] != '\n' {
-		return nil, errors.New("bad data chunk")
-	}
-	return buf[:nbytes], nil
-}
-
-// readStorage parses a storage command's arguments and reads its data
-// block. The key aliases the line buffer and the data the value buffer;
-// both stay valid until the next command is read. When ok is false the
-// command has been answered (or the stream has ended) and err is what
-// serving it returns.
-func (s *Session) readStorage(rest []byte, withCAS bool) (c storageCmd, ok bool, err error) {
-	c, perr := parseStorageArgs(rest, withCAS)
-	if perr != nil {
-		return c, false, s.clientError(perr.Error())
-	}
-	if c.data, err = s.readData(c.nbytes); err != nil {
-		if peerLeft(err) {
-			return c, false, err
-		}
-		return c, false, s.clientError("bad data chunk")
-	}
-	return c, true, nil
-}
-
-// doStore serves set, add, replace and cas: the key token and the data
-// block go to the store as they lie in the session's buffers, so a
-// store allocates nothing per command.
-func (s *Session) doStore(verb kvstore.Verb, rest []byte) error {
-	c, ok, err := s.readStorage(rest, verb == kvstore.VerbCAS)
-	if !ok {
-		return err
-	}
-	s.markParse()
-	_, serr := s.store.PutBytes(verb, c.key, c.data, c.flags, c.exptime, c.cas)
-	if serr == nil {
-		serr = s.replicateSet(c.key, c.data, c.flags, c.exptime, ReplDefault)
-	}
-	s.markExec()
-	if c.noreply {
-		return nil
-	}
-	return s.reply(storeResponse(serr))
-}
-
-// doConcat serves append and prepend.
-func (s *Session) doConcat(rest []byte, front bool) error {
-	c, ok, err := s.readStorage(rest, false)
-	if !ok {
-		return err
-	}
-	s.markParse()
-	var serr error
-	if front {
-		serr = s.store.Prepend(string(c.key), c.data)
-	} else {
-		serr = s.store.Append(string(c.key), c.data)
-	}
-	s.markExec()
-	if c.noreply {
-		return nil
-	}
-	return s.reply(storeResponse(serr))
+	return int(n64), nil
 }
 
 func storeResponse(err error) string {
@@ -491,116 +523,32 @@ func storeResponse(err error) string {
 	}
 }
 
-func (s *Session) doDelete(args []string) error {
-	noreply := wantsNoReply(args)
-	if noreply {
-		args = args[:len(args)-1]
-	}
-	if len(args) != 1 {
-		return s.clientError("bad command line format")
-	}
-	s.markParse()
-	err := s.store.Delete(args[0])
-	if err == nil {
-		err = s.replicateDelete(args[0], ReplDefault)
-	}
-	s.markExec()
-	if noreply {
-		return nil
-	}
-	switch {
-	case errors.Is(err, kvstore.ErrNotFound):
-		return s.reply(respNotFound)
-	case err != nil:
-		return s.reply("SERVER_ERROR " + err.Error() + "\r\n")
-	}
-	return s.reply(respDeleted)
-}
-
-func (s *Session) doIncrDecr(args []string, incr bool) error {
-	noreply := wantsNoReply(args)
-	if noreply {
-		args = args[:len(args)-1]
-	}
-	if len(args) != 2 {
-		return s.clientError("bad command line format")
-	}
-	delta, err := strconv.ParseUint(args[1], 10, 64)
-	if err != nil {
-		return s.clientError("invalid numeric delta argument")
-	}
-	var v uint64
-	if incr {
-		v, err = s.store.Incr(args[0], delta)
-	} else {
-		v, err = s.store.Decr(args[0], delta)
-	}
-	if noreply {
-		return nil
-	}
-	switch {
-	case err == nil:
-		return s.reply(strconv.FormatUint(v, 10) + "\r\n")
-	case errors.Is(err, kvstore.ErrNotFound):
-		return s.reply(respNotFound)
-	case errors.Is(err, kvstore.ErrNotNumeric):
-		return s.clientError("cannot increment or decrement non-numeric value")
-	default:
-		return s.reply("SERVER_ERROR " + err.Error() + "\r\n")
-	}
-}
-
-func (s *Session) doTouch(args []string) error {
-	noreply := wantsNoReply(args)
-	if noreply {
-		args = args[:len(args)-1]
-	}
-	if len(args) != 2 {
-		return s.clientError("bad command line format")
-	}
-	exptime, err := strconv.ParseInt(args[1], 10, 64)
-	if err != nil {
-		return s.clientError("invalid exptime argument")
-	}
-	terr := s.store.Touch(args[0], exptime)
-	if terr == nil {
-		terr = s.replicateTouch(args[0], exptime, ReplDefault)
-	}
-	if noreply {
-		return nil
-	}
-	switch {
-	case errors.Is(terr, kvstore.ErrNotFound):
-		return s.reply(respNotFound)
-	case terr != nil:
-		return s.reply("SERVER_ERROR " + terr.Error() + "\r\n")
-	}
-	return s.reply(respTouched)
-}
-
-func (s *Session) doStats(args []string) error {
-	if len(args) == 1 {
-		switch args[0] {
-		case "slabs":
-			return s.writeStats(SlabRows(s.store.Stats()))
-		case "settings":
-			return s.doStatsSettings()
-		case "reset":
-			// Accepted for compatibility; counters are cumulative here.
-			return s.reply("RESET\r\n")
-		default:
-			return s.clientError("unknown stats sub-command")
+// statRows renders a stats group: the general statistics (""), "slabs"
+// or "settings".
+func statRows(st *kvstore.Store, group string) [][2]string {
+	switch group {
+	case "slabs":
+		return SlabRows(st.Stats())
+	case "settings":
+		cfg := st.Config()
+		onOff, locking := "off", "striped"
+		if cfg.EvictionsEnabled {
+			onOff = "on"
+		}
+		if cfg.Shards == 1 {
+			locking = "global"
+		}
+		return [][2]string{
+			{"maxbytes", fmt.Sprint(cfg.MemoryLimit)},
+			{"item_size_max", fmt.Sprint(cfg.MaxItemSize)},
+			{"evictions", onOff},
+			{"locking", locking},
+			{"num_shards", fmt.Sprint(cfg.Shards)},
+			{"slab_page_size", fmt.Sprint(cfg.SlabPageSize)},
+			{"growth_factor", fmt.Sprintf("%.2f", cfg.GrowthFactor)},
 		}
 	}
-	return s.writeStats(StatRows(s.store.Stats()))
-}
-
-// writeStats sends rows as STAT lines and the closing END.
-func (s *Session) writeStats(rows [][2]string) error {
-	for _, row := range rows {
-		s.w.WriteString("STAT " + row[0] + " " + row[1] + "\r\n")
-	}
-	return s.reply(respEnd)
+	return StatRows(st.Stats())
 }
 
 // StatRows renders the general statistics as (name, value) rows, in
@@ -655,54 +603,4 @@ func SlabRows(st kvstore.Stats) [][2]string {
 	return append(rows,
 		[2]string{"active_slabs", strconv.Itoa(len(st.Classes))},
 		[2]string{"slab_reassign_total", strconv.FormatUint(st.SlabReassigns, 10)})
-}
-
-// doStatsSettings reports the store's effective configuration.
-func (s *Session) doStatsSettings() error {
-	cfg := s.store.Config()
-	fmt.Fprintf(s.w, "STAT maxbytes %d\r\n", cfg.MemoryLimit)
-	fmt.Fprintf(s.w, "STAT item_size_max %d\r\n", cfg.MaxItemSize)
-	fmt.Fprintf(s.w, "STAT evictions %v\r\n", boolToOnOff(cfg.EvictionsEnabled))
-	locking := "striped"
-	if cfg.Shards == 1 {
-		locking = "global"
-	}
-	fmt.Fprintf(s.w, "STAT locking %s\r\n", locking)
-	fmt.Fprintf(s.w, "STAT num_shards %d\r\n", cfg.Shards)
-	fmt.Fprintf(s.w, "STAT slab_page_size %d\r\n", cfg.SlabPageSize)
-	fmt.Fprintf(s.w, "STAT growth_factor %.2f\r\n", cfg.GrowthFactor)
-	return s.reply(respEnd)
-}
-
-func boolToOnOff(b bool) string {
-	if b {
-		return "on"
-	}
-	return "off"
-}
-
-func (s *Session) doFlushAll(args []string) error {
-	noreply := wantsNoReply(args)
-	if noreply {
-		args = args[:len(args)-1]
-	}
-	var delay int64
-	if len(args) == 1 {
-		var err error
-		delay, err = strconv.ParseInt(args[0], 10, 64)
-		if err != nil {
-			return s.clientError("invalid delay argument")
-		}
-	} else if len(args) > 1 {
-		return s.clientError("bad command line format")
-	}
-	s.store.FlushAll(delay)
-	rerr := s.replicateFlush(delay, ReplDefault)
-	if noreply {
-		return nil
-	}
-	if rerr != nil {
-		return s.reply("SERVER_ERROR " + rerr.Error() + "\r\n")
-	}
-	return s.reply(respOK)
 }

@@ -29,15 +29,8 @@ const (
 )
 
 func (m ReplMode) String() string {
-	switch m {
-	case ReplDefault:
-		return "default"
-	case ReplLocal:
-		return "local"
-	case ReplAsync:
-		return "async"
-	case ReplQuorum:
-		return "quorum"
+	if m <= ReplQuorum {
+		return [...]string{"default", "local", "async", "quorum"}[m]
 	}
 	return "unknown"
 }
@@ -56,15 +49,10 @@ func ReplModeFromVbucket(v uint16) ReplMode {
 // ParseReplMode parses a mode name ("async", "quorum", "local",
 // "default") as used by server flags.
 func ParseReplMode(s string) (ReplMode, bool) {
-	switch s {
-	case "default", "":
-		return ReplDefault, true
-	case "local":
-		return ReplLocal, true
-	case "async":
-		return ReplAsync, true
-	case "quorum":
-		return ReplQuorum, true
+	for m := ReplDefault; m <= ReplQuorum; m++ {
+		if s == m.String() || s == "" {
+			return m, true
+		}
 	}
 	return ReplDefault, false
 }

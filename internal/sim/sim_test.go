@@ -382,5 +382,9 @@ func TestDispatchHook(t *testing.T) {
 	}
 }
 
-// RunFor executes events for a span of simulated time from Now.
+// RunFor executes events for a span of simulated time from Now. Only
+// TestRunForAdvancesIdleClock calls it, and what that test pins is
+// shipped: RunUntil's documented advance of an idle clock to its
+// deadline, a branch TestRunUntil, which stops on an event, never
+// reaches.
 func (s *Simulator) RunFor(d Duration) { s.RunUntil(s.now.Add(d)) }

@@ -282,13 +282,6 @@ func TestDeterministicResults(t *testing.T) {
 	}
 }
 
-func TestBandwidthHelper(t *testing.T) {
-	r := Result{StackTPS: 1000}
-	if got := r.BandwidthBytesPerSec(64); got != 64000 {
-		t.Fatalf("bandwidth = %v", got)
-	}
-}
-
 func TestOpString(t *testing.T) {
 	if Get.String() != "GET" || Put.String() != "PUT" {
 		t.Fatal("op names")
@@ -344,10 +337,4 @@ func TestServiceTimeDecomposition(t *testing.T) {
 			t.Fatalf("network share implausibly large: svc %v rtt %v", svc, res.MeanRTT)
 		}
 	}
-}
-
-// BandwidthBytesPerSec is the payload bandwidth implied by the result.
-// No non-test code calls it; TestBandwidthHelper pins it.
-func (r Result) BandwidthBytesPerSec(valueBytes int64) float64 {
-	return r.StackTPS * float64(valueBytes)
 }
