@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -386,8 +387,9 @@ func expandPatterns(root string, patterns []string) ([]string, error) {
 	return out, nil
 }
 
-// parsePackage parses the non-test Go files in dir, returning nil if the
-// directory holds no Go package.
+// parsePackage parses the non-test Go files in dir that the build for
+// this GOOS and GOARCH would compile (their names and //go:build lines
+// say so), returning nil if the directory holds no Go package.
 func parsePackage(fset *token.FileSet, root, module, dir string) (*pkgInfo, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -408,6 +410,13 @@ func parsePackage(fset *token.FileSet, root, module, dir string) (*pkgInfo, erro
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		match, err := build.Default.MatchFile(dir, name)
+		if err != nil {
+			return nil, err
+		}
+		if !match {
 			continue
 		}
 		path := filepath.Join(dir, name)

@@ -19,6 +19,7 @@ package kv3d
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math"
 	"net"
@@ -613,6 +614,71 @@ func TestPinnedGetZeroAllocPerOp(t *testing.T) {
 			}
 			if !bytes.HasSuffix(bytes.TrimSuffix(reply, []byte("\r\nEND\r\n")), value) {
 				t.Fatalf("the reply does not end in the value")
+			}
+			conn.Close()
+			if err := <-served; err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestPinnedSetZeroAllocPerOp gates the large-value SET as a server
+// connection serves it: over loopback TCP through protocol.ServeConnIdle,
+// a 64 KiB set has its chunk reserved, its value read from the socket
+// straight into the chunk, and is committed and let go of — and none of
+// that allocates, on either codec.
+func TestPinnedSetZeroAllocPerOp(t *testing.T) {
+	st, err := kvstore.New(kvstore.DefaultConfig(32 << 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	value := bytes.Repeat([]byte("photo"), 64<<10/5)
+	binSet := []byte{protocol.MagicRequest, protocol.OpSet, 0, 1, 8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}
+	binary.BigEndian.PutUint32(binSet[8:], uint32(8+1+len(value)))
+	binSet = append(append(append(binSet, 0, 0, 0, 7, 0, 0, 0, 0), 'k'), value...)
+	asciiSet := append(append([]byte("set k 7 0 65535\r\n"), value...), "\r\n"...)
+	for _, c := range []struct {
+		name      string
+		req       []byte
+		replySize int
+	}{
+		{"binary", binSet, 24},
+		{"ascii", asciiSet, len("STORED\r\n")},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			served := make(chan error, 1)
+			go func() {
+				conn, err := ln.Accept()
+				if err == nil {
+					err = protocol.ServeConnIdle(st, conn, protocol.Env{}, 0)
+					conn.Close()
+				}
+				served <- err
+			}()
+			conn, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			reply := make([]byte, c.replySize)
+			set := func() {
+				if _, err := conn.Write(c.req); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := io.ReadFull(conn, reply); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if allocs := testing.AllocsPerRun(200, set); allocs != 0 {
+				t.Fatalf("a received 64 KiB %s SET allocates %v per op, want 0", c.name, allocs)
+			}
+			if v, flags, ok := storedItem(st, "k"); !ok || v != string(value) || flags != 7 {
+				t.Fatalf("after the sets, get found %v, %d bytes, flags %d; reply %q", ok, len(v), flags, reply)
 			}
 			conn.Close()
 			if err := <-served; err != nil {

@@ -8,9 +8,11 @@
 package cluster
 
 import (
+	"cmp"
 	"errors"
-	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"sync"
 )
 
@@ -85,10 +87,12 @@ func (r *Ring) AddWeighted(node string, weight int) {
 	}
 	n := r.replicas * weight
 	r.nodes[node] = n
+	name := append([]byte(node), '#') // each virtual node's name, "node#i", built in place
 	for i := 0; i < n; i++ {
-		r.points = append(r.points, point{hash: hash64(fmt.Sprintf("%s#%d", node, i)), node: node})
+		name = strconv.AppendInt(name[:len(node)+1], int64(i), 10)
+		r.points = append(r.points, point{hash: hash64(string(name)), node: node})
 	}
-	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
+	slices.SortFunc(r.points, func(a, b point) int { return cmp.Compare(a.hash, b.hash) })
 }
 
 // Remove deletes a node and its points (idempotent).

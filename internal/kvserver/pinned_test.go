@@ -505,3 +505,121 @@ func (l smallSendBuffers) Accept() (net.Conn, error) {
 	}
 	return conn, err
 }
+
+// TestReservedSetReadersSeeOldOrNew sends a 256 KiB set in slow pieces,
+// in each codec, while readers on other connections get the key over
+// and over. The value is read straight into the chunk the store
+// reserved for it, so until the set is committed the readers must keep
+// getting the old value, whole, and afterwards the new one — never a
+// mix, and never a miss.
+func TestReservedSetReadersSeeOldOrNew(t *testing.T) {
+	const key, size, pieces = "photo", 256 << 10, 16
+	old, next := bytes.Repeat([]byte("o"), size), bytes.Repeat([]byte("n"), size)
+	for _, bin := range []bool{false, true} {
+		t.Run(fmt.Sprintf("binary=%v", bin), func(t *testing.T) {
+			st := newPinStore(t)
+			if err := st.Set(key, old, 0, 0); err != nil {
+				t.Fatal(err)
+			}
+			srv := New(st, nil)
+			if err := srv.Listen("127.0.0.1:0"); err != nil {
+				t.Fatal(err)
+			}
+			go srv.Serve()
+			t.Cleanup(func() { srv.Close() })
+			addr := srv.Addr().String()
+
+			var head, tail []byte
+			if bin {
+				frame := binFrame(protocol.OpSet, 1, make([]byte, 8), []byte(key), next)
+				head = frame[:len(frame)-size]
+			} else {
+				head, tail = fmt.Appendf(nil, "set %s 0 0 %d\r\n", key, size), []byte("\r\n")
+			}
+			sending := make(chan struct{}) // closed once part of the value is in
+			done := make(chan struct{})    // closed once the set is answered
+			const readers = 4
+			var wg sync.WaitGroup
+			var oldWhileSending atomic.Int64
+			errs := make(chan error, readers) // each reader sends at most one and returns
+			for r := 0; r < readers; r++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					c, err := kvclient.Dial(addr)
+					if err != nil {
+						errs <- err
+						return
+					}
+					defer c.Close()
+					for finished := false; !finished; {
+						select {
+						case <-done:
+							finished = true // one more get, which must see the new value
+						default:
+						}
+						it, err := c.Get(key)
+						switch {
+						case err != nil:
+							errs <- fmt.Errorf("get: %v", err)
+							return
+						case bytes.Equal(it.Value, old):
+							if finished {
+								errs <- errors.New("the old value is still served after the set was answered")
+								return
+							}
+							select {
+							case <-sending:
+								oldWhileSending.Add(1)
+							default:
+							}
+						case !bytes.Equal(it.Value, next):
+							errs <- fmt.Errorf("a get returned %d bytes that are neither value: %q...", len(it.Value), it.Value[:min(len(it.Value), 32)])
+							return
+						}
+					}
+				}()
+			}
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := conn.Write(head); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < pieces; i++ {
+				if _, err := conn.Write(next[i*size/pieces : (i+1)*size/pieces]); err != nil {
+					t.Fatal(err)
+				}
+				if i == 0 {
+					close(sending)
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
+			if _, err := conn.Write(tail); err != nil {
+				t.Fatal(err)
+			}
+			reply := make([]byte, 8)
+			if bin {
+				reply = make([]byte, 24)
+			}
+			conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+			if _, err := io.ReadFull(conn, reply); err != nil {
+				t.Fatal(err)
+			}
+			if bin && binary.BigEndian.Uint16(reply[6:]) != protocol.StatusOK || !bin && string(reply) != "STORED\r\n" {
+				t.Fatalf("set reply %q", reply)
+			}
+			close(done)
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Error(err)
+			}
+			if oldWhileSending.Load() == 0 {
+				t.Error("no reader got the old value while the new one was arriving")
+			}
+		})
+	}
+}

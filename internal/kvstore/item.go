@@ -56,9 +56,11 @@ const (
 
 // The offRef byte has three tenants. The referenced mark is the CLOCK
 // second chance. The pin count is how many senders are reading the
-// value outside the shard lock (Store.GetBatchInto); a pinned chunk is never
-// rewritten, freed or re-carved. The unlinked mark says the item left
-// the table while pinned, so the last Unpin frees the chunk.
+// value outside the shard lock (Store.GetBatchInto), or writing it
+// (Store.Reserve); a pinned chunk is never rewritten, freed or
+// re-carved. The unlinked mark says the item is not in the table — it
+// left while pinned, or is a reservation not yet committed — so the
+// last Unpin frees the chunk.
 const (
 	refMark      = 1 << 0
 	pinOne       = 1 << 1
@@ -89,6 +91,7 @@ func (c chunk) pin()                 { c[offRef] += pinOne }
 func (c chunk) unpin()               { c[offRef] -= pinOne }
 func (c chunk) unlinked() bool       { return c[offRef]&unlinkedMark != 0 }
 func (c chunk) setUnlinked()         { c[offRef] |= unlinkedMark }
+func (c chunk) clearUnlinked()       { c[offRef] &^= unlinkedMark }
 func (c chunk) clearRef()            { c[offRef] = 0 }
 
 // valueLen loads the length with its neighbour offRef and masks that
@@ -152,30 +155,34 @@ func (c chunk) hasKey(key []byte) bool {
 }
 
 // setValue overwrites the value in place. The caller has checked that
-// header + key + value fit size, the chunk's class size; the padding that
-// aligns the value is taken from whatever the class leaves over and is
-// not part of the item's footprint.
-func (c chunk) setValue(value []byte, size int) {
+// header + key + value fit size, the chunk's class size.
+func (c chunk) setValue(value []byte, size int) { copy(c.place(len(value), size), value) }
+
+// place sets the length of an n-byte value and returns the bytes it
+// goes in. The padding that aligns the value is taken from whatever the
+// class leaves over and is not part of the item's footprint.
+func (c chunk) place(n, size int) []byte {
 	off := itemHeaderSize + c.keyLen()
-	if aligned := align8(off); aligned+len(value) <= size {
+	if aligned := align8(off); aligned+n <= size {
 		off = aligned
 		c[offClass] |= valueAligned
 	} else {
 		c[offClass] &^= valueAligned
 	}
-	c.setValueLen(len(value))
-	copy(c[off:], value)
+	c.setValueLen(n)
+	return c[off : off+n : off+n]
 }
 
 // init writes a fresh item's identity into a chunk the allocator just
-// handed out: key, value, class and a cleared ref byte. The CAS field
+// handed out — key, class, a cleared ref byte and the length of an
+// n-byte value — and returns the bytes the value goes in. The CAS field
 // still holds the free-list link until the store writes the item's id.
-func (c chunk) init(classIdx, size int, key, value []byte) {
+func (c chunk) init(classIdx, size int, key []byte, n int) []byte {
 	c[offKeyLen] = byte(len(key))
 	c[offClass] = byte(classIdx)
 	c.clearRef()
 	copy(c[itemHeaderSize:], key)
-	c.setValue(value, size)
+	return c.place(n, size)
 }
 
 // expired reports whether the item is past its TTL at time now. The

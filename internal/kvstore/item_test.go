@@ -32,7 +32,7 @@ func TestValueAlignedWhenTheChunkHasRoom(t *testing.T) {
 	} {
 		value := bytes.Repeat([]byte{0xab}, tc.valueLen)
 		c := mem.alloc.chunk(mem.alloc.alloc(class))
-		c.init(class, size, key, value)
+		copy(c.init(class, size, key, len(value)), value)
 		if !bytes.Equal(c.key(), key) || !bytes.Equal(c.value(), value) || c.class() != class {
 			t.Fatalf("value of %d bytes: read back key %q class %d and %d value bytes", tc.valueLen, c.key(), c.class(), len(c.value()))
 		}

@@ -82,7 +82,7 @@ func TestHeaderLayout(t *testing.T) {
 			}
 		}
 		c.setReferenced() // what the chunk's last tenant left behind
-		c.init(class, size, key, longest)
+		copy(c.init(class, size, key, len(longest)), longest)
 		check("init", len(longest), false)
 		c.setReferenced()
 		check("hit", len(longest), true)

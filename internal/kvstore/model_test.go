@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"math/rand"
 	"reflect"
 	"strconv"
@@ -178,28 +179,59 @@ func (m *refStore) store(key string, value []byte, flags uint32, expireAt int64)
 
 func (m *refStore) put(verb Verb, key string, value []byte, flags uint32, exptime int64, cas uint64) opResult {
 	expireAt := m.abs(exptime)
+	if err := m.guard(verb, key, cas); err != nil {
+		return opResult{err: err}
+	}
+	if verb == VerbCAS {
+		m.stats.CasHits++
+	}
+	return m.store(key, value, flags, expireAt)
+}
+
+// guard is the condition of add, replace and cas, with a cas that
+// fails counted.
+func (m *refStore) guard(verb Verb, key string, cas uint64) error {
 	switch verb {
 	case VerbAdd:
 		if m.live(key) != nil {
-			return opResult{err: ErrNotStored}
+			return ErrNotStored
 		}
 	case VerbReplace:
 		if m.live(key) == nil {
-			return opResult{err: ErrNotStored}
+			return ErrNotStored
 		}
 	case VerbCAS:
 		it := m.live(key)
 		if it == nil {
 			m.stats.CasMisses++
-			return opResult{err: ErrNotFound}
+			return ErrNotFound
 		}
 		if it.cas != cas {
 			m.stats.CasBadval++
-			return opResult{err: ErrExists}
+			return ErrExists
 		}
+	}
+	return nil
+}
+
+// reserve is the answer to reserving a store of value: what put would
+// refuse with before storing, counted as put counts it, and nothing
+// more. A store it lets through is put when it is committed.
+func (m *refStore) reserve(verb Verb, key string, value []byte, cas uint64) opResult {
+	if err := m.guard(verb, key, cas); err != nil {
+		return opResult{err: err}
+	}
+	var err error
+	switch {
+	case !refValidKey(key):
+		err = ErrBadKey
+	case refFootprint(key, value) > m.maxItem:
+		err = ErrTooLarge
+	}
+	if err != nil && verb == VerbCAS {
 		m.stats.CasHits++
 	}
-	return m.store(key, value, flags, expireAt)
+	return opResult{err: err}
 }
 
 func (m *refStore) concat(key string, extra []byte, front bool) opResult {
@@ -430,7 +462,7 @@ func absent(op modelOp, res opResult) bool {
 	switch op.kind {
 	case "get", "peek":
 		return !res.found
-	case "put":
+	case "put", "reserve":
 		switch op.verb {
 		case VerbAdd:
 			return res.err == nil
@@ -452,6 +484,9 @@ type modelCase struct {
 	shards int // 1 is the global lock
 	tight  bool
 	pins   bool // interleave pinning GetBatchInto calls and Unpin with the generated ops
+	// reserves makes half the puts Reserve calls, each committed or
+	// cancelled some steps later, other ops in between.
+	reserves bool
 }
 
 func (c modelCase) String() string {
@@ -468,6 +503,9 @@ func (c modelCase) String() string {
 	name := fmt.Sprintf("bags/%s/%s", locking, mem)
 	if c.pins {
 		name += "/pins"
+	}
+	if c.reserves {
+		name += "/reserves"
 	}
 	return name
 }
@@ -509,6 +547,9 @@ func runModel(t *testing.T, c modelCase, seed int64, steps int) (digest uint64, 
 	// same generated ops as the case without them.
 	pinRng := rand.New(rand.NewSource(seed + 1_000_003))
 	var held []heldPin
+	// Reservations likewise.
+	resRng := rand.New(rand.NewSource(seed + 2_000_003))
+	var pending []pendingStore
 	for step := 0; step < steps; step++ {
 		if c.pins {
 			held = pinStep(t, c, seed, step, st, model, pinRng, gen.keys, held)
@@ -517,7 +558,16 @@ func runModel(t *testing.T, c modelCase, seed int64, steps int) (digest uint64, 
 				checkAllShards(t, c, seed, step, st)
 			}
 		}
+		if c.reserves {
+			pending = reserveStep(t, c, seed, step, st, model, resRng, pending, sum)
+			if step%499 == 0 {
+				checkAllShards(t, c, seed, step, st)
+			}
+		}
 		op := gen.next(step)
+		if c.reserves && op.kind == "put" && resRng.Intn(2) == 0 {
+			op.kind = "reserve"
+		}
 		var got, want opResult
 		switch op.kind {
 		case "tick":
@@ -537,6 +587,15 @@ func runModel(t *testing.T, c modelCase, seed int64, steps int) (digest uint64, 
 			got = st.peek(op.key)
 		case "put":
 			got.cas, got.err = st.Put(op.verb, op.key, op.value, op.flags, op.exptime, op.cas)
+		case "reserve":
+			r, v, err := st.Reserve(op.verb, []byte(op.key), len(op.value), op.cas)
+			if got.err = err; err == nil {
+				if len(v) != len(op.value) {
+					t.Fatalf("%v seed %d step %d: %v reserved %d bytes", c, seed, step, op, len(v))
+				}
+				copy(v, op.value)
+				pending = append(pending, pendingStore{op: op, r: r})
+			}
 		case "concat":
 			if op.front {
 				got.err = st.Prepend(op.key, op.value)
@@ -554,7 +613,7 @@ func runModel(t *testing.T, c modelCase, seed int64, steps int) (digest uint64, 
 		if c.tight && model.present(op.key) && absent(op, got) {
 			delete(model.items, op.key) // evicted
 		}
-		if len(held) > 0 && got.err == ErrOutOfMemory {
+		if len(held)+len(pending) > 0 && got.err == ErrOutOfMemory && op.kind != "reserve" {
 			// Every chunk eviction could free is pinned: the store
 			// refused the write, and had already dropped the old item.
 			delete(model.items, op.key)
@@ -570,6 +629,12 @@ func runModel(t *testing.T, c modelCase, seed int64, steps int) (digest uint64, 
 			want = model.peek(op.key)
 		case "put":
 			want = model.put(op.verb, op.key, op.value, op.flags, op.exptime, op.cas)
+		case "reserve":
+			if want = model.reserve(op.verb, op.key, op.value, op.cas); want.err == nil && got.err == ErrOutOfMemory {
+				// Every chunk eviction could free is pinned; a
+				// reservation drops no old item, so the model is as it was.
+				want = got
+			}
 		case "concat":
 			want = model.concat(op.key, op.value, op.front)
 		case "incrdecr":
@@ -592,6 +657,9 @@ func runModel(t *testing.T, c modelCase, seed int64, steps int) (digest uint64, 
 				t.Fatalf("%v seed %d step %d: counters differ after %v\n store %+v\n model %+v", c, seed, step, op, have, want)
 			}
 		}
+	}
+	for _, p := range pending {
+		st.Cancel(p.r)
 	}
 	checkAllShards(t, c, seed, steps, st)
 	if len(held) > 0 {
@@ -708,11 +776,77 @@ func pinStep(t *testing.T, c modelCase, seed int64, step int, st *Store, model *
 	return held
 }
 
+// pendingStore is a reservation the model test has yet to commit or
+// cancel, with the put it stands for.
+type pendingStore struct {
+	op modelOp
+	r  Reservation
+}
+
+// reserveStep ends one pending reservation, now and then: most are
+// committed — the store must answer as the model's put does at this
+// point, guard included — and the rest cancelled, which the model does
+// not see. Either way the reservation is let go of.
+func reserveStep(t *testing.T, c modelCase, seed int64, step int, st *Store, model *refStore, rng *rand.Rand, pending []pendingStore, sum io.Writer) []pendingStore {
+	t.Helper()
+	if len(pending) == 0 || rng.Intn(4) != 0 {
+		return pending
+	}
+	i := rng.Intn(len(pending))
+	p := pending[i]
+	pending = append(pending[:i], pending[i+1:]...)
+	if rng.Intn(4) == 0 {
+		st.Cancel(p.r)
+		fmt.Fprintf(sum, "cancel|")
+		return pending
+	}
+	var got opResult
+	got.cas, got.err = st.Commit(p.r, p.op.flags, p.op.exptime)
+	st.Cancel(p.r)
+	if c.tight && model.present(p.op.key) && absent(p.op, got) {
+		delete(model.items, p.op.key) // evicted
+	}
+	want := model.put(p.op.verb, p.op.key, p.op.value, p.op.flags, p.op.exptime, p.op.cas)
+	if !got.equal(want) {
+		t.Fatalf("%v seed %d step %d: commit of %v\n store %v\n model %v", c, seed, step, p.op, got, want)
+	}
+	fmt.Fprintf(sum, "commit %v|", got)
+	return pending
+}
+
 func checkAllShards(t *testing.T, c modelCase, seed int64, step int, st *Store) {
 	t.Helper()
 	for i, ls := range st.shards {
 		if err := checkShardInvariants(ls.s); err != nil {
 			t.Fatalf("%v seed %d: shard %d after %d steps: %v", c, seed, i, step, err)
+		}
+	}
+}
+
+// TestModelWithReservations runs the generated sequences with half the
+// puts made as Reserve, a value written into the chunk, and a Commit or
+// Cancel some steps later: a reservation refused must be refused as the
+// put would be, having changed nothing the model can see, and a commit
+// must answer as the put would at that point, after whatever came in
+// between.
+func TestModelWithReservations(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		for _, tight := range []bool{false, true} {
+			c := modelCase{shards: shards, tight: tight, reserves: true}
+			t.Run(c.String(), func(t *testing.T) {
+				steps := 4000
+				if tight {
+					steps = 12000
+				}
+				for seed := int64(1); seed <= 4; seed++ {
+					digest, _ := runModel(t, c, seed, steps)
+					if seed == 1 {
+						if again, _ := runModel(t, c, seed, steps); again != digest {
+							t.Fatalf("%v seed %d: two runs gave different results (digests %x, %x)", c, seed, digest, again)
+						}
+					}
+				}
+			})
 		}
 	}
 }

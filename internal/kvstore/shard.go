@@ -188,13 +188,16 @@ func (s *shard) getOrPin(dst, key []byte, hash uint64, now *lazyNow, pinFrom int
 // allocChunk obtains a chunk for classIdx, evicting victims from that
 // class if necessary and allowed, and falling back to stealing a slab
 // page from another class when this class has nothing left to evict
-// (memcached's slab reassignment, preventing calcification).
-func (s *shard) allocChunk(classIdx int, now *lazyNow) handle {
+// (memcached's slab reassignment, preventing calcification). fresh
+// reports a chunk no item has used: the class had no free chunk, so it
+// came from the class's fresh page, whose memory was never written.
+func (s *shard) allocChunk(classIdx int, now *lazyNow) (h handle, fresh bool) {
+	fresh = s.alloc.classes[classIdx].free == 0
 	if h := s.alloc.alloc(classIdx); h != 0 {
-		return h
+		return h, fresh
 	}
 	if !s.evictOn {
-		return 0
+		return 0, false
 	}
 	for probe := 0; probe < s.maxProbe; probe++ {
 		victim := s.alloc.victim(classIdx)
@@ -203,13 +206,13 @@ func (s *shard) allocChunk(classIdx int, now *lazyNow) handle {
 		}
 		s.evict(victim, now)
 		if h := s.alloc.alloc(classIdx); h != 0 {
-			return h
+			return h, false
 		}
 	}
 	if s.reassignPageTo(classIdx, now) {
-		return s.alloc.alloc(classIdx)
+		return s.alloc.alloc(classIdx), false
 	}
-	return 0
+	return 0, false
 }
 
 // stealCooldownOps rate-limits live-page steals: between two steals the
@@ -254,21 +257,31 @@ func validKey(key []byte) bool {
 	return true
 }
 
+// fit checks that key and an n-byte value make an item the shard can
+// hold, and returns its footprint and slab class.
+func (s *shard) fit(key []byte, n int) (need, classIdx int, err error) {
+	if !validKey(key) {
+		return 0, 0, ErrBadKey
+	}
+	need = itemFootprint(len(key), n)
+	if need > s.maxItem {
+		return 0, 0, ErrTooLarge
+	}
+	classIdx, ok := s.alloc.classFor(need)
+	if !ok {
+		return 0, 0, ErrTooLarge
+	}
+	return need, classIdx, nil
+}
+
 // set unconditionally stores key=value and returns the CAS id it
 // assigned — read under the shard lock, so it is this write's id and
 // not a later writer's.
 func (s *shard) set(key []byte, hash uint64, value []byte, flags uint32, expireAt int64, now *lazyNow) (uint64, error) {
 	s.fireFlush(now)
-	if !validKey(key) {
-		return 0, ErrBadKey
-	}
-	need := itemFootprint(len(key), len(value))
-	if need > s.maxItem {
-		return 0, ErrTooLarge
-	}
-	classIdx, ok := s.alloc.classFor(need)
-	if !ok {
-		return 0, ErrTooLarge
+	need, classIdx, err := s.fit(key, len(value))
+	if err != nil {
+		return 0, err
 	}
 	s.setsSinceSteal++
 
@@ -286,52 +299,126 @@ func (s *shard) set(key []byte, hash uint64, value []byte, flags uint32, expireA
 		if h != 0 {
 			s.reap(h, c, hash)
 		}
-		if h = s.allocChunk(classIdx, now); h == 0 {
+		var fresh bool
+		if h, fresh = s.allocChunk(classIdx, now); h == 0 {
 			return 0, ErrOutOfMemory
 		}
 		c = s.alloc.chunk(h)
-		c.init(classIdx, s.alloc.chunkSize(classIdx), key, value)
+		v := c.init(classIdx, s.alloc.chunkSize(classIdx), key, len(value))
+		if fresh {
+			prefault(v)
+		}
+		copy(v, value)
 		s.table.insert(h, hash)
 		s.stats.BytesUsed += int64(need)
 	}
+	return s.stamp(c, flags, expireAt), nil
+}
+
+// stamp gives a stored item a new CAS id, its flags and its expiry,
+// counts the store, and returns the id.
+func (s *shard) stamp(c chunk, flags uint32, expireAt int64) uint64 {
 	casID := s.casSeq.next()
 	c.setCAS(casID)
 	c.setFlags(flags)
 	c.setExpireAt(expireAt)
 	s.stats.Sets++
 	s.stats.TotalItems++
-	return casID, nil
+	return casID
 }
 
-// add stores only if the key is absent.
-func (s *shard) add(key []byte, hash uint64, value []byte, flags uint32, expireAt int64, now *lazyNow) (uint64, error) {
-	if h, _ := s.live(key, hash, now); h != 0 {
-		return 0, ErrNotStored
+// guard is the condition verb stores under: nil if it may store key
+// now. add needs the key absent, replace present, and cas present with
+// casID as its CAS id; a cas that finds no key or another id is counted
+// here, and one that passes by its caller.
+func (s *shard) guard(verb Verb, key []byte, hash uint64, casID uint64, now *lazyNow) error {
+	switch verb {
+	case VerbAdd:
+		if h, _ := s.live(key, hash, now); h != 0 {
+			return ErrNotStored
+		}
+	case VerbReplace:
+		if h, _ := s.live(key, hash, now); h == 0 {
+			return ErrNotStored
+		}
+	case VerbCAS:
+		h, c := s.live(key, hash, now)
+		if h == 0 {
+			s.stats.CasMisses++
+			return ErrNotFound
+		}
+		if c.casID() != casID {
+			s.stats.CasBadval++
+			return ErrExists
+		}
+	}
+	return nil
+}
+
+// put stores key=value under verb's guard.
+func (s *shard) put(verb Verb, key []byte, hash uint64, value []byte, flags uint32, expireAt int64, casID uint64, now *lazyNow) (uint64, error) {
+	if err := s.guard(verb, key, hash, casID, now); err != nil {
+		return 0, err
+	}
+	if verb == VerbCAS {
+		s.stats.CasHits++
 	}
 	return s.set(key, hash, value, flags, expireAt, now)
 }
 
-// replace stores only if the key is present.
-func (s *shard) replace(key []byte, hash uint64, value []byte, flags uint32, expireAt int64, now *lazyNow) (uint64, error) {
-	if h, _ := s.live(key, hash, now); h == 0 {
-		return 0, ErrNotStored
+// reserve checks verb's guard and allocates the chunk of an item of key
+// and an n-byte value, as set would, without linking it: the chunk is
+// pinned and marked unlinked, so eviction, page steals, rebuild and the
+// crawler pass over it, and an old item of the key stays readable. The
+// value is the caller's to write; commit links it. fresh is
+// allocChunk's.
+func (s *shard) reserve(verb Verb, key []byte, hash uint64, n int, casID uint64, now *lazyNow) (h handle, fresh bool, err error) {
+	s.fireFlush(now)
+	if err := s.guard(verb, key, hash, casID, now); err != nil {
+		return 0, false, err
 	}
-	return s.set(key, hash, value, flags, expireAt, now)
+	_, classIdx, err := s.fit(key, n)
+	if err == nil {
+		s.setsSinceSteal++
+		if h, fresh = s.allocChunk(classIdx, now); h == 0 {
+			err = ErrOutOfMemory
+		}
+	}
+	if err != nil {
+		if verb == VerbCAS {
+			s.stats.CasHits++ // it passed its guard, as a put whose set then fails does
+		}
+		return 0, false, err
+	}
+	c := s.alloc.chunk(h)
+	c.init(classIdx, s.alloc.chunkSize(classIdx), key, n)
+	s.pin(h, c)
+	c.setUnlinked()
+	return h, fresh, nil
 }
 
-// cas stores only if the entry's CAS id still matches.
-func (s *shard) cas(key []byte, hash uint64, value []byte, flags uint32, expireAt int64, casID uint64, now *lazyNow) (uint64, error) {
-	h, c := s.live(key, hash, now)
-	if h == 0 {
-		s.stats.CasMisses++
-		return 0, ErrNotFound
+// commit stores the item reserve set aside in h, whose key hashes to
+// hash, if verb's guard still lets it: it reaps the old item of the key
+// and links the new one, as set does. The chunk stays pinned either way
+// until the reservation's holder unpins it; refused, it stays unlinked,
+// so that unpin frees it.
+func (s *shard) commit(h handle, hash uint64, verb Verb, casID uint64, flags uint32, expireAt int64, now *lazyNow) (uint64, error) {
+	s.fireFlush(now)
+	c := s.alloc.chunk(h)
+	key := c.key()
+	if err := s.guard(verb, key, hash, casID, now); err != nil {
+		return 0, err
 	}
-	if c.casID() != casID {
-		s.stats.CasBadval++
-		return 0, ErrExists
+	if verb == VerbCAS {
+		s.stats.CasHits++
 	}
-	s.stats.CasHits++
-	return s.set(key, hash, value, flags, expireAt, now)
+	if old, oc := s.table.lookup(key, hash); old != 0 {
+		s.reap(old, oc, hash)
+	}
+	c.clearUnlinked()
+	s.table.insert(h, hash)
+	s.stats.BytesUsed += int64(itemFootprint(c.keyLen(), c.valueLen()))
+	return s.stamp(c, flags, expireAt), nil
 }
 
 // appendValue / prependValue concatenate onto an existing value.

@@ -275,7 +275,8 @@ func (st *Store) Unpin(p Pin) {
 	p.sh.mu.Unlock()
 }
 
-// Verb selects the guard Put runs under the shard lock.
+// Verb selects the guard Put, Reserve and Commit run under the shard
+// lock.
 type Verb uint8
 
 const (
@@ -306,19 +307,76 @@ func (st *Store) PutBytes(verb Verb, key, value []byte, flags uint32, exptime in
 	now := st.lazyNow()
 	abs := expiryToAbs(exptime, &now)
 	sh.mu.Lock()
-	switch verb {
-	case VerbAdd:
-		newCAS, err = sh.s.add(key, hash, value, flags, abs, &now)
-	case VerbReplace:
-		newCAS, err = sh.s.replace(key, hash, value, flags, abs, &now)
-	case VerbCAS:
-		newCAS, err = sh.s.cas(key, hash, value, flags, abs, casID, &now)
-	default:
-		newCAS, err = sh.s.set(key, hash, value, flags, abs, &now)
-	}
+	newCAS, err = sh.s.put(verb, key, hash, value, flags, abs, casID, &now)
 	sh.mu.Unlock()
 	return newCAS, err
 }
+
+// Reservation is an item's chunk that Reserve set aside for a value
+// still arriving. It is a value (shard, handle, the key's hash and the
+// guard to commit under), so reserving allocates nothing. The zero
+// Reservation holds nothing.
+type Reservation struct {
+	sh    *lockedShard
+	h     handle
+	verb  Verb
+	hash  uint64
+	casID uint64
+}
+
+// Reserve is the first half of a store whose value the caller writes
+// straight into slab memory — from a socket, say — instead of handing
+// Put a copy. It checks verb's guard (a store Put would refuse is
+// refused here, having allocated and evicted nothing), then allocates
+// the chunk of an item of key and an n-byte value as Put would, and
+// returns its value bytes for the caller to fill outside the lock. The
+// chunk is pinned and in no index until Commit: eviction, page steals
+// and the crawler pass over it, and the key's old value stays readable.
+// Every Reservation Reserve returns ends with one Cancel.
+//
+//kv3d:hotpath
+func (st *Store) Reserve(verb Verb, key []byte, n int, casID uint64) (Reservation, []byte, error) {
+	sh, hash := st.locate(key)
+	now := st.lazyNow()
+	sh.mu.Lock()
+	h, fresh, err := sh.s.reserve(verb, key, hash, n, casID, &now)
+	var value []byte
+	if err == nil {
+		value = sh.s.alloc.chunk(h).value()
+	}
+	sh.mu.Unlock()
+	if err != nil {
+		return Reservation{}, nil, err
+	}
+	if fresh {
+		prefault(value)
+	}
+	return Reservation{sh: sh, h: h, verb: verb, hash: hash, casID: casID}, value[:n:n], nil
+}
+
+// Commit stores the reserved item, its value as the caller left it, if
+// the reservation's guard still holds: it replaces the key's old item
+// and assigns flags, expiry and a CAS id, which it returns, as Put
+// does. The chunk stays pinned, committed or refused, until Cancel, so
+// the caller can still read the value it wrote — to replicate it, say.
+//
+//kv3d:hotpath
+func (st *Store) Commit(r Reservation, flags uint32, exptime int64) (newCAS uint64, err error) {
+	now := st.lazyNow()
+	abs := expiryToAbs(exptime, &now)
+	r.sh.mu.Lock()
+	newCAS, err = r.sh.s.commit(r.h, r.hash, r.verb, r.casID, flags, abs, &now)
+	r.sh.mu.Unlock()
+	return newCAS, err
+}
+
+// Cancel ends a reservation: one never committed, or whose commit was
+// refused, is freed; a committed item stays, and only the hold on its
+// chunk goes, as Unpin lets go of a Pin. Cancelling the zero
+// Reservation does nothing.
+//
+//kv3d:hotpath
+func (st *Store) Cancel(r Reservation) { st.Unpin(Pin{sh: r.sh, h: r.h}) }
 
 // Set unconditionally stores the value.
 //

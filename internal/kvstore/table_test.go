@@ -34,7 +34,7 @@ func (m *testMem) mk(key string, class int) handle {
 	if h == 0 {
 		m.t.Fatalf("test slab exhausted at key %q", key)
 	}
-	m.alloc.chunk(h).init(class, m.alloc.chunkSize(class), []byte(key), nil)
+	m.alloc.chunk(h).init(class, m.alloc.chunkSize(class), []byte(key), 0)
 	return h
 }
 
@@ -397,7 +397,7 @@ func BenchmarkTableRebuild(b *testing.B) {
 		if h == 0 {
 			b.Fatal("slab exhausted")
 		}
-		a.chunk(h).init(class, a.chunkSize(class), key, value)
+		copy(a.chunk(h).init(class, a.chunkSize(class), key, len(value)), value)
 		tbl.insert(h, fnv1a64(key))
 	}
 	const buckets = 131_072 / bucketSlots

@@ -192,16 +192,17 @@ func (s *BinarySession) getAt(i int, buf []byte) int {
 
 func (s *BinarySession) opaque(i int) uint64 { return uint64(s.runHdr[i].opaque) }
 
-// readBody reads the frame's body into the reused buffer and splits it;
-// the three slices are valid until the next frame is read.
+// readBody reads the first n bytes of the frame's body — all of it, or
+// all but a value receive reads — into the reused buffer and splits
+// them; the three slices are valid until the next frame is read.
 //
 //kv3d:hotpath
-func (s *BinarySession) readBody() (extras, key, value []byte, err error) {
+func (s *BinarySession) readBody(n int) (extras, key, value []byte, err error) {
 	h := s.runHdr[0]
-	if cap(s.body) < int(h.bodyLen) {
-		s.body = make([]byte, h.bodyLen)
+	if cap(s.body) < n {
+		s.body = make([]byte, n)
 	}
-	body := s.body[:h.bodyLen]
+	body := s.body[:n]
 	if _, err := io.ReadFull(s.r, body); err != nil {
 		return nil, nil, nil, err
 	}
@@ -213,10 +214,10 @@ func (s *BinarySession) readBody() (extras, key, value []byte, err error) {
 // The body is consumed first, so the refusal cannot desynchronize the
 // stream. Quiet variants are shed silently; quit still quits.
 func (s *BinarySession) shed() error {
-	if _, _, _, err := s.readBody(); err != nil {
+	h := s.runHdr[0]
+	if _, err := s.r.Discard(int(h.bodyLen)); err != nil {
 		return err
 	}
-	h := s.runHdr[0]
 	switch {
 	case s.head == opQuit:
 		return s.encode(&command{op: opQuit, quiet: quiet(h.opcode)}, result{})
@@ -228,17 +229,25 @@ func (s *BinarySession) shed() error {
 
 // parse reads the frame's body and turns it into a command: key and
 // value stay slices of the body, the extras become fields, and the
-// vbucket field the replication mode. Wrong extras and unknown opcodes
-// are answered here.
+// vbucket field the replication mode. A set, add, replace or cas whose
+// value is pinFrom bytes or more reads only extras and key with the
+// body, and receives the value into its chunk. Wrong extras and unknown
+// opcodes are answered here, once the body is consumed.
 //
 //kv3d:hotpath
 func (s *BinarySession) parse(cmd *command) error {
 	h := s.runHdr[0]
-	extras, key, value, err := s.readBody()
+	n, rest := int(h.bodyLen), 0
+	if nk := int(h.extrasLen) + int(h.keyLen); s.head == opStore && n-nk >= s.pinFrom {
+		n, rest = nk, n-nk
+	}
+	extras, key, value, err := s.readBody(n)
 	if err != nil {
 		return err
 	}
-	*cmd = command{key: key, value: value, cas: h.cas, mode: ReplModeFromVbucket(h.status), quiet: quiet(h.opcode)}
+	cmd.reset()
+	cmd.key, cmd.value, cmd.cas = key, value, h.cas
+	cmd.mode, cmd.quiet = ReplModeFromVbucket(h.status), quiet(h.opcode)
 	switch s.head {
 	case opNone:
 		return s.respond(h, StatusUnknownCommand, nil, nil, binUnknown, 0)
@@ -246,6 +255,9 @@ func (s *BinarySession) parse(cmd *command) error {
 		s.keys = append(s.keys, key)
 	case opStore:
 		if len(extras) != 8 {
+			if _, err := s.r.Discard(rest); err != nil {
+				return err
+			}
 			return s.respond(h, StatusInvalidArgs, nil, nil, binInvalid, 0)
 		}
 		cmd.flags = binary.BigEndian.Uint32(extras)
@@ -257,6 +269,11 @@ func (s *BinarySession) parse(cmd *command) error {
 			cmd.verb = kvstore.VerbReplace
 		case h.cas != 0:
 			cmd.verb = kvstore.VerbCAS
+		}
+		if rest > 0 {
+			if err := s.receive(cmd, rest); err != nil {
+				return err
+			}
 		}
 	case opIncr, opDecr:
 		if len(extras) != 20 {

@@ -66,9 +66,10 @@ type codec interface {
 	// core.head. An error ends the session with nothing observed.
 	next() error
 	// parse reads the rest of that request (ASCII data block, binary
-	// body) into cmd; a get appends its keys to core.keys. A request the
-	// parser refuses is answered there and left as opNone. An error ends
-	// the session.
+	// body) into cmd; a get appends its keys to core.keys, and a store
+	// of pinFrom bytes or more receives its value into a reserved chunk.
+	// A request the parser refuses is answered there and left as opNone.
+	// An error ends the session, with no reservation held.
 	parse(cmd *command) error
 	// getAt reports the length of the complete, well-formed get request
 	// at the head of buf, or 0 if there is none. If there is one it
@@ -126,7 +127,9 @@ func (o op) class() OpClass {
 }
 
 // command is one request as its parser leaves it for execute. The byte
-// fields alias the session's buffers until the next request is read.
+// fields alias the session's buffers until the next request is read —
+// or, for a store received into a reserved chunk, the chunk until
+// execute lets go of it.
 type command struct {
 	op      op
 	verb    kvstore.Verb
@@ -146,6 +149,21 @@ type command struct {
 	// quiet is a binary quiet opcode (no reply on success), noreply an
 	// ASCII noreply (no reply at all).
 	quiet, noreply bool
+	// res is the chunk a store's value was received into (receive), and
+	// refused the store's refusal to reserve one; execute commits the
+	// first and answers with the second.
+	res     kvstore.Reservation
+	refused error
+}
+
+// reset readies cmd for the next request one field at a time, so that
+// nothing of the previous request is left over: assigning a composite
+// literal to *cmd builds the literal and then copies all of it.
+func (cmd *command) reset() {
+	cmd.op, cmd.verb, cmd.key, cmd.value = opNone, kvstore.VerbSet, nil, nil
+	cmd.flags, cmd.exptime, cmd.cas, cmd.delta, cmd.initial = 0, 0, 0, 0, 0
+	cmd.create, cmd.mode, cmd.quiet, cmd.noreply = false, ReplDefault, false, false
+	cmd.res, cmd.refused = kvstore.Reservation{}, nil
 }
 
 // result is what executing a command gave: the store's error or, for
@@ -186,9 +204,11 @@ type core struct {
 	// One copy per side: a GET hit whose value is at least pinFrom
 	// bytes is pinned in the store and written from its chunk straight
 	// to conn, the raw transport, by sendPinned; a run's copies stop
-	// short of pinFrom bytes. serveConn sets both; a session on a
-	// caller's pair has no transport to write to, and its pinFrom of
-	// MaxInt keeps every value on the copy path.
+	// short of pinFrom bytes; and a store of at least pinFrom bytes is
+	// read straight into the chunk the store reserves for it
+	// (receive). serveConn sets both; a session on a caller's pair has
+	// no transport to write to, and its pinFrom of MaxInt keeps every
+	// value on the copy path.
 	// iov and iovArr are the vectored write's list and its backing array.
 	conn    io.Writer
 	pinFrom int
@@ -273,9 +293,10 @@ func (f *flushBeforeRead) Read(p []byte) (int, error) {
 }
 
 // pinThreshold is the shortest value a GET served by ServeConnIdle sends
-// from its chunk instead of copying. Below it pinning saves nothing
-// measurable (BenchmarkLargeGet), while a copied reply still shares one
-// write with the other replies of a pipelined burst.
+// from its chunk instead of copying, and the shortest a store receives
+// into its chunk. Below it pinning saves nothing measurable
+// (BenchmarkLargeGet), while a copied reply still shares one write with
+// the other replies of a pipelined burst.
 const pinThreshold = 16 << 10
 
 // ServeConnIdle serves one connection until its peer leaves, choosing
@@ -454,7 +475,8 @@ func (c *core) exec(cd codec) (int, error) {
 // write that succeeded locally to the Replicator. Its entry stamps the
 // end of the parse phase and its exit the end of the execute phase, for
 // every verb of both codecs. A get's copies, short of pinFrom bytes in
-// all, go to val and its results to batch.
+// all, go to val and its results to batch. A store received into a
+// reserved chunk is committed, and the chunk let go of once replicated.
 //
 //kv3d:hotpath
 func (c *core) execute(cmd *command) (res result) {
@@ -465,7 +487,14 @@ func (c *core) execute(cmd *command) (res result) {
 	case opGet:
 		c.val, c.batch = c.store.GetBatchInto(c.val[:0], c.keys, c.batch[:0], &c.scr, c.pinFrom)
 	case opStore:
-		res.cas, res.err = c.store.PutBytes(cmd.verb, cmd.key, cmd.value, cmd.flags, cmd.exptime, cmd.cas)
+		switch {
+		case cmd.refused != nil:
+			res.err = cmd.refused
+		case cmd.res != (kvstore.Reservation{}):
+			res.cas, res.err = c.store.Commit(cmd.res, cmd.flags, cmd.exptime)
+		default:
+			res.cas, res.err = c.store.PutBytes(cmd.verb, cmd.key, cmd.value, cmd.flags, cmd.exptime, cmd.cas)
+		}
 	case opAppend:
 		res.err = c.store.Append(string(cmd.key), cmd.value)
 	case opPrepend:
@@ -489,10 +518,44 @@ func (c *core) execute(cmd *command) (res result) {
 		res.err = c.replicate(cmd)
 		res.repl = res.err != nil
 	}
+	c.release(cmd) // after replication, which reads a received value from its chunk
 	if c.sampled != 0 {
 		c.tExec = c.env.Clock.Now()
 	}
 	return res
+}
+
+// receive reads a store's n-byte value from the reader straight into
+// the chunk the store reserves for it, so that the value is copied once
+// in user space — by the reader, or not at all where bufio passes a
+// large read through — instead of into session scratch and again into
+// the chunk. A refusal to reserve (the verb's guard, the item limit,
+// memory) is left in cmd.refused and the value skipped; a read that
+// fails lets go of the reservation and returns the error.
+//
+//kv3d:hotpath
+func (c *core) receive(cmd *command, n int) error {
+	cmd.res, cmd.value, cmd.refused = c.store.Reserve(cmd.verb, cmd.key, n, cmd.cas)
+	if cmd.refused != nil {
+		_, err := c.r.Discard(n)
+		return err
+	}
+	_, err := io.ReadFull(c.r, cmd.value)
+	if err != nil {
+		c.release(cmd)
+	}
+	return err
+}
+
+// release ends cmd's reservation, if it holds one: a committed value
+// stays stored, any other is freed.
+//
+//kv3d:hotpath
+func (c *core) release(cmd *command) {
+	if cmd.res != (kvstore.Reservation{}) {
+		c.store.Cancel(cmd.res)
+		cmd.res = kvstore.Reservation{}
+	}
 }
 
 // replicate hands a write that succeeded locally to the Replicator

@@ -114,3 +114,135 @@ func TestPinnedGetBoundsValueScratch(t *testing.T) {
 		}
 	}
 }
+
+// servedSession builds a session of either codec as serveConn builds
+// it, over a transport that reads what the test feeds it and writes to
+// out, and reports the value and body scratch it keeps.
+func servedSession(st *kvstore.Store, bin bool, in io.Reader, out io.Writer) (s interface{ Serve() error }, scratch func() int) {
+	rw := struct {
+		io.Reader
+		io.Writer
+	}{in, out}
+	r, w, transport := newBufferedPair(rw)
+	if bin {
+		b := NewBinarySessionBuffered(st, r, w, Env{})
+		b.transport, b.conn, b.pinFrom = transport, rw, pinThreshold
+		return b, func() int { return max(cap(b.val), cap(b.body)) }
+	}
+	a := NewSessionBuffered(st, r, w, Env{})
+	a.transport, a.conn, a.pinFrom = transport, rw, pinThreshold
+	return a, func() int { return cap(a.val) }
+}
+
+// setRequest is a set of key to value in either codec.
+func setRequest(bin bool, key string, value []byte) []byte {
+	if bin {
+		return frame(OpSet, key, setExtras(0, 0), value, 0, 1)
+	}
+	return append(fmt.Appendf(nil, "set %s 0 0 %d\r\n", key, len(value)), append(value, "\r\n"...)...)
+}
+
+// TestPinnedSetBoundsValueScratch is the write half of
+// TestPinnedGetBoundsValueScratch: a set of pinThreshold bytes or more
+// is read straight into the chunk the store reserves for it, and one
+// the store refuses is skipped, so after a 1 MiB set (over the item
+// limit) and a 512 KiB one the session's value and body scratch stay
+// under pinThreshold plus one key and its extras, in both codecs. The
+// chunk the value was read into holds no pin once the set is answered.
+func TestPinnedSetBoundsValueScratch(t *testing.T) {
+	for _, bin := range []bool{false, true} {
+		st, err := kvstore.New(kvstore.DefaultConfig(64 << 20))
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, out := &feed{}, &bytes.Buffer{}
+		s, scratch := servedSession(st, bin, in, out)
+		const key = "photo"
+		for _, size := range []int{1 << 20, 512 << 10} {
+			value := bytes.Repeat([]byte{byte('a' + size%26)}, size)
+			in.pending = setRequest(bin, key, value)
+			out.Reset()
+			if err := s.Serve(); err != nil {
+				t.Fatal(err)
+			}
+			if limit := pinThreshold + len(key) + 8; scratch() >= limit {
+				t.Fatalf("binary=%v: after a %d KiB set the session keeps %d bytes of scratch, want under %d",
+					bin, size>>10, scratch(), limit)
+			}
+			stored := size < 1<<20
+			if got, ok := st.Get(key); ok != stored || stored && !bytes.Equal(got.Value, value) {
+				t.Fatalf("binary=%v: after a %d KiB set the key is found %v (%d bytes), want %v; reply %q",
+					bin, size>>10, ok, len(got.Value), stored, out.Bytes())
+			}
+		}
+		// The stored value's chunk was let go of once committed.
+		st.Delete(key)
+		if n := usedChunks(st.Stats()); n != 0 {
+			t.Fatalf("binary=%v: %d chunks in use after the key was deleted", bin, n)
+		}
+	}
+}
+
+// TestReservedSetPeerLeaves cuts a large store off partway, in each
+// codec: inside the value, and, for ASCII, before and inside its line
+// end — a set over an old value, and an add the store refuses, whose
+// value is being skipped. The session must end cleanly and leave the
+// store as it was before the store began: the same items and bytes,
+// the same chunks in use, the old value readable, and no pin left, so
+// that deleting every key frees every chunk.
+func TestReservedSetPeerLeaves(t *testing.T) {
+	old := bytes.Repeat([]byte("o"), 40<<10)
+	value := bytes.Repeat([]byte("n"), 256<<10)
+	for _, bin := range []bool{false, true} {
+		for _, verb := range []string{"set", "add"} {
+			req := setRequest(bin, "k", value)
+			if verb == "add" {
+				if bin {
+					req[1] = OpAdd
+				} else {
+					req = append([]byte("add"), req[3:]...)
+				}
+			}
+			cuts := map[string]int{"inside the value": len(req) - 2 - len(value)/2}
+			if !bin {
+				cuts["before the line end"], cuts["inside the line end"] = len(req)-2, len(req)-1
+			}
+			for where, cut := range cuts {
+				t.Run(fmt.Sprintf("binary=%v/%s/%s", bin, verb, where), func(t *testing.T) {
+					st, err := kvstore.New(kvstore.DefaultConfig(64 << 20))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := st.Set("k", old, 0, 0); err != nil {
+						t.Fatal(err)
+					}
+					before := st.Stats()
+					s, _ := servedSession(st, bin, &feed{pending: req[:cut]}, io.Discard)
+					if err := s.Serve(); err != nil {
+						t.Fatalf("serve = %v, want a clean end", err)
+					}
+					after := st.Stats()
+					if after.CurrItems != before.CurrItems || after.BytesUsed != before.BytesUsed || usedChunks(after) != usedChunks(before) {
+						t.Fatalf("store after the cut: %d items, %d bytes, %d chunks in use; before: %d items, %d bytes, %d chunks",
+							after.CurrItems, after.BytesUsed, usedChunks(after), before.CurrItems, before.BytesUsed, usedChunks(before))
+					}
+					if got, ok := st.Get("k"); !ok || !bytes.Equal(got.Value, old) {
+						t.Fatalf("the old value is gone (found %v, %d bytes)", ok, len(got.Value))
+					}
+					st.Delete("k")
+					if n := usedChunks(st.Stats()); n != 0 {
+						t.Fatalf("%d chunks in use after every key was deleted", n)
+					}
+				})
+			}
+		}
+	}
+}
+
+// usedChunks is how many chunks the store has handed out.
+func usedChunks(st kvstore.Stats) (n int) {
+	for _, c := range st.Classes {
+		n += c.UsedChunks
+	}
+	return n
+}

@@ -59,6 +59,8 @@ type Session struct {
 	verb, rest []byte
 	// gets[i] is whether get request i of the run is a gets.
 	gets [maxRun]bool
+	// crlf receives the two bytes that end a data block.
+	crlf [2]byte
 }
 
 // NewSession serves the ASCII protocol on a transport, with no
@@ -121,7 +123,8 @@ func (s *Session) shed() error {
 	case opQuit:
 		return ErrQuit
 	case opStore, opAppend, opPrepend:
-		if err := s.parseStorage(&s.cmd); err != nil || s.cmd.op == opNone || s.cmd.noreply {
+		s.cmd.reset()
+		if err := s.parseStorage(&s.cmd, false); err != nil || s.cmd.op == opNone || s.cmd.noreply {
 			return err
 		}
 	default:
@@ -149,7 +152,7 @@ func lastField(b []byte) []byte {
 //
 //kv3d:hotpath
 func (s *Session) parse(cmd *command) error {
-	*cmd = command{}
+	cmd.reset()
 	switch s.head {
 	case opNone:
 		return s.reply(respError)
@@ -158,7 +161,7 @@ func (s *Session) parse(cmd *command) error {
 			return s.reply(respError)
 		}
 	case opStore, opAppend, opPrepend:
-		return s.parseStorage(cmd)
+		return s.parseStorage(cmd, true)
 	case opQuit, opVersion:
 	default:
 		return s.parseArgs(cmd)
@@ -433,29 +436,45 @@ var (
 )
 
 // parseStorage parses "<verb> <key> <flags> <exptime> <bytes> [<cas>]
-// [noreply]" and reads the data block; the key aliases the line and the
-// data val. The numeric tokens convert through strings that do not
-// escape, so a well-formed command parses without allocating. A
-// malformed one is answered here (noreply or not).
+// [noreply]" into cmd, freshly reset, and reads the data block: a set,
+// add, replace or cas of pinFrom bytes or more into the chunk receive
+// reserves, any other into val, and nothing at all unless keep — a
+// shed command's block is skipped. The key aliases the line. The
+// numeric tokens convert through strings that do not escape, so a
+// well-formed command parses without allocating. A malformed one is
+// answered here (noreply or not).
 //
 //kv3d:hotpath
-func (s *Session) parseStorage(cmd *command) error {
-	*cmd = command{verb: storeVerbs[string(s.verb)]}
+func (s *Session) parseStorage(cmd *command, keep bool) error {
+	cmd.verb = storeVerbs[string(s.verb)]
 	nbytes, err := parseStorageArgs(s.rest, cmd)
 	if err != nil {
 		return s.clientError(err.Error())
 	}
-	if cap(s.val) < nbytes+2 {
-		s.val = make([]byte, nbytes+2)
+	switch {
+	case !keep:
+		_, err = s.r.Discard(nbytes)
+	case s.head == opStore && nbytes >= s.pinFrom:
+		err = s.receive(cmd, nbytes)
+	default:
+		if cap(s.val) < nbytes {
+			s.val = make([]byte, nbytes)
+		}
+		cmd.value = s.val[:nbytes]
+		_, err = io.ReadFull(s.r, cmd.value)
 	}
-	buf := s.val[:nbytes+2]
-	switch _, err := io.ReadFull(s.r, buf); {
+	if err == nil {
+		_, err = io.ReadFull(s.r, s.crlf[:])
+	}
+	switch {
 	case err != nil && peerLeft(err):
+		s.release(cmd)
 		return err
-	case err != nil || buf[nbytes] != '\r' || buf[nbytes+1] != '\n':
+	case err != nil || s.crlf != [2]byte{'\r', '\n'}:
+		s.release(cmd)
 		return s.clientError("bad data chunk")
 	}
-	cmd.op, cmd.value = s.head, buf[:nbytes]
+	cmd.op = s.head
 	return nil
 }
 

@@ -11,6 +11,7 @@ package serversim
 
 import (
 	"fmt"
+	"strconv"
 
 	"kv3d/internal/cluster"
 	"kv3d/internal/metrics"
@@ -161,12 +162,27 @@ func Run(cfg Config) (Result, error) {
 			return Result{}, err
 		}
 	}
-	keyFor := func() string {
+	// owner memoizes the stack each rank's key — "key:%08d" — hashes to
+	// on the ring (index+1; 0 not yet placed), so a key is formatted,
+	// into one reused buffer, and hashed once per run, not on every
+	// arrival.
+	owner := make([]int32, cfg.Keys)
+	var key, digits []byte
+	stackFor := func() (int, error) {
 		rank := rng.Intn(cfg.Keys)
 		if zipf != nil {
 			rank = zipf.Sample(rng)
 		}
-		return fmt.Sprintf("key:%08d", rank)
+		if owner[rank] == 0 {
+			digits = strconv.AppendInt(digits[:0], int64(rank), 10)
+			key = append(append(key[:0], "key:00000000"[:max(12-len(digits), 4)]...), digits...)
+			node, err := ring.Locate(string(key))
+			if err != nil {
+				return 0, err
+			}
+			owner[rank] = int32(byName[node]) + 1
+		}
+		return int(owner[rank]) - 1, nil
 	}
 
 	hist := metrics.NewHistogram()
@@ -203,9 +219,8 @@ func Run(cfg Config) (Result, error) {
 		if now >= end {
 			return
 		}
-		node, err := ring.Locate(keyFor())
+		idx, err := stackFor()
 		if err == nil {
-			idx := byName[node]
 			arrivalCount++
 			if arrivalsProbe != nil {
 				arrivalsProbe.Add(1)
