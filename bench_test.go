@@ -179,6 +179,39 @@ func BenchmarkStorePreload(b *testing.B) {
 	}
 }
 
+// BenchmarkStorePreloadBatch is BenchmarkStorePreload through PutBatch,
+// 32 keys a call — the longest run of stores a session serves — as a
+// pipelined preload reaches the store: one lock per shard a call
+// touches instead of one per key.
+func BenchmarkStorePreloadBatch(b *testing.B) {
+	const n, run = 500_000, 32
+	puts := make([]kvstore.BatchPut, n)
+	val := make([]byte, 100)
+	for i := range puts {
+		puts[i] = kvstore.BatchPut{Key: []byte(fmt.Sprintf("key:%08d", i)), Value: val}
+	}
+	var scr kvstore.BatchScratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		st, err := kvstore.New(kvstore.DefaultConfig(1 << 30))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for j := 0; j < n; j += run {
+			batch := puts[j:min(j+run, n)]
+			st.PutBatch(batch, &scr)
+			for _, p := range batch {
+				if p.Err != nil {
+					b.Fatal(p.Err)
+				}
+			}
+		}
+	}
+}
+
 // --- batched GET (multiget) ---------------------------------------------
 
 // BenchmarkMultiget regenerates the batched-GET amortization study

@@ -20,6 +20,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"math"
 	"net"
@@ -679,6 +680,82 @@ func TestPinnedSetZeroAllocPerOp(t *testing.T) {
 			}
 			if v, flags, ok := storedItem(st, "k"); !ok || v != string(value) || flags != 7 {
 				t.Fatalf("after the sets, get found %v, %d bytes, flags %d; reply %q", ok, len(v), flags, reply)
+			}
+			conn.Close()
+			if err := <-served; err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestSetRunZeroAllocPerOp gates a pipelined burst of small stores as a
+// server connection serves it: over loopback TCP through
+// protocol.ServeConnIdle, 64 quiet sets of 64 keys (binary setq frames,
+// or ASCII noreply sets) and a request that answers arrive together, so
+// the session serves the sets as runs — one gate slot, one PutBatch and
+// one observer call for up to 32 of them, keys and values read where
+// they lie in the reader — and none of that allocates, on either codec.
+func TestSetRunZeroAllocPerOp(t *testing.T) {
+	st, err := kvstore.New(kvstore.DefaultConfig(32 << 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sets = 64
+	value := []byte("0123456789abcdef")
+	var binReq, asciiReq []byte
+	for i := 0; i < sets; i++ {
+		key := fmt.Sprintf("key:%08d", i)
+		f := []byte{protocol.MagicRequest, protocol.OpSetQ, 0, byte(len(key)), 8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}
+		binary.BigEndian.PutUint32(f[8:], uint32(8+len(key)+len(value)))
+		binReq = append(append(append(append(binReq, f...), 0, 0, 0, 3, 0, 0, 0, 0), key...), value...)
+		asciiReq = fmt.Appendf(asciiReq, "set %s 3 0 %d noreply\r\n%s\r\n", key, len(value), value)
+	}
+	binReq = append(binReq, protocol.MagicRequest, protocol.OpNoop, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+	asciiReq = append(asciiReq, "version\r\n"...)
+	for _, c := range []struct {
+		name      string
+		req       []byte
+		replySize int
+	}{
+		{"binary", binReq, 24},
+		{"ascii", asciiReq, len("VERSION " + protocol.Version + "\r\n")},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			served := make(chan error, 1)
+			go func() {
+				conn, err := ln.Accept()
+				if err == nil {
+					err = protocol.ServeConnIdle(st, conn, protocol.Env{Observer: nullObserver{}, Clock: st.Clock()}, 0)
+					conn.Close()
+				}
+				served <- err
+			}()
+			conn, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			reply := make([]byte, c.replySize)
+			burst := func() {
+				if _, err := conn.Write(c.req); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := io.ReadFull(conn, reply); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if allocs := testing.AllocsPerRun(200, burst); allocs != 0 {
+				t.Fatalf("a burst of %d %s sets allocates %v, want 0", sets, c.name, allocs)
+			}
+			for _, key := range []string{"key:00000000", fmt.Sprintf("key:%08d", sets-1)} {
+				if v, flags, ok := storedItem(st, key); !ok || v != string(value) || flags != 3 {
+					t.Fatalf("after the bursts, get %s found %v, %q flags %d; reply %q", key, ok, v, flags, reply)
+				}
 			}
 			conn.Close()
 			if err := <-served; err != nil {

@@ -74,7 +74,8 @@ func NewOpMetrics() *OpMetrics {
 
 // ObserveOp records n commands that together took nanos under their
 // class and outcome: n samples that sum to nanos, under one lock, so a
-// pipelined run of gets takes the mutex once rather than once a frame.
+// pipelined run of gets or stores takes the mutex once rather than once
+// a frame.
 func (m *OpMetrics) ObserveOp(c protocol.OpClass, o protocol.Outcome, n int, nanos sim.Ns) {
 	if c < 0 || c >= protocol.NumOpClasses {
 		c = protocol.ClassOther

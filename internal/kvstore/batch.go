@@ -1,14 +1,15 @@
 package kvstore
 
-// Batched GETs. A multiget that executes its keys one at a time
-// re-acquires a shard lock per key — for an N-key request on an S-shard
-// store that is N acquisitions where S would do. GetBatchInto groups the
-// keys by shard (the placement locate uses), takes each involved shard's
-// lock exactly once, serves all of that shard's keys under it, and
-// returns results in request order. Keys stay tokens of the command
-// line, values append into one caller-owned buffer, and all grouping
-// state lives in a caller-owned scratch, so a steady-state multiget
-// allocates nothing.
+// Batched GETs and stores. A multiget that executes its keys one at a
+// time re-acquires a shard lock per key — for an N-key request on an
+// S-shard store that is N acquisitions where S would do; so does a
+// pipelined burst of stores. GetBatchInto and PutBatch group the keys
+// by shard (the placement locate uses, one grouping for both), take
+// each involved shard's lock exactly once, serve all of that shard's
+// keys under it in request order, and report results in request order.
+// Keys and values stay slices of the caller's buffers, results are
+// written in place, and all grouping state lives in a caller-owned
+// scratch, so a steady-state batch allocates nothing.
 
 // BatchResult locates one key's value inside the shared destination
 // buffer of a GetBatchInto call: the value is dst[Start:End] — unless
@@ -23,10 +24,24 @@ type BatchResult struct {
 	Pin        Pin
 }
 
-// BatchScratch holds the reusable grouping state of GetBatchInto. The
-// zero value is ready to use; reusing one across calls makes the
-// steady-state batch path allocation-free. A BatchScratch must not be
-// shared between concurrent callers.
+// BatchPut is one store of a PutBatch call: Verb's guard (CAS is the id
+// VerbCAS expects), the key and value, which are copied into the item's
+// chunk and not retained, flags and a memcached exptime. PutBatch sets
+// NewCAS to the id it gave the stored item, or Err to why it refused.
+type BatchPut struct {
+	Verb       Verb
+	Key, Value []byte
+	Flags      uint32
+	Exptime    int64
+	CAS        uint64
+	NewCAS     uint64
+	Err        error
+}
+
+// BatchScratch holds the reusable grouping state of GetBatchInto and
+// PutBatch. The zero value is ready to use; reusing one across calls
+// makes the steady-state batch paths allocation-free. A BatchScratch
+// must not be shared between concurrent callers.
 type BatchScratch struct {
 	hashes []uint64
 	counts []int32
@@ -34,9 +49,10 @@ type BatchScratch struct {
 	order  []int32
 }
 
-// grow sizes the scratch for n keys over nShards shards without
-// allocating once the high-water mark is reached.
-func (scr *BatchScratch) grow(n, nShards int) {
+// hashesFor sizes the scratch for n keys over nShards shards, without
+// allocating once the high-water mark is reached, and returns the n
+// hashes for the caller to fill before byShard.
+func (scr *BatchScratch) hashesFor(n, nShards int) []uint64 {
 	if cap(scr.hashes) < n {
 		scr.hashes = make([]uint64, n)
 		scr.order = make([]int32, n)
@@ -45,6 +61,35 @@ func (scr *BatchScratch) grow(n, nShards int) {
 		scr.counts = make([]int32, nShards)
 		scr.cursor = make([]int32, nShards)
 	}
+	return scr.hashes[:n]
+}
+
+// byShard groups the n keys whose hashes hashesFor holds by shard: the
+// keys of shard s are the counts[s] indices that follow those of the
+// shards before it in order, in request order, so two writes to one key
+// keep theirs.
+func (st *Store) byShard(scr *BatchScratch, n int) (counts, order []int32) {
+	hashes := scr.hashes[:n]
+	counts = scr.counts[:len(st.shards)]
+	cursor := scr.cursor[:len(st.shards)]
+	order = scr.order[:n]
+	for i := range counts {
+		counts[i] = 0
+	}
+	for _, h := range hashes {
+		counts[st.shardIndex(h)]++
+	}
+	sum := int32(0)
+	for s, c := range counts {
+		cursor[s] = sum
+		sum += c
+	}
+	for i, h := range hashes {
+		s := st.shardIndex(h)
+		order[cursor[s]] = int32(i)
+		cursor[s]++
+	}
+	return counts, order
 }
 
 // GetBatchInto is the zero-alloc batched lookup for the server hot
@@ -76,28 +121,11 @@ func (st *Store) GetBatchInto(dst []byte, keys [][]byte, out []BatchResult, scr 
 	if n == 0 {
 		return dst, out
 	}
-	scr.grow(n, len(st.shards))
-	hashes := scr.hashes[:n]
-	counts := scr.counts[:len(st.shards)]
-	cursor := scr.cursor[:len(st.shards)]
-	order := scr.order[:n]
-	for i := range counts {
-		counts[i] = 0
-	}
+	hashes := scr.hashesFor(n, len(st.shards))
 	for i, k := range keys {
 		hashes[i] = fnv1a64(k)
-		counts[st.shardIndex(hashes[i])]++
 	}
-	sum := int32(0)
-	for s, c := range counts {
-		cursor[s] = sum
-		sum += c
-	}
-	for i := 0; i < n; i++ {
-		s := st.shardIndex(hashes[i])
-		order[cursor[s]] = int32(i)
-		cursor[s]++
-	}
+	counts, order := st.byShard(scr, n)
 	now := st.lazyNow()
 	pos := 0
 	for s, c := range counts {
@@ -108,18 +136,56 @@ func (st *Store) GetBatchInto(dst []byte, keys [][]byte, out []BatchResult, scr 
 		sh.mu.Lock()
 		sh.s.stats.ReadLocks++
 		for _, ki := range order[pos : pos+int(c)] {
-			start := len(dst)
+			r := &out[ki] // filled field by field: a struct built and copied in costs a duffcopy per key
+			r.Start = len(dst)
 			v, flags, cas, h, ok := sh.s.getOrPin(dst, keys[ki], hashes[ki], &now, pinFrom-len(dst))
-			r := BatchResult{Start: start, End: start, Flags: flags, CAS: cas, Found: ok}
+			r.Flags, r.CAS, r.Found = flags, cas, ok
 			if h != 0 {
-				r.Pinned, r.Pin = v, Pin{sh: sh, h: h}
+				r.End, r.Pinned, r.Pin = r.Start, v, Pin{sh: sh, h: h}
 			} else {
-				dst, r.End = v, len(v)
+				dst, r.End, r.Pinned, r.Pin = v, len(v), nil, Pin{}
 			}
-			out[ki] = r
 		}
 		sh.mu.Unlock()
 		pos += int(c)
 	}
 	return dst, out
+}
+
+// PutBatch stores every put of puts under its verb's guard, as Put
+// would one after another, and sets each put's NewCAS or Err in place.
+// Each involved shard's lock is acquired exactly once and its puts run
+// in request order under it, so every put sees the ones before it to
+// the same key — an add after a set of its key is refused, a cas may
+// name the id a set earlier in the batch was given — and, since CAS ids
+// are drawn per shard, each put gets the id it would get alone. The
+// clock is read at most once. A put's key and value are copied into the
+// item's chunk; nothing of puts is retained.
+//
+//kv3d:hotpath
+func (st *Store) PutBatch(puts []BatchPut, scr *BatchScratch) {
+	n := len(puts)
+	if n == 0 {
+		return
+	}
+	hashes := scr.hashesFor(n, len(st.shards))
+	for i := range puts {
+		hashes[i] = fnv1a64(puts[i].Key)
+	}
+	counts, order := st.byShard(scr, n)
+	now := st.lazyNow()
+	pos := 0
+	for s, c := range counts {
+		if c == 0 {
+			continue
+		}
+		sh := st.shards[s]
+		sh.mu.Lock()
+		for _, i := range order[pos : pos+int(c)] {
+			p := &puts[i]
+			p.NewCAS, p.Err = sh.s.put(p.Verb, p.Key, hashes[i], p.Value, p.Flags, expiryToAbs(p.Exptime, &now), p.CAS, &now)
+		}
+		sh.mu.Unlock()
+		pos += int(c)
+	}
 }

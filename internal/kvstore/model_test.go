@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strconv"
 	"testing"
 )
@@ -40,9 +41,12 @@ type refStore struct {
 	events    uint64
 	lastFlush uint64 // the number the latest effective flush drew
 	flushDue  int64  // when the waiting delayed flush is due; 0 none
-	casSeq    uint64
-	maxItem   int
-	stats     Stats // the event counters; gauges are derived in snapshot
+	// casSeq counts the ids each shard has issued: the n-th store to a
+	// key of shard s (from 0) gets id n·shards + s + 1. The model knows
+	// the store's placement for this alone.
+	casSeq  []uint64
+	maxItem int
+	stats   Stats // the event counters; gauges are derived in snapshot
 }
 
 // refHeader is the per-item overhead the model charges. It is written
@@ -166,15 +170,29 @@ func (m *refStore) store(key string, value []byte, flags uint32, expireAt int64)
 		return opResult{err: ErrTooLarge}
 	}
 	m.applyDueFlush()
-	m.casSeq++
+	cas := nextCAS(m.casSeq, key)
 	m.events++
 	m.items[key] = &refItem{
-		value: append([]byte(nil), value...), flags: flags, cas: m.casSeq,
+		value: append([]byte(nil), value...), flags: flags, cas: cas,
 		expireAt: expireAt, order: m.events,
 	}
 	m.stats.Sets++
 	m.stats.TotalItems++
-	return opResult{cas: m.casSeq}
+	return opResult{cas: cas}
+}
+
+// nextCAS is the id a store of key would get if seq were the shards'
+// counts, which it advances.
+func nextCAS(seq []uint64, key string) uint64 {
+	shards := uint64(len(seq))
+	s := fnv1a64([]byte(key)) >> 48 & (shards - 1)
+	seq[s]++
+	return (seq[s]-1)*shards + s + 1
+}
+
+// maxCAS bounds the ids issued so far.
+func (m *refStore) maxCAS() uint64 {
+	return (slices.Max(m.casSeq) + 1) * uint64(len(m.casSeq))
 }
 
 func (m *refStore) put(verb Verb, key string, value []byte, flags uint32, exptime int64, cas uint64) opResult {
@@ -343,9 +361,14 @@ type modelOp struct {
 	verb    Verb
 	front   bool
 	incr    bool
+	// batch is a "batch" op's puts, stored by one PutBatch call.
+	batch []modelOp
 }
 
 func (o modelOp) String() string {
+	if o.kind == "batch" {
+		return fmt.Sprintf("batch of %d puts", len(o.batch))
+	}
 	return fmt.Sprintf("%s key=%q value=%dB flags=%d exptime=%d cas=%d delta=%d verb=%d", o.kind, o.key, len(o.value), o.flags, o.exptime, o.cas, o.delta, o.verb)
 }
 
@@ -422,7 +445,7 @@ func (g *modelGen) next(step int) modelOp {
 		op.kind, op.verb, op.value, op.exptime = "put", VerbReplace, g.value(step), g.exptime()
 	case n < 66:
 		op.kind, op.verb, op.value, op.exptime = "put", VerbCAS, g.value(step), g.exptime()
-		op.cas = uint64(g.rng.Intn(int(g.model.casSeq) + 2))
+		op.cas = uint64(g.rng.Intn(int(g.model.maxCAS()) + 2))
 		if it := g.model.items[op.key]; it != nil && g.rng.Intn(2) == 0 {
 			op.cas = it.cas
 		}
@@ -454,6 +477,37 @@ func (g *modelGen) next(step int) modelOp {
 		}
 	}
 	return op
+}
+
+// put draws ops until one is a put, and returns it.
+func (g *modelGen) put(step int) modelOp {
+	for {
+		if op := g.next(step); op.kind == "put" {
+			return op
+		}
+	}
+}
+
+// batchOf makes put op the first of a batch of one to eight puts. The
+// others are drawn like it; half of them repeat the key of an earlier
+// put of the batch, and a cas among those names, half the time, the id
+// the model would give that earlier put if every put before it were
+// stored — so a cas can pass or fail on a store earlier in its batch.
+func (g *modelGen) batchOf(op modelOp, step int, rng *rand.Rand) []modelOp {
+	seq := slices.Clone(g.model.casSeq)
+	batch, ids := []modelOp{op}, []uint64{nextCAS(seq, op.key)}
+	for n := rng.Intn(8); n > 0; n-- {
+		p := g.put(step)
+		if rng.Intn(2) == 0 {
+			i := rng.Intn(len(batch))
+			p.key = batch[i].key
+			if p.verb == VerbCAS && rng.Intn(2) == 0 {
+				p.cas = ids[i]
+			}
+		}
+		batch, ids = append(batch, p), append(ids, nextCAS(seq, p.key))
+	}
+	return batch
 }
 
 // absent reports whether res, the store's answer to op, says the key
@@ -532,7 +586,7 @@ func (c modelCase) config(clock fakeClock) Config {
 // hit returns — must still agree.
 func runModel(t *testing.T, c modelCase, seed int64, steps int) (digest uint64, final Stats) {
 	t.Helper()
-	model := &refStore{now: 10_000_000, items: map[string]*refItem{}, maxItem: 8 << 10}
+	model := &refStore{now: 10_000_000, items: map[string]*refItem{}, maxItem: 8 << 10, casSeq: make([]uint64, c.shards)}
 	clk := newFakeClock(model.now)
 	st, err := New(c.config(clk))
 	if err != nil {
@@ -547,9 +601,10 @@ func runModel(t *testing.T, c modelCase, seed int64, steps int) (digest uint64, 
 	// same generated ops as the case without them.
 	pinRng := rand.New(rand.NewSource(seed + 1_000_003))
 	var held []heldPin
-	// Reservations likewise.
+	// Reservations likewise, and batches.
 	resRng := rand.New(rand.NewSource(seed + 2_000_003))
 	var pending []pendingStore
+	batchRng := rand.New(rand.NewSource(seed + 3_000_003))
 	for step := 0; step < steps; step++ {
 		if c.pins {
 			held = pinStep(t, c, seed, step, st, model, pinRng, gen.keys, held)
@@ -567,6 +622,9 @@ func runModel(t *testing.T, c modelCase, seed int64, steps int) (digest uint64, 
 		op := gen.next(step)
 		if c.reserves && op.kind == "put" && resRng.Intn(2) == 0 {
 			op.kind = "reserve"
+		}
+		if op.kind == "put" && batchRng.Intn(4) == 0 {
+			op.kind, op.batch = "batch", gen.batchOf(op, step, batchRng)
 		}
 		var got, want opResult
 		switch op.kind {
@@ -587,6 +645,9 @@ func runModel(t *testing.T, c modelCase, seed int64, steps int) (digest uint64, 
 			got = st.peek(op.key)
 		case "put":
 			got.cas, got.err = st.Put(op.verb, op.key, op.value, op.flags, op.exptime, op.cas)
+		case "batch":
+			// Checked put by put inside; got and want stay zero here.
+			batchStep(t, c, seed, step, st, model, op.batch, len(held)+len(pending) > 0, sum)
 		case "reserve":
 			r, v, err := st.Reserve(op.verb, []byte(op.key), len(op.value), op.cas)
 			if got.err = err; err == nil {
@@ -774,6 +835,33 @@ func pinStep(t *testing.T, c modelCase, seed int64, step int, st *Store, model *
 		held = append(held[:i], held[i+1:]...)
 	}
 	return held
+}
+
+// batchStep stores a batch of puts with one PutBatch call. Each put
+// must then answer as the model's put does, the model taking the batch
+// in order, with a tight store's evictions and, while pinned chunks
+// may leave eviction nothing to free, its refusals forgiven as in
+// runModel.
+func batchStep(t *testing.T, c modelCase, seed int64, step int, st *Store, model *refStore, batch []modelOp, pinned bool, sum io.Writer) {
+	t.Helper()
+	puts := make([]BatchPut, len(batch))
+	for i, op := range batch {
+		puts[i] = BatchPut{Verb: op.verb, Key: []byte(op.key), Value: op.value, Flags: op.flags, Exptime: op.exptime, CAS: op.cas}
+	}
+	var scr BatchScratch
+	st.PutBatch(puts, &scr)
+	for i, op := range batch {
+		got := opResult{cas: puts[i].NewCAS, err: puts[i].Err}
+		if c.tight && model.present(op.key) && absent(op, got) {
+			delete(model.items, op.key) // evicted
+		}
+		if pinned && got.err == ErrOutOfMemory {
+			delete(model.items, op.key)
+		} else if want := model.put(op.verb, op.key, op.value, op.flags, op.exptime, op.cas); !got.equal(want) {
+			t.Fatalf("%v seed %d step %d: put %d of %d in a batch: %v\n store %v\n model %v", c, seed, step, i, len(batch), op, got, want)
+		}
+		fmt.Fprintf(sum, "%v|", got)
+	}
 }
 
 // pendingStore is a reservation the model test has yet to commit or

@@ -55,9 +55,9 @@ type shard struct {
 	table    *hashTable
 	alloc    *slabAllocator
 	stats    shardStats // guarded by lockedShard.mu
-	casSeq   *casCounter
-	flushCAS uint64 // flush_all's watermark: items with a CAS id below it are dead
-	flushAt  int64  // unix time a delayed flush_all is due; 0 none pending
+	cas      casIDs     // guarded by lockedShard.mu
+	flushCAS uint64     // flush_all's watermark: items with a CAS id below it are dead
+	flushAt  int64      // unix time a delayed flush_all is due; 0 none pending
 	maxItem  int
 	evictOn  bool
 	maxProbe int // eviction attempts before giving up
@@ -67,11 +67,29 @@ type shard struct {
 	setsSinceSteal int
 }
 
-func newShard(alloc *slabAllocator, cas *casCounter, maxItem int, evict bool) *shard {
+// casIDs is a shard's sequence of CAS ids: the seq-th id it issues is
+// seq·stride + base, where stride is the number of shards and base the
+// shard's index plus one. Ids are thus unique across the store and rise
+// within a shard — and so for each key — without a counter the shards
+// share; ids of keys in different shards have no order. With one shard
+// they are 1, 2, 3, ...
+type casIDs struct{ seq, stride, base uint64 }
+
+// next issues the next id.
+func (c *casIDs) next() uint64 {
+	id := c.seq*c.stride + c.base
+	c.seq++
+	return id
+}
+
+// upcoming is the id next will issue: above every id issued so far.
+func (c *casIDs) upcoming() uint64 { return c.seq*c.stride + c.base }
+
+func newShard(alloc *slabAllocator, cas casIDs, maxItem int, evict bool) *shard {
 	return &shard{
 		table:          newHashTable(alloc),
 		alloc:          alloc,
-		casSeq:         cas,
+		cas:            cas,
 		maxItem:        maxItem,
 		evictOn:        evict,
 		maxProbe:       64,
@@ -95,11 +113,11 @@ func (s *shard) live(key []byte, hash uint64, now *lazyNow) (handle, chunk) {
 	return h, c
 }
 
-// flushNow is flush_all: every item the shard holds dies. The CAS
-// counter is store-wide and only grows, and the shard lock is held, so
-// the items of this shard are exactly those with an id up to its
-// current value (memcached's oldest_cas).
-func (s *shard) flushNow() { s.flushCAS = s.casSeq.last() + 1 }
+// flushNow is flush_all: every item the shard holds dies. The shard's
+// CAS ids only grow and are drawn under the shard lock, which is held,
+// so the items of this shard are exactly those with an id below the
+// next one it will issue (memcached's oldest_cas).
+func (s *shard) flushNow() { s.flushCAS = s.cas.upcoming() }
 
 // fireFlush applies a delayed flush_all that has come due. Every entry
 // point that judges or stores items (live, set, the sweep, the key
@@ -318,7 +336,7 @@ func (s *shard) set(key []byte, hash uint64, value []byte, flags uint32, expireA
 // stamp gives a stored item a new CAS id, its flags and its expiry,
 // counts the store, and returns the id.
 func (s *shard) stamp(c chunk, flags uint32, expireAt int64) uint64 {
-	casID := s.casSeq.next()
+	casID := s.cas.next()
 	c.setCAS(casID)
 	c.setFlags(flags)
 	c.setExpireAt(expireAt)

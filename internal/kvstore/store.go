@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 	"unsafe"
 
@@ -51,21 +50,12 @@ func DefaultConfig(memoryLimit int64) Config {
 	}
 }
 
-// casCounter issues store-wide unique CAS ids.
-type casCounter struct{ n atomic.Uint64 }
-
-func (c *casCounter) next() uint64 { return c.n.Add(1) }
-
-// last is the newest id issued so far.
-func (c *casCounter) last() uint64 { return c.n.Load() }
-
 // Store is the concurrent, memcached-compatible key-value store.
 type Store struct {
 	cfg       Config
 	shards    []*lockedShard
 	mask      uint64
 	clock     clock.Clock
-	cas       casCounter
 	startUnix int64
 }
 
@@ -138,7 +128,7 @@ func New(cfg Config) (*Store, error) {
 			return nil, err
 		}
 		st.shards = append(st.shards, &lockedShard{
-			s: newShard(alloc, &st.cas, cfg.MaxItemSize, cfg.EvictionsEnabled),
+			s: newShard(alloc, casIDs{stride: uint64(nShards), base: uint64(i) + 1}, cfg.MaxItemSize, cfg.EvictionsEnabled),
 		})
 	}
 	return st, nil
@@ -297,9 +287,10 @@ func (st *Store) Put(verb Verb, key string, value []byte, flags uint32, exptime 
 	return st.PutBytes(verb, keyBytes(key), value, flags, exptime, casID)
 }
 
-// PutBytes is Put keyed by a byte slice, so a protocol session can
-// store straight from the request's key token or frame bytes. Both key
-// and value are copied into the item's chunk; neither is retained.
+// PutBytes is Put keyed by a byte slice, so a caller holding the key
+// as bytes — a binary incr creating its key — need not convert it.
+// Both key and value are copied into the item's chunk; neither is
+// retained.
 //
 //kv3d:hotpath
 func (st *Store) PutBytes(verb Verb, key, value []byte, flags uint32, exptime int64, casID uint64) (newCAS uint64, err error) {

@@ -315,14 +315,15 @@ var asciiCorpus = []string{
 	"version\r\n",
 }
 
-// asciiCorpusWant is what the corpus answers on a store whose CAS
-// counter starts at zero: the bytes the per-op session of the parent
-// commit produced, pinned so a codec change cannot hide behind the
-// deliveries agreeing with each other.
+// asciiCorpusWant is what the corpus answers on a fresh 8-shard store:
+// the bytes the per-op session of the parent commit produced, pinned so
+// a codec change cannot hide behind the deliveries agreeing with each
+// other. Shard s issues CAS ids n·8+s+1; a and b both fall in shard 3,
+// so their ids are 4 and 12.
 const asciiCorpusWant = "STORED\r\n" +
 	"VALUE a 7 5\r\nhello\r\nEND\r\n" +
 	"VALUE a 7 5\r\nhello\r\nVALUE b 0 3\r\nxyz\r\nEND\r\n" +
-	"VALUE a 7 5 1\r\nhello\r\nVALUE b 0 3 2\r\nxyz\r\nEND\r\n" +
+	"VALUE a 7 5 4\r\nhello\r\nVALUE b 0 3 12\r\nxyz\r\nEND\r\n" +
 	"END\r\n" +
 	"NOT_STORED\r\n" +
 	"STORED\r\n" +

@@ -105,7 +105,7 @@ func parseBinHeader(buf []byte) binHeader {
 // binary codec around the session core.
 type BinarySession struct {
 	core
-	body    []byte // reused frame body buffer
+	body    []byte // reused buffer of a frame body larger than the reader's
 	pinHead []byte // reused head (header, extras, key) of a pinned get reply
 	// Fixed-size scratch for the request header, the response header and
 	// a get's flags extras: locals would escape to the heap through the
@@ -128,7 +128,8 @@ func NewBinarySession(store *kvstore.Store, rw io.ReadWriter) *BinarySession {
 // NewBinarySessionBuffered wraps pre-existing buffered I/O, as
 // NewSessionBuffered does.
 func NewBinarySessionBuffered(store *kvstore.Store, r *bufio.Reader, w *bufio.Writer, env Env) *BinarySession {
-	s := &BinarySession{core: newCore(store, r, w, env)}
+	s := &BinarySession{}
+	s.init(store, r, w, env)
 	s.binary = true
 	return s
 }
@@ -171,40 +172,57 @@ var binOps = [256]op{
 	OpNoop: opNoop, OpQuit: opQuit, OpQuitQ: opQuit,
 }
 
-// getAt reads a get frame buffered behind the run's last request.
+// runAt reads a frame of the head's op buffered behind the run's last
+// request: a get, or a store whose extras are right. Its key and value
+// alias the frame, which stays put until the run is discarded.
 //
 //kv3d:hotpath
-func (s *BinarySession) getAt(i int, buf []byte) int {
+func (s *BinarySession) runAt(i int, buf []byte) int {
 	if len(buf) < binHeaderLen {
 		return 0
 	}
 	h := parseBinHeader(buf)
 	end := binHeaderLen + int(h.bodyLen)
-	if h.magic != MagicRequest || binOps[h.opcode] != opGet ||
-		int(h.extrasLen)+int(h.keyLen) > int(h.bodyLen) || end > len(buf) {
+	nk := int(h.extrasLen) + int(h.keyLen)
+	if h.magic != MagicRequest || binOps[h.opcode] != s.head || nk > int(h.bodyLen) || end > len(buf) {
+		return 0
+	}
+	body := buf[binHeaderLen:end]
+	extras, key := body[:h.extrasLen], body[h.extrasLen:nk]
+	if s.head == opGet {
+		s.keys = append(s.keys, key)
+	} else if cmd := &s.run[i]; !s.storeCommand(cmd, h, extras, key, body[nk:]) {
 		return 0
 	}
 	s.runHdr[i] = h
-	off := binHeaderLen + int(h.extrasLen)
-	s.keys = append(s.keys, buf[off:off+int(h.keyLen)]) // keys alias the frame bodies, which stay put until the run is discarded
 	return end
 }
 
 func (s *BinarySession) opaque(i int) uint64 { return uint64(s.runHdr[i].opaque) }
 
 // readBody reads the first n bytes of the frame's body — all of it, or
-// all but a value receive reads — into the reused buffer and splits
-// them; the three slices are valid until the next frame is read.
+// all but a value receive reads — and splits them; the three slices are
+// valid until the run is served. A whole body that fits the reader's
+// buffer is read into it and left there, to be discarded with the run;
+// any other is read into the reused buffer.
 //
 //kv3d:hotpath
 func (s *BinarySession) readBody(n int) (extras, key, value []byte, err error) {
 	h := s.runHdr[0]
-	if cap(s.body) < n {
-		s.body = make([]byte, n)
-	}
-	body := s.body[:n]
-	if _, err := io.ReadFull(s.r, body); err != nil {
-		return nil, nil, nil, err
+	var body []byte
+	if n == int(h.bodyLen) && n <= s.r.Size() {
+		if body, err = s.r.Peek(n); err != nil {
+			return nil, nil, nil, err
+		}
+		s.runRest = n
+	} else {
+		if cap(s.body) < n {
+			s.body = make([]byte, n)
+		}
+		body = s.body[:n]
+		if _, err := io.ReadFull(s.r, body); err != nil {
+			return nil, nil, nil, err
+		}
 	}
 	nk := int(h.extrasLen) + int(h.keyLen)
 	return body[:h.extrasLen], body[h.extrasLen:nk], body[nk:], nil
@@ -220,7 +238,7 @@ func (s *BinarySession) shed() error {
 	}
 	switch {
 	case s.head == opQuit:
-		return s.encode(&command{op: opQuit, quiet: quiet(h.opcode)}, result{})
+		return s.encode(0, &command{op: opQuit, quiet: quiet(h.opcode)}, result{})
 	case quiet(h.opcode):
 		return nil
 	}
@@ -245,6 +263,18 @@ func (s *BinarySession) parse(cmd *command) error {
 	if err != nil {
 		return err
 	}
+	if s.head == opStore {
+		switch {
+		case !s.storeCommand(cmd, h, extras, key, value):
+			if _, err := s.r.Discard(rest); err != nil {
+				return err
+			}
+			return s.respond(h, StatusInvalidArgs, nil, nil, binInvalid, 0)
+		case rest > 0:
+			return s.receive(cmd, rest)
+		}
+		return nil
+	}
 	cmd.reset()
 	cmd.key, cmd.value, cmd.cas = key, value, h.cas
 	cmd.mode, cmd.quiet = ReplModeFromVbucket(h.status), quiet(h.opcode)
@@ -253,28 +283,6 @@ func (s *BinarySession) parse(cmd *command) error {
 		return s.respond(h, StatusUnknownCommand, nil, nil, binUnknown, 0)
 	case opGet:
 		s.keys = append(s.keys, key)
-	case opStore:
-		if len(extras) != 8 {
-			if _, err := s.r.Discard(rest); err != nil {
-				return err
-			}
-			return s.respond(h, StatusInvalidArgs, nil, nil, binInvalid, 0)
-		}
-		cmd.flags = binary.BigEndian.Uint32(extras)
-		cmd.exptime = int64(int32(binary.BigEndian.Uint32(extras[4:])))
-		switch {
-		case h.opcode == OpAdd || h.opcode == OpAddQ:
-			cmd.verb = kvstore.VerbAdd
-		case h.opcode == OpReplace || h.opcode == OpReplaceQ:
-			cmd.verb = kvstore.VerbReplace
-		case h.cas != 0:
-			cmd.verb = kvstore.VerbCAS
-		}
-		if rest > 0 {
-			if err := s.receive(cmd, rest); err != nil {
-				return err
-			}
-		}
 	case opIncr, opDecr:
 		if len(extras) != 20 {
 			return s.respond(h, StatusInvalidArgs, nil, nil, binInvalid, 0)
@@ -307,18 +315,42 @@ func (s *BinarySession) parse(cmd *command) error {
 	return nil
 }
 
+// storeCommand turns a set, add, replace or cas frame into cmd, freshly
+// reset, and reports whether its extras were right; if not, cmd is
+// left as opNone.
+func (s *BinarySession) storeCommand(cmd *command, h binHeader, extras, key, value []byte) bool {
+	cmd.reset()
+	if len(extras) != 8 {
+		return false
+	}
+	cmd.key, cmd.value, cmd.cas = key, value, h.cas
+	cmd.mode, cmd.quiet = ReplModeFromVbucket(h.status), quiet(h.opcode)
+	cmd.flags = binary.BigEndian.Uint32(extras)
+	cmd.exptime = int64(int32(binary.BigEndian.Uint32(extras[4:])))
+	switch {
+	case h.opcode == OpAdd || h.opcode == OpAddQ:
+		cmd.verb = kvstore.VerbAdd
+	case h.opcode == OpReplace || h.opcode == OpReplaceQ:
+		cmd.verb = kvstore.VerbReplace
+	case h.cas != 0:
+		cmd.verb = kvstore.VerbCAS
+	}
+	cmd.op = opStore
+	return true
+}
+
 // quiet reports whether the opcode is a quiet variant (success responses
 // suppressed; for getq, miss responses suppressed).
 func quiet(op byte) bool {
 	return op == OpGetQ || op == OpGetKQ || op >= OpSetQ && op <= OpPrependQ
 }
 
-// encode stages the reply to an executed frame. A quorum shortfall is
+// encode stages the reply to frame i of the run. A quorum shortfall is
 // reported even on quiet opcodes — the client asked for an
 // acknowledgement guarantee, so silence would lie — and so is any other
 // failure but a deleteq's miss; quiet suppresses success.
-func (s *BinarySession) encode(cmd *command, res result) error {
-	h := s.runHdr[0]
+func (s *BinarySession) encode(i int, cmd *command, res result) error {
+	h := s.runHdr[i]
 	switch {
 	case res.err == nil:
 	case res.repl:

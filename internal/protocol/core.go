@@ -3,10 +3,10 @@ package protocol
 // The session core: what the ASCII and binary sessions share. A session
 // is a codec (Session, BinarySession) — a parser and an encoder — around
 // one core; the core owns the buffered pair, the injected dependencies,
-// the Serve loop, the one per-request envelope, runs of gets, and
-// execute, where every verb meets the store and the Replicator once for
-// both codecs. DESIGN.md "The session core" has the envelope as a
-// numbered sequence.
+// the Serve loop, the one per-request envelope, runs of gets and of
+// stores, and execute, where every verb meets the store and the
+// Replicator once for both codecs. DESIGN.md "The session core" has the
+// envelope as a numbered sequence.
 
 import (
 	"bufio"
@@ -68,17 +68,20 @@ type codec interface {
 	// parse reads the rest of that request (ASCII data block, binary
 	// body) into cmd; a get appends its keys to core.keys, and a store
 	// of pinFrom bytes or more receives its value into a reserved chunk.
-	// A request the parser refuses is answered there and left as opNone.
+	// A body or data block already buffered in full is left in the
+	// reader, cmd's slices aliasing it, and counted in core.runRest. A
+	// request the parser refuses is answered there and left as opNone.
 	// An error ends the session, with no reservation held.
 	parse(cmd *command) error
-	// getAt reports the length of the complete, well-formed get request
-	// at the head of buf, or 0 if there is none. If there is one it
-	// becomes request i of the run, its keys (slices of buf) appended to
-	// core.keys. It reads nothing.
-	getAt(i int, buf []byte) int
-	// encode stages the reply to an executed command other than a get,
-	// encodeGet the reply to get request i of the run.
-	encode(cmd *command, res result) error
+	// runAt reports the length of the complete, well-formed request of
+	// the head's op — a get, or a store — at the head of buf, or 0 if
+	// there is none. If there is one it becomes request i of the run: a
+	// get's keys are appended to core.keys, a store is parsed into
+	// core.run[i], all of them slices of buf. It reads nothing.
+	runAt(i int, buf []byte) int
+	// encode stages the reply to request i of the run, an executed
+	// command other than a get; encodeGet the reply to get request i.
+	encode(i int, cmd *command, res result) error
 	encodeGet(i int, keys [][]byte, rs []kvstore.BatchResult) error
 	// shed reads the rest of the request next read, so the stream stays
 	// in step, and stages a busy refusal in place of running it.
@@ -177,7 +180,8 @@ type result struct {
 	rows [][2]string
 }
 
-// maxRun bounds a run, and with it the pins a run holds: 32 requests.
+// maxRun bounds a run, and with it the pins a run of gets holds: 32
+// requests.
 const maxRun = 32
 
 // core is the codec-independent half of a session.
@@ -215,16 +219,20 @@ type core struct {
 	iov     net.Buffers
 	iovArr  [3][]byte
 
-	// The command being served, and the run of gets: their keys, where
-	// request i's keys start in keys (keyAt[i]), how many bytes the
-	// requests after the first take in the reader, the batched lookup's
-	// results and grouping scratch, and val, which holds a run's copied
-	// values or an ASCII data block.
-	cmd     command
+	// The run being served: its commands (a run of gets fills only the
+	// first) and their results; the gets' keys and where request i's
+	// start in keys (keyAt[i]); how many bytes of the run are left in
+	// the reader, aliased by the commands and keys, to be discarded once
+	// the run is served; the batched calls' results and grouping
+	// scratch; and val, which holds a run's copied values or an ASCII
+	// data block read in pieces.
+	run     [maxRun]command
+	res     [maxRun]result
 	keys    [][]byte
 	keyAt   [maxRun + 1]int
 	runRest int
 	batch   []kvstore.BatchResult
+	puts    [maxRun]kvstore.BatchPut
 	scr     kvstore.BatchScratch
 	val     []byte
 
@@ -238,14 +246,15 @@ type core struct {
 	tExec       sim.Ns
 }
 
-func newCore(store *kvstore.Store, r *bufio.Reader, w *bufio.Writer, env Env) core {
-	c := core{store: store, r: r, w: w, env: env, pinFrom: math.MaxInt}
+// init readies a new session's core where it lies: a core, with its
+// run's scratch, is too large to build and copy in.
+func (c *core) init(store *kvstore.Store, r *bufio.Reader, w *bufio.Writer, env Env) {
+	c.store, c.r, c.w, c.env, c.pinFrom = store, r, w, env, math.MaxInt
 	c.timed = env.Observer != nil && env.Clock != nil
 	if !c.timed {
 		c.env.Flight = nil
 	}
 	c.flightEvery = uint64(max(env.FlightEvery, 1))
-	return c
 }
 
 // NewBufferedPair builds the buffered reader and writer every session
@@ -378,9 +387,9 @@ func (c *core) serve(cd codec) error {
 }
 
 // serveOne is the envelope around one run of requests — for every
-// request but a pipelined get, a run of one: read its head, start the
-// op clock, ask the gate once, run the requests or shed the one read,
-// stop the clock, observe them, give the slot back. A run holds one
+// request but a pipelined get or store, a run of one: read its head,
+// start the op clock, ask the gate once, run the requests or shed the
+// one read, stop the clock, observe them, give the slot back. A run holds one
 // slot, as it is served by one goroutine start to end; a refused run is
 // cut to its first request, and the requests behind it ask again as the
 // next run. Shed requests are observed too — a busy refusal is part of
@@ -421,40 +430,58 @@ func (c *core) serveOne(cd codec) error {
 	return err
 }
 
-// exec serves an admitted run: parse the request next read — a get on
-// a session that owns its transport takes along the complete gets
-// already buffered behind it, up to maxRun — execute it once, and stage
-// the replies in request order. It returns how many requests it
-// served: all, unless an error ended the session at the last one.
+// exec serves an admitted run: parse the request next read — a get or
+// a store on a session that owns its transport takes along the
+// complete requests of its op already buffered behind it, up to maxRun
+// — execute them once, and stage the replies in request order. It
+// returns how many requests it served: all, unless an error ended the
+// session at the last one.
 //
 //kv3d:hotpath
 func (c *core) exec(cd codec) (int, error) {
-	cmd := &c.cmd
+	cmd := &c.run[0]
 	c.keys, c.runRest = c.keys[:0], 0
 	err := cd.parse(cmd)
 	n := 1
-	if err == nil && cmd.op == opGet && c.transport != nil {
+	if err == nil && c.transport != nil && cmd.runs() {
 		// Found with Peek on what the reader holds, the run reads nothing
 		// from the transport: flush-before-read sees the same reads as
 		// request by request. The first request that is not a complete
-		// get ends the run; the next next reads it.
+		// one of the head's op ends the run; the next next reads it. So
+		// does a store of pinFrom bytes or more, which is received into
+		// its own chunk, or one that would take the run's values past
+		// pinThreshold bytes: no shard lock is held across a large copy.
 		buf, _ := c.r.Peek(c.r.Buffered()) // never more than is buffered, so it cannot fail or read
+		vals := len(cmd.value)
 		for ; n < maxRun; n++ {
 			c.keyAt[n] = len(c.keys)
-			size := cd.getAt(n, buf[c.runRest:])
+			size := cd.runAt(n, buf[c.runRest:])
 			if size == 0 {
 				break
+			}
+			if cmd.op == opStore {
+				v := len(c.run[n].value)
+				if vals += v; v >= c.pinFrom || vals > pinThreshold {
+					break
+				}
 			}
 			c.runRest += size
 		}
 	}
 	c.sample(n)
 	if err != nil || cmd.op == opNone {
+		c.r.Discard(c.runRest) // a refused request's buffered body
 		return 1, err
 	}
-	res := c.execute(cmd)
+	c.execute(n)
 	if cmd.op != opGet {
-		return 1, cd.encode(cmd, res)
+		for i := 0; i < n && err == nil; i++ {
+			if err = cd.encode(i, &c.run[i], c.res[i]); err != nil {
+				n = i + 1 // the error ends the run at this request
+			}
+		}
+		c.r.Discard(c.runRest) // the run's buffered bodies and later requests: Discard cannot fail or read
+		return n, err
 	}
 	c.keyAt[n] = len(c.keys)
 	for i := 0; i < n; i++ {
@@ -463,29 +490,42 @@ func (c *core) exec(cd codec) (int, error) {
 			for _, r := range c.batch[end:] {
 				c.store.Unpin(r.Pin)
 			}
-			n = i + 1 // the error ends the run at this request
+			n = i + 1
 		}
 	}
-	c.r.Discard(c.runRest) // the run's later requests, all buffered: Discard cannot fail or read
+	c.r.Discard(c.runRest) // the run's buffered bodies and later requests: Discard cannot fail or read
 	return n, err
 }
 
-// execute runs one command — for a get, every key of the run — against
-// the store: the one store call of each verb, and the one hand-off of a
-// write that succeeded locally to the Replicator. Its entry stamps the
-// end of the parse phase and its exit the end of the execute phase, for
-// every verb of both codecs. A get's copies, short of pinFrom bytes in
-// all, go to val and its results to batch. A store received into a
-// reserved chunk is committed, and the chunk let go of once replicated.
+// runs reports whether cmd, parsed as the head of a run, may take
+// along the requests of its op buffered behind it: a get, or a store
+// whose value was not received into a reserved chunk.
+func (cmd *command) runs() bool {
+	return cmd.op == opGet || cmd.op == opStore && cmd.res == (kvstore.Reservation{}) && cmd.refused == nil
+}
+
+// execute runs the run's n commands against the store — a get's every
+// key in one GetBatchInto, a run of stores in one PutBatch, any other
+// command alone — and leaves request i's result in res[i]: the one
+// store call of each verb, and the one hand-off of each write that
+// succeeded locally to the Replicator, in request order once the store
+// is done. Its entry stamps the end of the parse phase and its exit the
+// end of the execute phase, for every verb of both codecs. A get's
+// copies, short of pinFrom bytes in all, go to val and its results to
+// batch. A store received into a reserved chunk, always alone, is
+// committed, and the chunk let go of once replicated.
 //
 //kv3d:hotpath
-func (c *core) execute(cmd *command) (res result) {
+func (c *core) execute(n int) {
 	if c.sampled != 0 {
 		c.tParse = c.env.Clock.Now()
 	}
+	cmd, res := &c.run[0], &c.res[0]
+	*res = result{}
 	switch cmd.op {
 	case opGet:
 		c.val, c.batch = c.store.GetBatchInto(c.val[:0], c.keys, c.batch[:0], &c.scr, c.pinFrom)
+		n = 1 // a get replicates nothing, and the run's other commands are unused
 	case opStore:
 		switch {
 		case cmd.refused != nil:
@@ -493,7 +533,7 @@ func (c *core) execute(cmd *command) (res result) {
 		case cmd.res != (kvstore.Reservation{}):
 			res.cas, res.err = c.store.Commit(cmd.res, cmd.flags, cmd.exptime)
 		default:
-			res.cas, res.err = c.store.PutBytes(cmd.verb, cmd.key, cmd.value, cmd.flags, cmd.exptime, cmd.cas)
+			c.putRun(n)
 		}
 	case opAppend:
 		res.err = c.store.Append(string(cmd.key), cmd.value)
@@ -514,15 +554,33 @@ func (c *core) execute(cmd *command) (res result) {
 	case opStats:
 		res.rows = statRows(c.store, string(cmd.key))
 	}
-	if res.err == nil && c.env.Repl != nil && cmd.mode != ReplLocal {
-		res.err = c.replicate(cmd)
-		res.repl = res.err != nil
+	for i := 0; i < n && c.env.Repl != nil; i++ {
+		if cmd, res := &c.run[i], &c.res[i]; res.err == nil && cmd.mode != ReplLocal {
+			res.err = c.replicate(cmd)
+			res.repl = res.err != nil
+		}
 	}
 	c.release(cmd) // after replication, which reads a received value from its chunk
 	if c.sampled != 0 {
 		c.tExec = c.env.Clock.Now()
 	}
-	return res
+}
+
+// putRun stores the run's n stores with one PutBatch call, which locks
+// each shard they fall in once, and leaves each one's CAS id or
+// refusal in res.
+//
+//kv3d:hotpath
+func (c *core) putRun(n int) {
+	puts := c.puts[:n]
+	for i := range puts {
+		p, cmd := &puts[i], &c.run[i]
+		p.Verb, p.Key, p.Value, p.Flags, p.Exptime, p.CAS = cmd.verb, cmd.key, cmd.value, cmd.flags, cmd.exptime, cmd.cas
+	}
+	c.store.PutBatch(puts, &c.scr)
+	for i := range puts {
+		c.res[i] = result{err: puts[i].Err, cas: puts[i].NewCAS}
+	}
 }
 
 // receive reads a store's n-byte value from the reader straight into

@@ -69,9 +69,9 @@ func outcomeOf(err error) Outcome {
 // the value payload through response serialization) as reported by the
 // injected clock, with their outcome. One call reports n commands of
 // one class and outcome that together took nanos: n is 1 for a request
-// served alone, and for a pipelined run of gets (either codec) it is
-// how many the run served, all ending with o, and nanos the run's time
-// (DESIGN.md "The session core"). An implementation that keeps
+// served alone, and for a pipelined run of gets or of stores (either
+// codec) it is how many the run served, all ending with o, and nanos
+// the run's time (DESIGN.md "The session core"). An implementation that keeps
 // per-command samples records n of them summing to nanos, as
 // metrics.Histogram.RecordN does. The duration is a typed nanosecond
 // count (sim.Ns) so it cannot be mixed with the kernel's picosecond
@@ -94,7 +94,7 @@ type Observer interface {
 // the wire) — the correlation key that lets a merged trace line a
 // client attempt up with the server's handling of that exact request.
 // Binary names the codec that served it. A sampled request of a
-// pipelined run of gets carries the run's stamps: its Start and End
+// pipelined run carries the run's stamps: its Start and End
 // are the run's, and so are its parse and execute phases.
 type OpSpan struct {
 	Start     sim.Ns

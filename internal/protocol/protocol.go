@@ -74,7 +74,9 @@ func NewSession(store *kvstore.Store, rw io.ReadWriter) *Session {
 // or any other pair whose reader never blocks — output then appears as
 // the writer fills and when Serve returns.
 func NewSessionBuffered(store *kvstore.Store, r *bufio.Reader, w *bufio.Writer, env Env) *Session {
-	return &Session{core: newCore(store, r, w, env)}
+	s := &Session{}
+	s.init(store, r, w, env)
+	return s
 }
 
 // Serve processes commands until quit, the peer leaving, or a transport
@@ -123,8 +125,9 @@ func (s *Session) shed() error {
 	case opQuit:
 		return ErrQuit
 	case opStore, opAppend, opPrepend:
-		s.cmd.reset()
-		if err := s.parseStorage(&s.cmd, false); err != nil || s.cmd.op == opNone || s.cmd.noreply {
+		cmd := &s.run[0]
+		cmd.reset()
+		if err := s.parseStorage(cmd, false); err != nil || cmd.op == opNone || cmd.noreply {
 			return err
 		}
 	default:
@@ -241,20 +244,37 @@ func (s *Session) addGet(i int, verb, rest []byte) bool {
 	return len(s.keys) > n
 }
 
-// getAt reads a get line buffered behind the run's last request.
+// runAt reads a request of the head's op buffered behind the run's last
+// one: a get line with a key, or a set, add, replace or cas line whose
+// arguments parse, with its whole data block and the block's \r\n.
 //
 //kv3d:hotpath
-func (s *Session) getAt(i int, buf []byte) int {
+func (s *Session) runAt(i int, buf []byte) int {
 	n := bytes.IndexByte(buf, '\n') + 1
 	if n == 0 {
 		return 0
 	}
 	line := trimEOL(buf[:n])
 	verb, rest := nextToken(line)
-	if len(line) > maxLineLen || asciiOps[string(verb)] != opGet || !s.addGet(i, verb, rest) {
+	if len(line) > maxLineLen || asciiOps[string(verb)] != s.head {
 		return 0
 	}
-	return n
+	if s.head == opGet {
+		if !s.addGet(i, verb, rest) {
+			return 0
+		}
+		return n
+	}
+	cmd := &s.run[i]
+	cmd.reset()
+	cmd.verb = storeVerbs[string(verb)]
+	nbytes, err := parseStorageArgs(rest, cmd)
+	end := n + nbytes + 2
+	if err != nil || end > len(buf) || buf[end-2] != '\r' || buf[end-1] != '\n' {
+		return 0
+	}
+	cmd.op, cmd.value = opStore, buf[n:n+nbytes]
+	return end
 }
 
 // nextToken splits off the next space-delimited token (memcached's
@@ -317,7 +337,7 @@ func (s *Session) clientError(msg string) error {
 
 // encode stages the reply to an executed command; noreply suppresses
 // it, and quit has none.
-func (s *Session) encode(cmd *command, res result) error {
+func (s *Session) encode(_ int, cmd *command, res result) error {
 	switch {
 	case cmd.op == opQuit:
 		return ErrQuit
@@ -438,11 +458,12 @@ var (
 // parseStorage parses "<verb> <key> <flags> <exptime> <bytes> [<cas>]
 // [noreply]" into cmd, freshly reset, and reads the data block: a set,
 // add, replace or cas of pinFrom bytes or more into the chunk receive
-// reserves, any other into val, and nothing at all unless keep — a
-// shed command's block is skipped. The key aliases the line. The
-// numeric tokens convert through strings that do not escape, so a
-// well-formed command parses without allocating. A malformed one is
-// answered here (noreply or not).
+// reserves, one that fits the reader's buffer nowhere (cmd.value
+// aliases the reader until the run is served), any other into val, and
+// nothing at all unless keep — a shed command's block is skipped. The key aliases
+// the line. The numeric tokens convert through strings that do not
+// escape, so a well-formed command parses without allocating. A
+// malformed one is answered here (noreply or not).
 //
 //kv3d:hotpath
 func (s *Session) parseStorage(cmd *command, keep bool) error {
@@ -451,11 +472,17 @@ func (s *Session) parseStorage(cmd *command, keep bool) error {
 	if err != nil {
 		return s.clientError(err.Error())
 	}
+	inPlace := false
 	switch {
 	case !keep:
 		_, err = s.r.Discard(nbytes)
 	case s.head == opStore && nbytes >= s.pinFrom:
 		err = s.receive(cmd, nbytes)
+	case nbytes+2 <= s.r.Size():
+		var blk []byte
+		if blk, err = s.r.Peek(nbytes + 2); err == nil {
+			cmd.value, s.crlf, s.runRest, inPlace = blk[:nbytes], [2]byte(blk[nbytes:]), nbytes+2, true
+		}
 	default:
 		if cap(s.val) < nbytes {
 			s.val = make([]byte, nbytes)
@@ -463,7 +490,7 @@ func (s *Session) parseStorage(cmd *command, keep bool) error {
 		cmd.value = s.val[:nbytes]
 		_, err = io.ReadFull(s.r, cmd.value)
 	}
-	if err == nil {
+	if err == nil && !inPlace {
 		_, err = io.ReadFull(s.r, s.crlf[:])
 	}
 	switch {

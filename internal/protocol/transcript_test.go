@@ -42,7 +42,8 @@ type transcriptDeps struct {
 	admitted int
 	released int
 	replN    int
-	observes int // ObserveOp calls, each of which may report many ops
+	observes int   // ObserveOp calls, each of which may report many ops
+	runs     []int // the ops each ObserveOp call reported
 }
 
 func (d *transcriptDeps) Now() sim.Ns { d.clock++; return d.clock }
@@ -62,6 +63,7 @@ func (d *transcriptDeps) Release() { d.released++ }
 // nanos a histogram records for it: n-r of q, then r of q+1.
 func (d *transcriptDeps) ObserveOp(c OpClass, o Outcome, n int, nanos sim.Ns) {
 	d.observes++
+	d.runs = append(d.runs, n)
 	q, r := nanos/sim.Ns(n), int(nanos%sim.Ns(n))
 	for i := 0; i < n; i++ {
 		if i == n-r {
@@ -121,7 +123,7 @@ func newTranscriptSession(bin bool, st *kvstore.Store, rw io.ReadWriter, d *tran
 type transcriptGen struct {
 	r     *sim.Rand
 	kinds map[string]int
-	sets  int // stores issued so far: an upper bound for live CAS ids
+	sets  int // stores issued so far: a cas guesses an id up to it
 }
 
 func (g *transcriptGen) key() string { return fmt.Sprintf("k%d", g.r.Intn(6)) }
@@ -439,27 +441,33 @@ func transcriptOf(t *testing.T, bin bool, seed uint64, kinds map[string]int) (tr
 // and durations logged after it. With every span's four stamps and
 // every op's duration masked, each of the 64 transcripts is
 // byte-identical to the one recorded before: replies, Serve's error,
-// gate balance, classes, outcomes, opaques and replicator calls.
+// gate balance, classes, outcomes, opaques and replicator calls. ASCII
+// seeds 2, 4, 8, 10, 12, 13, 15, 16, 17, 18, 20, 21, 24, 25, 27, 28, 29
+// and 30 and all binary seeds but 10, 11, 19, 25 and 26 were
+// re-recorded when CAS ids came to be drawn per shard: each shows an id
+// (a gets, a binary store's reply) or a cas that names one. On a
+// one-shard store, whose ids are numbered as the store-wide counter
+// numbered them, every digest of both codecs is what it was before.
 var transcriptDigests = map[string][]string{
 	"ascii": {
-		"211361edc1a5cec6", "7cbbe07568de6206", "9ff1e913880f75b3", "a2d917edc201a75c",
-		"d1b1438f7d6dd740", "ef1a16beeca43f05", "56f49a2b2a962b7b", "9537b40324b8833a",
-		"69770e9ae3f903ba", "42bfbea36b6fa803", "64acbc5d04fb4a3e", "45609e1b0b30608b",
-		"2f48b0e0cee7e4f8", "06487d00ee1b3f92", "ef1d670d871ea801", "f2bf3f3c91c44d0b",
-		"d76fb2c956062880", "7161fd109caf464d", "b6e5417a440ccff7", "f6bff36b6ef55f13",
-		"5e334b3f8f21fdc5", "93198295a856851d", "a158d393d206a2e9", "c6bc582dd3645436",
-		"6d1fbf272f1a618a", "005dc4b39b2b03ba", "0757aafcd083f4b4", "27a48dd3e5c39af3",
-		"a5ff8afc219e637f", "5680736ca436c0b9", "ee543a772583def7", "2e84b6548a7ac968",
+		"211361edc1a5cec6", "a44e33aae5014bba", "9ff1e913880f75b3", "b5ac4ceacdce8a6a",
+		"d1b1438f7d6dd740", "ef1a16beeca43f05", "56f49a2b2a962b7b", "6734036b4b542b28",
+		"69770e9ae3f903ba", "eefa6504c43150e5", "64acbc5d04fb4a3e", "81420f666e32114b",
+		"c85a4fefcf0429c2", "06487d00ee1b3f92", "aafa1b25e6b7ae69", "dc9d9f2441ca36e9",
+		"41c11fa0f58524b5", "74ad5659ad14861b", "b6e5417a440ccff7", "315efe313bf7a571",
+		"2c67d47547148493", "93198295a856851d", "a158d393d206a2e9", "8f1bf6899c264cc2",
+		"019e54bfbd9c1fb4", "005dc4b39b2b03ba", "adbb3158c638d914", "42e4f727506f69ed",
+		"37fa576ce4e0fb31", "5ecb00c1e6fc381d", "ee543a772583def7", "2e84b6548a7ac968",
 	},
 	"binary": {
-		"9e82641937fb904c", "31633f451ff2eaa3", "941ac80403d65233", "453981b71d710530",
-		"b7bb5d1fbbfe16c4", "7de174f505a8c0f2", "d92e11e49d469839", "b2a23f20c1c46da3",
-		"ee328e77aa81e7ef", "dfed6361839a0053", "30659edeabf538fa", "161462b63ea107ae",
-		"8a19b063e066a6cc", "cfbe5e2f714da3e2", "0174526a65337305", "b59b5caf7d6cbe24",
-		"54da7647db0901a3", "a990cf6d4b812b26", "af4a6d0e6731a297", "1212436642f32af7",
-		"bb317e09c77f80d5", "dfb81533e35c6250", "0c38d4013d5ea27c", "4f01f7842265fd3a",
-		"b677edfe29fd23fc", "648821c25eb4554a", "95d3a71bb7d7182c", "742d7a02764d1f56",
-		"7670da57fc796fd6", "d2a2534ba8e75b79", "1c3c5c2a137f37da", "d27ba290be70cf1a",
+		"2e7717052bf95ee9", "4882be4315abe6c7", "0ec1b581b05dc7db", "d7d51feb5fb3d9c8",
+		"96fb76ae5cc75775", "1d9338b40a340481", "542bcf0dda9a1209", "21b57124d10502c0",
+		"07a1b6d121799e47", "dfed6361839a0053", "30659edeabf538fa", "935458c8e1f429ee",
+		"2a7b25c3b7292e8d", "01e6c34a3f022e9e", "35baf162417ef3c4", "49d786e728a1af98",
+		"8f5354f94ce4ec63", "a78dc49e015b1a37", "af4a6d0e6731a297", "c40b2b794855c577",
+		"e55ee29411769729", "545d59a671ef853a", "f217611261669a84", "74ca13cea0b129b4",
+		"b677edfe29fd23fc", "648821c25eb4554a", "bebe8b117e199fd4", "ec6a47c894eddde9",
+		"293e6cf989ee6320", "e4dda30d4500dca1", "4c9cffe6525ad466", "6a6c793350ca5962",
 	},
 }
 
@@ -556,14 +564,17 @@ func TestTruncationEndsSessionCleanly(t *testing.T) {
 // clock is read when a run of requests ends and, if the transport was
 // read since the previous run ended, when it starts; a run served from
 // bytes already buffered starts where its predecessor ended. A lone
-// request reads the clock twice. A 16-deep GET burst is one run on
-// either codec: two reads, and its 16 ops share the run's one tick. A
+// request reads the clock twice. A 16-deep GET burst, or one of small
+// quiet sets, is one run on either codec: two reads, and its 16 ops
+// share the run's one tick. A
 // session built on its caller's pair cannot see the transport, forms
 // runs of one and stamps every start.
 func TestClockReadsPerPipelinedOp(t *testing.T) {
 	requests := map[string][]byte{
-		"ascii":  []byte("get k\r\n"),
-		"binary": frame(OpGet, "k", nil, nil, 0, 1),
+		"ascii get":  []byte("get k\r\n"),
+		"binary get": frame(OpGet, "k", nil, nil, 0, 1),
+		"ascii set":  []byte("set k 0 0 1 noreply\r\nv\r\n"),
+		"binary set": frame(OpSetQ, "k", setExtras(0, 0), []byte("v"), 0, 1),
 	}
 	for codec, req := range requests {
 		burst := [][]byte{bytes.Repeat(req, 16)}
@@ -589,7 +600,7 @@ func TestClockReadsPerPipelinedOp(t *testing.T) {
 			var err error
 			if !tc.callerPair {
 				err = ServeConn(newStore(t), rw, env)
-			} else if r, w := NewBufferedPair(rw); codec == "binary" {
+			} else if r, w := NewBufferedPair(rw); strings.HasPrefix(codec, "binary") {
 				err = NewBinarySessionBuffered(newStore(t), r, w, env).Serve()
 			} else {
 				err = NewSessionBuffered(newStore(t), r, w, env).Serve()
@@ -622,9 +633,9 @@ func TestClockReadsPerPipelinedOp(t *testing.T) {
 // sets that leave values below and above pinThreshold (and, on every
 // third seed, values a third of it long), then bursts of gets — hits,
 // misses and repeated keys; binary get-family frames, or ASCII get and
-// gets lines of one to three keys — with other requests between them,
-// none of which ends the session or is not a request. split is an
-// offset inside a get that follows another get.
+// gets lines of one to three keys — and of stores (runStore), with
+// other requests between them, none of which ends the session or is not
+// a request. split is an offset inside a get that follows another get.
 func runStream(seed uint64, bin bool) (requests [][]byte, split int) {
 	g := &transcriptGen{r: sim.NewRand(seed), kinds: map[string]int{}}
 	opaque := func() uint32 { return uint32(g.r.Intn(1 << 16)) }
@@ -653,7 +664,11 @@ func runStream(seed uint64, bin bool) (requests [][]byte, split int) {
 	}
 	for len(requests) < 80 {
 		var req []byte
-		if g.r.Intn(4) != 0 {
+		switch r := g.r.Intn(8); {
+		case r < 2:
+			req = g.runStore(bin, opaque())
+			prevGet = false
+		case r < 6:
 			key := func() string { return fmt.Sprintf("k%d", g.r.Intn(8)) } // k6 and k7 are never set
 			offsets := []int{12, binHeaderLen + 1}                          // inside the header, or inside the key
 			if bin {
@@ -670,7 +685,7 @@ func runStream(seed uint64, bin bool) (requests [][]byte, split int) {
 				split = at + offsets[seed%2]
 			}
 			prevGet = true
-		} else {
+		default:
 			for {
 				before := maps.Clone(g.kinds)
 				if bin {
@@ -682,7 +697,7 @@ func runStream(seed uint64, bin bool) (requests [][]byte, split int) {
 					break
 				}
 			}
-			prevGet = runnable(bin, req)
+			prevGet = runKind(bin, req) == opGet
 		}
 		requests = append(requests, req)
 		at += len(req)
@@ -690,15 +705,84 @@ func runStream(seed uint64, bin bool) (requests [][]byte, split int) {
 	return requests, split
 }
 
-// runnable reports whether req is a get that can join a run: a frame of
-// the binary get family, or an ASCII get or gets line with a key.
-func runnable(bin bool, req []byte) bool {
-	if bin {
-		return binOps[req[1]] == opGet
+// runStore is a store of a key that may or may not be set, by any verb
+// that joins a run — binary set, add, replace and cas frames, quiet or
+// not; ASCII set, add, replace and cas lines, noreply or not — with a
+// value of pinThreshold bytes or more one time in eight, which ends a
+// run of stores, and a third of it one time in four, so that a run's
+// values reach pinThreshold in a few stores.
+func (g *transcriptGen) runStore(bin bool, opaque uint32) []byte {
+	key, flags := fmt.Sprintf("k%d", g.r.Intn(8)), g.r.Intn(9)
+	value := []byte(g.value())
+	switch g.r.Intn(8) {
+	case 0:
+		value = bytes.Repeat([]byte{'L'}, pinThreshold+g.r.Intn(4<<10))
+	case 1, 2:
+		value = bytes.Repeat([]byte{'t'}, pinThreshold/3+g.r.Intn(1<<10))
 	}
-	verb, rest := nextToken(trimEOL(req))
-	key, _ := nextToken(rest)
-	return asciiOps[string(verb)] == opGet && len(key) != 0
+	g.sets++
+	cas := uint64(0)
+	if g.r.Intn(4) == 0 {
+		cas = uint64(1 + g.r.Intn(g.sets))
+	}
+	if bin {
+		op := []byte{OpSet, OpSetQ, OpAdd, OpAddQ, OpReplace, OpReplaceQ}[g.r.Intn(6)]
+		return frame(op, key, setExtras(uint32(flags), uint32(int32(g.exptime()))), value, cas, opaque)
+	}
+	noreply := []string{"", "", "", " noreply"}[g.r.Intn(4)]
+	verb := []string{"set", "set", "add", "replace"}[g.r.Intn(4)]
+	line := fmt.Sprintf("%s %s %d %d %d", verb, key, flags, g.exptime(), len(value))
+	if cas != 0 {
+		line = fmt.Sprintf("cas %s %d %d %d %d", key, flags, g.exptime(), len(value), cas)
+	}
+	return []byte(line + noreply + "\r\n" + string(value) + "\r\n")
+}
+
+// runKind is the op of the run req can join — opGet for a frame of the
+// binary get family or an ASCII get or gets line with a key, opStore
+// for a well-formed set, add, replace or cas whose value is under
+// pinThreshold — or opNone.
+func runKind(bin bool, req []byte) op {
+	o, value := runOp(bin, req)
+	if o == opStore && value >= pinThreshold {
+		return opNone
+	}
+	return o
+}
+
+// runOp is opGet for a request runKind says joins a run of gets, and
+// opStore, with the value's length, for a well-formed set, add, replace
+// or cas of any size; opNone for any other.
+func runOp(bin bool, req []byte) (o op, value int) {
+	var cmd command
+	if bin {
+		h := parseBinHeader(req)
+		nk := binHeaderLen + int(h.extrasLen) + int(h.keyLen)
+		switch binOps[h.opcode] {
+		case opGet:
+			return opGet, 0
+		case opStore:
+			if h.extrasLen == 8 {
+				return opStore, len(req) - nk
+			}
+		}
+		return opNone, 0
+	}
+	eol := bytes.IndexByte(req, '\n') + 1
+	verb, rest := nextToken(trimEOL(req[:eol]))
+	switch asciiOps[string(verb)] {
+	case opGet:
+		if key, _ := nextToken(rest); len(key) != 0 {
+			return opGet, 0
+		}
+	case opStore:
+		cmd.verb = storeVerbs[string(verb)]
+		n, err := parseStorageArgs(rest, &cmd)
+		if block := req[eol:]; err == nil && len(block) == n+2 && string(block[n:]) == "\r\n" {
+			return opStore, n
+		}
+	}
+	return opNone, 0
 }
 
 // requestTag is the class and the opaque a request is observed with.
@@ -747,10 +831,11 @@ func serveRuns(t *testing.T, segs [][]byte, d *transcriptDeps) (reply []byte, st
 	return rw.out.Bytes(), st.Stats(), ops, spans
 }
 
-// TestTranscriptServeConnRuns feeds get-heavy streams of both codecs
-// through ServeConn, which serves each get — a binary get-family frame,
-// or an ASCII get or gets line, single- or multi-key — together with
-// the complete gets buffered behind it as one run. The gate refuses
+// TestTranscriptServeConnRuns feeds streams of gets and stores of both
+// codecs through ServeConn, which serves each get — a binary get-family
+// frame, or an ASCII get or gets line, single- or multi-key — together
+// with the complete gets buffered behind it as one run, and each set,
+// add, replace or cas with the complete ones behind it. The gate refuses
 // every few acquires (every eighth on ASCII), and a run asks it once: a
 // refusal sheds the run's first request, and the requests behind it ask
 // again as the next run. Delivered as one burst (long runs), one
@@ -758,9 +843,12 @@ func serveRuns(t *testing.T, segs [][]byte, d *transcriptDeps) (reply []byte, st
 // reads that split a get inside a burst, each request must be observed
 // exactly once, in order, with its class, as busy only where an acquire
 // was refused (one request each), and each sampled request must have
-// one span with its own opaque. The replies and the store's stats must
-// then be byte-identical to serving the stream one request per read
-// with the gate refusing exactly the requests that were shed.
+// one span with its own opaque. Every run must hold requests of one op
+// and, if stores, none of pinThreshold bytes or more, and values of at
+// most pinThreshold in all. The replies — CAS ids included — and the
+// store's stats must then be byte-identical to serving the stream one
+// request per read with the gate refusing exactly the requests that
+// were shed.
 func TestTranscriptServeConnRuns(t *testing.T) {
 	for _, codec := range []string{"binary", "ascii"} {
 		t.Run(codec, func(t *testing.T) { checkServeConnRuns(t, codec == "binary") })
@@ -768,7 +856,10 @@ func TestTranscriptServeConnRuns(t *testing.T) {
 }
 
 func checkServeConnRuns(t *testing.T, bin bool) {
-	headsShed := 0 // refusals that cut a run: a shed get with a get behind it
+	// Refusals that cut a run, by op: a shed request with one of its op
+	// behind it; runs of more than one request, by op; and runs of
+	// stores that a store of pinThreshold bytes or more ended.
+	headsShed, longRuns, endedLarge := map[op]int{}, map[op]int{}, 0
 	for seed := uint64(1); seed <= 12; seed++ {
 		requests, split := runStream(seed, bin)
 		if split == 0 {
@@ -797,8 +888,8 @@ func checkServeConnRuns(t *testing.T, bin bool) {
 				}
 				if out == OutcomeBusy.String() {
 					shed[i+1] = true
-					if name == "burst" && i+1 < len(requests) && runnable(bin, req) && runnable(bin, requests[i+1]) {
-						headsShed++
+					if kind := runKind(bin, req); name == "burst" && kind != opNone && i+1 < len(requests) && runKind(bin, requests[i+1]) == kind {
+						headsShed[kind]++
 					}
 				}
 				if i%every == 0 {
@@ -819,6 +910,31 @@ func checkServeConnRuns(t *testing.T, bin bool) {
 			case name == "burst" && d.observes >= len(requests):
 				t.Errorf("seed %d, burst: %d observer calls for %d requests: no run of more than one formed", seed, d.observes, len(requests))
 			}
+			at := 0
+			for _, n := range d.runs {
+				if n == 1 {
+					at++
+					continue
+				}
+				kind, vals := runKind(bin, requests[at]), 0
+				for _, req := range requests[at : at+n] {
+					if k := runKind(bin, req); k != kind {
+						t.Fatalf("seed %d, %s: requests %d-%d served as one run, request of op %v among %v", seed, name, at, at+n-1, k, kind)
+					}
+					_, v := runOp(bin, req)
+					vals += v
+				}
+				if vals > pinThreshold {
+					t.Errorf("seed %d, %s: a run of %d stores carries %d value bytes", seed, name, n, vals)
+				}
+				longRuns[kind]++
+				if next := at + n; kind == opStore && next < len(requests) {
+					if o, v := runOp(bin, requests[next]); o == opStore && v >= pinThreshold {
+						endedLarge++
+					}
+				}
+				at += n
+			}
 			ref := &transcriptDeps{every: every, refuse: shed}
 			wantReply, wantStats, wantOps, _ := serveRuns(t, requests, ref)
 			if !slices.Equal(ops, wantOps) {
@@ -832,7 +948,12 @@ func checkServeConnRuns(t *testing.T, bin bool) {
 			}
 		}
 	}
-	if headsShed == 0 {
-		t.Error("no refusal fell on a get with gets buffered behind it")
+	for _, kind := range []op{opGet, opStore} {
+		if headsShed[kind] == 0 || longRuns[kind] == 0 {
+			t.Errorf("%d runs of more than one request of op %v formed, and %d refusals cut one", longRuns[kind], kind, headsShed[kind])
+		}
+	}
+	if endedLarge == 0 {
+		t.Error("no run of stores was ended by a store of pinThreshold bytes or more")
 	}
 }
