@@ -346,20 +346,11 @@ func (c *segmentConn) Read(p []byte) (int, error) {
 
 func (c *segmentConn) Write(p []byte) (int, error) { return len(p), nil }
 
-// eighthGate stands in for the server's in-flight gate and refuses
-// every eighth acquire, so runs both release their slot and are cut
-// to a shed first frame, the other 15 then served as the next run.
-type eighthGate struct{ n int }
-
-func (g *eighthGate) TryAcquire() bool { g.n++; return g.n%8 != 0 }
-func (g *eighthGate) Release()         {}
-
 // TestBinaryGetRunZeroAllocPerOp gates the pipelined binary GET path: a
 // session ServeConnIdle built, fed 16 get-family frames per transport read,
-// serves each read as one run — one gate slot, one batched lookup, the
-// replies staged in order — with a gate that refuses some runs, the
-// observer, the clock and flight spans of every frame all live, and
-// allocates nothing per frame.
+// serves each read as one run — one batched lookup, the replies staged
+// in order — with the observer, the clock and flight spans of every
+// frame all live, and allocates nothing per frame.
 func TestBinaryGetRunZeroAllocPerOp(t *testing.T) {
 	st, err := kvstore.New(kvstore.DefaultConfig(32 << 20))
 	if err != nil {
@@ -379,7 +370,7 @@ func TestBinaryGetRunZeroAllocPerOp(t *testing.T) {
 	rec := obs.NewFlightRecorder[sim.Ns]("gate", 256)
 	sink := &flightGateSink{rec: rec, track: rec.RegisterTrack("ops")}
 	var nullObs nullObserver
-	env := protocol.Env{Gate: &eighthGate{}, Observer: nullObs, Clock: clock.NewFake(1000), Flight: sink, FlightEvery: 1}
+	env := protocol.Env{Observer: nullObs, Clock: clock.NewFake(1000), Flight: sink, FlightEvery: 1}
 	serve := func(runs int) {
 		segs := make([][]byte, runs)
 		for i := range segs {
@@ -408,9 +399,8 @@ func TestBinaryGetRunZeroAllocPerOp(t *testing.T) {
 // TestASCIIGetRunZeroAllocPerOp is the ASCII twin of the binary run
 // gate: 16 pipelined get and gets lines per transport read — single-
 // and multi-key, hits and a miss — are served as one run on a session
-// ServeConnIdle built, with a gate that refuses every eighth run, and
-// the observer, the clock and a flight span of every line live; none
-// of it allocates per line.
+// ServeConnIdle built, with the observer, the clock and a flight span
+// of every line live; none of it allocates per line.
 func TestASCIIGetRunZeroAllocPerOp(t *testing.T) {
 	st, err := kvstore.New(kvstore.DefaultConfig(32 << 20))
 	if err != nil {
@@ -429,7 +419,7 @@ func TestASCIIGetRunZeroAllocPerOp(t *testing.T) {
 	rec := obs.NewFlightRecorder[sim.Ns]("gate", 256)
 	sink := &flightGateSink{rec: rec, track: rec.RegisterTrack("ops")}
 	var nullObs nullObserver
-	env := protocol.Env{Gate: &eighthGate{}, Observer: nullObs, Clock: clock.NewFake(1000), Flight: sink, FlightEvery: 1}
+	env := protocol.Env{Observer: nullObs, Clock: clock.NewFake(1000), Flight: sink, FlightEvery: 1}
 	serve := func(runs int) {
 		segs := make([][]byte, runs)
 		for i := range segs {
@@ -693,9 +683,9 @@ func TestPinnedSetZeroAllocPerOp(t *testing.T) {
 // server connection serves it: over loopback TCP through
 // protocol.ServeConnIdle, 64 quiet sets of 64 keys (binary setq frames,
 // or ASCII noreply sets) and a request that answers arrive together, so
-// the session serves the sets as runs — one gate slot, one PutBatch and
-// one observer call for up to 32 of them, keys and values read where
-// they lie in the reader — and none of that allocates, on either codec.
+// the session serves the sets as runs — one PutBatch and one observer
+// call for up to 32 of them, keys and values read where they lie in
+// the reader — and none of that allocates, on either codec.
 func TestSetRunZeroAllocPerOp(t *testing.T) {
 	st, err := kvstore.New(kvstore.DefaultConfig(32 << 20))
 	if err != nil {

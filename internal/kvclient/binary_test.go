@@ -1,6 +1,7 @@
 package kvclient
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -130,4 +131,24 @@ func TestBinaryClientOpsAfterCloseFail(t *testing.T) {
 		t.Fatal("Get on a closed client succeeded")
 	}
 	waitServerIdle(t, srv)
+}
+
+// TestBinaryStatusBusyClassifiesAsErrBusy ties memcached's EBUSY status
+// (0x0085, which other memcached servers send when they shed load) to
+// the client's classification: it is the retryable ErrBusy, which still
+// matches ErrServer checks, while another server-side status is only
+// ErrServer.
+func TestBinaryStatusBusyClassifiesAsErrBusy(t *testing.T) {
+	for _, tc := range []struct {
+		status       uint16
+		busy, server bool // errors.Is ErrBusy, errors.Is ErrServer
+	}{
+		{0x0085, true, true},
+		{protocol.StatusOutOfMemory, false, true},
+	} {
+		err := statusErr(tc.status, []byte("busy"))
+		if errors.Is(err, ErrBusy) != tc.busy || errors.Is(err, ErrServer) != tc.server {
+			t.Errorf("status %#04x: err = %v, want ErrBusy %v, ErrServer %v", tc.status, err, tc.busy, tc.server)
+		}
+	}
 }

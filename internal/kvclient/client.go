@@ -28,10 +28,11 @@ var (
 	ErrProtocol  = errors.New("kvclient: protocol error")
 )
 
-// ErrBusy is the load-shedding refusal ("SERVER_ERROR busy"): the node
-// is alive but over its in-flight cap. It wraps ErrServer, so existing
-// error checks still match; retry logic treats it as retryable but not
-// as evidence the node is down.
+// ErrBusy is the load-shedding refusal ("SERVER_ERROR busy", binary
+// StatusBusy): the node is alive but turned the work away — kv3d-server
+// over its -max-conns, or another memcached server shedding load. It
+// wraps ErrServer, so existing error checks still match; retry logic
+// treats it as retryable but not as evidence the node is down.
 var ErrBusy = fmt.Errorf("%w: busy", ErrServer)
 
 // ErrNoQuorum is a quorum write that stored on the primary but could

@@ -51,8 +51,8 @@ func waitIdle(t *testing.T, srv *Server) {
 }
 
 // scriptASCII runs a fixed command sequence over one raw TCP
-// connection: set, single get, multiget (one hit one miss), a shed-free
-// delete, quit.
+// connection: set, single get, multiget (one hit one miss), delete,
+// quit.
 func scriptASCII(t *testing.T, addr string) {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)

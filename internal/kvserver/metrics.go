@@ -16,48 +16,16 @@ import (
 	"kv3d/internal/sim"
 )
 
-// RejectReason classifies refused work: connections turned away at the
-// accept loop and requests shed by the in-flight gate.
-type RejectReason int
-
-const (
-	// RejectMaxConns is an accept refused by the connection cap.
-	RejectMaxConns RejectReason = iota
-	// RejectBusy is a request shed by the in-flight cap.
-	RejectBusy
-
-	numRejectReasons
-)
-
-func (r RejectReason) String() string {
-	switch r {
-	case RejectMaxConns:
-		return "max_conns"
-	case RejectBusy:
-		return "busy"
-	}
-	return "unknown"
-}
-
 // OpMetrics aggregates per-operation-class latency histograms across
-// all connections (ASCII and binary), split by outcome (ok / error /
-// busy) so load-shed responses appear in latency accounting instead of
-// vanishing, plus rejection counters. It implements protocol.Observer;
-// sessions call ObserveOp from their connection goroutines, so the
-// histograms sit behind a mutex (the reject counters are atomic and
-// lock-free).
+// all connections (ASCII and binary), split by outcome (ok / error),
+// plus the count of connections turned away by Options.MaxConns. It
+// implements protocol.Observer; sessions call ObserveOp from their
+// connection goroutines, so the histograms sit behind a mutex (the
+// reject counter is atomic, bumped by the accept loop without it).
 type OpMetrics struct {
-	mu      sync.Mutex
-	hists   [protocol.NumOpClasses][protocol.NumOutcomes]*metrics.Histogram // guarded by mu
-	rejects [numRejectReasons]atomic.Uint64
-}
-
-// Reject counts one refusal.
-func (m *OpMetrics) Reject(r RejectReason) {
-	if r < 0 || r >= numRejectReasons {
-		return
-	}
-	m.rejects[r].Add(1) // rejects is an atomic counter array, deliberately lock-free (hot shed path)
+	mu       sync.Mutex
+	hists    [protocol.NumOpClasses][protocol.NumOutcomes]*metrics.Histogram // guarded by mu
+	rejected atomic.Uint64
 }
 
 // NewOpMetrics allocates histograms for every operation class and
@@ -124,11 +92,8 @@ func (m *OpMetrics) Probes() []obs.Probe {
 			}
 		}
 	}
-	for r := RejectReason(0); r < numRejectReasons; r++ {
-		if n := m.rejects[r].Load(); n > 0 {
-			probes = append(probes, obs.Probe{
-				Name: "live.server.rejected." + r.String(), Value: float64(n)})
-		}
+	if n := m.rejected.Load(); n > 0 {
+		probes = append(probes, obs.Probe{Name: "live.server.rejected.max_conns", Value: float64(n)})
 	}
 	return probes
 }

@@ -10,7 +10,7 @@ import (
 
 // TestOpMetricsConcurrentObserveRejectSnapshot is the -race regression
 // for the OpMetrics locking contract: hists sits behind mu while the
-// reject counters are a lock-free atomic array. Observers, rejecters, and
+// reject counter is a lock-free atomic. Observers, rejecters, and
 // scrapes hammer one aggregator from separate goroutines; the race
 // detector proves the split discipline holds (including the summaries
 // a scrape computes from its copies outside mu), and the final counts
@@ -28,7 +28,7 @@ func TestOpMetricsConcurrentObserveRejectSnapshot(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perW; i++ {
 				m.ObserveOp(protocol.OpClass(i%int(protocol.NumOpClasses)), protocol.Outcome(i%int(protocol.NumOutcomes)), 1, sim.Ns(100+i))
-				m.Reject(RejectReason(i % int(numRejectReasons)))
+				m.rejected.Add(1)
 			}
 		}(w)
 	}
@@ -46,17 +46,14 @@ func TestOpMetricsConcurrentObserveRejectSnapshot(t *testing.T) {
 	<-readers
 
 	probes := m.Probes()
-	var observed, rejected float64
+	var observed float64
 	for c := protocol.OpClass(0); c < protocol.NumOpClasses; c++ {
 		observed += probeValue(probes, "live.op."+c.String()+".latency_ns.count")
 	}
 	if want := float64(workers * perW); observed != want {
 		t.Fatalf("observed %v ops across classes, want %v", observed, want)
 	}
-	for r := RejectReason(0); r < numRejectReasons; r++ {
-		rejected += probeValue(probes, "live.server.rejected."+r.String())
-	}
-	if want := float64(workers * perW); rejected != want {
+	if rejected, want := probeValue(probes, "live.server.rejected.max_conns"), float64(workers*perW); rejected != want {
 		t.Fatalf("counted %v rejects, want %v", rejected, want)
 	}
 }

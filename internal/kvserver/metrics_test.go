@@ -189,13 +189,13 @@ func TestOpMetricsDeterministicWithFakeClock(t *testing.T) {
 		t.Fatalf("other/error count = %v", got)
 	}
 	// The aggregate keeps counting across outcomes.
-	m.ObserveOp(protocol.ClassGet, protocol.OutcomeBusy, 1, 7)
+	m.ObserveOp(protocol.ClassGet, protocol.OutcomeError, 1, 7)
 	probes = m.Probes()
 	if got := probeValue(probes, "live.op.get.latency_ns.count"); got != 6 {
-		t.Fatalf("get aggregate count = %v, want 6 (5 ok + 1 busy)", got)
+		t.Fatalf("get aggregate count = %v, want 6 (5 ok + 1 error)", got)
 	}
-	if got := probeValue(probes, "live.op.get.busy.latency_ns.count"); got != 1 {
-		t.Fatalf("get busy count = %v", got)
+	if got := probeValue(probes, "live.op.get.error.latency_ns.count"); got != 1 {
+		t.Fatalf("get error count = %v", got)
 	}
 	// A run of 16 gets observed in one call is 16 samples whose sum is
 	// the run's time.

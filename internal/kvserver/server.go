@@ -25,11 +25,6 @@ type Options struct {
 	// busy line and are closed promptly (memcached's -c, except the
 	// refusal is explicit rather than a silent close).
 	MaxConns int
-	// MaxInflight caps concurrently executing requests across all
-	// connections. Excess commands are answered "SERVER_ERROR busy"
-	// (StatusBusy on the binary protocol) instead of queueing without
-	// bound — the server sheds load rather than silently degrading.
-	MaxInflight int
 	// IdleTimeout closes connections with no traffic for this long.
 	IdleTimeout time.Duration
 	// Flight, when set, records sampled per-op phase spans and server
@@ -78,30 +73,6 @@ type Server struct {
 	flight *serverFlight
 }
 
-// inflightGate is a non-blocking semaphore capping concurrently
-// executing requests; it implements protocol.Gate and counts its own
-// refusals.
-type inflightGate struct {
-	sem chan struct{}
-	ops *OpMetrics
-}
-
-func newInflightGate(n int, ops *OpMetrics) *inflightGate {
-	return &inflightGate{sem: make(chan struct{}, n), ops: ops}
-}
-
-func (g *inflightGate) TryAcquire() bool {
-	select {
-	case g.sem <- struct{}{}:
-		return true
-	default:
-		g.ops.Reject(RejectBusy)
-		return false
-	}
-}
-
-func (g *inflightGate) Release() { <-g.sem }
-
 // New creates a server for the given store. logger may be nil to
 // silence per-connection errors.
 func New(store *kvstore.Store, logger *log.Logger) *Server {
@@ -118,9 +89,6 @@ func NewWithOptions(store *kvstore.Store, logger *log.Logger, opts Options) *Ser
 		ops:   NewOpMetrics(),
 	}
 	s.env = protocol.Env{Observer: s.ops, Clock: store.Clock(), Repl: opts.Repl}
-	if opts.MaxInflight > 0 {
-		s.env.Gate = newInflightGate(opts.MaxInflight, s.ops)
-	}
 	if opts.Flight != nil {
 		s.flight = newServerFlight(opts.Flight, store.Clock(), opts.FlightEvery)
 		s.env.Flight, s.env.FlightEvery = &s.flight.sessions, s.flight.every
@@ -225,7 +193,7 @@ func (s *Server) ServeOn(ln net.Listener) error {
 // The write runs in its own goroutine under a deadline, so a stalled
 // peer can neither pin the accept loop nor leak the goroutine.
 func (s *Server) rejectConn(conn net.Conn) {
-	s.ops.Reject(RejectMaxConns)
+	s.ops.rejected.Add(1)
 	s.flight.lifecycle("reject.max_conns")
 	s.wg.Add(1)
 	go func() {

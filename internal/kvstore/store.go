@@ -265,8 +265,8 @@ func (st *Store) Unpin(p Pin) {
 	p.sh.mu.Unlock()
 }
 
-// Verb selects the guard Put, Reserve and Commit run under the shard
-// lock.
+// Verb selects the guard Put, PutBatch, Reserve and Commit run under
+// the shard lock.
 type Verb uint8
 
 const (
@@ -279,8 +279,9 @@ const (
 // Put stores key=value under verb's guard and returns the CAS id the
 // shard assigned to the stored item under its lock, so a caller that
 // must report the new CAS id (the binary protocol) need not read the
-// key back. It is the one store entry point behind Set and the
-// protocols' add, replace and cas. casID is consulted by VerbCAS only.
+// key back. Set stores through it; the protocols store through
+// PutBatch, or Reserve and Commit for a large value. casID is consulted
+// by VerbCAS only.
 //
 //kv3d:hotpath
 func (st *Store) Put(verb Verb, key string, value []byte, flags uint32, exptime int64, casID uint64) (newCAS uint64, err error) {

@@ -160,8 +160,8 @@ func (r *FlightRecorder[T]) record(ph byte, track TrackID, name, label string, t
 }
 
 // Complete records a span [start, end) on a track. outcome may be ""
-// or a constant string ("ok", "error", "busy") rendered into the
-// span's args for filtering in Perfetto.
+// or a constant string ("ok", "error") rendered into the span's args
+// for filtering in Perfetto.
 //
 //kv3d:hotpath
 func (r *FlightRecorder[T]) Complete(track TrackID, name, outcome string, start, end T) {

@@ -66,8 +66,9 @@ const (
 	StatusNonNumeric     = 0x0006
 	StatusUnknownCommand = 0x0081
 	StatusOutOfMemory    = 0x0082
-	// StatusBusy is the load-shedding refusal, the binary twin of the
-	// ASCII "SERVER_ERROR busy" line (memcached's EBUSY status).
+	// StatusBusy is memcached's EBUSY status, a server's refusal of a
+	// request it is too loaded to run. This server never sends it; the
+	// client maps it for the memcached servers that do.
 	StatusBusy = 0x0085
 )
 
@@ -226,23 +227,6 @@ func (s *BinarySession) readBody(n int) (extras, key, value []byte, err error) {
 	}
 	nk := int(h.extrasLen) + int(h.keyLen)
 	return body[:h.extrasLen], body[h.extrasLen:nk], body[nk:], nil
-}
-
-// shed refuses one frame while the server is over its in-flight cap.
-// The body is consumed first, so the refusal cannot desynchronize the
-// stream. Quiet variants are shed silently; quit still quits.
-func (s *BinarySession) shed() error {
-	h := s.runHdr[0]
-	if _, err := s.r.Discard(int(h.bodyLen)); err != nil {
-		return err
-	}
-	switch {
-	case s.head == opQuit:
-		return s.encode(0, &command{op: opQuit, quiet: quiet(h.opcode)}, result{})
-	case quiet(h.opcode):
-		return nil
-	}
-	return s.respond(h, StatusBusy, nil, nil, binBusy, 0)
 }
 
 // parse reads the frame's body and turns it into a command: key and
@@ -422,7 +406,6 @@ func (s *BinarySession) respHeader(h binHeader, status uint16, extras, key []byt
 
 // Static response bodies the hot-path functions send.
 var (
-	binBusy     = []byte("busy")
 	binNotFound = []byte("Not found")
 	binInvalid  = []byte("Invalid arguments")
 	binUnknown  = []byte("Unknown command")

@@ -22,24 +22,10 @@ import (
 	"kv3d/internal/sim"
 )
 
-// Gate admits requests under a server-wide in-flight cap. TryAcquire
-// is called once a request's head has been read; if it refuses, the
-// session answers busy instead of executing, and Release is not called.
-// The implementation must be safe for concurrent use from all connection
-// goroutines (kvserver's is a buffered-channel semaphore).
-type Gate interface {
-	// TryAcquire claims an execution slot without blocking.
-	TryAcquire() bool
-	// Release returns a slot claimed by TryAcquire.
-	Release()
-}
-
 // Env is everything a session depends on besides its store and its
 // transport, fixed when the session is built. The zero value is a bare
-// session: unlimited admission, nothing observed, every write local.
+// session: nothing observed, every write local.
 type Env struct {
-	// Gate is the in-flight admission gate; nil means unlimited.
-	Gate Gate
 	// Observer receives one callback per command, timed by Clock (a
 	// server's is its store's). Commands are observed only when both
 	// are set.
@@ -83,9 +69,6 @@ type codec interface {
 	// command other than a get; encodeGet the reply to get request i.
 	encode(i int, cmd *command, res result) error
 	encodeGet(i int, keys [][]byte, rs []kvstore.BatchResult) error
-	// shed reads the rest of the request next read, so the stream stays
-	// in step, and stages a busy refusal in place of running it.
-	shed() error
 	// opaque is request i's correlation key: the binary opaque field;
 	// no request id crosses the ASCII wire.
 	opaque(i int) uint64
@@ -388,12 +371,7 @@ func (c *core) serve(cd codec) error {
 
 // serveOne is the envelope around one run of requests — for every
 // request but a pipelined get or store, a run of one: read its head,
-// start the op clock, ask the gate once, run the requests or shed the
-// one read, stop the clock, observe them, give the slot back. A run holds one
-// slot, as it is served by one goroutine start to end; a refused run is
-// cut to its first request, and the requests behind it ask again as the
-// next run. Shed requests are observed too — a busy refusal is part of
-// the latency story, not a gap in it.
+// start the op clock, run the requests, stop the clock, observe them.
 //
 //kv3d:hotpath
 func (c *core) serveOne(cd codec) error {
@@ -408,32 +386,21 @@ func (c *core) serveOne(cd codec) error {
 			start = c.env.Clock.Now()
 		}
 	}
-	admitted := c.env.Gate == nil || c.env.Gate.TryAcquire()
-	served, err, out := 1, error(nil), OutcomeBusy
-	if admitted {
-		served, err = c.exec(cd)
-		out = outcomeOf(err)
-	} else {
-		c.sample(1)
-		err = cd.shed()
-	}
+	served, err := c.exec(cd)
 	if c.timed {
 		end := c.env.Clock.Now()
-		c.observe(cd, served, out, start, end)
+		c.observe(cd, served, outcomeOf(err), start, end)
 		if c.transport != nil {
 			c.lastEnd, c.transport.read = end, false
 		}
 	}
-	if admitted && c.env.Gate != nil {
-		c.env.Gate.Release()
-	}
 	return err
 }
 
-// exec serves an admitted run: parse the request next read — a get or
-// a store on a session that owns its transport takes along the
-// complete requests of its op already buffered behind it, up to maxRun
-// — execute them once, and stage the replies in request order. It
+// exec serves a run: parse the request next read — a get or a store
+// on a session that owns its transport takes along the complete
+// requests of its op already buffered behind it, up to maxRun —
+// execute them once, and stage the replies in request order. It
 // returns how many requests it served: all, unless an error ended the
 // session at the last one.
 //

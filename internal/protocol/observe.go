@@ -33,24 +33,22 @@ func (c OpClass) String() string {
 }
 
 // Outcome classifies how a command ended, so latency accounting can
-// separate healthy ops from failures and — critically — from busy
-// sheds, which previously vanished from the histograms entirely.
+// separate healthy ops from failures.
 type Outcome int
 
 // Outcomes, in the order they are exported by the metrics endpoint.
 const (
 	OutcomeOK    Outcome = iota // executed (includes protocol-level miss/NOT_FOUND)
 	OutcomeError                // session-fatal error during execution
-	OutcomeBusy                 // shed by the admission gate
 	NumOutcomes
 )
 
 // String returns the outcome's metric-name segment.
 func (o Outcome) String() string {
-	if o == OutcomeOK || o == OutcomeError {
-		return [...]string{"ok", "error"}[o]
+	if o == OutcomeOK {
+		return "ok"
 	}
-	return "busy"
+	return "error"
 }
 
 // outcomeOf maps what executing a request returned onto an outcome. A
@@ -87,7 +85,7 @@ type Observer interface {
 // call and replication), and write (response serialization and flush),
 // split at the same two points for every verb of both codecs: parse
 // ends when execute starts, execute when it returns. A request that
-// never reached execute (refused by its parser, shed) has no phases:
+// never reached execute (refused by its parser) has no phases:
 // its span is all write. All timestamps come from the session's
 // injected clock. Opaque carries the binary
 // protocol's opaque field (0 on ASCII, where no request id crosses

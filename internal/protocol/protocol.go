@@ -13,8 +13,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"unicode"
-	"unicode/utf8"
 
 	"kv3d/internal/kvstore"
 )
@@ -33,10 +31,6 @@ const (
 	respOK        = "OK\r\n"
 	respEnd       = "END\r\n"
 	respError     = "ERROR\r\n"
-	// respBusy is the load-shedding refusal: the server is over its
-	// in-flight cap and declines the command rather than queueing it.
-	// Clients treat it as retryable (see kvclient.ErrBusy).
-	respBusy = "SERVER_ERROR busy\r\n"
 )
 
 // maxLineLen bounds a command line, mirroring memcached's 2048 limit.
@@ -115,40 +109,6 @@ var asciiOps = map[string]op{
 
 func (s *Session) opaque(int) uint64 { return 0 }
 
-// shed refuses one command while the server is over its in-flight
-// cap. Store-class commands carry a data block that must be consumed
-// before replying, or the refusal would desynchronize the stream (the
-// block's bytes would be parsed as commands). noreply commands are shed
-// silently, matching their fire-and-forget contract; quit still quits.
-func (s *Session) shed() error {
-	switch s.head {
-	case opQuit:
-		return ErrQuit
-	case opStore, opAppend, opPrepend:
-		cmd := &s.run[0]
-		cmd.reset()
-		if err := s.parseStorage(cmd, false); err != nil || cmd.op == opNone || cmd.noreply {
-			return err
-		}
-	default:
-		if string(lastField(s.rest)) == "noreply" {
-			return nil
-		}
-	}
-	return s.reply(respBusy)
-}
-
-// lastField is the last of bytes.Fields(b), empty if there is none,
-// found without allocating.
-func lastField(b []byte) []byte {
-	b = bytes.TrimRightFunc(b, unicode.IsSpace)
-	if i := bytes.LastIndexFunc(b, unicode.IsSpace); i >= 0 {
-		_, n := utf8.DecodeRune(b[i:])
-		return b[i+n:]
-	}
-	return b
-}
-
 // parse turns the command line, and a storage command's data block,
 // into a command. The get and store verbs keep their arguments as
 // tokens of the command line, without allocating.
@@ -164,7 +124,7 @@ func (s *Session) parse(cmd *command) error {
 			return s.reply(respError)
 		}
 	case opStore, opAppend, opPrepend:
-		return s.parseStorage(cmd, true)
+		return s.parseStorage(cmd)
 	case opQuit, opVersion:
 	default:
 		return s.parseArgs(cmd)
@@ -459,14 +419,13 @@ var (
 // [noreply]" into cmd, freshly reset, and reads the data block: a set,
 // add, replace or cas of pinFrom bytes or more into the chunk receive
 // reserves, one that fits the reader's buffer nowhere (cmd.value
-// aliases the reader until the run is served), any other into val, and
-// nothing at all unless keep — a shed command's block is skipped. The key aliases
-// the line. The numeric tokens convert through strings that do not
-// escape, so a well-formed command parses without allocating. A
+// aliases the reader until the run is served), any other into val. The
+// key aliases the line. The numeric tokens convert through strings that
+// do not escape, so a well-formed command parses without allocating. A
 // malformed one is answered here (noreply or not).
 //
 //kv3d:hotpath
-func (s *Session) parseStorage(cmd *command, keep bool) error {
+func (s *Session) parseStorage(cmd *command) error {
 	cmd.verb = storeVerbs[string(s.verb)]
 	nbytes, err := parseStorageArgs(s.rest, cmd)
 	if err != nil {
@@ -474,8 +433,6 @@ func (s *Session) parseStorage(cmd *command, keep bool) error {
 	}
 	inPlace := false
 	switch {
-	case !keep:
-		_, err = s.r.Discard(nbytes)
 	case s.head == opStore && nbytes >= s.pinFrom:
 		err = s.receive(cmd, nbytes)
 	case nbytes+2 <= s.r.Size():

@@ -409,24 +409,3 @@ func TestServeSurfacesFlushError(t *testing.T) {
 		t.Fatalf("Serve error %q does not surface the write failure", err)
 	}
 }
-
-// TestLastFieldIsFieldsLast holds the shed path's allocation-free
-// noreply check to the parser's: lastField is the last of bytes.Fields,
-// on ASCII and Unicode spaces, invalid UTF-8 and empty lines alike.
-func TestLastFieldIsFieldsLast(t *testing.T) {
-	r := sim.NewRand(7)
-	alphabet := []string{" ", "\t", "\r", " ", "\u0085", " ", "\xff", "\xc2", "a", "noreply", "k"}
-	for i := 0; i < 5000; i++ {
-		var b []byte
-		for n := r.Intn(8); n > 0; n-- {
-			b = append(b, alphabet[r.Intn(len(alphabet))]...)
-		}
-		var want []byte
-		if f := bytes.Fields(b); len(f) > 0 {
-			want = f[len(f)-1]
-		}
-		if got := lastField(b); !bytes.Equal(got, want) {
-			t.Fatalf("lastField(%q) = %q, want %q", b, got, want)
-		}
-	}
-}
